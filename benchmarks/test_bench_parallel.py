@@ -8,9 +8,9 @@ Two headline claims of the parallel level evaluator:
   and objectives (the parity suite asserts the same across the whole
   coster matrix; this file re-asserts it on the timed runs so the
   speedup never comes from a different answer);
-* coalescing same-shard requests into one ``optimize_batch`` frame and
-  running the workers with level batching keeps cluster replay
-  throughput at least on par with the request-at-a-time wire path.
+* coalescing same-shard requests into one ``optimize_batch`` frame
+  keeps cluster replay throughput at least on par with the
+  request-at-a-time wire path.
 
 The speedup assertion is skipped on hosts with fewer than 4 CPUs, where
 it cannot physically hold (``parse_parallelism("auto")`` collapses to
@@ -144,9 +144,7 @@ class TestClusterBatchedServing:
             schedule="unique",  # every request a fresh optimization
         )
         plain = run_replay(**common)
-        batched = run_replay(
-            **common, level_batching=True, parallelism="auto", batch_size=4
-        )
+        batched = run_replay(**common, batch_size=4)
         for report in (plain, batched):
             assert report["lost"] == 0 and report["errors"] == 0
             assert report["answered"] == report["accepted"]

@@ -49,12 +49,6 @@ def main(argv=None) -> int:
                         help="admission soft queue limit per shard")
     parser.add_argument("--hard-limit", type=int, default=64,
                         help="admission hard queue limit per shard")
-    parser.add_argument("--level-batching", action="store_true",
-                        help="batch DP levels through the vectorized "
-                             "kernel inside every shard")
-    parser.add_argument("--parallelism", default=None,
-                        help="per-shard worker pool spec (e.g. 2, "
-                             "'threads:4'); plans are bit-identical")
     parser.add_argument("--batch-size", type=int, default=1,
                         help="send requests in optimize_batch frames of "
                              "this size (default 1 = legacy frames)")
@@ -79,8 +73,6 @@ def main(argv=None) -> int:
         admission=AdmissionController(
             soft_limit=args.soft_limit, hard_limit=args.hard_limit
         ),
-        level_batching=True if args.level_batching else None,
-        parallelism=args.parallelism,
         batch_size=args.batch_size,
     )
 

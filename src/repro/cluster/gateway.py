@@ -45,7 +45,7 @@ from ..optimizer.facade import _OBJECTIVES, _model_key
 from ..plans.nodes import Plan
 from ..serving.plan_cache import PlanCacheKey, memory_key
 from ..serving.service import OptimizeRequest
-from ..tools.serialize import plan_from_dict, query_to_dict
+from ..tools.serialize import plan_from_dict
 from .admission import SHED, AdmissionController, AdmissionDecision
 from .metrics import ClusterMetrics
 from .protocol import (
@@ -53,7 +53,7 @@ from .protocol import (
     ProtocolError,
     batch_message,
     encode_frame,
-    encode_memory,
+    encode_request,
 )
 from .shared_cache import (
     SharedPlanTier,
@@ -162,12 +162,6 @@ class ClusterGateway:
     worker_threads / hot_entries / warm_limit / shared_max_entries /
     coarse_buckets / default_deadline:
         Forwarded into each shard's :class:`WorkerConfig`.
-    worker_level_batching / worker_parallelism:
-        Engine evaluation knobs applied service-wide inside every shard
-        (see :func:`repro.optimize`): batch DP levels through the
-        vectorized kernel and/or fan them across an intra-shard worker
-        pool.  Bit-invisible in every answer; per-request wire fields
-        override them.
     health_interval:
         Seconds between background health sweeps (``None`` disables the
         task; :meth:`check_health` can still be called manually).
@@ -187,8 +181,6 @@ class ClusterGateway:
         shared_max_entries: int = 4096,
         coarse_buckets: int = 3,
         default_deadline: Optional[float] = None,
-        worker_level_batching: Optional[bool] = None,
-        worker_parallelism=None,
         health_interval: Optional[float] = None,
         max_retries: int = 2,
     ):
@@ -206,8 +198,6 @@ class ClusterGateway:
         self._shared_max_entries = shared_max_entries
         self._coarse_buckets = coarse_buckets
         self._default_deadline = default_deadline
-        self._worker_level_batching = worker_level_batching
-        self._worker_parallelism = worker_parallelism
         self.health_interval = health_interval
         self.max_retries = max_retries
 
@@ -326,8 +316,6 @@ class ClusterGateway:
             shared_max_entries=self._shared_max_entries,
             coarse_buckets=self._coarse_buckets,
             default_deadline=self._default_deadline,
-            level_batching=self._worker_level_batching,
-            parallelism=self._worker_parallelism,
         )
 
     async def _spawn(self, shard: _Shard) -> None:
@@ -513,18 +501,22 @@ class ClusterGateway:
             self.metrics.registry.counter(
                 "cluster.catalog_invalidations"
             ).increment()
-            if self.shared_tier is not None:
-                await self._offload(self.shared_tier.invalidate_stale, current)
             frame = encode_frame(
                 {"type": "version", "version": list(current)}
             )
-            for shard in self._shards:
-                if shard.writer is not None:
-                    try:
-                        shard.writer.write(frame)
-                        await shard.writer.drain()
-                    except (ConnectionError, OSError):
-                        continue  # restart path re-sends the version
+            # Every shard gets the fence before the first await: a
+            # concurrent _prepare already sees the new _last_version, and
+            # pipe order is what keeps its request behind this frame.
+            writers = [s.writer for s in self._shards if s.writer is not None]
+            for writer in writers:
+                writer.write(frame)
+            if self.shared_tier is not None:
+                await self._offload(self.shared_tier.invalidate_stale, current)
+            for writer in writers:
+                try:
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    continue  # a respawned worker starts on the new version
         return current
 
     # ------------------------------------------------------------------
@@ -600,22 +592,9 @@ class ClusterGateway:
         request_id = next(self._ids)
         # The replayed-on-restart copy keeps its own "optimize" type;
         # batching is purely a first-send transport optimisation.
-        message = {
-            "type": "optimize",
-            "id": request_id,
-            "query": query_to_dict(request.query),
-            "objective": request.objective,
-            "memory": encode_memory(request.memory),
-            "deadline": decision.effective_deadline,
-            "plan_space": request.plan_space,
-            "allow_cross_products": request.allow_cross_products,
-            "top_k": request.top_k,
-            "max_buckets": request.max_buckets,
-            "fast": request.fast,
-            "include_mean": request.include_mean,
-            "level_batching": request.level_batching,
-            "parallelism": request.parallelism,
-        }
+        message = encode_request(
+            request_id, replace(request, deadline=decision.effective_deadline)
+        )
         future: "asyncio.Future[ClusterResult]" = (
             asyncio.get_event_loop().create_future()
         )

@@ -20,7 +20,9 @@ Message types
 
 ``optimize``  gateway → worker: one optimization request (``id``,
               ``query`` doc, ``objective``, ``memory`` doc, optional
-              ``deadline`` and knob fields).
+              ``deadline`` and knob fields) — spelled by
+              :func:`encode_request` / :func:`decode_request` and
+              nowhere else.
 ``optimize_batch``
               gateway → worker: many requests in one frame
               (``requests``: a list of ``optimize``-shaped dicts, the
@@ -58,12 +60,15 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 from ..core.distributions import DiscreteDistribution
 from ..core.markov import MarkovParameter
+from ..serving.service import OptimizeRequest
 from ..tools.serialize import (
     SerializationError,
     distribution_from_dict,
     distribution_to_dict,
     markov_from_dict,
     markov_to_dict,
+    query_from_dict,
+    query_to_dict,
 )
 
 __all__ = [
@@ -75,6 +80,8 @@ __all__ = [
     "FrameDecoder",
     "encode_memory",
     "decode_memory",
+    "encode_request",
+    "decode_request",
     "batch_message",
     "iter_requests",
 ]
@@ -269,3 +276,53 @@ def decode_memory(
     except (KeyError, TypeError, ValueError, SerializationError) as exc:
         raise ProtocolError(f"bad memory document: {exc}") from None
     raise ProtocolError(f"unknown memory document kind {kind!r}")
+
+
+# ----------------------------------------------------------------------
+# Request documents
+# ----------------------------------------------------------------------
+
+
+def encode_request(request_id: int, request: OptimizeRequest) -> Dict[str, Any]:
+    """One ``optimize`` message for ``request`` (the cost model stays home:
+    the cluster tier serves the default one)."""
+    return {
+        "type": "optimize",
+        "id": request_id,
+        "query": query_to_dict(request.query),
+        "objective": request.objective,
+        "memory": encode_memory(request.memory),
+        "deadline": request.deadline,
+        "plan_space": request.plan_space,
+        "allow_cross_products": request.allow_cross_products,
+        "top_k": request.top_k,
+        "max_buckets": request.max_buckets,
+        "fast": request.fast,
+        "include_mean": request.include_mean,
+    }
+
+
+def decode_request(message: Dict[str, Any]) -> OptimizeRequest:
+    """Inverse of :func:`encode_request`.
+
+    Only ``query`` is required; an absent optional key decodes to the
+    :class:`OptimizeRequest` default and unknown keys are ignored, so
+    frames from older and newer gateways both decode.
+    """
+    try:
+        query = query_from_dict(message["query"])
+    except (KeyError, SerializationError) as exc:
+        raise ProtocolError(f"bad request query: {exc}") from None
+    deadline = message.get("deadline")
+    return OptimizeRequest(
+        query=query,
+        objective=message.get("objective", "lec"),
+        memory=decode_memory(message.get("memory")),
+        deadline=None if deadline is None else float(deadline),
+        plan_space=message.get("plan_space", "left-deep"),
+        allow_cross_products=bool(message.get("allow_cross_products", False)),
+        top_k=int(message.get("top_k", 1)),
+        max_buckets=int(message.get("max_buckets", 16)),
+        fast=bool(message.get("fast", False)),
+        include_mean=bool(message.get("include_mean", True)),
+    )

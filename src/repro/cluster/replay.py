@@ -1,9 +1,9 @@
 """Zipf replay harness for the cluster tier.
 
-Generates a seeded mix of chain/star/clique join queries with
-distributional selectivities, replays a Zipf-weighted request schedule
-through a :class:`~repro.cluster.gateway.ClusterGateway` under bounded
-client concurrency, and reports the numbers that justify the tier:
+Replays the seeded :func:`repro.serving.workload.build_workload` mix
+(chain/star/clique join queries, Zipf-weighted schedule) through a
+:class:`~repro.cluster.gateway.ClusterGateway` under bounded client
+concurrency, and reports the numbers that justify the tier:
 optimize throughput versus shard count, p50/p99 end-to-end latency,
 cache-tier hit rates, the rung distribution, and the loss accounting
 (accepted requests must all be answered — degraded or retried, never
@@ -23,61 +23,12 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..core.distributions import DiscreteDistribution
 from ..serving.service import OptimizeRequest
-from ..workloads.queries import random_query, with_selectivity_uncertainty
+from ..serving.workload import build_workload
 from .admission import AdmissionController
 from .gateway import ClusterGateway, ClusterResult
 
 __all__ = ["build_workload", "replay", "run_replay"]
-
-#: The memory-size distribution every replay request optimizes under.
-_MEMORY = DiscreteDistribution([400.0, 1500.0, 4000.0], [0.25, 0.5, 0.25])
-
-
-def build_workload(
-    n_distinct: int,
-    n_requests: int,
-    rng: np.random.Generator,
-    min_relations: int = 4,
-    max_relations: int = 6,
-    deadline: Optional[float] = None,
-    schedule: str = "zipf",
-) -> List[OptimizeRequest]:
-    """Distinct queries plus a replay schedule over them.
-
-    ``schedule="zipf"`` (default) draws ``n_requests`` picks with
-    1/rank weights — the realistic serving mix, where the cache and
-    coalescing carry the popular head.  ``schedule="unique"`` cycles
-    through the distinct queries round-robin, so with ``n_requests ==
-    n_distinct`` every request is a fresh optimization — the CPU-bound
-    setting the shard-scaling benchmark measures.
-
-    ``min_relations``/``max_relations`` set the per-query DP size — 4–6
-    relations keeps a single optimization in the multi-millisecond range,
-    so the replay is CPU-bound in the workers rather than wire-bound.
-    """
-    queries = []
-    for _ in range(n_distinct):
-        base = random_query(
-            int(rng.integers(min_relations, max_relations + 1)), rng
-        )
-        queries.append(with_selectivity_uncertainty(base, 1.0, n_buckets=4))
-    if schedule == "zipf":
-        weights = 1.0 / np.arange(1, n_distinct + 1)
-        weights /= weights.sum()
-        picks = rng.choice(n_distinct, size=n_requests, p=weights)
-    elif schedule == "unique":
-        picks = np.arange(n_requests) % n_distinct
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
-    return [
-        OptimizeRequest(
-            query=queries[i], objective="lec", memory=_MEMORY,
-            deadline=deadline,
-        )
-        for i in picks
-    ]
 
 
 async def replay(
@@ -88,8 +39,6 @@ async def replay(
     admission: Optional[AdmissionController] = None,
     kill_worker_at: Optional[int] = None,
     health_interval: Optional[float] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
     batch_size: int = 1,
 ) -> Dict[str, Any]:
     """Replay ``workload`` through a fresh gateway; return the report.
@@ -98,12 +47,9 @@ async def replay(
     been answered — the crash-resilience drill: the report's ``lost``
     must stay 0 because the gateway replays in-flight work.
 
-    ``level_batching``/``parallelism`` opt every shard's service into
-    the vectorized/parallel DP evaluation (bit-invisible in plans —
-    they only move the throughput numbers).  ``batch_size > 1`` sends
-    requests through :meth:`ClusterGateway.optimize_many` in groups of
-    that size, so same-shard requests share one ``optimize_batch``
-    frame write.
+    ``batch_size > 1`` sends requests through
+    :meth:`ClusterGateway.optimize_many` in groups of that size, so
+    same-shard requests share one ``optimize_batch`` frame write.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -117,8 +63,6 @@ async def replay(
         catalog_sources=catalog_sources,
         admission=admission,
         health_interval=health_interval,
-        worker_level_batching=level_batching,
-        worker_parallelism=parallelism,
     ) as gateway:
 
         def _account(index: int, result: ClusterResult) -> None:
@@ -178,8 +122,6 @@ async def replay(
             "concurrency": concurrency,
             "kill_worker_at": kill_worker_at,
             "cpu_count": os.cpu_count(),
-            "level_batching": level_batching,
-            "parallelism": parallelism,
             "batch_size": batch_size,
         },
         "wall_seconds": wall,
@@ -213,8 +155,6 @@ def run_replay(
     kill_worker_at: Optional[int] = None,
     admission: Optional[AdmissionController] = None,
     schedule: str = "zipf",
-    level_batching: Optional[bool] = None,
-    parallelism=None,
     batch_size: int = 1,
 ) -> Dict[str, Any]:
     """Synchronous entry point: build the workload and replay it."""
@@ -227,6 +167,5 @@ def run_replay(
     return asyncio.run(replay(
         workload, shards=shards, concurrency=concurrency,
         admission=admission, kill_worker_at=kill_worker_at,
-        level_batching=level_batching, parallelism=parallelism,
         batch_size=batch_size,
     ))

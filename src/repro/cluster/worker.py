@@ -29,13 +29,12 @@ from __future__ import annotations
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
-from ..serving.service import OptimizeRequest, OptimizerService, ServingResult
-from ..tools.serialize import SerializationError, query_from_dict
+from ..serving.service import OptimizerService, ServingResult
 from .protocol import (
     ProtocolError,
-    decode_memory,
+    decode_request,
     iter_requests,
     read_frame,
     write_frame,
@@ -57,11 +56,6 @@ class WorkerConfig:
     shared_max_entries: int = 4096
     coarse_buckets: int = 3
     default_deadline: Optional[float] = None
-    #: Service-wide engine knobs (see :class:`OptimizerService`): shard
-    #: processes opt into level batching / an intra-shard worker pool.
-    #: Bit-invisible in every answer, so safe to vary per deployment.
-    level_batching: Optional[bool] = None
-    parallelism: Union[None, bool, int, str] = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -95,30 +89,6 @@ class _FrameSender:
         except (OSError, ValueError):
             # Gateway hung up mid-send; the worker loop will see EOF.
             return False
-
-
-def _decode_request(message: Dict[str, Any]) -> OptimizeRequest:
-    try:
-        query = query_from_dict(message["query"])
-    except (KeyError, SerializationError) as exc:
-        raise ProtocolError(f"bad request query: {exc}") from None
-    deadline = message.get("deadline")
-    return OptimizeRequest(
-        query=query,
-        objective=message.get("objective", "lec"),
-        memory=decode_memory(message.get("memory")),
-        deadline=None if deadline is None else float(deadline),
-        plan_space=message.get("plan_space", "left-deep"),
-        allow_cross_products=bool(message.get("allow_cross_products", False)),
-        top_k=int(message.get("top_k", 1)),
-        max_buckets=int(message.get("max_buckets", 16)),
-        fast=bool(message.get("fast", False)),
-        include_mean=bool(message.get("include_mean", True)),
-        # None means "use the service default" (the shard's WorkerConfig
-        # knobs); an explicit wire value overrides it per request.
-        level_batching=message.get("level_batching"),
-        parallelism=message.get("parallelism"),
-    )
 
 
 def _result_message(request_id: int, result: ServingResult) -> Dict[str, Any]:
@@ -163,8 +133,6 @@ def worker_main(sock, shared_state: SharedCacheState,
         catalog_sources=shims,
         coarse_buckets=config.coarse_buckets,
         default_deadline=config.default_deadline,
-        level_batching=config.level_batching,
-        parallelism=config.parallelism,
     )
 
     def _respond(request_id: int, future) -> None:
@@ -199,7 +167,7 @@ def worker_main(sock, shared_state: SharedCacheState,
                 for body in iter_requests(message):
                     request_id = int(body["id"])
                     try:
-                        request = _decode_request(body)
+                        request = decode_request(body)
                     except ProtocolError as exc:
                         sender.send({
                             "type": "error", "id": request_id,

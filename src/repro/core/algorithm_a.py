@@ -14,14 +14,12 @@ true LEC plan: a plan optimal for no single bucket can win on average.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..costmodel.model import CostModel
-from ..optimizer.costers import PointCoster
-from ..optimizer.result import OptimizationResult, OptimizerStats, PlanChoice
-from ..optimizer.systemr import SystemRDP
-from ..plans.nodes import Plan
+from ..optimizer.result import OptimizationResult
 from ..plans.query import JoinQuery
+from .algorithm_b import optimize_algorithm_b
 from .context import OptimizationContext
 from .distributions import DiscreteDistribution
 
@@ -41,42 +39,21 @@ def optimize_algorithm_a(
 ) -> OptimizationResult:
     """Run Algorithm A and return the candidate of least expected cost.
 
-    The returned ``candidates`` list holds every distinct per-bucket
-    winner with its expected cost (best first); ``stats`` accumulates the
-    counters of all ``b`` black-box invocations plus the final costing
-    pass.  A shared ``context`` lets the ``b`` black-box invocations (and
-    any sibling optimizers) reuse memoized sizes and step costs;
-    ``level_batching``/``parallelism`` forward to each invocation's
-    engine and never change the result.
+    Algorithm A is Algorithm B keeping ``c = 1`` plan per bucket
+    (Section 3.3), so this delegates: ``candidates`` holds every
+    distinct per-bucket winner with its expected cost (best first) and
+    ``stats`` accumulates the counters of all ``b`` black-box
+    invocations plus the final costing pass.
     """
-    cm = cost_model if cost_model is not None else CostModel()
-    if context is None:
-        context = OptimizationContext(query, cost_model=cm)
-    probe_points = list(memory.support())
-    if include_mean and memory.mean() not in probe_points:
-        probe_points.append(memory.mean())
-
-    stats = OptimizerStats(invocations=0)
-    seen: dict = {}
-    for m in probe_points:
-        engine = SystemRDP(
-            PointCoster(m, cost_model=cm),
-            plan_space=plan_space,
-            allow_cross_products=allow_cross_products,
-            context=context,
-            level_batching=level_batching,
-            parallelism=parallelism,
-        )
-        result = engine.optimize(query)
-        stats = stats.merged_with(result.stats)
-        plan = result.plan
-        seen.setdefault(plan.signature(), plan)
-
-    evals_before = cm.eval_count
-    choices: List[PlanChoice] = []
-    for plan in seen.values():
-        expected = cm.plan_expected_cost(plan, query, memory)
-        choices.append(PlanChoice(plan=plan, objective=expected))
-    choices.sort(key=lambda c: c.objective)
-    stats.formula_evaluations += cm.eval_count - evals_before
-    return OptimizationResult(best=choices[0], candidates=choices, stats=stats)
+    return optimize_algorithm_b(
+        query,
+        memory,
+        c=1,
+        cost_model=cost_model,
+        plan_space=plan_space,
+        allow_cross_products=allow_cross_products,
+        include_mean=include_mean,
+        context=context,
+        level_batching=level_batching,
+        parallelism=parallelism,
+    )

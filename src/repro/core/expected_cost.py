@@ -12,8 +12,9 @@ all uncertain (Section 3.6):
   that after integrating memory out analytically, the per-pair cost
   factorises into prefix/suffix sums over one size distribution.
 
-Both routes must agree to floating-point accuracy; experiment E7 checks
-the equality and measures the speedup.
+The two routes agree within the relative bound stated in
+:mod:`repro.core.floats` (they add the same terms in another order);
+experiment E7 checks the agreement and measures the speedup.
 
 Batched evaluation
 ------------------
@@ -33,14 +34,12 @@ feeds a whole level's candidate partitions through
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..plans.properties import JoinMethod
 from .distributions import DiscreteDistribution
-from .floats import MASS_EPS, negligible_mass
 from .parallel import WorkerPool, chunk_spans
 
 __all__ = [
@@ -174,7 +173,7 @@ class _PaddedBatch:
     sequential row reductions are unaffected by the batch width.
     """
 
-    __slots__ = ("values", "pmf", "cdf", "wpre", "valid", "counts", "width")
+    __slots__ = ("values", "pmf", "cdf", "wpre", "valid", "width")
 
     def __init__(self, dists: Sequence[DiscreteDistribution]):
         counts = np.array([d.n_buckets for d in dists], dtype=np.intp)
@@ -195,13 +194,7 @@ class _PaddedBatch:
         self.cdf = cdf
         self.wpre = wpre
         self.valid = np.arange(width) < counts[:, None]
-        self.counts = counts
         self.width = width
-
-    def totals(self) -> np.ndarray:
-        """Per-row ``(Pr(X <= max), E[X])`` terminal prefix values."""
-        last = (self.counts - 1)[:, None]
-        return np.take_along_axis(self.wpre, last, axis=1)
 
 
 def _rank(small: _PaddedBatch, queries: np.ndarray, include_equal: bool) -> np.ndarray:
@@ -224,6 +217,20 @@ def _gather(prefix: np.ndarray, idx: np.ndarray) -> np.ndarray:
     safe = np.maximum(idx - 1, 0)
     out = np.take_along_axis(prefix, safe, axis=1)
     return np.where(idx > 0, out, 0.0)
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """Per-row right-to-left running sums: column ``k`` is ``Σ_{j>=k} x[j]``.
+
+    One extra trailing column holds the empty suffix, an exact 0.0 — as
+    is every suffix that starts in the zero padding, so (like
+    ``DiscreteDistribution.sf_arrays`` for memory) there is no
+    ``1 - cdf`` cancellation for a caller to guard against, and a live
+    entry's value does not depend on the batch width.
+    """
+    out = np.zeros((x.shape[0], x.shape[1] + 1))
+    out[:, :-1] = np.cumsum(x[:, ::-1], axis=1)[:, ::-1]
+    return out
 
 
 def _row_sums(contrib: np.ndarray) -> np.ndarray:
@@ -296,36 +303,25 @@ def _nl_totals(
     Both conditioned branches of each pair land in one concatenated
     segment so the sequential sum follows the scalar accumulation order.
     """
-    a_total_e = outers.totals()
-    b_total_e = inners.totals()
+    a, b = outers.values, inners.values
 
     # Branch 1: A <= B (s = a).  Suffix stats of B at each a (non-strict).
-    idx1 = _rank(inners, outers.values, include_equal=False)
-    g_cdf = np.take_along_axis(inners.cdf, np.maximum(idx1 - 1, 0), axis=1)
-    g_wpre = np.take_along_axis(inners.wpre, np.maximum(idx1 - 1, 0), axis=1)
-    prob_ge = np.where(idx1 > 0, 1.0 - g_cdf, 1.0)
-    exp_ge = np.where(idx1 > 0, b_total_e - g_wpre, b_total_e)
-    p_fit = st.prob_ge_many(outers.values + 2.0)
-    a = outers.values
+    idx1 = _rank(inners, a, include_equal=False)
+    prob_ge = np.take_along_axis(_suffix_sums(inners.pmf), idx1, axis=1)
+    exp_ge = np.take_along_axis(_suffix_sums(b * inners.pmf), idx1, axis=1)
+    p_fit = st.prob_ge_many(a + 2.0)
     fit_term = p_fit * (a * prob_ge + exp_ge)
     nofit_term = (1.0 - p_fit) * (a * prob_ge + a * exp_ge)
-    c1 = outers.pmf * (fit_term + nofit_term)
-    # Suffix-sum cancellation can leave a true zero at ±1e-17; the same
-    # negligible-mass guard as the scalar path zeroes those terms.
-    c1 = np.where(outers.valid & (prob_ge > MASS_EPS), c1, 0.0)
+    c1 = np.where(outers.valid, outers.pmf * (fit_term + nofit_term), 0.0)
 
     # Branch 2: A > B (s = b).  Suffix stats of A at each b (strict).
-    idx2 = _rank(outers, inners.values, include_equal=True)
-    g_cdf2 = np.take_along_axis(outers.cdf, np.maximum(idx2 - 1, 0), axis=1)
-    g_wpre2 = np.take_along_axis(outers.wpre, np.maximum(idx2 - 1, 0), axis=1)
-    prob_gt = np.where(idx2 > 0, 1.0 - g_cdf2, 1.0)
-    exp_gt = np.where(idx2 > 0, a_total_e - g_wpre2, a_total_e)
-    p_fit2 = st.prob_ge_many(inners.values + 2.0)
-    b = inners.values
+    idx2 = _rank(outers, b, include_equal=True)
+    prob_gt = np.take_along_axis(_suffix_sums(outers.pmf), idx2, axis=1)
+    exp_gt = np.take_along_axis(_suffix_sums(a * outers.pmf), idx2, axis=1)
+    p_fit2 = st.prob_ge_many(b + 2.0)
     fit_term2 = p_fit2 * (exp_gt + b * prob_gt)
     nofit_term2 = (1.0 - p_fit2) * (exp_gt * (1.0 + b))
-    c2 = inners.pmf * (fit_term2 + nofit_term2)
-    c2 = np.where(inners.valid & (prob_gt > MASS_EPS), c2, 0.0)
+    c2 = np.where(inners.valid, inners.pmf * (fit_term2 + nofit_term2), 0.0)
 
     return _row_sums(np.concatenate([c1, c2], axis=1))
 

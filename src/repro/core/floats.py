@@ -16,6 +16,27 @@ sanctioned way to compare:
   dividing by a probability mass: prefix-sum differences can drift a
   true zero to ``±1e-17``, so an exact ``== 0.0`` guard both misses the
   negative case and treats numerical noise as real mass.
+
+The expected-cost kernel's numeric contract
+-------------------------------------------
+``core/expected_cost.py`` computes ``E[Φ]`` two ways, and promises two
+different things about them:
+
+* **fast vs naive: a relative bound.**  The linear-time paths
+  (Sections 3.6.1–3.6.2) regroup the naive ``b_L·b_R·b_M`` triple sum
+  into prefix/suffix sums, so they add the same non-negative terms in
+  another order.  Every table they read is a *direct* running sum (no
+  ``1 - cdf`` differences, hence no cancellation and no mass
+  threshold), which bounds the disagreement by summation rounding:
+  ``|fast - naive| <= COST_REL_TOL * |naive|`` for the bucket counts the
+  optimizer produces.  A term is never dropped because its probability
+  is small — it may be weighted by ``a·b`` page counts of ``1e11`` and
+  more.
+* **batched / parallel vs single: bitwise.**  One request evaluated
+  alone, inside a batch of any width, or on any pool worker yields the
+  same float to the last ulp (strictly sequential row sums that exact
+  ``0.0`` padding cannot perturb).  "Bitwise" never refers to fast vs
+  naive.
 """
 
 from __future__ import annotations

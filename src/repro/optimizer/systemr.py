@@ -39,7 +39,7 @@ Bookkeeping details that matter for fidelity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.context import OptimizationContext
 from ..core.parallel import get_pool
@@ -58,6 +58,8 @@ __all__ = ["SystemRDP", "DPEntry"]
 
 #: Table type: subset -> (output order -> retained entries).
 _Table = Dict[FrozenSet[str], Dict[Optional[str], "TopKList[DPEntry]"]]
+#: One joinable partition: (left, right, predicate label, order target).
+_Split = Tuple[FrozenSet[str], FrozenSet[str], str, Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -234,42 +236,54 @@ class SystemRDP:
                 allow_cross_products=self.allow_cross_products,
                 names=names,
             )
+            walked = [self._splits(s, query, table) for s in level]
             if self._batch_steps:
-                self._prefetch_level(level, query, table)
-            for subset in level:
-                self._build_subset(subset, query, table, stats)
+                # Walk once: the batch and the build see the same splits
+                # (level k only reads levels < k, all already in table).
+                walked = [list(splits) for splits in walked]
+                self._prefetch_level(walked, table)
+            for subset, splits in zip(level, walked):
+                self._build_subset(subset, splits, table, stats)
         return table
 
+    def _splits(
+        self, subset: FrozenSet[str], query: JoinQuery, table: _Table
+    ) -> Iterator[_Split]:
+        """The partitions of ``subset`` the DP may join, as
+        ``(left, right, predicate label, order target)``.
+
+        A partition qualifies when both sides have table entries and a
+        predicate crosses it (the first one names the join) — or, with
+        ``allow_cross_products``, when none does.
+        """
+        within = query.predicates_within(subset)
+        for left_rels, right_rels in self.space.partitions(subset):
+            if left_rels not in table or right_rels not in table:
+                continue
+            pred = next(
+                (p for p in within
+                 if (p.left in left_rels) != (p.right in left_rels)),
+                None,
+            )
+            if pred is not None:
+                yield left_rels, right_rels, pred.label, pred.order_label
+            elif self.allow_cross_products:
+                yield left_rels, right_rels, f"cross[{min(right_rels)}]", None
+
     def _prefetch_level(
-        self,
-        level: Sequence[FrozenSet[str]],
-        query: JoinQuery,
-        table: _Table,
+        self, walked: Sequence[Sequence[_Split]], table: _Table
     ) -> None:
         """Hand one DP level's join steps to the coster in a single batch.
 
-        The request list replays :meth:`_build_subset`'s filtering exactly
-        — partitions absent from the table, cross products without
-        ``allow_cross_products`` and empty order buckets are skipped — so
-        a coster's batched path evaluates precisely the steps the
-        per-subset scan would request on demand.  Level ``k`` partitions
-        only read levels ``< k``, all already in ``table``, so batching
-        ahead of the subset loop sees the same state.
+        Per split, one request for each (presorted-left, presorted-right)
+        combination its non-empty order buckets can produce and each join
+        method — precisely the steps :meth:`_build_subset` would request
+        on demand from the same ``walked`` splits.
         """
         requests = []
-        for subset in level:
-            phase = len(subset) - 2
-            for left_rels, right_rels in self.space.partitions(subset):
-                if left_rels not in table or right_rels not in table:
-                    continue
-                preds = [
-                    p
-                    for p in query.predicates_within(subset)
-                    if (p.left in left_rels) != (p.right in left_rels)
-                ]
-                if not preds and not self.allow_cross_products:
-                    continue
-                order_target = preds[0].order_label if preds else None
+        for splits in walked:
+            for left_rels, right_rels, _label, order_target in splits:
+                phase = len(left_rels) + len(right_rels) - 2
                 combos = set()
                 for lorder, lbucket in table[left_rels].items():
                     if not any(True for _ in lbucket.items()):
@@ -294,28 +308,13 @@ class SystemRDP:
     def _build_subset(
         self,
         subset: FrozenSet[str],
-        query: JoinQuery,
+        splits: Iterable[_Split],
         table: _Table,
         stats: OptimizerStats,
     ) -> None:
         buckets: Dict[Optional[str], TopKList[DPEntry]] = {}
         phase = len(subset) - 2
-        for left_rels, right_rels in self.space.partitions(subset):
-            if left_rels not in table or right_rels not in table:
-                continue
-            preds = [
-                p
-                for p in query.predicates_within(subset)
-                if (p.left in left_rels) != (p.right in left_rels)
-            ]
-            if not preds and not self.allow_cross_products:
-                continue
-            if preds:
-                label = preds[0].label
-                order_target: Optional[str] = preds[0].order_label
-            else:
-                label = f"cross[{min(right_rels)}]"
-                order_target = None
+        for left_rels, right_rels, label, order_target in splits:
             if self._prune and self._dominated(
                 left_rels, right_rels, order_target or label, buckets, table
             ):

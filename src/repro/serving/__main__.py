@@ -17,31 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List
 
 import numpy as np
 
-from ..core.distributions import DiscreteDistribution
-from ..workloads.queries import random_query, with_selectivity_uncertainty
-from .service import OptimizeRequest, OptimizerService
-
-
-def _build_workload(
-    n_distinct: int, n_requests: int, rng: np.random.Generator
-) -> List[OptimizeRequest]:
-    """Distinct queries + a Zipf-weighted replay schedule over them."""
-    memory = DiscreteDistribution([400.0, 1500.0, 4000.0], [0.25, 0.5, 0.25])
-    queries = []
-    for _ in range(n_distinct):
-        base = random_query(int(rng.integers(3, 6)), rng)
-        queries.append(with_selectivity_uncertainty(base, 1.0, n_buckets=4))
-    weights = 1.0 / np.arange(1, n_distinct + 1)
-    weights /= weights.sum()
-    picks = rng.choice(n_distinct, size=n_requests, p=weights)
-    return [
-        OptimizeRequest(query=queries[i], objective="lec", memory=memory)
-        for i in picks
-    ]
+from .service import OptimizerService
+from .workload import build_workload
 
 
 def main(argv=None) -> int:
@@ -67,7 +47,9 @@ def main(argv=None) -> int:
         args.distinct, args.requests, args.workers = 3, 12, 2
 
     rng = np.random.default_rng(args.seed)
-    workload = _build_workload(args.distinct, args.requests, rng)
+    workload = build_workload(
+        args.distinct, args.requests, rng, min_relations=3, max_relations=5
+    )
     deadline = None if args.deadline is None else args.deadline / 1000.0
 
     with OptimizerService(

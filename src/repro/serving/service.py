@@ -88,13 +88,6 @@ class OptimizeRequest:
     max_buckets: int = 16
     fast: bool = False
     include_mean: bool = True
-    #: Engine evaluation knobs (see :func:`repro.optimize`).  Both are
-    #: bit-invisible in the produced plan and objective, so they are
-    #: deliberately NOT part of :meth:`knobs` / the plan-cache key —
-    #: a plan cached sequentially answers a parallel request and vice
-    #: versa.
-    level_batching: Optional[bool] = None
-    parallelism: Union[None, bool, int, str] = None
 
     def knobs(self) -> Tuple:
         """The option tuple that participates in the cache key.
@@ -103,8 +96,6 @@ class OptimizeRequest:
         spellings (``"zigzag"``, ``"zig_zag"``, a :class:`PlanSpace`
         object) share one cache slot; an unknown spelling participates
         verbatim and fails later, inside the optimizer.
-        ``level_batching``/``parallelism`` are excluded on purpose:
-        they cannot change the answer, only how fast it is computed.
         """
         try:
             space_key = PlanSpace.parse(self.plan_space).key
@@ -218,12 +209,6 @@ class OptimizerService:
     estimator:
         Custom :class:`LatencyEstimator` (tests use this to force
         deterministic skip decisions).
-    level_batching, parallelism:
-        Service-wide defaults for the engine evaluation knobs, applied
-        to requests that leave theirs unset (``None``).  Both are
-        bit-invisible in results and excluded from plan-cache keys; a
-        parallelism spec shares one registry worker pool across all
-        serving threads (see :func:`repro.core.parallel.get_pool`).
     """
 
     def __init__(
@@ -235,8 +220,6 @@ class OptimizerService:
         default_deadline: Optional[float] = None,
         coarse_buckets: int = 3,
         estimator: Optional[LatencyEstimator] = None,
-        level_batching: Optional[bool] = None,
-        parallelism: Union[None, bool, int, str] = None,
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if cache is True:
@@ -251,8 +234,6 @@ class OptimizerService:
             raise ValueError("coarse_buckets must be >= 1")
         self.coarse_buckets = coarse_buckets
         self.estimator = estimator if estimator is not None else LatencyEstimator()
-        self.level_batching = level_batching
-        self.parallelism = parallelism
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serving"
         )
@@ -494,25 +475,10 @@ class OptimizerService:
     def _run_rung(
         self, rung: str, request: OptimizeRequest, kind: str, cm: CostModel
     ) -> OptimizationResult:
-        # Per-request knobs win; unset (None) falls back to the service
-        # defaults.  Every rung gets them — they change wall-clock only,
-        # never the plan, so the ladder's latency estimates stay honest.
-        level_batching = (
-            request.level_batching
-            if request.level_batching is not None
-            else self.level_batching
-        )
-        parallelism = (
-            request.parallelism
-            if request.parallelism is not None
-            else self.parallelism
-        )
         common = dict(
             cost_model=cm,
             plan_space=request.plan_space,
             allow_cross_products=request.allow_cross_products,
-            level_batching=level_batching,
-            parallelism=parallelism,
         )
         if rung == RUNG_FULL:
             return _optimize(

@@ -341,6 +341,11 @@ class TestFlt001:
     def test_quiet_on_unrelated_names(self):
         assert run_rule("FLT001", "same = n_buckets == 4\n") == []
 
+    def test_quiet_in_test_files(self):
+        # An exact assert is how parity suites say "bitwise".
+        src = "assert plan_cost == best_cost\n"
+        assert run_rule("FLT001", src, path="tests/core/test_x.py") == []
+
 
 class TestDet001:
     def test_fires_on_legacy_numpy_global(self):

@@ -11,6 +11,7 @@ version-broadcast frames and the digested cache keys.
 from __future__ import annotations
 
 import asyncio
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ def _fixed_query() -> JoinQuery:
 def _request() -> OptimizeRequest:
     return OptimizeRequest(query=_fixed_query(), objective="lec",
                            memory=_MEMORY)
+
+
+def _sized_request(pages: float) -> OptimizeRequest:
+    """Distinct fingerprint per ``pages``, so requests never coalesce."""
+    query = JoinQuery(
+        [RelationSpec(name="R", pages=pages), RelationSpec(name="S", pages=80.0)],
+        [JoinPredicate("R", "S", 0.01, label="R=S")],
+    )
+    return OptimizeRequest(query=query, objective="lec", memory=_MEMORY)
 
 
 class TestClusterInvalidation:
@@ -139,3 +149,29 @@ class TestClusterInvalidation:
         re_opt, re_hit = asyncio.run(scenario())
         assert not re_opt.cache_hit
         assert re_hit.cache_hit  # the new world caches under the new fence
+
+    def test_bump_racing_a_burst_serves_no_stale_hit(self):
+        # The first request of the burst moves the fence and then awaits
+        # the shared-tier purge; the others already see the new version
+        # at the gateway, so only pipe order (version frame written
+        # before that await) keeps them from reaching a worker that is
+        # still on the old version and answers from its hot LRU.
+        source = SimpleNamespace(version=0)
+        requests = [_sized_request(1000.0 + 100.0 * k) for k in range(8)]
+
+        async def burst(gw):
+            return await asyncio.gather(*(gw.optimize(r) for r in requests))
+
+        async def scenario():
+            async with ClusterGateway(
+                shards=2, catalog_sources=[source]
+            ) as gw:
+                await burst(gw)
+                warm = await burst(gw)
+                source.version += 1
+                return warm, await burst(gw)
+
+        warm, after = asyncio.run(scenario())
+        assert all(r.ok and r.cache_hit for r in warm)
+        assert all(r.ok for r in after)
+        assert [r.cache_hit for r in after] == [False] * len(requests)

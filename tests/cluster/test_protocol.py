@@ -1,7 +1,9 @@
-"""Framing and memory-document tests for the gateway↔worker wire protocol."""
+"""Framing, memory- and request-document tests for the gateway↔worker
+wire protocol."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import struct
@@ -13,13 +15,19 @@ from repro.cluster.protocol import (
     FrameDecoder,
     ProtocolError,
     decode_memory,
+    decode_request,
     encode_frame,
     encode_memory,
+    encode_request,
     read_frame,
     write_frame,
 )
+from repro.core.context import query_fingerprint
 from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import MarkovParameter
+from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
+from repro.serving.plan_cache import memory_key
+from repro.serving.service import OptimizeRequest
 
 
 class TestFraming:
@@ -162,3 +170,89 @@ class TestMemoryDocuments:
             decode_memory([1, 2])  # type: ignore[arg-type]
         with pytest.raises(ProtocolError, match="bad memory document"):
             decode_memory({"kind": "scalar"})
+
+
+def _query() -> JoinQuery:
+    return JoinQuery(
+        [RelationSpec(name="R", pages=500.0), RelationSpec(name="S", pages=80.0)],
+        [JoinPredicate("R", "S", 0.01, label="R=S")],
+    )
+
+
+def _over_the_wire(message):
+    """What the worker is handed: the message after a JSON round trip."""
+    return json.loads(json.dumps(message))
+
+
+class TestRequestDocuments:
+    def test_roundtrip_field_by_field(self):
+        request = OptimizeRequest(
+            query=_query(),
+            objective="multiparam",
+            memory=DiscreteDistribution([100.0, 900.0], [0.3, 0.7]),
+            deadline=0.25,
+            plan_space="bushy",
+            allow_cross_products=True,
+            top_k=3,
+            max_buckets=8,
+            fast=True,
+            include_mean=False,
+        )
+        message = encode_request(17, request)
+        assert message["type"] == "optimize" and message["id"] == 17
+        decoded = decode_request(_over_the_wire(message))
+        for field in dataclasses.fields(OptimizeRequest):
+            got = getattr(decoded, field.name)
+            want = getattr(request, field.name)
+            if field.name == "query":
+                assert query_fingerprint(got) == query_fingerprint(want)
+            elif field.name == "memory":
+                assert memory_key(got) == memory_key(want)
+            else:
+                assert got == want, field.name
+        assert decoded.knobs() == request.knobs()
+
+    def test_document_carries_exactly_the_request_fields(self):
+        # The wire knows what changes the plan (plus the deadline) and
+        # nothing else; the cost model stays on the gateway side.
+        message = encode_request(1, OptimizeRequest(query=_query(), memory=800))
+        fields = {f.name for f in dataclasses.fields(OptimizeRequest)}
+        assert set(message) - {"type", "id"} == fields - {"cost_model"}
+
+    def test_legacy_frame_without_optional_keys_decodes_to_defaults(self):
+        full = _over_the_wire(encode_request(3, OptimizeRequest(query=_query())))
+        decoded = decode_request({"id": 3, "query": full["query"]})
+        defaults = OptimizeRequest(query=_query())
+        for field in dataclasses.fields(OptimizeRequest):
+            if field.name != "query":
+                assert getattr(decoded, field.name) == getattr(
+                    defaults, field.name
+                ), field.name
+
+    def test_unknown_keys_are_ignored(self):
+        # An old client still sends the two wall-clock knobs; a newer one
+        # may send keys this worker has never heard of.
+        message = _over_the_wire(
+            encode_request(5, OptimizeRequest(query=_query(), memory=800))
+        )
+        message.update(level_batching=True, parallelism="threads:4",
+                       trace_id="abc")
+        decoded = decode_request(message)
+        assert decoded.memory == 800.0
+        assert not hasattr(decoded, "parallelism")
+
+    def test_wire_values_are_coerced(self):
+        message = _over_the_wire(
+            encode_request(9, OptimizeRequest(query=_query(), memory=800))
+        )
+        message.update(deadline=2, top_k="4", fast=1)
+        decoded = decode_request(message)
+        assert decoded.deadline == 2.0 and isinstance(decoded.deadline, float)
+        assert decoded.top_k == 4
+        assert decoded.fast is True
+
+    def test_bad_query_raises_protocol_error(self):
+        with pytest.raises(ProtocolError, match="bad request query"):
+            decode_request({"type": "optimize", "id": 1})
+        with pytest.raises(ProtocolError, match="bad request query"):
+            decode_request({"type": "optimize", "id": 1, "query": {"kind": "x"}})

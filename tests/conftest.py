@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.distributions import DiscreteDistribution, two_point
 from repro.costmodel.model import CostModel
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
+
+# Tier-1's colour must not depend on the draw: by default every property
+# test sees the same examples on every run and ignores the local example
+# database.  HYPOTHESIS_PROFILE=random restores fresh draws for long
+# exploratory runs; what those falsify gets pinned as an @example.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("random", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture
