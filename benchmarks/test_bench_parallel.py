@@ -12,10 +12,15 @@ Two headline claims of the parallel level evaluator:
   keeps cluster replay throughput at least on par with the
   request-at-a-time wire path.
 
-The speedup assertion is skipped on hosts with fewer than 4 CPUs, where
-it cannot physically hold (``parse_parallelism("auto")`` collapses to
-the sequential path on 1 CPU); the snapshot records ``cpu_count`` so the
-numbers stay interpretable either way.  Bit-parity is asserted always.
+The pooled run hands the engine a ``WorkerPool("threads", cpu_count)``
+(no pool on a 1-CPU host, where both runs are the same path).  The
+pool-less bushy engine evaluates steps on demand and a pool makes it
+batch each level, so on >= 2 CPUs the ratio includes the batching
+effect, not just thread scaling (docs/architecture.md, "How a DP level
+is evaluated").  The speedup assertion is skipped on hosts with fewer
+than 4 CPUs, where it cannot physically hold, and the snapshot records
+``cpu_count`` so the numbers stay interpretable either way.  Bit-parity
+is asserted always.
 
 Results land in ``BENCH_parallel.json`` via ``record_snapshot``.  The
 committed copy is the regression baseline: the gate compares fresh
@@ -31,12 +36,14 @@ import json
 import math
 import os
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
+from repro.core.parallel import WorkerPool
 from repro.cluster.replay import run_replay
 from repro.optimizer.costers import MultiParamCoster
 from repro.optimizer.systemr import SystemRDP
@@ -91,26 +98,27 @@ class TestBushyParallelSpeedup:
         query = _bushy_query(n)
         cpus = os.cpu_count() or 1
 
-        def run(parallelism):
+        def run(pool):
             engine = SystemRDP(
                 MultiParamCoster(MEMORY, fast=True),
                 plan_space="bushy",
                 context=OptimizationContext(query),
-                level_batching=True,
-                parallelism=parallelism,
+                pool=pool,
             )
             return engine.optimize(query)
 
-        seq_res = run(None)
-        par_res = run("auto")
-        # The speedup must never come from a different answer.
-        assert par_res.plan.signature() == seq_res.plan.signature()
-        assert math.isclose(
-            par_res.objective, seq_res.objective, rel_tol=0.0, abs_tol=0.0
-        )
+        pooled = WorkerPool("threads", cpus) if cpus >= 2 else nullcontext()
+        with pooled as pool:
+            seq_res = run(None)
+            par_res = run(pool)
+            # The speedup must never come from a different answer.
+            assert par_res.plan.signature() == seq_res.plan.signature()
+            assert math.isclose(
+                par_res.objective, seq_res.objective, rel_tol=0.0, abs_tol=0.0
+            )
 
-        seq_s = _timeit(lambda: run(None))
-        par_s = _timeit(lambda: run("auto"))
+            seq_s = _timeit(lambda: run(None))
+            par_s = _timeit(lambda: run(pool))
         speedup = seq_s / par_s
         _RESULTS["bushy_dp"] = {
             "relations": n,

@@ -15,12 +15,11 @@ or programmatically::
     findings = AnalysisEngine().check_paths(["src"])
 
 See :mod:`repro.analysis.rules` for the rule catalog and
-:mod:`repro.analysis.baseline` for suppression mechanics.
+:mod:`repro.analysis.engine` for suppression mechanics.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, suppressed_rules_for_line
 from .engine import (
     AnalysisEngine,
     Finding,
@@ -30,11 +29,11 @@ from .engine import (
     iter_python_files,
     register,
     registered_rules,
+    suppressed_rules_for_line,
 )
 
 __all__ = [
     "AnalysisEngine",
-    "Baseline",
     "Finding",
     "ModuleInfo",
     "ProjectRule",

@@ -1,35 +1,26 @@
 """CLI for the optlint engine: ``python -m repro.analysis <paths>``.
 
-Exit codes: 0 — clean (or fully baselined/suppressed); 1 — new
-findings; 2 — usage or parse errors.
-
-The default baseline is ``.optlint-baseline.json`` in the current
-directory when it exists, so the CI invocation is just
-``python -m repro.analysis src``.  ``--update-baseline`` rewrites the
-baseline to absorb the current findings — the diff of that file is the
-reviewable record of accepted debt.
+Exit codes: 0 — clean (or fully suppressed inline); 1 — findings;
+2 — usage or parse errors.  The CI invocation is just
+``python -m repro.analysis src``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .baseline import Baseline
-from .engine import AnalysisEngine, Finding, iter_python_files, registered_rules
+from .engine import AnalysisEngine, Finding, registered_rules
 from .sarif import render_github, render_sarif
-
-DEFAULT_BASELINE = ".optlint-baseline.json"
 
 
 def _render_text(findings: List[Finding], engine: AnalysisEngine) -> str:
     lines = [f"{f.location()}: {f.rule}: {f.message}" for f in findings]
     summary = (
         f"{len(findings)} finding(s), "
-        f"{len(engine.suppressed)} suppressed/baselined"
+        f"{len(engine.suppressed)} suppressed"
     )
     if engine.errors:
         lines.extend(f"error: {msg}" for msg in engine.errors)
@@ -63,14 +54,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "a SARIF 2.1.0 document for code-scanning "
                              "upload, `github` emits ::error workflow "
                              "commands for inline PR annotations")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help=f"baseline file (default: {DEFAULT_BASELINE} "
-                             f"when present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline to absorb current "
-                             "findings, then exit 0")
     parser.add_argument("--rules", default=None, metavar="R1,R2",
                         help="comma-separated subset of rules to run")
     parser.add_argument("--list-rules", action="store_true",
@@ -97,38 +80,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         selected = [rule_classes[name]() for name in sorted(wanted)]
 
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline \
-            and os.path.exists(DEFAULT_BASELINE):
-        baseline_path = DEFAULT_BASELINE
-
-    baseline = None
-    if baseline_path and not args.no_baseline and not args.update_baseline:
-        if not os.path.exists(baseline_path):
-            print(f"baseline file not found: {baseline_path}", file=sys.stderr)
-            return 2
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"bad baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-
-    engine = AnalysisEngine(rules=selected, baseline=baseline)
+    engine = AnalysisEngine(rules=selected)
     try:
         findings = engine.check_paths(args.paths)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        lines_by_path: Dict[str, List[str]] = {}
-        for path in iter_python_files(args.paths):
-            with open(path, "r", encoding="utf-8") as fh:
-                lines_by_path[path] = fh.read().splitlines()
-        Baseline.from_findings(findings, lines_by_path).save(target)
-        print(f"baseline written: {target} ({len(findings)} entries)")
-        return 0
 
     if args.format == "text":
         print(_render_text(findings, engine))

@@ -17,8 +17,10 @@ repo-specific static-analysis rules:
 * :class:`AnalysisEngine` — parses each file once into a
   :class:`ModuleInfo` (AST with parent links plus source lines) and
   dispatches every registered rule over it, applying inline
-  suppressions (``# optlint: disable=RULE``) and an optional committed
-  baseline (see :mod:`repro.analysis.baseline`).
+  suppressions: ``# optlint: disable=RULE`` (or a comma-separated
+  list, or ``all``) on the offending line — the tool for a *justified*
+  violation, e.g. an exact ``== 0.0`` guard that intentionally precedes
+  a division.
 
 Findings are plain data (:class:`Finding`) so callers can render text,
 JSON, or assert on them in tests.
@@ -29,10 +31,11 @@ from __future__ import annotations
 import ast
 import hashlib
 import os
+import re
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 __all__ = [
     "Finding",
@@ -43,6 +46,7 @@ __all__ = [
     "registered_rules",
     "AnalysisEngine",
     "iter_python_files",
+    "suppressed_rules_for_line",
 ]
 
 
@@ -59,12 +63,6 @@ class Finding:
     def location(self) -> str:
         """``path:line:col`` for terminal output."""
         return f"{self.path}:{self.line}:{self.col}"
-
-    def context(self, lines: Sequence[str]) -> str:
-        """The stripped source line the finding points at."""
-        if 1 <= self.line <= len(lines):
-            return lines[self.line - 1].strip()
-        return ""
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation."""
@@ -242,25 +240,48 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                     yield os.path.join(root, fname)
 
 
+_DIRECTIVE = re.compile(r"#\s*optlint:\s*disable=([A-Za-z0-9_,\s]+)")
+
+
+def parse_directives(line: str) -> Set[str]:
+    """Rule names disabled by the ``# optlint:`` comment on one line."""
+    match = _DIRECTIVE.search(line)
+    if not match:
+        return set()
+    return {tok.strip() for tok in match.group(1).split(",") if tok.strip()}
+
+
+def suppressed_rules_for_line(lines: Sequence[str], lineno: int) -> Set[str]:
+    """Rules suppressed at ``lineno`` (1-based).
+
+    A directive applies to its own line; a directive on a line *by
+    itself* (nothing but the comment) applies to the following line
+    instead, so long statements can keep their suppression adjacent.
+    """
+    out: Set[str] = set()
+    if 1 <= lineno <= len(lines):
+        out |= parse_directives(lines[lineno - 1])
+    if 2 <= lineno <= len(lines) + 1:
+        prev = lines[lineno - 2]
+        if prev.lstrip().startswith("#"):
+            out |= parse_directives(prev)
+    return out
+
+
 class AnalysisEngine:
-    """Runs a rule set over files, honoring suppressions and a baseline.
+    """Runs a rule set over files, honoring inline suppressions.
 
     Parameters
     ----------
     rules:
         Rule instances to run; defaults to one instance of every
         registered rule.
-    baseline:
-        Optional :class:`~repro.analysis.baseline.Baseline`; findings it
-        matches are counted as suppressed instead of reported.
     """
 
-    def __init__(self, rules: Optional[Sequence[Rule]] = None,
-                 baseline=None):
+    def __init__(self, rules: Optional[Sequence[Rule]] = None):
         if rules is None:
             rules = [cls() for _, cls in sorted(registered_rules().items())]
         self.rules: List[Rule] = list(rules)
-        self.baseline = baseline
         self.suppressed: List[Finding] = []
         self.errors: List[str] = []
         self.stats: Dict[str, float] = {}
@@ -303,17 +324,12 @@ class AnalysisEngine:
 
     def _filter(self, raw: Sequence[Finding],
                 lines_by_path: Dict[str, List[str]]) -> List[Finding]:
-        """Apply inline suppressions and the baseline; sort the survivors."""
-        from .baseline import suppressed_rules_for_line
-
+        """Apply inline suppressions; sort the survivors."""
         out: List[Finding] = []
         for f in sorted(raw, key=lambda f: (f.path, f.line, f.col, f.rule)):
             lines = lines_by_path.get(f.path, [])
             disabled = suppressed_rules_for_line(lines, f.line)
             if f.rule in disabled or "all" in disabled:
-                self.suppressed.append(f)
-                continue
-            if self.baseline is not None and self.baseline.matches(f, lines):
                 self.suppressed.append(f)
                 continue
             out.append(f)

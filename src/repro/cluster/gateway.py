@@ -38,12 +38,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.context import query_fingerprint
 from ..costmodel.model import CostModel
 from ..optimizer.errors import OptimizerConfigError
-from ..optimizer.facade import _OBJECTIVES, _model_key
 from ..plans.nodes import Plan
-from ..serving.plan_cache import PlanCacheKey, memory_key
 from ..serving.service import OptimizeRequest
 from ..tools.serialize import plan_from_dict
 from .admission import SHED, AdmissionController, AdmissionDecision
@@ -209,6 +206,8 @@ class ClusterGateway:
         self._inflight: Dict[str, "asyncio.Future[ClusterResult]"] = {}
         self._ids = itertools.count(1)
         self._ping_ids = itertools.count(1)
+        # Workers serve the default cost model; only its key is read here.
+        self._cost_model = CostModel()
         self._last_version = self._current_version()
         self._started = False
         self._closing = False
@@ -545,33 +544,17 @@ class ClusterGateway:
             owns the actual frame write (so many same-shard requests
             can be flushed in one ``optimize_batch`` frame).
         """
-        kind = _OBJECTIVES.get(str(request.objective).lower())
-        if kind is None:
-            raise OptimizerConfigError(
-                f"unknown objective {request.objective!r}"
-            )
-        if request.memory is None:
-            raise OptimizerConfigError(
-                f"objective {request.objective!r} requires the memory= argument"
-            )
         if request.cost_model is not None:
             raise OptimizerConfigError(
                 "the cluster tier serves the default cost model; "
                 "per-request cost models do not cross the wire yet"
             )
 
-        self.metrics.registry.counter("cluster.requests").increment()
         version = await self._refresh_version()
-        fingerprint = query_fingerprint(request.query)
-        shard = self._shards[self.shard_for(fingerprint)]
-        key = cache_key_digest(PlanCacheKey(
-            fingerprint=fingerprint,
-            objective=kind,
-            model_key=_model_key(CostModel()),
-            memory=memory_key(request.memory),
-            knobs=request.knobs(),
-            catalog_version=version,
-        ))
+        cache_key = request.cache_key(version, self._cost_model)
+        self.metrics.registry.counter("cluster.requests").increment()
+        shard = self._shards[self.shard_for(cache_key.fingerprint)]
+        key = cache_key_digest(cache_key)
 
         leader = self._inflight.get(key)
         if leader is not None:

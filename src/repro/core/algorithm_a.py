@@ -34,8 +34,6 @@ def optimize_algorithm_a(
     allow_cross_products: bool = False,
     include_mean: bool = True,
     context: Optional[OptimizationContext] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
 ) -> OptimizationResult:
     """Run Algorithm A and return the candidate of least expected cost.
 
@@ -54,6 +52,4 @@ def optimize_algorithm_a(
         allow_cross_products=allow_cross_products,
         include_mean=include_mean,
         context=context,
-        level_batching=level_batching,
-        parallelism=parallelism,
     )

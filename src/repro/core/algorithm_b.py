@@ -31,15 +31,11 @@ def optimize_algorithm_b(
     allow_cross_products: bool = False,
     include_mean: bool = True,
     context: Optional[OptimizationContext] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
 ) -> OptimizationResult:
     """Run Algorithm B with ``c`` plans per bucket; pick by expected cost.
 
     ``candidates`` holds the union of all buckets' top-``c`` lists
     (deduplicated) with true expected costs, best first.
-    ``level_batching``/``parallelism`` forward to each per-bucket engine
-    and never change the result.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -59,8 +55,6 @@ def optimize_algorithm_b(
             allow_cross_products=allow_cross_products,
             top_k=c,
             context=context,
-            level_batching=level_batching,
-            parallelism=parallelism,
         )
         result = engine.optimize(query)
         stats = stats.merged_with(result.stats)

@@ -37,8 +37,6 @@ def optimize_algorithm_c(
     allow_cross_products: bool = False,
     top_k: int = 1,
     context: Optional[OptimizationContext] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
 ) -> OptimizationResult:
     """Compute the LEC plan by expected-cost dynamic programming.
 
@@ -52,9 +50,6 @@ def optimize_algorithm_c(
         ``"left-deep"`` for the paper's space.  ``"bushy"`` is supported
         for static memory only (bushy trees have no canonical phase
         order).
-    level_batching, parallelism:
-        Forwarded to :class:`~repro.optimizer.systemr.SystemRDP`;
-        bit-invisible in the chosen plan and objective.
     """
     if isinstance(memory, MarkovParameter):
         coster: Union[ExpectedCoster, MarkovCoster] = MarkovCoster(
@@ -73,7 +68,5 @@ def optimize_algorithm_c(
         allow_cross_products=allow_cross_products,
         top_k=top_k,
         context=context,
-        level_batching=level_batching,
-        parallelism=parallelism,
     )
     return engine.optimize(query)

@@ -5,19 +5,13 @@ The DP engine assembles one batch of join-step requests per level
 fans such a batch out across workers *without changing a single bit* of
 the result:
 
-* :func:`parse_parallelism` — normalize every user spelling of the
-  ``parallelism=`` knob into ``None`` (sequential) or a
-  ``(backend, size)`` pair;
 * :func:`chunk_spans` — the deterministic contiguous chunking both the
   parallel evaluator and its tests use.  Chunk boundaries depend only on
   ``(n_items, n_chunks)``, never on timing;
-* :class:`WorkerPool` — a reusable executor wrapper whose
-  :meth:`WorkerPool.map_ordered` submits chunks in order and gathers
-  results in the *same* fixed order, so merging is a plain
-  concatenation;
-* :func:`get_pool` / :func:`shutdown_pools` — a module-level registry
-  so repeated ``optimize(..., parallelism=4)`` calls reuse one pool
-  instead of paying thread start-up per query.
+* :class:`WorkerPool` — an executor wrapper whose ``map_ordered``
+  submits chunks in order and gathers results in the *same* fixed order,
+  so merging is a plain concatenation.  The caller owns its lifetime:
+  a ``with`` block around ``SystemRDP(..., pool=pool)``.
 
 Determinism contract (see docs/architecture.md): each request's value
 depends only on its own padded row inside the vectorized kernel, and the
@@ -37,99 +31,17 @@ module-level functions with picklable arguments.
 
 from __future__ import annotations
 
-import os
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Sequence, Tuple
 
-__all__ = [
-    "ParallelismError",
-    "parse_parallelism",
-    "chunk_spans",
-    "WorkerPool",
-    "get_pool",
-    "shutdown_pools",
-]
+__all__ = ["ParallelismError", "chunk_spans", "WorkerPool"]
 
 #: accepted backend names, in documentation order.
 _BACKENDS = ("threads", "processes")
 
-#: spellings of "no parallelism".
-_OFF = (None, False, 0, 1, "off", "none", "sequential")
-
-ParallelismSpec = Union[None, bool, int, str, Tuple[str, int], "WorkerPool"]
-
 
 class ParallelismError(ValueError):
-    """An unintelligible ``parallelism=`` specification."""
-
-
-def parse_parallelism(spec: ParallelismSpec) -> Optional[Tuple[str, int]]:
-    """Normalize a ``parallelism=`` knob to ``None`` or ``(backend, size)``.
-
-    Accepted spellings::
-
-        None / False / 0 / 1 / "off"        -> None        (sequential)
-        True / "auto"                       -> ("threads", cpu_count)
-        4                                   -> ("threads", 4)
-        "4"                                 -> ("threads", 4)
-        "threads:4" / "processes:2"         -> (backend, n)
-        ("threads", 4)                      -> (backend, n)
-
-    A resolved size of 1 collapses to ``None``: a one-worker pool would
-    only add overhead to an already bit-identical result.
-    """
-    if isinstance(spec, WorkerPool):
-        return (spec.backend, spec.size)
-    if spec in _OFF:
-        return None
-    if spec is True:
-        spec = "auto"
-    if isinstance(spec, str):
-        text = spec.strip().lower()
-        if text in ("auto", "max"):
-            return _sized("threads", os.cpu_count() or 1)
-        if ":" in text:
-            backend, _, num = text.partition(":")
-            backend = backend.strip()
-            if backend not in _BACKENDS:
-                raise ParallelismError(
-                    f"unknown parallelism backend {backend!r}; "
-                    f"expected one of {_BACKENDS}"
-                )
-            try:
-                return _sized(backend, int(num))
-            except ValueError as exc:
-                raise ParallelismError(
-                    f"bad parallelism size in {spec!r}"
-                ) from exc
-        try:
-            return _sized("threads", int(text))
-        except ValueError as exc:
-            raise ParallelismError(
-                f"unintelligible parallelism spec {spec!r}"
-            ) from exc
-    if isinstance(spec, int):
-        return _sized("threads", spec)
-    if isinstance(spec, tuple) and len(spec) == 2:
-        backend, size = spec
-        if backend not in _BACKENDS:
-            raise ParallelismError(
-                f"unknown parallelism backend {backend!r}; "
-                f"expected one of {_BACKENDS}"
-            )
-        if not isinstance(size, int):
-            raise ParallelismError(f"parallelism size must be int, got {size!r}")
-        return _sized(backend, size)
-    raise ParallelismError(f"unintelligible parallelism spec {spec!r}")
-
-
-def _sized(backend: str, size: int) -> Optional[Tuple[str, int]]:
-    if size < 0:
-        raise ParallelismError(f"parallelism size must be >= 0, got {size}")
-    if size <= 1:
-        return None
-    return (backend, size)
+    """A :class:`WorkerPool` that cannot be built, or was used after close."""
 
 
 def chunk_spans(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
@@ -173,8 +85,8 @@ class WorkerPool:
             )
         if size < 2:
             raise ParallelismError(
-                f"a WorkerPool needs >= 2 workers, got {size}; use "
-                "parallelism=None for sequential evaluation"
+                f"a WorkerPool needs >= 2 workers, got {size}; pass "
+                "pool=None for sequential evaluation"
             )
         self.backend = backend
         self.size = size
@@ -214,43 +126,3 @@ class WorkerPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else "open"
-        return f"WorkerPool(backend={self.backend!r}, size={self.size}, {state})"
-
-
-#: (backend, size) -> live pool; guarded by _POOLS_LOCK.
-_POOLS: Dict[Tuple[str, int], WorkerPool] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def get_pool(spec: ParallelismSpec) -> Optional[WorkerPool]:
-    """Resolve a ``parallelism=`` spec to a shared pool (or ``None``).
-
-    Pools are cached per ``(backend, size)`` so repeated optimizations
-    reuse warm workers; a :class:`WorkerPool` instance passes through
-    untouched (caller-managed lifetime).
-    """
-    global _POOLS
-    if isinstance(spec, WorkerPool):
-        return spec
-    resolved = parse_parallelism(spec)
-    if resolved is None:
-        return None
-    with _POOLS_LOCK:
-        pool = _POOLS.get(resolved)
-        if pool is None or pool.closed:
-            pool = WorkerPool(*resolved)
-            _POOLS[resolved] = pool
-    return pool
-
-
-def shutdown_pools() -> None:
-    """Close and forget every registry-owned pool (tests, interpreter exit)."""
-    global _POOLS
-    with _POOLS_LOCK:
-        pools = list(_POOLS.values())
-        _POOLS = {}
-    for pool in pools:
-        pool.close()

@@ -227,15 +227,6 @@ class Coster(abc.ABC):
         assert self.context is not None, "coster used before bind()"
         return self.context.step_cost(key, compute)
 
-    def supports_bushy(self) -> bool:
-        """Whether this objective is well-defined for bushy plans.
-
-        Compatibility wrapper: the capability now lives on
-        :class:`~repro.plans.space.PlanSpace` (``ordered_phases``) matched
-        against :attr:`requires_ordered_phases`.
-        """
-        return not self.requires_ordered_phases
-
     def pages_lower_bound(self, rels: FrozenSet[str]) -> float:
         """A lower bound on the page count this coster charges for ``rels``.
 

@@ -292,14 +292,12 @@ def optimize_dependent(
     plan_space: str = "left-deep",
     allow_cross_products: bool = False,
     context: Optional[OptimizationContext] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
 ) -> OptimizationResult:
     """LEC optimization under a dependent parameter joint.
 
-    ``context``, ``level_batching`` and ``parallelism`` thread straight
-    through to :class:`~repro.optimizer.systemr.SystemRDP`; all three are
-    bit-invisible in the chosen plan and objective.
+    ``context`` threads straight through to
+    :class:`~repro.optimizer.systemr.SystemRDP` and is bit-invisible in
+    the chosen plan and objective.
     """
     coster = BayesNetCoster(net, memory_var=memory_var, cost_model=cost_model)
     engine = SystemRDP(
@@ -307,8 +305,6 @@ def optimize_dependent(
         plan_space=plan_space,
         allow_cross_products=allow_cross_products,
         context=context,
-        level_batching=level_batching,
-        parallelism=parallelism,
     )
     return engine.optimize(query)
 

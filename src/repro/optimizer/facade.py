@@ -53,7 +53,13 @@ from ..plans.space import PlanSpace
 from .errors import OptimizerConfigError
 from .result import OptimizationResult
 
-__all__ = ["optimize", "last_context", "clear_context_cache"]
+__all__ = [
+    "optimize",
+    "last_context",
+    "clear_context_cache",
+    "canonical_objective",
+    "model_key",
+]
 
 # Canonical objective names, keyed by every accepted spelling.
 _OBJECTIVES = {
@@ -84,7 +90,19 @@ _context_cache_lock = threading.Lock()
 _last_context: Optional[OptimizationContext] = None
 
 
-def _model_key(cm: CostModel) -> Tuple:
+def canonical_objective(name) -> str:
+    """The canonical kind behind any accepted ``objective`` spelling."""
+    kind = _OBJECTIVES.get(str(name).lower())
+    if kind is None:
+        known = ", ".join(sorted(set(_OBJECTIVES)))
+        raise OptimizerConfigError(
+            f"unknown objective {name!r}; expected one of: {known}"
+        )
+    return kind
+
+
+def model_key(cm: CostModel) -> Tuple:
+    """The part of a cost model's configuration that can change a plan."""
     return (cm.methods, cm.pipelined_methods)
 
 
@@ -96,7 +114,7 @@ def _context_for(query: JoinQuery, cm: CostModel) -> OptimizationContext:
     context simply ages out of the LRU.  Thread-safe: two concurrent
     callers with the same key receive the same context object.
     """
-    key = (query_fingerprint(query), _model_key(cm))
+    key = (query_fingerprint(query), model_key(cm))
     with _context_cache_lock:
         ctx = _context_cache.get(key)
         if ctx is not None:
@@ -148,8 +166,6 @@ def optimize(
     fast: bool = False,
     include_mean: bool = True,
     context: Optional[OptimizationContext] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
 ) -> OptimizationResult:
     """Optimize ``query`` under the chosen costing objective.
 
@@ -184,16 +200,6 @@ def optimize(
         Explicit :class:`~repro.core.context.OptimizationContext` to use
         instead of the facade's cached one.  Must match the query's
         statistics or it is (safely) ignored downstream.
-    level_batching:
-        Batch each DP level's join steps through the vectorized kernel
-        (``None`` lets the engine decide).  Bit-invisible in the result.
-    parallelism:
-        Fan level batches out across a worker pool — ``None``/``"off"``,
-        an int worker count, ``"auto"``, ``"threads:4"``,
-        ``"processes:2"``, or a :class:`~repro.core.parallel.WorkerPool`
-        (see :func:`repro.core.parallel.parse_parallelism`).  Plans,
-        objectives and stats stay bit-identical to sequential
-        evaluation; only wall-clock changes.
 
     Returns
     -------
@@ -219,12 +225,7 @@ def optimize(
     from ..core.algorithm_d import optimize_algorithm_d
     from ..core.lsc import optimize_lsc
 
-    kind = _OBJECTIVES.get(str(objective).lower())
-    if kind is None:
-        known = ", ".join(sorted(set(_OBJECTIVES)))
-        raise OptimizerConfigError(
-            f"unknown objective {objective!r}; expected one of: {known}"
-        )
+    kind = canonical_objective(objective)
     if memory is None:
         raise OptimizerConfigError(
             f"objective {objective!r} requires the memory= argument"
@@ -247,8 +248,6 @@ def optimize(
         plan_space=space,
         allow_cross_products=allow_cross_products,
         context=ctx,
-        level_batching=level_batching,
-        parallelism=parallelism,
     )
 
     if kind == "point":

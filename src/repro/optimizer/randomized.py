@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.parallel import get_pool
+from ..core.parallel import WorkerPool
 from ..costmodel.model import DEFAULT_METHODS
 from ..plans.nodes import Join, Plan, PlanNode, Scan, Sort
 from ..plans.properties import JoinMethod
@@ -338,7 +338,7 @@ def iterative_improvement(
     moves_per_step: Optional[int] = None,
     max_steps: int = 200,
     plan_space="left-deep",
-    parallelism=None,
+    pool: Optional[WorkerPool] = None,
 ) -> RandomizedResult:
     """Multi-start hill climbing over plans in ``plan_space``.
 
@@ -353,8 +353,8 @@ def iterative_improvement(
     stream exactly; ``"zig-zag"``/``"bushy"`` switch to join-tree states
     with structural (rotation / child-flip) moves added.
 
-    ``parallelism`` scores each step's sampled neighbour batch
-    *speculatively* on a thread pool, then scans the scores in sampling
+    A caller-owned ``pool`` scores each step's sampled neighbour batch
+    *speculatively* on its threads, then scans the scores in sampling
     order for the first strict improvement — the accepted move, the
     whole trajectory, the final plan and the reported ``evaluations``
     (defined as the objective calls the sequential scan performs) are
@@ -370,7 +370,6 @@ def iterative_improvement(
         raise ValueError("randomized search requires a connected join graph")
     if moves_per_step is None:
         moves_per_step = 8 * query.n_relations
-    pool = get_pool(parallelism)
     use_pool = pool is not None and pool.backend == "threads"
     best_plan: Optional[Plan] = None
     best_cost = math.inf

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.context import OptimizationContext
-from ..core.parallel import get_pool
+from ..core.parallel import WorkerPool
 from ..plans.nodes import Join, Plan, PlanNode, Project, Scan, Sort
 from ..plans.nodes import Union as UnionNode
 from ..plans.properties import AccessPath, order_from_join
@@ -98,26 +98,21 @@ class SystemRDP:
         coster draws memoized sizes, distributions and step costs from
         it; otherwise a fresh context is created per :meth:`optimize`
         call.
-    level_batching:
-        Batch-evaluate each DP level's join steps through the coster's
-        vectorized :meth:`~repro.optimizer.costers.Coster.
-        prefetch_join_steps` before the per-subset scan.  Values are
-        bit-identical to on-demand evaluation, so the chosen plans and
-        costs never change.  ``None`` (default) enables batching exactly
-        when the Chen & Schneider partition prune is off (left-deep
-        spaces): under pruning, prefetching would evaluate steps the
-        prune skips, inflating the ``formula_evaluations`` accounting
-        the experiments rely on.  Pass ``True``/``False`` to force.
-    parallelism:
-        Fan each prefetched level batch out across a worker pool (see
-        :func:`repro.core.parallel.parse_parallelism` for the accepted
-        spellings: ``None``/``"off"``, an int worker count, ``"auto"``,
-        ``"threads:4"``, ``"processes:2"``, or a live
-        :class:`~repro.core.parallel.WorkerPool`).  Chunking is
-        deterministic and results merge in fixed chunk order, so plans,
-        objectives and ``formula_evaluations`` stay bit-identical to
-        sequential evaluation.  Only effective together with level
-        batching — sequential on-demand costing ignores it.
+    pool:
+        Optional :class:`~repro.core.parallel.WorkerPool`, owned (and
+        closed) by the caller; each DP level's join steps are then fanned
+        out across it in deterministic chunks merged in fixed order.
+
+    How a level's join steps are *evaluated* is the engine's own
+    decision, taken once from what it can observe: one vectorized batch
+    per level (:meth:`~repro.optimizer.costers.Coster.
+    prefetch_join_steps`) when the Chen & Schneider prune is off or a
+    pool was supplied — a pool has nothing to fan out but a batch — and
+    one on-demand call per step otherwise, because under the prune a
+    batch also evaluates the steps the prune would have skipped.  Step
+    values are bit-identical either way, so the chosen plans and
+    objectives never depend on it (Theorems 2.1/3.3: expectation is
+    additive over plan nodes, whatever the evaluation order).
     """
 
     def __init__(
@@ -127,8 +122,7 @@ class SystemRDP:
         allow_cross_products: bool = False,
         top_k: int = 1,
         context: Optional[OptimizationContext] = None,
-        level_batching: Optional[bool] = None,
-        parallelism=None,
+        pool: Optional[WorkerPool] = None,
     ):
         try:
             space = PlanSpace.parse(plan_space)
@@ -143,23 +137,16 @@ class SystemRDP:
             raise OptimizerConfigError("top_k must be >= 1")
         self.coster = coster
         self.space = space
-        # Canonical spelling kept for observability / legacy callers.
-        self.plan_space = space.key
         self.allow_cross_products = allow_cross_products
         self.top_k = top_k
         self.context = context
         # Chen & Schneider lower-bound pruning pays off (and keeps legacy
         # instrumentation exact) only on the enlarged spaces.
         self._prune = space.shape != "left-deep"
-        # Level batching mirrors on-demand evaluation bit-for-bit, but
-        # under pruning it would evaluate steps the prune skips — so the
-        # default ties it to the prune being off.
-        self._batch_steps = (
-            (not self._prune) if level_batching is None else bool(level_batching)
-        )
-        # Resolved once: repeated optimize() calls reuse the same warm
-        # registry pool (or the caller's own WorkerPool instance).
-        self._pool = get_pool(parallelism)
+        self._pool = pool
+        # The evaluation-order rule of the class docstring; the parity
+        # suites force a path by assigning this attribute.
+        self._batch_steps = not self._prune or pool is not None
 
     # ------------------------------------------------------------------
 
@@ -276,27 +263,20 @@ class SystemRDP:
         """Hand one DP level's join steps to the coster in a single batch.
 
         Per split, one request for each (presorted-left, presorted-right)
-        combination its non-empty order buckets can produce and each join
-        method — precisely the steps :meth:`_build_subset` would request
-        on demand from the same ``walked`` splits.
+        combination :meth:`_order_pairs` produces and each join method —
+        the steps :meth:`_build_subset` requests from the same ``walked``
+        splits through the same helper.
         """
         requests = []
         for splits in walked:
             for left_rels, right_rels, _label, order_target in splits:
                 phase = len(left_rels) + len(right_rels) - 2
-                combos = set()
-                for lorder, lbucket in table[left_rels].items():
-                    if not any(True for _ in lbucket.items()):
-                        continue
-                    for rorder, rbucket in table[right_rels].items():
-                        if not any(True for _ in rbucket.items()):
-                            continue
-                        combos.add(
-                            (
-                                order_target is not None and lorder == order_target,
-                                order_target is not None and rorder == order_target,
-                            )
-                        )
+                combos = {
+                    (lsorted, rsorted)
+                    for _l, _r, lsorted, rsorted in self._order_pairs(
+                        table, left_rels, right_rels, order_target
+                    )
+                }
                 for lsorted, rsorted in sorted(combos):
                     for method in self.coster.methods:
                         requests.append(
@@ -304,6 +284,26 @@ class SystemRDP:
                         )
         if requests:
             self.coster.prefetch_join_steps(requests, pool=self._pool)
+
+    @staticmethod
+    def _order_pairs(
+        table: _Table,
+        left_rels: FrozenSet[str],
+        right_rels: FrozenSet[str],
+        order_target: Optional[str],
+    ) -> Iterator[Tuple["TopKList[DPEntry]", "TopKList[DPEntry]", bool, bool]]:
+        """A split's non-empty (left bucket, right bucket) pairs, each with
+        whether that side already delivers the join's order target — the
+        ``(lsorted, rsorted)`` flags its join steps are costed under.
+        """
+        for lorder, lbucket in table[left_rels].items():
+            if not lbucket:
+                continue
+            lsorted = order_target is not None and lorder == order_target
+            for rorder, rbucket in table[right_rels].items():
+                if rbucket:
+                    rsorted = order_target is not None and rorder == order_target
+                    yield lbucket, rbucket, lsorted, rsorted
 
     def _build_subset(
         self,
@@ -332,54 +332,51 @@ class SystemRDP:
             # combined *per order group* — pooling across orders could
             # discard an order-carrying subplan that wins downstream.
             step_cache: Dict[tuple, float] = {}
-            for lorder, lbucket in table[left_rels].items():
-                for rorder, rbucket in table[right_rels].items():
-                    left_entries = [e for _, e in lbucket.items()]
-                    right_entries = [e for _, e in rbucket.items()]
-                    if not left_entries or not right_entries:
-                        continue
-                    lsorted = order_target is not None and lorder == order_target
-                    rsorted = order_target is not None and rorder == order_target
-                    merged = merge_top_combinations(
-                        [e.cost for e in left_entries],
-                        [e.cost for e in right_entries],
-                        self.top_k,
+            for lbucket, rbucket, lsorted, rsorted in self._order_pairs(
+                table, left_rels, right_rels, order_target
+            ):
+                left_entries = [e for _, e in lbucket.items()]
+                right_entries = [e for _, e in rbucket.items()]
+                merged = merge_top_combinations(
+                    [e.cost for e in left_entries],
+                    [e.cost for e in right_entries],
+                    self.top_k,
+                )
+                stats.merge_probes += merged.probes
+                for method in self.coster.methods:
+                    key = (method, lsorted, rsorted)
+                    if key not in step_cache:
+                        step_cache[key] = self.coster.join_step_cost(
+                            method,
+                            left_rels,
+                            right_rels,
+                            phase,
+                            left_presorted=lsorted,
+                            right_presorted=rsorted,
+                        )
+                    step = step_cache[key]
+                    # A pipelined nested-loop join streams its outer
+                    # (left) input: no materialisation write for it.
+                    write_children = right_write + (
+                        0.0 if method in pipelined else left_write
                     )
-                    stats.merge_probes += merged.probes
-                    for method in self.coster.methods:
-                        key = (method, lsorted, rsorted)
-                        if key not in step_cache:
-                            step_cache[key] = self.coster.join_step_cost(
-                                method,
-                                left_rels,
-                                right_rels,
-                                phase,
-                                left_presorted=lsorted,
-                                right_presorted=rsorted,
-                            )
-                        step = step_cache[key]
-                        # A pipelined nested-loop join streams its outer
-                        # (left) input: no materialisation write for it.
-                        write_children = right_write + (
-                            0.0 if method in pipelined else left_write
+                    order = order_from_join(
+                        method, order_target if order_target else label
+                    )
+                    bucket = buckets.setdefault(order, TopKList(self.top_k))
+                    for combined, li, ri in merged.combinations:
+                        total = combined + step + write_children
+                        node = self.space.join(
+                            left=left_entries[li].node,
+                            right=right_entries[ri].node,
+                            method=method,
+                            predicate_label=label,
+                            order_label=order_target,
                         )
-                        order = order_from_join(
-                            method, order_target if order_target else label
+                        bucket.offer(
+                            total, DPEntry(node=node, cost=total, order=order)
                         )
-                        bucket = buckets.setdefault(order, TopKList(self.top_k))
-                        for combined, li, ri in merged.combinations:
-                            total = combined + step + write_children
-                            node = self.space.join(
-                                left=left_entries[li].node,
-                                right=right_entries[ri].node,
-                                method=method,
-                                predicate_label=label,
-                                order_label=order_target,
-                            )
-                            bucket.offer(
-                                total, DPEntry(node=node, cost=total, order=order)
-                            )
-                            stats.entries_offered += 1
+                        stats.entries_offered += 1
         if buckets:
             table[subset] = buckets
 

@@ -44,7 +44,7 @@ from ..core.markov import MarkovParameter
 from ..core.context import query_fingerprint
 from ..costmodel.model import CostModel
 from ..optimizer.errors import OptimizerConfigError
-from ..optimizer.facade import _OBJECTIVES, _model_key, optimize as _optimize
+from ..optimizer.facade import canonical_objective, model_key, optimize as _optimize
 from ..optimizer.result import OptimizationResult
 from ..plans.nodes import Plan
 from ..plans.query import JoinQuery
@@ -108,6 +108,29 @@ class OptimizeRequest:
             self.max_buckets,
             self.fast,
             self.include_mean,
+        )
+
+    def cache_key(self, version: Tuple, cost_model: CostModel) -> PlanCacheKey:
+        """Validate the request and name its answer at catalog ``version``.
+
+        The one spelling of "is this request well-formed" and "which
+        cached plan answers it" for the service and the cluster gateway
+        (``key.objective`` is the canonical kind).  Raises
+        :class:`OptimizerConfigError` for an unknown objective or a
+        missing ``memory``.
+        """
+        kind = canonical_objective(self.objective)
+        if self.memory is None:
+            raise OptimizerConfigError(
+                f"objective {self.objective!r} requires the memory= argument"
+            )
+        return PlanCacheKey(
+            fingerprint=query_fingerprint(self.query),
+            objective=kind,
+            model_key=model_key(cost_model),
+            memory=memory_key(self.memory),
+            knobs=self.knobs(),
+            catalog_version=version,
         )
 
 
@@ -367,26 +390,10 @@ class OptimizerService:
         t0 = time.perf_counter()
         self.metrics.counter("serving.requests").increment()
 
-        kind = _OBJECTIVES.get(str(request.objective).lower())
-        if kind is None:
-            # Let the facade raise its canonical error message.
-            _optimize(request.query, request.objective, memory=request.memory)
-            raise AssertionError("unreachable")  # pragma: no cover
-        if request.memory is None:
-            raise OptimizerConfigError(
-                f"objective {request.objective!r} requires the memory= argument"
-            )
-
         version = self._refresh_catalog_version()
         cm = request.cost_model if request.cost_model is not None else CostModel()
-        key = PlanCacheKey(
-            fingerprint=query_fingerprint(request.query),
-            objective=kind,
-            model_key=_model_key(cm),
-            memory=memory_key(request.memory),
-            knobs=request.knobs(),
-            catalog_version=version,
-        )
+        key = request.cache_key(version, cm)
+        kind = key.objective
 
         if self.cache is not None:
             hit = self.cache.get(key)

@@ -1,101 +1,12 @@
-"""Focused tests for `repro.analysis.baseline`.
+"""Inline suppression directives: ``# optlint: disable=RULE``.
 
-The baseline is the mechanism that lets the lint gate stay strict while
-old debt is paid down, so its three load-bearing behaviors get direct
-coverage: per-occurrence budgets, stale-entry pruning through
-``--update-baseline``, and suppression-directive parsing on standalone
-comment lines above the flagged statement.
+A directive covers its own line, or — on a standalone comment line —
+the statement below it.
 """
 
 from __future__ import annotations
 
-import json
-import textwrap
-
-from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.baseline import (
-    Baseline,
-    parse_directives,
-    suppressed_rules_for_line,
-)
-from repro.analysis.engine import Finding
-
-
-def finding(rule="FLT001", path="src/m.py", line=1, col=0, message="m"):
-    return Finding(rule=rule, path=path, line=line, col=col, message=message)
-
-
-class TestBudget:
-    LINES = ["cost == other.cost", "cost == other.cost"]
-
-    def test_each_occurrence_consumes_one_budget_slot(self):
-        baseline = Baseline({("FLT001", "src/m.py", "cost == other.cost"): 2})
-        f1, f2, f3 = (finding(line=1), finding(line=2), finding(line=1))
-        assert baseline.matches(f1, self.LINES)
-        assert baseline.matches(f2, self.LINES)
-        # Third identical finding: budget exhausted, must be reported.
-        assert not baseline.matches(f3, self.LINES)
-
-    def test_reset_restores_the_budget(self):
-        baseline = Baseline({("FLT001", "src/m.py", "cost == other.cost"): 1})
-        assert baseline.matches(finding(line=1), self.LINES)
-        assert not baseline.matches(finding(line=2), self.LINES)
-        baseline.reset()
-        assert baseline.matches(finding(line=1), self.LINES)
-
-    def test_budget_is_keyed_by_context_not_line_number(self):
-        baseline = Baseline({("FLT001", "src/m.py", "cost == other.cost"): 1})
-        # The same content on a different line still matches (stability
-        # across unrelated edits is the whole point of content keys).
-        assert baseline.matches(finding(line=2), self.LINES)
-
-    def test_windows_paths_normalize_to_forward_slashes(self):
-        baseline = Baseline({("FLT001", "src/m.py", "cost == other.cost"): 1})
-        assert baseline.matches(
-            finding(path="src\\m.py", line=1), self.LINES
-        )
-
-
-class TestUpdateBaselinePrunesStaleEntries(object):
-    BAD = """
-        def f(cost, other):
-            return cost == other.cost
-    """
-
-    def test_stale_entries_disappear_on_update(self, tmp_path, capsys):
-        target = tmp_path / "probe.py"
-        target.write_text(textwrap.dedent(self.BAD))
-        baseline_path = tmp_path / "baseline.json"
-        # Start from a baseline carrying one real and one stale entry.
-        stale = Baseline({
-            ("FLT001", str(target), "return cost == other.cost"): 1,
-            ("FLT001", str(tmp_path / "deleted.py"), "gone == gone"): 3,
-        })
-        stale.save(str(baseline_path))
-
-        rc = analysis_main([
-            str(target), "--baseline", str(baseline_path), "--update-baseline",
-        ])
-        assert rc == 0
-        doc = json.loads(baseline_path.read_text())
-        contexts = [(e["path"], e["context"]) for e in doc["findings"]]
-        assert contexts == [(str(target), "return cost == other.cost")]
-        assert doc["findings"][0]["count"] == 1
-
-    def test_update_on_clean_tree_writes_empty_baseline(self, tmp_path,
-                                                        capsys):
-        target = tmp_path / "probe.py"
-        target.write_text("def f():\n    return 1\n")
-        baseline_path = tmp_path / "baseline.json"
-        Baseline({
-            ("FLT001", str(tmp_path / "old.py"), "a == b"): 1,
-        }).save(str(baseline_path))
-
-        rc = analysis_main([
-            str(target), "--baseline", str(baseline_path), "--update-baseline",
-        ])
-        assert rc == 0
-        assert json.loads(baseline_path.read_text())["findings"] == []
+from repro.analysis.engine import parse_directives, suppressed_rules_for_line
 
 
 class TestContinuationLineSuppressions:

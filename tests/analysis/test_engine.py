@@ -1,4 +1,4 @@
-"""Engine mechanics: registry, suppressions, baseline, CLI, file walking."""
+"""Engine mechanics: registry, suppressions, CLI, file walking."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import pytest
 
 from repro.analysis import (
     AnalysisEngine,
-    Baseline,
-    Finding,
     Rule,
     register,
     registered_rules,
@@ -21,8 +19,8 @@ from repro.analysis.__main__ import main as cli_main
 BAD_DET = "import numpy as np\nrng = np.random.default_rng()\n"
 
 
-def check(source: str, rules=None, baseline=None):
-    engine = AnalysisEngine(rules=rules, baseline=baseline)
+def check(source: str, rules=None):
+    engine = AnalysisEngine(rules=rules)
     findings = engine.check_source(textwrap.dedent(source), path="probe.py")
     return engine, findings
 
@@ -106,55 +104,6 @@ class TestSuppressions:
         ) == {"FLT001", "DET001"}
 
 
-class TestBaseline:
-    def test_baseline_absorbs_known_finding(self, tmp_path):
-        lines = BAD_DET.splitlines()
-        finding = Finding(rule="DET001", path="probe.py", line=2, col=6,
-                          message="whatever")
-        base = Baseline.from_findings([finding], {"probe.py": lines})
-        _, findings = check(BAD_DET, baseline=base)
-        assert findings == []
-
-    def test_baseline_budget_is_per_occurrence(self):
-        # One baselined occurrence must not absorb a second new copy.
-        lines = (BAD_DET + "rng2 = np.random.default_rng()\n").splitlines()
-        finding = Finding(rule="DET001", path="probe.py", line=2, col=6,
-                          message="m")
-        base = Baseline.from_findings([finding], {"probe.py": lines})
-        _, findings = check(
-            BAD_DET + "rng2 = np.random.default_rng()\n", baseline=base
-        )
-        assert len(findings) == 1
-
-    def test_baseline_survives_line_drift(self):
-        # Entries match on content, not line numbers.
-        finding = Finding(rule="DET001", path="probe.py", line=2, col=6,
-                          message="m")
-        base = Baseline.from_findings([finding], {
-            "probe.py": BAD_DET.splitlines()
-        })
-        shifted = "# a new leading comment\n" + BAD_DET
-        _, findings = check(shifted, baseline=base)
-        assert findings == []
-
-    def test_save_load_roundtrip(self, tmp_path):
-        finding = Finding(rule="DET001", path="probe.py", line=2, col=6,
-                          message="m")
-        base = Baseline.from_findings([finding], {
-            "probe.py": BAD_DET.splitlines()
-        })
-        path = tmp_path / "base.json"
-        base.save(str(path))
-        loaded = Baseline.load(str(path))
-        assert len(loaded) == len(base) == 1
-
-    def test_load_rejects_bad_version(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            Baseline.load(str(path))
-
-
 class TestEngineBehavior:
     def test_syntax_error_reported_not_raised(self):
         engine = AnalysisEngine()
@@ -185,36 +134,26 @@ class TestCli:
 
     def test_exit_zero_on_clean(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, "x = 1\n")
-        assert cli_main([path, "--no-baseline"]) == 0
+        assert cli_main([path]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, BAD_DET)
-        assert cli_main([path, "--no-baseline"]) == 1
+        assert cli_main([path]) == 1
         out = capsys.readouterr().out
         assert "DET001" in out and "mod.py:2" in out
 
     def test_json_format(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, BAD_DET)
-        assert cli_main([path, "--no-baseline", "--format", "json"]) == 1
+        assert cli_main([path, "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["findings"][0]["rule"] == "DET001"
         assert "DET001" in doc["rules"]
 
-    def test_update_then_check_against_baseline(self, tmp_path, capsys,
-                                                monkeypatch):
-        path = self._write_pkg(tmp_path, BAD_DET)
-        monkeypatch.chdir(tmp_path)
-        assert cli_main([path, "--update-baseline"]) == 0
-        assert (tmp_path / ".optlint-baseline.json").exists()
-        capsys.readouterr()
-        # Same debt is absorbed; the gate is green again.
-        assert cli_main([path]) == 0
-
     def test_rules_subset(self, tmp_path):
         path = self._write_pkg(tmp_path, BAD_DET)
-        assert cli_main([path, "--no-baseline", "--rules", "FLT001"]) == 0
-        assert cli_main([path, "--no-baseline", "--rules", "DET001"]) == 1
+        assert cli_main([path, "--rules", "FLT001"]) == 0
+        assert cli_main([path, "--rules", "DET001"]) == 1
 
     def test_unknown_rule_is_usage_error(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, "x = 1\n")
@@ -226,7 +165,7 @@ class TestCli:
             assert name in err
 
     def test_missing_path_is_usage_error(self, capsys):
-        assert cli_main(["definitely/not/here.py", "--no-baseline"]) == 2
+        assert cli_main(["definitely/not/here.py"]) == 2
 
     def test_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0
@@ -237,7 +176,7 @@ class TestCli:
 
     def test_sarif_format(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, BAD_DET)
-        assert cli_main([path, "--no-baseline", "--format", "sarif"]) == 1
+        assert cli_main([path, "--format", "sarif"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
@@ -253,25 +192,25 @@ class TestCli:
 
     def test_sarif_on_clean_tree_has_no_results(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, "x = 1\n")
-        assert cli_main([path, "--no-baseline", "--format", "sarif"]) == 0
+        assert cli_main([path, "--format", "sarif"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["runs"][0]["results"] == []
 
     def test_github_format(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, BAD_DET)
-        assert cli_main([path, "--no-baseline", "--format", "github"]) == 1
+        assert cli_main([path, "--format", "github"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("::error file=")
         assert "line=2" in out and "DET001" in out
 
     def test_github_format_is_silent_when_clean(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, "x = 1\n")
-        assert cli_main([path, "--no-baseline", "--format", "github"]) == 0
+        assert cli_main([path, "--format", "github"]) == 0
         assert capsys.readouterr().out == ""
 
     def test_stats_line_on_stderr(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, "x = 1\n")
-        assert cli_main([path, "--no-baseline", "--stats"]) == 0
+        assert cli_main([path, "--stats"]) == 0
         err = capsys.readouterr().err
         assert "optlint: 1 file(s)" in err
         assert "project rules" in err

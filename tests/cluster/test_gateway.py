@@ -15,6 +15,7 @@ import asyncio
 import pytest
 
 from repro.cluster import AdmissionController, ClusterGateway
+from repro.cluster.protocol import FrameDecoder
 from repro.core.distributions import DiscreteDistribution
 from repro.optimizer.errors import OptimizerConfigError
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
@@ -102,6 +103,112 @@ class TestOptimize:
                     await gw.optimize(_request(cost_model=CostModel()))
 
         asyncio.run(scenario())
+
+
+class TestOptimizeMany:
+    @staticmethod
+    def _tap_request_frames(gw):
+        """Record every request-bearing frame each shard's writer sends."""
+        frames = {shard.index: [] for shard in gw.shards}
+        for shard in gw.shards:
+            def write(data, _real=shard.writer.write, _index=shard.index):
+                for message in FrameDecoder().feed(data):
+                    if message["type"] in ("optimize", "optimize_batch"):
+                        frames[_index].append(message)
+                _real(data)
+
+            shard.writer.write = write
+        return frames
+
+    def test_results_come_back_in_request_order(self):
+        queries = [
+            _query(names=(f"A{i}", f"B{i}"), scale=float(i + 1))
+            for i in range(6)
+        ]
+
+        async def scenario():
+            async with ClusterGateway(shards=2) as gw:
+                batch = await gw.optimize_many([_request(q) for q in queries])
+                single = [await gw.optimize(_request(q)) for q in queries]
+                return batch, single
+
+        batch, single = asyncio.run(scenario())
+        assert all(r.ok for r in batch)
+        assert {r.shard for r in batch} == {0, 1}
+        for query, got, want in zip(queries, batch, single):
+            assert got.plan.root.relations() == frozenset(query.relation_names())
+            assert got.shard == want.shard
+            assert got.objective_value == want.objective_value
+
+    def test_duplicate_inside_a_batch_coalesces_onto_first_occurrence(self):
+        a, b = _query(names=("A", "B")), _query(names=("C", "D"), scale=3.0)
+
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                frames = self._tap_request_frames(gw)
+                results = await gw.optimize_many(
+                    [_request(a), _request(b), _request(a)]
+                )
+                return results, frames[0]
+
+        results, frames = asyncio.run(scenario())
+        assert [r.coalesced for r in results] == [False, False, True]
+        assert results[2].objective_value == results[0].objective_value
+        assert results[1].objective_value != results[0].objective_value
+        # The duplicate never crossed the wire.
+        assert [len(f["requests"]) for f in frames] == [2]
+
+    def test_same_shard_requests_leave_in_one_batch_frame(self):
+        queries = [_query(names=(f"A{i}", f"B{i}")) for i in range(6)]
+
+        async def scenario():
+            async with ClusterGateway(shards=2) as gw:
+                frames = self._tap_request_frames(gw)
+                results = await gw.optimize_many([_request(q) for q in queries])
+                return results, frames
+
+        results, frames = asyncio.run(scenario())
+        assert all(r.ok for r in results)
+        for index in (0, 1):
+            routed = sum(1 for r in results if r.shard == index)
+            (frame,) = frames[index]  # one write per shard, however many
+            if routed == 1:  # a singleton keeps the legacy frame
+                assert frame["type"] == "optimize"
+            else:
+                assert frame["type"] == "optimize_batch"
+                assert len(frame["requests"]) == routed
+        assert any(f[0]["type"] == "optimize_batch" for f in frames.values())
+
+    def test_worker_killed_with_a_batch_in_flight_loses_no_request(self):
+        queries = [
+            _query(names=(f"K{i}", f"L{i}", f"M{i}", f"N{i}")) for i in range(4)
+        ]
+
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                frames = self._tap_request_frames(gw)
+                task = asyncio.ensure_future(
+                    gw.optimize_many([_request(q) for q in queries])
+                )
+                while not frames[0]:  # until the batch frame is written
+                    await asyncio.sleep(0)
+                gw.kill_worker(0)
+                results = await asyncio.wait_for(task, timeout=60)
+                return results, frames[0], await gw.snapshot()
+
+        results, frames, snapshot = asyncio.run(scenario())
+        assert frames[0]["type"] == "optimize_batch"
+        assert snapshot["restarts"] >= 1
+        assert len(results) == len(queries)
+        for query, result in zip(queries, results):
+            # Answered (by the dying worker or by the replay) or failed
+            # explicitly — never dropped.
+            if result.ok:
+                assert result.plan.root.relations() == frozenset(
+                    query.relation_names()
+                )
+            else:
+                assert result.status == "error" and result.error
 
 
 class TestAdmission:

@@ -1,13 +1,14 @@
 """Batched level evaluation must be invisible in every observable output.
 
-``SystemRDP(level_batching=...)`` toggles whether a DP level's join
-steps go through the coster's vectorized ``prefetch_join_steps`` or are
-evaluated one call at a time.  The contract is *bit-identical* results:
-same winning plan, same objective to the last ulp, and — where the
-prefetch mirrors on-demand evaluation one-for-one (no pruning) — the
-same ``formula_evaluations`` accounting.  These tests drive that
-contract across every coster (algorithms A–D share them), every plan
-space, and the seeded randomized search.
+``SystemRDP`` decides by itself whether a DP level's join steps go
+through the coster's vectorized ``prefetch_join_steps`` or are evaluated
+one call at a time; these tests force each path through the engine's
+private ``_batch_steps`` attribute (a test seam, not an argument).  The
+contract is *bit-identical* results: same winning plan, same objective
+to the last ulp, and — where the prefetch mirrors on-demand evaluation
+one-for-one (no pruning) — the same ``formula_evaluations`` accounting.
+These tests drive that contract across every coster (algorithms A–D
+share them), every plan space, and the seeded randomized search.
 """
 
 from __future__ import annotations
@@ -79,13 +80,14 @@ def _coster(kind: str):
     raise AssertionError(kind)
 
 
-def _run(kind: str, query, space: str, batching: bool):
+def _run(kind: str, query, space: str, batching: bool, **engine_args):
     engine = SystemRDP(
         _coster(kind),
         plan_space=space,
         context=OptimizationContext(query),
-        level_batching=batching,
+        **engine_args,
     )
+    engine._batch_steps = batching
     return engine.optimize(query)
 
 
@@ -125,17 +127,10 @@ class TestLevelBatchingEquivalence:
     @pytest.mark.parametrize("kind", COSTER_KINDS)
     def test_candidate_lists_identical_with_top_k(self, kind):
         query = QUERIES[1]
-        results = []
-        for batching in (False, True):
-            engine = SystemRDP(
-                _coster(kind),
-                plan_space="left-deep",
-                top_k=3,
-                context=OptimizationContext(query),
-                level_batching=batching,
-            )
-            results.append(engine.optimize(query))
-        seq, bat = results
+        seq, bat = (
+            _run(kind, query, "left-deep", batching, top_k=3)
+            for batching in (False, True)
+        )
         assert [c.plan.signature() for c in bat.candidates] == [
             c.plan.signature() for c in seq.candidates
         ]
@@ -150,12 +145,9 @@ class TestAlgorithmDEndToEnd:
     @pytest.mark.parametrize("space", ["left-deep", "zig-zag", "bushy"])
     def test_algorithm_d_batched_matches_sequential(self, fast, space):
         query = QUERIES[3]
-        seq = optimize_algorithm_d(
-            query, MEMORY, fast=fast, plan_space=space, level_batching=False
-        )
-        bat = optimize_algorithm_d(
-            query, MEMORY, fast=fast, plan_space=space, level_batching=True
-        )
+        kind = "multiparam-fast" if fast else "multiparam-naive"
+        seq = _run(kind, query, space, batching=False)
+        bat = _run(kind, query, space, batching=True)
         assert bat.plan.signature() == seq.plan.signature()
         assert math.isclose(
             bat.objective, seq.objective, rel_tol=0.0, abs_tol=0.0

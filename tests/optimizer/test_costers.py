@@ -94,7 +94,7 @@ class TestMarkovCoster:
 
     def test_no_bushy_support(self, bimodal_memory):
         mc = MarkovCoster(sticky_chain(bimodal_memory, 0.5))
-        assert not mc.supports_bushy()
+        assert mc.requires_ordered_phases
 
 
 class TestMultiParamCoster:

@@ -1,7 +1,7 @@
 """Parallel level evaluation must be invisible in every observable output.
 
-``SystemRDP(parallelism=...)`` fans each DP level's prefetched batch
-across a worker pool.  The contract mirrors (and composes with) the
+``SystemRDP(pool=...)`` fans each DP level's prefetched batch across a
+caller-owned worker pool.  The contract mirrors (and composes with) the
 level-batching one: *bit-identical* winning plans, objectives to the
 last ulp, and identical ``formula_evaluations`` accounting, for every
 pool size and backend — workers run pure row-independent kernels over
@@ -9,9 +9,13 @@ deterministic contiguous chunks and the coordinator merges results in
 fixed chunk order, so no schedule can reorder a single float operation.
 
 The matrix here is the acceptance gate: all four plan spaces crossed
-with pool sizes {1, 2, 4} (size 1 collapses to the sequential path by
-design), the thread and process backends, every coster including the
-dependent Bayes-net one, and the seeded randomized search.
+with pool sizes {1, 2, 4} (size 1 is the pool-less sequential path),
+the thread and process backends, every coster including the dependent
+Bayes-net one, and the seeded randomized search.  Both sides of every
+matrix case run batched (``_batch_steps`` forced on the pool-less
+engine) so the ``formula_evaluations`` comparison stays one-for-one
+under the prune; the engine's own choice is covered by
+``test_pool_is_used_on_a_pruned_space``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import pytest
 from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import MarkovParameter
-from repro.core.parallel import WorkerPool, parse_parallelism
+from repro.core.parallel import ParallelismError, WorkerPool
 from repro.core.bayesnet import DiscreteBayesNet
 from repro.optimizer.costers import (
     ExpectedCoster,
@@ -32,14 +36,14 @@ from repro.optimizer.costers import (
     MultiParamCoster,
     PointCoster,
 )
-from repro.optimizer.dependent import optimize_dependent
-from repro.optimizer.facade import optimize
+from repro.optimizer.dependent import BayesNetCoster
 from repro.optimizer.randomized import iterative_improvement
 from repro.optimizer.systemr import SystemRDP
 from repro.core.algorithm_d import plan_expected_cost_multiparam
 from repro.workloads.queries import (
     chain_query,
     random_query,
+    star_query,
     union_query,
     with_selectivity_uncertainty,
     with_size_uncertainty,
@@ -47,10 +51,19 @@ from repro.workloads.queries import (
 
 MEMORY = DiscreteDistribution([2000.0, 300.0], [0.7, 0.3])
 
-#: Pool sizes the acceptance criteria name.  1 must collapse to the
-#: sequential path (parse_parallelism returns None); 2 and 4 exercise
-#: real fan-out even on a single-core host.
+#: Pool sizes the acceptance criteria name.  1 is the sequential path
+#: (no pool); 2 and 4 exercise real fan-out even on a single-core host.
 POOL_SIZES = [1, 2, 4]
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """size -> pool (``None`` for 1), closed when the module is done."""
+    live = {n: WorkerPool("threads", n) for n in POOL_SIZES if n > 1}
+    yield {1: None, **live}
+    for pool in live.values():
+        pool.close()
+
 
 JOIN_SPACES = ["left-deep", "zig-zag", "bushy"]
 
@@ -97,15 +110,19 @@ def _coster(kind: str):
     raise AssertionError(kind)
 
 
-def _run(kind: str, query, space: str, parallelism):
+def _run_engine(coster, query, space: str, pool):
     engine = SystemRDP(
-        _coster(kind),
+        coster,
         plan_space=space,
         context=OptimizationContext(query),
-        level_batching=True,
-        parallelism=parallelism,
+        pool=pool,
     )
+    engine._batch_steps = True
     return engine.optimize(query)
+
+
+def _run(kind: str, query, space: str, pool):
+    return _run_engine(_coster(kind), query, space, pool)
 
 
 def _assert_identical(got, want):
@@ -124,45 +141,79 @@ class TestParallelLevelParity:
     @pytest.mark.parametrize(
         "kind", ["point", "expected", "markov", "multiparam-fast"]
     )
-    def test_join_spaces_bitwise_across_pool_sizes(self, kind, space, size):
+    def test_join_spaces_bitwise_across_pool_sizes(
+        self, kind, space, size, pools
+    ):
         if kind == "markov" and space == "bushy":
             pytest.skip("bushy trees have no canonical phase order")
         query = QUERIES[0]
-        seq = _run(kind, query, space, parallelism=None)
-        par = _run(kind, query, space, parallelism=size)
+        seq = _run(kind, query, space, pool=None)
+        par = _run(kind, query, space, pool=pools[size])
         _assert_identical(par, seq)
 
     @pytest.mark.parametrize("size", POOL_SIZES)
-    def test_spju_space_bitwise_across_pool_sizes(self, size):
-        seq = optimize(
-            UNION, "lec", memory=MEMORY, plan_space="spju",
-            context=OptimizationContext(UNION), level_batching=True,
-        )
-        par = optimize(
-            UNION, "lec", memory=MEMORY, plan_space="spju",
-            context=OptimizationContext(UNION), level_batching=True,
-            parallelism=size,
-        )
+    def test_spju_space_bitwise_across_pool_sizes(self, size, pools):
+        seq = _run("expected", UNION, "spju", pool=None)
+        par = _run("expected", UNION, "spju", pool=pools[size])
         _assert_identical(par, seq)
 
     def test_process_backend_matches_threads(self):
         query = QUERIES[1]
-        seq = _run("multiparam-fast", query, "bushy", parallelism=None)
-        thr = _run("multiparam-fast", query, "bushy", parallelism="threads:2")
-        prc = _run("multiparam-fast", query, "bushy", parallelism="processes:2")
+        seq = _run("multiparam-fast", query, "bushy", pool=None)
+        with WorkerPool("threads", 2) as threads:
+            thr = _run("multiparam-fast", query, "bushy", pool=threads)
+        with WorkerPool("processes", 2) as processes:
+            prc = _run("multiparam-fast", query, "bushy", pool=processes)
         _assert_identical(thr, seq)
         _assert_identical(prc, seq)
 
     def test_caller_owned_pool_instance(self):
         query = QUERIES[0]
-        seq = _run("expected", query, "bushy", parallelism=None)
+        seq = _run("expected", query, "bushy", pool=None)
         with WorkerPool("threads", 2) as pool:
-            par = _run("expected", query, "bushy", parallelism=pool)
+            par = _run("expected", query, "bushy", pool=pool)
         _assert_identical(par, seq)
 
     def test_pool_size_one_is_the_sequential_path(self):
-        assert parse_parallelism(1) is None
-        assert parse_parallelism("threads:1") is None
+        # No one-worker pool exists to hand over: size 1 means pool=None.
+        with pytest.raises(ParallelismError, match=">= 2 workers"):
+            WorkerPool("threads", 1)
+
+    def test_pool_is_used_on_a_pruned_space(self, pools, monkeypatch):
+        # The engine's own choice, nothing forced: on a pruned space a
+        # pool alone must reach map_ordered (a level is batched whenever
+        # there is a pool to fan it out to) and leave every answer as the
+        # pool-less on-demand run gives it.  Six relations: a level has
+        # to hold enough steps for the costers to chunk it at all.
+        query, pool = star_query(6, np.random.default_rng(23)), pools[2]
+        calls = []
+        real = pool.map_ordered
+
+        def counting(fn, tasks):
+            calls.append(len(tasks))
+            return real(fn, tasks)
+
+        monkeypatch.setattr(pool, "map_ordered", counting)
+
+        def run(pool):
+            return SystemRDP(
+                ExpectedCoster(MEMORY),
+                plan_space="bushy",
+                top_k=3,
+                context=OptimizationContext(query),
+                pool=pool,
+            ).optimize(query)
+
+        seq, par = run(None), run(pool)
+        assert calls, "the pool never saw a task"
+        assert [c.plan.signature() for c in par.candidates] == [
+            c.plan.signature() for c in seq.candidates
+        ]
+        assert [c.objective for c in par.candidates] == [
+            c.objective for c in seq.candidates
+        ]
+        assert par.plan.signature() == seq.plan.signature()
+        assert par.objective == seq.objective
 
 
 class TestDependentCosterParity:
@@ -177,30 +228,24 @@ class TestDependentCosterParity:
 
     @pytest.mark.parametrize("size", POOL_SIZES)
     @pytest.mark.parametrize("space", JOIN_SPACES)
-    def test_dependent_bitwise_across_pool_sizes(self, space, size):
+    def test_dependent_bitwise_across_pool_sizes(self, space, size, pools):
         query = QUERIES[0]
         net = self._net()
-        seq = optimize_dependent(
-            query, net, context=OptimizationContext(query),
-            plan_space=space, level_batching=True,
-        )
-        par = optimize_dependent(
-            query, net, context=OptimizationContext(query),
-            plan_space=space, level_batching=True, parallelism=size,
-        )
+        seq = _run_engine(BayesNetCoster(net), query, space, pool=None)
+        par = _run_engine(BayesNetCoster(net), query, space, pool=pools[size])
         _assert_identical(par, seq)
 
 
 class TestRandomizedSearchParallelDeterminism:
     @pytest.mark.parametrize("size", POOL_SIZES)
-    def test_seeded_search_identical_across_pool_sizes(self, size):
+    def test_seeded_search_identical_across_pool_sizes(self, size, pools):
         # Candidates are sampled from the seeded rng *before* any
         # evaluation and the pool scan accepts the first improvement in
         # sampling order, so the whole trajectory — plan, objective,
         # and the evaluation count — is schedule-independent.
         query = QUERIES[1]
 
-        def run(parallelism):
+        def run(pool):
             rng = np.random.default_rng(99)
             context = OptimizationContext(query)
             res = iterative_improvement(
@@ -211,14 +256,14 @@ class TestRandomizedSearchParallelDeterminism:
                 rng,
                 n_restarts=3,
                 max_steps=40,
-                parallelism=parallelism,
+                pool=pool,
             )
             return res.plan.signature(), res.objective, res.evaluations
 
         # The baseline reruns per pool size on purpose — a fresh
         # context per run keeps memo warm-up identical on both sides.
         base = run(None)
-        par = run(size)
+        par = run(pools[size])
         assert par[0] == base[0]
         assert math.isclose(par[1], base[1], rel_tol=0.0, abs_tol=0.0)
         assert par[2] == base[2]
