@@ -13,6 +13,10 @@ Two views are provided, mirroring LSC vs. LEC inputs:
   :class:`~repro.core.distributions.DiscreteDistribution` over pages,
   propagated through the classic ``|A ⋈ B| = |A|·|B|·σ`` identity with
   independent inputs and rebucketing (Section 3.6.3).
+
+Every product over a relation set multiplies in sorted-name order: a
+``frozenset`` iterates in an order that follows ``PYTHONHASHSEED``, and
+a float product moves by an ulp with the order of its factors.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def subset_size(rels: FrozenSet[str], query: JoinQuery) -> SizeEstimate:
     if not rels:
         raise ValueError("subset must be non-empty")
     rows = 1.0
-    for name in rels:
+    for name in sorted(rels):
         rows *= query.rows_of(name)
     preds = query.predicates_within(rels)
     if len(rels) == 2 and len(preds) == 1 and preds[0].result_pages_override is not None:
@@ -150,7 +154,7 @@ def subset_size_bounds(
         dist = p.selectivity_distribution()
         lo *= dist.min()
         hi *= dist.max()
-    for name in rels:
+    for name in sorted(rels):
         fsel = query.relation(name).filter_selectivity
         if fsel < 1.0:
             lo *= fsel
@@ -203,7 +207,7 @@ def subset_size_distribution(
         acc = ops.rebucket(ops.product(acc, nxt), max_buckets)
     acc = acc.scale(rpp_power)
     # Account for local filters on the member relations.
-    for name in rels:
+    for name in sorted(rels):
         fsel = query.relation(name).filter_selectivity
         if fsel < 1.0:
             acc = acc.scale(fsel)

@@ -139,7 +139,7 @@ class BayesNetCoster(Coster):
         ):
             return float(preds[0].result_pages_override)
         rows = 1.0
-        for name in rels:
+        for name in sorted(rels):
             rows *= query.rows_of(name)
         for p in preds:
             rows *= assignment.get(p.label, p.selectivity)
@@ -149,8 +149,8 @@ class BayesNetCoster(Coster):
         """Per-assignment page counts for ``rels`` across the whole joint.
 
         Column ``j`` equals ``_pages_given(rels, joint()[j][0])`` bit for
-        bit: the relation-row base product runs the *same* frozenset
-        iteration the scalar walk uses (a scalar, shared by every
+        bit: the relation-row base product runs the *same* sorted-name
+        walk the scalar one uses (a scalar, shared by every
         assignment), and each predicate's selectivity column multiplies
         in afterwards in the same predicate order — so every assignment
         sees the identical left-to-right multiply sequence.
@@ -174,7 +174,7 @@ class BayesNetCoster(Coster):
                 arr = np.full(k, float(preds[0].result_pages_override))
             else:
                 base = 1.0
-                for name in rels:
+                for name in sorted(rels):
                     base *= query.rows_of(name)
                 arr = np.full(k, base)
                 for p in preds:

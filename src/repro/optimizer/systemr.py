@@ -29,6 +29,11 @@ Bookkeeping details that matter for fidelity:
   pruned with Chen & Schneider intermediate-size lower bounds: a
   partition whose children plus input-read bound cannot beat the worst
   retained entry of every reachable order bucket is skipped.
+* **Integer subsets, costs first.** Inside the DP a relation set is an
+  ``int`` mask over sorted-name bit numbers and a subset's splits are
+  walked in ascending mask order — the order is part of the contract,
+  because equal costs are settled by first arrival.  A candidate is a
+  cost until its bucket admits it; only then is a plan node built.
 * **SPJU.** A :class:`~repro.plans.query.JoinQuery` that is actually a
   :class:`~repro.plans.spju.UnionQuery` is optimized arm by arm (the DP
   runs once per arm — predicates never cross arms) and combined under a
@@ -52,14 +57,15 @@ from ..plans.spju import UnionQuery
 from .costers import Coster
 from .errors import OptimizerConfigError
 from .result import OptimizationResult, OptimizerStats, PlanChoice
-from .topk import TopKList, merge_top_combinations
+from .topk import TopKList, top_sums
 
 __all__ = ["SystemRDP", "DPEntry"]
 
-#: Table type: subset -> (output order -> retained entries).
-_Table = Dict[FrozenSet[str], Dict[Optional[str], "TopKList[DPEntry]"]]
-#: One joinable partition: (left, right, predicate label, order target).
-_Split = Tuple[FrozenSet[str], FrozenSet[str], str, Optional[str]]
+#: Table type: subset mask -> (output order -> retained entries); every
+#: bucket in it holds at least one entry.
+_Table = Dict[int, Dict[Optional[str], "TopKList[DPEntry]"]]
+#: One joinable split: (left mask, right mask, predicate label, order target).
+_Split = Tuple[int, int, str, Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -147,6 +153,9 @@ class SystemRDP:
         # The evaluation-order rule of the class docstring; the parity
         # suites force a path by assigning this attribute.
         self._batch_steps = not self._prune or pool is not None
+        #: The running block's subset mask -> relation names, one
+        #: frozenset per table subset (what the coster API takes).
+        self._rels: Dict[int, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------
 
@@ -170,15 +179,15 @@ class SystemRDP:
         names = query.relation_names()
         table = self._run_dp(query, names, stats)
 
-        full = frozenset(names)
-        if full not in table or not self._entries_of(table, full):
+        buckets = table.get((1 << len(names)) - 1)
+        if buckets is None:
             raise QueryError(
                 "no plan found: the join graph is disconnected "
                 "(pass allow_cross_products=True to permit cross joins)"
             )
 
-        choices = self._finalize(full, query, table)
-        stats.subsets_explored = sum(1 for s in table if self._entries_of(table, s))
+        choices = self._finalize(frozenset(names), query, buckets)
+        stats.subsets_explored = len(table)
         stats.formula_evaluations = self.coster.cost_model.eval_count - evals_before
         best = choices[0]
         kept = choices[: self.top_k] if self.top_k > 1 else [best]
@@ -193,72 +202,73 @@ class SystemRDP:
     ) -> _Table:
         """Fill the subset table for ``names`` (one SPJ block).
 
-        Levels come from :meth:`PlanSpace.level_candidates` as explicit
-        lists — level ``k`` depends only on levels ``< k``, so a sharded
-        serving tier can fan one level's subsets out to workers.
+        Subsets are ``int`` masks over :meth:`JoinQuery.join_graph`'s
+        sorted-name numbering; the table keeps one ``frozenset`` per
+        subset (``self._rels``) for the coster API.  Levels come from
+        :meth:`PlanSpace.level_masks` as explicit lists — level ``k``
+        depends only on levels ``< k``, so a sharded serving tier can
+        fan one level's subsets out to workers.
         """
+        order, adjacency, preds = query.join_graph(names)
         table: _Table = {}
+        self._rels = rels = {}
+        levels = self.space.level_masks(adjacency, self.allow_cross_products)
 
         # Depth 1: access paths for the stored relations.  A relation with
         # an index over its local filter gets two candidate paths; the
         # per-(subset, order) TopKList keeps the best (or the top k).
-        for name in names:
+        for mask, name in zip(next(levels), order):
             paths = [Scan(table=name)]
             if query.relation(name).has_index_path():
                 paths.append(Scan(table=name, access=AccessPath.INDEX_SCAN))
             bucket: TopKList[DPEntry] = TopKList(self.top_k)
             for scan in paths:
-                entry = DPEntry(
-                    node=scan, cost=self.coster.access_cost(scan), order=None
-                )
-                bucket.offer(entry.cost, entry)
+                cost = self.coster.access_cost(scan)
+                bucket.offer(cost, DPEntry(node=scan, cost=cost, order=None))
                 stats.entries_offered += 1
-            table[frozenset((name,))] = {None: bucket}
+            table[mask] = {None: bucket}
+            rels[mask] = frozenset((name,))
 
         # Depths 2..n.
-        for size in range(2, len(names) + 1):
-            level = self.space.level_candidates(
-                query,
-                size,
-                allow_cross_products=self.allow_cross_products,
-                names=names,
-            )
-            walked = [self._splits(s, query, table) for s in level]
+        for phase, level in enumerate(levels):
+            walked = [self._splits(mask, order, preds, table) for mask in level]
             if self._batch_steps:
                 # Walk once: the batch and the build see the same splits
                 # (level k only reads levels < k, all already in table).
                 walked = [list(splits) for splits in walked]
-                self._prefetch_level(walked, table)
-            for subset, splits in zip(level, walked):
-                self._build_subset(subset, splits, table, stats)
+                self._prefetch_level(walked, phase, table)
+            for mask, splits in zip(level, walked):
+                self._build_subset(mask, splits, phase, table, stats)
         return table
 
     def _splits(
-        self, subset: FrozenSet[str], query: JoinQuery, table: _Table
+        self,
+        mask: int,
+        order: Sequence[str],
+        preds: Sequence[Tuple[int, str, str]],
+        table: _Table,
     ) -> Iterator[_Split]:
-        """The partitions of ``subset`` the DP may join, as
+        """The splits of ``mask`` the DP may join, as
         ``(left, right, predicate label, order target)``.
 
-        A partition qualifies when both sides have table entries and a
+        A split qualifies when both sides have table entries and a
         predicate crosses it (the first one names the join) — or, with
         ``allow_cross_products``, when none does.
         """
-        within = query.predicates_within(subset)
-        for left_rels, right_rels in self.space.partitions(subset):
-            if left_rels not in table or right_rels not in table:
+        for left, right in self.space.split_masks(mask):
+            if left not in table or right not in table:
                 continue
-            pred = next(
-                (p for p in within
-                 if (p.left in left_rels) != (p.right in left_rels)),
-                None,
-            )
-            if pred is not None:
-                yield left_rels, right_rels, pred.label, pred.order_label
-            elif self.allow_cross_products:
-                yield left_rels, right_rels, f"cross[{min(right_rels)}]", None
+            for ends, label, order_label in preds:
+                if ends & left and ends & right:
+                    yield left, right, label, order_label
+                    break
+            else:
+                if self.allow_cross_products:
+                    lowest = order[(right & -right).bit_length() - 1]
+                    yield left, right, f"cross[{lowest}]", None
 
     def _prefetch_level(
-        self, walked: Sequence[Sequence[_Split]], table: _Table
+        self, walked: Sequence[Sequence[_Split]], phase: int, table: _Table
     ) -> None:
         """Hand one DP level's join steps to the coster in a single batch.
 
@@ -267,124 +277,124 @@ class SystemRDP:
         the steps :meth:`_build_subset` requests from the same ``walked``
         splits through the same helper.
         """
+        rels = self._rels
         requests = []
         for splits in walked:
-            for left_rels, right_rels, _label, order_target in splits:
-                phase = len(left_rels) + len(right_rels) - 2
+            for left, right, _label, order_target in splits:
                 combos = {
                     (lsorted, rsorted)
                     for _l, _r, lsorted, rsorted in self._order_pairs(
-                        table, left_rels, right_rels, order_target
+                        table, left, right, order_target
                     )
                 }
                 for lsorted, rsorted in sorted(combos):
                     for method in self.coster.methods:
                         requests.append(
-                            (method, left_rels, right_rels, phase, lsorted, rsorted)
+                            (method, rels[left], rels[right], phase, lsorted, rsorted)
                         )
         if requests:
             self.coster.prefetch_join_steps(requests, pool=self._pool)
 
     @staticmethod
     def _order_pairs(
-        table: _Table,
-        left_rels: FrozenSet[str],
-        right_rels: FrozenSet[str],
-        order_target: Optional[str],
+        table: _Table, left: int, right: int, order_target: Optional[str]
     ) -> Iterator[Tuple["TopKList[DPEntry]", "TopKList[DPEntry]", bool, bool]]:
-        """A split's non-empty (left bucket, right bucket) pairs, each with
-        whether that side already delivers the join's order target — the
+        """A split's (left bucket, right bucket) pairs, each with whether
+        that side already delivers the join's order target — the
         ``(lsorted, rsorted)`` flags its join steps are costed under.
         """
-        for lorder, lbucket in table[left_rels].items():
-            if not lbucket:
-                continue
+        for lorder, lbucket in table[left].items():
             lsorted = order_target is not None and lorder == order_target
-            for rorder, rbucket in table[right_rels].items():
-                if rbucket:
-                    rsorted = order_target is not None and rorder == order_target
-                    yield lbucket, rbucket, lsorted, rsorted
+            for rorder, rbucket in table[right].items():
+                rsorted = order_target is not None and rorder == order_target
+                yield lbucket, rbucket, lsorted, rsorted
 
     def _build_subset(
         self,
-        subset: FrozenSet[str],
+        mask: int,
         splits: Iterable[_Split],
+        phase: int,
         table: _Table,
         stats: OptimizerStats,
     ) -> None:
+        """File the retained entries of one subset, per output order.
+
+        Costs first: a candidate's total is compared with its bucket's
+        worst retained cost, and only an entry the bucket admits gets a
+        plan node (:meth:`PlanSpace.join`) and a :class:`DPEntry`.
+        """
+        coster, rels, top_k = self.coster, self._rels, self.top_k
+        methods = coster.methods
+        # A pipelined nested-loop join streams its outer (left) input:
+        # no materialisation write for it.
+        pipelined = coster.cost_model.pipelined_methods
+        streams_left = [m in pipelined for m in methods]
         buckets: Dict[Optional[str], TopKList[DPEntry]] = {}
-        phase = len(subset) - 2
-        for left_rels, right_rels, label, order_target in splits:
-            if self._prune and self._dominated(
-                left_rels, right_rels, order_target or label, buckets, table
-            ):
+        for left, right, label, order_target in splits:
+            # What each method's candidates share across the split: the
+            # output order they land in and the child writes they pay.
+            orders = [order_from_join(m, order_target or label) for m in methods]
+            if self._prune and self._dominated(left, right, orders, buckets, table):
                 stats.partitions_pruned += 1
                 continue
-            left_write = (
-                self.coster.write_cost(left_rels) if len(left_rels) > 1 else 0.0
-            )
+            left_rels, right_rels = rels[left], rels[right]
+            left_write = coster.write_cost(left_rels) if len(left_rels) > 1 else 0.0
             right_write = (
-                self.coster.write_cost(right_rels) if len(right_rels) > 1 else 0.0
+                coster.write_cost(right_rels) if len(right_rels) > 1 else 0.0
             )
-            pipelined = self.coster.cost_model.pipelined_methods
+            writes = [
+                right_write + (0.0 if streams else left_write)
+                for streams in streams_left
+            ]
             # Interesting orders: an input whose order matches this join's
             # order label earns sort-merge credit, so inputs must be
             # combined *per order group* — pooling across orders could
             # discard an order-carrying subplan that wins downstream.
-            step_cache: Dict[tuple, float] = {}
+            steps: Dict[Tuple[bool, bool], List[float]] = {}
             for lbucket, rbucket, lsorted, rsorted in self._order_pairs(
-                table, left_rels, right_rels, order_target
+                table, left, right, order_target
             ):
-                left_entries = [e for _, e in lbucket.items()]
-                right_entries = [e for _, e in rbucket.items()]
-                merged = merge_top_combinations(
-                    [e.cost for e in left_entries],
-                    [e.cost for e in right_entries],
-                    self.top_k,
-                )
-                stats.merge_probes += merged.probes
-                for method in self.coster.methods:
-                    key = (method, lsorted, rsorted)
-                    if key not in step_cache:
-                        step_cache[key] = self.coster.join_step_cost(
-                            method,
-                            left_rels,
-                            right_rels,
-                            phase,
-                            left_presorted=lsorted,
-                            right_presorted=rsorted,
+                combos, probes = top_sums(lbucket.costs, rbucket.costs, top_k)
+                stats.merge_probes += probes
+                stats.entries_offered += len(combos) * len(methods)
+                pair_steps = steps.get((lsorted, rsorted))
+                if pair_steps is None:
+                    pair_steps = steps[lsorted, rsorted] = [
+                        coster.join_step_cost(
+                            m, left_rels, right_rels, phase, lsorted, rsorted
                         )
-                    step = step_cache[key]
-                    # A pipelined nested-loop join streams its outer
-                    # (left) input: no materialisation write for it.
-                    write_children = right_write + (
-                        0.0 if method in pipelined else left_write
-                    )
-                    order = order_from_join(
-                        method, order_target if order_target else label
-                    )
-                    bucket = buckets.setdefault(order, TopKList(self.top_k))
-                    for combined, li, ri in merged.combinations:
+                        for m in methods
+                    ]
+                for method, order, write_children, step in zip(
+                    methods, orders, writes, pair_steps
+                ):
+                    bucket = buckets.get(order)
+                    if bucket is None:
+                        bucket = buckets[order] = TopKList(top_k)
+                    worst = bucket.worst_cost()
+                    for combined, li, ri in combos:
                         total = combined + step + write_children
-                        node = self.space.join(
-                            left=left_entries[li].node,
-                            right=right_entries[ri].node,
-                            method=method,
-                            predicate_label=label,
-                            order_label=order_target,
-                        )
-                        bucket.offer(
-                            total, DPEntry(node=node, cost=total, order=order)
-                        )
-                        stats.entries_offered += 1
+                        if worst is None or total < worst:
+                            node = self.space.join(
+                                left=lbucket.entries[li].node,
+                                right=rbucket.entries[ri].node,
+                                method=method,
+                                predicate_label=label,
+                                order_label=order_target,
+                            )
+                            bucket.offer(
+                                total, DPEntry(node=node, cost=total, order=order)
+                            )
+                            worst = bucket.worst_cost()
         if buckets:
-            table[subset] = buckets
+            table[mask] = buckets
+            rels[mask] = left_rels | right_rels  # any joined split spans it
 
     def _dominated(
         self,
-        left_rels: FrozenSet[str],
-        right_rels: FrozenSet[str],
-        order_label: str,
+        left: int,
+        right: int,
+        orders: Sequence[Optional[str]],
         buckets: Dict[Optional[str], "TopKList[DPEntry]"],
         table: _Table,
     ) -> bool:
@@ -395,12 +405,11 @@ class SystemRDP:
         cheapest retained child entries lower-bounds every candidate this
         partition can produce.  The partition is skipped only when that
         bound *strictly* exceeds the worst retained cost of every order
-        bucket the partition could feed — so no entry that could ever be
-        kept (or tie) is lost.
+        bucket the partition could feed (``orders``, one per method) — so
+        no entry that could ever be kept (or tie) is lost.
         """
-        reachable = {order_from_join(m, order_label) for m in self.coster.methods}
         worst = None
-        for key in reachable:
+        for key in orders:
             bucket = buckets.get(key)
             if bucket is None:
                 return False  # an open bucket accepts anything
@@ -409,43 +418,29 @@ class SystemRDP:
                 return False  # bucket not full yet
             worst = bucket_worst if worst is None else max(worst, bucket_worst)
         lower = (
-            self._min_cost(table, left_rels)
-            + self._min_cost(table, right_rels)
-            + self.coster.pages_lower_bound(left_rels)
-            + self.coster.pages_lower_bound(right_rels)
+            self._min_cost(table, left)
+            + self._min_cost(table, right)
+            + self.coster.pages_lower_bound(self._rels[left])
+            + self.coster.pages_lower_bound(self._rels[right])
         )
         return lower > worst
 
     @staticmethod
-    def _min_cost(table: _Table, rels: FrozenSet[str]) -> float:
-        best = None
-        for bucket in table[rels].values():
-            items = bucket.items()
-            if items and (best is None or items[0][0] < best):
-                best = items[0][0]
-        return best if best is not None else 0.0
-
-    @staticmethod
-    def _entries_of(table, subset) -> List[DPEntry]:
-        if subset not in table:
-            return []
-        out: List[DPEntry] = []
-        for bucket in table[subset].values():
-            out.extend(entry for _, entry in bucket.items())
-        return out
+    def _min_cost(table: _Table, mask: int) -> float:
+        return min(bucket.costs[0] for bucket in table[mask].values())
 
     def _finalize(
         self,
         full: FrozenSet[str],
         query: JoinQuery,
-        table,
+        buckets: Dict[Optional[str], "TopKList[DPEntry]"],
     ) -> List[PlanChoice]:
         """Apply required-order enforcement, projection, and rank plans."""
         phase = max(0, len(full) - 2)
         needs_order = query.required_order is not None and len(full) > 1
         project = getattr(query, "projection_ratio", 1.0) < 1.0
         choices: List[PlanChoice] = []
-        for _order, bucket in table[full].items():
+        for bucket in buckets.values():
             for cost, entry in bucket.items():
                 total = cost
                 node: PlanNode = entry.node
@@ -497,14 +492,14 @@ class SystemRDP:
             names = [r.name for r in arm.relations]
             table = self._run_dp(query, names, stats)
             full = frozenset(names)
-            entries = self._entries_of(table, full)
-            if not entries:
+            buckets = table.get((1 << len(names)) - 1)
+            if buckets is None:
                 raise QueryError(
                     f"no plan found for union arm over {sorted(names)}: its "
                     "join graph is disconnected (pass "
                     "allow_cross_products=True to permit cross joins)"
                 )
-            best = min(entries, key=lambda e: e.cost)
+            best = min(buckets.values(), key=lambda b: b.costs[0]).entries[0]
             node: PlanNode = best.node
             materialised = isinstance(node, Join)
             if arm.projection_ratio < 1.0:
@@ -512,7 +507,7 @@ class SystemRDP:
             arm_nodes.append(node)
             arm_info.append((full, arm.projection_ratio, materialised))
             total += best.cost
-            explored += sum(1 for s in table if self._entries_of(table, s))
+            explored += len(table)
 
         total += self.coster.union_overhead(arm_info, query.distinct)
         root = UnionNode(inputs=tuple(arm_nodes), distinct=query.distinct)

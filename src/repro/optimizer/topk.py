@@ -6,19 +6,22 @@ subplans for ``S_j`` with the top ``c`` access plans for ``A_j`` looks
 like ``c²`` work, but Proposition 3.1 shows that because both lists are
 sorted and the combined cost is the *sum* of the parts, only pairs
 ``(i, k)`` with ``i·k <= c`` can make the top ``c`` — at most
-``c + c·ln c`` probes.  :func:`merge_top_combinations` implements exactly
-that probe set and reports how many probes it made, which experiment E8
-checks against the bound.
+``c + c·ln c`` probes.  :func:`top_sums` walks exactly that probe set and
+reports how many probes it made; :func:`merge_top_combinations` is its
+validated public form, which experiment E8 checks against the bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
 
-__all__ = ["TopKList", "merge_top_combinations", "MergeResult"]
+__all__ = ["TopKList", "top_sums", "merge_top_combinations", "MergeResult"]
 
 T = TypeVar("T")
+_cost_of = itemgetter(0)
 
 
 class TopKList(Generic[T]):
@@ -26,58 +29,56 @@ class TopKList(Generic[T]):
 
     Insertion is O(k) (the lists involved are tiny: ``k`` is the paper's
     ``c``, a small constant), and ties are broken by insertion order so
-    results are deterministic.
+    results are deterministic.  ``costs`` and ``entries`` are the held
+    costs and items as parallel ascending lists — read-only views for
+    the DP's hot loop, which probes them in place.
     """
 
-    __slots__ = ("k", "_items", "_counter")
+    __slots__ = ("k", "costs", "entries")
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self._items: List[Tuple[float, int, T]] = []
-        self._counter = 0
+        self.costs: List[float] = []
+        self.entries: List[T] = []
 
     def offer(self, cost: float, item: T) -> bool:
         """Insert if the item makes the current top k; return whether it did."""
-        if len(self._items) == self.k and cost >= self._items[-1][0]:
+        costs = self.costs
+        if len(costs) == self.k and cost >= costs[-1]:
             return False
-        entry = (cost, self._counter, item)
-        self._counter += 1
-        lo, hi = 0, len(self._items)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._items[mid][:2] < entry[:2]:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._items.insert(lo, entry)
-        if len(self._items) > self.k:
-            self._items.pop()
+        # Bisect-right on cost alone: a new item sorts after every held
+        # item of equal cost, which is the insertion-order tie-break.
+        at = bisect_right(costs, cost)
+        costs.insert(at, cost)
+        self.entries.insert(at, item)
+        if len(costs) > self.k:
+            costs.pop()
+            self.entries.pop()
         return True
 
     def worst_cost(self) -> Optional[float]:
         """Cost of the k-th item, or None when fewer than k are held."""
-        if len(self._items) < self.k:
+        if len(self.costs) < self.k:
             return None
-        return self._items[-1][0]
+        return self.costs[-1]
 
     def items(self) -> List[Tuple[float, T]]:
         """The held items as ``(cost, item)`` pairs, ascending cost."""
-        return [(c, it) for c, _, it in self._items]
+        return list(zip(self.costs, self.entries))
 
     def best(self) -> Tuple[float, T]:
         """The single cheapest item; raises when empty."""
-        if not self._items:
+        if not self.costs:
             raise IndexError("TopKList is empty")
-        c, _, it = self._items[0]
-        return c, it
+        return self.costs[0], self.entries[0]
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.costs)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self.costs)
 
 
 @dataclass
@@ -97,6 +98,27 @@ class MergeResult(Generic[T]):
     probes: int
 
 
+def top_sums(
+    left_costs: Sequence[float], right_costs: Sequence[float], c: int
+) -> Tuple[List[Tuple[float, int, int]], int]:
+    """The Proposition 3.1 probe walk over two ascending cost lists.
+
+    Probes exactly the pairs with ``(i+1)·(k+1) <= c`` — any pair beyond
+    that frontier is dominated by at least ``c`` cheaper pairs — and
+    returns the ``c`` cheapest ``(cost, i, k)`` triples, ascending with
+    ties in probe order, plus the number of probes.  Inputs are trusted
+    to be sorted (the DP passes bucket cost lists); with ``c = 1`` the
+    walk is the single probe ``(0, 0)``.
+    """
+    probed = [
+        (lc + rc, i, k)
+        for i, lc in enumerate(left_costs[:c])
+        for k, rc in enumerate(right_costs[: c // (i + 1)])
+    ]
+    probed.sort(key=_cost_of)  # stable: equal costs stay in probe order
+    return probed[:c], len(probed)
+
+
 def merge_top_combinations(
     left_costs: Sequence[float],
     right_costs: Sequence[float],
@@ -104,10 +126,8 @@ def merge_top_combinations(
 ) -> MergeResult:
     """Top ``c`` sums ``left_costs[i] + right_costs[k]`` via Prop 3.1.
 
-    Both inputs must be sorted ascending.  Only pairs with
-    ``(i+1)·(k+1) <= c`` are probed: any pair beyond that frontier is
-    dominated by at least ``c`` cheaper pairs, so it cannot appear in the
-    answer.
+    The validated spelling of :func:`top_sums`: both inputs must be
+    sorted ascending and ``c >= 1``.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -115,14 +135,5 @@ def merge_top_combinations(
         for a, b in zip(seq, seq[1:]):
             if b < a:
                 raise ValueError(f"{name} must be sorted ascending")
-    top: TopKList[Tuple[int, int]] = TopKList(c)
-    probes = 0
-    for i, lc in enumerate(left_costs, start=1):
-        max_k = c // i
-        if max_k == 0:
-            break
-        for k, rc in enumerate(right_costs[:max_k], start=1):
-            probes += 1
-            top.offer(lc + rc, (i - 1, k - 1))
-    combos = [(cost, ij[0], ij[1]) for cost, ij in top.items()]
+    combos, probes = top_sums(left_costs, right_costs, c)
     return MergeResult(combinations=combos, probes=probes)

@@ -16,7 +16,7 @@ hand-written numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..catalog.schema import Catalog
 from ..catalog.statistics import StatisticsCatalog
@@ -249,27 +249,42 @@ class JoinQuery:
             or (p.right == newcomer and p.left in group)
         ]
 
+    def join_graph(
+        self, names: Optional[Iterable[str]] = None
+    ) -> Tuple[List[str], List[int], List[Tuple[int, str, str]]]:
+        """Integer view of the join graph restricted to ``names``.
+
+        Relations are numbered in **sorted-name order** (bit ``i`` is the
+        ``i``-th smallest name), so a relation set is an ``int`` mask and
+        ascending mask order never depends on declaration or hash order.
+        Returns ``(order, adjacency, predicates)``: the names by bit,
+        each relation's neighbour mask, and — in declaration order — an
+        ``(endpoint mask, label, order_label)`` triple per predicate with
+        both endpoints inside ``names``.
+        """
+        order = sorted(self._by_name if names is None else names)
+        bit = {name: 1 << i for i, name in enumerate(order)}
+        adjacency = [0] * len(order)
+        predicates = []
+        for p in self.predicates:
+            left, right = bit.get(p.left), bit.get(p.right)
+            if left and right:
+                adjacency[left.bit_length() - 1] |= right
+                adjacency[right.bit_length() - 1] |= left
+                predicates.append((left | right, p.label, p.order_label))
+        return order, adjacency, predicates
+
     def is_connected(self, rels: Optional[FrozenSet[str]] = None) -> bool:
         """True when the join graph restricted to ``rels`` is connected."""
-        if rels is None:
-            rels = frozenset(self._by_name)
-        rels = frozenset(rels)
-        if len(rels) <= 1:
+        _, adjacency, _ = self.join_graph(rels)
+        if not adjacency:
             return True
-        adj: Dict[str, Set[str]] = {r: set() for r in rels}
-        for p in self.predicates:
-            if p.left in rels and p.right in rels:
-                adj[p.left].add(p.right)
-                adj[p.right].add(p.left)
-        seen = {next(iter(rels))}
-        frontier = list(seen)
+        reached, frontier = 1, 1
         while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen == rels
+            low = frontier & -frontier
+            reached |= low
+            frontier = (frontier | adjacency[low.bit_length() - 1]) & ~reached
+        return reached == (1 << len(adjacency)) - 1
 
     def has_uncertain_sizes(self) -> bool:
         """True when any relation size or selectivity is distributional."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .nodes import Join, Plan, PlanNode, PlanShapeError, Scan, _strip_sorts
 from .nodes import Union as UnionNode
@@ -56,6 +56,11 @@ _SHAPE_ALIASES = {
     "zigzag": "zig-zag",
     "bushy": "bushy",
 }
+
+
+def _members(mask: int, order: Sequence[str]) -> FrozenSet[str]:
+    """The relation names a mask selects (bit ``i`` = ``order[i]``)."""
+    return frozenset(name for i, name in enumerate(order) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,66 @@ class PlanSpace:
         return self.union
 
     # ------------------------------------------------------------------
-    # Enumeration primitives (the DP consumes exactly these two)
+    # Enumeration primitives.  The DP consumes the two mask routines;
+    # the frozenset methods are views of them for everything else.
     # ------------------------------------------------------------------
+
+    @staticmethod
+    def level_masks(
+        adjacency: Sequence[int], allow_cross_products: bool = False
+    ) -> Iterator[List[int]]:
+        """The DP's candidate subsets level by level, as ascending masks.
+
+        ``adjacency`` is :meth:`JoinQuery.join_graph`'s neighbour masks.
+        Level ``k`` holds every connected ``k``-subset (every ``k``-subset
+        when cross products are allowed: the graph is then complete),
+        flood-filled from level ``k-1`` — a connected set always has a
+        member whose removal leaves it connected.  Levels are
+        materialised lists on purpose: level ``k`` depends only on
+        earlier levels, so a sharded tier can split one across workers.
+        """
+        n = len(adjacency)
+        if allow_cross_products:
+            adjacency = [(1 << n) - 1] * n
+        level = {1 << i: adjacency[i] for i in range(n)}  # mask -> neighbours
+        while level:
+            yield sorted(level)
+            grown = {}
+            for mask, neighbours in level.items():
+                frontier = neighbours & ~mask
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grown[mask | low] = neighbours | adjacency[low.bit_length() - 1]
+            level = grown
+
+    def split_masks(self, mask: int) -> Iterator[Tuple[int, int]]:
+        """Ordered ``(left, right)`` splits of the subset ``mask``.
+
+        The enumeration is ordered because join cost is asymmetric in
+        outer/inner, and its *sequence* is part of the plan contract:
+        the DP breaks cost ties by first arrival.  Left-deep yields
+        ``(S∖{m}, {m})`` for ``m`` ascending; zig-zag adds the mirrored
+        ``({m}, S∖{m})`` splits (composite on the right); bushy yields
+        every proper non-empty submask as ``left``, ascending.
+        """
+        if self.shape == "bushy":
+            left = -mask & mask
+            while left != mask:
+                yield left, mask ^ left
+                left = (left - mask) & mask
+            return
+        singles = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            singles.append(low)
+        for m in singles:
+            yield mask ^ m, m
+        if self.shape == "zig-zag" and len(singles) > 2:
+            for m in singles:  # for two relations the mirrors are already present
+                yield m, mask ^ m
 
     def level_candidates(
         self,
@@ -153,50 +216,21 @@ class PlanSpace:
         allow_cross_products: bool = False,
         names: Optional[Sequence[str]] = None,
     ) -> List[FrozenSet[str]]:
-        """The explicit candidate-subset list for one DP level.
-
-        Level ``size`` of the System-R dag holds every connected subset
-        of that many relations (all subsets when cross products are
-        allowed).  Returning the level as a materialised list — rather
-        than interleaving generation with evaluation — is deliberate: a
-        sharded serving tier can split one level across workers because
-        its entries only depend on earlier levels.
-        """
-        if names is None:
-            names = query.relation_names()
-        out: List[FrozenSet[str]] = []
-        for combo in itertools.combinations(names, size):
-            subset = frozenset(combo)
-            if not allow_cross_products and not query.is_connected(subset):
-                continue
-            out.append(subset)
-        return out
+        """Level ``size`` of :meth:`level_masks` as relation-name sets."""
+        order, adjacency, _ = query.join_graph(names)
+        levels = self.level_masks(adjacency, allow_cross_products)
+        level = next(itertools.islice(levels, size - 1, None), [])
+        return [_members(mask, order) for mask in level]
 
     def partitions(
         self, subset: FrozenSet[str]
     ) -> List[Tuple[FrozenSet[str], FrozenSet[str]]]:
-        """Ordered (left, right) splits of ``subset`` for this shape.
-
-        The enumeration is ordered because join cost is asymmetric in
-        outer/inner.  Left-deep yields ``(S∖{m}, {m})``; zig-zag adds the
-        mirrored ``({m}, S∖{m})`` splits (composite on the right);
-        bushy yields every ordered pair of complementary non-empty
-        subsets.
-        """
-        members = sorted(subset)
-        n = len(members)
-        if self.shape == "left-deep":
-            return [(subset - {m}, frozenset((m,))) for m in members]
-        if self.shape == "zig-zag":
-            out = [(subset - {m}, frozenset((m,))) for m in members]
-            if n > 2:  # for n == 2 the mirrors are already present
-                out += [(frozenset((m,)), subset - {m}) for m in members]
-            return out
-        out: List[Tuple[FrozenSet[str], FrozenSet[str]]] = []
-        for mask in range(1, (1 << n) - 1):
-            left = frozenset(members[i] for i in range(n) if mask & (1 << i))
-            out.append((left, subset - left))
-        return out
+        """:meth:`split_masks` of ``subset`` as relation-name sets."""
+        order = sorted(subset)
+        return [
+            (_members(left, order), _members(right, order))
+            for left, right in self.split_masks((1 << len(order)) - 1)
+        ]
 
     # ------------------------------------------------------------------
     # Construction / validation

@@ -12,6 +12,7 @@ from repro.optimizer.costers import ExpectedCoster, MarkovCoster, PointCoster
 from repro.optimizer.exhaustive import exhaustive_best
 from repro.optimizer.systemr import SystemRDP
 from repro.plans.nodes import Sort
+from repro.plans.properties import JoinMethod
 from repro.plans.query import JoinPredicate, JoinQuery, QueryError, RelationSpec
 from repro.workloads.queries import chain_query, clique_query, star_query
 
@@ -152,6 +153,83 @@ class TestTopK:
     def test_topk_one_returns_single_candidate(self, three_way_query):
         res = SystemRDP(PointCoster(700.0), top_k=1).optimize(three_way_query)
         assert len(res.candidates) == 1
+
+
+    @pytest.mark.parametrize("space", ["zig-zag", "bushy"])
+    @pytest.mark.parametrize(
+        "make, n, methods",
+        [
+            (clique_query, 4, DEFAULT_METHODS),
+            # Two methods keep the 5-relation enumeration to seconds.
+            (chain_query, 5, (JoinMethod.SORT_MERGE, JoinMethod.GRACE_HASH)),
+        ],
+        ids=["clique4", "chain5-sm-gh"],
+    )
+    def test_top3_on_enlarged_spaces_is_the_exhaustive_top3(
+        self, space, make, n, methods, small_memory_dist
+    ):
+        q = make(n, np.random.default_rng(40 + n))
+        cm = CostModel(methods, count_evaluations=False)
+        mean = small_memory_dist.mean()
+        for coster, objective in (
+            (PointCoster(mean, cm), lambda p: cm.plan_cost(p, q, mean)),
+            (
+                ExpectedCoster(small_memory_dist, cm),
+                lambda p: cm.plan_expected_cost(p, q, small_memory_dist),
+            ),
+        ):
+            res = SystemRDP(coster, plan_space=space, top_k=3).optimize(q)
+            _, ranked = exhaustive_best(q, objective, methods, space=space)
+            assert [c.objective for c in res.candidates] == pytest.approx(
+                [c.objective for c in ranked[:3]]
+            )
+            assert len({c.plan.signature() for c in res.candidates}) == 3
+
+
+class TestTieBreak:
+    """Equal costs are settled by first arrival, so the enumeration
+    order is observable.  ``T1``/``T2`` are twins (and at this memory NL
+    and GH tie as well); the expected lists were recorded with the
+    frozenset-partition DP that preceded the integer-mask one."""
+
+    EXPECTED = {
+        "left-deep": [
+            "(((M NL K) GH T2) GH T1)",
+            "(((M GH K) GH T2) GH T1)",
+            "(((K NL M) GH T2) GH T1)",
+        ],
+        "zig-zag": [
+            "(((M NL K) GH T2) GH T1)",
+            "(((M GH K) GH T2) GH T1)",
+            "(((K NL M) GH T2) GH T1)",
+        ],
+        "bushy": [
+            "(T1 GH ((K NL M) GH T2))",
+            "(T1 GH ((K GH M) GH T2))",
+            "(T1 GH ((M NL K) GH T2))",
+        ],
+    }
+
+    @pytest.mark.parametrize("space", sorted(EXPECTED))
+    def test_tied_plans_keep_their_winner(self, space):
+        q = JoinQuery(
+            [
+                RelationSpec("T2", pages=4000.0),
+                RelationSpec("M", pages=90000.0),
+                RelationSpec("T1", pages=4000.0),
+                RelationSpec("K", pages=700.0),
+            ],
+            [
+                JoinPredicate("M", "T2", selectivity=1e-6),
+                JoinPredicate("T1", "M", selectivity=1e-6),
+                JoinPredicate("K", "M", selectivity=3e-6),
+            ],
+        )
+        best = SystemRDP(PointCoster(900.0), plan_space=space).optimize(q)
+        assert best.plan.signature() == self.EXPECTED[space][0]
+        top = SystemRDP(PointCoster(900.0), plan_space=space, top_k=3).optimize(q)
+        assert [c.plan.signature() for c in top.candidates] == self.EXPECTED[space]
+        assert {c.objective for c in top.candidates} == {186080.0}
 
 
 class TestBushy:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.plans import (
     PlanSpace,
     Scan,
 )
+from repro.plans.query import JoinQuery, RelationSpec
 from repro.workloads.queries import chain_query
 
 
@@ -114,6 +117,64 @@ class TestPartitions:
             query, 2, allow_cross_products=True
         )
         assert len(everything) == 6
+
+
+def _legacy_partitions(shape, subset):
+    """``PlanSpace.partitions`` as it was before the mask routines — the
+    reference sequence (the DP breaks cost ties by first arrival, so the
+    order of splits is part of the plan contract)."""
+    members = sorted(subset)
+    n = len(members)
+    if shape == "left-deep":
+        return [(subset - {m}, frozenset((m,))) for m in members]
+    if shape == "zig-zag":
+        out = [(subset - {m}, frozenset((m,))) for m in members]
+        if n > 2:
+            out += [(frozenset((m,)), subset - {m}) for m in members]
+        return out
+    out = []
+    for mask in range(1, (1 << n) - 1):
+        left = frozenset(members[i] for i in range(n) if mask & (1 << i))
+        out.append((left, subset - left))
+    return out
+
+
+class TestSplitSequence:
+    #: Declared out of alphabetical order on purpose: bits follow names.
+    NAMES = ["T", "B", "M", "A", "Z", "C"]
+
+    @pytest.mark.parametrize("space", [LEFT_DEEP, ZIG_ZAG, BUSHY], ids=lambda s: s.key)
+    def test_mask_splits_repeat_the_legacy_sequence(self, space):
+        query = JoinQuery([RelationSpec(name, pages=10.0) for name in self.NAMES])
+        order, _, _ = query.join_graph()
+        assert order == sorted(self.NAMES)
+
+        def names_of(mask):
+            return frozenset(n for i, n in enumerate(order) if mask >> i & 1)
+
+        for mask in range(1, 1 << len(order)):
+            subset = names_of(mask)
+            if len(subset) < 2:
+                continue
+            legacy = _legacy_partitions(space.shape, subset)
+            assert [
+                (names_of(left), names_of(right))
+                for left, right in space.split_masks(mask)
+            ] == legacy
+            assert space.partitions(subset) == legacy
+
+    def test_levels_hold_exactly_the_connected_subsets(self):
+        query = chain_query(6, np.random.default_rng(0))
+        names = query.relation_names()
+        for size in range(1, 7):
+            expected = {
+                frozenset(combo)
+                for combo in itertools.combinations(names, size)
+                if query.is_connected(frozenset(combo))
+            }
+            level = BUSHY.level_candidates(query, size)
+            assert set(level) == expected and len(level) == len(expected)
+        assert BUSHY.level_candidates(query, 7) == []
 
 
 class TestJoinConstruction:
