@@ -362,12 +362,38 @@ class OptimizationContext:
         self._cost_memo[key] = value
         return value
 
-    def has_step_cost(self, key: Hashable) -> bool:
-        """True when ``key`` is already memoized (no counters touched).
+    def step_costs(
+        self,
+        keys: Sequence[Hashable],
+        compute: Callable[[List[int]], Iterable[float]],
+    ) -> List[float]:
+        """Batch form of :meth:`step_cost`: the values of ``keys``, in order.
 
-        Prefetchers use this to decide what still needs computing without
-        distorting the hit/miss accounting that :meth:`step_cost` keeps.
+        Memoized keys are read; the others go to ``compute`` in one call,
+        as positions into ``keys`` (a key repeated in the batch is sent
+        once), and what it returns for those positions is stored.  The
+        accounting is :meth:`step_cost`'s: one miss per computed value,
+        one hit per other lookup.
         """
+        memo = self._cost_memo
+        out = [memo.get(key) for key in keys]
+        missing: Dict[Hashable, List[int]] = {}
+        for i, value in enumerate(out):
+            if value is None:
+                missing.setdefault(keys[i], []).append(i)
+        if missing:
+            firsts = [positions[0] for positions in missing.values()]
+            for (key, positions), value in zip(missing.items(), compute(firsts)):
+                memo[key] = value = float(value)
+                for i in positions:
+                    out[i] = value
+        stats = self._stats["step_costs"]
+        stats.misses += len(missing)
+        stats.hits += len(keys) - len(missing)
+        return out  # type: ignore[return-value]
+
+    def has_step_cost(self, key: Hashable) -> bool:
+        """True when ``key`` is already memoized (no counters touched)."""
         return key in self._cost_memo
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Deterministic worker pools for per-level parallel evaluation.
 
-The DP engine assembles one batch of join-step requests per level
-(`SystemRDP._prefetch_level`).  This module supplies the machinery that
+The DP engine costs each level's join steps in one coster batch
+(`SystemRDP._cost_splits`).  This module supplies the machinery that
 fans such a batch out across workers *without changing a single bit* of
 the result:
 

@@ -37,7 +37,8 @@ context builds a private one, which reproduces the historical
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,49 +165,102 @@ class Coster(abc.ABC):
         self,
         requests: Sequence[StepRequest],
         pool: Optional[WorkerPool] = None,
-    ) -> None:
-        """Batch-evaluate a DP level's join steps into the context memo.
+    ) -> List[float]:
+        """The costs of ``requests``, in order — how the DP costs a level.
 
-        The engine calls this once per DP level with every join step the
-        level's subsets will cost; implementations may evaluate the
-        not-yet-memoized ones in a single vectorized pass so subsequent
-        :meth:`join_step_cost` calls are memo hits.  The contract is
-        strict: a prefetched value must be **bit-identical** to what the
-        on-demand path would have computed, and ``eval_count`` accounting
-        must match one scalar evaluation per grid point.  The base
-        implementation is a no-op (everything computes on demand).
+        Equal to ``[self.join_step_cost(*r) for r in requests]`` (this
+        base implementation) **bit for bit**, with the same
+        ``eval_count`` and context-memo accounting: memoized steps are
+        read, the rest are computed — one vectorized grid per formula
+        where the objective allows it, a step repeated within the batch
+        once — and stored (:meth:`_batched_steps`).
 
-        ``pool`` opts the level batch into parallel evaluation: the
-        pending steps are chunked deterministically
-        (:func:`~repro.core.parallel.chunk_spans`), each chunk runs the
-        *pure* formula kernels in a worker, and the chunk results are
-        merged in span order — so values, memo contents and
-        ``eval_count`` (charged by the coordinating thread via
-        :meth:`CostModel.note_evaluations`) all stay bit-identical to
-        the sequential prefetch.  Implementations free to ignore it
-        (e.g. :class:`PointCoster`, whose steps are one grid point each)
-        must still accept the argument.
+        ``pool`` fans the computed steps out in deterministic
+        :func:`~repro.core.parallel.chunk_spans`: each chunk runs the
+        *pure* formula kernels in a worker, results merge in span order
+        and the coordinator charges ``eval_count``
+        (:meth:`CostModel.note_evaluations`), so nothing but wall-clock
+        changes.  :class:`PointCoster`, whose steps are one grid point
+        each, ignores it.
         """
+        return [self.join_step_cost(*request) for request in requests]
 
-    def _join_step_key(
+    def _batched_steps(
         self,
-        method: JoinMethod,
-        left_rels: FrozenSet[str],
-        right_rels: FrozenSet[str],
-        phase: int,
-        left_presorted: bool,
-        right_presorted: bool,
-    ) -> tuple:
-        """The context memo key :meth:`join_step_cost` files a step under.
+        requests: Sequence[StepRequest],
+        grid: Callable[..., Iterable[float]],
+    ) -> List[float]:
+        """:meth:`prefetch_join_steps` through the context's batch memo.
 
-        Must agree between the on-demand path and :meth:`
-        prefetch_join_steps` so prefetched values are found.  Phase is
-        ignored by default; phase-indexed objectives fold it in.
+        Requests are grouped by ``(method, phase, left_presorted,
+        right_presorted)`` — one formula, one parameter distribution —
+        and what the memo lacks of a group is costed by one
+        ``grid(method, phase, left_presorted, right_presorted, steps)``
+        call returning a cost per request in ``steps``.
+        """
+        assert self.context is not None, "coster used before bind()"
+        groups: Dict[tuple, List[int]] = {}
+        for i, request in enumerate(requests):
+            groups.setdefault(
+                (request[0], request[3], request[4], request[5]), []
+            ).append(i)
+
+        def compute(formula, group, missing: List[int]) -> Iterable[float]:
+            return grid(*formula, [requests[group[j]] for j in missing])
+
+        out = [0.0] * len(requests)
+        for formula, group in groups.items():
+            prefix = self._step_prefix(*formula)
+            keys = [prefix + (requests[i][1], requests[i][2]) for i in group]
+            costs = self.context.step_costs(keys, partial(compute, formula, group))
+            for i, cost in zip(group, costs):
+                out[i] = cost
+        return out
+
+    def _point_pages(self, steps: Sequence[StepRequest]):
+        """The left and right point page counts of ``steps`` (a level
+        names each subset in many steps; it is looked up once)."""
+        pages: Dict[FrozenSet[str], float] = {}
+        for request in steps:
+            for subset in request[1:3]:
+                if subset not in pages:
+                    pages[subset] = self._pages(subset)
+        return (
+            [pages[request[1]] for request in steps],
+            [pages[request[2]] for request in steps],
+        )
+
+    def _expected_steps(self, requests, memory_in_phase, pool) -> List[float]:
+        """:meth:`_batched_steps` with one (steps × memory-buckets) grid per
+        formula, a phase's steps under ``memory_in_phase(phase)``."""
+
+        def grid(method, phase, lps, rps, steps):
+            lp, rp = self._point_pages(steps)
+            return _expected_join_rows(
+                self.cost_model, method, np.array(lp), np.array(rp),
+                memory_in_phase(phase), lps, rps, pool=pool,
+            )
+
+        return self._batched_steps(requests, grid)
+
+    def _step_prefix(self, method, phase, left_presorted, right_presorted) -> tuple:
+        """What the memo keys of one formula's join steps share.
+
+        Phase is ignored by default; phase-indexed objectives fold it in.
+        The method goes in by value: a string hashes without a call.
         """
         return (
             *self._memo_key(), "join",
-            method, left_rels, right_rels, left_presorted, right_presorted,
+            method.value, left_presorted, right_presorted,
         )
+
+    def _join_step_key(
+        self, method, left_rels, right_rels, phase, left_presorted, right_presorted
+    ) -> tuple:
+        """The context memo key of one join step, scalar or batched: either
+        of the two entry points finds what the other stored."""
+        prefix = self._step_prefix(method, phase, left_presorted, right_presorted)
+        return prefix + (frozenset(left_rels), frozenset(right_rels))
 
     @abc.abstractmethod
     def write_cost(self, rels: FrozenSet[str]) -> float:
@@ -267,45 +321,12 @@ class Coster(abc.ABC):
         )
 
 
-def _pending_steps(context, coster, requests):
-    """Deduped ``(memo_key, request)`` pairs for not-yet-memoized steps."""
-    seen = set()
-    out = []
-    for req in requests:
-        key = coster._join_step_key(req[0], req[1], req[2], req[3], req[4], req[5])
-        if key in seen or context.has_step_cost(key):
-            continue
-        seen.add(key)
-        out.append((key, req))
-    return out
-
-
-def _pending_by_formula(context, coster, requests):
-    """Pending steps grouped by ``(method, left_presorted, right_presorted)``.
-
-    Steps in one group evaluate the same formula, so they can share one
-    vectorized grid.
-    """
-    groups = {}
-    for key, req in _pending_steps(context, coster, requests):
-        groups.setdefault((req[0], req[4], req[5]), []).append((key, req))
-    return groups
-
-
-def _store_steps(context, keys, costs) -> None:
-    """File batch-computed step costs under their memo keys.
-
-    Routed through :meth:`OptimizationContext.step_cost` so each stored
-    step counts as one miss — exactly what on-demand first evaluation
-    would have recorded.
-    """
-    for key, cost in zip(keys, costs):
-        context.step_cost(key, lambda _c=cost: float(_c))
-
-
 #: below this many pending pairs a level batch stays sequential — the
 #: pool submit/gather overhead would dominate the kernel time.
 _MIN_PARALLEL_STEPS = 16
+#: below this many steps a point formula is cheaper called per step than
+#: as one array op (whose fixed cost is that of ~32 scalar calls).
+_MIN_VECTOR_STEPS = 32
 
 
 def _expected_join_rows_pure(
@@ -418,29 +439,30 @@ class PointCoster(Coster):
         )
 
     def prefetch_join_steps(self, requests, pool=None):
-        """One ``join_cost_many`` grid per method for the whole level.
+        """One ``join_cost_many`` grid per formula for the whole batch.
 
         The vectorized formulas are bit-identical to the scalar ones per
-        element, so the memoized values match what on-demand evaluation
-        would store; ``eval_count`` advances by one per step either way.
-        ``pool`` is accepted but unused: a point step is one grid point,
-        so the whole level is a single cheap array op already.
+        element and ``eval_count`` advances by one per computed step
+        either way.  ``pool`` is unused: a point step is one grid point,
+        so the batch is a single cheap array op already.
         """
-        assert self.context is not None, "coster used before bind()"
-        for (method, lps, rps), group in _pending_by_formula(
-            self.context, self, requests
-        ).items():
-            keys = [key for key, _ in group]
-            lp = np.array([self._pages(req[1]) for _, req in group])
-            rp = np.array([self._pages(req[2]) for _, req in group])
+
+        def grid(method, _phase, lps, rps, group):
+            lp, rp = self._point_pages(group)
+            if len(group) < _MIN_VECTOR_STEPS:
+                return [
+                    self._join_formula(method, l, r, self.memory, lps, rps)
+                    for l, r in zip(lp, rp)
+                ]
+            lp, rp = np.array(lp), np.array(rp)
             mem = np.full(lp.size, self.memory)
             if method is JoinMethod.SORT_MERGE and (lps or rps):
-                costs = self.cost_model.sort_merge_cost_ordered_many(
+                return self.cost_model.sort_merge_cost_ordered_many(
                     lp, rp, mem, lps, rps
                 )
-            else:
-                costs = self.cost_model.join_cost_many(method, lp, rp, mem)
-            _store_steps(self.context, keys, costs)
+            return self.cost_model.join_cost_many(method, lp, rp, mem)
+
+        return self._batched_steps(requests, grid)
 
     def write_cost(self, rels):
         return self._pages(rels)
@@ -489,19 +511,8 @@ class ExpectedCoster(Coster):
         return self._step(key, compute)
 
     def prefetch_join_steps(self, requests, pool=None):
-        """One (steps × memory-buckets) formula grid per method."""
-        assert self.context is not None, "coster used before bind()"
-        for (method, lps, rps), group in _pending_by_formula(
-            self.context, self, requests
-        ).items():
-            keys = [key for key, _ in group]
-            lp = np.array([self._pages(req[1]) for _, req in group])
-            rp = np.array([self._pages(req[2]) for _, req in group])
-            costs = _expected_join_rows(
-                self.cost_model, method, lp, rp, self.memory, lps, rps,
-                pool=pool,
-            )
-            _store_steps(self.context, keys, costs)
+        """One (steps × memory-buckets) formula grid per formula."""
+        return self._expected_steps(requests, lambda _phase: self.memory, pool)
 
     def write_cost(self, rels):
         return self._pages(rels)
@@ -552,12 +563,10 @@ class MarkovCoster(Coster):
         # so a context outliving the coster still resolves correctly.
         return ("markov", self.chain)
 
-    def _join_step_key(
-        self, method, left_rels, right_rels, phase, left_presorted, right_presorted
-    ):
+    def _step_prefix(self, method, phase, left_presorted, right_presorted):
         return (
             *self._memo_key(), "join", phase,
-            method, left_rels, right_rels, left_presorted, right_presorted,
+            method.value, left_presorted, right_presorted,
         )
 
     def join_step_cost(
@@ -581,24 +590,8 @@ class MarkovCoster(Coster):
         return self._step(key, compute)
 
     def prefetch_join_steps(self, requests, pool=None):
-        """Like :class:`ExpectedCoster` but grouped by execution phase.
-
-        Each phase is costed under its own marginal distribution, so the
-        phase joins the grouping key alongside the formula identity.
-        """
-        assert self.context is not None, "coster used before bind()"
-        groups = {}
-        for key, req in _pending_steps(self.context, self, requests):
-            groups.setdefault((req[0], req[3], req[4], req[5]), []).append((key, req))
-        for (method, phase, lps, rps), group in groups.items():
-            keys = [key for key, _ in group]
-            lp = np.array([self._pages(req[1]) for _, req in group])
-            rp = np.array([self._pages(req[2]) for _, req in group])
-            costs = _expected_join_rows(
-                self.cost_model, method, lp, rp, self.chain.marginal(phase),
-                lps, rps, pool=pool,
-            )
-            _store_steps(self.context, keys, costs)
+        """Like :class:`ExpectedCoster`, each phase under its own marginal."""
+        return self._expected_steps(requests, self.chain.marginal, pool)
 
     def write_cost(self, rels):
         return self._pages(rels)
@@ -663,14 +656,35 @@ class MultiParamCoster(Coster):
         assert self.context is not None, "coster used before bind()"
         return self.context.size_distribution(rels, max_buckets=self.max_buckets)
 
-    def _join_step_key(
-        self, method, left_rels, right_rels, phase, left_presorted, right_presorted
-    ):
-        return (
-            *self._memo_key(), "join",
-            method, frozenset(left_rels), frozenset(right_rels),
-            left_presorted, right_presorted,
-        )
+    def _batches(self, method, left_presorted, right_presorted) -> bool:
+        """Whether a step takes the linear-time (batchable) kernel."""
+        presorted = left_presorted or right_presorted
+        return self.fast and method in FAST_METHODS and not presorted
+
+    def _compute_step(
+        self, method, left_rels, right_rels, left_presorted, right_presorted
+    ) -> float:
+        """One step's expectation, not memoized as a step."""
+        ld = self.size_distribution(left_rels)
+        rd = self.size_distribution(right_rels)
+        if self._batches(method, left_presorted, right_presorted):
+            # Through the context's kernel memo, like a batch: subsets
+            # with value-equal size distributions share one evaluation.
+            return self.context.batched_join_costs(
+                [(method, ld, rd)], self.memory
+            )[0]
+        if not (left_presorted or right_presorted):
+            return expected_join_cost_naive_model(
+                self.cost_model, method, ld, rd, self.memory
+            )
+        # Order-aware sort-merge: no linear-time path; triple loop
+        # with the presorted formula.
+        def fn(_method, l, r, m):
+            return self._join_formula(
+                _method, l, r, m, left_presorted, right_presorted
+            )
+
+        return expected_join_cost_naive(fn, method, ld, rd, self.memory)
 
     def join_step_cost(
         self, method, left_rels, right_rels, phase,
@@ -679,61 +693,33 @@ class MultiParamCoster(Coster):
         key = self._join_step_key(
             method, left_rels, right_rels, phase, left_presorted, right_presorted
         )
-
-        def compute() -> float:
-            ld = self.size_distribution(left_rels)
-            rd = self.size_distribution(right_rels)
-            presorted = left_presorted or right_presorted
-            if self.fast and method in FAST_METHODS and not presorted:
-                # Routed through the context's batched kernel memo: two
-                # subsets with value-equal size distributions share one
-                # evaluation, and level prefetches land in the same memo.
-                return self.context.batched_join_costs(
-                    [(method, ld, rd)], self.memory
-                )[0]
-            if not presorted:
-                return expected_join_cost_naive_model(
-                    self.cost_model, method, ld, rd, self.memory
-                )
-            # Order-aware sort-merge: no linear-time path; triple loop
-            # with the presorted formula.
-            def fn(_method, l, r, m):
-                return self._join_formula(
-                    _method, l, r, m, left_presorted, right_presorted
-                )
-
-            return expected_join_cost_naive(fn, method, ld, rd, self.memory)
-
-        return self._step(key, compute)
+        return self._step(key, lambda: self._compute_step(
+            method, left_rels, right_rels, left_presorted, right_presorted
+        ))
 
     def prefetch_join_steps(self, requests, pool=None):
-        """Feed a whole DP level's fast-path joins to the batched kernel.
+        """Linear-time joins in one kernel pass per method, the rest singly.
 
-        Only the linear-time methods batch (the naive triple-grid path is
-        already one array op per step); presorted sort-merge steps keep
-        their order-aware scalar route.  Values land in the context's
-        ``fastjoin`` memo, so the per-step ``join_step_cost`` calls that
-        follow find them without touching the kernel again.  A worker
-        pool fans the kernel misses out chunk-wise (see
-        :func:`repro.core.expected_cost.expected_join_costs_batched_parallel`).
+        Only the fast-path methods batch (the naive triple grid is
+        already one array op per step, and presorted sort-merge keeps
+        its order-aware route); their kernel misses are what a worker
+        pool fans out (:func:`repro.core.expected_cost.
+        expected_join_costs_batched_parallel`).
         """
-        if not self.fast:
-            return
-        assert self.context is not None, "coster used before bind()"
-        batch = []
-        for key, req in _pending_steps(self.context, self, requests):
-            method, left_rels, right_rels, _, lps, rps = req
-            if method not in FAST_METHODS or lps or rps:
-                continue
-            batch.append(
-                (
-                    method,
-                    self.size_distribution(left_rels),
-                    self.size_distribution(right_rels),
-                )
+
+        def grid(method, _phase, lps, rps, steps):
+            if not self._batches(method, lps, rps):
+                return [
+                    self._compute_step(method, step[1], step[2], lps, rps)
+                    for step in steps
+                ]
+            sizes = self.size_distribution
+            return self.context.batched_join_costs(
+                [(method, sizes(step[1]), sizes(step[2])) for step in steps],
+                self.memory, pool=pool,
             )
-        if batch:
-            self.context.batched_join_costs(batch, self.memory, pool=pool)
+
+        return self._batched_steps(requests, grid)
 
     def write_cost(self, rels):
         key = (*self._memo_key(), "write", frozenset(rels))

@@ -17,8 +17,8 @@ per-assignment arithmetic), the cost formulas run through the vectorized
 ``*_many`` cost-model entry points, and the final expectation is the
 same left-to-right cumulative sum the scalar ``net.expectation`` loop
 performed.  Step costs are memoized in the bound
-:class:`~repro.core.context.OptimizationContext` and a whole DP level
-can be prefetched (``prefetch_join_steps``) — optionally fanned out over
+:class:`~repro.core.context.OptimizationContext` and the DP costs them
+a level at a time (``prefetch_join_steps``) — optionally fanned out over
 a :class:`~repro.core.parallel.WorkerPool` with deterministic chunking,
 exactly like the independent costers.
 
@@ -43,7 +43,7 @@ from ..costmodel.model import CostModel
 from ..plans.nodes import Join, Plan, Scan, Sort
 from ..plans.properties import JoinMethod
 from ..plans.query import JoinQuery
-from .costers import _MIN_PARALLEL_STEPS, Coster, _pending_by_formula, _store_steps
+from .costers import _MIN_PARALLEL_STEPS, Coster
 from .result import OptimizationResult
 from .systemr import SystemRDP
 
@@ -225,23 +225,20 @@ class BayesNetCoster(Coster):
         return self._step(key, compute)
 
     def prefetch_join_steps(self, requests, pool=None):
-        """One vectorized grid per formula group, optionally fanned out.
+        """One (steps × assignments) grid per formula, optionally fanned out.
 
-        Pending steps sharing ``(method, presorted-flags)`` evaluate as
-        one ``(steps × assignments)`` grid through the pure kernels; a
-        worker pool splits the step rows with deterministic
+        A group's grid runs through the pure kernels; a worker pool
+        splits its step rows with deterministic
         :func:`~repro.core.parallel.chunk_spans` and the chunks merge in
-        span order, so memo contents and ``eval_count`` match the
-        sequential prefetch (and the on-demand path) exactly.
+        span order, so values and ``eval_count`` match the pool-less
+        batch (and :meth:`join_step_cost`) exactly.
         """
-        assert self.context is not None, "coster used before bind()"
         _, probs = self.net.joint_arrays()
-        groups = _pending_by_formula(self.context, self, requests)
-        for (method, lps, rps), group in groups.items():
-            keys = [key for key, _ in group]
-            lp = np.vstack([self._pages_given_many(req[1]) for _, req in group])
-            rp = np.vstack([self._pages_given_many(req[2]) for _, req in group])
-            n = len(keys)
+
+        def grid(method, _phase, lps, rps, group):
+            lp = np.vstack([self._pages_given_many(req[1]) for req in group])
+            rp = np.vstack([self._pages_given_many(req[2]) for req in group])
+            n = len(group)
             spans = (
                 chunk_spans(n, pool.size)
                 if pool is not None
@@ -261,7 +258,9 @@ class BayesNetCoster(Coster):
                     method, lp, rp, self._memory_col, probs, lps, rps
                 )
             self.cost_model.note_evaluations(n * self._memory_col.size)
-            _store_steps(self.context, keys, costs)
+            return costs
+
+        return self._batched_steps(requests, grid)
 
     def write_cost(self, rels):
         key = (*self._memo_key(), "write", frozenset(rels))

@@ -28,7 +28,8 @@ Bookkeeping details that matter for fidelity:
   partitions (the extension the paper defers).  The enlarged spaces are
   pruned with Chen & Schneider intermediate-size lower bounds: a
   partition whose children plus input-read bound cannot beat the worst
-  retained entry of every reachable order bucket is skipped.
+  retained entry of every reachable order bucket is skipped — where
+  the bound alone can tell, before any of its steps is costed.
 * **Integer subsets, costs first.** Inside the DP a relation set is an
   ``int`` mask over sorted-name bit numbers and a subset's splits are
   walked in ascending mask order — the order is part of the contract,
@@ -43,8 +44,11 @@ Bookkeeping details that matter for fidelity:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.context import OptimizationContext
 from ..core.parallel import WorkerPool
@@ -64,8 +68,13 @@ __all__ = ["SystemRDP", "DPEntry"]
 #: Table type: subset mask -> (output order -> retained entries); every
 #: bucket in it holds at least one entry.
 _Table = Dict[int, Dict[Optional[str], "TopKList[DPEntry]"]]
-#: One joinable split: (left mask, right mask, predicate label, order target).
-_Split = Tuple[int, int, str, Optional[str]]
+#: One joinable split: (left mask, right mask, predicate label, order
+#: target, output order per join method, lower bound on its candidates).
+_Split = Tuple[int, int, str, Optional[str], Tuple[Optional[str], ...], float]
+_bound_of = itemgetter(5)
+#: A level's step costs: (left mask, right mask) -> (left presorted,
+#: right presorted) -> one cost per join method.
+_Steps = Dict[Tuple[int, int], Dict[Tuple[bool, bool], Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -106,19 +115,13 @@ class SystemRDP:
         call.
     pool:
         Optional :class:`~repro.core.parallel.WorkerPool`, owned (and
-        closed) by the caller; each DP level's join steps are then fanned
-        out across it in deterministic chunks merged in fixed order.
+        closed) by the caller; it only fans each level's coster batch
+        out in deterministic chunks merged in fixed order.
 
-    How a level's join steps are *evaluated* is the engine's own
-    decision, taken once from what it can observe: one vectorized batch
-    per level (:meth:`~repro.optimizer.costers.Coster.
-    prefetch_join_steps`) when the Chen & Schneider prune is off or a
-    pool was supplied — a pool has nothing to fan out but a batch — and
-    one on-demand call per step otherwise, because under the prune a
-    batch also evaluates the steps the prune would have skipped.  Step
-    values are bit-identical either way, so the chosen plans and
-    objectives never depend on it (Theorems 2.1/3.3: expectation is
-    additive over plan nodes, whatever the evaluation order).
+    Every level is evaluated the same way whatever the space, coster or
+    pool (:meth:`_run_dp`).  By Theorems 2.1/3.3 the optimum depends only
+    on expectation being additive over plan nodes, never on the order or
+    grouping in which step costs are evaluated; offer order settles ties.
     """
 
     def __init__(
@@ -150,12 +153,11 @@ class SystemRDP:
         # instrumentation exact) only on the enlarged spaces.
         self._prune = space.shape != "left-deep"
         self._pool = pool
-        # The evaluation-order rule of the class docstring; the parity
-        # suites force a path by assigning this attribute.
-        self._batch_steps = not self._prune or pool is not None
         #: The running block's subset mask -> relation names, one
         #: frozenset per table subset (what the coster API takes).
         self._rels: Dict[int, FrozenSet[str]] = {}
+        #: ... -> (cheapest retained cost, page lower bound), cached.
+        self._floors: Dict[int, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
 
@@ -208,10 +210,17 @@ class SystemRDP:
         :meth:`PlanSpace.level_masks` as explicit lists — level ``k``
         depends only on levels ``< k``, so a sharded serving tier can
         fan one level's subsets out to workers.
+
+        A level is evaluated in three moves: :meth:`_prune_level` drops
+        the splits their lower bounds rule out (costing only its seeds),
+        :meth:`_cost_splits` costs what is left in one coster batch, and
+        :meth:`_build_subset` offers each subset's candidates in
+        ascending-submask order, reading the step costs of the batch.
         """
         order, adjacency, preds = query.join_graph(names)
         table: _Table = {}
         self._rels = rels = {}
+        self._floors = {}
         levels = self.space.level_masks(adjacency, self.allow_cross_products)
 
         # Depth 1: access paths for the stored relations.  A relation with
@@ -229,16 +238,20 @@ class SystemRDP:
             table[mask] = {None: bucket}
             rels[mask] = frozenset((name,))
 
-        # Depths 2..n.
+        # Depths 2..n (level k only reads levels < k, all already in table).
         for phase, level in enumerate(levels):
-            walked = [self._splits(mask, order, preds, table) for mask in level]
-            if self._batch_steps:
-                # Walk once: the batch and the build see the same splits
-                # (level k only reads levels < k, all already in table).
-                walked = [list(splits) for splits in walked]
-                self._prefetch_level(walked, phase, table)
+            walked = [
+                list(self._splits(mask, order, preds, table)) for mask in level
+            ]
+            steps: _Steps = {}
+            if self._prune:
+                self._prune_level(walked, phase, table, steps, stats)
+            self._cost_splits(
+                [split for splits in walked for split in splits],
+                phase, table, steps,
+            )
             for mask, splits in zip(level, walked):
-                self._build_subset(mask, splits, phase, table, stats)
+                self._build_subset(mask, splits, table, steps, stats)
         return table
 
     def _splits(
@@ -248,168 +261,227 @@ class SystemRDP:
         preds: Sequence[Tuple[int, str, str]],
         table: _Table,
     ) -> Iterator[_Split]:
-        """The splits of ``mask`` the DP may join, as
-        ``(left, right, predicate label, order target)``.
+        """The splits of ``mask`` the DP may join, ascending by left mask.
 
         A split qualifies when both sides have table entries and a
         predicate crosses it (the first one names the join) — or, with
-        ``allow_cross_products``, when none does.
+        ``allow_cross_products``, when none does.  It carries the output
+        order of each join method and, under the prune, its lower bound.
         """
+        methods = self.coster.methods
         for left, right in self.space.split_masks(mask):
             if left not in table or right not in table:
                 continue
-            for ends, label, order_label in preds:
+            for ends, label, order_target in preds:
                 if ends & left and ends & right:
-                    yield left, right, label, order_label
                     break
             else:
-                if self.allow_cross_products:
-                    lowest = order[(right & -right).bit_length() - 1]
-                    yield left, right, f"cross[{lowest}]", None
+                if not self.allow_cross_products:
+                    continue
+                lowest = order[(right & -right).bit_length() - 1]
+                label, order_target = f"cross[{lowest}]", None
+            orders = tuple(order_from_join(m, order_target or label) for m in methods)
+            bound = self._lower_bound(left, right, table) if self._prune else 0.0
+            yield left, right, label, order_target, orders, bound
 
-    def _prefetch_level(
-        self, walked: Sequence[Sequence[_Split]], phase: int, table: _Table
-    ) -> None:
-        """Hand one DP level's join steps to the coster in a single batch.
+    def _lower_bound(self, left: int, right: int, table: _Table) -> float:
+        """A lower bound on every candidate the split can produce.
 
-        Per split, one request for each (presorted-left, presorted-right)
-        combination :meth:`_order_pairs` produces and each join method —
-        the steps :meth:`_build_subset` requests from the same ``walked``
-        splits through the same helper.
+        Every join method reads both inputs at least once, so
+        ``lo(L) + lo(R)`` (the coster's page lower bounds) plus the
+        cheapest retained child entries bounds them all from below
+        (Chen & Schneider).  No step cost enters it, and both halves
+        are per filed subset, hence cached.
         """
-        rels = self._rels
-        requests = []
+        floors = self._floors
+        for mask in (left, right):
+            if mask not in floors:
+                floors[mask] = (
+                    min(bucket.costs[0] for bucket in table[mask].values()),
+                    self.coster.pages_lower_bound(self._rels[mask]),
+                )
+        (left_min, left_lo), (right_min, right_lo) = floors[left], floors[right]
+        return left_min + right_min + left_lo + right_lo
+
+    def _prune_level(
+        self,
+        walked: List[List[_Split]],
+        phase: int,
+        table: _Table,
+        steps: _Steps,
+        stats: OptimizerStats,
+    ) -> None:
+        """Drop from ``walked`` the splits their bounds rule out, uncosted.
+
+        What a bound is held against comes from *seeds*: within a
+        subset, splits feeding the same order buckets form a group of
+        ``m``, and the ``isqrt(m)`` smallest-bound splits of every group
+        of three or more (a seed is costed for certain, the rest only
+        perhaps: the square root balances the two) are costed — all
+        seeds of the level in one batch — and seated, costs only, in
+        trial buckets.  :meth:`_dominated`'s rule against those is
+        sound for any ``top_k``: what the seeds alone seat, the whole
+        subset seats too or better.  A group of two (a split and its
+        mirror share a bound) drops nothing — all a chain or star has.
+        """
+        seeds: List[List[_Split]] = []
         for splits in walked:
-            for left, right, _label, order_target in splits:
-                combos = {
-                    (lsorted, rsorted)
-                    for _l, _r, lsorted, rsorted in self._order_pairs(
-                        table, left, right, order_target
-                    )
-                }
-                for lsorted, rsorted in sorted(combos):
-                    for method in self.coster.methods:
-                        requests.append(
-                            (method, rels[left], rels[right], phase, lsorted, rsorted)
-                        )
+            groups: Dict[tuple, List[_Split]] = {}
+            for split in splits:
+                groups.setdefault(split[4], []).append(split)
+            seeds.append([
+                seed
+                for group in groups.values()
+                if len(group) >= 3
+                for seed in sorted(group, key=_bound_of)[: math.isqrt(len(group))]
+            ])
+        self._cost_splits(
+            [seed for seeded in seeds for seed in seeded], phase, table, steps
+        )
+        for i, seeded in enumerate(seeds):
+            if seeded:
+                trial: Dict[Optional[str], TopKList] = {}
+                for seed in seeded:
+                    self._offer_split(seed, table, steps, trial)
+                kept = [s for s in walked[i] if not self._dominated(s, trial)]
+                stats.partitions_pruned += len(walked[i]) - len(kept)
+                walked[i] = kept
+
+    def _cost_splits(
+        self, splits: Sequence[_Split], phase: int, table: _Table, steps: _Steps
+    ) -> None:
+        """Cost the join steps of ``splits`` in one coster batch: per split
+        not yet in ``steps``, a request for each combination of presorted
+        flags its inputs present and each join method.  The costs are
+        filed in ``steps``, where :meth:`_offer_split` reads them.
+        """
+        rels, methods = self._rels, self.coster.methods
+        slots, requests = [], []
+        for left, right, _label, order_target, _orders, _bound in splits:
+            if (left, right) in steps:
+                continue
+            steps[left, right] = by_flags = {}
+            for flags in itertools.product(
+                self._flags(table[left], order_target),
+                self._flags(table[right], order_target),
+            ):
+                slots.append((by_flags, flags))
+                requests += [
+                    (m, rels[left], rels[right], phase, *flags) for m in methods
+                ]
         if requests:
-            self.coster.prefetch_join_steps(requests, pool=self._pool)
+            costs = self.coster.prefetch_join_steps(requests, pool=self._pool)
+            n = len(methods)
+            for i, (by_flags, flags) in enumerate(slots):
+                by_flags[flags] = costs[i * n:(i + 1) * n]
 
     @staticmethod
-    def _order_pairs(
-        table: _Table, left: int, right: int, order_target: Optional[str]
-    ) -> Iterator[Tuple["TopKList[DPEntry]", "TopKList[DPEntry]", bool, bool]]:
-        """A split's (left bucket, right bucket) pairs, each with whether
-        that side already delivers the join's order target — the
-        ``(lsorted, rsorted)`` flags its join steps are costed under.
+    def _flags(
+        buckets: Dict[Optional[str], TopKList], order_target: Optional[str]
+    ) -> Tuple[bool, ...]:
+        """Whether a join input's buckets already deliver the join's order
+        target: the distinct presorted flags its steps are costed under.
+        At most one bucket does (orders are the keys), so no walk.
         """
-        for lorder, lbucket in table[left].items():
-            lsorted = order_target is not None and lorder == order_target
-            for rorder, rbucket in table[right].items():
-                rsorted = order_target is not None and rorder == order_target
-                yield lbucket, rbucket, lsorted, rsorted
+        if order_target is None or order_target not in buckets:
+            return (False,)
+        return (False, True) if len(buckets) > 1 else (True,)
 
     def _build_subset(
         self,
         mask: int,
-        splits: Iterable[_Split],
-        phase: int,
+        splits: Sequence[_Split],
         table: _Table,
+        steps: _Steps,
         stats: OptimizerStats,
     ) -> None:
-        """File the retained entries of one subset, per output order.
+        """File the retained entries of one subset, per output order:
+        its splits offered in the order given (ascending submask) into
+        fresh buckets.
+        """
+        buckets: Dict[Optional[str], TopKList[DPEntry]] = {}
+        for split in splits:
+            self._offer_split(split, table, steps, buckets, stats)
+        if buckets:
+            table[mask] = buckets
+            left, right = splits[0][:2]  # any split spans the subset
+            self._rels[mask] = self._rels[left] | self._rels[right]
+
+    def _offer_split(
+        self,
+        split: _Split,
+        table: _Table,
+        steps: _Steps,
+        buckets: Dict[Optional[str], TopKList],
+        stats: Optional[OptimizerStats] = None,
+    ) -> None:
+        """Offer one split's candidates to ``buckets``, per output order.
 
         Costs first: a candidate's total is compared with its bucket's
         worst retained cost, and only an entry the bucket admits gets a
         plan node (:meth:`PlanSpace.join`) and a :class:`DPEntry`.
+        Without ``stats`` this is :meth:`_prune_level`'s dry run: the
+        same totals are seated, nothing is counted and no node is built.
         """
         coster, rels, top_k = self.coster, self._rels, self.top_k
         methods = coster.methods
-        # A pipelined nested-loop join streams its outer (left) input:
-        # no materialisation write for it.
+        left, right, label, order_target, orders, _bound = split
+        left_rels, right_rels = rels[left], rels[right]
+        # The child writes each method's candidates pay.  A pipelined
+        # nested-loop join streams its outer (left) input: no
+        # materialisation write for it.
         pipelined = coster.cost_model.pipelined_methods
-        streams_left = [m in pipelined for m in methods]
-        buckets: Dict[Optional[str], TopKList[DPEntry]] = {}
-        for left, right, label, order_target in splits:
-            # What each method's candidates share across the split: the
-            # output order they land in and the child writes they pay.
-            orders = [order_from_join(m, order_target or label) for m in methods]
-            if self._prune and self._dominated(left, right, orders, buckets, table):
-                stats.partitions_pruned += 1
-                continue
-            left_rels, right_rels = rels[left], rels[right]
-            left_write = coster.write_cost(left_rels) if len(left_rels) > 1 else 0.0
-            right_write = (
-                coster.write_cost(right_rels) if len(right_rels) > 1 else 0.0
-            )
-            writes = [
-                right_write + (0.0 if streams else left_write)
-                for streams in streams_left
-            ]
-            # Interesting orders: an input whose order matches this join's
-            # order label earns sort-merge credit, so inputs must be
-            # combined *per order group* — pooling across orders could
-            # discard an order-carrying subplan that wins downstream.
-            steps: Dict[Tuple[bool, bool], List[float]] = {}
-            for lbucket, rbucket, lsorted, rsorted in self._order_pairs(
-                table, left, right, order_target
-            ):
+        left_write = coster.write_cost(left_rels) if len(left_rels) > 1 else 0.0
+        right_write = coster.write_cost(right_rels) if len(right_rels) > 1 else 0.0
+        writes = [
+            right_write + (0.0 if m in pipelined else left_write) for m in methods
+        ]
+        by_flags = steps[left, right]
+        # Interesting orders: an input whose order matches this join's
+        # order label earns sort-merge credit, so inputs must be
+        # combined *per order group* — pooling across orders could
+        # discard an order-carrying subplan that wins downstream.
+        for lorder, lbucket in table[left].items():
+            lsorted = order_target is not None and lorder == order_target
+            for rorder, rbucket in table[right].items():
+                rsorted = order_target is not None and rorder == order_target
                 combos, probes = top_sums(lbucket.costs, rbucket.costs, top_k)
-                stats.merge_probes += probes
-                stats.entries_offered += len(combos) * len(methods)
-                pair_steps = steps.get((lsorted, rsorted))
-                if pair_steps is None:
-                    pair_steps = steps[lsorted, rsorted] = [
-                        coster.join_step_cost(
-                            m, left_rels, right_rels, phase, lsorted, rsorted
-                        )
-                        for m in methods
-                    ]
+                if stats is not None:
+                    stats.merge_probes += probes
+                    stats.entries_offered += len(combos) * len(methods)
                 for method, order, write_children, step in zip(
-                    methods, orders, writes, pair_steps
+                    methods, orders, writes, by_flags[lsorted, rsorted]
                 ):
                     bucket = buckets.get(order)
                     if bucket is None:
                         bucket = buckets[order] = TopKList(top_k)
-                    worst = bucket.worst_cost()
+                    held = bucket.costs  # offer() updates it in place
                     for combined, li, ri in combos:
                         total = combined + step + write_children
-                        if worst is None or total < worst:
-                            node = self.space.join(
-                                left=lbucket.entries[li].node,
-                                right=rbucket.entries[ri].node,
-                                method=method,
-                                predicate_label=label,
-                                order_label=order_target,
-                            )
-                            bucket.offer(
-                                total, DPEntry(node=node, cost=total, order=order)
-                            )
-                            worst = bucket.worst_cost()
-        if buckets:
-            table[mask] = buckets
-            rels[mask] = left_rels | right_rels  # any joined split spans it
+                        if len(held) < top_k or total < held[-1]:
+                            entry = None
+                            if stats is not None:
+                                node = self.space.join(
+                                    left=lbucket.entries[li].node,
+                                    right=rbucket.entries[ri].node,
+                                    method=method,
+                                    predicate_label=label,
+                                    order_label=order_target,
+                                )
+                                entry = DPEntry(node=node, cost=total, order=order)
+                            bucket.offer(total, entry)
 
-    def _dominated(
-        self,
-        left: int,
-        right: int,
-        orders: Sequence[Optional[str]],
-        buckets: Dict[Optional[str], "TopKList[DPEntry]"],
-        table: _Table,
-    ) -> bool:
+    @staticmethod
+    def _dominated(split: _Split, buckets: Dict[Optional[str], TopKList]) -> bool:
         """Chen & Schneider partition prune (sound, never affects results).
 
-        Every join method reads both inputs at least once, so
-        ``lo(L) + lo(R)`` (the coster's page lower bounds) plus the
-        cheapest retained child entries lower-bounds every candidate this
-        partition can produce.  The partition is skipped only when that
-        bound *strictly* exceeds the worst retained cost of every order
-        bucket the partition could feed (``orders``, one per method) — so
-        no entry that could ever be kept (or tie) is lost.
+        The split is skipped only when its lower bound *strictly*
+        exceeds the worst retained cost of every order bucket it could
+        feed (one per method) — so no entry that could ever be kept (or
+        tie) is lost.
         """
         worst = None
-        for key in orders:
+        for key in split[4]:
             bucket = buckets.get(key)
             if bucket is None:
                 return False  # an open bucket accepts anything
@@ -417,17 +489,7 @@ class SystemRDP:
             if bucket_worst is None:
                 return False  # bucket not full yet
             worst = bucket_worst if worst is None else max(worst, bucket_worst)
-        lower = (
-            self._min_cost(table, left)
-            + self._min_cost(table, right)
-            + self.coster.pages_lower_bound(self._rels[left])
-            + self.coster.pages_lower_bound(self._rels[right])
-        )
-        return lower > worst
-
-    @staticmethod
-    def _min_cost(table: _Table, mask: int) -> float:
-        return min(bucket.costs[0] for bucket in table[mask].values())
+        return split[5] > worst
 
     def _finalize(
         self,

@@ -110,6 +110,8 @@ def top_sums(
     to be sorted (the DP passes bucket cost lists); with ``c = 1`` the
     walk is the single probe ``(0, 0)``.
     """
+    if c == 1 and left_costs and right_costs:
+        return [(left_costs[0] + right_costs[0], 0, 0)], 1
     probed = [
         (lc + rc, i, k)
         for i, lc in enumerate(left_costs[:c])

@@ -14,9 +14,14 @@ from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
 
 # Tier-1's colour must not depend on the draw: by default every property
 # test sees the same examples on every run and ignores the local example
-# database.  HYPOTHESIS_PROFILE=random restores fresh draws for long
-# exploratory runs; what those falsify gets pinned as an @example.
-settings.register_profile("tier1", derandomize=True, database=None)
+# database.  Nor on the clock: a derandomized run learns nothing from
+# hypothesis' 200 ms per-example deadline, which a cold import on a tree
+# without __pycache__ can overrun.  HYPOTHESIS_PROFILE=random restores
+# fresh draws (and the deadline) for long exploratory runs; what those
+# falsify gets pinned as an @example.
+settings.register_profile(
+    "tier1", derandomize=True, database=None, deadline=None
+)
 settings.register_profile("random", derandomize=False)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 

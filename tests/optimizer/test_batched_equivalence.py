@@ -1,18 +1,26 @@
-"""Batched level evaluation must be invisible in every observable output.
+"""The batch contract of the costers, stated directly.
 
-``SystemRDP`` decides by itself whether a DP level's join steps go
-through the coster's vectorized ``prefetch_join_steps`` or are evaluated
-one call at a time; these tests force each path through the engine's
-private ``_batch_steps`` attribute (a test seam, not an argument).  The
-contract is *bit-identical* results: same winning plan, same objective
-to the last ulp, and — where the prefetch mirrors on-demand evaluation
-one-for-one (no pruning) — the same ``formula_evaluations`` accounting.
-These tests drive that contract across every coster (algorithms A–D
-share them), every plan space, and the seeded randomized search.
+``SystemRDP`` costs every DP level through ``Coster.prefetch_join_steps``
+and never calls ``join_step_cost``; the scalar method stays as the
+reference the batch is held to:
+
+    ``coster.prefetch_join_steps(requests)
+    == [coster.join_step_cost(*r) for r in requests]``
+
+bit for bit, with the same ``eval_count`` and the same ``step_costs``
+memo accounting — on a cold context, on a half-warm one and with
+requests repeated inside the batch — for every coster kind (algorithms
+A–D share them) and the dependent Bayes-net one.
+
+The end-to-end cases this file used to run twice (once per evaluation
+path) are now plain golden pins: winner and ``repr(objective)`` as
+recorded at the parent commit 25cdb37, where both paths produced them
+(run this file as a script to print a fresh table).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +30,7 @@ from repro.core.algorithm_d import (
     optimize_algorithm_d,
     plan_expected_cost_multiparam,
 )
+from repro.core.bayesnet import DiscreteBayesNet
 from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import MarkovParameter
@@ -31,8 +40,10 @@ from repro.optimizer.costers import (
     MultiParamCoster,
     PointCoster,
 )
+from repro.optimizer.dependent import BayesNetCoster
 from repro.optimizer.randomized import iterative_improvement
 from repro.optimizer.systemr import SystemRDP
+from repro.plans.properties import JoinMethod
 from repro.workloads.queries import (
     chain_query,
     random_query,
@@ -61,6 +72,19 @@ def _queries():
 QUERIES = _queries()
 
 
+def _net():
+    net = DiscreteBayesNet()
+    net.add_node("load", [0.0, 1.0], probs=[0.6, 0.4])
+    net.add_node(
+        "M", [2000.0, 500.0], parents=["load"],
+        cpt={(0.0,): [0.9, 0.1], (1.0,): [0.2, 0.8]},
+    )
+    return net
+
+
+NET = _net()
+
+
 def _coster(kind: str):
     if kind == "point":
         return PointCoster(1200.0)
@@ -77,18 +101,9 @@ def _coster(kind: str):
         return MultiParamCoster(MEMORY, fast=True)
     if kind == "multiparam-naive":
         return MultiParamCoster(MEMORY, fast=False)
+    if kind == "bayesnet":
+        return BayesNetCoster(NET)
     raise AssertionError(kind)
-
-
-def _run(kind: str, query, space: str, batching: bool, **engine_args):
-    engine = SystemRDP(
-        _coster(kind),
-        plan_space=space,
-        context=OptimizationContext(query),
-        **engine_args,
-    )
-    engine._batch_steps = batching
-    return engine.optimize(query)
 
 
 COSTER_KINDS = [
@@ -96,63 +111,278 @@ COSTER_KINDS = [
 ]
 
 
-class TestLevelBatchingEquivalence:
-    @pytest.mark.parametrize("kind", COSTER_KINDS)
-    @pytest.mark.parametrize("qidx", range(len(QUERIES)))
-    def test_left_deep_bitwise_and_eval_parity(self, kind, qidx):
-        query = QUERIES[qidx]
-        seq = _run(kind, query, "left-deep", batching=False)
-        bat = _run(kind, query, "left-deep", batching=True)
-        assert bat.plan.signature() == seq.plan.signature()
-        assert math.isclose(
-            bat.objective, seq.objective, rel_tol=0.0, abs_tol=0.0
-        )
-        # Without pruning the prefetch replays on-demand evaluation
-        # one-for-one, so the paper's effort metric is unchanged too.
-        assert (
-            bat.stats.formula_evaluations == seq.stats.formula_evaluations
-        )
+# ----------------------------------------------------------------------
+# The contract
+# ----------------------------------------------------------------------
 
-    @pytest.mark.parametrize("kind", ["point", "expected", "multiparam-fast"])
-    @pytest.mark.parametrize("space", ["zig-zag", "bushy"])
-    def test_enlarged_spaces_same_winner_and_objective(self, kind, space):
-        query = QUERIES[0]
-        seq = _run(kind, query, space, batching=False)
-        bat = _run(kind, query, space, batching=True)
-        assert bat.plan.signature() == seq.plan.signature()
-        assert math.isclose(
-            bat.objective, seq.objective, rel_tol=0.0, abs_tol=0.0
-        )
 
-    @pytest.mark.parametrize("kind", COSTER_KINDS)
-    def test_candidate_lists_identical_with_top_k(self, kind):
-        query = QUERIES[1]
-        seq, bat = (
-            _run(kind, query, "left-deep", batching, top_k=3)
-            for batching in (False, True)
-        )
-        assert [c.plan.signature() for c in bat.candidates] == [
-            c.plan.signature() for c in seq.candidates
-        ]
-        for b, s in zip(bat.candidates, seq.candidates):
-            assert math.isclose(
-                b.objective, s.objective, rel_tol=0.0, abs_tol=0.0
+def _requests(query, flat_phase: bool):
+    """Every join step over ``query``'s relations, as the DP would ask.
+
+    All ordered pairs of disjoint non-empty relation sets, each join
+    method, plus sort-merge under every presorted combination.  With
+    ``flat_phase`` every step names phase 0, so a formula's steps form
+    one group large enough for the array path of every coster; with the
+    true phase (relations joined - 2) the groups stay small.
+    """
+    names = sorted(query.relation_names())
+    requests = []
+    for assignment in itertools.product((0, 1, 2), repeat=len(names)):
+        left = frozenset(n for n, side in zip(names, assignment) if side == 1)
+        right = frozenset(n for n, side in zip(names, assignment) if side == 2)
+        if not left or not right:
+            continue
+        phase = 0 if flat_phase else len(left) + len(right) - 2
+        for method in (
+            JoinMethod.NESTED_LOOP, JoinMethod.SORT_MERGE, JoinMethod.GRACE_HASH,
+        ):
+            requests.append((method, left, right, phase, False, False))
+        for lsorted, rsorted in ((True, False), (False, True), (True, True)):
+            requests.append(
+                (JoinMethod.SORT_MERGE, left, right, phase, lsorted, rsorted)
             )
+    return requests
+
+
+def _bound(kind: str, query):
+    coster = _coster(kind)
+    coster.bind(query, OptimizationContext(query))
+    return coster
+
+
+def _assert_batch_is_the_scalar_loop(kind, query, requests, warm=()):
+    batch, scalar = _bound(kind, query), _bound(kind, query)
+    for coster in (batch, scalar):
+        for request in warm:
+            coster.join_step_cost(*request)
+    got = batch.prefetch_join_steps(requests)
+    want = [scalar.join_step_cost(*request) for request in requests]
+    assert got == want  # floats compared exactly: bit for bit
+    assert all(isinstance(cost, float) for cost in got)
+    assert batch.cost_model.eval_count == scalar.cost_model.eval_count
+    assert (
+        batch.context.stats()["step_costs"]
+        == scalar.context.stats()["step_costs"]
+    )
+
+
+@pytest.mark.parametrize("flat_phase", [False, True], ids=["phased", "flat"])
+@pytest.mark.parametrize("kind", COSTER_KINDS + ["bayesnet"])
+class TestBatchContract:
+    @pytest.mark.parametrize("qidx", range(len(QUERIES)))
+    def test_cold_context(self, kind, qidx, flat_phase):
+        query = QUERIES[qidx]
+        requests = _requests(query, flat_phase)
+        _assert_batch_is_the_scalar_loop(kind, query, requests)
+
+    def test_half_warm_context(self, kind, flat_phase):
+        query = QUERIES[3]
+        requests = _requests(query, flat_phase)
+        _assert_batch_is_the_scalar_loop(
+            kind, query, requests, warm=requests[::2]
+        )
+
+    def test_duplicate_requests(self, kind, flat_phase):
+        query = QUERIES[0]
+        requests = _requests(query, flat_phase)
+        doubled = requests + requests[::3] + requests[:5]
+        _assert_batch_is_the_scalar_loop(kind, query, doubled)
+        _assert_batch_is_the_scalar_loop(
+            kind, query, doubled, warm=requests[1::4]
+        )
+
+
+def test_flat_phase_groups_reach_the_array_path():
+    # What makes the "flat" half of the matrix mean something: one
+    # formula's steps outnumber PointCoster's small-group cut-off.
+    from repro.optimizer.costers import _MIN_VECTOR_STEPS
+
+    plain = [r for r in _requests(QUERIES[0], True) if r[0] is JoinMethod.GRACE_HASH]
+    assert len(plain) >= _MIN_VECTOR_STEPS
+    phased = [r for r in _requests(QUERIES[0], False) if r[0] is JoinMethod.GRACE_HASH]
+    assert max(
+        sum(1 for r in phased if r[3] == phase) for phase in range(3)
+    ) < _MIN_VECTOR_STEPS
+
+
+def test_an_empty_batch_is_an_empty_list():
+    for kind in COSTER_KINDS + ["bayesnet"]:
+        assert _bound(kind, QUERIES[0]).prefetch_join_steps([]) == []
+
+
+# ----------------------------------------------------------------------
+# End to end: golden pins (recorded at the parent commit)
+# ----------------------------------------------------------------------
+
+
+def _run(kind: str, query, space: str, **engine_args):
+    engine = SystemRDP(
+        _coster(kind),
+        plan_space=space,
+        context=OptimizationContext(query),
+        **engine_args,
+    )
+    return engine.optimize(query)
+
+
+#: name -> (coster kind, query index, plan space, engine arguments)
+END_TO_END = {
+    **{
+        f"left-deep-{kind}-q{qidx}": (kind, qidx, "left-deep", {})
+        for kind in COSTER_KINDS
+        for qidx in range(len(QUERIES))
+    },
+    **{
+        f"{space}-{kind}-q0": (kind, 0, space, {})
+        for kind in ("point", "expected", "multiparam-fast")
+        for space in ("zig-zag", "bushy")
+    },
+    **{
+        f"left-deep-{kind}-q1-top3": (kind, 1, "left-deep", {"top_k": 3})
+        for kind in COSTER_KINDS
+    },
+    **{
+        f"{space}-{kind}-q3": (kind, 3, space, {})
+        for kind in ("multiparam-fast", "multiparam-naive")
+        for space in ("zig-zag", "bushy")
+    },
+}
+
+
+def _observe(name):
+    kind, qidx, space, engine_args = END_TO_END[name]
+    result = _run(kind, QUERIES[qidx], space, **engine_args)
+    return [
+        (c.plan.signature(), repr(c.objective)) for c in result.candidates
+    ]
+
+
+#: name -> [(plan signature, repr(objective)), ...] best first
+PINNED = {
+    'left-deep-point-q0': [
+        ('(((R3 NL R2) NL R1) NL R0)', '13393.548987215097'),
+    ],
+    'left-deep-point-q1': [
+        ('(((R3 GH R0) GH R1) GH R2)', '453489.839815398'),
+    ],
+    'left-deep-point-q2': [
+        ('(((R3 GH R2) GH R1) SM R0)', '204013.77150965913'),
+    ],
+    'left-deep-point-q3': [
+        ('(((R1 GH R0) GH R2) GH R3)', '60556.18321554011'),
+    ],
+    'left-deep-expected-q0': [
+        ('(((R3 NL R2) GH R1) NL R0)', '14557.4462215385'),
+    ],
+    'left-deep-expected-q1': [
+        ('(((R3 GH R0) GH R1) GH R2)', '403607.1398153979'),
+    ],
+    'left-deep-expected-q2': [
+        ('(((R3 GH R2) GH R1) SM R0)', '204013.77150965913'),
+    ],
+    'left-deep-expected-q3': [
+        ('(((R1 GH R0) GH R2) GH R3)', '57471.271488121'),
+    ],
+    'left-deep-markov-q0': [
+        ('(((R3 NL R2) GH R1) NL R0)', '14635.039370493392'),
+    ],
+    'left-deep-markov-q1': [
+        ('(((R3 GH R0) GH R1) GH R2)', '403607.1398153979'),
+    ],
+    'left-deep-markov-q2': [
+        ('(((R3 GH R2) GH R1) SM R0)', '204013.77150965913'),
+    ],
+    'left-deep-markov-q3': [
+        ('(((R1 GH R0) GH R2) GH R3)', '57559.411823190116'),
+    ],
+    'left-deep-multiparam-fast-q0': [
+        ('(((R3 NL R2) GH R1) GH R0)', '14692.385588453333'),
+    ],
+    'left-deep-multiparam-fast-q1': [
+        ('(((R3 GH R0) GH R1) GH R2)', '414740.22500289907'),
+    ],
+    'left-deep-multiparam-fast-q2': [
+        ('(((R3 GH R2) GH R1) SM R0)', '206566.9903223694'),
+    ],
+    'left-deep-multiparam-fast-q3': [
+        ('(((R1 GH R0) GH R2) GH R3)', '54548.43484163386'),
+    ],
+    'left-deep-multiparam-naive-q0': [
+        ('(((R2 NL R3) GH R1) GH R0)', '14692.385588453333'),
+    ],
+    'left-deep-multiparam-naive-q1': [
+        ('(((R0 GH R3) GH R1) GH R2)', '414740.22500289907'),
+    ],
+    'left-deep-multiparam-naive-q2': [
+        ('(((R2 GH R3) GH R1) SM R0)', '206566.99032236938'),
+    ],
+    'left-deep-multiparam-naive-q3': [
+        ('(((R1 GH R0) GH R2) GH R3)', '54548.43484163385'),
+    ],
+    'zig-zag-point-q0': [
+        ('(((R3 NL R2) NL R1) NL R0)', '13393.548987215097'),
+    ],
+    'bushy-point-q0': [
+        ('((R0 NL R1) NL (R2 NL R3))', '12802.51459222181'),
+    ],
+    'zig-zag-expected-q0': [
+        ('(((R3 NL R2) GH R1) NL R0)', '14557.4462215385'),
+    ],
+    'bushy-expected-q0': [
+        ('((R0 NL R1) GH (R2 NL R3))', '13239.841781055082'),
+    ],
+    'zig-zag-multiparam-fast-q0': [
+        ('(((R3 NL R2) GH R1) GH R0)', '14692.385588453333'),
+    ],
+    'bushy-multiparam-fast-q0': [
+        ('((R0 GH R1) GH (R2 NL R3))', '13567.767561397859'),
+    ],
+    'left-deep-point-q1-top3': [
+        ('(((R3 GH R0) GH R1) GH R2)', '453489.839815398'),
+        ('(((R0 GH R3) GH R1) GH R2)', '453489.839815398'),
+        ('(((R3 SM R0) GH R1) GH R2)', '453489.839815398'),
+    ],
+    'left-deep-expected-q1-top3': [
+        ('(((R3 GH R0) GH R1) GH R2)', '403607.1398153979'),
+        ('(((R0 GH R3) GH R1) GH R2)', '403607.1398153979'),
+        ('(((R3 GH R0) SM R1) GH R2)', '403607.1398153979'),
+    ],
+    'left-deep-markov-q1-top3': [
+        ('(((R3 GH R0) GH R1) GH R2)', '403607.1398153979'),
+        ('(((R0 GH R3) GH R1) GH R2)', '403607.1398153979'),
+        ('(((R3 GH R0) SM R1) GH R2)', '403607.1398153979'),
+    ],
+    'left-deep-multiparam-fast-q1-top3': [
+        ('(((R3 GH R0) GH R1) GH R2)', '414740.22500289907'),
+        ('(((R0 GH R3) GH R1) GH R2)', '414740.22500289907'),
+        ('(((R3 GH R0) GH R1) SM R2)', '418381.6120059469'),
+    ],
+    'left-deep-multiparam-naive-q1-top3': [
+        ('(((R0 GH R3) GH R1) GH R2)', '414740.22500289907'),
+        ('(((R3 GH R0) GH R1) GH R2)', '414740.22500289907'),
+        ('(((R0 GH R3) GH R1) SM R2)', '418381.6120059469'),
+    ],
+    'zig-zag-multiparam-fast-q3': [
+        ('(((R1 GH R0) GH R2) GH R3)', '54548.43484163386'),
+    ],
+    'bushy-multiparam-fast-q3': [
+        ('(((R0 GH R1) GH R2) GH R3)', '54548.43484163386'),
+    ],
+    'zig-zag-multiparam-naive-q3': [
+        ('((R2 GH (R1 GH R0)) GH R3)', '54548.43484163384'),
+    ],
+    'bushy-multiparam-naive-q3': [
+        ('((R2 GH (R1 GH R0)) GH R3)', '54548.43484163384'),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(END_TO_END))
+def test_end_to_end_golden_pins(name):
+    assert _observe(name) == PINNED[name]
 
 
 class TestAlgorithmDEndToEnd:
-    @pytest.mark.parametrize("fast", [False, True])
-    @pytest.mark.parametrize("space", ["left-deep", "zig-zag", "bushy"])
-    def test_algorithm_d_batched_matches_sequential(self, fast, space):
-        query = QUERIES[3]
-        kind = "multiparam-fast" if fast else "multiparam-naive"
-        seq = _run(kind, query, space, batching=False)
-        bat = _run(kind, query, space, batching=True)
-        assert bat.plan.signature() == seq.plan.signature()
-        assert math.isclose(
-            bat.objective, seq.objective, rel_tol=0.0, abs_tol=0.0
-        )
-
     def test_whole_plan_evaluator_fast_matches_naive(self):
         query = QUERIES[0]
         plan = optimize_algorithm_d(query, MEMORY, fast=True).plan
@@ -210,3 +440,8 @@ class TestRandomizedSearchDeterminism:
             )
             picks.append(res.plan.signature())
         assert picks[0] == picks[1]
+
+
+if __name__ == "__main__":
+    for case in END_TO_END:
+        print(f"    {case!r}: {_observe(case)!r},")

@@ -11,11 +11,10 @@ fixed chunk order, so no schedule can reorder a single float operation.
 The matrix here is the acceptance gate: all four plan spaces crossed
 with pool sizes {1, 2, 4} (size 1 is the pool-less sequential path),
 the thread and process backends, every coster including the dependent
-Bayes-net one, and the seeded randomized search.  Both sides of every
-matrix case run batched (``_batch_steps`` forced on the pool-less
-engine) so the ``formula_evaluations`` comparison stays one-for-one
-under the prune; the engine's own choice is covered by
-``test_pool_is_used_on_a_pruned_space``.
+Bayes-net one, and the seeded randomized search.  The engine evaluates
+a level the same way with or without a pool, so the
+``formula_evaluations`` comparison is one-for-one on every space;
+``test_pool_is_used_on_a_pruned_space`` checks the pool sees the batch.
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ def _run_engine(coster, query, space: str, pool):
         context=OptimizationContext(query),
         pool=pool,
     )
-    engine._batch_steps = True
     return engine.optimize(query)
 
 
@@ -180,11 +178,11 @@ class TestParallelLevelParity:
             WorkerPool("threads", 1)
 
     def test_pool_is_used_on_a_pruned_space(self, pools, monkeypatch):
-        # The engine's own choice, nothing forced: on a pruned space a
-        # pool alone must reach map_ordered (a level is batched whenever
-        # there is a pool to fan it out to) and leave every answer as the
-        # pool-less on-demand run gives it.  Six relations: a level has
-        # to hold enough steps for the costers to chunk it at all.
+        # Nothing forced: on a pruned space too a pool must reach
+        # map_ordered (every level is costed as a batch, which is what a
+        # pool fans out) and leave every answer as the pool-less run
+        # gives it.  Six relations: a level has to hold enough steps for
+        # the costers to chunk it at all.
         query, pool = star_query(6, np.random.default_rng(23)), pools[2]
         calls = []
         real = pool.map_ordered
