@@ -9,8 +9,8 @@ The headline claims of ``repro.cluster``:
   physically exist — the snapshot records ``cpu_count`` so the numbers
   are interpretable either way;
 * killing a worker mid-replay loses no accepted request: the gateway
-  respawns the worker, re-warms its hot cache from the shared tier and
-  replays the in-flight work.
+  respawns the worker and replays the in-flight work (workers cache
+  nothing, so there is nothing else to restore).
 
 Results land in ``BENCH_serving_cluster.json`` via ``record_snapshot``:
 throughput, p50/p99 latency and the rung distribution per shard count.

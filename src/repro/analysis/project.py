@@ -12,9 +12,9 @@ missing global view:
   in ``gateway.py`` resolves to ``repro.cluster.protocol.read_frame``).
 * :class:`ClassInfo` carries **candidate attribute types** gathered
   from annotations, direct construction and constructor-argument flow
-  (``OptimizerService(cache=TieredPlanCache(...))`` in the worker seeds
-  ``self.cache`` with ``TieredPlanCache`` even though the annotation
-  says ``PlanCache``), plus which attributes are locks and which are
+  (a caller writing ``OptimizerService(cache=OtherCache(...))`` seeds
+  ``self.cache`` with ``OtherCache`` even though the annotation says
+  ``PlanCache``), plus which attributes are locks and which are
   multiprocessing-Manager proxies.
 * :class:`FunctionInfo` is one function's **summary**: is it async,
   which locks it acquires (and what was held at each acquire), which

@@ -1,16 +1,16 @@
 """``repro.cluster``: the sharded multi-process serving tier.
 
 Scales :class:`~repro.serving.service.OptimizerService` past the GIL:
-an asyncio :class:`~repro.cluster.gateway.ClusterGateway` fingerprints,
-coalesces and routes requests to N worker processes (fingerprint-hash
-sharding), each worker serving from a two-tier plan cache
-(:class:`~repro.cluster.shared_cache.TieredPlanCache`: private hot LRU
-over a cluster-shared serialized tier), with
+an asyncio :class:`~repro.cluster.gateway.ClusterGateway` names each
+request, answers it from the cluster's one version-fenced plan tier
+(:class:`~repro.cluster.shared_cache.SharedPlanTier`, an LRU inside the
+gateway) when it is a repeat, and otherwise coalesces and routes it to
+one of N cache-less worker processes (fingerprint-hash sharding), with
 :class:`~repro.cluster.admission.AdmissionController` shedding load
 onto the full→coarse→LSC degradation ladder before deadlines blow.
 
 ``python -m repro.cluster`` replays a Zipf workload and reports
-throughput, p50/p99, cache-tier hit rates and the rung distribution.
+throughput, p50/p99, the tier's hit share and the rung distribution.
 """
 
 from .admission import ADMIT, DEGRADE, SHED, AdmissionController, AdmissionDecision
@@ -19,15 +19,11 @@ from .metrics import ClusterMetrics
 from .protocol import FrameDecoder, ProtocolError, encode_frame, read_frame, write_frame
 from .replay import build_workload, replay, run_replay
 from .shared_cache import (
-    DigestKey,
-    SharedCacheState,
     SharedPlanTier,
-    TieredPlanCache,
     cache_key_digest,
     fingerprint_digest,
-    make_shared_state,
 )
-from .worker import VersionShim, WorkerConfig, worker_main
+from .worker import WorkerConfig, worker_main
 
 __all__ = [
     "ADMIT",
@@ -47,14 +43,9 @@ __all__ = [
     "build_workload",
     "replay",
     "run_replay",
-    "DigestKey",
-    "SharedCacheState",
     "SharedPlanTier",
-    "TieredPlanCache",
     "cache_key_digest",
     "fingerprint_digest",
-    "make_shared_state",
-    "VersionShim",
     "WorkerConfig",
     "worker_main",
 ]

@@ -1,8 +1,8 @@
 """Cluster replay driver: ``python -m repro.cluster``.
 
 Replays a seeded Zipf workload through the sharded serving tier and
-prints throughput, latency percentiles, cache-tier hit rates and the
-degradation-rung distribution — the scaling numbers the ROADMAP's
+prints throughput, latency percentiles, the shared tier's hit share and
+the degradation-rung distribution — the scaling numbers the ROADMAP's
 "millions of users" milestone asks for.
 
 Examples::
@@ -91,12 +91,11 @@ def main(argv=None) -> int:
     if lat.get("count"):
         print(f"latency: p50 {lat['p50'] * 1e3:.1f} ms, "
               f"p99 {lat['p99'] * 1e3:.1f} ms over {lat['count']} requests")
-    tiers = report["cache_tiers"]
-    print(f"cache tiers: hot {tiers['hot_hit_rate']:.0%}, "
-          f"shared {tiers['shared_hit_rate']:.0%}, "
-          f"any {tiers['any_hit_rate']:.0%} "
-          f"({tiers['shared_entries']} shared entries)")
+    tier = report["cache_tiers"]
+    print(f"cache: hit {tier['hit_rate']:.0%} of answered, "
+          f"{tier['shared_entries']} entries")
     print(f"rungs: {report['rungs']}")
+    print(f"processes: {report['processes']}")
     if report["restarts"]:
         print(f"worker restarts: {report['restarts']}")
     if report["admission"]:

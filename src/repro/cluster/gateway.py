@@ -2,30 +2,40 @@
 
 ``repro.serving`` scales to many *threads*, but CPU-bound LEC dynamic
 programming holds the GIL, so one process optimizes at roughly one
-core.  The gateway breaks that ceiling: requests are fingerprinted,
-**coalesced** (concurrent duplicates share one optimization), admitted
-or shed by the :class:`~repro.cluster.admission.AdmissionController`,
-and **routed by fingerprint hash** to a fixed worker process, each an
-independent :class:`~repro.serving.service.OptimizerService` on its own
-core with a private hot cache over the cluster-shared tier.
+core.  The gateway breaks that ceiling: each request is validated and
+named (:meth:`OptimizeRequest.cache_key`), answered on the spot when the
+cluster's one plan tier
+(:class:`~repro.cluster.shared_cache.SharedPlanTier`) already holds its
+plan, and otherwise **coalesced** (concurrent duplicates share one
+optimization), admitted or shed by the
+:class:`~repro.cluster.admission.AdmissionController`, and **routed by
+fingerprint hash** to a fixed worker process, each an independent,
+cache-less :class:`~repro.serving.service.OptimizerService` on its own
+core.
 
-The gateway itself does no optimization and no plan decoding on the hot
-path — it shuffles frames.  That keeps a single asyncio task loop able
-to feed many CPU-bound workers.
+The gateway itself does no optimization and no plan decoding — a hit
+hands out the stored plan document, a miss shuffles frames.  A hit runs
+from recognition to result without a suspension point: no digest, no
+admission decision, no frame, no worker.
 
 Reliability model
 -----------------
 * A worker that dies (crash, OOM kill, test-inflicted ``kill()``) is
   detected by EOF on its socket (and by health pings); the gateway
-  respawns it — the replacement re-warms its hot LRU from the shared
-  tier — and **replays** every request that was in flight on the dead
-  worker.  Accepted requests are therefore answered (possibly degraded,
-  possibly after a retry) or failed explicitly after ``max_retries``
-  replays; they are never silently dropped.
-* Catalog/feedback mutations on the gateway side move the version
-  fence: the shared tier is purged and a ``version`` frame is broadcast
-  so every worker's hot LRU refuses stale plans, extending the PR 2/3
-  invalidation contract across process boundaries.
+  respawns it and **replays** every request that was in flight on the
+  dead worker.  Accepted requests are therefore answered (possibly
+  degraded, possibly after a retry) or failed explicitly after
+  ``max_retries`` replays; they are never silently dropped.  Workers
+  hold no cached plan, so a crash costs in-flight work and nothing
+  else: every key the tier holds keeps answering, with every worker
+  dead.
+* The version fence lives in one place.  A catalog/feedback mutation
+  seen by ``_refresh_version`` moves ``_last_version`` and empties the
+  tier in the same synchronous step on the loop thread, and a worker
+  reply is stored only while the key it was asked under still carries
+  ``_last_version`` — a reply that lands after a bump reaches its
+  caller and is not kept.  A stale plan is never served, by
+  construction on one thread.
 """
 
 from __future__ import annotations
@@ -36,12 +46,13 @@ import multiprocessing
 import socket
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..costmodel.model import CostModel
 from ..optimizer.errors import OptimizerConfigError
 from ..plans.nodes import Plan
-from ..serving.service import OptimizeRequest
+from ..serving.plan_cache import PlanCacheKey
+from ..serving.service import RUNG_FULL, OptimizeRequest
 from ..tools.serialize import plan_from_dict
 from .admission import SHED, AdmissionController, AdmissionDecision
 from .metrics import ClusterMetrics
@@ -52,12 +63,7 @@ from .protocol import (
     encode_frame,
     encode_request,
 )
-from .shared_cache import (
-    SharedPlanTier,
-    cache_key_digest,
-    fingerprint_digest,
-    make_shared_state,
-)
+from .shared_cache import SharedPlanTier, fingerprint_digest
 from .worker import WorkerConfig, worker_main
 
 __all__ = ["ClusterResult", "ClusterGateway", "GatewayError"]
@@ -75,7 +81,10 @@ class ClusterResult:
     admission — never sent to a worker), or ``"error"`` (the worker
     reported a failure, or retries were exhausted).  The plan travels
     as its serialized document and is only decoded when :attr:`plan` is
-    touched, keeping the gateway hot path free of tree building.
+    touched, keeping the gateway hot path free of tree building.  A
+    cache hit (``cache_tier == "shared"``) carries the very document the
+    tier stores — every hit for a key shares it, so treat it as
+    read-only; :attr:`plan` builds an independent tree each time.
     """
 
     status: str
@@ -113,7 +122,7 @@ class _Pending:
 
     future: "asyncio.Future[ClusterResult]"
     message: Dict[str, Any]
-    coalesce_key: str
+    key: PlanCacheKey
     admission: AdmissionDecision
     sent_at: float
     attempts: int = 1
@@ -151,13 +160,14 @@ class ClusterGateway:
         Number of worker processes (≈ cores to spend on optimization).
     catalog_sources:
         Version-carrying catalog objects (``StatisticsCatalog``,
-        ``SelectivityFeedback``) — the gateway watches their versions
-        and propagates the fence to every worker and the shared tier.
+        ``SelectivityFeedback``) — the gateway watches their versions;
+        their tuple is the fence on every key of the shared tier.
     admission:
         Custom :class:`AdmissionController` (defaults tuned for small
         replay workloads).
-    worker_threads / hot_entries / warm_limit / shared_max_entries /
-    coarse_buckets / default_deadline:
+    shared_max_entries:
+        Bound of the gateway's plan tier (LRU beyond it).
+    worker_threads / coarse_buckets / default_deadline:
         Forwarded into each shard's :class:`WorkerConfig`.
     health_interval:
         Seconds between background health sweeps (``None`` disables the
@@ -173,8 +183,6 @@ class ClusterGateway:
         admission: Optional[AdmissionController] = None,
         metrics: Optional[ClusterMetrics] = None,
         worker_threads: int = 1,
-        hot_entries: int = 256,
-        warm_limit: int = 64,
         shared_max_entries: int = 4096,
         coarse_buckets: int = 3,
         default_deadline: Optional[float] = None,
@@ -190,20 +198,15 @@ class ClusterGateway:
         self.admission = admission if admission is not None else AdmissionController()
         self.metrics = metrics if metrics is not None else ClusterMetrics()
         self._worker_threads = worker_threads
-        self._hot_entries = hot_entries
-        self._warm_limit = warm_limit
-        self._shared_max_entries = shared_max_entries
         self._coarse_buckets = coarse_buckets
         self._default_deadline = default_deadline
         self.health_interval = health_interval
         self.max_retries = max_retries
 
         self._ctx = _preferred_context()
-        self._manager = None
-        self._shared_state = None
-        self.shared_tier: Optional[SharedPlanTier] = None
+        self.shared_tier = SharedPlanTier(max_entries=shared_max_entries)
         self._shards: List[_Shard] = []
-        self._inflight: Dict[str, "asyncio.Future[ClusterResult]"] = {}
+        self._inflight: Dict[PlanCacheKey, "asyncio.Future[ClusterResult]"] = {}
         self._ids = itertools.count(1)
         self._ping_ids = itertools.count(1)
         # Workers serve the default cost model; only its key is read here.
@@ -217,32 +220,10 @@ class ClusterGateway:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def _offload(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run one blocking Manager round trip off the event loop.
-
-        Every touch of the Manager process (allocation, shutdown, shared
-        dict access) is a synchronous cross-process RPC; on the loop it
-        would stall every in-flight request, so it goes to the default
-        executor instead (ASYNC001 enforces this).
-        """
-        loop = asyncio.get_event_loop()
-        return await loop.run_in_executor(None, fn, *args)
-
-    def _allocate_shared(self):
-        """Blocking: spawn the Manager process and its shared structures."""
-        manager = self._ctx.Manager()
-        return manager, make_shared_state(manager)
-
     async def start(self) -> "ClusterGateway":
-        """Allocate the shared tier and spawn every worker."""
+        """Spawn every worker."""
         if self._started:
             raise GatewayError("gateway already started")
-        self._manager, self._shared_state = await self._offload(
-            self._allocate_shared
-        )
-        self.shared_tier = SharedPlanTier(
-            self._shared_state, max_entries=self._shared_max_entries
-        )
         self._shards = [_Shard(index=i) for i in range(self.n_shards)]
         for shard in self._shards:
             await self._spawn(shard)
@@ -260,7 +241,7 @@ class ClusterGateway:
         await self.close()
 
     async def close(self) -> None:
-        """Shut every worker down and release the shared tier."""
+        """Shut every worker down; requests still in flight fail explicitly."""
         if not self._started or self._closing:
             return
         self._closing = True
@@ -287,9 +268,6 @@ class ClusterGateway:
                         error="gateway closed with request in flight",
                     ))
             shard.pending.clear()
-        if self._manager is not None:
-            manager, self._manager = self._manager, None
-            await self._offload(manager.shutdown)
 
     async def _join_proc(self, shard: _Shard, timeout: float = 5.0) -> None:
         proc = shard.proc
@@ -308,11 +286,7 @@ class ClusterGateway:
     def _worker_config(self, shard_index: int) -> WorkerConfig:
         return WorkerConfig(
             shard_id=shard_index,
-            initial_version=self._current_version(),
             threads=self._worker_threads,
-            hot_entries=self._hot_entries,
-            warm_limit=self._warm_limit,
-            shared_max_entries=self._shared_max_entries,
             coarse_buckets=self._coarse_buckets,
             default_deadline=self._default_deadline,
         )
@@ -321,7 +295,7 @@ class ClusterGateway:
         parent_sock, child_sock = socket.socketpair()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child_sock, self._shared_state, self._worker_config(shard.index)),
+            args=(child_sock, self._worker_config(shard.index)),
             daemon=True,
             name=f"repro-cluster-worker-{shard.index}",
         )
@@ -357,7 +331,18 @@ class ClusterGateway:
             pending = shard.pending.pop(int(message["id"]), None)
             if pending is None:
                 return  # replayed request answered twice; first wins
-            self._inflight.pop(pending.coalesce_key, None)
+            self._inflight.pop(pending.key, None)
+            if (
+                mtype == "result"
+                and message.get("rung") == RUNG_FULL
+                # A reply that lands after a bump reaches its caller but
+                # is not kept: its key names a world that is gone.
+                and pending.key.catalog_version == self._last_version
+            ):
+                self.shared_tier.put(
+                    pending.key, message["plan"], message["objective_value"],
+                    message["objective"], shard.index,
+                )
             if not pending.future.done():
                 pending.future.set_result(
                     self._to_result(shard, pending, message)
@@ -387,8 +372,7 @@ class ClusterGateway:
         self.metrics.observe_request(
             latency=latency,
             rung=message.get("rung"),
-            cache_tier=message.get("cache_tier"),
-            cache_hit=bool(message.get("cache_hit")),
+            cache_hit=False,
             retried=retries > 0,
         )
         return ClusterResult(
@@ -397,8 +381,6 @@ class ClusterGateway:
             rung=message.get("rung"),
             objective=message.get("objective"),
             objective_value=message.get("objective_value"),
-            cache_hit=bool(message.get("cache_hit")),
-            cache_tier=message.get("cache_tier"),
             worker_latency=worker_latency,
             latency=latency,
             retries=retries,
@@ -423,7 +405,7 @@ class ClusterGateway:
             if pending.future.done():
                 continue
             if pending.attempts > self.max_retries:
-                self._inflight.pop(pending.coalesce_key, None)
+                self._inflight.pop(pending.key, None)
                 self.metrics.registry.counter("cluster.errors").increment()
                 pending.future.set_result(ClusterResult(
                     status="error", shard=shard.index,
@@ -473,7 +455,7 @@ class ClusterGateway:
         return out
 
     async def ping(self, shard_index: int, timeout: float = 5.0) -> Dict:
-        """One worker's health snapshot (queue depth, metrics, caches)."""
+        """One worker's health snapshot (queue depth, metrics)."""
         self._require_started()
         shard = self._shards[shard_index]
         seq = next(self._ping_ids)
@@ -493,29 +475,20 @@ class ClusterGateway:
     def _current_version(self) -> Tuple[int, ...]:
         return tuple(int(s.version) for s in self._sources)
 
-    async def _refresh_version(self) -> Tuple[int, ...]:
+    def _refresh_version(self) -> Tuple[int, ...]:
+        """The current fence; moving it empties the tier in the same step.
+
+        Synchronous on purpose: between the move and the purge there is
+        no suspension point at which another request could look the tier
+        up, so a plan fenced at an older version is never handed out.
+        """
         current = self._current_version()
         if current != self._last_version:
             self._last_version = current
             self.metrics.registry.counter(
                 "cluster.catalog_invalidations"
             ).increment()
-            frame = encode_frame(
-                {"type": "version", "version": list(current)}
-            )
-            # Every shard gets the fence before the first await: a
-            # concurrent _prepare already sees the new _last_version, and
-            # pipe order is what keeps its request behind this frame.
-            writers = [s.writer for s in self._shards if s.writer is not None]
-            for writer in writers:
-                writer.write(frame)
-            if self.shared_tier is not None:
-                await self._offload(self.shared_tier.invalidate_stale, current)
-            for writer in writers:
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    continue  # a respawned worker starts on the new version
+            self.shared_tier.invalidate_stale(current)
         return current
 
     # ------------------------------------------------------------------
@@ -530,31 +503,55 @@ class ClusterGateway:
         """Fingerprint-hash routing: the shard owning this query."""
         return int(fingerprint_digest(fingerprint)[:8], 16) % self.n_shards
 
-    async def _prepare(self, request: OptimizeRequest):
-        """Validate, admit and register one request without sending it.
+    def _key_of(self, request: OptimizeRequest) -> PlanCacheKey:
+        """Validate one request and name its answer at the current fence.
 
-        Returns ``(tag, obj, shard, message)``:
-
-        ``("shed", ClusterResult, None, None)``
-            refused at admission — already final.
-        ``("coalesced", future, None, None)``
-            rides an identical in-flight request's future.
-        ``("send", future, shard, message)``
-            registered in ``shard.pending``/``_inflight``; the caller
-            owns the actual frame write (so many same-shard requests
-            can be flushed in one ``optimize_batch`` frame).
+        Raises before anything is registered, so a malformed request
+        leaves no trace (:meth:`optimize_many` names its whole batch
+        first for exactly that reason).
         """
         if request.cost_model is not None:
             raise OptimizerConfigError(
                 "the cluster tier serves the default cost model; "
                 "per-request cost models do not cross the wire yet"
             )
+        return request.cache_key(self._refresh_version(), self._cost_model)
 
-        version = await self._refresh_version()
-        cache_key = request.cache_key(version, self._cost_model)
+    def _prepare(self, request: OptimizeRequest, key: PlanCacheKey,
+                 started: float):
+        """Answer, coalesce, or admit and register one named request.
+
+        Returns ``(tag, obj, shard, message)``:
+
+        ``("done", ClusterResult, None, None)``
+            already final: served from the shared tier, or refused at
+            admission.
+        ``("coalesced", future, None, None)``
+            rides an identical in-flight request's future.
+        ``("send", future, shard, message)``
+            registered in ``shard.pending``/``_inflight``; the caller
+            owns the actual frame write (so many same-shard requests
+            can be flushed in one ``optimize_batch`` frame) and
+            withdraws the registration if no frame can be built.
+
+        No suspension point anywhere in here: a hit is complete, and a
+        miss registered, before any other task can run.
+        """
         self.metrics.registry.counter("cluster.requests").increment()
-        shard = self._shards[self.shard_for(cache_key.fingerprint)]
-        key = cache_key_digest(cache_key)
+
+        stored = self.shared_tier.get(key)
+        if stored is not None:
+            latency = time.monotonic() - started
+            self.metrics.observe_request(
+                latency=latency, rung=RUNG_FULL, cache_hit=True, retried=False,
+            )
+            return ("done", ClusterResult(
+                status="ok", shard=stored.shard, rung=RUNG_FULL,
+                objective=stored.objective,
+                objective_value=stored.objective_value,
+                cache_hit=True, cache_tier="shared", latency=latency,
+                plan_doc=stored.plan_doc,
+            ), None, None)
 
         leader = self._inflight.get(key)
         if leader is not None:
@@ -562,10 +559,11 @@ class ClusterGateway:
             self.metrics.registry.counter("cluster.coalesced").increment()
             return ("coalesced", leader, None, None)
 
+        shard = self._shards[self.shard_for(key.fingerprint)]
         decision = self.admission.decide(len(shard.pending), request.deadline)
         if decision.action == SHED:
             self.metrics.registry.counter("cluster.shed").increment()
-            return ("shed", ClusterResult(
+            return ("done", ClusterResult(
                 status="shed", shard=shard.index, admission=decision,
                 error=decision.reason,
             ), None, None)
@@ -581,25 +579,51 @@ class ClusterGateway:
         future: "asyncio.Future[ClusterResult]" = (
             asyncio.get_event_loop().create_future()
         )
-        pending = _Pending(
-            future=future, message=message, coalesce_key=key,
-            admission=decision, sent_at=time.monotonic(),
+        shard.pending[request_id] = _Pending(
+            future=future, message=message, key=key,
+            admission=decision, sent_at=started,
         )
-        shard.pending[request_id] = pending
         self._inflight[key] = future
         return ("send", future, shard, message)
 
-    async def _write_frames(self, shard: _Shard,
-                            messages: List[Dict[str, Any]]) -> None:
-        """Flush ``messages`` to one shard — a single write and drain.
+    def _withdraw(self, prepared: Sequence[Tuple]) -> None:
+        """Forget the sends among ``prepared``: their frames will not leave.
+
+        Only sound before the first ``await`` after they were registered
+        — until then no other task ran, so nothing coalesced onto them.
+        """
+        for tag, _obj, shard, message in prepared:
+            if tag == "send":
+                self._inflight.pop(shard.pending.pop(message["id"]).key, None)
+
+    def _frames(self, prepared: Sequence[Tuple]) -> List[Tuple[_Shard, bytes]]:
+        """The sends among ``prepared`` as one frame per shard — or none.
 
         Two or more messages travel as one ``optimize_batch`` frame; a
         singleton keeps the legacy ``optimize`` frame so a pre-batch
-        worker still understands it.
+        worker still understands it.  Encoding is the last step that can
+        raise (a request field JSON cannot spell), and it runs before the
+        caller's first ``await``: on failure every send is withdrawn, so
+        no accepted request is left registered behind an unwritten frame.
         """
-        frame = encode_frame(
-            messages[0] if len(messages) == 1 else batch_message(messages)
-        )
+        flushes: Dict[int, Tuple[_Shard, List[Dict[str, Any]]]] = {}
+        for tag, _obj, shard, message in prepared:
+            if tag == "send":
+                flushes.setdefault(shard.index, (shard, []))[1].append(message)
+        try:
+            return [
+                (shard, encode_frame(
+                    messages[0] if len(messages) == 1
+                    else batch_message(messages)
+                ))
+                for shard, messages in flushes.values()
+            ]
+        except ProtocolError:
+            self._withdraw(prepared)
+            raise
+
+    async def _write(self, shard: _Shard, frame: bytes) -> None:
+        """Flush one frame to one shard — a single write and drain."""
         try:
             shard.writer.write(frame)
             await shard.writer.drain()
@@ -618,13 +642,16 @@ class ClusterGateway:
             request = OptimizeRequest(**kwargs)
         elif kwargs:
             request = replace(request, **kwargs)
-        tag, obj, shard, message = await self._prepare(request)
-        if tag == "shed":
+        started = time.monotonic()
+        prepared = self._prepare(request, self._key_of(request), started)
+        tag, obj, _shard, _message = prepared
+        if tag == "done":
             return obj
         if tag == "coalesced":
             result = await asyncio.shield(obj)
             return replace(result, coalesced=True)
-        await self._write_frames(shard, [message])
+        for shard, frame in self._frames([prepared]):
+            await self._write(shard, frame)
         return await asyncio.shield(obj)
 
     async def optimize_many(
@@ -632,26 +659,34 @@ class ClusterGateway:
     ) -> List[ClusterResult]:
         """Serve many requests, one coalesced frame write per shard.
 
-        Every request goes through the same admission/coalescing/
-        routing as :meth:`optimize`; the difference is transport-only —
-        all admitted requests routed to the same shard leave in a
-        single ``optimize_batch`` frame (one syscall per shard instead
-        of one per request), which is where the replay driver's
-        gateway-bound workloads spend their syscall budget.  Results
-        come back in request order; duplicates inside the batch
-        coalesce onto the first occurrence.
+        Every request goes through the same tier lookup/coalescing/
+        admission/routing as :meth:`optimize`; the difference is
+        transport-only — all admitted requests routed to the same shard
+        leave in a single ``optimize_batch`` frame (one syscall per
+        shard instead of one per request), which is where the replay
+        driver's gateway-bound workloads spend their syscall budget.
+        Results come back in request order; duplicates inside the batch
+        coalesce onto the first occurrence.  All or nothing up to the
+        first frame write: the batch is named as a whole before any of
+        it is registered, and a request that fails later in the same
+        synchronous step (its document or frame cannot be encoded)
+        withdraws what the batch registered before the error leaves.
         """
         self._require_started()
-        prepared = [await self._prepare(r) for r in requests]
-        flushes: Dict[int, Tuple[_Shard, List[Dict[str, Any]]]] = {}
-        for tag, _obj, shard, message in prepared:
-            if tag == "send":
-                flushes.setdefault(shard.index, (shard, []))[1].append(message)
-        for shard, messages in flushes.values():
-            await self._write_frames(shard, messages)
+        started = time.monotonic()
+        keys = [self._key_of(r) for r in requests]
+        prepared: List[Tuple] = []
+        try:
+            for request, key in zip(requests, keys):
+                prepared.append(self._prepare(request, key, started))
+        except BaseException:
+            self._withdraw(prepared)
+            raise
+        for shard, frame in self._frames(prepared):
+            await self._write(shard, frame)
         results: List[ClusterResult] = []
         for tag, obj, _shard, _message in prepared:
-            if tag == "shed":
+            if tag == "done":
                 results.append(obj)
             elif tag == "coalesced":
                 results.append(
@@ -677,19 +712,14 @@ class ClusterGateway:
         if proc is not None and proc.is_alive():
             proc.kill()
 
-    def _shared_entries(self) -> int:
-        """Blocking: shared-tier entry count (one Manager round trip)."""
-        return len(self.shared_tier) if self.shared_tier is not None else 0
-
     async def snapshot(self) -> Dict[str, Any]:
         """Cluster-wide aggregated metrics (see ClusterMetrics.aggregate)."""
         self._require_started()
         pongs = await self.check_health()
-        shared_entries = await self._offload(self._shared_entries)
         return self.metrics.aggregate(
             pongs,
             shed_depths=[len(s.pending) for s in self._shards],
             restarts=[s.restarts for s in self._shards],
             admission=self.admission.stats(),
-            shared_entries=shared_entries,
+            shared=self.shared_tier.stats(),
         )

@@ -1,13 +1,13 @@
 """Cluster-wide metrics: gateway-side instruments + per-shard aggregation.
 
-The gateway observes what workers cannot (coalescing, admission
-decisions, retries, restarts, end-to-end latency including queueing and
-the wire), while each worker's pong carries its own
-:class:`~repro.serving.metrics.MetricsRegistry` snapshot and per-tier
-cache stats.  :meth:`ClusterMetrics.aggregate` folds both views into
-one report — the numbers the replay driver prints and the benchmark
-snapshots: throughput inputs, p50/p99, cache-tier hit rates, and the
-rung distribution per shard.
+The gateway observes what workers cannot (shared-tier hits, coalescing,
+admission decisions, retries, restarts, end-to-end latency including
+queueing and the wire), while each worker's pong carries its own
+:class:`~repro.serving.metrics.MetricsRegistry` snapshot.
+:meth:`ClusterMetrics.aggregate` folds both views into one report — the
+numbers the replay driver prints and the benchmark snapshots:
+throughput inputs, p50/p99, the shared tier's hit rate, and the rung
+distribution per shard.
 """
 
 from __future__ import annotations
@@ -33,17 +33,14 @@ class ClusterMetrics:
     # ------------------------------------------------------------------
 
     def observe_request(self, latency: float, rung: Optional[str],
-                        cache_tier: Optional[str], cache_hit: bool,
-                        retried: bool) -> None:
+                        cache_hit: bool, retried: bool) -> None:
         """Record one answered request at the gateway."""
         self.registry.histogram("cluster.latency").record(latency)
         if rung:
             self.registry.counter(f"cluster.rung.{rung}").increment()
-        if cache_hit:
-            tier = cache_tier if cache_tier in ("hot", "shared") else "hot"
-            self.registry.counter(f"cluster.cache.{tier}_hits").increment()
-        else:
-            self.registry.counter("cluster.cache.misses").increment()
+        self.registry.counter(
+            "cluster.cache.hits" if cache_hit else "cluster.cache.misses"
+        ).increment()
         if retried:
             self.registry.counter("cluster.answered_after_retry").increment()
 
@@ -57,7 +54,7 @@ class ClusterMetrics:
         shed_depths: Sequence[int] = (),
         restarts: Sequence[int] = (),
         admission: Optional[Dict[str, float]] = None,
-        shared_entries: int = 0,
+        shared: Optional[Dict[str, int]] = None,
     ) -> Dict[str, Any]:
         """One cluster-wide report from gateway state + worker pongs."""
         snap = self.registry.snapshot()
@@ -79,7 +76,6 @@ class ClusterMetrics:
             }
             for r in _RUNGS:
                 total_rungs[r] += rungs[r]
-            cache = pong.get("cache", {})
             shards.append({
                 "shard": i,
                 "alive": True,
@@ -88,28 +84,23 @@ class ClusterMetrics:
                     shed_depths[i] if i < len(shed_depths) else 0
                 ),
                 "restarts": restarts[i] if i < len(restarts) else 0,
-                "warmed": pong.get("warmed", 0),
-                "version": pong.get("version"),
                 "rungs": rungs,
-                "cache": cache,
             })
 
-        hot = int(counters.get("cluster.cache.hot_hits", 0))
-        shared = int(counters.get("cluster.cache.shared_hits", 0))
+        hits = int(counters.get("cluster.cache.hits", 0))
         misses = int(counters.get("cluster.cache.misses", 0))
-        lookups = hot + shared + misses
+        answered = hits + misses
+        shared = shared or {}
         return {
             "gateway": counters,
             "latency": latency,
             "rungs": total_rungs,
             "cache_tiers": {
-                "hot_hits": hot,
-                "shared_hits": shared,
+                "hits": hits,
                 "misses": misses,
-                "hot_hit_rate": hot / lookups if lookups else 0.0,
-                "shared_hit_rate": shared / lookups if lookups else 0.0,
-                "any_hit_rate": (hot + shared) / lookups if lookups else 0.0,
-                "shared_entries": shared_entries,
+                "hit_rate": hits / answered if answered else 0.0,
+                "shared_entries": shared.get("entries", 0),
+                "invalidations": shared.get("invalidations", 0),
             },
             "admission": dict(admission or {}),
             "restarts": sum(restarts),

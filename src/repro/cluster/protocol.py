@@ -12,8 +12,8 @@ JSON keeps the wire format debuggable and reuses the repository's
 existing documents: requests carry :func:`repro.tools.serialize.
 query_to_dict` query documents and memory inputs (scalar / distribution
 / Markov documents); responses carry ``plan`` documents — exactly what
-the plan caches store, so a worker response can be dropped into the
-shared tier without re-encoding.
+the gateway's shared tier stores, so a worker response is kept as it
+arrived, without re-encoding.
 
 Message types
 -------------
@@ -35,15 +35,13 @@ Message types
               frame existed still accepts the legacy single-request
               frames an older gateway sends.
 ``result``    worker → gateway: the answer (``id``, ``plan`` doc,
-              ``objective_value``, ``rung``, ``cache_hit``,
-              ``cache_tier``, ``latency``).
+              ``objective_value``, ``objective``, ``rung``,
+              ``latency``).
 ``error``     worker → gateway: request failed (``id``, ``error`` class
               name, ``message``).
 ``ping``      gateway → worker: health probe (``seq``).
-``pong``      worker → gateway: ``seq`` echoed plus ``queue_depth``,
-              ``version``, metric/cache snapshots.
-``version``   gateway → worker: the catalog version fence moved
-              (``version`` list); the worker must refuse older plans.
+``pong``      worker → gateway: ``seq`` echoed plus ``queue_depth``
+              and a metrics snapshot.
 ``shutdown``  gateway → worker: drain and exit (worker answers ``bye``).
 
 Blocking helpers (:func:`read_frame` / :func:`write_frame`) serve the
@@ -285,7 +283,12 @@ def decode_memory(
 
 def encode_request(request_id: int, request: OptimizeRequest) -> Dict[str, Any]:
     """One ``optimize`` message for ``request`` (the cost model stays home:
-    the cluster tier serves the default one)."""
+    the cluster tier serves the default one).
+
+    The plan space travels as the canonical key its cache key carries,
+    so a :class:`~repro.plans.space.PlanSpace` object is served like
+    the string that spells it.
+    """
     return {
         "type": "optimize",
         "id": request_id,
@@ -293,7 +296,7 @@ def encode_request(request_id: int, request: OptimizeRequest) -> Dict[str, Any]:
         "objective": request.objective,
         "memory": encode_memory(request.memory),
         "deadline": request.deadline,
-        "plan_space": request.plan_space,
+        "plan_space": request.knobs()[0],
         "allow_cross_products": request.allow_cross_products,
         "top_k": request.top_k,
         "max_buckets": request.max_buckets,

@@ -5,7 +5,7 @@ Replays the seeded :func:`repro.serving.workload.build_workload` mix
 :class:`~repro.cluster.gateway.ClusterGateway` under bounded client
 concurrency, and reports the numbers that justify the tier:
 optimize throughput versus shard count, p50/p99 end-to-end latency,
-cache-tier hit rates, the rung distribution, and the loss accounting
+the shared tier's hit rate, the rung distribution, and the loss accounting
 (accepted requests must all be answered — degraded or retried, never
 dropped — even when a worker is killed mid-replay).
 
@@ -17,6 +17,7 @@ one harness means the benchmark measures exactly what the CLI reports.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import time
 from typing import Any, Dict, List, Optional
@@ -104,6 +105,8 @@ async def replay(
             )
         wall = time.perf_counter() - t0
         snapshot = await gateway.snapshot()
+        # Must equal the shard count: the tier runs no helper process.
+        processes = len(multiprocessing.active_children())
 
     done = [r for r in results if r is not None]
     ok = [r for r in done if r.status == "ok"]
@@ -140,6 +143,7 @@ async def replay(
         "admission": snapshot["admission"],
         "restarts": snapshot["restarts"],
         "shards": snapshot["shards"],
+        "processes": processes,
     }
 
 

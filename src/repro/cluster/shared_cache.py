@@ -1,43 +1,43 @@
-"""The cluster's two-tier plan cache: per-worker hot LRU over a shared tier.
+"""The cluster's one plan tier: a version-fenced LRU inside the gateway.
 
-Tier 1 (**hot**) is the existing in-process
-:class:`~repro.serving.plan_cache.PlanCache` — lock-cheap, holds
-deserialized-on-demand plan documents, private to one worker process.
-Tier 2 (**shared**) is a :mod:`multiprocessing` manager dict visible to
-every worker and to the gateway: values are exactly the
-`tools.serialize` plan documents, so a plan optimized by shard 3 is a
-cheap deserialize away for shard 0, and a freshly restarted worker can
-re-warm its hot tier from whatever the cluster already knows.
+A repeat request is answered where it is recognised.  The gateway
+already validates every request and names its answer with a
+:class:`~repro.serving.plan_cache.PlanCacheKey`; :class:`SharedPlanTier`
+maps that key to the reply a worker once produced for it — the plan
+*document* exactly as it came off the wire, never decoded here — so a
+hit needs no worker, no frame and no digest.  The tier lives on the
+gateway's event-loop thread and is touched from nowhere else, which is
+why it carries no lock: "a stale plan is never served" holds because
+the fence moves and the tier empties in the same synchronous step
+(:meth:`SharedPlanTier.invalidate_stale`, called by the gateway's
+``_refresh_version`` before any ``await``).
 
-Keys must be comparable *across processes*, so the in-process
-:class:`~repro.serving.plan_cache.PlanCacheKey` (which embeds live
-``DiscreteDistribution`` objects) is digested to a stable hex string by
-:func:`cache_key_digest`; the catalog-version fence from PRs 2/3 rides
-inside both the digest (stale keys can never hit) and the stored value
-(so :meth:`SharedPlanTier.invalidate_stale` can purge eagerly without
-remembering every key it ever produced).
+``"shared"`` keeps meaning *the tier every shard shares*: whichever
+worker produced a plan, the next request for it is served from here.
+
+The two digests are what is left of the cross-process keys:
+:func:`fingerprint_digest` still picks the shard that optimizes a miss
+(Python's ``hash`` is salted per process and would re-route every query
+on a gateway restart); :func:`cache_key_digest` is the same value-based
+digest over a whole key.  Nothing in ``src/`` calls it any more — it
+stays because the frozen benchmark's trace table names it (ROADMAP,
+"unfreeze ``bench/``").
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from ..core.distributions import DiscreteDistribution
-from ..plans.nodes import Plan
 from ..plans.query import IndexInfo
-from ..serving.plan_cache import CachedPlan, PlanCache, PlanCacheKey
-from ..tools.serialize import plan_from_dict, plan_to_dict
+from ..serving.plan_cache import PlanCacheKey
 
 __all__ = [
     "cache_key_digest",
     "fingerprint_digest",
-    "DigestKey",
-    "SharedCacheState",
-    "make_shared_state",
     "SharedPlanTier",
-    "TieredPlanCache",
 ]
 
 
@@ -76,300 +76,69 @@ def fingerprint_digest(fingerprint: Tuple) -> str:
 
     This is the sharding key: every request for the same logical query
     lands on the same worker regardless of objective or knobs, so a
-    query's plans (and its optimizer context locality) stay on one
-    shard.
+    query's optimizer context locality stays on one shard.
     """
     return _digest(fingerprint)
 
 
-class DigestKey(NamedTuple):
-    """Hot-tier key: the digest plus the version fence the LRU filters on.
+class StoredPlan(NamedTuple):
+    """What a full-rung worker reply leaves behind for the next request."""
 
-    The hot tier reuses :class:`~repro.serving.plan_cache.PlanCache`,
-    whose eager invalidation reads ``key.catalog_version`` — keeping
-    that field makes the existing LRU work unchanged on digested keys.
-    """
-
-    digest: str
-    catalog_version: Tuple
-
-
-class SharedCacheState(NamedTuple):
-    """The picklable bundle a gateway hands to each worker process."""
-
-    data: Any  # manager dict proxy: digest -> entry dict
-    counts: Any  # manager dict proxy: digest -> hit count (warm ranking)
-    lock: Any  # manager lock guarding cross-process read-modify-writes
-
-
-def make_shared_state(manager) -> SharedCacheState:
-    """Allocate the shared tier's structures on a ``multiprocessing.Manager``."""
-    return SharedCacheState(data=manager.dict(), counts=manager.dict(), lock=manager.Lock())
+    plan_doc: Dict[str, Any]  # the `tools.serialize` document, as received
+    objective_value: float
+    objective: str  # canonical objective kind ("expected", "point", ...)
+    shard: int  # the shard that produced it
 
 
 class SharedPlanTier:
-    """The cross-process serialized tier over a manager dict.
+    """LRU of worker replies keyed by :class:`PlanCacheKey`.
 
-    Entries are plain documents — ``{"plan": <plan doc>,
-    "objective_value": float, "rung": str, "version": [ints]}`` — the
-    exact shape a Redis/disk tier would store.  All mutation happens
-    under the shared manager lock; per-process hit/miss counters use a
-    local lock (they are observability, not shared state).
-
-    The shared lock is acquired with a *bounded* wait: a worker that is
-    SIGKILLed inside the critical section orphans a manager lock
-    forever, and an unbounded ``with lock:`` would then freeze every
-    surviving and respawned worker (and with them the whole gateway).
-    On timeout the operation proceeds lock-free — manager proxy calls
-    are individually atomic, the lock only makes multi-step bookkeeping
-    (hotness read-modify-writes, eviction sweeps) exact, and staleness
-    safety never depended on it: the catalog version rides inside every
-    key digest and every stored entry.  After a timeout the tier
-    latches into a degraded mode with a much shorter wait so an
-    orphaned lock costs one long stall total, not one per operation;
-    any successful acquire un-latches it.
+    Single-threaded by contract (the gateway's event loop owns it), so
+    there is no lock.  The catalog-version fence rides inside every key:
+    an entry fenced at another version can never hit, and
+    :meth:`invalidate_stale` reclaims such entries the moment the fence
+    moves.
     """
 
-    def __init__(
-        self,
-        state: SharedCacheState,
-        max_entries: int = 4096,
-        lock_timeout: float = 2.0,
-        degraded_lock_timeout: float = 0.05,
-    ):
+    def __init__(self, max_entries: int = 4096):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        self._state = state
         self.max_entries = max_entries
-        self.lock_timeout = lock_timeout
-        self.degraded_lock_timeout = degraded_lock_timeout
-        self._stats_lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
+        self._entries: "OrderedDict[PlanCacheKey, StoredPlan]" = OrderedDict()
         self._invalidations = 0
-        self._lock_timeouts = 0
-        self._lock_degraded = False
 
-    # ------------------------------------------------------------------
-    # Bounded locking
-    # ------------------------------------------------------------------
-
-    def _acquire_shared(self) -> bool:
-        """Bounded acquire of the cross-process lock; False on timeout."""
-        with self._stats_lock:
-            timeout = (
-                self.degraded_lock_timeout if self._lock_degraded
-                else self.lock_timeout
-            )
-        acquired = bool(self._state.lock.acquire(timeout=timeout))
-        with self._stats_lock:
-            self._lock_degraded = not acquired
-            if not acquired:
-                self._lock_timeouts += 1
-        return acquired
-
-    def _release_shared(self, acquired: bool) -> None:
-        if acquired:
-            self._state.lock.release()
-
-    # ------------------------------------------------------------------
-    # Core operations
-    # ------------------------------------------------------------------
-
-    def get(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The stored entry document, bumping its hotness count."""
-        entry = self._state.data.get(digest)
-        if entry is None:
-            with self._stats_lock:
-                self._misses += 1
-            return None
-        acquired = self._acquire_shared()
-        try:
-            # Unlocked this is a lossy increment, which hotness can absorb.
-            self._state.counts[digest] = self._state.counts.get(digest, 0) + 1
-        finally:
-            self._release_shared(acquired)
-        with self._stats_lock:
-            self._hits += 1
+    def get(self, key: PlanCacheKey) -> Optional[StoredPlan]:
+        """The stored reply for ``key`` (now most recently used), or None."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
         return entry
 
-    def put(self, digest: str, plan_doc: Dict[str, Any], objective_value: float,
-            rung: str, version: Tuple) -> None:
-        """Store one serialized plan under its digest."""
-        entry = {
-            "plan": plan_doc,
-            "objective_value": float(objective_value),
-            "rung": rung,
-            "version": [int(v) for v in version],
-        }
-        acquired = self._acquire_shared()
-        try:
-            self._state.data[digest] = entry
-            if digest not in self._state.counts:
-                self._state.counts[digest] = 0
-            if len(self._state.data) > self.max_entries:
-                self._evict_coldest_locked()
-        finally:
-            self._release_shared(acquired)
-
-    def _evict_coldest_locked(self) -> None:
-        # In degraded mode this may run without the lock actually held;
-        # pop() tolerates a concurrent delete of the same victim.
-        counts = dict(self._state.counts)
-        victims = sorted(self._state.data.keys(), key=lambda d: counts.get(d, 0))
-        excess = len(self._state.data) - self.max_entries
-        for digest in victims[:excess]:
-            self._state.data.pop(digest, None)
-            self._state.counts.pop(digest, None)
-
-    # ------------------------------------------------------------------
-    # Invalidation / warm
-    # ------------------------------------------------------------------
-
-    def invalidate_stale(self, current_version: Tuple) -> int:
-        """Purge every entry fenced at a different catalog version."""
-        current = [int(v) for v in current_version]
-        dropped = 0
-        acquired = self._acquire_shared()
-        try:
-            for digest in list(self._state.data.keys()):
-                entry = self._state.data.get(digest)
-                if entry is not None and entry.get("version") != current:
-                    self._state.data.pop(digest, None)
-                    self._state.counts.pop(digest, None)
-                    dropped += 1
-        finally:
-            self._release_shared(acquired)
-        with self._stats_lock:
-            self._invalidations += dropped
-        return dropped
-
-    def hottest(self, limit: int) -> List[Tuple[str, Dict[str, Any]]]:
-        """The ``limit`` most-hit entries, hottest first (for re-warming)."""
-        acquired = self._acquire_shared()
-        try:
-            counts = dict(self._state.counts)
-            entries = dict(self._state.data)
-        finally:
-            self._release_shared(acquired)
-        ranked = sorted(entries, key=lambda d: counts.get(d, 0), reverse=True)
-        return [(d, entries[d]) for d in ranked[:limit]]
-
-    def clear(self) -> None:
-        """Drop everything (counts included)."""
-        acquired = self._acquire_shared()
-        try:
-            self._state.data.clear()
-            self._state.counts.clear()
-        finally:
-            self._release_shared(acquired)
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._state.data)
-
-    def stats(self) -> Dict[str, float]:
-        """This process's view: hits, misses, hit rate, entries."""
-        with self._stats_lock:
-            hits, misses, inv = self._hits, self._misses, self._invalidations
-            lock_timeouts = self._lock_timeouts
-        lookups = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / lookups if lookups else 0.0,
-            "invalidations": inv,
-            "entries": len(self._state.data),
-            "lock_timeouts": lock_timeouts,
-        }
-
-
-class TieredPlanCache:
-    """Hot in-process LRU in front of the shared serialized tier.
-
-    Drop-in for the ``cache=`` slot of
-    :class:`~repro.serving.service.OptimizerService`: ``get``/``put``
-    take the service's :class:`PlanCacheKey` and digest it once.  Hits
-    report which tier answered via :attr:`CachedPlan.tier`; shared-tier
-    hits are promoted into the hot LRU on the way out.
-    """
-
-    def __init__(
-        self,
-        shared: SharedPlanTier,
-        hot: Optional[PlanCache] = None,
-        hot_entries: int = 256,
-    ):
-        self.shared = shared
-        self.hot = hot if hot is not None else PlanCache(max_entries=hot_entries)
-
-    # -- PlanCache-compatible interface --------------------------------
-
-    def get(self, key: PlanCacheKey) -> Optional[CachedPlan]:
-        """Hot tier first, then shared (with promotion); None on miss."""
-        digest = cache_key_digest(key)
-        dk = DigestKey(digest, key.catalog_version)
-        hit = self.hot.get(dk)  # type: ignore[arg-type]
-        if hit is not None:
-            return hit
-        entry = self.shared.get(digest)
-        if entry is None:
-            return None
-        plan = plan_from_dict(entry["plan"])
-        value = float(entry["objective_value"])
-        rung = entry["rung"]
-        self.hot.put(dk, plan, value, rung=rung)  # type: ignore[arg-type]
-        return CachedPlan(plan=plan, objective_value=value, rung=rung, tier="shared")
-
-    def put(self, key: PlanCacheKey, plan: Plan, objective_value: float,
-            rung: str = "full") -> None:
-        """Store in both tiers."""
-        digest = cache_key_digest(key)
-        dk = DigestKey(digest, key.catalog_version)
-        self.hot.put(dk, plan, objective_value, rung=rung)  # type: ignore[arg-type]
-        self.shared.put(digest, plan_to_dict(plan), objective_value, rung,
-                        version=key.catalog_version)
-
-    def invalidate_stale(self, current_version: Tuple) -> int:
-        """Purge stale entries from both tiers; returns total dropped."""
-        return (
-            self.hot.invalidate_stale(tuple(current_version))
-            + self.shared.invalidate_stale(tuple(current_version))
+    def put(self, key: PlanCacheKey, plan_doc: Dict[str, Any],
+            objective_value: float, objective: str, shard: int) -> None:
+        """Store one reply; the least recently used entries make room."""
+        self._entries[key] = StoredPlan(
+            plan_doc, float(objective_value), objective, shard
         )
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        """Drop the hot tier only (the shared tier outlives one worker)."""
-        self.hot.clear()
-
-    # -- warm-up -------------------------------------------------------
-
-    def warm_from_shared(self, limit: int = 64) -> int:
-        """Promote the shared tier's hottest entries into the hot LRU.
-
-        Called by a (re)starting worker so a crash does not reset its
-        hit rate to zero; returns how many entries were promoted.
-        """
-        promoted = 0
-        for digest, entry in self.shared.hottest(limit):
-            try:
-                plan = plan_from_dict(entry["plan"])
-            except Exception:
-                continue  # a corrupt shared entry must not kill a worker
-            dk = DigestKey(digest, tuple(entry.get("version", ())))
-            self.hot.put(  # type: ignore[arg-type]
-                dk, plan, float(entry["objective_value"]), rung=entry["rung"]
-            )
-            promoted += 1
-        return promoted
-
-    # -- observability -------------------------------------------------
+    def invalidate_stale(self, current_version: Tuple) -> int:
+        """Drop every entry fenced at another catalog version; how many."""
+        current = tuple(current_version)
+        stale = [k for k in self._entries if k.catalog_version != current]
+        for key in stale:
+            del self._entries[key]
+        self._invalidations += len(stale)
+        return len(stale)
 
     def __len__(self) -> int:
-        return len(self.hot)
+        return len(self._entries)
 
-    def stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-tier stats: ``{"hot": {...}, "shared": {...}}``."""
-        return {"hot": self.hot.stats(), "shared": self.shared.stats()}
+    def stats(self) -> Dict[str, int]:
+        """What only the tier knows (the gateway counts hits per request)."""
+        return {
+            "invalidations": self._invalidations,
+            "entries": len(self._entries),
+        }

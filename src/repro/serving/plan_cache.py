@@ -83,9 +83,10 @@ class CachedPlan:
     """A deserialized cache hit: the plan, its objective value, its rung.
 
     ``tier`` names which cache tier satisfied the lookup — ``"hot"`` for
-    this in-process LRU; the cluster's
-    :class:`~repro.cluster.shared_cache.TieredPlanCache` reports
-    ``"shared"`` for hits served from the cross-process tier.
+    this in-process LRU.  (The cluster's gateway answers from its own
+    :class:`~repro.cluster.shared_cache.SharedPlanTier` and labels those
+    hits ``"shared"`` on its ``ClusterResult``; they never pass through
+    here.)
     """
 
     plan: Plan

@@ -147,7 +147,7 @@ class ServingResult:
     deadline: Optional[float] = None
     deadline_exceeded: bool = False
     skipped_rungs: Tuple[str, ...] = ()
-    cache_tier: Optional[str] = None  # "hot"/"shared" on a hit, else None
+    cache_tier: Optional[str] = None  # "hot" (this service's LRU) on a hit, else None
 
     @property
     def degraded(self) -> bool:
@@ -364,12 +364,12 @@ class OptimizerService:
         """Detect catalog/feedback mutations; evict stale plans eagerly.
 
         Only the fence comparison runs under ``_version_lock``; the
-        eviction itself happens outside it because the cache may be a
-        :class:`~repro.cluster.shared_cache.TieredPlanCache` whose shared
-        tier takes the Manager lock — a cross-process round trip that
-        must not be held under an in-process lock (LOCK002).  Eviction is
-        idempotent (it drops anything older than ``current``), so two
-        racing refreshers at worst both invalidate.
+        eviction itself happens outside it, so a request that finds the
+        fence unchanged never waits behind another thread's purge (the
+        cache takes its own lock, and nesting it under this one would
+        buy nothing).  Eviction is idempotent (it drops anything fenced
+        at another version than ``current``), so two racing refreshers
+        at worst both invalidate.
         """
         current = self._catalog_version()
         with self._version_lock:

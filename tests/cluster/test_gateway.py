@@ -1,7 +1,7 @@
 """End-to-end gateway tests: real worker processes over real sockets.
 
-Each test spins up a small cluster (one Manager process plus 1–2
-workers), so the file trades breadth per test for a handful of spawns.
+Each test spins up a small cluster (1–2 worker processes, nothing
+else), so the file trades breadth per test for a handful of spawns.
 Queries are kept tiny (2–3 relations) to make each optimization cheap;
 the crash drill kills the worker *before* dispatch, which exercises the
 same EOF → respawn → replay path as a mid-flight crash but without
@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
+import repro.cluster.gateway as gateway_module
 from repro.cluster import AdmissionController, ClusterGateway
-from repro.cluster.protocol import FrameDecoder
+from repro.cluster.protocol import FrameDecoder, ProtocolError
 from repro.core.distributions import DiscreteDistribution
 from repro.optimizer.errors import OptimizerConfigError
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
+from repro.plans.space import BUSHY
 from repro.serving.service import OptimizeRequest
 
 _MEMORY = DiscreteDistribution([300.0, 900.0], [0.5, 0.5])
@@ -60,7 +63,7 @@ class TestOptimize:
         assert first.objective_value > 0
 
         assert again.ok and again.cache_hit
-        assert again.cache_tier in ("hot", "shared")
+        assert again.cache_tier == "shared"
         assert again.objective_value == pytest.approx(first.objective_value)
 
     def test_identical_inflight_requests_coalesce(self):
@@ -211,6 +214,79 @@ class TestOptimizeMany:
                 assert result.status == "error" and result.error
 
 
+    @pytest.mark.parametrize("bad, error", [
+        # Refused while the batch is named, before anything is registered.
+        (dict(objective="nonsense"), OptimizerConfigError),
+        # Named fine, but JSON cannot spell it: refused while the frames
+        # are built, after the good request was registered.
+        (dict(top_k=np.int64(2)), ProtocolError),
+    ])
+    def test_a_malformed_request_strands_no_accepted_one(self, bad, error):
+        # Registering the good request and raising on the bad one used
+        # to leave an orphan in ``pending``/``_inflight`` whose frame was
+        # never written; the next identical request hung coalesced onto
+        # it.  Whatever step refuses the batch, nothing of it stays.
+        good = _request(_query(names=("G", "H")))
+
+        async def scenario():
+            async with ClusterGateway(shards=2) as gw:
+                with pytest.raises(error):
+                    await gw.optimize_many([good, _request(**bad)])
+                with pytest.raises(error):
+                    await gw.optimize(_request(**bad))
+                pending = [len(s.pending) for s in gw.shards]
+                inflight = len(gw._inflight)
+                follow_up = await asyncio.wait_for(gw.optimize(good), timeout=30)
+                return pending, inflight, follow_up
+
+        pending, inflight, follow_up = asyncio.run(scenario())
+        assert pending == [0, 0] and inflight == 0
+        assert follow_up.ok and not follow_up.coalesced
+
+    def test_a_request_document_that_cannot_be_built_strands_none(
+            self, monkeypatch):
+        # The third place a batch can be refused: between naming and
+        # framing, while a later request's document is encoded.
+        good = _request(_query(names=("G", "H")))
+        other = _request(_query(names=("I", "J")))
+        real, calls = gateway_module.encode_request, []
+
+        def second_call_fails(request_id, request):
+            calls.append(request_id)
+            if len(calls) == 2:
+                raise ProtocolError("unsupported")
+            return real(request_id, request)
+
+        monkeypatch.setattr(gateway_module, "encode_request", second_call_fails)
+
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                with pytest.raises(ProtocolError):
+                    await gw.optimize_many([good, other])
+                pending, inflight = len(gw.shards[0].pending), len(gw._inflight)
+                return pending, inflight, await asyncio.wait_for(
+                    gw.optimize_many([good, other]), timeout=30
+                )
+
+        pending, inflight, answers = asyncio.run(scenario())
+        assert pending == 0 and inflight == 0
+        assert [a.ok and not a.coalesced for a in answers] == [True, True]
+
+    def test_a_plan_space_object_is_served_like_its_spelling(self):
+        # ``OptimizeRequest`` takes a ``PlanSpace`` object wherever it
+        # takes a string; it crosses the wire as its canonical key and
+        # shares the string's cache slot.
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                return await gw.optimize_many([
+                    _request(plan_space=BUSHY), _request(plan_space="bushy"),
+                ]), await gw.optimize(_request(plan_space=BUSHY))
+
+        (first, second), again = asyncio.run(scenario())
+        assert first.ok and second.ok and second.coalesced
+        assert again.cache_hit and again.plan_doc == first.plan_doc
+
+
 class TestAdmission:
     def test_overload_sheds_at_the_door(self):
         async def scenario():
@@ -234,28 +310,94 @@ class TestAdmission:
             assert r.plan.root is not None
 
 
+def _dies_at_once(sock, config) -> None:
+    """A worker that never serves: stands in for a crash-looping shard."""
+    sock.close()
+
+
 class TestCrashResilience:
     def test_dead_worker_is_restarted_and_request_replayed(self):
         async def scenario():
             async with ClusterGateway(shards=1) as gw:
-                await gw.optimize(_request())  # seed the shared tier
+                cached = await gw.optimize(_request())
                 gw.kill_worker(0)
-                # The next request hits the dead socket: the gateway must
-                # respawn the worker and replay, never drop.
+                # What the tier holds never needed the worker: a hit, with
+                # nothing registered towards the (dead) shard.
+                hit = await gw.optimize(_request())
+                pending = [len(s.pending) for s in gw.shards]
+                # An uncached request hits the dead socket: the gateway
+                # must respawn the worker and replay, never drop.
                 result = await gw.optimize(
                     _request(_query(names=("U", "V")))
                 )
                 pongs = await gw.check_health()
                 snapshot = await gw.snapshot()
-                return result, pongs, snapshot
+                return cached, hit, pending, result, pongs, snapshot
 
-        result, pongs, snapshot = asyncio.run(scenario())
+        cached, hit, pending, result, pongs, snapshot = asyncio.run(scenario())
+        assert hit.ok and hit.cache_hit and pending == [0]
+        assert hit.objective_value == cached.objective_value
         assert result.ok
         assert result.retries >= 1
         assert snapshot["restarts"] >= 1
         assert pongs[0] is not None and pongs[0]["shard"] == 0
-        # The respawned worker re-warmed its hot tier from the shared one.
-        assert pongs[0]["warmed"] >= 1
+
+    def test_with_every_worker_dead_hits_answer_and_misses_fail_explicitly(
+        self, monkeypatch
+    ):
+        cached = [_request(_query(names=(f"A{i}", f"B{i}"))) for i in range(6)]
+
+        async def scenario():
+            async with ClusterGateway(shards=2, max_retries=1) as gw:
+                first = [await gw.optimize(r) for r in cached]
+                assert {r.shard for r in first} == {0, 1}
+                # From here on every respawn dies at once: the shards
+                # crash-loop for the rest of the test.
+                monkeypatch.setattr(gateway_module, "worker_main", _dies_at_once)
+                gw.kill_worker(0)
+                gw.kill_worker(1)
+                hits = [await gw.optimize(r) for r in cached]
+                miss = await asyncio.wait_for(
+                    gw.optimize(_request(_query(names=("U", "V")))), timeout=60
+                )
+                return first, hits, miss, len(gw._inflight)
+
+        first, hits, miss, inflight = asyncio.run(scenario())
+        for before, after in zip(first, hits):
+            assert after.ok and after.cache_hit
+            assert after.objective_value == before.objective_value
+        # Replayed once onto a respawned (and again dead) worker, then
+        # given up on — loudly.
+        assert miss.status == "error" and miss.retries == 1
+        assert "retried 1 times" in miss.error
+        assert inflight == 0
+
+    def test_close_with_requests_in_flight_fails_each_explicitly(self):
+        queries = [_query(names=(f"P{i}", f"Q{i}")) for i in range(3)]
+
+        async def scenario():
+            gw = await ClusterGateway(shards=1).start()
+            # The frames never reach the worker, so it cannot answer
+            # while it drains: what resolves the callers is close().
+            gw.shards[0].writer.write = lambda data: None
+            tasks = [
+                asyncio.ensure_future(gw.optimize(_request(q))) for q in queries
+            ]
+            duplicate = asyncio.ensure_future(gw.optimize(_request(queries[0])))
+            await asyncio.sleep(0)
+            assert len(gw.shards[0].pending) == len(queries)
+            del gw.shards[0].writer.write  # let the shutdown frame through
+            await gw.close()
+            return await asyncio.wait_for(
+                asyncio.gather(*tasks, duplicate), timeout=30
+            )
+
+        results = asyncio.run(scenario())
+        assert len(results) == 4
+        for result in results:
+            assert result.status == "error"
+            assert "closed with request in flight" in result.error
+        assert results[-1].coalesced
 
 
 class TestHealth:
@@ -271,4 +413,4 @@ class TestHealth:
             assert pong is not None
             assert pong["shard"] == i
             assert pong["queue_depth"] == 0
-            assert "cache" in pong and "metrics" in pong
+            assert "metrics" in pong

@@ -1,22 +1,28 @@
-"""Digest stability and two-tier behaviour of the cluster plan cache.
+"""The cluster's one plan tier: digests, the LRU, and its life in the gateway.
 
-The shared tier normally lives on a ``multiprocessing.Manager``; these
-unit tests substitute plain dicts and a ``threading.Lock`` (the tier is
-duck-typed over the proxy API), keeping them fast and single-process.
-Cross-process behaviour is covered by the gateway/invalidation tests.
+``SharedPlanTier`` is a plain in-process LRU owned by the gateway's event
+loop, so its unit tests need no process at all.  What the gateway does
+with it — which replies it keeps, what a hit hands out — is tested
+against a real one-worker cluster at the end of the file; the fence
+itself is ``test_invalidation.py``'s subject.
 """
 
 from __future__ import annotations
 
-import threading
+import asyncio
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import repro
+from repro.cluster import ClusterGateway
 from repro.cluster.shared_cache import (
-    DigestKey,
-    SharedCacheState,
     SharedPlanTier,
-    TieredPlanCache,
     cache_key_digest,
     fingerprint_digest,
 )
@@ -26,14 +32,12 @@ from repro.plans.properties import JoinMethod
 from repro.serving.plan_cache import PlanCacheKey
 from repro.tools.serialize import plan_to_dict
 
-
-def _state() -> SharedCacheState:
-    return SharedCacheState(data={}, counts={}, lock=threading.Lock())
+from .test_gateway import _query, _request
 
 
-def _plan(left="R", right="S") -> Plan:
-    return Plan(Join(Scan(left), Scan(right), JoinMethod.SORT_MERGE,
-                     f"{left}={right}"))
+def _doc(left="R", right="S") -> dict:
+    return plan_to_dict(Plan(Join(Scan(left), Scan(right),
+                                  JoinMethod.SORT_MERGE, f"{left}={right}")))
 
 
 def _key(fp="fp", version=(0,), memory=500.0) -> PlanCacheKey:
@@ -66,159 +70,168 @@ class TestDigests:
         )
         assert fingerprint_digest(fp) != fingerprint_digest(("star",))
 
-    def test_digest_key_carries_the_version_fence(self):
-        dk = DigestKey("abc", (1, 2))
-        assert dk.digest == "abc"
-        assert dk.catalog_version == (1, 2)
+    _SCRIPT = """
+from repro.cluster.shared_cache import cache_key_digest, fingerprint_digest
+from repro.core.distributions import DiscreteDistribution
+from repro.costmodel.model import CostModel
+from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
+from repro.serving.service import OptimizeRequest
+
+query = JoinQuery(
+    [RelationSpec(name=n, pages=100.0 * (i + 1)) for i, n in enumerate("RST")],
+    [JoinPredicate("R", "S", 0.01, label="R=S",
+                   selectivity_dist=DiscreteDistribution(
+                       [0.005, 0.02], [0.5, 0.5])),
+     JoinPredicate("S", "T", 0.01, label="S=T")],
+)
+request = OptimizeRequest(
+    query=query, objective="lec",
+    memory=DiscreteDistribution([300.0, 900.0], [0.5, 0.5]),
+)
+key = request.cache_key((3, 1), CostModel())
+print(fingerprint_digest(key.fingerprint))
+print(cache_key_digest(key))
+"""
+
+    def test_digests_agree_between_interpreters_with_different_hash_seeds(self):
+        # Routing must survive a gateway restart: the shard a query goes
+        # to is a digest of its fingerprint, never a salted ``hash``.
+        src = str(Path(repro.__file__).resolve().parents[1])
+
+        def digests(hash_seed: int) -> str:
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", self._SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        first, second = digests(1), digests(2)
+        assert len(first.split()) == 2
+        assert first == second
 
 
 class TestSharedPlanTier:
     def test_put_get_and_stats(self):
-        tier = SharedPlanTier(_state(), max_entries=8)
-        assert tier.get("missing") is None
-        tier.put("d1", plan_to_dict(_plan()), 3.5, "full", version=(0,))
-        entry = tier.get("d1")
-        assert entry["objective_value"] == 3.5
-        assert entry["rung"] == "full"
-        assert entry["version"] == [0]
-        stats = tier.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        tier = SharedPlanTier(max_entries=8)
+        assert tier.get(_key()) is None
+        doc = _doc()
+        tier.put(_key(), doc, 3.5, "expected", shard=1)
+        stored = tier.get(_key())  # an equal key, separately built
+        assert stored.plan_doc is doc
+        assert stored.objective_value == 3.5
+        assert stored.objective == "expected"
+        assert stored.shard == 1
         assert len(tier) == 1
+        assert tier.stats() == {"entries": 1, "invalidations": 0}
 
     def test_evicts_coldest_on_overflow(self):
-        tier = SharedPlanTier(_state(), max_entries=2)
-        doc = plan_to_dict(_plan())
-        tier.put("cold", doc, 1.0, "full", version=(0,))
-        tier.put("hot", doc, 1.0, "full", version=(0,))
-        tier.get("hot")  # one hit makes it hotter than "cold"
-        tier.put("new", doc, 1.0, "full", version=(0,))
+        tier = SharedPlanTier(max_entries=2)
+        for name in ("a", "b"):
+            tier.put(_key(fp=name), _doc(), 1.0, "expected", shard=0)
+        tier.get(_key(fp="a"))  # "b" is now the least recently used
+        tier.put(_key(fp="c"), _doc(), 1.0, "expected", shard=0)
         assert len(tier) == 2
-        assert tier.get("cold") is None
-        assert tier.get("hot") is not None
+        assert tier.get(_key(fp="b")) is None
+        # Eviction follows recency of use, not insertion order.
+        tier.put(_key(fp="d"), _doc(), 1.0, "expected", shard=0)
+        assert tier.get(_key(fp="a")) is None
+        assert tier.get(_key(fp="c")) is not None
+        assert tier.get(_key(fp="d")) is not None
+
+    def test_overwriting_a_key_keeps_one_entry(self):
+        tier = SharedPlanTier(max_entries=2)
+        tier.put(_key(), _doc(), 1.0, "expected", shard=0)
+        tier.put(_key(), _doc(), 2.0, "expected", shard=1)
+        assert len(tier) == 1
+        assert tier.get(_key()).objective_value == 2.0
 
     def test_invalidate_stale_purges_old_versions(self):
-        tier = SharedPlanTier(_state(), max_entries=8)
-        doc = plan_to_dict(_plan())
-        tier.put("old", doc, 1.0, "full", version=(0,))
-        tier.put("fresh", doc, 1.0, "full", version=(1,))
-        assert tier.invalidate_stale((1,)) == 1
-        assert tier.get("old") is None
-        assert tier.get("fresh") is not None
-        assert tier.stats()["invalidations"] == 1
-
-    def test_hottest_ranks_by_hit_count(self):
-        tier = SharedPlanTier(_state(), max_entries=8)
-        doc = plan_to_dict(_plan())
-        for name, hits in (("a", 1), ("b", 3), ("c", 2)):
-            tier.put(name, doc, 1.0, "full", version=(0,))
-            for _ in range(hits):
-                tier.get(name)
-        assert [d for d, _ in tier.hottest(2)] == ["b", "c"]
+        tier = SharedPlanTier(max_entries=8)
+        tier.put(_key(fp="a", version=(0,)), _doc(), 1.0, "expected", shard=0)
+        tier.put(_key(fp="b", version=(0,)), _doc(), 1.0, "expected", shard=0)
+        tier.put(_key(fp="a", version=(1,)), _doc(), 1.0, "expected", shard=0)
+        assert tier.invalidate_stale((1,)) == 2
+        assert tier.get(_key(fp="a", version=(0,))) is None
+        assert tier.get(_key(fp="a", version=(1,))) is not None
+        assert tier.invalidate_stale((1,)) == 0
+        assert tier.invalidate_stale((2,)) == 1
+        assert len(tier) == 0
+        assert tier.stats()["invalidations"] == 3
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            SharedPlanTier(_state(), max_entries=0)
+            SharedPlanTier(max_entries=0)
 
 
-class TestOrphanedLock:
-    """A worker SIGKILLed inside the critical section never releases the
-    manager lock.  The tier must keep serving (bounded waits, lock-free
-    fallback) instead of freezing the whole cluster — this is the exact
-    failure the ``--kill-worker`` crash drill exercises.
-    """
-
-    def _orphaned_tier(self) -> SharedPlanTier:
-        state = _state()
-        state.lock.acquire()  # held forever: simulates the dead owner
-        return SharedPlanTier(state, max_entries=8,
-                              lock_timeout=0.05, degraded_lock_timeout=0.01)
-
-    def test_operations_survive_an_orphaned_lock(self):
-        tier = self._orphaned_tier()
-        doc = plan_to_dict(_plan())
-        tier.put("d1", doc, 1.0, "full", version=(0,))
-        assert tier.get("d1") is not None
-        tier.put("d2", doc, 1.0, "full", version=(1,))
-        assert tier.invalidate_stale((1,)) == 1
-        assert [d for d, _ in tier.hottest(8)] == ["d2"]
-        tier.clear()
-        assert len(tier) == 0
-        assert tier.stats()["lock_timeouts"] >= 5
-
-    def test_degraded_mode_latches_and_recovers(self):
-        state = _state()
-        state.lock.acquire()
-        tier = SharedPlanTier(state, max_entries=8,
-                              lock_timeout=0.05, degraded_lock_timeout=0.01)
-        doc = plan_to_dict(_plan())
-        tier.put("a", doc, 1.0, "full", version=(0,))
-        assert tier._lock_degraded
-        before = tier.stats()["lock_timeouts"]
-        # A released lock (a live owner finished) un-latches degraded mode.
-        state.lock.release()
-        tier.put("b", doc, 1.0, "full", version=(0,))
-        assert not tier._lock_degraded
-        assert tier.stats()["lock_timeouts"] == before
+def _answer(result) -> str:
+    return json.dumps(
+        [result.plan_doc, result.objective_value, result.objective, result.rung],
+        sort_keys=True,
+    )
 
 
-class TestTieredPlanCache:
-    def test_put_hits_hot_tier_first(self):
-        cache = TieredPlanCache(SharedPlanTier(_state()), hot_entries=8)
-        key = _key()
-        cache.put(key, _plan(), 2.0, rung="full")
-        hit = cache.get(key)
-        assert hit is not None and hit.tier == "hot"
-        assert hit.objective_value == 2.0
+class TestTierInTheGateway:
+    def test_a_hit_is_the_filling_miss_byte_for_byte(self):
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                miss = await gw.optimize(_request())
+                return miss, await gw.optimize(_request()), await gw.optimize(_request())
 
-    def test_shared_hit_is_promoted(self):
-        # Two workers sharing one tier: what worker A optimized, a fresh
-        # worker B serves from the shared tier — and promotes into its
-        # own hot LRU, so the second lookup is a hot hit.
-        state = _state()
-        worker_a = TieredPlanCache(SharedPlanTier(state), hot_entries=8)
-        worker_b = TieredPlanCache(SharedPlanTier(state), hot_entries=8)
-        key = _key()
-        worker_a.put(key, _plan(), 2.0, rung="coarse")
+        miss, hit, again = asyncio.run(scenario())
+        assert not miss.cache_hit and miss.worker_latency > 0
+        for result in (hit, again):
+            assert result.ok and result.cache_hit
+            assert result.cache_tier == "shared"
+            assert result.worker_latency == 0.0
+            assert result.shard == miss.shard
+            assert _answer(result) == _answer(miss)
+        # Every hit hands out the one stored document; each ``.plan`` is
+        # a tree of its own.
+        assert hit.plan_doc is again.plan_doc
+        assert hit.plan.root is not again.plan.root
+        assert hit.plan.signature() == again.plan.signature()
 
-        first = worker_b.get(key)
-        assert first is not None and first.tier == "shared"
-        assert first.rung == "coarse"
-        assert first.plan.root is not None
+    def test_a_reply_that_lands_after_a_bump_is_delivered_but_not_stored(self):
+        source = SimpleNamespace(version=0)
+        slow = _request(_query(names=("K", "L", "M", "N")))
 
-        second = worker_b.get(key)
-        assert second is not None and second.tier == "hot"
+        async def scenario():
+            async with ClusterGateway(shards=1, catalog_sources=[source]) as gw:
+                task = asyncio.ensure_future(gw.optimize(slow))
+                await asyncio.sleep(0)  # registered, frame written
+                assert [len(s.pending) for s in gw.shards] == [1]
+                source.version += 1
+                other = await gw.optimize(_request())  # moves the fence
+                late = await task
+                entries = len(gw.shared_tier)
+                return late, other, entries, await gw.optimize(slow)
 
-    def test_invalidate_stale_purges_both_tiers(self):
-        state = _state()
-        cache = TieredPlanCache(SharedPlanTier(state), hot_entries=8)
-        cache.put(_key(version=(0,)), _plan(), 1.0)
-        dropped = cache.invalidate_stale((1,))
-        assert dropped == 2  # one hot entry + one shared entry
-        assert cache.get(_key(version=(0,))) is None
-        assert len(cache.shared) == 0
+        late, other, entries, redo = asyncio.run(scenario())
+        assert late.ok and not late.cache_hit
+        assert other.ok and not other.cache_hit
+        assert entries == 1  # ``other`` alone: ``late`` names a world that is gone
+        assert not redo.cache_hit and redo.worker_latency > 0
+        assert redo.objective_value == late.objective_value
 
-    def test_warm_from_shared_restores_hot_tier(self):
-        state = _state()
-        original = TieredPlanCache(SharedPlanTier(state), hot_entries=8)
-        keys = [_key(fp=f"q{i}") for i in range(3)]
-        for i, key in enumerate(keys):
-            original.put(key, _plan(), float(i))
+    def test_degraded_and_error_replies_are_never_stored(self):
+        a, b = _query(names=("A", "B", "C")), _query(names=("D", "E", "F"), scale=2.0)
 
-        # A restarted worker starts with a cold hot tier...
-        restarted = TieredPlanCache(SharedPlanTier(state), hot_entries=8)
-        assert len(restarted) == 0
-        assert restarted.warm_from_shared(limit=2) == 2
-        assert len(restarted) == 2
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                full = await gw.optimize(_request(a))
+                # The worker now has a full-rung estimate for this query
+                # size, and no budget to spend: it answers from the LSC rung.
+                degraded = await gw.optimize(_request(b, deadline=1e-9))
+                error = await gw.optimize(_request(b, plan_space="star"))
+                entries = len(gw.shared_tier)
+                inflight = len(gw._inflight)
+                return full, degraded, error, entries, inflight, await gw.optimize(_request(b))
 
-    def test_clear_drops_hot_but_not_shared(self):
-        cache = TieredPlanCache(SharedPlanTier(_state()), hot_entries=8)
-        cache.put(_key(), _plan(), 1.0)
-        cache.clear()
-        assert len(cache) == 0
-        assert len(cache.shared) == 1
-        assert cache.get(_key()).tier == "shared"
-
-    def test_stats_report_both_tiers(self):
-        cache = TieredPlanCache(SharedPlanTier(_state()), hot_entries=8)
-        stats = cache.stats()
-        assert set(stats) == {"hot", "shared"}
+        full, degraded, error, entries, inflight, redo = asyncio.run(scenario())
+        assert full.rung == "full"
+        assert degraded.ok and degraded.rung == "lsc"
+        assert error.status == "error" and "star" in error.error
+        assert entries == 1 and inflight == 0
+        assert not redo.cache_hit and redo.rung == "full"
