@@ -10,7 +10,11 @@ The headline claims of ``repro.cluster``:
   are interpretable either way;
 * killing a worker mid-replay loses no accepted request: the gateway
   respawns the worker and replays the in-flight work (workers cache
-  nothing, so there is nothing else to restore).
+  nothing, so there is nothing else to restore);
+* coalescing same-shard requests into one ``optimize_batch`` frame
+  keeps replay throughput at least on par with the request-at-a-time
+  wire path (asserted against a generous floor, printed, not
+  snapshotted).
 
 Results land in ``BENCH_serving_cluster.json`` via ``record_snapshot``:
 throughput, p50/p99 latency and the rung distribution per shard count.
@@ -32,6 +36,20 @@ _SHARD_COUNTS = (1, 4)
 _REQUESTS = 48
 
 _SPEEDUP_FLOOR = 1.5
+
+
+def _unique_replay(requests: int = _REQUESTS, **kwargs) -> dict:
+    """Replay ``requests`` distinct queries: every one a fresh optimization."""
+    return run_replay(
+        n_distinct=requests,
+        n_requests=requests,
+        seed=7,
+        concurrency=8,
+        min_relations=4,
+        max_relations=5,
+        schedule="unique",
+        **kwargs,
+    )
 
 
 def _summarize(report: dict) -> dict:
@@ -61,16 +79,7 @@ def _summarize(report: dict) -> dict:
 def test_optimize_throughput_scales_with_shards():
     reports = {}
     for shards in _SHARD_COUNTS:
-        report = run_replay(
-            shards=shards,
-            n_distinct=_REQUESTS,
-            n_requests=_REQUESTS,
-            seed=7,
-            concurrency=8,
-            min_relations=4,
-            max_relations=5,
-            schedule="unique",  # every request a fresh optimization
-        )
+        report = _unique_replay(shards=shards)
         assert report["lost"] == 0 and report["errors"] == 0
         reports[shards] = report
 
@@ -121,3 +130,25 @@ def test_worker_kill_loses_no_accepted_request():
     assert report["errors"] == 0
     assert report["answered"] + report["shed"] == report["accepted"] + report["shed"]
     assert report["answered"] == report["accepted"]
+
+
+def test_batched_replay_keeps_throughput(quick_mode):
+    requests = 24 if quick_mode else 48
+    plain = _unique_replay(requests, shards=2)
+    batched = _unique_replay(requests, shards=2, batch_size=4)
+    for report in (plain, batched):
+        assert report["lost"] == 0 and report["errors"] == 0
+        assert report["answered"] == report["accepted"]
+
+    ratio = (
+        batched["optimize_throughput_qps"] / plain["optimize_throughput_qps"]
+        if plain["optimize_throughput_qps"] > 0 else 0.0
+    )
+    print(f"\ncluster replay: plain {plain['optimize_throughput_qps']:.1f}/s "
+          f"batched {batched['optimize_throughput_qps']:.1f}/s "
+          f"(ratio {ratio:.2f}x)")
+    # Batching is a transport optimization: it must not cost
+    # throughput.  Generous floor absorbs runner noise.
+    assert ratio >= 0.5, (
+        f"batched replay throughput collapsed to {ratio:.2f}x plain"
+    )

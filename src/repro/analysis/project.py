@@ -2,8 +2,7 @@
 
 The per-module rules (LOCK001, VER001, ...) see one file at a time, so
 the invariants most likely to take down the *cluster* tier — a blocking
-Manager-proxy round trip on the asyncio event loop, a lock-order cycle
-spanning ``serving`` and ``cluster``, a version fence dropped two calls
+socket read on the asyncio event loop, a lock-order cycle spanning ``serving`` and ``cluster``, a version fence dropped two calls
 away from the mutation — are invisible to them.  This module builds the
 missing global view:
 
@@ -14,8 +13,7 @@ missing global view:
   from annotations, direct construction and constructor-argument flow
   (a caller writing ``OptimizerService(cache=OtherCache(...))`` seeds
   ``self.cache`` with ``OtherCache`` even though the annotation says
-  ``PlanCache``), plus which attributes are locks and which are
-  multiprocessing-Manager proxies.
+  ``PlanCache``), plus which attributes are locks.
 * :class:`FunctionInfo` is one function's **summary**: is it async,
   which locks it acquires (and what was held at each acquire), which
   blocking primitives it invokes, whether it mutates catalog/feedback
@@ -40,7 +38,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .engine import ModuleInfo
 from .rules._util import (
-    LOCK_FACTORIES,
     VERSIONED_CLASSES,
     bumps_version,
     dotted_name,
@@ -74,16 +71,6 @@ _SOCKET_METHODS = {
     "connect", "makefile",
 }
 
-#: methods that are Manager round trips when the receiver looks like a
-#: manager handle (``manager.dict()``, ``self._manager.shutdown()``).
-_MANAGER_METHODS = {
-    "dict", "list", "Namespace", "Queue", "Value", "Array",
-    "Lock", "RLock", "shutdown", "connect", "start",
-}
-
-#: manager factories whose result is a shared *proxy* container.
-_MANAGER_PROXY_FACTORIES = {"dict", "list", "Namespace", "Queue", "Value", "Array"}
-
 
 def module_name_for_path(path: str) -> str:
     """Dotted module name for a source path.
@@ -113,11 +100,6 @@ def _expr_text(node: ast.AST) -> str:
         return ""
 
 
-def _is_manager_hinted(node: ast.AST) -> bool:
-    """True when an expression textually looks like a Manager handle."""
-    return "manager" in _expr_text(node).lower()
-
-
 def _walk_shallow(root: ast.AST) -> Iterable[ast.AST]:
     """Walk a subtree without descending into nested lambdas/defs.
 
@@ -139,7 +121,7 @@ class BlockingUse:
     """One invocation of a primitive that can block the event loop."""
 
     kind: str  # "time.sleep" | "file-io" | "socket" | "future-result"
-    #            | "frame-io" | "manager-proxy"
+    #            | "frame-io"
     detail: str
     lineno: int
     col: int
@@ -150,7 +132,6 @@ class LockUse:
     """One lock acquisition, with the domains already held around it."""
 
     domain: str  # e.g. "repro.serving.plan_cache.PlanCache._lock"
-    manager: bool  # True for multiprocessing-Manager locks
     lineno: int
     col: int
     held: Tuple[str, ...] = ()
@@ -198,9 +179,7 @@ class ClassInfo:
     bases: List[str] = field(default_factory=list)
     methods: Dict[str, str] = field(default_factory=dict)
     attr_types: Dict[str, Set[str]] = field(default_factory=dict)
-    lock_attrs: Dict[str, bool] = field(default_factory=dict)  # attr -> manager?
-    manager_lock_fields: Set[str] = field(default_factory=set)
-    proxy_fields: Set[str] = field(default_factory=set)
+    lock_attrs: Set[str] = field(default_factory=set)
     field_order: List[str] = field(default_factory=list)
     init_params: List[str] = field(default_factory=list)
     param_attr_bindings: Dict[str, str] = field(default_factory=dict)
@@ -218,7 +197,7 @@ class ModuleRecord:
     imports: Dict[str, str] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     functions: Dict[str, str] = field(default_factory=dict)  # name -> qualname
-    module_locks: Dict[str, bool] = field(default_factory=dict)
+    module_locks: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -238,7 +217,7 @@ class ProjectInfo:
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self._local_types: Dict[str, Dict[str, Set[str]]] = {}
-        self._acquire_memo: Dict[str, Dict[str, bool]] = {}
+        self._acquire_memo: Dict[str, Set[str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -298,10 +277,9 @@ class ProjectInfo:
                 self._register_function(record, node, qual, cls=None)
                 self._register_functions(record, node, prefix=qual, cls=None)
             elif isinstance(node, ast.Assign) and is_lock_create(node.value):
-                manager = _is_manager_lock_create(node.value)
                 for target in node.targets:
                     if isinstance(target, ast.Name):
-                        record.module_locks[target.id] = manager
+                        record.module_locks.add(target.id)
 
     def _register_functions(self, record: ModuleRecord, root: ast.AST,
                             prefix: str, cls: Optional[ClassInfo]) -> None:
@@ -527,9 +505,7 @@ class ProjectInfo:
                             types |= param_types.get(branch.id, set())
                             self._bind_param(cinfo, branch.id, attr)
                 if is_lock_create(value):
-                    cinfo.lock_attrs[attr] = _is_manager_lock_create(value)
-                if _is_manager_proxy_create(value):
-                    cinfo.proxy_fields.add(attr)
+                    cinfo.lock_attrs.add(attr)
             if types:
                 cinfo.attr_types.setdefault(attr, set()).update(types)
 
@@ -567,10 +543,6 @@ class ProjectInfo:
                     types |= local_types.get(arg.id, set())
                 if types:
                     cinfo.attr_types.setdefault(attr, set()).update(types)
-                if is_lock_create(arg) and _is_manager_lock_create(arg):
-                    cinfo.manager_lock_fields.add(attr)
-                if _is_manager_proxy_create(arg):
-                    cinfo.proxy_fields.add(attr)
 
     @staticmethod
     def _map_call_args(
@@ -616,22 +588,15 @@ class ProjectInfo:
     # Lock / call graph queries
     # ------------------------------------------------------------------
 
-    def lock_domain(self, ctx: _FuncCtx,
-                    expr: ast.AST) -> Optional[Tuple[str, bool]]:
-        """``(domain, is_manager)`` when an expression names a known lock."""
+    def lock_domain(self, ctx: _FuncCtx, expr: ast.AST) -> Optional[str]:
+        """The lock domain an expression names, if it names a known lock."""
         if isinstance(expr, ast.Attribute):
             for t in self.expr_types(ctx, expr.value):
                 cinfo = self.classes.get(t)
-                if cinfo is None:
-                    continue
-                if expr.attr in cinfo.lock_attrs:
-                    return (f"{t}.{expr.attr}", cinfo.lock_attrs[expr.attr])
-                if expr.attr in cinfo.manager_lock_fields:
-                    return (f"{t}.{expr.attr}", True)
-        if isinstance(expr, ast.Name):
-            manager = ctx.record.module_locks.get(expr.id)
-            if manager is not None:
-                return (f"{ctx.record.name}.{expr.id}", manager)
+                if cinfo is not None and expr.attr in cinfo.lock_attrs:
+                    return f"{t}.{expr.attr}"
+        if isinstance(expr, ast.Name) and expr.id in ctx.record.module_locks:
+            return f"{ctx.record.name}.{expr.id}"
         return None
 
     def method_candidates(self, cls_qualname: str, method: str,
@@ -651,17 +616,17 @@ class ProjectInfo:
             out.extend(self.method_candidates(base, method, seen))
         return out
 
-    def transitive_acquires(self, qualname: str) -> Dict[str, bool]:
+    def transitive_acquires(self, qualname: str) -> Set[str]:
         """Every lock domain reachable through ``qualname``'s sync calls."""
         memo = self._acquire_memo.get(qualname)
         if memo is not None:
             return memo
-        self._acquire_memo[qualname] = {}  # cycle guard: partial result
-        out: Dict[str, bool] = {}
+        self._acquire_memo[qualname] = set()  # cycle guard: partial result
+        out: Set[str] = set()
         fn = self.functions.get(qualname)
         if fn is not None:
             for lu in fn.acquires:
-                out[lu.domain] = lu.manager
+                out.add(lu.domain)
             for cs in fn.calls:
                 for callee in cs.callees:
                     callee_fn = self.functions.get(callee)
@@ -699,22 +664,6 @@ def _collect_imports(tree: ast.Module, module_name: str) -> Dict[str, str]:
     return imports
 
 
-def _is_manager_lock_create(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-        return False
-    if node.func.attr not in LOCK_FACTORIES:
-        return False
-    return _is_manager_hinted(node.func.value)
-
-
-def _is_manager_proxy_create(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-        return False
-    if node.func.attr not in _MANAGER_PROXY_FACTORIES:
-        return False
-    return _is_manager_hinted(node.func.value)
-
-
 class _SummaryVisitor:
     """Sequential statement walker building one function's summary.
 
@@ -748,7 +697,7 @@ class _SummaryVisitor:
                 domain = self.project.lock_domain(self.ctx, item.context_expr)
                 if domain is not None:
                     self._record_acquire(domain, item.context_expr)
-                    acquired.append(domain[0])
+                    acquired.append(domain)
             self.held.extend(acquired)
             self.run(stmt.body)
             for _ in acquired:
@@ -783,16 +732,13 @@ class _SummaryVisitor:
         for node in _walk_shallow(expr):
             if isinstance(node, ast.Call):
                 self._handle_call(node)
-            elif isinstance(node, ast.Attribute):
-                self._handle_attribute(node)
 
     def _awaited(self, node: ast.AST) -> bool:
         return isinstance(self.ctx.record.info.parents.get(node), ast.Await)
 
-    def _record_acquire(self, domain: Tuple[str, bool],
-                        node: ast.AST) -> None:
+    def _record_acquire(self, domain: str, node: ast.AST) -> None:
         self.fn.acquires.append(LockUse(
-            domain=domain[0], manager=domain[1],
+            domain=domain,
             lineno=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             held=tuple(self.held),
@@ -813,9 +759,9 @@ class _SummaryVisitor:
             if domain is not None:
                 if func.attr == "acquire":
                     self._record_acquire(domain, node)
-                    self.held.append(domain[0])
-                elif domain[0] in self.held:
-                    self.held.remove(domain[0])
+                    self.held.append(domain)
+                elif domain in self.held:
+                    self.held.remove(domain)
                 return
 
         callees = self._callee_candidates(node, resolved)
@@ -873,26 +819,7 @@ class _SummaryVisitor:
                 return use("socket")
             if leaf == "result":
                 return use("future-result")
-            if leaf == "Manager":
-                return use("manager-proxy")
-            if leaf in _MANAGER_METHODS and _is_manager_hinted(func.value):
-                return use("manager-proxy")
         if resolved is not None and "protocol" in resolved and \
                 resolved.split(".")[-1] in ("read_frame", "write_frame"):
             return use("frame-io")
         return None
-
-    def _handle_attribute(self, node: ast.Attribute) -> None:
-        """Manager-proxy field touches: ``self._state.data[...]`` etc."""
-        for t in self.project.expr_types(self.ctx, node.value):
-            cinfo = self.project.classes.get(t)
-            if cinfo is None:
-                continue
-            if node.attr in cinfo.proxy_fields or \
-                    node.attr in cinfo.manager_lock_fields:
-                self.fn.blocking.append(BlockingUse(
-                    kind="manager-proxy",
-                    detail=f"{_expr_text(node)} ({t}.{node.attr})",
-                    lineno=node.lineno, col=node.col_offset,
-                ))
-                return

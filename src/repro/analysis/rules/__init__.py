@@ -17,11 +17,10 @@ rule              invariant
 ``PLAN001``       ``Join`` construction / plan enumeration outside
                   ``repro/plans`` goes through the ``PlanSpace`` API
 ``ASYNC001``      no blocking primitive (sleep, socket/file I/O,
-                  ``Future.result()``, Manager proxies, frame I/O) is
-                  transitively reachable from an ``async def`` in
+                  ``Future.result()``, frame I/O) is transitively
+                  reachable from an ``async def`` in
                   ``repro.cluster``/``repro.serving`` [project-scoped]
-``LOCK002``       no lock-order cycles; the Manager lock is never
-                  acquired while holding an in-process lock
+``LOCK002``       no lock-order cycles across the whole program
                   [project-scoped]
 ``VER002``        no public entry point reaches a catalog/feedback
                   mutation along a bump-free call path [project-scoped]

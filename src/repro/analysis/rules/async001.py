@@ -1,9 +1,8 @@
 """ASYNC001 — no blocking primitives reachable from cluster coroutines.
 
 The cluster gateway is a single asyncio event loop multiplexing every
-in-flight query; one synchronous Manager round trip or socket read on
-the loop stalls *all* of them (and under a dead Manager, hangs the
-gateway outright).  This rule walks the whole-program call graph from
+in-flight query; one synchronous socket read or sleep on the loop
+stalls *all* of them.  This rule walks the whole-program call graph from
 every ``async def`` in ``repro.cluster``/``repro.serving`` and flags any
 transitively reachable blocking primitive:
 
@@ -11,8 +10,6 @@ transitively reachable blocking primitive:
 * file I/O (``open``, ``os.read``/``os.write``)
 * socket I/O (``recv``/``sendall``/``accept``/``connect``/...)
 * ``Future.result()``
-* Manager-proxy access (``Manager()`` itself, ``manager.dict()``,
-  shared-dict reads/writes through proxy fields, Manager locks)
 * frame I/O (``protocol.read_frame``/``write_frame``)
 
 Calls directly under ``await`` are exempt (awaiting *is* the fix), and

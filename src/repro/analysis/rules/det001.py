@@ -31,8 +31,7 @@ passed in explicitly (argument, config field, or wire message).
 
 Worker *pools* are the same trap with a different spelling: a function
 handed to ``pool.submit(fn)`` / ``pool.map(fn, ...)`` /
-``pool.apply_async(fn)`` / ``pool.map_ordered(fn, tasks)`` runs as a
-**pool task**, possibly many times concurrently, on whatever thread or
+``pool.apply_async(fn)`` runs as a **pool task**, possibly many times concurrently, on whatever thread or
 process the executor picks.  An unseeded generator built inside one
 makes every chunk's stream depend on the schedule.  Findings inside
 pool-task functions carry their own message: derive a per-chunk
@@ -52,10 +51,10 @@ __all__ = ["DeterminismRule"]
 
 #: executor/pool methods whose first positional argument is a function
 #: that will run as a pool task (concurrent.futures, multiprocessing
-#: pools, and this repository's WorkerPool.map_ordered).
+#: pools).
 _POOL_METHODS = {
     "submit", "map", "imap", "imap_unordered", "starmap", "starmap_async",
-    "apply_async", "map_async", "map_ordered",
+    "apply_async", "map_async",
 }
 
 #: np.random constructors that are fine *when given a seed argument*.
@@ -117,7 +116,7 @@ def _worker_entry_names(tree: ast.AST) -> Dict[str, str]:
     handle, and aliases all end in the same attribute leaf) or
     ``"pool"`` for the first argument of an executor/pool dispatch
     method (``.submit(fn)``, ``.map(fn, ...)``, ``.apply_async(fn)``,
-    ``.map_ordered(fn, tasks)``, ...).  A name claimed by both idioms
+    ...).  A name claimed by both idioms
     keeps the Process classification — the cross-process failure mode
     is the stronger warning.
     """

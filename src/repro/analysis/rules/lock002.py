@@ -1,19 +1,11 @@
-"""LOCK002 — interprocedural lock-order discipline for the cluster tier.
+"""LOCK002 — interprocedural lock-order discipline for the serving tiers.
 
-The cluster runs two lock domains with very different costs: in-process
-``threading`` locks (the hot-LRU lock, the service's version/pending
-locks) and the multiprocessing **Manager lock** guarding the shared plan
-tier — the latter is a cross-process RPC that can stall for milliseconds
-or, with a sick Manager, forever.  Two whole-program invariants keep
-that sane:
-
-* **no Manager lock under an in-process lock** — acquiring the Manager
-  lock (directly or through any sync call chain) while holding an
-  in-process lock exports Manager latency into every thread contending
-  on that in-process lock;
-* **no cycles** in the lock-acquisition graph — if some path acquires
-  ``A`` then ``B`` and another acquires ``B`` then ``A``, two threads
-  can deadlock.
+The serving and cluster tiers hold several in-process ``threading``
+locks (the plan-cache lock, the service's version/pending locks, the
+metrics locks), and one whole-program invariant keeps them sane: **no
+cycles** in the lock-acquisition graph — if some path acquires ``A``
+then ``B`` and another acquires ``B`` then ``A``, two threads can
+deadlock.
 
 Edges come from :class:`~repro.analysis.project.ProjectInfo` summaries:
 locks held at an acquisition site (``with a: with b:``), plus locks held
@@ -36,13 +28,12 @@ __all__ = ["LockOrderRule"]
 class _Edge:
     """One ``held -> acquired`` observation with its provenance."""
 
-    __slots__ = ("src", "dst", "dst_manager", "path", "lineno", "col", "via")
+    __slots__ = ("src", "dst", "path", "lineno", "col", "via")
 
-    def __init__(self, src: str, dst: str, dst_manager: bool, path: str,
+    def __init__(self, src: str, dst: str, path: str,
                  lineno: int, col: int, via: str) -> None:
         self.src = src
         self.dst = dst
-        self.dst_manager = dst_manager
         self.path = path
         self.lineno = lineno
         self.col = col
@@ -52,25 +43,10 @@ class _Edge:
 @register
 class LockOrderRule(ProjectRule):
     name = "LOCK002"
-    description = (
-        "no lock-order cycles; never acquire the Manager lock while "
-        "holding an in-process lock"
-    )
+    description = "no lock-order cycles across the whole program"
 
     def check_project(self, project: ProjectInfo) -> Iterator[Finding]:
         edges = self._collect_edges(project)
-        managers = self._manager_domains(project)
-
-        # Manager lock acquired under an in-process lock.
-        for edge in edges:
-            if edge.dst_manager and edge.src not in managers:
-                yield self.finding_loc(
-                    edge.path, edge.lineno, edge.col,
-                    f"{edge.via} acquires Manager lock {edge.dst} while "
-                    f"holding in-process lock {edge.src}; Manager "
-                    f"round-trip latency is exported into every thread "
-                    f"contending on {edge.src}",
-                )
 
         # Lock-order cycles: edge a->b with some path b ~> a.
         graph: Dict[str, Set[str]] = {}
@@ -102,7 +78,7 @@ class LockOrderRule(ProjectRule):
                     if held == lu.domain:
                         continue
                     edges.append(_Edge(
-                        src=held, dst=lu.domain, dst_manager=lu.manager,
+                        src=held, dst=lu.domain,
                         path=fn.path, lineno=lu.lineno, col=lu.col,
                         via=fn.qualname,
                     ))
@@ -110,33 +86,16 @@ class LockOrderRule(ProjectRule):
                 if not cs.held:
                     continue
                 for callee in cs.callees:
-                    for domain, manager in sorted(
-                        project.transitive_acquires(callee).items()
-                    ):
+                    for domain in sorted(project.transitive_acquires(callee)):
                         for held in cs.held:
                             if held == domain:
                                 continue
                             edges.append(_Edge(
-                                src=held, dst=domain, dst_manager=manager,
+                                src=held, dst=domain,
                                 path=fn.path, lineno=cs.lineno, col=cs.col,
                                 via=f"{fn.qualname} (via {callee})",
                             ))
         return edges
-
-    @staticmethod
-    def _manager_domains(project: ProjectInfo) -> Set[str]:
-        out: Set[str] = set()
-        for fn in project.functions.values():
-            for lu in fn.acquires:
-                if lu.manager:
-                    out.add(lu.domain)
-        for cinfo in project.classes.values():
-            for attr, manager in cinfo.lock_attrs.items():
-                if manager:
-                    out.add(f"{cinfo.qualname}.{attr}")
-            for attr in cinfo.manager_lock_fields:
-                out.add(f"{cinfo.qualname}.{attr}")
-        return out
 
     @staticmethod
     def _reachable(graph: Dict[str, Set[str]], src: str, dst: str) -> bool:

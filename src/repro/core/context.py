@@ -65,12 +65,7 @@ from ..costmodel.estimates import (
 )
 from ..costmodel.model import CostModel
 from .distributions import DiscreteDistribution
-from .expected_cost import (
-    _SurvivalTable,
-    expected_join_costs_batched,
-    expected_join_costs_batched_parallel,
-)
-from .parallel import WorkerPool
+from .expected_cost import _SurvivalTable, expected_join_costs_batched
 
 __all__ = ["CacheStats", "OptimizationContext", "query_fingerprint"]
 
@@ -406,7 +401,6 @@ class OptimizationContext:
             Tuple[JoinMethod, DiscreteDistribution, DiscreteDistribution]
         ],
         memory: DiscreteDistribution,
-        pool: Optional[WorkerPool] = None,
     ) -> List[float]:
         """``E[Φ]`` for many fast-path joins, one array kernel invocation.
 
@@ -419,12 +413,6 @@ class OptimizationContext:
         bit-identical to the equivalent single-pair
         :func:`~repro.core.expected_cost.expected_join_cost_fast` call,
         so batching can never change which plan a DP level picks.
-
-        ``pool`` (a :class:`~repro.core.parallel.WorkerPool`) fans the
-        memo *misses* out across workers in deterministic chunks; the
-        values, the memo contents and the hit/miss accounting all stay
-        bit-identical to the sequential call (see
-        :func:`~repro.core.expected_cost.expected_join_costs_batched_parallel`).
         """
         stats = self._stats["batched_joins"]
         keys = [
@@ -442,8 +430,8 @@ class OptimizationContext:
                 missing.setdefault(key, []).append(i)
         if missing:
             uniq = [requests[positions[0]] for positions in missing.values()]
-            values = expected_join_costs_batched_parallel(
-                uniq, memory, survival=self.survival_table(memory), pool=pool
+            values = expected_join_costs_batched(
+                uniq, memory, survival=self.survival_table(memory)
             )
             for (key, positions), value in zip(missing.items(), values):
                 stats.misses += 1

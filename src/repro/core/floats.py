@@ -32,11 +32,10 @@ different things about them:
   optimizer produces.  A term is never dropped because its probability
   is small — it may be weighted by ``a·b`` page counts of ``1e11`` and
   more.
-* **batched / parallel vs single: bitwise.**  One request evaluated
-  alone, inside a batch of any width, or on any pool worker yields the
-  same float to the last ulp (strictly sequential row sums that exact
-  ``0.0`` padding cannot perturb).  "Bitwise" never refers to fast vs
-  naive.
+* **batched vs single: bitwise.**  One request evaluated alone or
+  inside a batch of any width yields the same float to the last ulp
+  (strictly sequential row sums that exact ``0.0`` padding cannot
+  perturb).  "Bitwise" never refers to fast vs naive.
 """
 
 from __future__ import annotations

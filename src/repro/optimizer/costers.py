@@ -51,10 +51,8 @@ from ..core.expected_cost import (
     expected_join_cost_naive_model,
 )
 from ..core.markov import MarkovParameter
-from ..core.parallel import WorkerPool, chunk_spans
 from ..costmodel.estimates import project_pages
 from ..costmodel.model import CostModel
-from ..costmodel import formulas
 from ..plans.nodes import Scan
 from ..plans.properties import JoinMethod
 from ..plans.query import JoinQuery
@@ -161,11 +159,27 @@ class Coster(abc.ABC):
             )
         return self.cost_model.join_cost(method, left_pages, right_pages, memory)
 
-    def prefetch_join_steps(
+    def _join_formula_many(
         self,
-        requests: Sequence[StepRequest],
-        pool: Optional[WorkerPool] = None,
-    ) -> List[float]:
+        method: JoinMethod,
+        left_pages: np.ndarray,
+        right_pages: np.ndarray,
+        memory: np.ndarray,
+        left_presorted: bool,
+        right_presorted: bool,
+    ) -> np.ndarray:
+        """:meth:`_join_formula` over arrays, through the counting
+        ``*_many`` entry points: ``eval_count`` advances by one per grid
+        point, as it does there."""
+        if method is JoinMethod.SORT_MERGE and (left_presorted or right_presorted):
+            return self.cost_model.sort_merge_cost_ordered_many(
+                left_pages, right_pages, memory, left_presorted, right_presorted
+            )
+        return self.cost_model.join_cost_many(
+            method, left_pages, right_pages, memory
+        )
+
+    def prefetch_join_steps(self, requests: Sequence[StepRequest]) -> List[float]:
         """The costs of ``requests``, in order — how the DP costs a level.
 
         Equal to ``[self.join_step_cost(*r) for r in requests]`` (this
@@ -173,15 +187,8 @@ class Coster(abc.ABC):
         ``eval_count`` and context-memo accounting: memoized steps are
         read, the rest are computed — one vectorized grid per formula
         where the objective allows it, a step repeated within the batch
-        once — and stored (:meth:`_batched_steps`).
-
-        ``pool`` fans the computed steps out in deterministic
-        :func:`~repro.core.parallel.chunk_spans`: each chunk runs the
-        *pure* formula kernels in a worker, results merge in span order
-        and the coordinator charges ``eval_count``
-        (:meth:`CostModel.note_evaluations`), so nothing but wall-clock
-        changes.  :class:`PointCoster`, whose steps are one grid point
-        each, ignores it.
+        once — and stored (:meth:`_batched_steps`), all on the calling
+        thread.
         """
         return [self.join_step_cost(*request) for request in requests]
 
@@ -230,16 +237,29 @@ class Coster(abc.ABC):
             [pages[request[2]] for request in steps],
         )
 
-    def _expected_steps(self, requests, memory_in_phase, pool) -> List[float]:
+    def _expected_steps(self, requests, memory_in_phase) -> List[float]:
         """:meth:`_batched_steps` with one (steps × memory-buckets) grid per
-        formula, a phase's steps under ``memory_in_phase(phase)``."""
+        formula, a phase's steps under ``memory_in_phase(phase)``.
+
+        Each step's expectation is finished with the same ``np.dot``
+        against the memory pmf that
+        :meth:`DiscreteDistribution.expectation` uses, so the results are
+        bit-identical to the scalar
+        ``memory.expectation(lambda m: formula(...))`` path.
+        """
 
         def grid(method, phase, lps, rps, steps):
             lp, rp = self._point_pages(steps)
-            return _expected_join_rows(
-                self.cost_model, method, np.array(lp), np.array(rp),
-                memory_in_phase(phase), lps, rps, pool=pool,
+            memory = memory_in_phase(phase)
+            shape = (len(steps), memory.values.size)
+            rows = self._join_formula_many(
+                method,
+                np.broadcast_to(np.array(lp)[:, None], shape).ravel(),
+                np.broadcast_to(np.array(rp)[:, None], shape).ravel(),
+                np.broadcast_to(memory.values[None, :], shape).ravel(),
+                lps, rps,
             )
+            return [float(np.dot(row, memory.probs)) for row in rows.reshape(shape)]
 
         return self._batched_steps(requests, grid)
 
@@ -321,86 +341,9 @@ class Coster(abc.ABC):
         )
 
 
-#: below this many pending pairs a level batch stays sequential — the
-#: pool submit/gather overhead would dominate the kernel time.
-_MIN_PARALLEL_STEPS = 16
 #: below this many steps a point formula is cheaper called per step than
 #: as one array op (whose fixed cost is that of ~32 scalar calls).
 _MIN_VECTOR_STEPS = 32
-
-
-def _expected_join_rows_pure(
-    method: JoinMethod,
-    left_pages: np.ndarray,
-    right_pages: np.ndarray,
-    memory_values: np.ndarray,
-    memory_probs: np.ndarray,
-    left_presorted: bool,
-    right_presorted: bool,
-):
-    """Counting-free grid half of :func:`_expected_join_rows`.
-
-    Module-level and built on the pure ``formulas`` kernels (no
-    ``eval_count`` side effects) so worker pools can run it from threads
-    without racing the shared counter — and from processes, where an
-    in-worker increment would simply be lost.  The coordinator charges
-    the count afterwards via :meth:`CostModel.note_evaluations`.
-    """
-    shape = (left_pages.size, memory_values.size)
-    grid_l = np.broadcast_to(left_pages[:, None], shape).ravel()
-    grid_r = np.broadcast_to(right_pages[:, None], shape).ravel()
-    grid_m = np.broadcast_to(memory_values[None, :], shape).ravel()
-    if method is JoinMethod.SORT_MERGE and (left_presorted or right_presorted):
-        rows = formulas.sort_merge_cost_with_orders_vec(
-            grid_l, grid_r, grid_m, left_presorted, right_presorted
-        )
-    else:
-        rows = formulas.join_cost_vec(method, grid_l, grid_r, grid_m)
-    return [float(np.dot(row, memory_probs)) for row in rows.reshape(shape)]
-
-
-def _expected_join_rows(
-    cost_model: CostModel,
-    method: JoinMethod,
-    left_pages: np.ndarray,
-    right_pages: np.ndarray,
-    memory: DiscreteDistribution,
-    left_presorted: bool,
-    right_presorted: bool,
-    pool: Optional[WorkerPool] = None,
-):
-    """``E_M[Φ]`` per (left, right) pair, one formula grid for all pairs.
-
-    Each pair's expectation is finished with the same ``np.dot`` against
-    the memory pmf that :meth:`DiscreteDistribution.expectation` uses, so
-    the results are bit-identical to the scalar
-    ``memory.expectation(lambda m: formula(...))`` path.
-
-    With a ``pool``, the pairs are split into deterministic contiguous
-    chunks and each chunk's grid is evaluated by a worker; every pair's
-    result depends only on its own grid row, so the chunked values — and
-    the span-ordered merge — are bit-identical to the one-grid call.
-    ``eval_count`` advances by the full grid size either way.
-    """
-    mv = memory.values
-    mp = memory.probs
-    n = left_pages.size
-    if pool is not None and not pool.closed and n >= _MIN_PARALLEL_STEPS:
-        spans = chunk_spans(n, pool.size)
-        if len(spans) > 1:
-            tasks = [
-                (method, left_pages[a:b], right_pages[a:b], mv, mp,
-                 left_presorted, right_presorted)
-                for a, b in spans
-            ]
-            parts = pool.map_ordered(_expected_join_rows_pure, tasks)
-            cost_model.note_evaluations(n * mv.size)
-            return [cost for part in parts for cost in part]
-    costs = _expected_join_rows_pure(
-        method, left_pages, right_pages, mv, mp, left_presorted, right_presorted
-    )
-    cost_model.note_evaluations(n * mv.size)
-    return costs
 
 
 class PointCoster(Coster):
@@ -438,13 +381,12 @@ class PointCoster(Coster):
             ),
         )
 
-    def prefetch_join_steps(self, requests, pool=None):
+    def prefetch_join_steps(self, requests):
         """One ``join_cost_many`` grid per formula for the whole batch.
 
         The vectorized formulas are bit-identical to the scalar ones per
         element and ``eval_count`` advances by one per computed step
-        either way.  ``pool`` is unused: a point step is one grid point,
-        so the batch is a single cheap array op already.
+        either way.
         """
 
         def grid(method, _phase, lps, rps, group):
@@ -454,13 +396,10 @@ class PointCoster(Coster):
                     self._join_formula(method, l, r, self.memory, lps, rps)
                     for l, r in zip(lp, rp)
                 ]
-            lp, rp = np.array(lp), np.array(rp)
-            mem = np.full(lp.size, self.memory)
-            if method is JoinMethod.SORT_MERGE and (lps or rps):
-                return self.cost_model.sort_merge_cost_ordered_many(
-                    lp, rp, mem, lps, rps
-                )
-            return self.cost_model.join_cost_many(method, lp, rp, mem)
+            return self._join_formula_many(
+                method, np.array(lp), np.array(rp),
+                np.full(len(lp), self.memory), lps, rps,
+            )
 
         return self._batched_steps(requests, grid)
 
@@ -510,9 +449,9 @@ class ExpectedCoster(Coster):
 
         return self._step(key, compute)
 
-    def prefetch_join_steps(self, requests, pool=None):
+    def prefetch_join_steps(self, requests):
         """One (steps × memory-buckets) formula grid per formula."""
-        return self._expected_steps(requests, lambda _phase: self.memory, pool)
+        return self._expected_steps(requests, lambda _phase: self.memory)
 
     def write_cost(self, rels):
         return self._pages(rels)
@@ -589,9 +528,9 @@ class MarkovCoster(Coster):
 
         return self._step(key, compute)
 
-    def prefetch_join_steps(self, requests, pool=None):
+    def prefetch_join_steps(self, requests):
         """Like :class:`ExpectedCoster`, each phase under its own marginal."""
-        return self._expected_steps(requests, self.chain.marginal, pool)
+        return self._expected_steps(requests, self.chain.marginal)
 
     def write_cost(self, rels):
         return self._pages(rels)
@@ -640,13 +579,6 @@ class MultiParamCoster(Coster):
         self.memory = memory
         self.max_buckets = max_buckets
         self.fast = fast
-        self._survival = None
-
-    def bind(
-        self, query: JoinQuery, context: Optional[OptimizationContext] = None
-    ) -> None:
-        super().bind(query, context)
-        self._survival = self.context.survival_table(self.memory)
 
     def _memo_key(self) -> tuple:
         return ("multiparam", self.memory, self.max_buckets, self.fast)
@@ -697,14 +629,12 @@ class MultiParamCoster(Coster):
             method, left_rels, right_rels, left_presorted, right_presorted
         ))
 
-    def prefetch_join_steps(self, requests, pool=None):
+    def prefetch_join_steps(self, requests):
         """Linear-time joins in one kernel pass per method, the rest singly.
 
         Only the fast-path methods batch (the naive triple grid is
         already one array op per step, and presorted sort-merge keeps
-        its order-aware route); their kernel misses are what a worker
-        pool fans out (:func:`repro.core.expected_cost.
-        expected_join_costs_batched_parallel`).
+        its order-aware route).
         """
 
         def grid(method, _phase, lps, rps, steps):
@@ -716,7 +646,7 @@ class MultiParamCoster(Coster):
             sizes = self.size_distribution
             return self.context.batched_join_costs(
                 [(method, sizes(step[1]), sizes(step[2])) for step in steps],
-                self.memory, pool=pool,
+                self.memory,
             )
 
         return self._batched_steps(requests, grid)

@@ -18,9 +18,8 @@ per-assignment arithmetic), the cost formulas run through the vectorized
 same left-to-right cumulative sum the scalar ``net.expectation`` loop
 performed.  Step costs are memoized in the bound
 :class:`~repro.core.context.OptimizationContext` and the DP costs them
-a level at a time (``prefetch_join_steps``) — optionally fanned out over
-a :class:`~repro.core.parallel.WorkerPool` with deterministic chunking,
-exactly like the independent costers.
+a level at a time (``prefetch_join_steps``), one grid per formula on the
+calling thread, exactly like the independent costers.
 
 Network conventions: the memory variable is named by ``memory_var``
 (default ``"M"``); each uncertain predicate selectivity is a variable
@@ -37,48 +36,14 @@ import numpy as np
 
 from ..core.bayesnet import Assignment, BayesNetError, DiscreteBayesNet
 from ..core.context import OptimizationContext
-from ..core.parallel import chunk_spans
-from ..costmodel import formulas
 from ..costmodel.model import CostModel
 from ..plans.nodes import Join, Plan, Scan, Sort
-from ..plans.properties import JoinMethod
 from ..plans.query import JoinQuery
-from .costers import _MIN_PARALLEL_STEPS, Coster
+from .costers import Coster
 from .result import OptimizationResult
 from .systemr import SystemRDP
 
 __all__ = ["BayesNetCoster", "optimize_dependent", "plan_expected_cost_dependent"]
-
-
-def _bayes_step_rows_pure(
-    method: JoinMethod,
-    left_pages: np.ndarray,
-    right_pages: np.ndarray,
-    memory_col: np.ndarray,
-    probs: np.ndarray,
-    left_presorted: bool,
-    right_presorted: bool,
-) -> np.ndarray:
-    """Counting-free expected step costs for a block of Bayes-net steps.
-
-    ``left_pages``/``right_pages`` have one row per step and one column
-    per joint assignment; ``memory_col``/``probs`` are the assignment
-    columns.  Runs the *pure* formula kernels (module-level and free of
-    :class:`CostModel` state, so it is safe in worker threads and
-    picklable for process pools); the caller charges ``eval_count`` via
-    :meth:`CostModel.note_evaluations`.  Each grid element depends only
-    on its own ``(pages, pages, memory)`` triple and the per-row
-    reduction is a cumulative sum, so any row block of the result is
-    bit-identical to evaluating those steps alone.
-    """
-    memory = np.broadcast_to(memory_col, left_pages.shape)
-    if method is JoinMethod.SORT_MERGE and (left_presorted or right_presorted):
-        grid = formulas.sort_merge_cost_with_orders_vec(
-            left_pages, right_pages, memory, left_presorted, right_presorted
-        )
-    else:
-        grid = formulas.join_cost_vec(method, left_pages, right_pages, memory)
-    return np.cumsum(grid * probs[None, :], axis=1)[:, -1]
 
 
 class BayesNetCoster(Coster):
@@ -184,24 +149,6 @@ class BayesNetCoster(Coster):
         self._pages_many_cache[rels] = arr
         return arr
 
-    def _join_cost_columns(
-        self,
-        method: JoinMethod,
-        left_pages: np.ndarray,
-        right_pages: np.ndarray,
-        memory: np.ndarray,
-        left_presorted: bool,
-        right_presorted: bool,
-    ) -> np.ndarray:
-        """Vectorized :meth:`Coster._join_formula` over assignment columns."""
-        if method is JoinMethod.SORT_MERGE and (left_presorted or right_presorted):
-            return self.cost_model.sort_merge_cost_ordered_many(
-                left_pages, right_pages, memory, left_presorted, right_presorted
-            )
-        return self.cost_model.join_cost_many(
-            method, left_pages, right_pages, memory
-        )
-
     # -- hooks ------------------------------------------------------------
 
     def join_step_cost(
@@ -216,7 +163,7 @@ class BayesNetCoster(Coster):
         def compute() -> float:
             lp = self._pages_given_many(left_rels)
             rp = self._pages_given_many(right_rels)
-            costs = self._join_cost_columns(
+            costs = self._join_formula_many(
                 method, lp, rp, self._memory_col,
                 left_presorted, right_presorted,
             )
@@ -224,41 +171,18 @@ class BayesNetCoster(Coster):
 
         return self._step(key, compute)
 
-    def prefetch_join_steps(self, requests, pool=None):
-        """One (steps × assignments) grid per formula, optionally fanned out.
-
-        A group's grid runs through the pure kernels; a worker pool
-        splits its step rows with deterministic
-        :func:`~repro.core.parallel.chunk_spans` and the chunks merge in
-        span order, so values and ``eval_count`` match the pool-less
-        batch (and :meth:`join_step_cost`) exactly.
-        """
-        _, probs = self.net.joint_arrays()
+    def prefetch_join_steps(self, requests):
+        """One (steps × assignments) grid per formula, reduced per row by
+        the cumulative sum :meth:`join_step_cost` uses — same values, same
+        ``eval_count``."""
 
         def grid(method, _phase, lps, rps, group):
             lp = np.vstack([self._pages_given_many(req[1]) for req in group])
             rp = np.vstack([self._pages_given_many(req[2]) for req in group])
-            n = len(group)
-            spans = (
-                chunk_spans(n, pool.size)
-                if pool is not None
-                and not pool.closed
-                and n >= _MIN_PARALLEL_STEPS
-                else []
+            costs = self._join_formula_many(
+                method, lp, rp, self._memory_col, lps, rps
             )
-            if len(spans) > 1:
-                tasks = [
-                    (method, lp[a:b], rp[a:b], self._memory_col, probs, lps, rps)
-                    for a, b in spans
-                ]
-                parts = pool.map_ordered(_bayes_step_rows_pure, tasks)
-                costs = np.concatenate(parts)
-            else:
-                costs = _bayes_step_rows_pure(
-                    method, lp, rp, self._memory_col, probs, lps, rps
-                )
-            self.cost_model.note_evaluations(n * self._memory_col.size)
-            return costs
+            return self.net.expectation_many(costs)
 
         return self._batched_steps(requests, grid)
 
@@ -342,7 +266,7 @@ def plan_expected_cost_dependent(
             lp = coster._pages_given_many(node.left.relations())
             rp = coster._pages_given_many(node.right.relations())
             target = node.output_order_label
-            totals = totals + coster._join_cost_columns(
+            totals = totals + coster._join_formula_many(
                 node.method,
                 lp,
                 rp,

@@ -28,7 +28,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.parallel import WorkerPool
 from ..costmodel.model import DEFAULT_METHODS
 from ..plans.nodes import Join, Plan, PlanNode, Scan, Sort
 from ..plans.properties import JoinMethod
@@ -338,7 +337,6 @@ def iterative_improvement(
     moves_per_step: Optional[int] = None,
     max_steps: int = 200,
     plan_space="left-deep",
-    pool: Optional[WorkerPool] = None,
 ) -> RandomizedResult:
     """Multi-start hill climbing over plans in ``plan_space``.
 
@@ -351,30 +349,19 @@ def iterative_improvement(
 
     The default ``"left-deep"`` search reproduces the historical RNG
     stream exactly; ``"zig-zag"``/``"bushy"`` switch to join-tree states
-    with structural (rotation / child-flip) moves added.
-
-    A caller-owned ``pool`` scores each step's sampled neighbour batch
-    *speculatively* on its threads, then scans the scores in sampling
-    order for the first strict improvement — the accepted move, the
-    whole trajectory, the final plan and the reported ``evaluations``
-    (defined as the objective calls the sequential scan performs) are
-    identical for every pool size, because candidate sampling draws from
-    ``rng`` before any evaluation starts.  The objective must be
-    thread-safe; objective calls past the accepted move are speculative
-    extra work, so external counters inside the objective (e.g. a cost
-    model's ``eval_count``) may advance further than sequentially.
-    Process pools are ignored (objective closures do not pickle).
+    with structural (rotation / child-flip) moves added.  At least one
+    start is made; ``restarts`` in the result is the number performed.
     """
     make_state, build, neigh = _space_hooks(query, methods, rng, plan_space)
     if not query.is_connected():
         raise ValueError("randomized search requires a connected join graph")
     if moves_per_step is None:
         moves_per_step = 8 * query.n_relations
-    use_pool = pool is not None and pool.backend == "threads"
+    n_starts = max(1, n_restarts)
     best_plan: Optional[Plan] = None
     best_cost = math.inf
     evaluations = 0
-    for _ in range(max(1, n_restarts)):
+    for _ in range(n_starts):
         state = make_state()
         plan = build(state)
         if plan is None:
@@ -383,28 +370,16 @@ def iterative_improvement(
         evaluations += 1
         for _ in range(max_steps):
             improved = False
-            cands = neigh(state, moves_per_step)
-            if use_pool and not pool.closed and len(cands) >= 2:
-                built = [(cand, build(cand)) for cand in cands]
-                pairs = [(c, p) for c, p in built if p is not None]
-                costs = pool.map_ordered(objective, [(p,) for _, p in pairs])
-                for (cand, cand_plan), cand_cost in zip(pairs, costs):
-                    evaluations += 1
-                    if cand_cost < cost:
-                        state, plan, cost = cand, cand_plan, cand_cost
-                        improved = True
-                        break
-            else:
-                for cand in cands:
-                    cand_plan = build(cand)
-                    if cand_plan is None:
-                        continue
-                    cand_cost = objective(cand_plan)
-                    evaluations += 1
-                    if cand_cost < cost:
-                        state, plan, cost = cand, cand_plan, cand_cost
-                        improved = True
-                        break
+            for cand in neigh(state, moves_per_step):
+                cand_plan = build(cand)
+                if cand_plan is None:
+                    continue
+                cand_cost = objective(cand_plan)
+                evaluations += 1
+                if cand_cost < cost:
+                    state, plan, cost = cand, cand_plan, cand_cost
+                    improved = True
+                    break
             if not improved:
                 break
         if cost < best_cost:
@@ -414,7 +389,7 @@ def iterative_improvement(
     return RandomizedResult(
         best=PlanChoice(plan=best_plan, objective=best_cost),
         evaluations=evaluations,
-        restarts=n_restarts,
+        restarts=n_starts,
     )
 
 
@@ -434,10 +409,7 @@ def simulated_annealing(
     Accepts uphill moves with probability ``exp(-delta / T)``; the
     temperature starts at the initial plan's cost (unless given) and
     decays geometrically.  Tracks and returns the best plan ever seen.
-    Plan spaces behave as in :func:`iterative_improvement`.  Annealing
-    stays sequential by design: each acceptance decision consumes RNG
-    state conditioned on the previous one, so there is no independent
-    batch to fan out.
+    Plan spaces behave as in :func:`iterative_improvement`.
     """
     make_state, build, neigh = _space_hooks(query, methods, rng, plan_space)
     if not query.is_connected():

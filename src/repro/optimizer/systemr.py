@@ -51,7 +51,6 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.context import OptimizationContext
-from ..core.parallel import WorkerPool
 from ..plans.nodes import Join, Plan, PlanNode, Project, Scan, Sort
 from ..plans.nodes import Union as UnionNode
 from ..plans.properties import AccessPath, order_from_join
@@ -113,15 +112,12 @@ class SystemRDP:
         coster draws memoized sizes, distributions and step costs from
         it; otherwise a fresh context is created per :meth:`optimize`
         call.
-    pool:
-        Optional :class:`~repro.core.parallel.WorkerPool`, owned (and
-        closed) by the caller; it only fans each level's coster batch
-        out in deterministic chunks merged in fixed order.
 
-    Every level is evaluated the same way whatever the space, coster or
-    pool (:meth:`_run_dp`).  By Theorems 2.1/3.3 the optimum depends only
-    on expectation being additive over plan nodes, never on the order or
-    grouping in which step costs are evaluated; offer order settles ties.
+    Every level is evaluated the same way whatever the space or coster,
+    on the calling thread (:meth:`_run_dp`).  By Theorems 2.1/3.3 the
+    optimum depends only on expectation being additive over plan nodes,
+    never on the order or grouping in which step costs are evaluated;
+    offer order settles ties.
     """
 
     def __init__(
@@ -131,7 +127,6 @@ class SystemRDP:
         allow_cross_products: bool = False,
         top_k: int = 1,
         context: Optional[OptimizationContext] = None,
-        pool: Optional[WorkerPool] = None,
     ):
         try:
             space = PlanSpace.parse(plan_space)
@@ -152,7 +147,6 @@ class SystemRDP:
         # Chen & Schneider lower-bound pruning pays off (and keeps legacy
         # instrumentation exact) only on the enlarged spaces.
         self._prune = space.shape != "left-deep"
-        self._pool = pool
         #: The running block's subset mask -> relation names, one
         #: frozenset per table subset (what the coster API takes).
         self._rels: Dict[int, FrozenSet[str]] = {}
@@ -370,7 +364,7 @@ class SystemRDP:
                     (m, rels[left], rels[right], phase, *flags) for m in methods
                 ]
         if requests:
-            costs = self.coster.prefetch_join_steps(requests, pool=self._pool)
+            costs = self.coster.prefetch_join_steps(requests)
             n = len(methods)
             for i, (by_flags, flags) in enumerate(slots):
                 by_flags[flags] = costs[i * n:(i + 1) * n]

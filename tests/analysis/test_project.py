@@ -120,21 +120,6 @@ class TestAttributeTypes:
             "pkg.m.PlanCache", "pkg.m.TieredCache",
         }
 
-    def test_manager_lock_and_proxy_fields_flow_through_ctor(self):
-        project = build(("src/pkg/m.py", """
-            from typing import Any, NamedTuple
-
-            class State(NamedTuple):
-                data: Any
-                lock: Any
-
-            def make_state(manager):
-                return State(data=manager.dict(), lock=manager.Lock())
-        """))
-        state = project.classes["pkg.m.State"]
-        assert state.proxy_fields == {"data"}
-        assert state.manager_lock_fields == {"lock"}
-
 
 class TestCallGraph:
     SOURCE = ("src/pkg/m.py", """
@@ -191,9 +176,7 @@ class TestCallGraph:
             def pong(n):
                 return ping(n - 1) if n else 0
         """))
-        assert project.transitive_acquires("pkg.r.ping") == {
-            "pkg.r._lock": False,
-        }
+        assert project.transitive_acquires("pkg.r.ping") == {"pkg.r._lock"}
 
 
 class TestBlockingSummaries:
@@ -216,26 +199,6 @@ class TestBlockingSummaries:
                 return data
         """))
         assert project.functions["pkg.m.fine"].blocking == []
-
-    def test_manager_proxy_field_access(self):
-        project = build(("src/pkg/m.py", """
-            from typing import Any, NamedTuple
-
-            class State(NamedTuple):
-                data: Any
-
-            def make(manager):
-                return State(data=manager.dict())
-
-            class Tier:
-                def __init__(self, state: State):
-                    self._state = state
-
-                def size(self):
-                    return len(self._state.data)
-        """))
-        blocking = project.functions["pkg.m.Tier.size"].blocking
-        assert [b.kind for b in blocking] == ["manager-proxy"]
 
     def test_nested_defs_do_not_leak_into_parent_summary(self):
         project = build(("src/pkg/m.py", """

@@ -449,7 +449,7 @@ class TestDet001:
             "    return rng.random(span)\n"
             "\n"
             "def fan_out(pool, spans):\n"
-            "    return pool.map_ordered(eval_chunk, spans)\n"
+            "    return pool.map(eval_chunk, spans)\n"
         )
         findings = run_rule("DET001", src)
         assert len(findings) == 1
@@ -515,7 +515,7 @@ class TestDet001:
             "    return rng.random()\n"
             "\n"
             "def fan_out(pool, seed, n):\n"
-            "    return pool.map_ordered(eval_chunk, [(seed, i) for i in range(n)])\n"
+            "    return pool.map(eval_chunk, [(seed, i) for i in range(n)])\n"
         )
         assert run_rule("DET001", src) == []
 

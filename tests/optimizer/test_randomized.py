@@ -85,6 +85,9 @@ class TestIterativeImprovement:
         b = iterative_improvement(q, obj, np.random.default_rng(42), n_restarts=3)
         assert a.plan == b.plan
         assert a.objective == b.objective
+        # ``restarts`` reports the starts performed; there is always one.
+        zero = iterative_improvement(q, obj, np.random.default_rng(42), n_restarts=0)
+        assert (a.restarts, zero.restarts) == (3, 1) and zero.evaluations > 0
 
 
 class TestSimulatedAnnealing:
