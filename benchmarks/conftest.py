@@ -1,14 +1,14 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the micro-benchmarks.
 
-Each experiment benchmark runs the corresponding E* module (quick mode)
-exactly once under pytest-benchmark timing and prints its tables, so
-``pytest benchmarks/ --benchmark-only -s`` regenerates every "table and
-figure" of the reproduction in one command.
+What lives here times one layer in isolation (the expected-cost kernel,
+the context cache, the serving and cluster tiers); the paper's claims
+are asserted in ``tests/experiments/test_claims.py`` and the end-to-end
+numbers are ``bench/run.py``'s.
 
-Benchmarks can also publish machine-readable snapshots: anything passed
-to :func:`record_snapshot` is written to ``benchmarks/BENCH_<name>.json``
-at session end (CI uploads these as artifacts, so plan-space cost/quality
-numbers are diffable across commits).
+A benchmark can publish a machine-readable snapshot: anything passed to
+:func:`record_snapshot` is written to ``benchmarks/BENCH_<name>.json``
+at session end (the kernel gate's ``BENCH_kernel.json``, which CI's
+``bench-kernel`` job uploads).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import os
 from typing import Dict
 
 import pytest
-
-from repro.experiments.harness import run_experiment
 
 #: snapshot name -> JSON-ready payload, flushed in pytest_sessionfinish.
 _SNAPSHOTS: Dict[str, dict] = {}
@@ -53,23 +51,3 @@ def pytest_sessionfinish(session, exitstatus):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-@pytest.fixture
-def run_quick(benchmark):
-    """Benchmark one experiment (single round) and return its tables."""
-
-    def _run(exp_id: str):
-        tables = benchmark.pedantic(
-            run_experiment,
-            args=(exp_id,),
-            kwargs={"quick": True, "seed": 0},
-            rounds=1,
-            iterations=1,
-        )
-        for table in tables:
-            print()
-            print(table)
-        return tables
-
-    return _run

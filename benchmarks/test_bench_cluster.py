@@ -6,18 +6,17 @@ The headline claims of ``repro.cluster``:
   least 2x the optimize throughput of 1 (the DP runs escape the GIL);
   CI asserts >= 1.5x to absorb runner noise, and the assertion is
   skipped on hosts with fewer than 4 CPUs, where the speedup cannot
-  physically exist — the snapshot records ``cpu_count`` so the numbers
-  are interpretable either way;
+  physically exist — the printed line names the CPU count so the
+  reading is interpretable either way;
 * killing a worker mid-replay loses no accepted request: the gateway
   respawns the worker and replays the in-flight work (workers cache
   nothing, so there is nothing else to restore);
 * coalescing same-shard requests into one ``optimize_batch`` frame
   keeps replay throughput at least on par with the request-at-a-time
-  wire path (asserted against a generous floor, printed, not
-  snapshotted).
+  wire path (asserted against a generous floor).
 
-Results land in ``BENCH_serving_cluster.json`` via ``record_snapshot``:
-throughput, p50/p99 latency and the rung distribution per shard count.
+Ratios are printed (``-s``), not snapshotted: the timings tracked
+across commits are ``bench/run.py``'s.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ import os
 
 from repro.cluster.replay import run_replay
 
-from conftest import record_snapshot
-
-#: Shard counts whose replays are snapshotted (1 is the GIL baseline).
+#: Shard counts replayed (1 is the GIL baseline).
 _SHARD_COUNTS = (1, 4)
 
 #: Mostly-unique workload: every request a distinct query, so throughput
@@ -52,30 +49,6 @@ def _unique_replay(requests: int = _REQUESTS, **kwargs) -> dict:
     )
 
 
-def _summarize(report: dict) -> dict:
-    latency = report["latency"]
-    return {
-        "throughput_qps": round(report["throughput_qps"], 2),
-        "optimize_throughput_qps": round(
-            report["optimize_throughput_qps"], 2
-        ),
-        "wall_seconds": round(report["wall_seconds"], 4),
-        "p50_ms": round(latency.get("p50", 0.0) * 1e3, 2),
-        "p99_ms": round(latency.get("p99", 0.0) * 1e3, 2),
-        "rungs": report["rungs"],
-        "cache_tiers": {
-            k: (round(v, 4) if isinstance(v, float) else v)
-            for k, v in report["cache_tiers"].items()
-        },
-        "accepted": report["accepted"],
-        "answered": report["answered"],
-        "errors": report["errors"],
-        "shed": report["shed"],
-        "lost": report["lost"],
-        "restarts": report["restarts"],
-    }
-
-
 def test_optimize_throughput_scales_with_shards():
     reports = {}
     for shards in _SHARD_COUNTS:
@@ -87,21 +60,6 @@ def test_optimize_throughput_scales_with_shards():
     wide = reports[_SHARD_COUNTS[-1]]["optimize_throughput_qps"]
     speedup = wide / base if base > 0 else 0.0
     cpus = os.cpu_count() or 1
-
-    record_snapshot("serving_cluster", {
-        "workload": {
-            "requests": _REQUESTS,
-            "distinct": _REQUESTS,
-            "schedule": "unique",
-            "relations": [4, 5],
-            "seed": 7,
-            "concurrency": 8,
-        },
-        "cpu_count": cpus,
-        "by_shards": {str(s): _summarize(r) for s, r in reports.items()},
-        "speedup_4v1": round(speedup, 3),
-        "speedup_asserted": cpus >= 4,
-    })
 
     print(f"\noptimize throughput: 1 shard {base:.1f}/s, "
           f"{_SHARD_COUNTS[-1]} shards {wide:.1f}/s "

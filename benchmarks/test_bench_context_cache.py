@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.algorithm_d import optimize_algorithm_d
+from repro.optimizer import optimize_algorithm_d
 from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
 from repro.costmodel.model import CostModel

@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.algorithm_d import optimize_algorithm_d
+from repro.optimizer import optimize_algorithm_d
 from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
 from repro.core.expected_cost import FAST_METHODS, expected_join_costs_batched

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import optimize_algorithm_c, optimize_lsc
+from repro.optimizer import optimize_algorithm_c, optimize_lsc
 from repro.core.distributions import DiscreteDistribution
 from repro.core.expected_cost import (
     expected_join_cost_fast,

@@ -51,7 +51,8 @@ def memory_strategies() -> None:
 
 
 def selectivity_strategies() -> None:
-    from repro.core import optimize_algorithm_d, point_mass
+    from repro.core import point_mass
+    from repro.optimizer import optimize_algorithm_d
 
     print("— uncertain selectivities (run-time strategies) —")
     rng = np.random.default_rng(4)

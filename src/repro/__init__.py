@@ -41,14 +41,7 @@ from .core import (
     discretized_lognormal,
     discretized_normal,
     from_samples,
-    lsc_at_mean,
-    lsc_at_mode,
     OptimizationContext,
-    optimize_algorithm_a,
-    optimize_algorithm_b,
-    optimize_algorithm_c,
-    optimize_algorithm_d,
-    optimize_lsc,
     plan_cost_distribution,
     plan_expected_cost_multiparam,
     point_mass,
@@ -68,7 +61,14 @@ from .optimizer import (
     enumerate_left_deep_plans,
     exhaustive_best,
     last_context,
+    lsc_at_mean,
+    lsc_at_mode,
     optimize,
+    optimize_algorithm_a,
+    optimize_algorithm_b,
+    optimize_algorithm_c,
+    optimize_algorithm_d,
+    optimize_lsc,
 )
 from .optimizer import enumerate_plans
 from .plans import (

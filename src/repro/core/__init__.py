@@ -1,9 +1,10 @@
-"""Core LEC machinery: distributions, algorithms A-D, bucketing, risk."""
+"""Core LEC machinery: distributions, expected-cost kernels, bucketing, risk.
 
-from .algorithm_a import optimize_algorithm_a
-from .algorithm_b import optimize_algorithm_b
-from .algorithm_c import optimize_algorithm_c
-from .algorithm_d import optimize_algorithm_d, plan_expected_cost_multiparam
+The optimizers built on it (LSC, Algorithms A-D) live one layer up, in
+:mod:`repro.optimizer`; nothing here imports that package.
+"""
+
+from .algorithm_d import plan_expected_cost_multiparam
 from .bayesnet import BayesNetError, DiscreteBayesNet
 from .context import CacheStats, OptimizationContext, query_fingerprint
 from .bucketing import (
@@ -31,7 +32,6 @@ from .expected_cost import (
     expected_nested_loop_cost,
     expected_sort_merge_cost,
 )
-from .lsc import lsc_at_mean, lsc_at_mode, optimize_lsc
 from .markov import MarkovParameter, random_walk_chain, sticky_chain
 from .risk import (
     ExpectedCost,
@@ -62,13 +62,6 @@ __all__ = [
     "MarkovParameter",
     "random_walk_chain",
     "sticky_chain",
-    "optimize_lsc",
-    "lsc_at_mean",
-    "lsc_at_mode",
-    "optimize_algorithm_a",
-    "optimize_algorithm_b",
-    "optimize_algorithm_c",
-    "optimize_algorithm_d",
     "plan_expected_cost_multiparam",
     "expected_join_cost_naive",
     "expected_join_cost_fast",

@@ -1,4 +1,4 @@
-"""Algorithm D: multiple uncertain parameters (Section 3.6).
+"""Algorithm D's objective, evaluated on a whole plan (Section 3.6).
 
 Memory, every relation's size, and every predicate's selectivity are all
 distributions.  Under the independence assumption the paper shows each
@@ -6,13 +6,10 @@ dag node needs only four distributions — memory, ``|B_j|``, ``|A_j|`` and
 the join selectivity — with result-size distributions propagated upward
 (and rebucketed, Section 3.6.3) for the parents.
 
-The DP itself is unchanged; the :class:`~repro.optimizer.costers.
-MultiParamCoster` supplies triple-bucket expected join costs (naive
-``b_M·b_L·b_R``, or the paper's linear-time paths with ``fast=True``).
-
-This module also hosts :func:`plan_expected_cost_multiparam`, an
-independent whole-plan evaluator for the same objective; the tests verify
-the DP's objective values against it.
+The DP is :func:`repro.optimize_algorithm_d` (the ``multiparam`` row of
+:mod:`repro.optimizer.facade`).  :func:`plan_expected_cost_multiparam`
+is the independent evaluator of the same objective: the tests and
+``bench/check.py`` verify the DP's objective values against it.
 """
 
 from __future__ import annotations
@@ -26,9 +23,6 @@ from ..core.expected_cost import (
     expected_join_cost_naive_model,
 )
 from ..costmodel.model import CostModel
-from ..optimizer.costers import MultiParamCoster
-from ..optimizer.result import OptimizationResult
-from ..optimizer.systemr import SystemRDP
 from ..plans.nodes import Join, Plan, PlanNode, Project, Scan, Sort
 from ..plans.nodes import Union as UnionNode
 from ..plans.properties import JoinMethod
@@ -37,46 +31,7 @@ from ..plans.spju import UnionQuery
 from .context import OptimizationContext
 from .distributions import DiscreteDistribution
 
-__all__ = ["optimize_algorithm_d", "plan_expected_cost_multiparam"]
-
-
-def optimize_algorithm_d(
-    query: JoinQuery,
-    memory: DiscreteDistribution,
-    cost_model: Optional[CostModel] = None,
-    max_buckets: int = 16,
-    fast: bool = False,
-    plan_space: str = "left-deep",
-    allow_cross_products: bool = False,
-    top_k: int = 1,
-    context: Optional[OptimizationContext] = None,
-) -> OptimizationResult:
-    """LEC optimization with distributional sizes and selectivities.
-
-    Parameters
-    ----------
-    max_buckets:
-        Rebucketing cap for propagated result-size distributions.
-    fast:
-        Use the ``O(b_M + b_L + b_R)`` expected-cost algorithms for
-        sort-merge / nested-loop / Grace hash instead of the naive triple
-        loop.  Identical results (up to float rounding), fewer formula
-        evaluations.
-    """
-    coster = MultiParamCoster(
-        memory,
-        cost_model=cost_model,
-        max_buckets=max_buckets,
-        fast=fast,
-    )
-    engine = SystemRDP(
-        coster,
-        plan_space=plan_space,
-        allow_cross_products=allow_cross_products,
-        top_k=top_k,
-        context=context,
-    )
-    return engine.optimize(query)
+__all__ = ["plan_expected_cost_multiparam"]
 
 
 def plan_expected_cost_multiparam(
@@ -97,7 +52,7 @@ def plan_expected_cost_multiparam(
     """
     cm = cost_model if cost_model is not None else CostModel()
     if context is None or not context.matches(query):
-        context = OptimizationContext(query, cost_model=cm)
+        context = OptimizationContext(query)
 
     def size_dist(rels) -> DiscreteDistribution:
         return context.size_distribution(frozenset(rels), max_buckets=max_buckets)

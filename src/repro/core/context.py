@@ -63,7 +63,6 @@ from ..costmodel.estimates import (
     subset_size_bounds,
     subset_size_distribution,
 )
-from ..costmodel.model import CostModel
 from .distributions import DiscreteDistribution
 from .expected_cost import _SurvivalTable, expected_join_costs_batched
 
@@ -154,10 +153,6 @@ class OptimizationContext:
         The join query this context serves.  All caches are keyed under
         the assumption that the query's statistics never change; build a
         new context when they do (see :meth:`matches`).
-    cost_model:
-        The cost model the owning optimizers evaluate formulas with.
-        The context stores it for identification only — cached values
-        depend on the (pure) formula functions, not the instance.
     default_max_buckets:
         Rebucketing cap used when :meth:`size_distribution` is called
         without an explicit ``max_buckets``.
@@ -166,11 +161,9 @@ class OptimizationContext:
     def __init__(
         self,
         query,
-        cost_model: Optional[CostModel] = None,
         default_max_buckets: int = 16,
     ):
         self.query = query
-        self.cost_model = cost_model if cost_model is not None else CostModel()
         self.default_max_buckets = default_max_buckets
         self.fingerprint: Tuple = query_fingerprint(query)
 

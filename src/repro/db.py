@@ -23,6 +23,7 @@ query carries distributional sizes/selectivities), a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,17 +31,15 @@ import numpy as np
 from .catalog.schema import Catalog, Column, Table
 from .catalog.feedback import SelectivityFeedback
 from .catalog.statistics import StatisticsCatalog
-from .core.algorithm_c import optimize_algorithm_c
-from .core.algorithm_d import optimize_algorithm_d
 from .core.bayesnet import DiscreteBayesNet
 from .core.distributions import DiscreteDistribution
-from .core.lsc import optimize_lsc
 from .core.markov import MarkovParameter
 from .costmodel.model import CostModel
 from .engine.buffer import BufferPool, IOCounters
 from .engine.executor import ExecutionContext, execute_plan
 from .engine.pages import PagedFile, Schema, StorageManager
 from .optimizer.dependent import optimize_dependent
+from .optimizer.facade import optimize_algorithm_c, optimize_algorithm_d, optimize_lsc
 from .optimizer.result import OptimizationResult
 from .plans.nodes import Plan
 from .plans.query import JoinQuery
@@ -187,35 +186,18 @@ class Database:
     ) -> OptimizationResult:
         """Pick a plan; the optimizer is chosen by the environment's type."""
         if isinstance(environment, DiscreteBayesNet):
-            return optimize_dependent(
-                query, environment, cost_model=cost_model, plan_space=plan_space
+            row = optimize_dependent
+        elif isinstance(environment, DiscreteDistribution) and query.has_uncertain_sizes():
+            row = partial(optimize_algorithm_d, fast=True)
+        elif isinstance(environment, (DiscreteDistribution, MarkovParameter)):
+            row = optimize_algorithm_c
+        elif isinstance(environment, (int, float)):
+            row = optimize_lsc
+        else:
+            raise TypeError(
+                f"unsupported environment type {type(environment).__name__}"
             )
-        if isinstance(environment, MarkovParameter):
-            return optimize_algorithm_c(
-                query, environment, cost_model=cost_model, plan_space=plan_space
-            )
-        if isinstance(environment, DiscreteDistribution):
-            if query.has_uncertain_sizes():
-                return optimize_algorithm_d(
-                    query,
-                    environment,
-                    cost_model=cost_model,
-                    plan_space=plan_space,
-                    fast=True,
-                )
-            return optimize_algorithm_c(
-                query, environment, cost_model=cost_model, plan_space=plan_space
-            )
-        if isinstance(environment, (int, float)):
-            return optimize_lsc(
-                query,
-                float(environment),
-                cost_model=cost_model,
-                plan_space=plan_space,
-            )
-        raise TypeError(
-            f"unsupported environment type {type(environment).__name__}"
-        )
+        return row(query, environment, cost_model=cost_model, plan_space=plan_space)
 
     # ------------------------------------------------------------------
     # Execution

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import List
 
 
-from ..core import optimize_algorithm_c, optimize_lsc
 from ..core.distributions import DiscreteDistribution
 from ..core.risk import (
     ExpectedCost,
@@ -29,7 +28,7 @@ from ..core.risk import (
     plan_cost_distribution,
 )
 from ..costmodel import CostModel, DEFAULT_METHODS
-from ..optimizer import enumerate_left_deep_plans
+from ..optimizer import enumerate_left_deep_plans, optimize_algorithm_c, optimize_lsc
 from ..workloads.scenarios import example_1_1
 from .harness import ExperimentTable
 

@@ -13,14 +13,14 @@ from typing import List
 
 import numpy as np
 
-from ..core import (
+from ..costmodel import CostModel
+from ..engine.simulator import compare_plans
+from ..optimizer import (
     lsc_at_mean,
     lsc_at_mode,
     optimize_algorithm_a,
     optimize_algorithm_c,
 )
-from ..costmodel import CostModel
-from ..engine.simulator import compare_plans
 from ..workloads.scenarios import reporting_chain
 from .harness import ExperimentTable
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core import lsc_at_mean, optimize_algorithm_c, optimize_lsc
 from ..costmodel.model import CostModel
+from ..optimizer import lsc_at_mean, optimize_algorithm_c, optimize_lsc
 from ..strategies.choice_nodes import build_choice_plan
 from ..strategies.parametric import parametric_optimize
 from ..workloads.scenarios import example_1_1

@@ -23,9 +23,9 @@ from typing import List
 
 import numpy as np
 
-from ..core import optimize_algorithm_d, optimize_lsc
 from ..costmodel.model import CostModel
 from ..engine.simulator import realize_query
+from ..optimizer import optimize_algorithm_d, optimize_lsc
 from ..strategies.reoptimize import run_with_reoptimization
 from ..workloads.queries import chain_query, with_selectivity_uncertainty
 from .harness import ExperimentTable

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core import lsc_at_mean, optimize_algorithm_d
 from ..core.bayesnet import DiscreteBayesNet
 from ..costmodel.model import CostModel
+from ..optimizer import lsc_at_mean, optimize_algorithm_d
 from ..optimizer.dependent import optimize_dependent, plan_expected_cost_dependent
 from ..plans.query import JoinPredicate, JoinQuery, RelationSpec
 from .harness import ExperimentTable

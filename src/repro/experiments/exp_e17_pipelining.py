@@ -17,9 +17,9 @@ from typing import List
 
 import numpy as np
 
-from ..core import optimize_algorithm_c
 from ..core.distributions import discretized_lognormal
 from ..costmodel.model import CostModel
+from ..optimizer import optimize_algorithm_c
 from ..plans.properties import JoinMethod
 from ..workloads.queries import chain_query
 from .harness import ExperimentTable

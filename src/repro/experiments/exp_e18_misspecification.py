@@ -18,9 +18,9 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from ..core import lsc_at_mean, optimize_algorithm_c
 from ..core.distributions import DiscreteDistribution, discretized_lognormal
 from ..costmodel.model import CostModel
+from ..optimizer import lsc_at_mean, optimize_algorithm_c
 from ..workloads.queries import chain_query, star_query
 from .harness import ExperimentTable
 

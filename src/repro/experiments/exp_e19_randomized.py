@@ -15,9 +15,9 @@ from typing import List
 
 import numpy as np
 
-from ..core import optimize_algorithm_c
 from ..core.distributions import DiscreteDistribution
 from ..costmodel.model import CostModel
+from ..optimizer import optimize_algorithm_c
 from ..optimizer.randomized import iterative_improvement, simulated_annealing
 from ..workloads.queries import chain_query
 from .harness import ExperimentTable

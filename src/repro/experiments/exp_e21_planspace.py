@@ -20,15 +20,15 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from ..core import (
+from ..core.distributions import DiscreteDistribution
+from ..costmodel import CostModel, DEFAULT_METHODS
+from ..optimizer import (
+    exhaustive_best,
     lsc_at_mean,
     optimize_algorithm_a,
     optimize_algorithm_b,
     optimize_algorithm_c,
 )
-from ..core.distributions import DiscreteDistribution
-from ..costmodel import CostModel, DEFAULT_METHODS
-from ..optimizer import exhaustive_best
 from ..workloads.queries import random_query
 from .harness import ExperimentTable
 

@@ -14,9 +14,9 @@ from typing import List
 
 import numpy as np
 
-from ..core import optimize_algorithm_c, optimize_lsc
 from ..core.distributions import discretized_lognormal
 from ..costmodel import CostModel
+from ..optimizer import optimize_algorithm_c, optimize_lsc
 from ..workloads.queries import chain_query
 from .harness import ExperimentTable
 

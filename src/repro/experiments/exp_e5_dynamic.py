@@ -22,9 +22,9 @@ from typing import List
 
 import numpy as np
 
-from ..core import lsc_at_mean, optimize_algorithm_c
 from ..core.markov import MarkovParameter
 from ..costmodel import CostModel
+from ..optimizer import lsc_at_mean, optimize_algorithm_c
 from ..workloads.queries import chain_query
 from .harness import ExperimentTable
 

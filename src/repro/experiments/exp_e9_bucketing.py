@@ -14,7 +14,6 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from ..core import optimize_algorithm_c
 from ..core.bucketing import (
     collect_memory_breakpoints,
     equal_depth_buckets,
@@ -24,7 +23,7 @@ from ..core.bucketing import (
 )
 from ..core.distributions import DiscreteDistribution, discretized_lognormal
 from ..costmodel import CostModel, DEFAULT_METHODS
-from ..optimizer import enumerate_left_deep_plans
+from ..optimizer import enumerate_left_deep_plans, optimize_algorithm_c
 from ..workloads.scenarios import warehouse_star
 from .harness import ExperimentTable
 

@@ -14,7 +14,18 @@ from .dependent import (
     plan_expected_cost_dependent,
 )
 from .exhaustive import enumerate_left_deep_plans, enumerate_plans, exhaustive_best
-from .facade import clear_context_cache, last_context, optimize
+from .facade import (
+    clear_context_cache,
+    last_context,
+    lsc_at_mean,
+    lsc_at_mode,
+    optimize,
+    optimize_algorithm_a,
+    optimize_algorithm_b,
+    optimize_algorithm_c,
+    optimize_algorithm_d,
+    optimize_lsc,
+)
 from .randomized import (
     RandomizedResult,
     iterative_improvement,
@@ -28,6 +39,13 @@ __all__ = [
     "SystemRDP",
     "OptimizerConfigError",
     "optimize",
+    "optimize_lsc",
+    "lsc_at_mean",
+    "lsc_at_mode",
+    "optimize_algorithm_a",
+    "optimize_algorithm_b",
+    "optimize_algorithm_c",
+    "optimize_algorithm_d",
     "last_context",
     "clear_context_cache",
     "DPEntry",

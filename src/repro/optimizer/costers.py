@@ -56,6 +56,7 @@ from ..costmodel.model import CostModel
 from ..plans.nodes import Scan
 from ..plans.properties import JoinMethod
 from ..plans.query import JoinQuery
+from .errors import OptimizerConfigError
 
 #: One join step the DP is about to cost: ``(method, left_rels,
 #: right_rels, phase, left_presorted, right_presorted)``.
@@ -104,7 +105,7 @@ class Coster(abc.ABC):
         if context is not None and context.matches(query):
             self.context = context
         else:
-            self.context = OptimizationContext(query, cost_model=self.cost_model)
+            self.context = OptimizationContext(query)
 
     @property
     def methods(self):
@@ -356,7 +357,7 @@ class PointCoster(Coster):
     def __init__(self, memory: float, cost_model: Optional[CostModel] = None):
         super().__init__(cost_model)
         if memory <= 0:
-            raise ValueError("memory must be positive")
+            raise OptimizerConfigError("memory must be positive")
         self.memory = float(memory)
 
     def _memo_key(self) -> tuple:
@@ -491,7 +492,7 @@ class MarkovCoster(Coster):
     ):
         super().__init__(cost_model)
         if self.cost_model.pipelined_methods:
-            raise ValueError(
+            raise OptimizerConfigError(
                 "pipelined joins merge execution phases; the per-phase "
                 "Markov objective does not support them"
             )

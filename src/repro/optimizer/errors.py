@@ -14,8 +14,12 @@ from __future__ import annotations
 
 from ..plans.query import QueryError
 
-__all__ = ["OptimizerConfigError"]
+__all__ = ["OptimizerConfigError", "MemoryTypeError"]
 
 
 class OptimizerConfigError(QueryError):
     """Raised when an optimizer is constructed with invalid settings."""
+
+
+class MemoryTypeError(OptimizerConfigError, TypeError):
+    """``memory`` is not of a type the chosen objective accepts."""

@@ -1,14 +1,19 @@
-"""The single front door: :func:`repro.optimize`.
+"""The single front door: :func:`repro.optimize`, and the objective table.
 
-Every optimization mode this library implements — classical point-cost
-(LSC), the exact expected-cost DP (Algorithm C / LEC), phase-marginal
-costing for Markov memory, the multi-parameter DP (Algorithm D), and the
-candidate-generation Algorithms A/B — is reachable through one call::
+The paper presents LSC and Algorithms A-D as *one* System-R dynamic
+program under different costings: Theorems 2.1/3.3/3.4 differ only in
+the coster, and A/B put a per-bucket candidate policy on the point
+coster.  :data:`_ROWS` says so once and :func:`_run` is its only reader.
+Every mode is reachable through one call::
 
     from repro import optimize, two_point
 
     result = optimize(query, objective="lec", memory=two_point(2000, 0.8, 700))
     result.plan, result.objective
+
+and under the paper's names (:func:`optimize_lsc` …
+:func:`optimize_algorithm_d`), which are rows of the same table run on
+a cold private context unless one is passed.
 
 The facade owns a small LRU of :class:`~repro.core.context.
 OptimizationContext` objects, keyed by the query's statistics
@@ -42,19 +47,33 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from numbers import Real
-from typing import Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from ..core.context import OptimizationContext, query_fingerprint
 from ..core.distributions import DiscreteDistribution
 from ..core.markov import MarkovParameter
 from ..costmodel.model import CostModel
 from ..plans.query import JoinQuery
-from ..plans.space import PlanSpace
-from .errors import OptimizerConfigError
-from .result import OptimizationResult
+from .costers import (
+    Coster,
+    ExpectedCoster,
+    MarkovCoster,
+    MultiParamCoster,
+    PointCoster,
+)
+from .errors import MemoryTypeError, OptimizerConfigError
+from .result import OptimizationResult, OptimizerStats, PlanChoice
+from .systemr import SystemRDP
 
 __all__ = [
     "optimize",
+    "optimize_lsc",
+    "lsc_at_mean",
+    "lsc_at_mode",
+    "optimize_algorithm_a",
+    "optimize_algorithm_b",
+    "optimize_algorithm_c",
+    "optimize_algorithm_d",
     "last_context",
     "clear_context_cache",
     "canonical_objective",
@@ -77,6 +96,113 @@ _OBJECTIVES = {
     "algorithm_b": "algorithm_b",
     "algorithm-b": "algorithm_b",
 }
+
+
+class _Row(NamedTuple):
+    """What one objective means to the System-R engine."""
+
+    accepts: Tuple[type, ...]  #: the ``memory=`` types it takes
+    coster: Callable[..., Coster]  #: (memory, cost_model, max_buckets, fast)
+    #: Algorithms A/B only: plans kept per bucket, given ``top_k`` — one
+    #: point DP per memory bucket, candidates re-scored by expected cost.
+    c: Optional[Callable[[int], int]] = None
+
+
+def _point(memory, cm, max_buckets, fast) -> Coster:
+    # The classical optimizer plans at one value: a distribution's mean.
+    if isinstance(memory, DiscreteDistribution):
+        memory = memory.mean()
+    return PointCoster(memory, cm)
+
+
+def _expected(memory, cm, max_buckets, fast) -> Coster:
+    # Section 3.5: dynamic memory swaps in per-phase marginals, same DP.
+    if isinstance(memory, MarkovParameter):
+        return MarkovCoster(memory, cm)
+    return ExpectedCoster(memory, cm)
+
+
+def _multiparam(memory, cm, max_buckets, fast) -> Coster:
+    return MultiParamCoster(memory, cm, max_buckets=max_buckets, fast=fast)
+
+
+_DIST = (DiscreteDistribution,)
+_ROWS: Dict[str, _Row] = {
+    "point": _Row((Real, DiscreteDistribution), _point),  # Theorem 2.1
+    "expected": _Row((DiscreteDistribution, MarkovParameter), _expected),  # 3.3
+    "markov": _Row((MarkovParameter,), _expected),  # Theorem 3.4
+    "multiparam": _Row(_DIST, _multiparam),  # Section 3.6
+    "algorithm_a": _Row(_DIST, _point, c=lambda top_k: 1),  # Section 3.2
+    "algorithm_b": _Row(_DIST, _point, c=lambda top_k: top_k),  # Section 3.3
+}
+
+
+def _run(
+    kind: str,
+    query: JoinQuery,
+    memory,
+    cost_model: Optional[CostModel] = None,
+    plan_space="left-deep",
+    allow_cross_products: bool = False,
+    top_k: int = 1,
+    max_buckets: int = 16,
+    fast: bool = False,
+    include_mean: bool = True,
+    context: Optional[OptimizationContext] = None,
+) -> OptimizationResult:
+    """Run row ``kind``: the one place an objective becomes a DP run.
+
+    ``context=None`` means a cold private context.  The engine rejects a
+    bad ``plan_space``/``top_k`` and the coster a bad memory value.
+    """
+    row = _ROWS[kind]
+    if not isinstance(memory, row.accepts):
+        takes = " or ".join(t.__name__ for t in row.accepts)
+        raise MemoryTypeError(
+            f"objective {kind!r} needs memory as {takes}, "
+            f"got {type(memory).__name__}"
+        )
+    cm = cost_model if cost_model is not None else CostModel()
+
+    def dp(mem, keep: int, ctx) -> OptimizationResult:
+        engine = SystemRDP(
+            row.coster(mem, cm, max_buckets, fast),
+            plan_space=plan_space,
+            allow_cross_products=allow_cross_products,
+            top_k=keep,
+            context=ctx,
+        )
+        return engine.optimize(query)
+
+    if row.c is None:
+        return dp(memory, top_k, context)
+
+    # The standard optimizer as a black box, once per bucket — and at
+    # the mean, so the pick is never worse in expectation than the
+    # classical plan — all over one context.
+    if context is None:
+        context = OptimizationContext(query)
+    probe_points = list(memory.support())
+    if include_mean and memory.mean() not in probe_points:
+        probe_points.append(memory.mean())
+    c = row.c(top_k)
+    stats = OptimizerStats(invocations=0)
+    seen: dict = {}
+    for m in probe_points:
+        result = dp(m, c, context)
+        stats = stats.merged_with(result.stats)
+        for choice in result.candidates:
+            seen.setdefault(choice.plan.signature(), choice.plan)
+
+    evals_before = cm.eval_count
+    choices = [
+        PlanChoice(plan=plan, objective=cm.plan_expected_cost(plan, query, memory))
+        for plan in seen.values()
+    ]
+    choices.sort(key=lambda ch: ch.objective)
+    stats.formula_evaluations += cm.eval_count - evals_before
+    return OptimizationResult(best=choices[0], candidates=choices, stats=stats)
+
 
 # LRU of contexts keyed by (query fingerprint, cost-model configuration).
 # Small on purpose: a context holds every memoized distribution for its
@@ -120,7 +246,7 @@ def _context_for(query: JoinQuery, cm: CostModel) -> OptimizationContext:
         if ctx is not None:
             _context_cache.move_to_end(key)
             return ctx
-        ctx = OptimizationContext(query, cost_model=cm)
+        ctx = OptimizationContext(query)
         _context_cache[key] = ctx
         while len(_context_cache) > _CONTEXT_CACHE_CAP:
             _context_cache.popitem(last=False)
@@ -142,15 +268,6 @@ def clear_context_cache() -> None:
     with _context_cache_lock:
         _context_cache.clear()
         _last_context = None
-
-
-def _require_distribution(memory, objective: str) -> DiscreteDistribution:
-    if not isinstance(memory, DiscreteDistribution):
-        raise OptimizerConfigError(
-            f"objective {objective!r} needs memory as a DiscreteDistribution, "
-            f"got {type(memory).__name__}"
-        )
-    return memory
 
 
 def optimize(
@@ -211,31 +328,13 @@ def optimize(
     Raises
     ------
     OptimizerConfigError
-        Unknown objective, missing/ill-typed ``memory``, or invalid
-        engine settings (bad plan space, ``top_k < 1``).
+        Unknown objective, missing/ill-typed ``memory`` (the subclass
+        :class:`MemoryTypeError`, also a ``TypeError``), or invalid
+        engine settings (bad plan space, ``top_k < 1``, memory ``<= 0``).
     """
     global _last_context
 
-    # The algorithm modules import this package (for the costers and the
-    # engine), so importing them at module load would be circular; they
-    # are fully initialized by the time optimize() runs.
-    from ..core.algorithm_a import optimize_algorithm_a
-    from ..core.algorithm_b import optimize_algorithm_b
-    from ..core.algorithm_c import optimize_algorithm_c
-    from ..core.algorithm_d import optimize_algorithm_d
-    from ..core.lsc import optimize_lsc
-
     kind = canonical_objective(objective)
-    if memory is None:
-        raise OptimizerConfigError(
-            f"objective {objective!r} requires the memory= argument"
-        )
-
-    try:
-        space = PlanSpace.parse(plan_space)
-    except ValueError as exc:
-        raise OptimizerConfigError(str(exc)) from None
-
     cm = cost_model if cost_model is not None else CostModel()
     ctx = context if context is not None else _context_for(query, cm)
     # Published under the cache lock: clear_context_cache() resets this
@@ -243,54 +342,93 @@ def optimize(
     # just-cleared context for observers of last_context().
     with _context_cache_lock:
         _last_context = ctx
-    common = dict(
+    return _run(
+        kind,
+        query,
+        memory,
         cost_model=cm,
-        plan_space=space,
+        plan_space=plan_space,
         allow_cross_products=allow_cross_products,
+        top_k=top_k,
+        max_buckets=max_buckets,
+        fast=fast,
+        include_mean=include_mean,
         context=ctx,
     )
 
-    if kind == "point":
-        if isinstance(memory, DiscreteDistribution):
-            memory = memory.mean()
-        if not isinstance(memory, Real):
-            raise OptimizerConfigError(
-                "objective 'point' needs memory as a number of pages "
-                f"(or a distribution, whose mean is used), got "
-                f"{type(memory).__name__}"
-            )
-        return optimize_lsc(query, float(memory), top_k=top_k, **common)
 
-    if kind == "expected":
-        if not isinstance(memory, (DiscreteDistribution, MarkovParameter)):
-            raise OptimizerConfigError(
-                "objective 'lec' needs memory as a DiscreteDistribution "
-                f"or MarkovParameter, got {type(memory).__name__}"
-            )
-        return optimize_algorithm_c(query, memory, top_k=top_k, **common)
+# The paper's names.  ``engine`` is any of :func:`optimize`'s keyword
+# arguments, with its defaults — except that ``context=None`` here means a
+# cold private context, not the shared one.
 
-    if kind == "markov":
-        if not isinstance(memory, MarkovParameter):
-            raise OptimizerConfigError(
-                "objective 'markov' needs memory as a MarkovParameter, "
-                f"got {type(memory).__name__}"
-            )
-        return optimize_algorithm_c(query, memory, top_k=top_k, **common)
 
-    if kind == "multiparam":
-        dist = _require_distribution(memory, "multiparam")
-        return optimize_algorithm_d(
-            query, dist, max_buckets=max_buckets, fast=fast, top_k=top_k, **common
-        )
+def optimize_lsc(query: JoinQuery, memory: float, **engine) -> OptimizationResult:
+    """The LSC baseline (Theorem 2.1): System-R at one memory value.
 
-    if kind == "algorithm_a":
-        dist = _require_distribution(memory, "algorithm_a")
-        return optimize_algorithm_a(
-            query, dist, include_mean=include_mean, **common
-        )
+    One invocation of the standard optimizer, which "approximate[s] each
+    distribution by using the mean or modal value".
+    """
+    return _run("point", query, memory, **engine)
 
-    # algorithm_b
-    dist = _require_distribution(memory, "algorithm_b")
-    return optimize_algorithm_b(
-        query, dist, c=top_k, include_mean=include_mean, **common
-    )
+
+def lsc_at_mean(
+    query: JoinQuery, memory: DiscreteDistribution, **engine
+) -> OptimizationResult:
+    """The classical choice: optimize at the distribution's *mean*."""
+    return _run("point", query, memory.mean(), **engine)
+
+
+def lsc_at_mode(
+    query: JoinQuery, memory: DiscreteDistribution, **engine
+) -> OptimizationResult:
+    """The other classical choice: optimize at the distribution's *mode*."""
+    return _run("point", query, memory.mode(), **engine)
+
+
+def optimize_algorithm_a(
+    query: JoinQuery, memory: DiscreteDistribution, **engine
+) -> OptimizationResult:
+    """Algorithm A (Section 3.2): the standard optimizer as a black box.
+
+    One LSC run per memory bucket, the winners scored by true expected
+    cost (``candidates``).  It can miss the LEC plan: a plan optimal for
+    no single bucket can win on average.  Algorithm B at ``c = 1``.
+    """
+    return _run("algorithm_a", query, memory, **engine)
+
+
+def optimize_algorithm_b(
+    query: JoinQuery, memory: DiscreteDistribution, c: int = 3, **engine
+) -> OptimizationResult:
+    """Algorithm B (Section 3.3): the top ``c`` plans per bucket.
+
+    Each per-bucket run keeps ``c`` plans at every dag node (merged by
+    Proposition 3.1), up to ``c·b`` candidates — enough to catch a plan
+    second-best at every memory value yet best on average.
+    """
+    return _run("algorithm_b", query, memory, top_k=c, **engine)
+
+
+def optimize_algorithm_c(query: JoinQuery, memory, **engine) -> OptimizationResult:
+    """Algorithm C (Sections 3.4-3.5): the exact LEC dynamic program.
+
+    Expectation distributes over the sum of node costs, so costing each
+    step by its *expected* cost keeps optimal substructure (Theorem
+    3.3).  A :class:`~repro.core.markov.MarkovParameter` as ``memory``
+    gives the LEC plan over the memory *sequence* (Theorem 3.4) and
+    needs a plan space with a canonical phase order (not bushy).
+    """
+    return _run("expected", query, memory, **engine)
+
+
+def optimize_algorithm_d(
+    query: JoinQuery, memory: DiscreteDistribution, **engine
+) -> OptimizationResult:
+    """Algorithm D (Section 3.6): sizes and selectivities uncertain too.
+
+    Result-size distributions propagate upward, rebucketed to
+    ``max_buckets`` (Section 3.6.3).  ``fast`` takes the
+    ``O(b_M + b_L + b_R)`` expected-cost paths instead of the naive
+    triple loop: same results up to float rounding, fewer evaluations.
+    """
+    return _run("multiparam", query, memory, **engine)

@@ -252,12 +252,13 @@ def _random_state(
     remaining = set(names) - set(order)
     while remaining:
         group = frozenset(order)
-        candidates = [
-            r for r in remaining if query.predicates_between(group, r)
-        ]
+        # Sorted: a set's iteration order follows PYTHONHASHSEED, and a
+        # seeded search must not.
+        pool = sorted(remaining)
+        candidates = [r for r in pool if query.predicates_between(group, r)]
         if not candidates:
             # Disconnected graph: give up gracefully (caller validates).
-            candidates = sorted(remaining)
+            candidates = pool
         pick = candidates[int(rng.integers(len(candidates)))]
         order.append(pick)
         remaining.discard(pick)

@@ -28,9 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.bucketing import collect_memory_breakpoints
 from ..core.context import OptimizationContext
 from ..core.distributions import DiscreteDistribution
-from ..core.lsc import optimize_lsc
-from ..core.algorithm_c import optimize_algorithm_c
 from ..costmodel.model import CostModel
+from ..optimizer import optimize_algorithm_c, optimize_lsc
 from ..optimizer.result import OptimizerStats
 from ..plans.nodes import Plan
 from ..plans.query import JoinQuery
@@ -132,7 +131,7 @@ def parametric_optimize(
         raise ValueError("need 0 < memory_lo <= memory_hi")
     cm = cost_model if cost_model is not None else CostModel()
     if context is None:
-        context = OptimizationContext(query, cost_model=cm)
+        context = OptimizationContext(query)
     cuts = [
         b
         for b in collect_memory_breakpoints(
@@ -190,7 +189,7 @@ def precompute_lec_plans(
     """
     cm = cost_model if cost_model is not None else CostModel()
     if context is None:
-        context = OptimizationContext(query, cost_model=cm)
+        context = OptimizationContext(query)
     out: List[Tuple[DiscreteDistribution, Plan, float]] = []
     for dist in candidate_distributions:
         res = optimize_algorithm_c(query, dist, cost_model=cm, context=context)

@@ -27,9 +27,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..core.algorithm_d import optimize_algorithm_d
 from ..core.distributions import DiscreteDistribution
 from ..costmodel.model import CostModel
+from ..optimizer import optimize_algorithm_d
 from ..plans.query import JoinPredicate, JoinQuery
 
 __all__ = ["SamplingDecision", "posterior_given_outcome", "evaluate_sampling"]

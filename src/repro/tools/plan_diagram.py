@@ -18,8 +18,8 @@ import string
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.lsc import optimize_lsc
 from ..costmodel.model import CostModel
+from ..optimizer import optimize_lsc
 from ..plans.query import JoinPredicate, JoinQuery
 
 __all__ = ["PlanDiagram", "memory_plan_diagram", "memory_selectivity_diagram"]

@@ -113,7 +113,8 @@ class TestEndToEndLoop:
         assert lifted.has_uncertain_sizes() or all(
             p.selectivity_dist is not None for p in lifted.predicates
         )
-        from repro.core import optimize_algorithm_d, point_mass
+        from repro.core import point_mass
+        from repro.optimizer import optimize_algorithm_d
 
         res = optimize_algorithm_d(lifted, point_mass(40.0), max_buckets=8)
         assert res.objective > 0

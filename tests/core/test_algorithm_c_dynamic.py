@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import optimize_algorithm_c
+from repro.optimizer import optimize_algorithm_c
 from repro.core.distributions import uniform_over
 from repro.core.markov import MarkovParameter, random_walk_chain, sticky_chain
 from repro.costmodel.model import DEFAULT_METHODS, CostModel

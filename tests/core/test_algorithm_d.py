@@ -5,11 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    optimize_algorithm_c,
-    optimize_algorithm_d,
-    plan_expected_cost_multiparam,
-)
+from repro.core import plan_expected_cost_multiparam
+from repro.optimizer import optimize_algorithm_c, optimize_algorithm_d
 from repro.core.distributions import DiscreteDistribution, point_mass
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
 from repro.optimizer.exhaustive import exhaustive_best

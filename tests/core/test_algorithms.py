@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.optimizer import (
     lsc_at_mean,
     lsc_at_mode,
     optimize_algorithm_a,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import optimize_algorithm_c
+from repro.optimizer import optimize_algorithm_c
 from repro.core.bucketing import (
     collect_memory_breakpoints,
     equal_depth_buckets,

@@ -8,7 +8,7 @@ import pytest
 from repro.core.context import CacheStats, OptimizationContext, query_fingerprint
 from repro.core.distributions import DiscreteDistribution, two_point
 from repro.core.expected_cost import expected_sort_merge_cost
-from repro.core.lsc import optimize_lsc
+from repro.optimizer import optimize_lsc
 from repro.costmodel.estimates import subset_size, subset_size_distribution
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
 
@@ -204,7 +204,7 @@ class TestObservability:
 class TestThreadedOptimization:
     def test_shared_context_gives_identical_results(self, three_way_query, cost_model):
         baseline = optimize_lsc(three_way_query, 1200.0, cost_model=cost_model)
-        ctx = OptimizationContext(three_way_query, cost_model=cost_model)
+        ctx = OptimizationContext(three_way_query)
         warm1 = optimize_lsc(three_way_query, 1200.0, cost_model=cost_model, context=ctx)
         warm2 = optimize_lsc(three_way_query, 1200.0, cost_model=cost_model, context=ctx)
         for res in (warm1, warm2):
@@ -221,7 +221,7 @@ class TestThreadedOptimization:
             predicates=list(three_way_query.predicates),
             rows_per_page=three_way_query.rows_per_page,
         )
-        stale = OptimizationContext(other, cost_model=cost_model)
+        stale = OptimizationContext(other)
         res = optimize_lsc(three_way_query, 1200.0, cost_model=cost_model, context=stale)
         clean = optimize_lsc(three_way_query, 1200.0, cost_model=cost_model)
         assert res.plan.signature() == clean.plan.signature()

@@ -96,7 +96,7 @@ class TestObjectives:
 
 class TestChooseByUtility:
     def test_risk_neutral_matches_lec(self, example_query, bimodal_memory):
-        from repro.core import optimize_algorithm_c
+        from repro.optimizer import optimize_algorithm_c
 
         plans = list(enumerate_left_deep_plans(example_query, DEFAULT_METHODS))
         best, score, _ = choose_by_utility(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import optimize_algorithm_c
+from repro.optimizer import optimize_algorithm_c
 from repro.core.distributions import DiscreteDistribution, point_mass
 from repro.costmodel import formulas
 from repro.costmodel.estimates import subset_size

@@ -65,6 +65,10 @@ class TestE2Variability:
         cvs = sorted(by_cv)
         assert by_cv[cvs[-1]] >= by_cv[cvs[1]] - 0.25
 
+    def test_no_variability_no_gap_exactly(self, results):
+        (table,) = results("E2")
+        assert next(r["mean_ratio"] for r in table.rows if r["cv"] == 0.0) == 1.0
+
 
 class TestE3Ladder:
     def test_algorithm_c_zero_regret(self, results):
@@ -79,6 +83,12 @@ class TestE3Ladder:
         assert by["LSC @ mean"] >= by["Algorithm A"] - 1e-9
         assert by["Algorithm A"] >= by["Algorithm B (c=4)"] - 1e-9
         assert by["Algorithm B (c=4)"] >= by["Algorithm C"] - 1e-9
+
+    def test_ladder_ends_without_tolerance(self, results):
+        (table,) = results("E3")
+        by = {r["algorithm"]: r["mean_regret_pct"] for r in table.rows}
+        assert by["Algorithm C"] == 0.0
+        assert by["LSC @ mean"] >= by["Algorithm A"]
 
 
 class TestE4Overhead:
@@ -164,6 +174,7 @@ class TestE10Risk:
         # Risk-averse pays a mean premium for zero spread.
         assert by["WorstCase"]["std"] == pytest.approx(0.0)
         assert by["WorstCase"]["E_cost"] >= by["ExpectedCost"]["E_cost"]
+        assert by["ExpectedCost"]["plan"] != by["WorstCase"]["plan"]
 
 
 class TestE11Executor:
@@ -329,6 +340,15 @@ class TestE19Randomized:
         assert big
         assert all(r["mean_evals"] > 0 for r in big)
 
+    def test_every_checkable_row_is_bounded(self, results):
+        (table,) = results("E19")
+        checked = [
+            r for r in table.rows if not math.isnan(r["mean_regret_pct"])
+        ]
+        assert all(r["mean_regret_pct"] < 30.0 for r in checked)
+        sa = [r for r in checked if r["algorithm"] == "simulated annealing"]
+        assert all(r["frac_optimal"] >= 0.5 for r in sa)
+
 
 class TestE20Feedback:
     def test_estimate_error_shrinks(self, results):
@@ -341,9 +361,56 @@ class TestE20Feedback:
         rows = sorted(table.rows, key=lambda r: r["batch"])
         assert rows[0]["regret_vs_oracle"] > 1.5
         assert rows[-1]["regret_vs_oracle"] == pytest.approx(1.0)
+        assert rows[-1]["regret_vs_oracle"] <= 1.0 + 1e-9
 
     def test_plan_flips_to_selective_dimension_first(self, results):
         (table,) = results("E20")
         rows = sorted(table.rows, key=lambda r: r["batch"])
         assert "dim_all" in rows[0]["plan"].split("NL")[1]
         assert "dim_sel" in rows[-1]["plan"].split("NL")[1]
+
+
+class TestE21PlanSpace:
+    def test_algorithm_c_exact_in_every_space(self, results):
+        ladder, _ = results("E21")
+        exact = [r for r in ladder.rows if r["algorithm"] == "Algorithm C"]
+        assert {r["plan_space"] for r in exact} == {"left-deep", "zig-zag", "bushy"}
+        for row in exact:
+            assert row["mean_regret_pct"] == 0.0
+            assert row["frac_optimal"] == 1.0
+
+    def test_lsc_regret_survives_the_wider_space(self, results):
+        ladder, _ = results("E21")
+        lsc = [r for r in ladder.rows if r["algorithm"] == "LSC @ mean"]
+        assert any(r["mean_regret_pct"] > 0.0 for r in lsc)
+
+    def test_richer_spaces_only_gain(self, results):
+        _, dividend = results("E21")
+        gain = {
+            r["plan_space"]: r["mean_gain_over_left_deep_pct"]
+            for r in dividend.rows
+        }
+        assert gain["left-deep"] == 0.0
+        # Dominance, up to float noise.
+        assert gain["zig-zag"] >= -1e-9
+        assert gain["bushy"] >= -1e-9
+
+
+class TestE22Spju:
+    def test_algorithm_c_exact_on_union_blocks(self, results):
+        ladder, _ = results("E22")
+        row = next(r for r in ladder.rows if r["algorithm"] == "Algorithm C")
+        assert row["mean_regret_pct"] == 0.0
+        assert row["frac_optimal"] == 1.0
+
+    def test_lec_and_lsc_coincide_only_in_the_narrow_regime(self, results):
+        # Chen & Schneider's setting: inside one linear piece of the
+        # cost formulas the mean is sufficient; across a breakpoint not.
+        _, coincidence = results("E22")
+        by_regime = {r["regime"]: r for r in coincidence.rows}
+        narrow = by_regime["linear (narrow)"]
+        assert narrow["frac_coincide"] == 1.0
+        assert abs(narrow["mean_lsc_excess_pct"]) < 1e-6
+        straddling = by_regime["straddling"]
+        assert straddling["frac_coincide"] < 1.0
+        assert straddling["max_lsc_excess_pct"] > 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import lsc_at_mean, optimize_algorithm_c
+from repro.optimizer import lsc_at_mean, optimize_algorithm_c
 from repro.core.distributions import DiscreteDistribution
 from repro.engine.buffer import BufferPool
 from repro.engine.executor import ExecutionContext, execute_plan

@@ -1,7 +1,8 @@
-"""Repo self-consistency: registry, benchmarks, docs and examples agree."""
+"""Repo self-consistency: registry, claim tests, layering, docs and examples agree."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pathlib
 import re
@@ -19,13 +20,11 @@ class TestExperimentWiring:
             module = importlib.import_module(module_path)
             assert callable(getattr(module, "run", None)), exp_id
 
-    def test_every_experiment_has_a_benchmark(self):
-        bench_dir = REPO / "benchmarks"
-        text = "\n".join(
-            p.read_text() for p in bench_dir.glob("test_bench_*.py")
-        )
+    def test_every_experiment_has_a_claim_test(self):
+        claims = (REPO / "tests" / "experiments" / "test_claims.py").read_text()
+        asserted = set(re.findall(r"^class Test(E\d+)(?!\d)", claims, re.M))
         for exp_id in EXPERIMENTS:
-            assert f'"{exp_id}"' in text, f"no benchmark invokes {exp_id}"
+            assert exp_id in asserted, f"no TestE* class asserts {exp_id}'s claims"
 
     def test_design_md_indexes_every_experiment(self):
         design = (REPO / "DESIGN.md").read_text()
@@ -40,6 +39,41 @@ class TestExperimentWiring:
             assert re.search(rf"## {exp_id} ", text), (
                 f"{exp_id} missing from EXPERIMENTS.md"
             )
+
+
+def _imported_modules(path: pathlib.Path, package: str):
+    """Absolute dotted names ``path`` imports, function bodies included."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.split(".")
+            if node.level:
+                base = base[: len(base) - (node.level - 1)]
+                if node.module:
+                    base += node.module.split(".")
+            else:
+                base = node.module.split(".")
+            # ``from .. import optimizer`` names the module in the alias.
+            yield from (".".join(base + [alias.name]) for alias in node.names)
+
+
+class TestLayering:
+    """The optimizers sit on the core; nothing below reaches back up."""
+
+    LOWER = ("core", "costmodel", "plans", "catalog")
+    UPPER = ("repro.optimizer", "repro.serving", "repro.cluster")
+
+    def test_lower_layers_never_import_the_upper_ones(self):
+        src = REPO / "src" / "repro"
+        offenders = []
+        for layer in self.LOWER:
+            for path in sorted((src / layer).rglob("*.py")):
+                package = ".".join(path.relative_to(src.parent).parts[:-1])
+                for name in _imported_modules(path, package):
+                    if name.startswith(self.UPPER):
+                        offenders.append(f"{path.relative_to(REPO)}: {name}")
+        assert not offenders, offenders
 
 
 class TestExamples:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import optimize_algorithm_c, optimize_lsc
+from repro.optimizer import optimize_algorithm_c, optimize_lsc
 from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import random_walk_chain
 from repro.costmodel.model import DEFAULT_METHODS, CostModel

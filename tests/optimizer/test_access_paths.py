@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import optimize_algorithm_c, optimize_lsc
+from repro.optimizer import optimize_algorithm_c, optimize_lsc
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
 from repro.optimizer.exhaustive import enumerate_left_deep_plans, exhaustive_best
 from repro.plans.nodes import Scan

@@ -26,10 +26,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.algorithm_d import (
-    optimize_algorithm_d,
-    plan_expected_cost_multiparam,
-)
+from repro.core.algorithm_d import plan_expected_cost_multiparam
+from repro.optimizer import optimize_algorithm_d
 from repro.core.bayesnet import DiscreteBayesNet
 from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution

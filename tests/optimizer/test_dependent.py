@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import optimize_algorithm_d
+from repro.optimizer import optimize_algorithm_d
 from repro.core.bayesnet import BayesNetError, DiscreteBayesNet
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
 from repro.optimizer.dependent import (

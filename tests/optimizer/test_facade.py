@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.algorithm_c import optimize_algorithm_c
-from repro.core.algorithm_d import optimize_algorithm_d
-from repro.core.lsc import optimize_lsc
+from repro.optimizer import optimize_algorithm_c, optimize_algorithm_d, optimize_lsc
 from repro.core.markov import MarkovParameter, sticky_chain
 from repro.costmodel.model import CostModel
 from repro.optimizer.costers import (
@@ -193,6 +191,10 @@ class TestErrors:
             optimize(example_query, "lec", memory=bimodal_memory, plan_space="star")
         with pytest.raises(OptimizerConfigError):
             optimize(example_query, "lec", memory=bimodal_memory, top_k=0)
+        with pytest.raises(OptimizerConfigError):
+            optimize(example_query, "algorithm_b", memory=bimodal_memory, top_k=0)
+        with pytest.raises(OptimizerConfigError):
+            optimize(example_query, "point", memory=-5.0)
 
     def test_config_errors_are_value_errors(self, example_query, bimodal_memory):
         with pytest.raises(ValueError):
@@ -242,7 +244,7 @@ class TestContextSharing:
         _assert_same(warm, cold)
 
     def test_explicit_context_wins(self, example_query, bimodal_memory, cost_model):
-        ctx = repro.OptimizationContext(example_query, cost_model=cost_model)
+        ctx = repro.OptimizationContext(example_query)
         optimize(
             example_query,
             "lec",
@@ -331,7 +333,7 @@ class TestThreadedEntrypoints:
 
     def test_algorithm_d_shared_context(self, four_way_query, small_memory_dist):
         cm = CostModel()
-        ctx = repro.OptimizationContext(four_way_query, cost_model=cm)
+        ctx = repro.OptimizationContext(four_way_query)
         cold = optimize_algorithm_d(
             four_way_query, small_memory_dist, cost_model=cm, context=ctx
         )

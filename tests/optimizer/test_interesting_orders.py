@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import optimize_algorithm_c, optimize_lsc
+from repro.optimizer import optimize_algorithm_c, optimize_lsc
 from repro.core.distributions import DiscreteDistribution, point_mass
 from repro.costmodel import formulas
 from repro.costmodel.model import DEFAULT_METHODS, CostModel

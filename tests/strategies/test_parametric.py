@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import optimize_algorithm_c, optimize_lsc
+from repro.optimizer import optimize_algorithm_c, optimize_lsc
 from repro.core.distributions import two_point, uniform_over
 from repro.costmodel.model import CostModel
 from repro.strategies.choice_nodes import ChoicePlan, build_choice_plan

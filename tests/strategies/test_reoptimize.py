@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import optimize_lsc
+from repro.optimizer import optimize_lsc
 from repro.costmodel.model import CostModel
 from repro.engine.simulator import realize_query
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import optimize_algorithm_c
+from repro.optimizer import optimize_algorithm_c
 from repro.costmodel.model import CostModel
 from repro.optimizer.facade import clear_context_cache, last_context
 from repro.tools.explain import explain_costs, explain_query, render_explanation

@@ -240,7 +240,7 @@ class TestScenarios:
 
 class TestNewScenarios:
     def test_snowflake_valid_and_optimizable(self):
-        from repro.core import lsc_at_mean, optimize_algorithm_c
+        from repro.optimizer import lsc_at_mean, optimize_algorithm_c
         from repro.workloads import snowflake_analytics
 
         query, memory = snowflake_analytics()
@@ -268,7 +268,7 @@ class TestNewScenarios:
         assert all(a < b for a, b in zip(means, means[1:]))
 
     def test_elastic_cloud_phase_awareness_matters(self):
-        from repro.core import optimize_algorithm_c
+        from repro.optimizer import optimize_algorithm_c
         from repro.workloads import elastic_cloud_batch
 
         query, chain = elastic_cloud_batch()
