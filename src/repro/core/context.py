@@ -28,7 +28,9 @@ SystemRDP`, Algorithms A-D, the deferred-decision strategies, and the
 * **step costs** (join steps, materialisation writes, enforcer sorts)
   via a generic namespaced memo that costers key by their full parameter
   identity, so repeated optimizations of the same query skip straight to
-  the cached expectations.
+  the cached expectations.  It is two-level, ``prefix -> {(left, right):
+  cost}``: a batch of steps sharing a formula resolves the prefix once
+  and probes pairs.
 
 A context is *only* valid for the exact statistics it was built from:
 :func:`query_fingerprint` captures every number the optimizer can read
@@ -172,7 +174,8 @@ class OptimizationContext:
         self._size_dists: Dict[Tuple[FrozenSet[str], int], DiscreteDistribution] = {}
         self._dist_ops: Dict[Tuple, DiscreteDistribution] = {}
         self._survival: Dict[DiscreteDistribution, _SurvivalTable] = {}
-        self._cost_memo: Dict[Hashable, float] = {}
+        #: key[:-2] (coster identity, formula) -> {key[-2:] (operands): cost}
+        self._cost_memo: Dict[Tuple, Dict[Tuple, float]] = {}
         self._stats: Dict[str, CacheStats] = {
             "subset_sizes": CacheStats(),
             "subset_bounds": CacheStats(),
@@ -332,57 +335,52 @@ class OptimizationContext:
     # Layer 4: step-cost memo (costers key by their full identity)
     # ------------------------------------------------------------------
 
-    def step_cost(self, key: Hashable, compute: Callable[[], float]) -> float:
-        """Memoized scalar step cost under a caller-supplied key.
+    def step_cost(self, key: Tuple, compute: Callable[[], float]) -> float:
+        """Memoized scalar step cost under a caller-supplied tuple key.
 
         Costers build keys from their complete parameter identity
         (objective kind, memory value/distribution, bucket caps, method,
-        operand subsets, order flags), so two invocations can share a
+        order flags, operand subsets), so two invocations can share a
         value only when every ingredient of the expectation is equal.
+        The last two elements are the pair :meth:`step_costs` probes.
         """
         stats = self._stats["step_costs"]
-        cached = self._cost_memo.get(key)
+        memo, pair = self._cost_memo.setdefault(key[:-2], {}), key[-2:]
+        cached = memo.get(pair)
         if cached is not None:
             stats.hits += 1
             return cached
         stats.misses += 1
         value = compute()
-        self._cost_memo[key] = value
+        memo[pair] = value
         return value
 
     def step_costs(
         self,
-        keys: Sequence[Hashable],
-        compute: Callable[[List[int]], Iterable[float]],
+        prefix: Tuple,
+        pairs: Sequence[Tuple],
+        compute: Callable[[List[Tuple]], Iterable[float]],
     ) -> List[float]:
-        """Batch form of :meth:`step_cost`: the values of ``keys``, in order.
+        """Batch form of :meth:`step_cost` for keys ``prefix + pair``
+        sharing one prefix: the values of ``pairs``, in order.
 
-        Memoized keys are read; the others go to ``compute`` in one call,
-        as positions into ``keys`` (a key repeated in the batch is sent
-        once), and what it returns for those positions is stored.  The
-        accounting is :meth:`step_cost`'s: one miss per computed value,
-        one hit per other lookup.
+        Memoized pairs are read; the others go to ``compute`` in one call
+        (a pair repeated in the batch is sent once), and what it returns
+        for them is stored.  The accounting is :meth:`step_cost`'s: one
+        miss per computed value, one hit per other lookup.
         """
-        memo = self._cost_memo
-        out = [memo.get(key) for key in keys]
-        missing: Dict[Hashable, List[int]] = {}
-        for i, value in enumerate(out):
-            if value is None:
-                missing.setdefault(keys[i], []).append(i)
+        memo = self._cost_memo.setdefault(prefix, {})
+        missing = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
         if missing:
-            firsts = [positions[0] for positions in missing.values()]
-            for (key, positions), value in zip(missing.items(), compute(firsts)):
-                memo[key] = value = float(value)
-                for i in positions:
-                    out[i] = value
+            memo.update(zip(missing, map(float, compute(missing))))
         stats = self._stats["step_costs"]
         stats.misses += len(missing)
-        stats.hits += len(keys) - len(missing)
-        return out  # type: ignore[return-value]
+        stats.hits += len(pairs) - len(missing)
+        return [memo[pair] for pair in pairs]
 
-    def has_step_cost(self, key: Hashable) -> bool:
+    def has_step_cost(self, key: Tuple) -> bool:
         """True when ``key`` is already memoized (no counters touched)."""
-        return key in self._cost_memo
+        return key[-2:] in self._cost_memo.get(key[:-2], ())
 
     # ------------------------------------------------------------------
     # Layer 5: batched fast-path join expectations
@@ -408,14 +406,12 @@ class OptimizationContext:
         so batching can never change which plan a DP level picks.
         """
         stats = self._stats["batched_joins"]
-        keys = [
-            ("fastjoin", memory, method, left, right)
-            for method, left, right in requests
-        ]
+        memo = self._cost_memo.setdefault(("fastjoin", memory), {})
         out: List[Optional[float]] = [None] * len(requests)
         missing: Dict[Hashable, List[int]] = {}
-        for i, key in enumerate(keys):
-            cached = self._cost_memo.get(key)
+        for i, request in enumerate(requests):
+            key = tuple(request)  # (method, left, right)
+            cached = memo.get(key)
             if cached is not None:
                 stats.hits += 1
                 out[i] = cached
@@ -429,7 +425,7 @@ class OptimizationContext:
             for (key, positions), value in zip(missing.items(), values):
                 stats.misses += 1
                 v = float(value)
-                self._cost_memo[key] = v
+                memo[key] = v
                 for i in positions:
                     out[i] = v
         return out  # type: ignore[return-value]
@@ -465,7 +461,7 @@ class OptimizationContext:
             + len(self._size_dists)
             + len(self._dist_ops)
             + len(self._survival)
-            + len(self._cost_memo)
+            + sum(map(len, self._cost_memo.values()))
         )
         return (
             f"OptimizationContext({self.query!r}, entries={entries}, "

@@ -208,9 +208,9 @@ def hybrid_hash_breakpoints(outer: float, inner: float) -> List[float]:
 
 
 def _check_vec(outer: np.ndarray, inner: np.ndarray, memory: np.ndarray) -> np.ndarray:
-    if np.any(outer < 0) or np.any(inner < 0):
+    if (outer < 0).any() or (inner < 0).any():
         raise ValueError("relation sizes must be non-negative")
-    if np.any(memory <= 0):
+    if (memory <= 0).any():
         raise ValueError("memory must be positive")
     return np.maximum(memory, MIN_MEMORY_PAGES)
 

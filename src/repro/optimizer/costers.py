@@ -29,9 +29,11 @@ survival tables are fetched from the context, and every step cost is
 memoized under a key spanning the coster's full parameter identity —
 so a context threaded across several optimizer invocations (Algorithms
 A-D over one query, a parametric sweep, repeated facade calls) answers
-repeated expectations from cache.  A coster bound without an explicit
-context builds a private one, which reproduces the historical
-(per-invocation) behavior exactly.
+repeated expectations from cache.  The memo is ``prefix -> {(left,
+right): cost}``: a batch resolves one prefix per formula group and
+probes pairs; the scalar path splits its key the same way.  A coster
+bound without an explicit context builds a private one, which
+reproduces the historical (per-invocation) behavior exactly.
 """
 
 from __future__ import annotations
@@ -203,40 +205,39 @@ class Coster(abc.ABC):
         Requests are grouped by ``(method, phase, left_presorted,
         right_presorted)`` — one formula, one parameter distribution —
         and what the memo lacks of a group is costed by one
-        ``grid(method, phase, left_presorted, right_presorted, steps)``
-        call returning a cost per request in ``steps``.
+        ``grid(method, phase, left_presorted, right_presorted, pairs)``
+        call returning a cost per ``(left_rels, right_rels)`` pair.
         """
         assert self.context is not None, "coster used before bind()"
-        groups: Dict[tuple, List[int]] = {}
-        for i, request in enumerate(requests):
-            groups.setdefault(
-                (request[0], request[3], request[4], request[5]), []
-            ).append(i)
-
-        def compute(formula, group, missing: List[int]) -> Iterable[float]:
-            return grid(*formula, [requests[group[j]] for j in missing])
+        # By the method's id(): hashing an Enum member is a Python call.
+        groups: Dict[tuple, Tuple[tuple, List[int]]] = {}
+        for i, (method, _left, _right, phase, lps, rps) in enumerate(requests):
+            key = (id(method), phase, lps, rps)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ((method, phase, lps, rps), [])
+            group[1].append(i)
 
         out = [0.0] * len(requests)
-        for formula, group in groups.items():
-            prefix = self._step_prefix(*formula)
-            keys = [prefix + (requests[i][1], requests[i][2]) for i in group]
-            costs = self.context.step_costs(keys, partial(compute, formula, group))
+        for formula, group in groups.values():
+            costs = self.context.step_costs(
+                self._step_prefix(*formula),
+                [requests[i][1:3] for i in group],
+                partial(grid, *formula),
+            )
             for i, cost in zip(group, costs):
                 out[i] = cost
         return out
 
-    def _point_pages(self, steps: Sequence[StepRequest]):
-        """The left and right point page counts of ``steps`` (a level
-        names each subset in many steps; it is looked up once)."""
-        pages: Dict[FrozenSet[str], float] = {}
-        for request in steps:
-            for subset in request[1:3]:
+    def _point_pages(self, pairs, pages: Dict[FrozenSet[str], float]):
+        """The left and right point page counts of ``pairs``, through the
+        batch's ``pages`` (a level names each subset in many steps and
+        several formula groups; it is looked up once)."""
+        for pair in pairs:
+            for subset in pair:
                 if subset not in pages:
                     pages[subset] = self._pages(subset)
-        return (
-            [pages[request[1]] for request in steps],
-            [pages[request[2]] for request in steps],
-        )
+        return [pages[l] for l, _ in pairs], [pages[r] for _, r in pairs]
 
     def _expected_steps(self, requests, memory_in_phase) -> List[float]:
         """:meth:`_batched_steps` with one (steps × memory-buckets) grid per
@@ -249,15 +250,17 @@ class Coster(abc.ABC):
         ``memory.expectation(lambda m: formula(...))`` path.
         """
 
-        def grid(method, phase, lps, rps, steps):
-            lp, rp = self._point_pages(steps)
+        pages = {}
+
+        def grid(method, phase, lps, rps, pairs):
+            lp, rp = self._point_pages(pairs, pages)
             memory = memory_in_phase(phase)
-            shape = (len(steps), memory.values.size)
+            shape = (len(pairs), memory.values.size)
             rows = self._join_formula_many(
                 method,
-                np.broadcast_to(np.array(lp)[:, None], shape).ravel(),
-                np.broadcast_to(np.array(rp)[:, None], shape).ravel(),
-                np.broadcast_to(memory.values[None, :], shape).ravel(),
+                np.repeat(lp, shape[1]),
+                np.repeat(rp, shape[1]),
+                np.tile(memory.values, shape[0]),
                 lps, rps,
             )
             return [float(np.dot(row, memory.probs)) for row in rows.reshape(shape)]
@@ -390,9 +393,11 @@ class PointCoster(Coster):
         either way.
         """
 
-        def grid(method, _phase, lps, rps, group):
-            lp, rp = self._point_pages(group)
-            if len(group) < _MIN_VECTOR_STEPS:
+        pages = {}
+
+        def grid(method, _phase, lps, rps, pairs):
+            lp, rp = self._point_pages(pairs, pages)
+            if len(pairs) < _MIN_VECTOR_STEPS:
                 return [
                     self._join_formula(method, l, r, self.memory, lps, rps)
                     for l, r in zip(lp, rp)
@@ -638,15 +643,15 @@ class MultiParamCoster(Coster):
         its order-aware route).
         """
 
-        def grid(method, _phase, lps, rps, steps):
+        def grid(method, _phase, lps, rps, pairs):
             if not self._batches(method, lps, rps):
                 return [
-                    self._compute_step(method, step[1], step[2], lps, rps)
-                    for step in steps
+                    self._compute_step(method, left, right, lps, rps)
+                    for left, right in pairs
                 ]
             sizes = self.size_distribution
             return self.context.batched_join_costs(
-                [(method, sizes(step[1]), sizes(step[2])) for step in steps],
+                [(method, sizes(left), sizes(right)) for left, right in pairs],
                 self.memory,
             )
 

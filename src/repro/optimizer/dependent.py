@@ -176,9 +176,9 @@ class BayesNetCoster(Coster):
         the cumulative sum :meth:`join_step_cost` uses — same values, same
         ``eval_count``."""
 
-        def grid(method, _phase, lps, rps, group):
-            lp = np.vstack([self._pages_given_many(req[1]) for req in group])
-            rp = np.vstack([self._pages_given_many(req[2]) for req in group])
+        def grid(method, _phase, lps, rps, pairs):
+            lp = np.vstack([self._pages_given_many(left) for left, _ in pairs])
+            rp = np.vstack([self._pages_given_many(right) for _, right in pairs])
             costs = self._join_formula_many(
                 method, lp, rp, self._memory_col, lps, rps
             )

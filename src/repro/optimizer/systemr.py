@@ -33,8 +33,10 @@ Bookkeeping details that matter for fidelity:
 * **Integer subsets, costs first.** Inside the DP a relation set is an
   ``int`` mask over sorted-name bit numbers and a subset's splits are
   walked in ascending mask order — the order is part of the contract,
-  because equal costs are settled by first arrival.  A candidate is a
-  cost until its bucket admits it; only then is a plan node built.
+  because equal costs are settled by first arrival.  What a run knows
+  of a subset (names, floors, write cost) it keeps under the mask.  A
+  candidate is a cost, an admitted entry is a back-pointer, a plan is
+  built once at the root (:attr:`DPEntry.node`).
 * **SPJU.** A :class:`~repro.plans.query.JoinQuery` that is actually a
   :class:`~repro.plans.spju.UnionQuery` is optimized arm by arm (the DP
   runs once per arm — predicates never cross arms) and combined under a
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -70,23 +71,33 @@ _Table = Dict[int, Dict[Optional[str], "TopKList[DPEntry]"]]
 #: One joinable split: (left mask, right mask, predicate label, order
 #: target, output order per join method, lower bound on its candidates).
 _Split = Tuple[int, int, str, Optional[str], Tuple[Optional[str], ...], float]
-_bound_of = itemgetter(5)
+_bound_of, _cost_of = itemgetter(5), itemgetter(0)
 #: A level's step costs: (left mask, right mask) -> (left presorted,
 #: right presorted) -> one cost per join method.
 _Steps = Dict[Tuple[int, int], Dict[Tuple[bool, bool], Sequence[float]]]
 
 
-@dataclass(frozen=True)
 class DPEntry:
     """One retained subplan for a dag node.
 
     ``cost`` excludes the write of the entry's own output (see module
-    docstring); ``order`` is the output order label, if any.
+    docstring); ``order`` is the output order label, if any.  A join
+    entry's ``source`` is ``(space, left entry, right entry, method,
+    predicate label, order target)``; ``node`` goes through
+    :meth:`PlanSpace.join` on first access, once, children first.
     """
 
-    node: PlanNode
-    cost: float
-    order: Optional[str]
+    __slots__ = ("cost", "order", "source", "_node")
+
+    def __init__(self, cost: float, order: Optional[str], source=None, node=None):
+        self.cost, self.order, self.source, self._node = cost, order, source, node
+
+    @property
+    def node(self) -> PlanNode:
+        if self._node is None:
+            space, left, right, method, label, order_target = self.source
+            self._node = space.join(left.node, right.node, method, label, order_target)
+        return self._node
 
 
 class SystemRDP:
@@ -152,6 +163,9 @@ class SystemRDP:
         self._rels: Dict[int, FrozenSet[str]] = {}
         #: ... -> (cheapest retained cost, page lower bound), cached.
         self._floors: Dict[int, Tuple[float, float]] = {}
+        #: ... -> what writing its output costs (a stored relation: 0.0).
+        self._writes: Dict[int, float] = {}
+        self._methods: List[tuple] = []  # (join method, pipelined) pairs
 
     # ------------------------------------------------------------------
 
@@ -182,12 +196,10 @@ class SystemRDP:
                 "(pass allow_cross_products=True to permit cross joins)"
             )
 
-        choices = self._finalize(frozenset(names), query, buckets)
+        kept = self._finalize(frozenset(names), query, buckets)
         stats.subsets_explored = len(table)
         stats.formula_evaluations = self.coster.cost_model.eval_count - evals_before
-        best = choices[0]
-        kept = choices[: self.top_k] if self.top_k > 1 else [best]
-        return OptimizationResult(best=best, candidates=kept, stats=stats)
+        return OptimizationResult(best=kept[0], candidates=kept, stats=stats)
 
     # ------------------------------------------------------------------
     # DP internals
@@ -212,9 +224,16 @@ class SystemRDP:
         ascending-submask order, reading the step costs of the batch.
         """
         order, adjacency, preds = query.join_graph(names)
+        methods = self.coster.methods
+        preds = [  # + each predicate's output order per join method
+            (*p, tuple(order_from_join(m, p[2]) for m in methods)) for p in preds
+        ]
         table: _Table = {}
         self._rels = rels = {}
         self._floors = {}
+        self._writes = writes = {}
+        pipelined = self.coster.cost_model.pipelined_methods
+        self._methods = [(m, m in pipelined) for m in methods]
         levels = self.space.level_masks(adjacency, self.allow_cross_products)
 
         # Depth 1: access paths for the stored relations.  A relation with
@@ -227,10 +246,11 @@ class SystemRDP:
             bucket: TopKList[DPEntry] = TopKList(self.top_k)
             for scan in paths:
                 cost = self.coster.access_cost(scan)
-                bucket.offer(cost, DPEntry(node=scan, cost=cost, order=None))
+                bucket.offer(cost, DPEntry(cost, None, node=scan))
                 stats.entries_offered += 1
             table[mask] = {None: bucket}
             rels[mask] = frozenset((name,))
+            writes[mask] = 0.0
 
         # Depths 2..n (level k only reads levels < k, all already in table).
         for phase, level in enumerate(levels):
@@ -252,7 +272,7 @@ class SystemRDP:
         self,
         mask: int,
         order: Sequence[str],
-        preds: Sequence[Tuple[int, str, str]],
+        preds: Sequence[Tuple[int, str, str, Tuple[Optional[str], ...]]],
         table: _Table,
     ) -> Iterator[_Split]:
         """The splits of ``mask`` the DP may join, ascending by left mask.
@@ -260,23 +280,32 @@ class SystemRDP:
         A split qualifies when both sides have table entries and a
         predicate crosses it (the first one names the join) — or, with
         ``allow_cross_products``, when none does.  It carries the output
-        order of each join method and, under the prune, its lower bound.
+        order of each join method and, under the prune, its lower bound
+        — derived once and served to the mirror split too, except under
+        cross products, whose label names the *right* side's lowest.
         """
-        methods = self.coster.methods
+        derived: Dict[int, tuple] = {}
         for left, right in self.space.split_masks(mask):
             if left not in table or right not in table:
                 continue
-            for ends, label, order_target in preds:
-                if ends & left and ends & right:
-                    break
-            else:
+            shared = derived.get(right)
+            if shared is None:
+                for ends, label, order_target, orders in preds:
+                    if ends & left and ends & right:
+                        break
+                else:
+                    if not self.allow_cross_products:
+                        continue
+                    lowest = order[(right & -right).bit_length() - 1]
+                    label, order_target = f"cross[{lowest}]", None
+                    orders = tuple(
+                        order_from_join(m, label) for m in self.coster.methods
+                    )
+                bound = self._lower_bound(left, right, table) if self._prune else 0.0
+                shared = (label, order_target, orders, bound)
                 if not self.allow_cross_products:
-                    continue
-                lowest = order[(right & -right).bit_length() - 1]
-                label, order_target = f"cross[{lowest}]", None
-            orders = tuple(order_from_join(m, order_target or label) for m in methods)
-            bound = self._lower_bound(left, right, table) if self._prune else 0.0
-            yield left, right, label, order_target, orders, bound
+                    derived[left] = shared
+            yield (left, right) + shared
 
     def _lower_bound(self, left: int, right: int, table: _Table) -> float:
         """A lower bound on every candidate the split can produce.
@@ -412,25 +441,27 @@ class SystemRDP:
         """Offer one split's candidates to ``buckets``, per output order.
 
         Costs first: a candidate's total is compared with its bucket's
-        worst retained cost, and only an entry the bucket admits gets a
-        plan node (:meth:`PlanSpace.join`) and a :class:`DPEntry`.
+        worst retained cost, and what it admits is a :class:`DPEntry`
+        pointing back at the two entries joined — no plan node is built.
         Without ``stats`` this is :meth:`_prune_level`'s dry run: the
-        same totals are seated, nothing is counted and no node is built.
+        same totals are seated, nothing is counted.
         """
-        coster, rels, top_k = self.coster, self._rels, self.top_k
-        methods = coster.methods
+        space, top_k, writes = self.space, self.top_k, self._writes
         left, right, label, order_target, orders, _bound = split
-        left_rels, right_rels = rels[left], rels[right]
-        # The child writes each method's candidates pay.  A pipelined
-        # nested-loop join streams its outer (left) input: no
-        # materialisation write for it.
-        pipelined = coster.cost_model.pipelined_methods
-        left_write = coster.write_cost(left_rels) if len(left_rels) > 1 else 0.0
-        right_write = coster.write_cost(right_rels) if len(right_rels) > 1 else 0.0
-        writes = [
-            right_write + (0.0 if m in pipelined else left_write) for m in methods
-        ]
+        for mask in (left, right):  # asked of the coster once per run
+            if mask not in writes:
+                writes[mask] = self.coster.write_cost(self._rels[mask])
+        # Per method: its output order, that order's bucket and the child
+        # writes its candidates pay.  A pipelined nested-loop join streams
+        # its outer (left) input: no materialisation write for it.
+        rows = []
+        for (method, streams), order in zip(self._methods, orders):
+            if order not in buckets:
+                buckets[order] = TopKList(top_k)
+            write = writes[right] + (0.0 if streams else writes[left])
+            rows.append((method, order, buckets[order], write))
         by_flags = steps[left, right]
+        probes = merged = 0
         # Interesting orders: an input whose order matches this join's
         # order label earns sort-merge credit, so inputs must be
         # combined *per order group* — pooling across orders could
@@ -439,31 +470,23 @@ class SystemRDP:
             lsorted = order_target is not None and lorder == order_target
             for rorder, rbucket in table[right].items():
                 rsorted = order_target is not None and rorder == order_target
-                combos, probes = top_sums(lbucket.costs, rbucket.costs, top_k)
-                if stats is not None:
-                    stats.merge_probes += probes
-                    stats.entries_offered += len(combos) * len(methods)
-                for method, order, write_children, step in zip(
-                    methods, orders, writes, by_flags[lsorted, rsorted]
+                combos, probed = top_sums(lbucket.costs, rbucket.costs, top_k)
+                probes += probed
+                merged += len(combos)
+                for (method, order, bucket, write_children), step in zip(
+                    rows, by_flags[lsorted, rsorted]
                 ):
-                    bucket = buckets.get(order)
-                    if bucket is None:
-                        bucket = buckets[order] = TopKList(top_k)
                     held = bucket.costs  # offer() updates it in place
                     for combined, li, ri in combos:
                         total = combined + step + write_children
                         if len(held) < top_k or total < held[-1]:
-                            entry = None
-                            if stats is not None:
-                                node = self.space.join(
-                                    left=lbucket.entries[li].node,
-                                    right=rbucket.entries[ri].node,
-                                    method=method,
-                                    predicate_label=label,
-                                    order_label=order_target,
-                                )
-                                entry = DPEntry(node=node, cost=total, order=order)
-                            bucket.offer(total, entry)
+                            bucket.offer(total, DPEntry(total, order, (
+                                space, lbucket.entries[li], rbucket.entries[ri],
+                                method, label, order_target,
+                            )))
+        if stats is not None:
+            stats.merge_probes += probes
+            stats.entries_offered += merged * len(rows)
 
     @staticmethod
     def _dominated(split: _Split, buckets: Dict[Optional[str], TopKList]) -> bool:
@@ -491,25 +514,30 @@ class SystemRDP:
         query: JoinQuery,
         buckets: Dict[Optional[str], "TopKList[DPEntry]"],
     ) -> List[PlanChoice]:
-        """Apply required-order enforcement, projection, and rank plans."""
+        """Charge required-order enforcement, rank the root's entries and
+        build the plans of the best ``top_k`` (projection on top)."""
         phase = max(0, len(full) - 2)
         needs_order = query.required_order is not None and len(full) > 1
         project = getattr(query, "projection_ratio", 1.0) < 1.0
-        choices: List[PlanChoice] = []
+        ranked = []
         for bucket in buckets.values():
-            for cost, entry in bucket.items():
-                total = cost
-                node: PlanNode = entry.node
-                if needs_order and entry.order != query.required_order:
+            for total, entry in bucket.items():
+                enforce = needs_order and entry.order != query.required_order
+                if enforce:
                     total += self.coster.write_cost(full)
                     total += self.coster.final_sort_cost(full, phase)
-                    node = Sort(child=node, sort_order=query.required_order)
-                if project:
-                    # Projection streams at the block root: free, and the
-                    # plan's output size reports the projected width.
-                    node = Project(child=node)
-                choices.append(PlanChoice(plan=Plan(node), objective=total))
-        choices.sort(key=lambda c: c.objective)
+                ranked.append((total, enforce, entry))
+        ranked.sort(key=_cost_of)  # stable: ties stay in bucket order
+        choices: List[PlanChoice] = []
+        for total, enforce, entry in ranked[: self.top_k]:
+            node: PlanNode = entry.node
+            if enforce:
+                node = Sort(child=node, sort_order=query.required_order)
+            if project:
+                # Projection streams at the block root: free, and the
+                # plan's output size reports the projected width.
+                node = Project(child=node)
+            choices.append(PlanChoice(plan=Plan(node), objective=total))
         return choices
 
     # ------------------------------------------------------------------

@@ -16,6 +16,7 @@ hand-written numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..catalog.schema import Catalog
@@ -78,8 +79,10 @@ class RelationSpec:
 
     def pages_distribution(self) -> DiscreteDistribution:
         """Size in pages as a distribution (point mass if not uncertain)."""
-        if self.pages_dist is not None:
-            return self.pages_dist
+        return self.pages_dist if self.pages_dist is not None else self._point
+
+    @cached_property  # outside the fields; value-keyed memos hit on its cached hash
+    def _point(self) -> DiscreteDistribution:
         return point_mass(float(self.pages))
 
 
@@ -132,8 +135,11 @@ class JoinPredicate:
 
     def selectivity_distribution(self) -> DiscreteDistribution:
         """Selectivity as a distribution (point mass if not uncertain)."""
-        if self.selectivity_dist is not None:
-            return self.selectivity_dist
+        dist = self.selectivity_dist
+        return dist if dist is not None else self._point
+
+    @cached_property  # one object per predicate, as on RelationSpec
+    def _point(self) -> DiscreteDistribution:
         return point_mass(self.selectivity)
 
 

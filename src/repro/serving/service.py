@@ -408,7 +408,7 @@ class OptimizerService:
                     cache_hit=True,
                     latency=latency,
                     deadline=self._deadline_of(request),
-                    cache_tier=getattr(hit, "tier", "hot"),
+                    cache_tier=hit.tier,
                 )
 
         result, rung, skipped = self._run_ladder(request, kind, cm, t0)

@@ -161,3 +161,58 @@ class TestMultiParamCoster:
         b_left = mpc.size_distribution(frozenset(["R", "S"])).n_buckets
         b_right = mpc.size_distribution(frozenset(["T"])).n_buckets
         assert cm.eval_count == 3 * b_left * b_right
+
+
+class TestStepMemoIsShared:
+    """A step stored by either entry point is a hit for the other, for
+    every coster kind; ``write`` / ``sort`` keys memoise beside them."""
+
+    REQUESTS = [
+        (JoinMethod.GRACE_HASH, frozenset(["R"]), frozenset(["S"]), 0, False, False),
+        (JoinMethod.SORT_MERGE, frozenset(["R", "S"]), frozenset(["T"]), 1, True, False),
+        (JoinMethod.NESTED_LOOP, frozenset(["T"]), frozenset(["R", "S"]), 1, False, False),
+    ]
+
+    def _costers(self, memory):
+        return [
+            PointCoster(1200.0),
+            ExpectedCoster(memory),
+            MarkovCoster(sticky_chain(memory, 0.8)),
+            MultiParamCoster(memory, fast=True),
+            MultiParamCoster(memory, fast=False),
+        ]
+
+    def test_prefetch_then_scalar_and_back(self, three_way_query, bimodal_memory):
+        for coster in self._costers(bimodal_memory):
+            coster.bind(three_way_query)
+
+            def memo():
+                return coster.context.stats()["step_costs"]
+
+            batch = coster.prefetch_join_steps(self.REQUESTS[:2])
+            assert memo()["misses"] == 2 and memo()["hits"] == 0
+            evals = coster.cost_model.eval_count
+            # scalar reads what the batch stored ...
+            assert [coster.join_step_cost(*r) for r in self.REQUESTS[:2]] == batch
+            assert memo()["hits"] == 2 and coster.cost_model.eval_count == evals
+            # ... and the batch what the scalar path stores.
+            third = coster.join_step_cost(*self.REQUESTS[2])
+            evals = coster.cost_model.eval_count
+            assert coster.prefetch_join_steps(self.REQUESTS) == batch + [third]
+            assert memo() == {"hits": 5, "misses": 3, "hit_rate": 5 / 8}
+            assert coster.cost_model.eval_count == evals
+
+    def test_write_and_sort_keys_still_memoise(self, three_way_query, bimodal_memory):
+        rels = frozenset(["R", "S"])
+        for coster in self._costers(bimodal_memory):
+            coster.bind(three_way_query)
+            write, sort = coster.write_cost(rels), coster.final_sort_cost(rels, 0)
+            before = coster.context.stats()["step_costs"]["misses"]
+            evals = coster.cost_model.eval_count
+            assert coster.write_cost(rels) == write
+            assert coster.final_sort_cost(rels, 0) == sort
+            assert coster.context.stats()["step_costs"]["misses"] == before
+            assert coster.cost_model.eval_count == evals
+            coster.context.clear()
+            assert coster.final_sort_cost(rels, 0) == sort
+            assert coster.cost_model.eval_count > evals

@@ -5,16 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.distributions import point_mass
+from repro.core.distributions import DiscreteDistribution, point_mass
 from repro.core.markov import sticky_chain
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
 from repro.optimizer.costers import ExpectedCoster, MarkovCoster, PointCoster
 from repro.optimizer.exhaustive import exhaustive_best
+from repro.optimizer.result import OptimizerStats
 from repro.optimizer.systemr import SystemRDP
-from repro.plans.nodes import Sort
-from repro.plans.properties import JoinMethod
+from repro.plans.nodes import Join, Scan, Sort
+from repro.plans.properties import JoinMethod, order_from_join
 from repro.plans.query import JoinPredicate, JoinQuery, QueryError, RelationSpec
-from repro.workloads.queries import chain_query, clique_query, star_query
+from repro.plans.space import PlanSpace
+from repro.workloads.queries import chain_query, clique_query, star_query, union_query
+
+MEMORY_3 = DiscreteDistribution([400.0, 1500.0, 4000.0], [0.25, 0.5, 0.25])
 
 
 class TestBasics:
@@ -279,3 +283,73 @@ class TestBushy:
         assert not bushy.plan.is_left_deep() or (
             bushy.objective == pytest.approx(ld.objective)
         )
+
+
+class TestBackPointers:
+    """An admitted entry is a back-pointer: ``PlanSpace.join`` runs only
+    when a retained candidate's plan is asked for, once per entry."""
+
+    @staticmethod
+    def _counted(monkeypatch, engine):
+        """Count ``PlanSpace.join`` calls; fail on one made inside the DP."""
+        calls = []
+        real_join, real_dp = PlanSpace.join, engine._run_dp
+
+        def join(self, *args, **kwargs):
+            calls.append(args)
+            return real_join(self, *args, **kwargs)
+
+        def run_dp(*args, **kwargs):
+            before = len(calls)
+            table = real_dp(*args, **kwargs)
+            assert len(calls) == before, "a Join was built during _run_dp"
+            return table
+
+        monkeypatch.setattr(PlanSpace, "join", join)
+        monkeypatch.setattr(engine, "_run_dp", run_dp)
+        return calls
+
+    @pytest.mark.parametrize("space", ["left-deep", "zig-zag", "bushy"])
+    def test_top3_on_a_shared_attribute_chain(self, monkeypatch, space):
+        query = chain_query(
+            6, np.random.default_rng(5), shared_attribute=True, require_order=True
+        )
+        engine = SystemRDP(ExpectedCoster(MEMORY_3), plan_space=space, top_k=3)
+        calls = self._counted(monkeypatch, engine)
+        result = engine.optimize(query)
+        assert len(result.candidates) == 3
+        assert all(engine.space.admits(c.plan) for c in result.candidates)
+        # Only what is returned is built, a shared subtree once: a node
+        # that two candidates have in common is one object.
+        built = {}
+        for choice in result.candidates:
+            for node in choice.plan.nodes():
+                if isinstance(node, (Join, Scan)):
+                    assert built.setdefault(node.signature(), node) is node
+        joins = [n for n in built.values() if isinstance(n, Join)]
+        assert len(calls) == len(joins) <= 3 * (query.n_relations - 1)
+        assert len(joins) < 3 * (query.n_relations - 1)  # something was shared
+
+    def test_spju_block(self, monkeypatch):
+        block = union_query(2, 4, np.random.default_rng(9), distinct=True)
+        engine = SystemRDP(ExpectedCoster(MEMORY_3), plan_space="spju", top_k=3)
+        calls = self._counted(monkeypatch, engine)
+        result = engine.optimize(block)
+        assert engine.space.admits(result.plan)
+        assert [engine.space.admits(c.plan) for c in result.candidates] == [True]
+        # One winner per arm is materialised: n - 1 joins each.
+        assert len(calls) == sum(len(arm.relations) - 1 for arm in block.arms)
+
+    def test_entry_node_is_built_once_and_keeps_its_attributes(self):
+        query = chain_query(4, np.random.default_rng(2))
+        engine = SystemRDP(PointCoster(800.0), plan_space="bushy")
+        engine.coster.bind(query)
+        table = engine._run_dp(query, query.relation_names(), OptimizerStats())
+        best = min(table[0b1111].values(), key=lambda b: b.costs[0])
+        entry = best.entries[0]
+        assert entry._node is None and entry.source[0] is engine.space
+        node = entry.node
+        assert entry.node is node and isinstance(node, Join)
+        assert node.left is entry.source[1].node and node.right is entry.source[2].node
+        assert entry.cost == best.costs[0]
+        assert entry.order == order_from_join(node.method, node.order_label)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.catalog.schema import Catalog, Column, Table
 from repro.catalog.statistics import StatisticsCatalog
+from repro.core.context import query_fingerprint
 from repro.core.distributions import two_point
 from repro.plans.query import JoinPredicate, JoinQuery, QueryError, RelationSpec
 
@@ -20,6 +23,27 @@ class TestRelationSpec:
         d = two_point(50.0, 0.5, 150.0)
         r = RelationSpec("R", pages=100.0, pages_dist=d)
         assert r.pages_distribution() is d
+
+    def test_point_mass_is_one_object_per_spec(self):
+        r = RelationSpec("R", pages=100.0)
+        first = r.pages_distribution()
+        assert r.pages_distribution() is first
+        assert first.is_point_mass() and first.mean() == 100.0
+        # ... and not of a spec derived from it.
+        bigger = dataclasses.replace(r, pages=250.0)
+        assert bigger.pages_distribution() is not first
+        assert bigger.pages_distribution().mean() == 250.0
+
+    def test_cached_point_mass_is_not_part_of_the_spec(self):
+        fresh, used = RelationSpec("R", pages=100.0), RelationSpec("R", pages=100.0)
+        before = (repr(used), hash(used))
+        used.pages_distribution()
+        assert used == fresh and hash(used) == hash(fresh)
+        assert (repr(used), hash(used)) == before
+        assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+        assert query_fingerprint(JoinQuery([used])) == query_fingerprint(
+            JoinQuery([fresh])
+        )
 
     def test_rejects_negative_pages(self):
         with pytest.raises(QueryError):
@@ -43,6 +67,22 @@ class TestJoinPredicate:
     def test_selectivity_distribution_default(self):
         p = JoinPredicate("A", "B", selectivity=0.25)
         assert p.selectivity_distribution().mean() == pytest.approx(0.25)
+
+    def test_point_mass_is_one_object_per_predicate(self):
+        fresh = JoinPredicate("A", "B", selectivity=0.25)
+        used = JoinPredicate("A", "B", selectivity=0.25)
+        first = used.selectivity_distribution()
+        assert used.selectivity_distribution() is first
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        halved = dataclasses.replace(used, selectivity=0.125)
+        assert halved.selectivity_distribution() is not first
+        assert halved.selectivity_distribution().mean() == 0.125
+
+    def test_selectivity_distribution_passthrough(self):
+        d = two_point(0.1, 0.5, 0.3)
+        p = JoinPredicate("A", "B", selectivity=0.2, selectivity_dist=d)
+        assert p.selectivity_distribution() is d
 
     def test_rejects_bad_selectivity(self):
         with pytest.raises(QueryError):
