@@ -27,7 +27,10 @@ class OptimizerStats:
 
     ``formula_evaluations`` is the paper's unit of optimization effort
     (each evaluation of a join/sort cost formula); the E4/E7 experiments
-    compare it across algorithms and bucket counts.
+    compare it across algorithms and bucket counts.  ``merge_probes``
+    counts Proposition 3.1 probes, one walk per split per pair of input
+    views (``SystemRDP._views``); ``entries_offered`` the totals held
+    against a bucket: a walk's sums per join method, and access paths.
     """
 
     subsets_explored: int = 0

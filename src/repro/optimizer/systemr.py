@@ -20,6 +20,8 @@ Bookkeeping details that matter for fidelity:
 * **Interesting orders.** Entries are kept per ``(subset, order)`` pair,
   so a sort-merge plan that delivers the query's required order survives
   even when a hash plan is cheaper before the final sort is accounted.
+  A split *combines* its inputs per presorted flag, not per order: a
+  step cost sees only whether an input carries the join's order target.
 * **Top-k.** With ``top_k = c > 1`` the engine retains the top ``c``
   entries per (subset, order) and combines candidate lists with the
   Proposition 3.1 merge — this is Algorithm B's candidate generator.
@@ -33,8 +35,9 @@ Bookkeeping details that matter for fidelity:
 * **Integer subsets, costs first.** Inside the DP a relation set is an
   ``int`` mask over sorted-name bit numbers and a subset's splits are
   walked in ascending mask order — the order is part of the contract,
-  because equal costs are settled by first arrival.  What a run knows
-  of a subset (names, floors, write cost) it keeps under the mask.  A
+  because equal costs are settled by first arrival: split, then pair
+  of input views, then method, then probe order.  What a run knows of a
+  subset (names, floors, write cost, unsorted view) is under the mask.  A
   candidate is a cost, an admitted entry is a back-pointer, a plan is
   built once at the root (:attr:`DPEntry.node`).
 * **SPJU.** A :class:`~repro.plans.query.JoinQuery` that is actually a
@@ -46,7 +49,6 @@ Bookkeeping details that matter for fidelity:
 
 from __future__ import annotations
 
-import itertools
 import math
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -72,9 +74,11 @@ _Table = Dict[int, Dict[Optional[str], "TopKList[DPEntry]"]]
 #: target, output order per join method, lower bound on its candidates).
 _Split = Tuple[int, int, str, Optional[str], Tuple[Optional[str], ...], float]
 _bound_of, _cost_of = itemgetter(5), itemgetter(0)
-#: A level's step costs: (left mask, right mask) -> (left presorted,
-#: right presorted) -> one cost per join method.
-_Steps = Dict[Tuple[int, int], Dict[Tuple[bool, bool], Sequence[float]]]
+#: A join input as a split sees it: (presorted, ascending costs, entries).
+_View = Tuple[bool, Sequence[float], Sequence["DPEntry"]]
+#: A level's step costs: (left mask, right mask) -> per pair of input
+#: views, [left view, right view, one cost per join method].
+_Steps = Dict[Tuple[int, int], List[list]]
 
 
 class DPEntry:
@@ -165,6 +169,8 @@ class SystemRDP:
         self._floors: Dict[int, Tuple[float, float]] = {}
         #: ... -> what writing its output costs (a stored relation: 0.0).
         self._writes: Dict[int, float] = {}
+        #: ... -> its views (one, unsorted) when no bucket is the order target.
+        self._unsorted: Dict[int, List[_View]] = {}
         self._methods: List[tuple] = []  # (join method, pipelined) pairs
 
     # ------------------------------------------------------------------
@@ -232,6 +238,7 @@ class SystemRDP:
         self._rels = rels = {}
         self._floors = {}
         self._writes = writes = {}
+        self._unsorted = {}
         pipelined = self.coster.cost_model.pipelined_methods
         self._methods = [(m, m in pipelined) for m in methods]
         levels = self.space.level_masks(adjacency, self.allow_cross_products)
@@ -374,41 +381,58 @@ class SystemRDP:
         self, splits: Sequence[_Split], phase: int, table: _Table, steps: _Steps
     ) -> None:
         """Cost the join steps of ``splits`` in one coster batch: per split
-        not yet in ``steps``, a request for each combination of presorted
-        flags its inputs present and each join method.  The costs are
-        filed in ``steps``, where :meth:`_offer_split` reads them.
+        not yet in ``steps``, a request for each pair of views its inputs
+        present (:meth:`_views`) and each join method.  Pairs and costs
+        are filed in ``steps``, where :meth:`_offer_split` reads both.
         """
         rels, methods = self._rels, self.coster.methods
         slots, requests = [], []
         for left, right, _label, order_target, _orders, _bound in splits:
             if (left, right) in steps:
                 continue
-            steps[left, right] = by_flags = {}
-            for flags in itertools.product(
-                self._flags(table[left], order_target),
-                self._flags(table[right], order_target),
-            ):
-                slots.append((by_flags, flags))
-                requests += [
-                    (m, rels[left], rels[right], phase, *flags) for m in methods
-                ]
+            steps[left, right] = pairs = [
+                [lview, rview, None]
+                for lview in self._views(left, order_target, table)
+                for rview in self._views(right, order_target, table)
+            ]
+            slots += pairs
+            requests += [
+                (m, rels[left], rels[right], phase, lview[0], rview[0])
+                for lview, rview, _ in pairs
+                for m in methods
+            ]
         if requests:
             costs = self.coster.prefetch_join_steps(requests)
             n = len(methods)
-            for i, (by_flags, flags) in enumerate(slots):
-                by_flags[flags] = costs[i * n:(i + 1) * n]
+            for i, pair in enumerate(slots):
+                pair[2] = costs[i * n:(i + 1) * n]
 
-    @staticmethod
-    def _flags(
-        buckets: Dict[Optional[str], TopKList], order_target: Optional[str]
-    ) -> Tuple[bool, ...]:
-        """Whether a join input's buckets already deliver the join's order
-        target: the distinct presorted flags its steps are costed under.
-        At most one bucket does (orders are the keys), so no walk.
+    def _views(
+        self, mask: int, order_target: Optional[str], table: _Table
+    ) -> List[_View]:
+        """What a filed subset offers a join on ``order_target``, ascending
+        by cost: *unsorted* — the ``top_k`` cheapest entries of its buckets
+        of any other order, merged stably (bucket insertion order, then
+        within-bucket order, settles equal costs; one bucket hands out its
+        own lists) — and *sorted*, the ``order_target`` bucket, kept apart.
         """
-        if order_target is None or order_target not in buckets:
-            return (False,)
-        return (False, True) if len(buckets) > 1 else (True,)
+        buckets = table[mask]
+        held = None if order_target is None else buckets.get(order_target)
+        if held is None and mask in self._unsorted:
+            return self._unsorted[mask]
+        rest = [bucket for bucket in buckets.values() if bucket is not held]
+        views: List[_View] = []
+        if len(rest) == 1:
+            views.append((False, rest[0].costs, rest[0].entries))
+        elif rest:
+            ranked = [item for bucket in rest for item in bucket.items()]
+            ranked.sort(key=_cost_of)
+            views.append((False, *zip(*ranked[: self.top_k])))
+        if held is None:
+            self._unsorted[mask] = views
+        else:
+            views.append((True, held.costs, held.entries))
+        return views
 
     def _build_subset(
         self,
@@ -445,6 +469,14 @@ class SystemRDP:
         pointing back at the two entries joined — no plan node is built.
         Without ``stats`` this is :meth:`_prune_level`'s dry run: the
         same totals are seated, nothing is counted.
+
+        One Proposition 3.1 walk per pair of input views, not of order
+        buckets: rounded addition is monotone (``a <= b`` gives ``fl(a + c)
+        <= fl(b + c)``), so under one flag pair and method — one ``step +
+        writes`` — the ``top_k`` smallest totals are the top sums of the
+        merged views and every bucket's cost list is bit-identical to a
+        walk per bucket pair; only which of several bit-equal totals fills
+        a tail slot at ``top_k > 1`` differs: arrival order settles it.
         """
         space, top_k, writes = self.space, self.top_k, self._writes
         left, right, label, order_target, orders, _bound = split
@@ -460,30 +492,20 @@ class SystemRDP:
                 buckets[order] = TopKList(top_k)
             write = writes[right] + (0.0 if streams else writes[left])
             rows.append((method, order, buckets[order], write))
-        by_flags = steps[left, right]
         probes = merged = 0
-        # Interesting orders: an input whose order matches this join's
-        # order label earns sort-merge credit, so inputs must be
-        # combined *per order group* — pooling across orders could
-        # discard an order-carrying subplan that wins downstream.
-        for lorder, lbucket in table[left].items():
-            lsorted = order_target is not None and lorder == order_target
-            for rorder, rbucket in table[right].items():
-                rsorted = order_target is not None and rorder == order_target
-                combos, probed = top_sums(lbucket.costs, rbucket.costs, top_k)
-                probes += probed
-                merged += len(combos)
-                for (method, order, bucket, write_children), step in zip(
-                    rows, by_flags[lsorted, rsorted]
-                ):
-                    held = bucket.costs  # offer() updates it in place
-                    for combined, li, ri in combos:
-                        total = combined + step + write_children
-                        if len(held) < top_k or total < held[-1]:
-                            bucket.offer(total, DPEntry(total, order, (
-                                space, lbucket.entries[li], rbucket.entries[ri],
-                                method, label, order_target,
-                            )))
+        for (_, lcosts, lentries), (_, rcosts, rentries), costs in steps[left, right]:
+            combos, probed = top_sums(lcosts, rcosts, top_k)
+            probes += probed
+            merged += len(combos)
+            for (method, order, bucket, write_children), step in zip(rows, costs):
+                held = bucket.costs  # offer() updates it in place
+                for combined, li, ri in combos:
+                    total = combined + step + write_children
+                    if len(held) < top_k or total < held[-1]:
+                        bucket.offer(total, DPEntry(total, order, (
+                            space, lentries[li], rentries[ri],
+                            method, label, order_target,
+                        )))
         if stats is not None:
             stats.merge_probes += probes
             stats.entries_offered += merged * len(rows)

@@ -15,9 +15,20 @@ had to cost first.  Of the table recorded before the integer-mask DP
 core only ``bushy-clique5-multiparam-fast`` moved (``entries_offered``
 1049 -> 989, ``merge_probes`` 348 -> 328, ``partitions_pruned``
 41 -> 44); the seven other rows and all eight winners repeat.
+
+``entries_offered`` and ``merge_probes`` — and only those two columns —
+were re-recorded at the commit of ISSUE 22, which walks a split's inputs
+once per pair of presorted flags where it walked every pair of order
+buckets: both count those walks, so all eight rows fell (for instance
+``bushy-chain8-lec`` 2780 / 924 -> 512 / 168).  The subsets, the prunes,
+the formula evaluations and the winners are not bookkeeping and repeat.
+Run as a script, this file prints how many rows moved per column and
+exits 1, table unprinted, if one of those four did (:data:`ANSWERS`).
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -84,35 +95,35 @@ CASES = {
 #:          partitions_pruned, formula_evaluations, winner signature)
 PINNED = {
     "bushy-chain8-lec": (
-        36, 2780, 924, 0, 1512,
+        36, 512, 168, 0, 1512,
         "(R0 GH (((R1 GH R2) GH R3) GH ((R4 GH (R5 GH R6)) GH R7)))",
     ),
     "bushy-star6-point": (
-        37, 1446, 480, 0, 480,
+        37, 486, 160, 0, 480,
         "(R3 NL (R1 GH (R2 GH (R4 GH (R0 GH R5)))))",
     ),
     "bushy-clique5-multiparam-fast": (
-        31, 989, 328, 44, 0,
+        31, 413, 136, 44, 0,
         "(R2 NL (R3 NL ((R0 GH R1) NL R4)))",
     ),
     "zigzag-chain6-lec": (
-        21, 348, 114, 0, 450,
+        21, 156, 50, 0, 450,
         "(((((R5 GH R4) NL R3) GH R2) GH R1) GH R0)",
     ),
     "leftdeep-clique5-algorithm-b-top3": (
-        124, 4940, 1640, 0, 972,
+        124, 2240, 740, 0, 972,
         "((((R3 NL R2) GH R4) NL R1) NL R0)",
     ),
     "leftdeep-chain5-markov": (
-        15, 119, 38, 0, 180,
+        15, 65, 20, 0, 180,
         "((((R2 NL R1) NL R3) NL R4) GH R0)",
     ),
     "spju-two-3-relation-arms": (
-        12, 78, 24, 0, 147,
+        12, 54, 16, 0, 147,
         "union-distinct((U0R0 GH (U0R1 GH U0R2)), ((U1R0 NL U1R1) GH U1R2))",
     ),
     "bushy-disconnected4-cross-products": (
-        15, 232, 76, 16, 102,
+        15, 106, 34, 16, 102,
         "((A NL C) NL (B GH D))",
     ),
 }
@@ -134,6 +145,46 @@ def test_counters_and_winner_are_pinned(name):
     assert _observe(name) == PINNED[name]
 
 
+COLUMNS = (
+    "subsets_explored", "entries_offered", "merge_probes",
+    "partitions_pruned", "formula_evaluations", "winner signature",
+)
+#: What a re-record may never move (columns 1, 4, 5, 6).
+ANSWERS = (
+    "subsets_explored", "partitions_pruned", "formula_evaluations",
+    "winner signature",
+)
+
+
+def _moved(old, new):
+    """``column -> [case, ...]``: where two tables of rows differ."""
+    moved = {}
+    for case, row in new.items():
+        for column, was, now in zip(COLUMNS, old[case], row):
+            if was != now:
+                moved.setdefault(column, []).append(case)
+    return moved
+
+
+def test_rerecord_names_what_moved():
+    case = "bushy-chain8-lec"
+    doctored = dict(PINNED, **{case: (36, 1, 2, 0, 1512, "R0")})
+    assert _moved(PINNED, PINNED) == {}
+    assert _moved(PINNED, doctored) == {
+        "entries_offered": [case], "merge_probes": [case],
+        "winner signature": [case],
+    }
+
+
 if __name__ == "__main__":
-    for case in CASES:
-        print(f"    {case!r}: {_observe(case)!r},")
+    fresh = {case: _observe(case) for case in CASES}
+    moved = _moved(PINNED, fresh)
+    for column, cases in moved.items():
+        print(f"{column}: moved in {len(cases)} of {len(CASES)} rows")
+    refused = [column for column in ANSWERS if column in moved]
+    if refused:
+        for column in refused:
+            print(f"refused, {column} moved: {', '.join(moved[column])}")
+        sys.exit(1)
+    for case, row in fresh.items():
+        print(f"    {case!r}: {row!r},")

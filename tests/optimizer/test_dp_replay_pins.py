@@ -10,7 +10,20 @@ products on for two — each pinned to its plan signature,
 (``test_dp_replay_pins.json``).  A change to the engine's bookkeeping
 must leave every one of them alone, under any ``PYTHONHASHSEED``.
 
-Run this file as a script to rewrite the JSON from the current tree.
+The JSON was re-recorded once, on purpose, at the commit of ISSUE 22,
+which walks a split's inputs once per pair of presorted flags instead of
+once per pair of order buckets: ``entries_offered`` and ``merge_probes``
+count those walks, so they fell in 55 of the 66 ops (the rest meet one
+bucket on each side of every split).  Every bucket's cost list is
+bit-identical, so every ``signature``, ``objective``, candidate
+``repr(objective)`` and the other four counters repeat; among plans of
+bit-equal cost, which one fills a tail slot at ``top_k > 1`` follows the
+new arrival order, and one candidate moved: the third of
+``chain4-lec-bushy-1``'s three plans costing ``111066.21471552554``.
+
+Run this file as a script to rewrite the JSON from the current tree: it
+prints how many ops moved per field and refuses (exit 1, nothing
+written) when an answer (:data:`ANSWERS`) is among them.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,9 +161,55 @@ def test_answer_is_the_recorded_one(op):
     assert _answer(query, objective, knobs) == _pins()[name]
 
 
+#: What a re-record may never move: the answers, not their bookkeeping.
+ANSWERS = ("signature", "objective", "candidate objectives")
+
+
+def _fields(pin):
+    """One pin as the fields a re-record is reviewed by."""
+    return {
+        "signature": pin["signature"],
+        "objective": pin["objective"],
+        "candidate objectives": [obj for _sig, obj in pin["candidates"]],
+        "candidate signatures": [sig for sig, _obj in pin["candidates"]],
+        **{f"stats.{name}": value for name, value in pin["stats"].items()},
+    }
+
+
+def _moved(old, new):
+    """``field -> [op id, ...]``: where two pin tables differ."""
+    moved = {}
+    for name, pin in new.items():
+        if name not in old:
+            moved.setdefault("(new op)", []).append(name)
+            continue
+        was = _fields(old[name])
+        for field, value in _fields(pin).items():
+            if was.get(field) != value:
+                moved.setdefault(field, []).append(name)
+    return moved
+
+
+def test_rerecord_names_what_moved():
+    doctored = json.loads(PINS.read_text())
+    name = OPS[0][0]
+    doctored[name]["stats"]["merge_probes"] += 1
+    doctored[name]["candidates"][0][1] = "0.0"
+    assert _moved(_pins(), _pins()) == {}
+    assert _moved(_pins(), doctored) == {
+        "stats.merge_probes": [name], "candidate objectives": [name],
+    }
+
+
 if __name__ == "__main__":
-    PINS.write_text(json.dumps(
-        {name: _answer(q, obj, knobs) for name, q, obj, knobs in OPS},
-        indent=1, sort_keys=True,
-    ) + "\n")
+    fresh = {name: _answer(q, obj, knobs) for name, q, obj, knobs in OPS}
+    moved = _moved(_pins(), fresh)
+    for field, names in sorted(moved.items()):
+        print(f"{field}: moved in {len(names)} of {len(OPS)} ops")
+    refused = [field for field in ANSWERS if field in moved]
+    if refused:
+        for field in refused:
+            print(f"refused, {field} moved: {', '.join(moved[field])}")
+        sys.exit(1)
+    PINS.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(OPS)} pins to {PINS}")

@@ -3,7 +3,7 @@
 The classic System-R effect: a sort-merge join's output order can make a
 *later* sort-merge join of the same attribute class skip its sorting
 passes.  These tests exercise the order-aware SM formula, the plan-level
-costing, the DP's per-order-group combination (which must not pool away
+costing, the DP's per-presorted-flag combination (which must not pool away
 order-carrying subplans), and the DP-vs-exhaustive equality under
 equivalence classes.
 """
@@ -162,6 +162,23 @@ class TestOptimizer:
             q, lambda p: cm.plan_expected_cost(p, q, memory), DEFAULT_METHODS
         )
         assert res.objective == pytest.approx(truth.objective)
+        # Where a join input's views matter: bushy, three plans kept per
+        # (subset, order), against the three best of every bushy plan
+        # (n = 5 enumerates for ~3 s: one draw with a required order,
+        # one without).
+        for n in (4, 5) if seed < 2 else (4,):
+            q = chain_query(
+                n, np.random.default_rng(seed), shared_attribute=True,
+                require_order=bool(seed % 2),
+            )
+            res = optimize_algorithm_c(q, memory, plan_space="bushy", top_k=3)
+            _, ranked = exhaustive_best(
+                q, lambda p: cm.plan_expected_cost(p, q, memory),
+                DEFAULT_METHODS, space="bushy",
+            )
+            assert [c.objective for c in res.candidates] == pytest.approx(
+                [c.objective for c in ranked[:3]]
+            )
 
     def test_order_carrying_subplan_survives_pruning(self):
         """A hash inner join may be locally cheaper, yet the SM inner join
