@@ -52,6 +52,8 @@ def main(argv=None) -> int:
     parser.add_argument("--batch-size", type=int, default=1,
                         help="send requests in optimize_batch frames of "
                              "this size (default 1 = legacy frames)")
+    parser.add_argument("--bump-every", type=int, default=None, metavar="N",
+                        help="move a catalog version source every N answers")
     args = parser.parse_args(argv)
 
     if args.quick:
@@ -74,6 +76,7 @@ def main(argv=None) -> int:
             soft_limit=args.soft_limit, hard_limit=args.hard_limit
         ),
         batch_size=args.batch_size,
+        bump_every=args.bump_every,
     )
 
     cfg = report["config"]
@@ -94,6 +97,8 @@ def main(argv=None) -> int:
     tier = report["cache_tiers"]
     print(f"cache: hit {tier['hit_rate']:.0%} of answered, "
           f"{tier['shared_entries']} entries")
+    memo = report["worker_memo"]
+    print(f"worker memo: reused {memo['remembered']} of {memo['requests']} misses")
     print(f"rungs: {report['rungs']}")
     print(f"processes: {report['processes']}")
     if report["restarts"]:

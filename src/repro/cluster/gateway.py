@@ -26,9 +26,12 @@ Reliability model
   dead worker.  Accepted requests are therefore answered (possibly
   degraded, possibly after a retry) or failed explicitly after
   ``max_retries`` replays; they are never silently dropped.  Workers
-  hold no cached plan, so a crash costs in-flight work and nothing
-  else: every key the tier holds keeps answering, with every worker
-  dead.
+  hold no cached plan (the requests they remember decoding are warmth,
+  unfenced), so a crash costs in-flight work and nothing else: every
+  key the tier holds keeps answering, with every worker dead.
+* A worker is one thread: requests are answered in the order sent and
+  a ``ping`` between two of them, never during one; its ``queue_depth``
+  is always 0 (admission counts ``shard.pending`` here).
 * The version fence lives in one place.  A catalog/feedback mutation
   seen by ``_refresh_version`` moves ``_last_version`` and empties the
   tier in the same synchronous step on the loop thread, and a worker
@@ -167,7 +170,7 @@ class ClusterGateway:
         replay workloads).
     shared_max_entries:
         Bound of the gateway's plan tier (LRU beyond it).
-    worker_threads / coarse_buckets / default_deadline:
+    coarse_buckets / default_deadline:
         Forwarded into each shard's :class:`WorkerConfig`.
     health_interval:
         Seconds between background health sweeps (``None`` disables the
@@ -182,7 +185,6 @@ class ClusterGateway:
         catalog_sources: Sequence = (),
         admission: Optional[AdmissionController] = None,
         metrics: Optional[ClusterMetrics] = None,
-        worker_threads: int = 1,
         shared_max_entries: int = 4096,
         coarse_buckets: int = 3,
         default_deadline: Optional[float] = None,
@@ -197,7 +199,6 @@ class ClusterGateway:
         self._sources = tuple(catalog_sources)
         self.admission = admission if admission is not None else AdmissionController()
         self.metrics = metrics if metrics is not None else ClusterMetrics()
-        self._worker_threads = worker_threads
         self._coarse_buckets = coarse_buckets
         self._default_deadline = default_deadline
         self.health_interval = health_interval
@@ -286,7 +287,6 @@ class ClusterGateway:
     def _worker_config(self, shard_index: int) -> WorkerConfig:
         return WorkerConfig(
             shard_id=shard_index,
-            threads=self._worker_threads,
             coarse_buckets=self._coarse_buckets,
             default_deadline=self._default_deadline,
         )

@@ -6,8 +6,8 @@ queueing and the wire), while each worker's pong carries its own
 :class:`~repro.serving.metrics.MetricsRegistry` snapshot.
 :meth:`ClusterMetrics.aggregate` folds both views into one report — the
 numbers the replay driver prints and the benchmark snapshots:
-throughput inputs, p50/p99, the shared tier's hit rate, and the rung
-distribution per shard.
+throughput inputs, p50/p99, the shared tier's hit rate, and per shard
+the rung distribution and how many requests its worker ``recall``-ed.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ class ClusterMetrics:
                 ),
                 "restarts": restarts[i] if i < len(restarts) else 0,
                 "rungs": rungs,
+                "requests": worker_counters.get("serving.requests", 0),
+                "remembered": worker_counters.get("serving.requests_remembered", 0),
             })
 
         hits = int(counters.get("cluster.cache.hits", 0))
@@ -101,6 +103,10 @@ class ClusterMetrics:
                 "hit_rate": hits / answered if answered else 0.0,
                 "shared_entries": shared.get("entries", 0),
                 "invalidations": shared.get("invalidations", 0),
+            },
+            "worker_memo": {
+                key: sum(s.get(key, 0) for s in shards)
+                for key in ("requests", "remembered")
             },
             "admission": dict(admission or {}),
             "restarts": sum(restarts),

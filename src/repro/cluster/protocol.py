@@ -39,9 +39,10 @@ Message types
               ``latency``).
 ``error``     worker → gateway: request failed (``id``, ``error`` class
               name, ``message``).
-``ping``      gateway → worker: health probe (``seq``).
+``ping``      gateway → worker: health probe (``seq``), answered
+              between requests (a worker is one thread).
 ``pong``      worker → gateway: ``seq`` echoed plus ``queue_depth``
-              and a metrics snapshot.
+              (0 by construction) and a metrics snapshot.
 ``shutdown``  gateway → worker: drain and exit (worker answers ``bye``).
 
 Blocking helpers (:func:`read_frame` / :func:`write_frame`) serve the
@@ -282,8 +283,9 @@ def decode_memory(
 
 
 def encode_request(request_id: int, request: OptimizeRequest) -> Dict[str, Any]:
-    """One ``optimize`` message for ``request`` (the cost model stays home:
-    the cluster tier serves the default one).
+    """One ``optimize`` message for ``request`` (``cost_model`` and
+    ``context`` stay home: the cluster tier serves the default model, and
+    a worker keeps its own context per remembered request).
 
     The plan space travels as the canonical key its cache key carries,
     so a :class:`~repro.plans.space.PlanSpace` object is served like

@@ -20,6 +20,7 @@ import asyncio
 import multiprocessing
 import os
 import time
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -41,6 +42,7 @@ async def replay(
     kill_worker_at: Optional[int] = None,
     health_interval: Optional[float] = None,
     batch_size: int = 1,
+    bump_every: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Replay ``workload`` through a fresh gateway; return the report.
 
@@ -51,6 +53,9 @@ async def replay(
     ``batch_size > 1`` sends requests through
     :meth:`ClusterGateway.optimize_many` in groups of that size, so
     same-shard requests share one ``optimize_batch`` frame write.
+    ``bump_every`` moves a catalog version source after every that many
+    answers: the fence empties the gateway's tier, and the repeats that
+    follow reach workers that remember them (``worker_memo``).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -58,10 +63,11 @@ async def replay(
     answered = 0
     killed = False
     results: List[Optional[ClusterResult]] = [None] * len(workload)
+    source = SimpleNamespace(version=0)
 
     async with ClusterGateway(
         shards=shards,
-        catalog_sources=catalog_sources,
+        catalog_sources=[*catalog_sources, source],
         admission=admission,
         health_interval=health_interval,
     ) as gateway:
@@ -71,6 +77,8 @@ async def replay(
             results[index] = result
             if result.status != "shed":
                 answered += 1
+                if bump_every and answered % bump_every == 0:
+                    source.version += 1
             if (
                 kill_worker_at is not None
                 and not killed
@@ -140,6 +148,7 @@ async def replay(
         "latency": snapshot["latency"],
         "rungs": snapshot["rungs"],
         "cache_tiers": snapshot["cache_tiers"],
+        "worker_memo": snapshot["worker_memo"],
         "admission": snapshot["admission"],
         "restarts": snapshot["restarts"],
         "shards": snapshot["shards"],
@@ -160,6 +169,7 @@ def run_replay(
     admission: Optional[AdmissionController] = None,
     schedule: str = "zipf",
     batch_size: int = 1,
+    bump_every: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Synchronous entry point: build the workload and replay it."""
     rng = np.random.default_rng(seed)
@@ -171,5 +181,5 @@ def run_replay(
     return asyncio.run(replay(
         workload, shards=shards, concurrency=concurrency,
         admission=admission, kill_worker_at=kill_worker_at,
-        batch_size=batch_size,
+        batch_size=batch_size, bump_every=bump_every,
     ))

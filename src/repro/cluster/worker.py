@@ -12,24 +12,34 @@ core, which is the entire point: N shards ≈ N cores of optimization
 throughput instead of one GIL's worth.
 
 The worker speaks the :mod:`repro.cluster.protocol` frame protocol over
-a socket inherited from the gateway: ``optimize`` requests are decoded
-into :class:`~repro.serving.service.OptimizeRequest` objects and run on
-the service pool, responses are written back under a send lock (pool
-threads complete out of order), and ``ping`` is answered immediately
-from the control loop with queue depth and a metrics snapshot.  A worker
-holds nothing the catalog version could make stale, so it is never told
-about the fence, and a crash costs the cluster that shard's in-flight
-work (which the gateway replays) and not one cached plan.
+a socket inherited from the gateway, on **one thread**: the loop that
+read a frame runs its requests through ``OptimizerService.execute`` and
+writes each reply itself, in arrival order (shards are the unit of
+parallelism; a second DP thread under one GIL buys nothing).  A ``ping``
+is therefore answered *between* requests, never during one, and its
+``queue_depth`` is 0 by construction — admission reads the gateway's
+own ``pending``.
+
+What a worker holds is **warmth, not answers**: a bounded LRU
+(:func:`recall`) from the text of a received request to the request
+decoded for it and the ``OptimizationContext`` its runs share, so the
+request a version bump sends back with unmoved statistics costs one DP
+over memoized sizes and step costs.  None of it is a plan: the catalog
+fence does not concern a worker, and a crash costs the cluster that
+shard's in-flight work (which the gateway replays) and its warmth.
 """
 
 from __future__ import annotations
 
+import json
 import signal
-import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Optional, Tuple
 
-from ..serving.service import OptimizerService, ServingResult
+from ..core.context import OptimizationContext
+from ..serving.service import OptimizeRequest, OptimizerService, ServingResult
+from ..tools.serialize import plan_to_dict
 from .protocol import (
     ProtocolError,
     decode_request,
@@ -38,7 +48,12 @@ from .protocol import (
     write_frame,
 )
 
-__all__ = ["WorkerConfig", "worker_main"]
+__all__ = ["WorkerConfig", "REMEMBERED_REQUESTS", "recall", "worker_main"]
+
+#: Requests a worker remembers.  One costs ≈ 25 KB (tracemalloc: 1.9 KB
+#: text, ≈ 8 KB query and empty context, ≈ 15 KB memoized by one full-rung
+#: n=3–5 ``lec`` run), so a full LRU is ≈ 6.5 MB per shard.
+REMEMBERED_REQUESTS = 256
 
 
 @dataclass(frozen=True)
@@ -46,33 +61,39 @@ class WorkerConfig:
     """Everything a worker needs to build its serving stack."""
 
     shard_id: int
-    threads: int = 1
     coarse_buckets: int = 3
     default_deadline: Optional[float] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
-class _FrameSender:
-    """Serializes response frames from concurrent pool threads."""
+def recall(
+    memo: "OrderedDict[str, OptimizeRequest]", body: Dict[str, Any]
+) -> Tuple[OptimizeRequest, bool]:
+    """``body`` as a request, and whether ``memo`` already held it.
 
-    def __init__(self, stream):
-        self._stream = stream
-        self._lock = threading.Lock()
-
-    def send(self, message: Dict[str, Any]) -> bool:
-        """Write one frame; False once the stream is gone."""
-        try:
-            with self._lock:
-                write_frame(self._stream, message)
-            return True
-        except (OSError, ValueError):
-            # Gateway hung up mid-send; the worker loop will see EOF.
-            return False
+    A remembered request is the *same* query, memory and context objects
+    under this body's deadline: nothing is decoded, every memo key
+    compares by identity.  The key is the whole document, never a digest
+    or a name: one digit's difference is another text and a plain miss.
+    """
+    text = json.dumps(
+        {k: v for k, v in body.items() if k not in ("id", "deadline", "type")},
+        sort_keys=True,
+    )
+    request = memo.get(text)
+    if request is None:
+        request = decode_request(body)
+        request = replace(request, context=OptimizationContext(request.query))
+        memo[text] = request
+        if len(memo) > REMEMBERED_REQUESTS:
+            memo.popitem(last=False)
+        return request, False
+    memo.move_to_end(text)
+    deadline = body.get("deadline")
+    deadline = None if deadline is None else float(deadline)
+    return replace(request, deadline=deadline), True
 
 
 def _result_message(request_id: int, result: ServingResult) -> Dict[str, Any]:
-    from ..tools.serialize import plan_to_dict
-
     return {
         "type": "result",
         "id": request_id,
@@ -96,30 +117,13 @@ def worker_main(sock, config: WorkerConfig) -> None:
 
     rfile = sock.makefile("rb")
     wfile = sock.makefile("wb")
-    sender = _FrameSender(wfile)
-
     service = OptimizerService(
-        max_workers=config.threads,
         cache=None,
         coarse_buckets=config.coarse_buckets,
         default_deadline=config.default_deadline,
     )
-
-    def _respond(request_id: int, future) -> None:
-        if future.cancelled():
-            sender.send({
-                "type": "error", "id": request_id,
-                "error": "CancelledError", "message": "worker shutting down",
-            })
-            return
-        exc = future.exception()
-        if exc is not None:
-            sender.send({
-                "type": "error", "id": request_id,
-                "error": type(exc).__name__, "message": str(exc),
-            })
-            return
-        sender.send(_result_message(request_id, future.result()))
+    memo: "OrderedDict[str, OptimizeRequest]" = OrderedDict()
+    remembered = service.metrics.counter("serving.requests_remembered")
 
     try:
         while True:
@@ -137,40 +141,34 @@ def worker_main(sock, config: WorkerConfig) -> None:
                 for body in iter_requests(message):
                     request_id = int(body["id"])
                     try:
-                        request = decode_request(body)
-                    except ProtocolError as exc:
-                        sender.send({
+                        request, known = recall(memo, body)
+                        if known:
+                            remembered.increment()
+                        reply = _result_message(request_id, service.execute(request))
+                    except Exception as exc:  # answered, not fatal
+                        reply = {
                             "type": "error", "id": request_id,
-                            "error": "ProtocolError", "message": str(exc),
-                        })
-                        continue
-                    try:
-                        future = service.submit(request)
-                    except RuntimeError as exc:
-                        sender.send({
-                            "type": "error", "id": request_id,
-                            "error": "RuntimeError", "message": str(exc),
-                        })
-                        continue
-                    future.add_done_callback(
-                        lambda f, rid=request_id: _respond(rid, f)
-                    )
+                            "error": type(exc).__name__, "message": str(exc),
+                        }
+                    write_frame(wfile, reply)
 
             elif mtype == "ping":
-                sender.send({
+                write_frame(wfile, {
                     "type": "pong",
                     "seq": message.get("seq"),
                     "shard": config.shard_id,
-                    "queue_depth": service.pending_requests(),
+                    "queue_depth": 0,  # requests run here: none can be waiting
                     "metrics": service.metrics_snapshot(),
                 })
 
             elif mtype == "shutdown":
-                sender.send({"type": "bye", "shard": config.shard_id})
+                write_frame(wfile, {"type": "bye", "shard": config.shard_id})
                 break
 
             # Unknown message types are ignored: a newer gateway may
             # speak a superset of this protocol.
+    except OSError:
+        pass  # gateway hung up mid-send; nobody is left to answer
     finally:
         service.close()
         try:

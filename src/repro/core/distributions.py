@@ -522,12 +522,21 @@ class DiscreteDistribution:
         return self.items()
 
     def __eq__(self, other: object) -> bool:
+        """``np.allclose`` on values and probabilities — after identical
+        and bytewise-equal operands, all a memo-key dict probe meets, were
+        decided without it.  For near-equal operands the tolerance can
+        still disagree with :meth:`__hash__`'s 12-digit rounding."""
+        if self is other:
+            return True
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented
-        return (
-            self._values.shape == other._values.shape
-            and bool(np.allclose(self._values, other._values))
-            and bool(np.allclose(self._probs, other._probs))
+        if self._values.shape != other._values.shape:
+            return False
+        if (self._values.tobytes() == other._values.tobytes()
+                and self._probs.tobytes() == other._probs.tobytes()):
+            return True
+        return bool(np.allclose(self._values, other._values)) and bool(
+            np.allclose(self._probs, other._probs)
         )
 
     def __hash__(self) -> int:

@@ -35,13 +35,13 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.distributions import DiscreteDistribution
 from ..core.markov import MarkovParameter
-from ..core.context import query_fingerprint
+from ..core.context import OptimizationContext, query_fingerprint
 from ..costmodel.model import CostModel
 from ..optimizer.errors import OptimizerConfigError
 from ..optimizer.facade import canonical_objective, model_key, optimize as _optimize
@@ -74,7 +74,10 @@ class OptimizeRequest:
 
     Mirrors :func:`repro.optimize`'s signature plus a ``deadline``
     (seconds of wall-clock budget for this request; ``None`` means
-    unbounded, which always yields the full-quality answer).
+    unbounded, which always yields the full-quality answer).  ``context``
+    reaches every rung as ``repro.optimize(context=...)``, so a kept
+    request re-runs on memoized sizes and step costs; it names no answer
+    (not in :meth:`cache_key`, not compared, never on the cluster wire).
     """
 
     query: JoinQuery
@@ -88,6 +91,9 @@ class OptimizeRequest:
     max_buckets: int = 16
     fast: bool = False
     include_mean: bool = True
+    context: Optional[OptimizationContext] = field(
+        default=None, compare=False, repr=False
+    )
 
     def knobs(self) -> Tuple:
         """The option tuple that participates in the cache key.
@@ -294,7 +300,7 @@ class OptimizerService:
         with self._pending_lock:
             self._closed = True
         self._pool.shutdown(wait=True, cancel_futures=cancel_pending)
-        # Cancelled futures never ran _execute; drop them from the
+        # Cancelled futures never ran execute; drop them from the
         # pending set so accounting ends at zero.
         with self._pending_lock:
             self._pending = {f for f in self._pending if not f.cancelled()}
@@ -326,7 +332,7 @@ class OptimizerService:
         with self._pending_lock:
             if self._closed:
                 raise RuntimeError("OptimizerService is closed")
-            future = self._pool.submit(self._execute, request)
+            future = self._pool.submit(self.execute, request)
             self._pending.add(future)
         future.add_done_callback(self._request_done)
         return future
@@ -338,7 +344,7 @@ class OptimizerService:
     def optimize(self, query: JoinQuery, objective: str = "lec",
                  **kwargs) -> ServingResult:
         """Synchronous single request, run on the calling thread."""
-        return self._execute(
+        return self.execute(
             OptimizeRequest(query=query, objective=objective, **kwargs)
         )
 
@@ -386,7 +392,9 @@ class OptimizerService:
     # Execution
     # ------------------------------------------------------------------
 
-    def _execute(self, request: OptimizeRequest) -> ServingResult:
+    def execute(self, request: OptimizeRequest) -> ServingResult:
+        """Serve one prepared request on the calling thread — what
+        :meth:`submit` schedules and a cluster worker's read loop calls."""
         t0 = time.perf_counter()
         self.metrics.counter("serving.requests").increment()
 
@@ -486,6 +494,7 @@ class OptimizerService:
             cost_model=cm,
             plan_space=request.plan_space,
             allow_cross_products=request.allow_cross_products,
+            context=request.context,
         )
         if rung == RUNG_FULL:
             return _optimize(

@@ -11,6 +11,10 @@ racing the optimizer.
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ import pytest
 import repro.cluster.gateway as gateway_module
 from repro.cluster import AdmissionController, ClusterGateway
 from repro.cluster.protocol import FrameDecoder, ProtocolError
+from repro.core.context import query_fingerprint
 from repro.core.distributions import DiscreteDistribution
 from repro.optimizer.errors import OptimizerConfigError
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
@@ -372,6 +377,89 @@ class TestCrashResilience:
         assert "retried 1 times" in miss.error
         assert inflight == 0
 
+    def test_killing_a_worker_costs_its_warmth_and_no_answer(self):
+        # A worker remembers the requests it decoded; none of that is a
+        # plan, so a kill can only make the next run cold again.
+        requests = [_request(_query(names=(f"W{i}", f"X{i}", f"Y{i}")))
+                    for i in range(3)]
+        source = SimpleNamespace(version=0)
+
+        async def ask_all(gw):
+            source.version += 1  # every round is a gateway miss
+            return await asyncio.wait_for(
+                asyncio.gather(*(gw.optimize(r) for r in requests)), timeout=60
+            )
+
+        async def scenario():
+            async with ClusterGateway(shards=1, catalog_sources=[source]) as gw:
+                rounds = [await ask_all(gw), await ask_all(gw)]
+                warm = (await gw.snapshot())["worker_memo"]
+                gw.kill_worker(0)
+                rounds += [await ask_all(gw), await ask_all(gw)]
+                return rounds, warm, await gw.snapshot()
+
+        rounds, warm, snapshot = asyncio.run(scenario())
+        assert warm == {"requests": 6, "remembered": 3}
+        assert snapshot["restarts"] >= 1
+        # The respawned worker started empty: it decoded the replayed
+        # round afresh and remembered the one after it.
+        assert snapshot["shards"][0]["remembered"] == 3
+        for answers in rounds:
+            assert all(r.ok and not r.cache_hit for r in answers)  # lost: 0
+            for got, want in zip(answers, rounds[0]):
+                assert got.plan_doc == want.plan_doc
+                assert repr(got.objective_value) == repr(want.objective_value)
+        assert any(r.retries for r in rounds[2])
+
+    def test_a_shard_stalled_past_the_deadline_loses_nothing(self):
+        # SIGSTOP, not SIGKILL: the socket stays open, nothing respawns,
+        # and the accepted requests simply wait.  After SIGCONT each is
+        # answered (the worker's deadline clock starts when it picks a
+        # request up, so the stall shows in the gateway's latency, not in
+        # ``deadline_exceeded``) or fails explicitly; none is lost.
+        deadline, stall = 0.2, 0.5
+        queries = [_query(names=(f"S{i}", f"T{i}", f"U{i}")) for i in range(12)]
+
+        async def scenario():
+            async with ClusterGateway(shards=2) as gw:
+                by_shard = {0: [], 1: []}
+                for q in queries:
+                    by_shard[gw.shard_for(query_fingerprint(q))].append(q)
+                stalled, live = by_shard[0][:3], by_shard[1][:3]
+                assert len(stalled) == 3 and len(live) == 3
+                pid = gw.shards[0].proc.pid
+                os.kill(pid, signal.SIGSTOP)
+                try:
+                    t0 = time.monotonic()
+                    tasks = [asyncio.ensure_future(
+                        gw.optimize(_request(q, deadline=deadline))
+                    ) for q in stalled]
+                    meanwhile = []
+                    while time.monotonic() - t0 < stall:
+                        meanwhile += [await asyncio.wait_for(
+                            gw.optimize(_request(q)), timeout=30
+                        ) for q in live]
+                    waiting = [len(s.pending) for s in gw.shards]
+                    undone = [t.done() for t in tasks]
+                finally:
+                    os.kill(pid, signal.SIGCONT)
+                answers = await asyncio.wait_for(asyncio.gather(*tasks), 60)
+                return (waiting, undone, meanwhile, answers,
+                        [len(s.pending) for s in gw.shards],
+                        await gw.snapshot())
+
+        waiting, undone, meanwhile, answers, drained, snapshot = asyncio.run(
+            scenario()
+        )
+        assert waiting == [3, 0] and undone == [False] * 3
+        assert len(meanwhile) >= 3 and all(r.ok for r in meanwhile)
+        assert {r.shard for r in meanwhile} == {1}
+        for r in answers:
+            assert r.ok or (r.status == "error" and r.error)
+            assert r.shard == 0 and r.latency > deadline
+        assert drained == [0, 0]
+        assert snapshot["restarts"] == 0  # stalled is not dead
+
     def test_close_with_requests_in_flight_fails_each_explicitly(self):
         queries = [_query(names=(f"P{i}", f"Q{i}")) for i in range(3)]
 
@@ -400,7 +488,62 @@ class TestCrashResilience:
         assert results[-1].coalesced
 
 
+class TestWorkerMemo:
+    def test_a_version_bump_sends_back_a_request_the_worker_remembers(self):
+        source = SimpleNamespace(version=0)
+
+        async def scenario():
+            async with ClusterGateway(shards=1, catalog_sources=[source]) as gw:
+                first = await gw.optimize(_request())
+                before = await gw.snapshot()
+                source.version += 1
+                second = await gw.optimize(_request())
+                return first, second, before, await gw.snapshot()
+
+        first, second, before, after = asyncio.run(scenario())
+        assert first.ok and second.ok
+        # The fence emptied the gateway's tier: a miss there ...
+        assert not first.cache_hit and not second.cache_hit
+        assert after["gateway"]["cluster.catalog_invalidations"] == 1
+        # ... and a request the worker had already decoded.
+        assert before["worker_memo"] == {"requests": 1, "remembered": 0}
+        assert after["worker_memo"] == {"requests": 2, "remembered": 1}
+        assert after["shards"][0]["remembered"] == 1
+        assert second.plan_doc == first.plan_doc
+        assert repr(second.objective_value) == repr(first.objective_value)
+        assert second.rung == first.rung == "full"
+
+
 class TestHealth:
+    def test_a_ping_behind_queued_requests_is_answered_after_them(self):
+        # One thread per worker: a ping is answered between requests,
+        # never during one, and its queue_depth is 0 by construction.
+        queries = [_query(names=(f"P{i}", f"Q{i}", f"R{i}", f"S{i}"))
+                   for i in range(3)]
+
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                order, dispatch = [], gw._dispatch
+
+                def tap(shard, message):
+                    order.append(message["type"])
+                    dispatch(shard, message)
+
+                gw._dispatch = tap
+                tasks = [asyncio.ensure_future(gw.optimize(_request(q)))
+                         for q in queries]
+                await asyncio.sleep(0)  # the three frames are written
+                assert len(gw.shards[0].pending) == 3
+                pong = await gw.ping(0, timeout=30)
+                results = await asyncio.gather(*tasks)
+                return list(order), pong, results  # before close's "bye"
+
+        order, pong, results = asyncio.run(scenario())
+        assert order == ["result", "result", "result", "pong"]
+        assert all(r.ok for r in results)
+        assert pong["queue_depth"] == 0
+        assert pong["metrics"]["counters"]["serving.requests"] == 3
+
     def test_ping_reports_worker_state(self):
         async def scenario():
             async with ClusterGateway(shards=2) as gw:

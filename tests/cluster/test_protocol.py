@@ -214,10 +214,10 @@ class TestRequestDocuments:
 
     def test_document_carries_exactly_the_request_fields(self):
         # The wire knows what changes the plan (plus the deadline) and
-        # nothing else; the cost model stays on the gateway side.
+        # nothing else; ``cost_model`` and ``context`` stay home.
         message = encode_request(1, OptimizeRequest(query=_query(), memory=800))
         fields = {f.name for f in dataclasses.fields(OptimizeRequest)}
-        assert set(message) - {"type", "id"} == fields - {"cost_model"}
+        assert set(message) - {"type", "id"} == fields - {"cost_model", "context"}
 
     def test_legacy_frame_without_optional_keys_decodes_to_defaults(self):
         full = _over_the_wire(encode_request(3, OptimizeRequest(query=_query())))
