@@ -53,8 +53,9 @@ def _as_float_array(data) -> np.ndarray:
 
     Arrays and sequences go straight through ``np.asarray`` (ndarrays of
     the right dtype are passed through as-is — safe because the
-    constructor's sorting/normalisation always produces fresh arrays
-    before freezing them); only lazy iterables are materialised first.
+    constructor copies a passed-through support it did not have to sort
+    before freezing it, and renormalises the mass into a fresh array);
+    only lazy iterables are materialised first.
     """
     if isinstance(data, (np.ndarray, list, tuple)):
         return np.asarray(data, dtype=float)
@@ -94,36 +95,47 @@ class DiscreteDistribution:
             )
         if vals.size == 0:
             raise DistributionError("a distribution needs at least one support point")
-        if np.any(~np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DistributionError("support points must be finite")
-        if np.any(prbs < -_PROB_TOL):
-            raise DistributionError("probabilities must be non-negative")
-        prbs = np.clip(prbs, 0.0, None)
+        least = prbs.min()
+        if not least >= 0.0:  # a negative entry, or a NaN the sum rejects
+            if np.any(prbs < -_PROB_TOL):
+                raise DistributionError("probabilities must be non-negative")
+            prbs = np.clip(prbs, 0.0, None)
         total = float(prbs.sum())
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
             raise DistributionError(f"probabilities must sum to 1, got {total!r}")
         prbs = prbs / total
 
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        prbs = prbs[order]
+        if (vals[1:] > vals[:-1]).all():
+            # Already canonical (strictly ascending, hence duplicate-free):
+            # the stable sort would be the identity.  Nothing below copies,
+            # and a caller's own array must not be the one that is frozen.
+            if isinstance(values, np.ndarray):
+                vals = vals.copy()
+        else:
+            order = np.argsort(vals, kind="stable")
+            vals = vals[order]
+            prbs = prbs[order]
 
-        # Merge duplicate support points so equality is canonical.
-        keep_mask = np.empty(vals.size, dtype=bool)
-        keep_mask[0] = True
-        keep_mask[1:] = vals[1:] != vals[:-1]
-        if not keep_mask.all():
-            group_ids = np.cumsum(keep_mask) - 1
-            merged = np.zeros(int(group_ids[-1]) + 1, dtype=float)
-            np.add.at(merged, group_ids, prbs)
-            vals = vals[keep_mask]
-            prbs = merged
+            # Merge duplicate support points so equality is canonical.
+            keep_mask = np.empty(vals.size, dtype=bool)
+            keep_mask[0] = True
+            keep_mask[1:] = vals[1:] != vals[:-1]
+            if not keep_mask.all():
+                group_ids = np.cumsum(keep_mask) - 1
+                merged = np.zeros(int(group_ids[-1]) + 1, dtype=float)
+                np.add.at(merged, group_ids, prbs)
+                vals = vals[keep_mask]
+                prbs = merged
 
-        # Drop zero-probability points unless that would empty the support.
-        nonzero = prbs > 0.0
-        if nonzero.any() and not nonzero.all():
-            vals = vals[nonzero]
-            prbs = prbs[nonzero]
+        # Drop zero-probability points unless that would empty the support
+        # (none exists when the smallest mass handed in was positive).
+        if not least > 0.0:
+            nonzero = prbs > 0.0
+            if nonzero.any() and not nonzero.all():
+                vals = vals[nonzero]
+                prbs = prbs[nonzero]
 
         self._values = vals
         self._probs = prbs

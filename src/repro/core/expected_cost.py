@@ -44,6 +44,7 @@ from .distributions import DiscreteDistribution
 __all__ = [
     "expected_join_cost_naive",
     "expected_join_cost_naive_model",
+    "expected_join_costs_naive_model_many",
     "expected_sort_merge_cost",
     "expected_nested_loop_cost",
     "expected_grace_hash_cost",
@@ -95,10 +96,12 @@ def expected_join_cost_naive_model(
 ) -> float:
     """Vectorized :func:`expected_join_cost_naive` over a cost model.
 
-    Enumerates the same ``b_L·b_R·b_R`` grid in the same (l, r, m) order
-    and accumulates sequentially (``np.add.reduceat``), so the value and
-    the model's ``eval_count`` accounting are identical to the scalar
-    loop over ``cost_model.join_cost`` — just computed as one array op.
+    Enumerates the same ``b_L·b_R·b_M`` grid in the same (l, r, m) order
+    and accumulates left to right (the last entry of an ``np.cumsum``),
+    so the value and the model's ``eval_count`` accounting are identical
+    to the scalar loop over ``cost_model.join_cost`` — just computed as
+    one array op.  The per-pair reference of
+    :func:`expected_join_costs_naive_model_many`.
     """
     lv, lp = left.values, left.probs
     rv, rp = right.values, right.probs
@@ -110,6 +113,49 @@ def expected_join_cost_naive_model(
     costs = cost_model.join_cost_many(method, grid_l, grid_r, grid_m)
     probs = ((lp[:, None] * rp[None, :])[:, :, None] * mp[None, None, :]).ravel()
     return float(np.cumsum(probs * costs)[-1])
+
+
+def expected_join_costs_naive_model_many(
+    cost_model,
+    method: JoinMethod,
+    pairs: Sequence[Tuple[DiscreteDistribution, DiscreteDistribution]],
+    memory: DiscreteDistribution,
+) -> List[float]:
+    """:func:`expected_join_cost_naive_model` of every ``(left, right)``
+    in ``pairs``, bit for bit, through one formula call.
+
+    The pairs' (l, r, m) grids lie end to end, addressed by integer
+    arithmetic into the concatenated supports; ``eval_count`` advances
+    by the same total.  Each pair's ``(p_l·p_r)·p_m·cost`` terms fill
+    its row of a zero-padded matrix and are summed by :func:`_row_sums`
+    — trailing exact zeros leave a sequential sum alone.
+    """
+    if not pairs:
+        return []
+    lefts, rights = zip(*pairs)
+    n_m = memory.values.size
+    n_l = np.array([d.values.size for d in lefts])
+    n_r = np.array([d.values.size for d in rights])
+    sizes = n_l * n_r * n_m
+    row = np.repeat(np.arange(len(pairs)), sizes)
+    col = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    in_pair, m = np.divmod(col, n_m)
+    l, r = np.divmod(in_pair, n_r[row])
+    l += (np.cumsum(n_l) - n_l)[row]
+    r += (np.cumsum(n_r) - n_r)[row]
+    costs = cost_model.join_cost_many(
+        method,
+        np.concatenate([d.values for d in lefts])[l],
+        np.concatenate([d.values for d in rights])[r],
+        memory.values[m],
+    )
+    probs = (
+        np.concatenate([d.probs for d in lefts])[l]
+        * np.concatenate([d.probs for d in rights])[r]
+    ) * memory.probs[m]
+    terms = np.zeros((len(pairs), sizes.max()))
+    terms[row, col] = probs * costs
+    return _row_sums(terms).tolist()
 
 
 # ----------------------------------------------------------------------

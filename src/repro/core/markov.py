@@ -31,7 +31,7 @@ by any finite factor stays ``0.0``, which subsumes the old early-break).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,13 +61,15 @@ class MarkovParameter:
         initial: Sequence[float],
         transition: Sequence[Sequence[float]],
     ):
-        self.states = np.asarray(states, dtype=float)
+        # Copies, frozen below: a caller writing to its own arrays later
+        # cannot leave some cached phases on the old chain and some on the new.
+        self.states = np.array(states, dtype=float)
         if self.states.ndim != 1 or self.states.size == 0:
             raise ValueError("states must be a non-empty 1-d sequence")
         if np.any(np.diff(self.states) <= 0):
             raise ValueError("states must be strictly increasing")
-        self.initial = np.asarray(initial, dtype=float)
-        self.transition = np.asarray(transition, dtype=float)
+        self.initial = np.array(initial, dtype=float)
+        self.transition = np.array(transition, dtype=float)
         n = self.states.size
         if self.initial.shape != (n,):
             raise ValueError(f"initial must have shape ({n},)")
@@ -79,7 +81,10 @@ class MarkovParameter:
             self.transition.sum(axis=1), 1.0
         ):
             raise ValueError("transition rows must be probability vectors")
-        self._marginal_cache: List[np.ndarray] = [self.initial.copy()]
+        for owned in (self.states, self.initial, self.transition):
+            owned.setflags(write=False)
+        self._marginal_cache: List[np.ndarray] = [self.initial]
+        self._marginals: Dict[int, DiscreteDistribution] = {}
 
     @property
     def n_states(self) -> int:
@@ -99,9 +104,15 @@ class MarkovParameter:
         """Distribution of the parameter value during phase ``phase``.
 
         Phase 0 is the first join executed (the bottom of a left-deep
-        plan); each subsequent join is one phase later.
+        plan); each subsequent join is one phase later.  Built once per
+        phase: every later call returns the same (immutable) object.
         """
-        return DiscreteDistribution(self.states, self._marginal_vector(phase))
+        dist = self._marginals.get(phase)
+        if dist is None:
+            dist = self._marginals[phase] = DiscreteDistribution(
+                self.states, self._marginal_vector(phase)
+            )
+        return dist
 
     def marginal_matrix(self, n_phases: int) -> np.ndarray:
         """Phase marginals ``0..n_phases-1`` stacked as a matrix.

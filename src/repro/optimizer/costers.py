@@ -13,9 +13,10 @@ step is costed*; each of the paper's settings is one :class:`Coster`:
   (Theorem 3.4).
 * :class:`MultiParamCoster` — Algorithm D: memory, input sizes and
   selectivities all distributional; carries a page-count distribution per
-  relation subset and takes expectations over (M, |L|, |R|) triples,
-  either naively or via the linear-time paths of
-  :mod:`repro.core.expected_cost`.
+  relation subset and takes expectations over (M, |L|, |R|) triples —
+  per DP level and method one naive ``b_M·b_L·b_R`` grid laid over all
+  its steps, or (``fast``) one linear-time kernel pass, both in
+  :mod:`repro.core.expected_cost`; presorted sort-merge step by step.
 
 Every coster exposes the same five hooks (access, join step, intermediate
 write, final sort, result pages), all returning scalars in the coster's
@@ -51,6 +52,7 @@ from ..core.expected_cost import (
     expected_external_sort_cost_model,
     expected_join_cost_naive,
     expected_join_cost_naive_model,
+    expected_join_costs_naive_model_many,
 )
 from ..core.markov import MarkovParameter
 from ..costmodel.estimates import project_pages
@@ -636,23 +638,25 @@ class MultiParamCoster(Coster):
         ))
 
     def prefetch_join_steps(self, requests):
-        """Linear-time joins in one kernel pass per method, the rest singly.
-
-        Only the fast-path methods batch (the naive triple grid is
-        already one array op per step, and presorted sort-merge keeps
-        its order-aware route).
+        """One call per formula group: the linear-time kernel under
+        ``fast``, else one naive triple grid laid over every pair of the
+        group; presorted sort-merge keeps its order-aware per-step route.
         """
 
         def grid(method, _phase, lps, rps, pairs):
-            if not self._batches(method, lps, rps):
+            if lps or rps:
                 return [
                     self._compute_step(method, left, right, lps, rps)
                     for left, right in pairs
                 ]
             sizes = self.size_distribution
-            return self.context.batched_join_costs(
-                [(method, sizes(left), sizes(right)) for left, right in pairs],
-                self.memory,
+            dists = [(sizes(left), sizes(right)) for left, right in pairs]
+            if self._batches(method, lps, rps):
+                return self.context.batched_join_costs(
+                    [(method, left, right) for left, right in dists], self.memory
+                )
+            return expected_join_costs_naive_model_many(
+                self.cost_model, method, dists, self.memory
             )
 
         return self._batched_steps(requests, grid)

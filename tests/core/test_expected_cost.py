@@ -20,10 +20,13 @@ from repro.core.expected_cost import (
     expected_grace_hash_cost,
     expected_join_cost_fast,
     expected_join_cost_naive,
+    expected_join_cost_naive_model,
+    expected_join_costs_naive_model_many,
     expected_nested_loop_cost,
     expected_sort_merge_cost,
 )
 from repro.costmodel import formulas
+from repro.costmodel.model import CostModel
 from repro.plans.properties import JoinMethod
 
 
@@ -203,3 +206,77 @@ class TestFastEqualsNaiveProperty:
             e = expected_join_cost_fast(method, left, right, memory)
             slack = 1e-9 * max(abs(max(vals)), 1.0)
             assert min(vals) - slack <= e <= max(vals) + slack
+
+
+# ----------------------------------------------------------------------
+# The batched naive grid == the per-pair naive grid, exactly
+# ----------------------------------------------------------------------
+
+
+def _all_methods_model() -> CostModel:
+    return CostModel(methods=tuple(JoinMethod))
+
+
+@st.composite
+def ragged_batches(draw):
+    """``(pairs, memory)``: supports of 1-16 buckets drawn from a pool of
+    six, so one distribution object sits on both sides and in several
+    pairs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    pool = [
+        _dist(int(rng.integers(1e9)), int(rng.integers(1, 17)), 1.0, 1e6)
+        for _ in range(6)
+    ]
+    memory = _dist(int(rng.integers(1e9)), int(rng.integers(1, 6)), 3.0, 2e3)
+    picks = draw(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12)
+    )
+    return [(pool[i], pool[j]) for i, j in picks], memory
+
+
+class TestBatchedNaiveEqualsPerPair:
+    @pytest.mark.parametrize(
+        "make_model", [CostModel, _all_methods_model], ids=["default", "all-methods"]
+    )
+    @given(batch=ragged_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_same_floats_same_eval_count(self, make_model, batch):
+        pairs, memory = batch
+        batched, per_pair = make_model(), make_model()
+        for method in batched.methods:
+            got = expected_join_costs_naive_model_many(batched, method, pairs, memory)
+            want = [
+                expected_join_cost_naive_model(per_pair, method, left, right, memory)
+                for left, right in pairs
+            ]
+            assert got == want  # float equality: bit for bit
+            assert all(type(cost) is float for cost in got)
+            assert batched.eval_count == per_pair.eval_count
+
+    def test_all_methods_model_adds_the_two_optional_methods(self):
+        extra = set(_all_methods_model().methods) - set(CostModel().methods)
+        assert {JoinMethod.BLOCK_NESTED_LOOP, JoinMethod.HYBRID_HASH} <= extra
+
+    def test_empty_batch_evaluates_nothing(self, small_memory_dist):
+        model = CostModel()
+        for method in model.methods:
+            assert expected_join_costs_naive_model_many(
+                model, method, [], small_memory_dist
+            ) == []
+        assert model.eval_count == 0
+
+    def test_single_pair_and_one_object_everywhere(self, small_memory_dist):
+        d = _dist(5, 16, 1.0, 1e6)
+        point = point_mass(40.0)
+        for pairs in ([(d, d)], [(d, d)] * 3 + [(point, d), (d, point), (point, point)]):
+            batched, per_pair = CostModel(), CostModel()
+            for method in batched.methods:
+                assert expected_join_costs_naive_model_many(
+                    batched, method, pairs, small_memory_dist
+                ) == [
+                    expected_join_cost_naive_model(
+                        per_pair, method, left, right, small_memory_dist
+                    )
+                    for left, right in pairs
+                ]
+            assert batched.eval_count == per_pair.eval_count

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import MarkovParameter, random_walk_chain, sticky_chain
 
 
@@ -42,6 +43,54 @@ class TestValidation:
             MarkovParameter([1.0, 2.0], [0.5, 0.5], np.eye(3))
 
 
+class TestOwnership:
+    def _arrays(self):
+        return (
+            np.array([100.0, 200.0]),
+            np.array([1.0, 0.0]),
+            np.array([[0.5, 0.5], [0.2, 0.8]]),
+        )
+
+    def test_states_equal_what_was_passed(self):
+        states, initial, transition = self._arrays()
+        chain = MarkovParameter(states, initial, transition)
+        for phase in (0, 2):
+            chain.marginal(phase)
+        assert chain.states.tolist() == [100.0, 200.0]
+        assert chain.initial.tolist() == [1.0, 0.0]
+        assert chain.transition.tolist() == [[0.5, 0.5], [0.2, 0.8]]
+
+    def test_a_callers_later_writes_do_not_reach_the_chain(self):
+        states, initial, transition = self._arrays()
+        chain = MarkovParameter(states, initial, transition)
+        untouched = MarkovParameter(*self._arrays())
+        first = chain.marginal(1)
+        transition[:] = [[0.0, 1.0], [1.0, 0.0]]
+        initial[:] = [0.0, 1.0]
+        states[:] = [1.0, 2.0]
+        assert chain.marginal(1) is first
+        for phase in range(4):
+            assert chain.marginal(phase) == untouched.marginal(phase)
+            assert (
+                chain.marginal(phase).probs.tobytes()
+                == untouched.marginal(phase).probs.tobytes()
+            )
+
+    def test_the_chains_arrays_are_frozen_and_the_callers_are_not(self):
+        states, initial, transition = self._arrays()
+        chain = MarkovParameter(states, initial, transition)
+        chain.marginal(1)
+        for mine, theirs in (
+            (states, chain.states),
+            (initial, chain.initial),
+            (transition, chain.transition),
+        ):
+            assert mine.flags.writeable
+            assert not theirs.flags.writeable
+            assert not np.shares_memory(mine, theirs)
+        assert not np.shares_memory(chain.marginal(1).values, chain.states)
+
+
 class TestMarginals:
     def test_marginal_zero_is_initial(self, simple_chain):
         m0 = simple_chain.marginal(0)
@@ -61,6 +110,22 @@ class TestMarginals:
         a = simple_chain.marginal(5)
         b = simple_chain.marginal(5)
         assert a == b
+
+    def test_one_distribution_per_phase(self, simple_chain):
+        for phase in (3, 0, 3, 1):
+            dist = simple_chain.marginal(phase)
+            assert simple_chain.marginal(phase) is dist
+            fresh = DiscreteDistribution(
+                simple_chain.states, simple_chain.marginals_many([phase])[0]
+            )
+            assert dist.values.tobytes() == fresh.values.tobytes()
+            assert dist.probs.tobytes() == fresh.probs.tobytes()
+        assert simple_chain.marginal(0) is not simple_chain.marginal(1)
+
+    def test_zero_probability_state_still_dropped(self, simple_chain):
+        # Phase 0 puts all mass on the first state.
+        assert simple_chain.marginal(0).support() == [100.0]
+        assert simple_chain.marginal(1).support() == [100.0, 200.0]
 
     def test_negative_phase_rejected(self, simple_chain):
         with pytest.raises(ValueError):

@@ -203,6 +203,43 @@ def test_flat_phase_groups_reach_the_array_path():
     ) < _MIN_VECTOR_STEPS
 
 
+@pytest.mark.parametrize("half_warm", [False, True], ids=["cold", "half-warm"])
+def test_a_naive_multiparam_level_mixes_presorted_and_unsorted_sort_merge(
+    monkeypatch, half_warm
+):
+    # Non-fast Algorithm D costs a formula group's unsorted steps through
+    # one batched naive grid -- a group of one pair too -- and presorted
+    # sort-merge, in the same level, through its order-aware route.
+    from repro.optimizer import costers
+
+    query = QUERIES[2]
+    requests = [r for r in _requests(query, False) if r[3] == 1]
+    sort_merge = [r for r in requests if r[0] is JoinMethod.SORT_MERGE]
+    assert {(r[4], r[5]) for r in sort_merge} == set(
+        itertools.product((False, True), repeat=2)
+    )
+    calls = []
+    real = costers.expected_join_costs_naive_model_many
+
+    def counting(cost_model, method, pairs, memory):
+        calls.append((method, len(pairs)))
+        return real(cost_model, method, pairs, memory)
+
+    monkeypatch.setattr(costers, "expected_join_costs_naive_model_many", counting)
+    # Six requests per (left, right): every other pair's are memoized.
+    warm = [r for i, r in enumerate(requests) if half_warm and (i // 6) % 2]
+    _assert_batch_is_the_scalar_loop("multiparam-naive", query, requests, warm=warm)
+    # One call per method, none for a presorted group, only what the memo lacks.
+    assert sorted(m.value for m, _ in calls) == ["GH", "NL", "SM"]
+    unsorted_sm = [r for r in sort_merge if not (r[4] or r[5])]
+    missing = len(unsorted_sm) - len([r for r in warm if r in unsorted_sm])
+    assert dict(calls)[JoinMethod.SORT_MERGE] == missing
+
+    calls.clear()
+    _assert_batch_is_the_scalar_loop("multiparam-naive", query, sort_merge[:1])
+    assert calls == [(JoinMethod.SORT_MERGE, 1)]
+
+
 def test_an_empty_batch_is_an_empty_list():
     for kind in COSTER_KINDS + ["bayesnet"]:
         assert _bound(kind, QUERIES[0]).prefetch_join_steps([]) == []
