@@ -206,6 +206,8 @@ class ClusterGateway:
 
         self._ctx = _preferred_context()
         self.shared_tier = SharedPlanTier(max_entries=shared_max_entries)
+        #: query fingerprint -> shard index (see :meth:`shard_for`).
+        self._routes: Dict[Tuple, int] = {}
         self._shards: List[_Shard] = []
         self._inflight: Dict[PlanCacheKey, "asyncio.Future[ClusterResult]"] = {}
         self._ids = itertools.count(1)
@@ -500,8 +502,17 @@ class ClusterGateway:
             raise GatewayError("gateway is not running (start() it first)")
 
     def shard_for(self, fingerprint: Tuple) -> int:
-        """Fingerprint-hash routing: the shard owning this query."""
-        return int(fingerprint_digest(fingerprint)[:8], 16) % self.n_shards
+        """Fingerprint-hash routing: the shard owning this query.  The
+        digest runs once per fingerprint; routes are remembered in a map
+        bounded like the plan tier (oldest out first)."""
+        routes = self._routes
+        shard = routes.get(fingerprint)
+        if shard is None:
+            if len(routes) >= self.shared_tier.max_entries:
+                del routes[next(iter(routes))]
+            digest = fingerprint_digest(fingerprint)
+            shard = routes[fingerprint] = int(digest[:8], 16) % self.n_shards
+        return shard
 
     def _key_of(self, request: OptimizeRequest) -> PlanCacheKey:
         """Validate one request and name its answer at the current fence.

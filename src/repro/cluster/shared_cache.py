@@ -18,7 +18,8 @@ worker produced a plan, the next request for it is served from here.
 The two digests are what is left of the cross-process keys:
 :func:`fingerprint_digest` still picks the shard that optimizes a miss
 (Python's ``hash`` is salted per process and would re-route every query
-on a gateway restart); :func:`cache_key_digest` is the same value-based
+on a gateway restart) — once per fingerprint, the gateway remembers the
+route; :func:`cache_key_digest` is the same value-based
 digest over a whole key.  Nothing in ``src/`` calls it any more — it
 stays because the frozen benchmark's trace table names it (ROADMAP,
 "unfreeze ``bench/``").

@@ -22,6 +22,7 @@ LSC invocation) without relying on wall-clock noise.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -115,6 +116,25 @@ class CostModel:
         if self._count:
             self.eval_count += 1
         return formulas.external_sort_cost(pages, memory)
+
+    def join_costs(
+        self, method: JoinMethod, outer: Sequence[float], inner: Sequence[float],
+        memory: float, outer_presorted: bool = False, inner_presorted: bool = False,
+    ) -> List[float]:
+        """:meth:`join_cost` per aligned ``outer`` / ``inner`` size at one
+        memory (:meth:`sort_merge_cost_ordered` for sort-merge with a
+        presorted input), float for float, the formula looked up once;
+        ``eval_count`` advances by the number of pairs."""
+        if method is JoinMethod.SORT_MERGE and (outer_presorted or inner_presorted):
+            out = list(map(
+                formulas.sort_merge_cost_with_orders, outer, inner, repeat(memory),
+                repeat(outer_presorted), repeat(inner_presorted),
+            ))
+        else:
+            out = list(map(formulas._JOIN_COST[method], outer, inner, repeat(memory)))
+        if self._count:
+            self.eval_count += len(out)
+        return out
 
     # ------------------------------------------------------------------
     # Batched primitive costs

@@ -23,6 +23,12 @@ write, final sort, result pages), all returning scalars in the coster's
 objective; because every objective is an expectation, DP additivity and
 hence optimality is preserved.
 
+The DP costs a level in columns: ``prefetch_join_steps(phase,
+left_presorted, right_presorted, pairs)`` takes the level's
+``(left_rels, right_rels)`` pairs under those flags and returns one cost
+list per join method (:attr:`Coster.methods` order), bit for bit the
+scalar ``join_step_cost`` of each — one grid per list.
+
 Shared state lives in an :class:`~repro.core.context.OptimizationContext`
 attached at :meth:`Coster.bind` time: subset sizes and size
 distributions are memoized there instead of in per-coster private dicts,
@@ -31,10 +37,10 @@ memoized under a key spanning the coster's full parameter identity —
 so a context threaded across several optimizer invocations (Algorithms
 A-D over one query, a parametric sweep, repeated facade calls) answers
 repeated expectations from cache.  The memo is ``prefix -> {(left,
-right): cost}``: a batch resolves one prefix per formula group and
-probes pairs; the scalar path splits its key the same way.  A coster
-bound without an explicit context builds a private one, which
-reproduces the historical (per-invocation) behavior exactly.
+right): cost}``: a column resolves one prefix per method and probes
+pairs; the scalar path splits its key the same way.  A coster bound
+without an explicit context builds a private one, which reproduces the
+historical (per-invocation) behavior exactly.
 """
 
 from __future__ import annotations
@@ -61,10 +67,6 @@ from ..plans.nodes import Scan
 from ..plans.properties import JoinMethod
 from ..plans.query import JoinQuery
 from .errors import OptimizerConfigError
-
-#: One join step the DP is about to cost: ``(method, left_rels,
-#: right_rels, phase, left_presorted, right_presorted)``.
-StepRequest = Tuple[JoinMethod, FrozenSet[str], FrozenSet[str], int, bool, bool]
 
 __all__ = [
     "Coster",
@@ -149,20 +151,13 @@ class Coster(abc.ABC):
         """
 
     def _join_formula(
-        self,
-        method: JoinMethod,
-        left_pages: float,
-        right_pages: float,
-        memory: float,
-        left_presorted: bool,
-        right_presorted: bool,
+        self, method, left_pages, right_pages, memory, left_presorted, right_presorted
     ) -> float:
-        """Dispatch to the order-aware SM formula when credit applies."""
-        if method is JoinMethod.SORT_MERGE and (left_presorted or right_presorted):
-            return self.cost_model.sort_merge_cost_ordered(
-                left_pages, right_pages, memory, left_presorted, right_presorted
-            )
-        return self.cost_model.join_cost(method, left_pages, right_pages, memory)
+        """One step's formula, order-aware for sort-merge when credit applies."""
+        return self.cost_model.join_costs(
+            method, (left_pages,), (right_pages,), memory,
+            left_presorted, right_presorted,
+        )[0]
 
     def _join_formula_many(
         self,
@@ -184,52 +179,37 @@ class Coster(abc.ABC):
             method, left_pages, right_pages, memory
         )
 
-    def prefetch_join_steps(self, requests: Sequence[StepRequest]) -> List[float]:
-        """The costs of ``requests``, in order — how the DP costs a level.
+    @abc.abstractmethod
+    def prefetch_join_steps(
+        self, phase: int, left_presorted: bool, right_presorted: bool,
+        pairs: Sequence[Tuple[FrozenSet[str], FrozenSet[str]]],
+    ) -> List[List[float]]:
+        """The costs of joining each ``(left_rels, right_rels)`` pair in
+        ``phase`` under the presorted flags: one list per method of
+        :attr:`methods`, in that order, aligned with ``pairs`` — how the
+        DP costs a level.
 
-        Equal to ``[self.join_step_cost(*r) for r in requests]`` (this
-        base implementation) **bit for bit**, with the same
-        ``eval_count`` and context-memo accounting: memoized steps are
-        read, the rest are computed — one vectorized grid per formula
-        where the objective allows it, a step repeated within the batch
-        once — and stored (:meth:`_batched_steps`), all on the calling
-        thread.
+        Equal to ``[[self.join_step_cost(m, l, r, phase, left_presorted,
+        right_presorted) for l, r in pairs] for m in self.methods]`` **bit
+        for bit**, with the same ``eval_count`` and context-memo
+        accounting: memoized steps are read, the rest are computed — one
+        grid per method, a pair repeated in ``pairs`` once — and stored
+        (:meth:`_batched_steps`), all on the calling thread.
         """
-        return [self.join_step_cost(*request) for request in requests]
 
     def _batched_steps(
-        self,
-        requests: Sequence[StepRequest],
-        grid: Callable[..., Iterable[float]],
-    ) -> List[float]:
-        """:meth:`prefetch_join_steps` through the context's batch memo.
-
-        Requests are grouped by ``(method, phase, left_presorted,
-        right_presorted)`` — one formula, one parameter distribution —
-        and what the memo lacks of a group is costed by one
-        ``grid(method, phase, left_presorted, right_presorted, pairs)``
-        call returning a cost per ``(left_rels, right_rels)`` pair.
-        """
+        self, phase, lps, rps, pairs,
+        grid: Callable[[JoinMethod, list], Iterable[float]],
+    ) -> List[List[float]]:
+        """:meth:`prefetch_join_steps` through the context's batch memo:
+        per method one :meth:`OptimizationContext.step_costs` call, whose
+        misses ``grid(method, missing_pairs)`` costs, a value per pair."""
         assert self.context is not None, "coster used before bind()"
-        # By the method's id(): hashing an Enum member is a Python call.
-        groups: Dict[tuple, Tuple[tuple, List[int]]] = {}
-        for i, (method, _left, _right, phase, lps, rps) in enumerate(requests):
-            key = (id(method), phase, lps, rps)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = ((method, phase, lps, rps), [])
-            group[1].append(i)
-
-        out = [0.0] * len(requests)
-        for formula, group in groups.values():
-            costs = self.context.step_costs(
-                self._step_prefix(*formula),
-                [requests[i][1:3] for i in group],
-                partial(grid, *formula),
-            )
-            for i, cost in zip(group, costs):
-                out[i] = cost
-        return out
+        step_costs, step_prefix = self.context.step_costs, self._step_prefix
+        return [
+            step_costs(step_prefix(m, phase, lps, rps), pairs, partial(grid, m))
+            for m in self.methods
+        ]
 
     def _point_pages(self, pairs, pages: Dict[FrozenSet[str], float]):
         """The left and right point page counts of ``pairs``, through the
@@ -241,9 +221,9 @@ class Coster(abc.ABC):
                     pages[subset] = self._pages(subset)
         return [pages[l] for l, _ in pairs], [pages[r] for _, r in pairs]
 
-    def _expected_steps(self, requests, memory_in_phase) -> List[float]:
+    def _expected_steps(self, phase, lps, rps, pairs, memory) -> List[List[float]]:
         """:meth:`_batched_steps` with one (steps × memory-buckets) grid per
-        formula, a phase's steps under ``memory_in_phase(phase)``.
+        method under ``memory``.
 
         Each step's expectation is finished with the same ``np.dot``
         against the memory pmf that
@@ -254,10 +234,9 @@ class Coster(abc.ABC):
 
         pages = {}
 
-        def grid(method, phase, lps, rps, pairs):
-            lp, rp = self._point_pages(pairs, pages)
-            memory = memory_in_phase(phase)
-            shape = (len(pairs), memory.values.size)
+        def grid(method, missing):
+            lp, rp = self._point_pages(missing, pages)
+            shape = (len(missing), memory.values.size)
             rows = self._join_formula_many(
                 method,
                 np.repeat(lp, shape[1]),
@@ -267,7 +246,24 @@ class Coster(abc.ABC):
             )
             return [float(np.dot(row, memory.probs)) for row in rows.reshape(shape)]
 
-        return self._batched_steps(requests, grid)
+        return self._batched_steps(phase, lps, rps, pairs, grid)
+
+    def _expected_step(self, memory, method, left_rels, right_rels, phase,
+                       left_presorted, right_presorted) -> float:
+        """One join step's ``E[formula]`` under ``memory``, memoized."""
+        def compute() -> float:
+            lp, rp = self._pages(left_rels), self._pages(right_rels)
+            return memory.expectation(lambda m: self._join_formula(
+                method, lp, rp, m, left_presorted, right_presorted
+            ))
+
+        return self._step(self._join_step_key(
+            method, left_rels, right_rels, phase, left_presorted, right_presorted
+        ), compute)
+
+    def _expected_sort(self, memory, pages: float) -> float:
+        """The enforcer sort's ``E[cost]`` over ``pages`` under ``memory``."""
+        return memory.expectation(lambda m: self.cost_model.sort_cost(pages, m))
 
     def _step_prefix(self, method, phase, left_presorted, right_presorted) -> tuple:
         """What the memo keys of one formula's join steps share.
@@ -347,9 +343,17 @@ class Coster(abc.ABC):
         )
 
 
-#: below this many steps a point formula is cheaper called per step than
-#: as one array op (whose fixed cost is that of ~32 scalar calls).
-_MIN_VECTOR_STEPS = 32
+#: Below this many steps a point formula costs less as one
+#: :meth:`CostModel.join_costs` list call than as one array call.  µs per
+#: call, list / array (numpy 2.4, CPython 3.11, 2-CPU Xeon, best of 11):
+#:   steps    NL          SM          GH          BNL         HH
+#:    22   11.9/14.0   16.2/16.1   12.7/16.1   13.4/14.7   17.2/20.6
+#:    24   12.8/13.9   17.3/16.1   13.7/16.4   14.6/14.8   18.6/20.9
+#:    26   13.8/14.0   18.5/16.2   14.7/16.2   15.4/14.9   20.2/20.4
+#:    28   14.8/14.4   20.0/16.4   16.0/16.4   16.7/15.5   21.8/21.1
+#: The array call wins from ~27 (NL), 22 (SM), 28 (GH), 25 (BNL) and 26
+#: (HH) steps; NL + SM + GH break even at 26.
+_MIN_VECTOR_STEPS = 26
 
 
 class PointCoster(Coster):
@@ -375,41 +379,28 @@ class PointCoster(Coster):
         key = self._join_step_key(
             method, left_rels, right_rels, phase, left_presorted, right_presorted
         )
-        return self._step(
-            key,
-            lambda: self._join_formula(
-                method,
-                self._pages(left_rels),
-                self._pages(right_rels),
-                self.memory,
-                left_presorted,
-                right_presorted,
-            ),
-        )
+        return self._step(key, lambda: self._join_formula(
+            method, self._pages(left_rels), self._pages(right_rels),
+            self.memory, left_presorted, right_presorted,
+        ))
 
-    def prefetch_join_steps(self, requests):
-        """One ``join_cost_many`` grid per formula for the whole batch.
-
-        The vectorized formulas are bit-identical to the scalar ones per
-        element and ``eval_count`` advances by one per computed step
-        either way.
-        """
-
+    def prefetch_join_steps(self, phase, left_presorted, right_presorted, pairs):
+        """Per method one formula call over the missing pairs: a list
+        call below :data:`_MIN_VECTOR_STEPS` of them, an array call from
+        there on — both the scalar formula's floats and ``eval_count``."""
         pages = {}
+        lps, rps, memory = left_presorted, right_presorted, self.memory
 
-        def grid(method, _phase, lps, rps, pairs):
-            lp, rp = self._point_pages(pairs, pages)
-            if len(pairs) < _MIN_VECTOR_STEPS:
-                return [
-                    self._join_formula(method, l, r, self.memory, lps, rps)
-                    for l, r in zip(lp, rp)
-                ]
+        def grid(method, missing):
+            lp, rp = self._point_pages(missing, pages)
+            if len(missing) < _MIN_VECTOR_STEPS:
+                return self.cost_model.join_costs(method, lp, rp, memory, lps, rps)
             return self._join_formula_many(
                 method, np.array(lp), np.array(rp),
-                np.full(len(lp), self.memory), lps, rps,
+                np.full(len(lp), memory), lps, rps,
             )
 
-        return self._batched_steps(requests, grid)
+        return self._batched_steps(phase, lps, rps, pairs, grid)
 
     def write_cost(self, rels):
         return self._pages(rels)
@@ -442,43 +433,26 @@ class ExpectedCoster(Coster):
         self, method, left_rels, right_rels, phase,
         left_presorted=False, right_presorted=False,
     ):
-        key = self._join_step_key(
-            method, left_rels, right_rels, phase, left_presorted, right_presorted
+        return self._expected_step(
+            self.memory, method, left_rels, right_rels, phase,
+            left_presorted, right_presorted,
         )
 
-        def compute() -> float:
-            lp = self._pages(left_rels)
-            rp = self._pages(right_rels)
-            return self.memory.expectation(
-                lambda m: self._join_formula(
-                    method, lp, rp, m, left_presorted, right_presorted
-                )
-            )
-
-        return self._step(key, compute)
-
-    def prefetch_join_steps(self, requests):
-        """One (steps × memory-buckets) formula grid per formula."""
-        return self._expected_steps(requests, lambda _phase: self.memory)
+    def prefetch_join_steps(self, phase, left_presorted, right_presorted, pairs):
+        """One (steps × memory-buckets) formula grid per method."""
+        return self._expected_steps(
+            phase, left_presorted, right_presorted, pairs, self.memory
+        )
 
     def write_cost(self, rels):
         return self._pages(rels)
 
     def final_sort_cost(self, rels, phase):
         key = (*self._memo_key(), "sort", rels)
-
-        def compute() -> float:
-            pages = self._pages(rels)
-            return self.memory.expectation(
-                lambda m: self.cost_model.sort_cost(pages, m)
-            )
-
-        return self._step(key, compute)
+        return self._step(key, lambda: self._union_sort_cost(self._pages(rels)))
 
     def _union_sort_cost(self, pages):
-        return self.memory.expectation(
-            lambda m: self.cost_model.sort_cost(pages, m)
-        )
+        return self._expected_sort(self.memory, pages)
 
 
 class MarkovCoster(Coster):
@@ -520,40 +494,26 @@ class MarkovCoster(Coster):
         self, method, left_rels, right_rels, phase,
         left_presorted=False, right_presorted=False,
     ):
-        key = self._join_step_key(
-            method, left_rels, right_rels, phase, left_presorted, right_presorted
+        return self._expected_step(
+            self.chain.marginal(phase), method, left_rels, right_rels, phase,
+            left_presorted, right_presorted,
         )
 
-        def compute() -> float:
-            lp = self._pages(left_rels)
-            rp = self._pages(right_rels)
-            marginal = self.chain.marginal(phase)
-            return marginal.expectation(
-                lambda m: self._join_formula(
-                    method, lp, rp, m, left_presorted, right_presorted
-                )
-            )
-
-        return self._step(key, compute)
-
-    def prefetch_join_steps(self, requests):
-        """Like :class:`ExpectedCoster`, each phase under its own marginal."""
-        return self._expected_steps(requests, self.chain.marginal)
+    def prefetch_join_steps(self, phase, left_presorted, right_presorted, pairs):
+        """Like :class:`ExpectedCoster`, under the phase's marginal."""
+        return self._expected_steps(
+            phase, left_presorted, right_presorted, pairs,
+            self.chain.marginal(phase),
+        )
 
     def write_cost(self, rels):
         return self._pages(rels)
 
     def final_sort_cost(self, rels, phase):
         key = (*self._memo_key(), "sort", phase, rels)
-
-        def compute() -> float:
-            pages = self._pages(rels)
-            marginal = self.chain.marginal(phase)
-            return marginal.expectation(
-                lambda m: self.cost_model.sort_cost(pages, m)
-            )
-
-        return self._step(key, compute)
+        return self._step(key, lambda: self._expected_sort(
+            self.chain.marginal(phase), self._pages(rels)
+        ))
 
 
 class MultiParamCoster(Coster):
@@ -617,14 +577,11 @@ class MultiParamCoster(Coster):
             return expected_join_cost_naive_model(
                 self.cost_model, method, ld, rd, self.memory
             )
-        # Order-aware sort-merge: no linear-time path; triple loop
-        # with the presorted formula.
-        def fn(_method, l, r, m):
-            return self._join_formula(
-                _method, l, r, m, left_presorted, right_presorted
-            )
-
-        return expected_join_cost_naive(fn, method, ld, rd, self.memory)
+        # Order-aware sort-merge: no linear-time path; a triple loop.
+        return expected_join_cost_naive(
+            lambda *step: self._join_formula(*step, left_presorted, right_presorted),
+            method, ld, rd, self.memory,
+        )
 
     def join_step_cost(
         self, method, left_rels, right_rels, phase,
@@ -637,20 +594,21 @@ class MultiParamCoster(Coster):
             method, left_rels, right_rels, left_presorted, right_presorted
         ))
 
-    def prefetch_join_steps(self, requests):
-        """One call per formula group: the linear-time kernel under
-        ``fast``, else one naive triple grid laid over every pair of the
-        group; presorted sort-merge keeps its order-aware per-step route.
+    def prefetch_join_steps(self, phase, left_presorted, right_presorted, pairs):
+        """One call per method: the linear-time kernel under ``fast``,
+        else one naive triple grid laid over every missing pair; a
+        presorted column keeps the order-aware per-step route.
         """
+        lps, rps = left_presorted, right_presorted
 
-        def grid(method, _phase, lps, rps, pairs):
+        def grid(method, missing):
             if lps or rps:
                 return [
                     self._compute_step(method, left, right, lps, rps)
-                    for left, right in pairs
+                    for left, right in missing
                 ]
             sizes = self.size_distribution
-            dists = [(sizes(left), sizes(right)) for left, right in pairs]
+            dists = [(sizes(left), sizes(right)) for left, right in missing]
             if self._batches(method, lps, rps):
                 return self.context.batched_join_costs(
                     [(method, left, right) for left, right in dists], self.memory
@@ -659,7 +617,7 @@ class MultiParamCoster(Coster):
                 self.cost_model, method, dists, self.memory
             )
 
-        return self._batched_steps(requests, grid)
+        return self._batched_steps(phase, lps, rps, pairs, grid)
 
     def write_cost(self, rels):
         key = (*self._memo_key(), "write", frozenset(rels))

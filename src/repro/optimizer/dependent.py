@@ -18,8 +18,9 @@ per-assignment arithmetic), the cost formulas run through the vectorized
 same left-to-right cumulative sum the scalar ``net.expectation`` loop
 performed.  Step costs are memoized in the bound
 :class:`~repro.core.context.OptimizationContext` and the DP costs them
-a level at a time (``prefetch_join_steps``), one grid per formula on the
-calling thread, exactly like the independent costers.
+a level at a time, one ``prefetch_join_steps`` call per presorted-flag
+pair returning one cost list per join method — one grid per method on
+the calling thread, exactly like the independent costers.
 
 Network conventions: the memory variable is named by ``memory_var``
 (default ``"M"``); each uncertain predicate selectivity is a variable
@@ -171,20 +172,21 @@ class BayesNetCoster(Coster):
 
         return self._step(key, compute)
 
-    def prefetch_join_steps(self, requests):
-        """One (steps × assignments) grid per formula, reduced per row by
+    def prefetch_join_steps(self, phase, left_presorted, right_presorted, pairs):
+        """One (steps × assignments) grid per method, reduced per row by
         the cumulative sum :meth:`join_step_cost` uses — same values, same
         ``eval_count``."""
+        lps, rps = left_presorted, right_presorted
 
-        def grid(method, _phase, lps, rps, pairs):
-            lp = np.vstack([self._pages_given_many(left) for left, _ in pairs])
-            rp = np.vstack([self._pages_given_many(right) for _, right in pairs])
+        def grid(method, missing):
+            lp = np.vstack([self._pages_given_many(left) for left, _ in missing])
+            rp = np.vstack([self._pages_given_many(right) for _, right in missing])
             costs = self._join_formula_many(
                 method, lp, rp, self._memory_col, lps, rps
             )
             return self.net.expectation_many(costs)
 
-        return self._batched_steps(requests, grid)
+        return self._batched_steps(phase, lps, rps, pairs, grid)
 
     def write_cost(self, rels):
         key = (*self._memo_key(), "write", frozenset(rels))

@@ -22,6 +22,9 @@ Bookkeeping details that matter for fidelity:
   even when a hash plan is cheaper before the final sort is accounted.
   A split *combines* its inputs per presorted flag, not per order: a
   step cost sees only whether an input carries the join's order target.
+  So a level is costed in columns: per presorted-flag pair one coster
+  call over the level's ``(left, right)`` relation-set pairs, one cost
+  list per join method back.
 * **Top-k.** With ``top_k = c > 1`` the engine retains the top ``c``
   entries per (subset, order) and combines candidate lists with the
   Proposition 3.1 merge — this is Algorithm B's candidate generator.
@@ -50,6 +53,7 @@ Bookkeeping details that matter for fidelity:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -225,7 +229,8 @@ class SystemRDP:
 
         A level is evaluated in three moves: :meth:`_prune_level` drops
         the splits their lower bounds rule out (costing only its seeds),
-        :meth:`_cost_splits` costs what is left in one coster batch, and
+        :meth:`_cost_splits` costs what is left, one coster call per
+        presorted-flag pair returning a cost list per join method, and
         :meth:`_build_subset` offers each subset's candidates in
         ascending-submask order, reading the step costs of the batch.
         """
@@ -380,32 +385,32 @@ class SystemRDP:
     def _cost_splits(
         self, splits: Sequence[_Split], phase: int, table: _Table, steps: _Steps
     ) -> None:
-        """Cost the join steps of ``splits`` in one coster batch: per split
-        not yet in ``steps``, a request for each pair of views its inputs
-        present (:meth:`_views`) and each join method.  Pairs and costs
-        are filed in ``steps``, where :meth:`_offer_split` reads both.
+        """Cost the join steps of ``splits`` in columns: per split not yet
+        in ``steps``, each pair of views its inputs present
+        (:meth:`_views`) is filed under its two presorted flags, and each
+        flag pair of the level is one coster call — the ``(left rels,
+        right rels)`` pairs in, one cost list per join method out.  View
+        pairs and their per-method costs go to ``steps``, where
+        :meth:`_offer_split` reads both.
         """
-        rels, methods = self._rels, self.coster.methods
-        slots, requests = [], []
+        rels, views = self._rels, self._views
+        # (left presorted, right presorted) -> (view pair slots, rel pairs)
+        columns: Dict[Tuple[bool, bool], tuple] = defaultdict(lambda: ([], []))
         for left, right, _label, order_target, _orders, _bound in splits:
             if (left, right) in steps:
                 continue
-            steps[left, right] = pairs = [
-                [lview, rview, None]
-                for lview in self._views(left, order_target, table)
-                for rview in self._views(right, order_target, table)
-            ]
-            slots += pairs
-            requests += [
-                (m, rels[left], rels[right], phase, lview[0], rview[0])
-                for lview, rview, _ in pairs
-                for m in methods
-            ]
-        if requests:
-            costs = self.coster.prefetch_join_steps(requests)
-            n = len(methods)
-            for i, pair in enumerate(slots):
-                pair[2] = costs[i * n:(i + 1) * n]
+            steps[left, right] = slots = []
+            pair = (rels[left], rels[right])
+            for lview in views(left, order_target, table):
+                for rview in views(right, order_target, table):
+                    slots.append(slot := [lview, rview, None])
+                    column = columns[lview[0], rview[0]]
+                    column[0].append(slot)
+                    column[1].append(pair)
+        for (lps, rps), (slots, pairs) in columns.items():
+            costs = self.coster.prefetch_join_steps(phase, lps, rps, pairs)
+            for slot, step in zip(slots, zip(*costs)):
+                slot[2] = step
 
     def _views(
         self, mask: int, order_target: Optional[str], table: _Table

@@ -28,6 +28,7 @@ from repro.optimizer.errors import OptimizerConfigError
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
 from repro.plans.space import BUSHY
 from repro.serving.service import OptimizeRequest
+from repro.workloads.queries import random_query, with_selectivity_uncertainty
 
 _MEMORY = DiscreteDistribution([300.0, 900.0], [0.5, 0.5])
 
@@ -111,6 +112,67 @@ class TestOptimize:
                     await gw.optimize(_request(cost_model=CostModel()))
 
         asyncio.run(scenario())
+
+
+def _churn_fingerprints():
+    """The 400 distinct queries ``bench``'s ``cluster_churn`` draws at
+    seed 11, as fingerprints."""
+    rng = np.random.default_rng([11, 4])
+    return [
+        query_fingerprint(with_selectivity_uncertainty(
+            random_query(int(rng.integers(3, 6)), rng), 1.0, n_buckets=4
+        ))
+        for _ in range(400)
+    ]
+
+
+class TestRouting:
+    """A miss is routed by a digest computed once per fingerprint."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_the_route_is_the_digest_route(self, shards):
+        gw = ClusterGateway(shards=shards)
+        fingerprints = _churn_fingerprints()
+        assert len(set(fingerprints)) == 400
+        for _ in range(2):  # a remembered route too
+            for fp in fingerprints:
+                assert gw.shard_for(fp) == (
+                    int(gateway_module.fingerprint_digest(fp)[:8], 16) % shards
+                )
+
+    def test_the_digest_runs_once_per_fingerprint(self, monkeypatch):
+        digested = []
+        real = gateway_module.fingerprint_digest
+
+        def counting(fp):
+            digested.append(fp)
+            return real(fp)
+
+        monkeypatch.setattr(gateway_module, "fingerprint_digest", counting)
+        gw = ClusterGateway(shards=2)
+        fingerprints = _churn_fingerprints()[:50]
+        routes = [gw.shard_for(fp) for fp in fingerprints]
+        for _ in range(3):
+            assert [gw.shard_for(fp) for fp in fingerprints] == routes
+        assert digested == fingerprints
+
+    def test_remembered_routes_are_bounded_like_the_tier(self, monkeypatch):
+        digested = []
+        real = gateway_module.fingerprint_digest
+        monkeypatch.setattr(
+            gateway_module, "fingerprint_digest",
+            lambda fp: digested.append(fp) or real(fp),
+        )
+        gw = ClusterGateway(shards=2, shared_max_entries=8)
+        fingerprints = _churn_fingerprints()[:12]
+        routes = [gw.shard_for(fp) for fp in fingerprints]
+        assert len(gw._routes) == 8
+        # The four oldest routes made room; asking again re-digests them.
+        digested.clear()
+        assert [gw.shard_for(fp) for fp in fingerprints[4:]] == routes[4:]
+        assert digested == []
+        assert gw.shard_for(fingerprints[0]) == routes[0]
+        assert digested == fingerprints[:1]
 
 
 class TestOptimizeMany:

@@ -200,9 +200,68 @@ class TestInstrumentation:
         with pytest.raises(ValueError):
             CostModel(methods=())
 
+    def test_eval_count_disabled_for_a_list_call(self):
+        cm = CostModel(count_evaluations=False)
+        cm.join_costs(JoinMethod.SORT_MERGE, [10.0, 20.0], [10.0, 5.0], 100.0)
+        assert cm.eval_count == 0
+
     def test_default_methods_are_papers_trio(self):
         assert set(DEFAULT_METHODS) == {
             JoinMethod.NESTED_LOOP,
             JoinMethod.SORT_MERGE,
             JoinMethod.GRACE_HASH,
         }
+
+
+class TestJoinCostsList:
+    """``join_costs`` is the scalar formula per pair, looked up once."""
+
+    OUTER = [0.0, 1.0, 7.0, 120.0, 999.0, 4096.0, 50_000.0, 1e6]
+    INNER = [3.0, 1.0, 64.0, 8.0, 1000.0, 4096.0, 40.0, 4e5]
+    FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+    @staticmethod
+    def _scalar(cm, method, memory, lps, rps, pairs):
+        if method is JoinMethod.SORT_MERGE and (lps or rps):
+            return [
+                cm.sort_merge_cost_ordered(o, i, memory, lps, rps)
+                for o, i in pairs
+            ]
+        return [cm.join_cost(method, o, i, memory) for o, i in pairs]
+
+    @pytest.mark.parametrize("method", list(JoinMethod))
+    @pytest.mark.parametrize("memory", [1.5, 3.0, 40.0, 1002.0, 1e5])
+    def test_equals_the_scalar_loop(self, method, memory):
+        pairs = list(zip(self.OUTER, self.INNER))
+        for lps, rps in self.FLAGS:
+            listed, scalar = CostModel(), CostModel()
+            got = listed.join_costs(
+                method, self.OUTER, self.INNER, memory, lps, rps
+            )
+            assert got == self._scalar(scalar, method, memory, lps, rps, pairs)
+            assert all(type(cost) is float for cost in got)
+            assert listed.eval_count == scalar.eval_count == len(pairs)
+
+    @pytest.mark.parametrize("flags", FLAGS)
+    def test_bad_inputs_raise_what_the_scalar_raises(self, flags):
+        cm = CostModel()
+        for outer, inner, memory, match in (
+            ([5.0, -1.0], [5.0, 5.0], 100.0, "non-negative"),
+            ([5.0], [-2.0], 100.0, "non-negative"),
+            ([5.0], [5.0], 0.0, "memory must be positive"),
+            ([5.0], [5.0], -3.0, "memory must be positive"),
+        ):
+            for method in JoinMethod:
+                with pytest.raises(ValueError, match=match):
+                    cm.join_costs(method, outer, inner, memory, *flags)
+                with pytest.raises(ValueError, match=match):
+                    self._scalar(
+                        CostModel(), method, memory, *flags, list(zip(outer, inner))
+                    )
+
+    def test_no_pairs_is_an_empty_list(self):
+        cm = CostModel()
+        for method in JoinMethod:
+            for flags in self.FLAGS:
+                assert cm.join_costs(method, [], [], 100.0, *flags) == []
+        assert cm.eval_count == 0

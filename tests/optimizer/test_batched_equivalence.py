@@ -1,16 +1,18 @@
 """The batch contract of the costers, stated directly.
 
 ``SystemRDP`` costs every DP level through ``Coster.prefetch_join_steps``
+— one call per presorted-flag pair, one cost list per join method back —
 and never calls ``join_step_cost``; the scalar method stays as the
-reference the batch is held to:
+reference the columns are held to:
 
-    ``coster.prefetch_join_steps(requests)
-    == [coster.join_step_cost(*r) for r in requests]``
+    ``coster.prefetch_join_steps(phase, lps, rps, pairs)
+    == [[coster.join_step_cost(m, l, r, phase, lps, rps) for l, r in pairs]
+        for m in coster.methods]``
 
 bit for bit, with the same ``eval_count`` and the same ``step_costs``
 memo accounting — on a cold context, on a half-warm one and with
-requests repeated inside the batch — for every coster kind (algorithms
-A–D share them) and the dependent Bayes-net one.
+pairs repeated inside a call — for every coster kind (algorithms A–D
+share them) and the dependent Bayes-net one.
 
 The end-to-end cases this file used to run twice (once per evaluation
 path) are now plain golden pins: winner and ``repr(objective)`` as
@@ -41,7 +43,6 @@ from repro.optimizer.costers import (
 from repro.optimizer.dependent import BayesNetCoster
 from repro.optimizer.randomized import iterative_improvement
 from repro.optimizer.systemr import SystemRDP
-from repro.plans.properties import JoinMethod
 from repro.workloads.queries import (
     chain_query,
     random_query,
@@ -114,32 +115,50 @@ COSTER_KINDS = [
 # ----------------------------------------------------------------------
 
 
-def _requests(query, flat_phase: bool):
-    """Every join step over ``query``'s relations, as the DP would ask.
+FLAGS = list(itertools.product((False, True), repeat=2))
 
-    All ordered pairs of disjoint non-empty relation sets, each join
-    method, plus sort-merge under every presorted combination.  With
-    ``flat_phase`` every step names phase 0, so a formula's steps form
-    one group large enough for the array path of every coster; with the
-    true phase (relations joined - 2) the groups stay small.
-    """
+
+def _pairs(query):
+    """Every ordered pair of disjoint non-empty relation sets of ``query``."""
     names = sorted(query.relation_names())
-    requests = []
+    pairs = []
     for assignment in itertools.product((0, 1, 2), repeat=len(names)):
         left = frozenset(n for n, side in zip(names, assignment) if side == 1)
         right = frozenset(n for n, side in zip(names, assignment) if side == 2)
-        if not left or not right:
-            continue
+        if left and right:
+            pairs.append((left, right))
+    return pairs
+
+
+def _columns(query, flat_phase: bool):
+    """Every join step over ``query``'s relations, as the DP asks for them:
+    ``(phase, left_presorted, right_presorted, pairs)`` calls, one per
+    phase and presorted-flag pair.
+
+    With ``flat_phase`` every pair names phase 0, so one call holds all
+    of them -- enough for the array path of every coster; with the true
+    phase (relations joined - 2) the calls stay small.
+    """
+    by_phase = {}
+    for left, right in _pairs(query):
         phase = 0 if flat_phase else len(left) + len(right) - 2
-        for method in (
-            JoinMethod.NESTED_LOOP, JoinMethod.SORT_MERGE, JoinMethod.GRACE_HASH,
-        ):
-            requests.append((method, left, right, phase, False, False))
-        for lsorted, rsorted in ((True, False), (False, True), (True, True)):
-            requests.append(
-                (JoinMethod.SORT_MERGE, left, right, phase, lsorted, rsorted)
-            )
-    return requests
+        by_phase.setdefault(phase, []).append((left, right))
+    return [
+        (phase, lps, rps, pairs)
+        for phase, pairs in sorted(by_phase.items())
+        for lps, rps in FLAGS
+    ]
+
+
+def _steps(methods, columns):
+    """The scalar ``join_step_cost`` arguments of ``columns``, in the
+    contract's order: per call, method, then pair."""
+    return [
+        (method, left, right, phase, lps, rps)
+        for phase, lps, rps, pairs in columns
+        for method in methods
+        for left, right in pairs
+    ]
 
 
 def _bound(kind: str, query):
@@ -148,20 +167,27 @@ def _bound(kind: str, query):
     return coster
 
 
-def _assert_batch_is_the_scalar_loop(kind, query, requests, warm=()):
+def _assert_batch_is_the_scalar_loop(kind, query, columns, warm=()):
     batch, scalar = _bound(kind, query), _bound(kind, query)
     for coster in (batch, scalar):
-        for request in warm:
-            coster.join_step_cost(*request)
-    got = batch.prefetch_join_steps(requests)
-    want = [scalar.join_step_cost(*request) for request in requests]
-    assert got == want  # floats compared exactly: bit for bit
-    assert all(isinstance(cost, float) for cost in got)
-    assert batch.cost_model.eval_count == scalar.cost_model.eval_count
-    assert (
-        batch.context.stats()["step_costs"]
-        == scalar.context.stats()["step_costs"]
-    )
+        for step in warm:
+            coster.join_step_cost(*step)
+    for phase, lps, rps, pairs in columns:
+        got = batch.prefetch_join_steps(phase, lps, rps, pairs)
+        want = [
+            [scalar.join_step_cost(m, l, r, phase, lps, rps) for l, r in pairs]
+            for m in scalar.methods
+        ]
+        assert got == want  # floats compared exactly: bit for bit
+        assert all(isinstance(cost, float) for costs in got for cost in costs)
+        assert batch.cost_model.eval_count == scalar.cost_model.eval_count
+        assert (
+            batch.context.stats()["step_costs"]
+            == scalar.context.stats()["step_costs"]
+        )
+
+
+METHODS = _coster("point").methods
 
 
 @pytest.mark.parametrize("flat_phase", [False, True], ids=["phased", "flat"])
@@ -170,54 +196,78 @@ class TestBatchContract:
     @pytest.mark.parametrize("qidx", range(len(QUERIES)))
     def test_cold_context(self, kind, qidx, flat_phase):
         query = QUERIES[qidx]
-        requests = _requests(query, flat_phase)
-        _assert_batch_is_the_scalar_loop(kind, query, requests)
+        _assert_batch_is_the_scalar_loop(kind, query, _columns(query, flat_phase))
 
     def test_half_warm_context(self, kind, flat_phase):
         query = QUERIES[3]
-        requests = _requests(query, flat_phase)
+        columns = _columns(query, flat_phase)
         _assert_batch_is_the_scalar_loop(
-            kind, query, requests, warm=requests[::2]
+            kind, query, columns, warm=_steps(METHODS, columns)[::2]
         )
 
     def test_duplicate_requests(self, kind, flat_phase):
         query = QUERIES[0]
-        requests = _requests(query, flat_phase)
-        doubled = requests + requests[::3] + requests[:5]
+        columns = _columns(query, flat_phase)
+        doubled = [
+            (phase, lps, rps, pairs + pairs[::3] + pairs[:5])
+            for phase, lps, rps, pairs in columns
+        ]
         _assert_batch_is_the_scalar_loop(kind, query, doubled)
         _assert_batch_is_the_scalar_loop(
-            kind, query, doubled, warm=requests[1::4]
+            kind, query, doubled, warm=_steps(METHODS, columns)[1::4]
         )
 
 
 def test_flat_phase_groups_reach_the_array_path():
     # What makes the "flat" half of the matrix mean something: one
-    # formula's steps outnumber PointCoster's small-group cut-off.
+    # call's pairs outnumber PointCoster's small-group cut-off.
     from repro.optimizer.costers import _MIN_VECTOR_STEPS
 
-    plain = [r for r in _requests(QUERIES[0], True) if r[0] is JoinMethod.GRACE_HASH]
-    assert len(plain) >= _MIN_VECTOR_STEPS
-    phased = [r for r in _requests(QUERIES[0], False) if r[0] is JoinMethod.GRACE_HASH]
-    assert max(
-        sum(1 for r in phased if r[3] == phase) for phase in range(3)
-    ) < _MIN_VECTOR_STEPS
+    flat, phased = _columns(QUERIES[0], True), _columns(QUERIES[0], False)
+    assert min(len(pairs) for *_, pairs in flat) >= _MIN_VECTOR_STEPS
+    assert max(len(pairs) for *_, pairs in phased) < _MIN_VECTOR_STEPS
+
+
+@pytest.mark.parametrize("flags", FLAGS)
+def test_point_list_and_array_calls_meet_at_the_threshold(monkeypatch, flags):
+    # Below the cut-off a method's column is one list call, from it on one
+    # array call; on both sides of it the scalar loop's floats, eval_count
+    # and memo accounting.
+    from repro.optimizer.costers import _MIN_VECTOR_STEPS
+
+    pairs = _pairs(QUERIES[0])
+    for size in (_MIN_VECTOR_STEPS - 1, _MIN_VECTOR_STEPS, _MIN_VECTOR_STEPS + 1):
+        column = [(0, *flags, pairs[:size])]
+        _assert_batch_is_the_scalar_loop("point", QUERIES[0], column)
+        coster, calls = _bound("point", QUERIES[0]), []
+        model = coster.cost_model
+        for name in ("join_costs", "join_cost_many", "sort_merge_cost_ordered_many"):
+            def counting(*args, _real=getattr(model, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(model, name, counting)
+        coster.prefetch_join_steps(*column[0])
+        assert len(calls) == len(METHODS)
+        if size < _MIN_VECTOR_STEPS:
+            assert set(calls) == {"join_costs"}
+        else:
+            assert "join_costs" not in calls
 
 
 @pytest.mark.parametrize("half_warm", [False, True], ids=["cold", "half-warm"])
 def test_a_naive_multiparam_level_mixes_presorted_and_unsorted_sort_merge(
     monkeypatch, half_warm
 ):
-    # Non-fast Algorithm D costs a formula group's unsorted steps through
-    # one batched naive grid -- a group of one pair too -- and presorted
-    # sort-merge, in the same level, through its order-aware route.
+    # Non-fast Algorithm D costs an unsorted column through one batched
+    # naive grid per method -- over one pair too -- and the presorted
+    # columns of the same level through the order-aware per-step route.
     from repro.optimizer import costers
 
     query = QUERIES[2]
-    requests = [r for r in _requests(query, False) if r[3] == 1]
-    sort_merge = [r for r in requests if r[0] is JoinMethod.SORT_MERGE]
-    assert {(r[4], r[5]) for r in sort_merge} == set(
-        itertools.product((False, True), repeat=2)
-    )
+    columns = [c for c in _columns(query, False) if c[0] == 1]
+    assert [(lps, rps) for _, lps, rps, _ in columns] == FLAGS
+    pairs = columns[0][3]
     calls = []
     real = costers.expected_join_costs_naive_model_many
 
@@ -226,23 +276,25 @@ def test_a_naive_multiparam_level_mixes_presorted_and_unsorted_sort_merge(
         return real(cost_model, method, pairs, memory)
 
     monkeypatch.setattr(costers, "expected_join_costs_naive_model_many", counting)
-    # Six requests per (left, right): every other pair's are memoized.
-    warm = [r for i, r in enumerate(requests) if half_warm and (i // 6) % 2]
-    _assert_batch_is_the_scalar_loop("multiparam-naive", query, requests, warm=warm)
-    # One call per method, none for a presorted group, only what the memo lacks.
-    assert sorted(m.value for m, _ in calls) == ["GH", "NL", "SM"]
-    unsorted_sm = [r for r in sort_merge if not (r[4] or r[5])]
-    missing = len(unsorted_sm) - len([r for r in warm if r in unsorted_sm])
-    assert dict(calls)[JoinMethod.SORT_MERGE] == missing
+    # Every other pair's steps are memoized, under every method and flag.
+    warmed = pairs[1::2] if half_warm else []
+    warm = [s for s in _steps(METHODS, columns) if s[1:3] in warmed]
+    _assert_batch_is_the_scalar_loop("multiparam-naive", query, columns, warm=warm)
+    # One call per method, none for a presorted column, only what the memo lacks.
+    assert calls == [(m, len(pairs) - len(warmed)) for m in METHODS]
 
     calls.clear()
-    _assert_batch_is_the_scalar_loop("multiparam-naive", query, sort_merge[:1])
-    assert calls == [(JoinMethod.SORT_MERGE, 1)]
+    _assert_batch_is_the_scalar_loop(
+        "multiparam-naive", query, [(1, False, False, pairs[:1])]
+    )
+    assert calls == [(m, 1) for m in METHODS]
 
 
 def test_an_empty_batch_is_an_empty_list():
     for kind in COSTER_KINDS + ["bayesnet"]:
-        assert _bound(kind, QUERIES[0]).prefetch_join_steps([]) == []
+        coster = _bound(kind, QUERIES[0])
+        for flags in FLAGS:
+            assert coster.prefetch_join_steps(0, *flags, []) == [[], [], []]
 
 
 # ----------------------------------------------------------------------

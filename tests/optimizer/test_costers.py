@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.distributions import point_mass, uniform_over
@@ -167,10 +169,10 @@ class TestStepMemoIsShared:
     """A step stored by either entry point is a hit for the other, for
     every coster kind; ``write`` / ``sort`` keys memoise beside them."""
 
-    REQUESTS = [
-        (JoinMethod.GRACE_HASH, frozenset(["R"]), frozenset(["S"]), 0, False, False),
-        (JoinMethod.SORT_MERGE, frozenset(["R", "S"]), frozenset(["T"]), 1, True, False),
-        (JoinMethod.NESTED_LOOP, frozenset(["T"]), frozenset(["R", "S"]), 1, False, False),
+    PAIRS = [
+        (frozenset(["R"]), frozenset(["S"])),
+        (frozenset(["R", "S"]), frozenset(["T"])),
+        (frozenset(["T"]), frozenset(["R", "S"])),
     ]
 
     def _costers(self, memory):
@@ -183,23 +185,35 @@ class TestStepMemoIsShared:
         ]
 
     def test_prefetch_then_scalar_and_back(self, three_way_query, bimodal_memory):
-        for coster in self._costers(bimodal_memory):
+        for coster, flags in itertools.product(
+            self._costers(bimodal_memory), [(False, False), (True, False)]
+        ):
             coster.bind(three_way_query)
+            methods, n = coster.methods, len(coster.methods)
 
             def memo():
                 return coster.context.stats()["step_costs"]
 
-            batch = coster.prefetch_join_steps(self.REQUESTS[:2])
-            assert memo()["misses"] == 2 and memo()["hits"] == 0
+            def scalar(pairs):
+                return [
+                    [coster.join_step_cost(m, l, r, 1, *flags) for l, r in pairs]
+                    for m in methods
+                ]
+
+            batch = coster.prefetch_join_steps(1, *flags, self.PAIRS[:2])
+            assert memo()["misses"] == 2 * n and memo()["hits"] == 0
             evals = coster.cost_model.eval_count
             # scalar reads what the batch stored ...
-            assert [coster.join_step_cost(*r) for r in self.REQUESTS[:2]] == batch
-            assert memo()["hits"] == 2 and coster.cost_model.eval_count == evals
+            assert scalar(self.PAIRS[:2]) == batch
+            assert memo()["hits"] == 2 * n
+            assert coster.cost_model.eval_count == evals
             # ... and the batch what the scalar path stores.
-            third = coster.join_step_cost(*self.REQUESTS[2])
+            third = scalar(self.PAIRS[2:])
             evals = coster.cost_model.eval_count
-            assert coster.prefetch_join_steps(self.REQUESTS) == batch + [third]
-            assert memo() == {"hits": 5, "misses": 3, "hit_rate": 5 / 8}
+            assert coster.prefetch_join_steps(1, *flags, self.PAIRS) == [
+                costs + more for costs, more in zip(batch, third)
+            ]
+            assert memo() == {"hits": 5 * n, "misses": 3 * n, "hit_rate": 5 / 8}
             assert coster.cost_model.eval_count == evals
 
     def test_write_and_sort_keys_still_memoise(self, three_way_query, bimodal_memory):
