@@ -30,7 +30,11 @@ SystemRDP`, Algorithms A-D, the deferred-decision strategies, and the
   identity, so repeated optimizations of the same query skip straight to
   the cached expectations.  It is two-level, ``prefix -> {(left, right):
   cost}``: a batch of steps sharing a formula resolves the prefix once
-  and probes pairs.
+  and probes pairs;
+* **DP skeletons** — what a System-R run walks that depends on no cost
+  (relation numbering, level masks, each mask's splits), keyed by
+  (relation names, plan-space shape, cross products, join methods):
+  recorded by the first run, replayed by later ones (Algorithms A/B).
 
 A context is *only* valid for the exact statistics it was built from:
 :func:`query_fingerprint` captures every number the optimizer can read
@@ -176,6 +180,8 @@ class OptimizationContext:
         self._survival: Dict[DiscreteDistribution, _SurvivalTable] = {}
         #: key[:-2] (coster identity, formula) -> {key[-2:] (operands): cost}
         self._cost_memo: Dict[Tuple, Dict[Tuple, float]] = {}
+        #: (names, shape, cross products, methods) -> a DP skeleton
+        self._skeletons: Dict[Tuple, Tuple] = {}
         self._stats: Dict[str, CacheStats] = {
             "subset_sizes": CacheStats(),
             "subset_bounds": CacheStats(),
@@ -184,6 +190,7 @@ class OptimizationContext:
             "survival_tables": CacheStats(),
             "step_costs": CacheStats(),
             "batched_joins": CacheStats(),
+            "skeletons": CacheStats(),
         }
 
     # ------------------------------------------------------------------
@@ -431,6 +438,22 @@ class OptimizationContext:
         return out  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
+    # Layer 6: DP skeletons (cost-free enumeration state)
+    # ------------------------------------------------------------------
+
+    def skeleton(self, key: Tuple) -> Optional[Tuple]:
+        """The DP skeleton kept under ``key``; ``None`` is a miss, whose run
+        records one and keeps it (:meth:`keep_skeleton`)."""
+        found = self._skeletons.get(key)
+        self._stats["skeletons"].misses += found is None
+        self._stats["skeletons"].hits += found is not None
+        return found
+
+    def keep_skeleton(self, key: Tuple, skeleton: Tuple) -> None:
+        """Keep a DP skeleton for later runs on this context."""
+        self._skeletons[key] = skeleton
+
+    # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
 
@@ -450,6 +473,7 @@ class OptimizationContext:
         self._dist_ops.clear()
         self._survival.clear()
         self._cost_memo.clear()
+        self._skeletons.clear()
         for cs in self._stats.values():
             cs.hits = 0
             cs.misses = 0

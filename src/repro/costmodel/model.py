@@ -22,8 +22,9 @@ LSC invocation) without relying on wall-clock noise.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
-from typing import List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from ..plans.query import JoinQuery
 from . import formulas
 from .estimates import node_size
 
-__all__ = ["CostModel", "DEFAULT_METHODS"]
+__all__ = ["CostModel", "DEFAULT_METHODS", "NodeTerm"]
 
 #: The paper's method set: the three classic algorithms.
 DEFAULT_METHODS: Tuple[JoinMethod, ...] = (
@@ -44,6 +45,21 @@ DEFAULT_METHODS: Tuple[JoinMethod, ...] = (
     JoinMethod.SORT_MERGE,
     JoinMethod.GRACE_HASH,
 )
+
+
+class NodeTerm(NamedTuple):
+    """A plan node's share of Φ: ``fixed`` (a scan, the child pages a join
+    writes or a sort re-reads) plus, if it has one, its counted join or
+    sort ``formula`` at the memory of its ``phase``."""
+
+    node: PlanNode
+    phase: int
+    fixed: float
+    formula: Optional[Callable[[float], float]]
+
+    def cost(self, memory: float) -> float:
+        """The node's cost at ``memory``."""
+        return self.fixed if self.formula is None else self.formula(memory) + self.fixed
 
 
 class CostModel:
@@ -217,9 +233,79 @@ class CostModel:
     # Whole-plan costing
     # ------------------------------------------------------------------
 
+    def node_terms(self, plan: Plan, query: JoinQuery, context=None) -> List[NodeTerm]:
+        """``plan``'s nodes in post-order, each charged to its join's phase
+        or the nearest enclosing join's, walked once: per memory value only
+        the formulas are left.  Sizes are ``node_size``'s, or for scans,
+        joins and sorts the memo of ``context`` (an
+        :class:`~repro.core.context.OptimizationContext` for ``query``)."""
+        if context is not None and not context.matches(query):
+            context = None
+        phase_of = {id(j): i for i, j in enumerate(plan.joins())}
+        terms: List[NodeTerm] = []
+
+        def pages(node: PlanNode) -> float:
+            if context is None or isinstance(node, (Project, UnionNode)):
+                return node_size(node, query).pages
+            return context.subset_pages(node.relations())
+
+        def visit(node: PlanNode, phase: int) -> None:
+            phase = phase_of.get(id(node), phase)
+            for child in node.children:
+                visit(child, phase)
+            fixed, formula = 0.0, None
+            if isinstance(node, Scan):
+                fixed = self.scan_node_cost(node, query)
+            elif isinstance(node, Join):
+                left, right, target = node.left, node.right, node.output_order_label
+                outer, inner = pages(left), pages(right)
+                if node.method is JoinMethod.SORT_MERGE:
+                    formula = partial(
+                        self.sort_merge_cost_ordered, outer, inner,
+                        outer_presorted=left.order == target,
+                        inner_presorted=right.order == target,
+                    )
+                else:
+                    formula = partial(self.join_cost, node.method, outer, inner)
+                # Writes of join-children's outputs (projected width); a
+                # pipelined nested loop's outer streams from its producer.
+                if isinstance(_strip_projects(left), Join) and (
+                    node.method not in self.pipelined_methods
+                ):
+                    fixed += outer
+                if isinstance(_strip_projects(right), Join):
+                    fixed += inner
+            elif isinstance(node, Sort):
+                child_pages = pages(node.child)
+                formula = partial(self.sort_cost, child_pages)
+                if isinstance(_strip_projects(node.child), Join):
+                    fixed = child_pages  # the sort re-reads a materialised temp
+            elif isinstance(node, UnionNode) and node.distinct:
+                # UNION ALL streams for free; DISTINCT writes each arm rooted
+                # at a join or sort, then sorts all arms' pages together.
+                total_pages = 0.0
+                for child in node.inputs:
+                    arm_pages = pages(child)
+                    if isinstance(_strip_projects(child), (Join, Sort)):
+                        fixed += arm_pages
+                    total_pages += arm_pages
+                formula = partial(self.sort_cost, total_pages)
+            terms.append(NodeTerm(node, phase, fixed, formula))
+
+        visit(plan.root, max(0, len(phase_of) - 1))
+        return terms
+
+    @staticmethod
+    def _charge(terms: Sequence[NodeTerm], memory_at) -> float:
+        """The terms' costs summed in walk order, each at its phase's memory."""
+        total = 0.0
+        for _node, phase, fixed, formula in terms:
+            total += fixed if formula is None else formula(memory_at(phase)) + fixed
+        return total
+
     def plan_cost(self, plan: Plan, query: JoinQuery, memory: float) -> float:
         """Φ(plan, v) with static memory ``v = memory``."""
-        return self._cost_with_memory(plan, query, lambda phase: memory)
+        return self._charge(self.node_terms(plan, query), lambda phase: memory)
 
     def plan_cost_dynamic(
         self, plan: Plan, query: JoinQuery, memory_by_phase: Sequence[float]
@@ -233,28 +319,27 @@ class CostModel:
             raise ValueError(
                 f"need {plan.n_phases} phase memories, got {len(seq)}"
             )
-        return self._cost_with_memory(plan, query, lambda phase: seq[phase])
+        return self._charge(self.node_terms(plan, query), seq.__getitem__)
 
     def phase_cost(
         self, plan: Plan, query: JoinQuery, phase: int, memory: float
     ) -> float:
         """Cost charged to a single execution phase at the given memory."""
-        total = 0.0
-        for node, node_phase in self._phases(plan):
-            if node_phase != phase:
-                continue
-            total += self._node_cost(node, plan, query, memory)
-        return total
+        terms = [t for t in self.node_terms(plan, query) if t.phase == phase]
+        return self._charge(terms, lambda _phase: memory)
 
     # ------------------------------------------------------------------
     # Expected costs (memory as the only uncertain parameter)
     # ------------------------------------------------------------------
 
     def plan_expected_cost(
-        self, plan: Plan, query: JoinQuery, memory: DiscreteDistribution
+        self, plan: Plan, query: JoinQuery, memory: DiscreteDistribution,
+        context=None,
     ) -> float:
-        """``E[Φ(plan, M)]`` for static random memory ``M``."""
-        return memory.expectation(lambda m: self.plan_cost(plan, query, m))
+        """``E[Φ(plan, M)]`` for static random memory ``M`` (sizes from
+        ``context`` as :meth:`node_terms` takes them)."""
+        terms = self.node_terms(plan, query, context)
+        return memory.expectation(lambda m: self._charge(terms, lambda _phase: m))
 
     def plan_expected_cost_markov(
         self, plan: Plan, query: JoinQuery, chain: MarkovParameter
@@ -275,11 +360,12 @@ class CostModel:
                 "union plans have no canonical phase order; the per-phase "
                 "Markov objective does not support them"
             )
+        terms = self.node_terms(plan, query)
         total = 0.0
         for phase in range(plan.n_phases):
-            marginal = chain.marginal(phase)
-            total += marginal.expectation(
-                lambda m, _ph=phase: self.phase_cost(plan, query, _ph, m)
+            mine = [t for t in terms if t.phase == phase]
+            total += chain.marginal(phase).expectation(
+                lambda m, _mine=mine: self._charge(_mine, lambda _phase: m)
             )
         return total
 
@@ -291,105 +377,10 @@ class CostModel:
         Exponential in the number of phases; used by tests/experiments to
         confirm :meth:`plan_expected_cost_markov`.
         """
+        terms = self.node_terms(plan, query)
         total = 0.0
         for seq, prob in chain.sequences(plan.n_phases):
-            total += prob * self.plan_cost_dynamic(plan, query, list(seq))
-        return total
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _phases(self, plan: Plan) -> List[Tuple[PlanNode, int]]:
-        joins = plan.joins()
-        join_phase = {id(j): i for i, j in enumerate(joins)}
-        out: List[Tuple[PlanNode, int]] = []
-        # Walk with explicit parent tracking so each node is charged to the
-        # nearest enclosing join's phase.
-        def visit(node: PlanNode, enclosing: int) -> None:
-            if isinstance(node, Join):
-                my_phase = join_phase[id(node)]
-            else:
-                my_phase = enclosing
-            for child in node.children:
-                visit(child, my_phase)
-            out.append((node, my_phase))
-
-        visit(plan.root, max(0, len(joins) - 1))
-        return out
-
-    def _node_cost(
-        self, node: PlanNode, plan: Plan, query: JoinQuery, memory: float
-    ) -> float:
-        if isinstance(node, Scan):
-            return self.scan_node_cost(node, query)
-        if isinstance(node, Project):
-            return 0.0  # projection streams: pure width reduction
-        if isinstance(node, UnionNode):
-            return self._union_cost(node, query, memory)
-        if isinstance(node, Sort):
-            child_pages = node_size(node.child, query).pages
-            cost = self.sort_cost(child_pages, memory)
-            if isinstance(_strip_projects(node.child), Join):
-                cost += child_pages  # the sort re-reads a materialised temp
-            return cost
-        assert isinstance(node, Join)
-        left = node_size(node.left, query)
-        right = node_size(node.right, query)
-        if node.method is JoinMethod.SORT_MERGE:
-            target = node.output_order_label
-            cost = self.sort_merge_cost_ordered(
-                left.pages,
-                right.pages,
-                memory,
-                outer_presorted=node.left.order == target,
-                inner_presorted=node.right.order == target,
-            )
-        else:
-            cost = self.join_cost(node.method, left.pages, right.pages, memory)
-        cost += self._child_write_cost(node, query)
-        return cost
-
-    def _child_write_cost(self, node: Join, query: JoinQuery) -> float:
-        """Materialisation writes this join pays for its join-children.
-
-        The outer (left) input of a pipelined nested-loop join streams
-        from its producer and is never written.  Projections are
-        transparent here: a projected join output is still materialised
-        (at its projected width, via ``node_size``).
-        """
-        total = 0.0
-        pipeline_left = node.method in self.pipelined_methods
-        if isinstance(_strip_projects(node.left), Join) and not pipeline_left:
-            total += node_size(node.left, query).pages
-        if isinstance(_strip_projects(node.right), Join):
-            total += node_size(node.right, query).pages
-        return total
-
-    def _union_cost(self, node: UnionNode, query: JoinQuery, memory: float) -> float:
-        """Cost charged at a union node over its already-costed arms.
-
-        UNION ALL streams: arms feed the output directly, the node is
-        free, and no arm output is materialised.  DISTINCT must
-        de-duplicate: every arm whose (projection-stripped) root is a
-        join is written out at its projected width, then one external
-        sort runs over the combined pages.
-        """
-        if not node.distinct:
-            return 0.0
-        total = 0.0
-        total_pages = 0.0
-        for child in node.inputs:
-            pages = node_size(child, query).pages
-            if isinstance(_strip_projects(child), (Join, Sort)):
-                total += pages  # materialise the arm before deduplication
-            total_pages += pages
-        return total + self.sort_cost(total_pages, memory)
-
-    def _cost_with_memory(self, plan: Plan, query: JoinQuery, memory_at) -> float:
-        total = 0.0
-        for node, phase in self._phases(plan):
-            total += self._node_cost(node, plan, query, memory_at(phase))
+            total += prob * self._charge(terms, seq.__getitem__)
         return total
 
 

@@ -323,7 +323,7 @@ class Coster(abc.ABC):
         materialised)`` triples, one per arm.  UNION ALL streams and is
         free; DISTINCT charges each materialised arm's projected write
         plus one external sort over the combined projected pages —
-        mirroring :meth:`repro.costmodel.model.CostModel._union_cost`.
+        mirroring a union's term in :meth:`repro.costmodel.model.CostModel.node_terms`.
         """
         if not distinct:
             return 0.0

@@ -196,7 +196,7 @@ def _run(
 
     evals_before = cm.eval_count
     choices = [
-        PlanChoice(plan=plan, objective=cm.plan_expected_cost(plan, query, memory))
+        PlanChoice(plan, cm.plan_expected_cost(plan, query, memory, context))
         for plan in seen.values()
     ]
     choices.sort(key=lambda ch: ch.objective)

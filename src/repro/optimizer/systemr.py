@@ -167,10 +167,11 @@ class SystemRDP:
         # instrumentation exact) only on the enlarged spaces.
         self._prune = space.shape != "left-deep"
         #: The running block's subset mask -> relation names, one
-        #: frozenset per table subset (what the coster API takes).
+        #: frozenset per table subset: the skeleton's (see :meth:`_run_dp`).
         self._rels: Dict[int, FrozenSet[str]] = {}
-        #: ... -> (cheapest retained cost, page lower bound), cached.
-        self._floors: Dict[int, Tuple[float, float]] = {}
+        #: Per-run cost state.  Mask -> cheapest retained cost plus page
+        #: lower bound, cached.
+        self._floors: Dict[int, float] = {}
         #: ... -> what writing its output costs (a stored relation: 0.0).
         self._writes: Dict[int, float] = {}
         #: ... -> its views (one, unsorted) when no bucket is the order target.
@@ -221,11 +222,12 @@ class SystemRDP:
         """Fill the subset table for ``names`` (one SPJ block).
 
         Subsets are ``int`` masks over :meth:`JoinQuery.join_graph`'s
-        sorted-name numbering; the table keeps one ``frozenset`` per
-        subset (``self._rels``) for the coster API.  Levels come from
-        :meth:`PlanSpace.level_masks` as explicit lists — level ``k``
-        depends only on levels ``< k``, so a sharded serving tier can
-        fan one level's subsets out to workers.
+        sorted-name numbering.  What a run walks depends on no cost: the
+        numbering, each mask's names (``self._rels``, for the coster API),
+        :meth:`PlanSpace.level_masks`' levels and each mask's splits.  The
+        first run on a context records that *skeleton* (:meth:`_record`);
+        later runs on the same names, shape, cross products and methods
+        replay it, re-deriving only the splits' lower bounds.
 
         A level is evaluated in three moves: :meth:`_prune_level` drops
         the splits their lower bounds rule out (costing only its seeds),
@@ -234,24 +236,25 @@ class SystemRDP:
         :meth:`_build_subset` offers each subset's candidates in
         ascending-submask order, reading the step costs of the batch.
         """
-        order, adjacency, preds = query.join_graph(names)
-        methods = self.coster.methods
-        preds = [  # + each predicate's output order per join method
-            (*p, tuple(order_from_join(m, p[2]) for m in methods)) for p in preds
-        ]
         table: _Table = {}
-        self._rels = rels = {}
-        self._floors = {}
-        self._writes = writes = {}
-        self._unsorted = {}
+        self._floors, self._writes, self._unsorted = {}, {}, {}
+        writes = self._writes
         pipelined = self.coster.cost_model.pipelined_methods
-        self._methods = [(m, m in pipelined) for m in methods]
-        levels = self.space.level_masks(adjacency, self.allow_cross_products)
+        self._methods = [(m, m in pipelined) for m in self.coster.methods]
+        key = (tuple(names), self.space.shape, self.allow_cross_products, self.coster.methods)
+        kept = self.coster.context.skeleton(key)
+        if kept is None:
+            order, adjacency, preds = query.join_graph(names)
+            rels = {1 << i: frozenset((name,)) for i, name in enumerate(order)}
+            levels = self._record(key, (order, rels, []), adjacency, preds, table)
+        else:
+            order, rels, levels = kept
+        self._rels = rels
 
         # Depth 1: access paths for the stored relations.  A relation with
         # an index over its local filter gets two candidate paths; the
         # per-(subset, order) TopKList keeps the best (or the top k).
-        for mask, name in zip(next(levels), order):
+        for i, name in enumerate(order):
             paths = [Scan(table=name)]
             if query.relation(name).has_index_path():
                 paths.append(Scan(table=name, access=AccessPath.INDEX_SCAN))
@@ -260,17 +263,18 @@ class SystemRDP:
                 cost = self.coster.access_cost(scan)
                 bucket.offer(cost, DPEntry(cost, None, node=scan))
                 stats.entries_offered += 1
-            table[mask] = {None: bucket}
-            rels[mask] = frozenset((name,))
-            writes[mask] = 0.0
+            table[1 << i] = {None: bucket}
+            writes[1 << i] = 0.0
 
         # Depths 2..n (level k only reads levels < k, all already in table).
-        for phase, level in enumerate(levels):
-            walked = [
-                list(self._splits(mask, order, preds, table)) for mask in level
-            ]
+        for phase, (level, walked) in enumerate(levels):
             steps: _Steps = {}
             if self._prune:
+                if kept is not None:  # the kept splits' bounds are stale
+                    walked = [
+                        [(*s[:5], self._lower_bound(s[0], s[1], table)) for s in splits]
+                        for splits in walked
+                    ]
                 self._prune_level(walked, phase, table, steps, stats)
             self._cost_splits(
                 [split for splits in walked for split in splits],
@@ -279,6 +283,26 @@ class SystemRDP:
             for mask, splits in zip(level, walked):
                 self._build_subset(mask, splits, table, steps, stats)
         return table
+
+    def _record(self, key, skeleton, adjacency, preds, table: _Table) -> Iterator[tuple]:
+        """Levels 2..n as ``(masks, splits per mask)``, each derived when the
+        run reaches it (splits read the table) and appended to ``skeleton``
+        with each joinable mask's names; kept in the context at the end."""
+        order, rels, levels = skeleton
+        methods = self.coster.methods
+        preds = [  # + each predicate's output order per join method
+            (*p, tuple(order_from_join(m, p[2]) for m in methods)) for p in preds
+        ]
+        masks = self.space.level_masks(adjacency, self.allow_cross_products)
+        next(masks)  # depth 1: the stored relations
+        for level in masks:
+            walked = [list(self._splits(mask, order, preds, table)) for mask in level]
+            for mask, splits in zip(level, walked):
+                if splits:  # any split spans the subset
+                    rels[mask] = rels[splits[0][0]] | rels[splits[0][1]]
+            levels.append((level, tuple(walked)))  # the prune edits ``walked``
+            yield level, walked
+        self.coster.context.keep_skeleton(key, skeleton)
 
     def _splits(
         self,
@@ -322,21 +346,19 @@ class SystemRDP:
     def _lower_bound(self, left: int, right: int, table: _Table) -> float:
         """A lower bound on every candidate the split can produce.
 
-        Every join method reads both inputs at least once, so
-        ``lo(L) + lo(R)`` (the coster's page lower bounds) plus the
-        cheapest retained child entries bounds them all from below
-        (Chen & Schneider).  No step cost enters it, and both halves
-        are per filed subset, hence cached.
+        Every join method reads both inputs at least once, so each
+        side's cheapest retained entry plus its page lower bound ``lo``
+        (the coster's) bounds them all from below (Chen & Schneider).  No
+        step cost enters it; each side's floor is per filed subset, hence
+        cached, and the sum is the same for a split and its mirror.
         """
         floors = self._floors
         for mask in (left, right):
             if mask not in floors:
-                floors[mask] = (
-                    min(bucket.costs[0] for bucket in table[mask].values()),
-                    self.coster.pages_lower_bound(self._rels[mask]),
-                )
-        (left_min, left_lo), (right_min, right_lo) = floors[left], floors[right]
-        return left_min + right_min + left_lo + right_lo
+                floors[mask] = min(
+                    bucket.costs[0] for bucket in table[mask].values()
+                ) + self.coster.pages_lower_bound(self._rels[mask])
+        return floors[left] + floors[right]
 
     def _prune_level(
         self,
@@ -456,8 +478,6 @@ class SystemRDP:
             self._offer_split(split, table, steps, buckets, stats)
         if buckets:
             table[mask] = buckets
-            left, right = splits[0][:2]  # any split spans the subset
-            self._rels[mask] = self._rels[left] | self._rels[right]
 
     def _offer_split(
         self,

@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple, Union
 
 from ..core.context import OptimizationContext
 from ..core.distributions import DiscreteDistribution, point_mass
+from ..core.markov import MarkovParameter
 from ..costmodel.estimates import node_size
 from ..costmodel.model import CostModel
 from ..optimizer.facade import last_context, optimize
@@ -46,11 +47,13 @@ class NodeCostLine:
 def explain_costs(
     plan: Plan,
     query: JoinQuery,
-    memory: Union[float, DiscreteDistribution],
+    memory: Union[float, DiscreteDistribution, MarkovParameter],
     cost_model: Optional[CostModel] = None,
     context: Optional[OptimizationContext] = None,
 ) -> List[NodeCostLine]:
-    """Per-node expected/worst costs; lines in top-down plan order.
+    """Per-node expected/worst costs; lines in top-down plan order.  Under
+    a :class:`~repro.core.markov.MarkovParameter` a node is charged under
+    its phase's marginal.
 
     A shared ``context`` (e.g. the one the optimizer just used — see
     :func:`explain_query`) serves node sizes from its memo instead of
@@ -60,16 +63,16 @@ def explain_costs(
     dist = point_mass(float(memory)) if isinstance(memory, (int, float)) else memory
     if context is not None and not context.matches(query):
         context = None
+    terms = {id(term.node): term for term in cm.node_terms(plan, query, context)}
 
     lines: List[NodeCostLine] = []
 
-    def node_cost_at(node: PlanNode, m: float) -> float:
-        return cm._node_cost(node, plan, query, m)  # noqa: SLF001 — same package family
-
     def visit(node: PlanNode, depth: int) -> None:
-        per_value = [node_cost_at(node, m) for m in dist.support()]
+        term = terms[id(node)]
+        at = dist.marginal(term.phase) if isinstance(dist, MarkovParameter) else dist
+        per_value = [term.cost(m) for m in at.support()]
         expected = sum(
-            p * c for (_, p), c in zip(dist.items(), per_value)
+            p * c for (_, p), c in zip(at.items(), per_value)
         )
         if context is not None and not isinstance(node, (Project, UnionNode)):
             est = context.subset_size(node.relations())
@@ -113,7 +116,7 @@ def explain_query(
     query: JoinQuery,
     objective: str = "lec",
     *,
-    memory: Union[float, DiscreteDistribution, None] = None,
+    memory: Union[float, DiscreteDistribution, MarkovParameter, None] = None,
     cost_model: Optional[CostModel] = None,
     **optimize_kwargs,
 ) -> Tuple[OptimizationResult, List[NodeCostLine]]:
@@ -128,17 +131,8 @@ def explain_query(
     result = optimize(
         query, objective, memory=memory, cost_model=cost_model, **optimize_kwargs
     )
-    dist = (
-        point_mass(float(memory))
-        if isinstance(memory, (int, float))
-        else memory
-    )
     lines = explain_costs(
-        result.plan,
-        query,
-        dist,
-        cost_model=cost_model,
-        context=last_context(),
+        result.plan, query, memory, cost_model=cost_model, context=last_context()
     )
     return result, lines
 

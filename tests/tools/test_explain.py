@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.markov import sticky_chain
 from repro.optimizer import optimize_algorithm_c
 from repro.costmodel.model import CostModel
 from repro.optimizer.facade import clear_context_cache, last_context
@@ -114,6 +115,26 @@ class TestExplainQuery:
             example_query, "lec", memory=bimodal_memory, top_k=3
         )
         assert len(result.candidates) <= 3
+
+    @pytest.mark.parametrize("objective, dynamic", [
+        ("point", False), ("lec", False), ("lec", True), ("markov", True),
+        ("multiparam", False), ("algorithm_a", False), ("algorithm_b", False),
+    ])
+    def test_every_objective_explains(
+        self, objective, dynamic, example_query, bimodal_memory
+    ):
+        """The lines add up to the plan's cost under the memory given: a
+        Markov memory charges each node under its phase's marginal."""
+        memory = sticky_chain(bimodal_memory, 0.8) if dynamic else bimodal_memory
+        result, lines = explain_query(example_query, objective, memory=memory)
+        cm = CostModel(count_evaluations=False)
+        if dynamic:
+            whole = cm.plan_expected_cost_markov(result.plan, example_query, memory)
+        else:
+            whole = cm.plan_expected_cost(result.plan, example_query, memory)
+        assert len(lines) == len(list(result.plan.nodes()))
+        assert sum(l.expected_cost for l in lines) == pytest.approx(whole)
+        assert all(l.worst_cost >= l.expected_cost * (1 - 1e-12) for l in lines)
 
     def test_bad_objective_propagates(self, example_query, bimodal_memory):
         from repro.optimizer.errors import OptimizerConfigError
