@@ -13,7 +13,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .engine import AnalysisEngine, Finding, registered_rules
-from .sarif import render_github, render_sarif
+from .sarif import render_sarif
 
 
 def _render_text(findings: List[Finding], engine: AnalysisEngine) -> str:
@@ -49,11 +49,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files/directories to check (default: src)")
     parser.add_argument("--format", default="text",
-                        choices=("text", "json", "sarif", "github"),
+                        choices=("text", "json", "sarif"),
                         help="output format (default: text); `sarif` emits "
                              "a SARIF 2.1.0 document for code-scanning "
-                             "upload, `github` emits ::error workflow "
-                             "commands for inline PR annotations")
+                             "upload")
     parser.add_argument("--rules", default=None, metavar="R1,R2",
                         help="comma-separated subset of rules to run")
     parser.add_argument("--list-rules", action="store_true",
@@ -91,12 +90,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_render_text(findings, engine))
     elif args.format == "json":
         print(_render_json(findings, engine))
-    elif args.format == "sarif":
+    else:  # sarif
         print(render_sarif(findings, rule_classes))
-    else:  # github
-        out = render_github(findings)
-        if out:
-            print(out)
     if args.stats:
         stats = engine.stats
         print(

@@ -17,10 +17,10 @@ repo-specific static-analysis rules:
 * :class:`AnalysisEngine` — parses each file once into a
   :class:`ModuleInfo` (AST with parent links plus source lines) and
   dispatches every registered rule over it, applying inline
-  suppressions: ``# optlint: disable=RULE`` (or a comma-separated
-  list, or ``all``) on the offending line — the tool for a *justified*
-  violation, e.g. an exact ``== 0.0`` guard that intentionally precedes
-  a division.
+  suppressions: ``# optlint: disable=RULE`` (or a comma- or
+  space-separated list, or ``all``, then an optional justification) on
+  the offending line — the tool for a *justified* violation, e.g. an
+  exact ``== 0.0`` guard that intentionally precedes a division.
 
 Findings are plain data (:class:`Finding`) so callers can render text,
 JSON, or assert on them in tests.
@@ -29,13 +29,11 @@ JSON, or assert on them in tests.
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 import re
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
 
 __all__ = [
     "Finding",
@@ -200,29 +198,6 @@ def registered_rules() -> Dict[str, Type[Rule]]:
     return dict(_REGISTRY)
 
 
-#: parsed modules keyed by (path, content hash).  Repeated engine runs —
-#: CI invoking the linter over ``src`` and then ``tests``, or the test
-#: suite constructing many engines — re-parse only files whose content
-#: actually changed.  Bounded so a long-lived process cannot grow it
-#: without limit.
-_PARSE_CACHE: "OrderedDict[Tuple[str, str], ModuleInfo]" = OrderedDict()
-_PARSE_CACHE_MAX = 512
-
-
-def parse_cached(path: str, source: str) -> ModuleInfo:
-    """Parse ``source`` as ``path``, memoized on the content hash."""
-    key = (path, hashlib.sha256(source.encode("utf-8")).hexdigest())
-    cached = _PARSE_CACHE.get(key)
-    if cached is not None:
-        _PARSE_CACHE.move_to_end(key)
-        return cached
-    info = ModuleInfo.parse(path, source)
-    _PARSE_CACHE[key] = info
-    while len(_PARSE_CACHE) > _PARSE_CACHE_MAX:
-        _PARSE_CACHE.popitem(last=False)
-    return info
-
-
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
     """Expand files/directories into a sorted stream of ``.py`` paths."""
     for path in paths:
@@ -240,15 +215,23 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                     yield os.path.join(root, fname)
 
 
-_DIRECTIVE = re.compile(r"#\s*optlint:\s*disable=([A-Za-z0-9_,\s]+)")
+_RULE_TOKEN = r"(?:[A-Z]+[0-9]+|all)\b"
+_DIRECTIVE = re.compile(
+    rf"#\s*optlint:\s*disable=((?:[\s,]*{_RULE_TOKEN})+)"
+)
 
 
 def parse_directives(line: str) -> Set[str]:
-    """Rule names disabled by the ``# optlint:`` comment on one line."""
+    """Rule names disabled by the ``# optlint:`` comment on one line.
+
+    The rule list is the comma- or space-separated run of rule names
+    (or ``all``) after ``disable=``; the first other word starts the
+    justification, so ``disable=FLT001 exact sentinel`` disables FLT001.
+    """
     match = _DIRECTIVE.search(line)
     if not match:
         return set()
-    return {tok.strip() for tok in match.group(1).split(",") if tok.strip()}
+    return set(re.findall(_RULE_TOKEN, match.group(1)))
 
 
 def suppressed_rules_for_line(lines: Sequence[str], lineno: int) -> Set[str]:
@@ -298,7 +281,7 @@ class AnalysisEngine:
     # Checking
     # ------------------------------------------------------------------
 
-    def _check_modules(self, modules: Sequence[ModuleInfo]) -> List[Finding]:
+    def check_modules(self, modules: Sequence[ModuleInfo]) -> List[Finding]:
         """Run module + project rules over parsed modules; update stats."""
         from .project import ProjectInfo
 
@@ -342,11 +325,11 @@ class AnalysisEngine:
         exercise them through the same entry point as module rules.
         """
         try:
-            module = parse_cached(path, source)
+            module = ModuleInfo.parse(path, source)
         except SyntaxError as exc:
             self.errors.append(f"{path}: syntax error: {exc.msg} (line {exc.lineno})")
             return []
-        return self._check_modules([module])
+        return self.check_modules([module])
 
     def check_file(self, path: str) -> List[Finding]:
         """Analyze one file on disk."""
@@ -365,13 +348,13 @@ class AnalysisEngine:
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
             try:
-                modules.append(parse_cached(path, source))
+                modules.append(ModuleInfo.parse(path, source))
             except SyntaxError as exc:
                 self.errors.append(
                     f"{path}: syntax error: {exc.msg} (line {exc.lineno})"
                 )
         parse_seconds = time.perf_counter() - t0
-        findings = self._check_modules(modules)
+        findings = self.check_modules(modules)
         self.stats["parse_seconds"] = parse_seconds
         self.stats["total_seconds"] += parse_seconds
         return findings

@@ -2,23 +2,21 @@
 
 The per-module rules (LOCK001, VER001, ...) see one file at a time, so
 the invariants most likely to take down the *cluster* tier — a blocking
-socket read on the asyncio event loop, a lock-order cycle spanning ``serving`` and ``cluster``, a version fence dropped two calls
-away from the mutation — are invisible to them.  This module builds the
-missing global view:
+socket read on the asyncio event loop, a lock-order cycle spanning
+``serving`` and ``cluster``, a wire ``kind`` one side of the codec does
+not know — are invisible to them.  This module builds the missing
+global view:
 
 * :func:`module_name_for_path` + per-module import maps give
   **module-qualified symbol resolution** (``protocol.read_frame`` seen
   in ``gateway.py`` resolves to ``repro.cluster.protocol.read_frame``).
 * :class:`ClassInfo` carries **candidate attribute types** gathered
-  from annotations, direct construction and constructor-argument flow
-  (a caller writing ``OptimizerService(cache=OtherCache(...))`` seeds
-  ``self.cache`` with ``OtherCache`` even though the annotation says
-  ``PlanCache``), plus which attributes are locks.
+  from annotations (of the attribute, or of the parameter assigned to
+  it) and direct construction, plus which attributes are locks.
 * :class:`FunctionInfo` is one function's **summary**: is it async,
   which locks it acquires (and what was held at each acquire), which
-  blocking primitives it invokes, whether it mutates catalog/feedback
-  statistics, whether it bumps the version fence, and every call site
-  with its resolved candidate callees and the locks held around it.
+  blocking primitives it invokes, and every call site with its resolved
+  candidate callees and the locks held around it.
 * :class:`ProjectInfo` ties the summaries into a **call graph** with
   :meth:`ProjectInfo.transitive_acquires` for interprocedural lock
   reasoning.
@@ -37,14 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .engine import ModuleInfo
-from .rules._util import (
-    VERSIONED_CLASSES,
-    bumps_version,
-    dotted_name,
-    first_self_mutation,
-    first_stats_field_mutation,
-    is_lock_create,
-)
+from .rules._util import dotted_name, is_lock_create
 
 __all__ = [
     "module_name_for_path",
@@ -160,12 +151,9 @@ class FunctionInfo:
     path: str
     node: ast.AST
     is_async: bool = False
-    is_public: bool = False
     calls: List[CallSite] = field(default_factory=list)
     blocking: List[BlockingUse] = field(default_factory=list)
     acquires: List[LockUse] = field(default_factory=list)
-    mutates_stats: Optional[ast.AST] = None
-    bumps_version: bool = False
 
 
 @dataclass
@@ -180,12 +168,6 @@ class ClassInfo:
     methods: Dict[str, str] = field(default_factory=dict)
     attr_types: Dict[str, Set[str]] = field(default_factory=dict)
     lock_attrs: Set[str] = field(default_factory=set)
-    field_order: List[str] = field(default_factory=list)
-    init_params: List[str] = field(default_factory=list)
-    param_attr_bindings: Dict[str, str] = field(default_factory=dict)
-
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
 
 
 @dataclass
@@ -216,7 +198,6 @@ class ProjectInfo:
         self.modules: Dict[str, ModuleRecord] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        self._local_types: Dict[str, Dict[str, Set[str]]] = {}
         self._acquire_memo: Dict[str, Set[str]] = {}
 
     # ------------------------------------------------------------------
@@ -237,8 +218,6 @@ class ProjectInfo:
         for record in project.modules.values():
             project._seed_attr_types(record)
         for record in project.modules.values():
-            project._propagate_constructor_args(record)
-        for record in project.modules.values():
             project._summarize_module(record)
         return project
 
@@ -258,16 +237,6 @@ class ProjectInfo:
                 for stmt in node.body:
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         cinfo.methods[stmt.name] = f"{qual}.{stmt.name}"
-                        if stmt.name == "__init__":
-                            cinfo.init_params = [
-                                a.arg for a in stmt.args.posonlyargs + stmt.args.args
-                                if a.arg != "self"
-                            ]
-                    elif isinstance(stmt, ast.AnnAssign) and \
-                            isinstance(stmt.target, ast.Name):
-                        cinfo.field_order.append(stmt.target.id)
-                if not cinfo.init_params:
-                    cinfo.init_params = list(cinfo.field_order)
                 record.classes[node.name] = cinfo
                 self.classes[qual] = cinfo
                 self._register_functions(record, node, prefix=qual, cls=cinfo)
@@ -296,22 +265,14 @@ class ProjectInfo:
     def _register_function(self, record: ModuleRecord, node: ast.AST,
                            qualname: str, cls: Optional[ClassInfo]) -> None:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        name = node.name
-        public = not name.startswith("_") and (cls is None or cls.is_public())
-        in_versioned = cls is not None and cls.name in VERSIONED_CLASSES
-        mutation = first_self_mutation(node) if in_versioned \
-            else first_stats_field_mutation(node)
         self.functions[qualname] = FunctionInfo(
             qualname=qualname,
             module=record.name,
-            name=name,
+            name=node.name,
             cls=cls.qualname if cls is not None else None,
             path=record.info.path,
             node=node,
             is_async=isinstance(node, ast.AsyncFunctionDef),
-            is_public=public,
-            mutates_stats=mutation,
-            bumps_version=bumps_version(node),
         )
 
     # ------------------------------------------------------------------
@@ -376,10 +337,6 @@ class ProjectInfo:
     def _function_local_types(self, record: ModuleRecord,
                               func: ast.AST) -> Dict[str, Set[str]]:
         """Candidate types of a function's locals (params + constructions)."""
-        qual_key = f"{record.name}:{id(func)}"
-        cached = self._local_types.get(qual_key)
-        if cached is not None:
-            return cached
         out = self._param_types(record, func)
         for node in _walk_shallow(func):
             value: Optional[ast.AST] = None
@@ -405,7 +362,6 @@ class ProjectInfo:
             for t in targets:
                 if isinstance(t, ast.Name):
                     out.setdefault(t.id, set()).update(types)
-        self._local_types[qual_key] = out
         return out
 
     def _ctor_types(self, record: ModuleRecord,
@@ -447,7 +403,7 @@ class ProjectInfo:
         return set()
 
     # ------------------------------------------------------------------
-    # Attribute-type seeding (pass B1) and constructor flow (pass B2)
+    # Attribute-type seeding (pass B)
     # ------------------------------------------------------------------
 
     def _seed_attr_types(self, record: ModuleRecord) -> None:
@@ -498,73 +454,14 @@ class ProjectInfo:
                 types |= self._ctor_types(record, value)
                 if isinstance(value, ast.Name):
                     types |= param_types.get(value.id, set())
-                    self._bind_param(cinfo, value.id, attr)
                 if isinstance(value, ast.IfExp):
                     for branch in (value.body, value.orelse):
                         if isinstance(branch, ast.Name):
                             types |= param_types.get(branch.id, set())
-                            self._bind_param(cinfo, branch.id, attr)
                 if is_lock_create(value):
                     cinfo.lock_attrs.add(attr)
             if types:
                 cinfo.attr_types.setdefault(attr, set()).update(types)
-
-    @staticmethod
-    def _bind_param(cinfo: ClassInfo, param: str, attr: str) -> None:
-        cinfo.param_attr_bindings.setdefault(param, attr)
-
-    def _propagate_constructor_args(self, record: ModuleRecord) -> None:
-        """Pass B2: flow argument types into constructed classes' attrs."""
-        for node in ast.walk(record.info.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            text = dotted_name(node.func)
-            if text is None:
-                continue
-            resolved = self.resolve(record.name, text)
-            if resolved is None:
-                continue
-            cinfo = self.classes.get(resolved)
-            if cinfo is None:
-                continue
-            owner = self._enclosing_function(record, node)
-            local_types = (
-                self._function_local_types(record, owner)
-                if owner is not None else {}
-            )
-            for param, arg in self._map_call_args(cinfo, node):
-                attr = cinfo.param_attr_bindings.get(param)
-                if attr is None and param in cinfo.field_order:
-                    attr = param
-                if attr is None:
-                    continue
-                types: Set[str] = self._ctor_types(record, arg)
-                if isinstance(arg, ast.Name):
-                    types |= local_types.get(arg.id, set())
-                if types:
-                    cinfo.attr_types.setdefault(attr, set()).update(types)
-
-    @staticmethod
-    def _map_call_args(
-        cinfo: ClassInfo, call: ast.Call
-    ) -> List[Tuple[str, ast.AST]]:
-        out: List[Tuple[str, ast.AST]] = []
-        for i, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                break
-            if i < len(cinfo.init_params):
-                out.append((cinfo.init_params[i], arg))
-        for kw in call.keywords:
-            if kw.arg is not None:
-                out.append((kw.arg, kw.value))
-        return out
-
-    def _enclosing_function(self, record: ModuleRecord,
-                            node: ast.AST) -> Optional[ast.AST]:
-        for anc in record.info.ancestors(node):
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return anc
-        return None
 
     # ------------------------------------------------------------------
     # Function summaries (pass C)
@@ -667,11 +564,10 @@ def _collect_imports(tree: ast.Module, module_name: str) -> Dict[str, str]:
 class _SummaryVisitor:
     """Sequential statement walker building one function's summary.
 
-    Tracks the set of held lock domains through ``with`` blocks and
-    explicit ``.acquire()``/``.release()`` calls (an intraprocedural
+    Tracks the set of held lock domains through ``with`` blocks, the
+    only acquisition form LOCK001 accepts (an intraprocedural
     approximation: a lock acquired via a helper function is *not*
-    considered held afterwards — good enough for the repo's idioms,
-    where multi-step critical sections always use ``with``).
+    considered held afterwards).
     """
 
     def __init__(self, project: ProjectInfo, ctx: _FuncCtx,
@@ -696,7 +592,12 @@ class _SummaryVisitor:
                 self._scan_expr(item.context_expr)
                 domain = self.project.lock_domain(self.ctx, item.context_expr)
                 if domain is not None:
-                    self._record_acquire(domain, item.context_expr)
+                    self.fn.acquires.append(LockUse(
+                        domain=domain,
+                        lineno=item.context_expr.lineno,
+                        col=item.context_expr.col_offset,
+                        held=tuple(self.held),
+                    ))
                     acquired.append(domain)
             self.held.extend(acquired)
             self.run(stmt.body)
@@ -736,14 +637,6 @@ class _SummaryVisitor:
     def _awaited(self, node: ast.AST) -> bool:
         return isinstance(self.ctx.record.info.parents.get(node), ast.Await)
 
-    def _record_acquire(self, domain: str, node: ast.AST) -> None:
-        self.fn.acquires.append(LockUse(
-            domain=domain,
-            lineno=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            held=tuple(self.held),
-        ))
-
     def _handle_call(self, node: ast.Call) -> None:
         project, ctx = self.project, self.ctx
         func = node.func
@@ -751,18 +644,6 @@ class _SummaryVisitor:
         resolved = dotted_name(func)
         if resolved is not None:
             resolved = project.resolve(ctx.record.name, resolved)
-
-        # Explicit lock protocol: X.acquire() / X.release().
-        if isinstance(func, ast.Attribute) and func.attr in ("acquire",
-                                                             "release"):
-            domain = project.lock_domain(ctx, func.value)
-            if domain is not None:
-                if func.attr == "acquire":
-                    self._record_acquire(domain, node)
-                    self.held.append(domain)
-                elif domain in self.held:
-                    self.held.remove(domain)
-                return
 
         callees = self._callee_candidates(node, resolved)
         if callees:
@@ -792,10 +673,6 @@ class _SummaryVisitor:
         if isinstance(func, ast.Attribute) and not out:
             for t in project.expr_types(ctx, func.value):
                 out.extend(project.method_candidates(t, func.attr))
-        if isinstance(func, ast.Name) and func.id == "len" and \
-                len(node.args) == 1:
-            for t in project.expr_types(ctx, node.args[0]):
-                out.extend(project.method_candidates(t, "__len__"))
         return sorted(set(out))
 
     def _classify_blocking(self, node: ast.Call,

@@ -22,8 +22,6 @@ rule              invariant
                   ``repro.cluster``/``repro.serving`` [project-scoped]
 ``LOCK002``       no lock-order cycles across the whole program
                   [project-scoped]
-``VER002``        no public entry point reaches a catalog/feedback
-                  mutation along a bump-free call path [project-scoped]
 ``SER001``        every wire ``kind`` an encoder emits has a decoder
                   branch, and vice versa [project-scoped]
 ================  =====================================================
@@ -33,7 +31,10 @@ engine.Rule` subclass (or :class:`~repro.analysis.engine.ProjectRule`
 for whole-program invariants) decorated with ``@register``, import it
 below, and add a triggering + clean fixture pair in
 ``tests/analysis/test_rules.py`` (project rules:
-``tests/analysis/test_rules_project.py``).
+``tests/analysis/test_rules_project.py``).  A toy fixture is not
+enough: the rule also needs a case in
+``tests/analysis/test_mutations.py`` that seeds a defect of its class
+into the real ``src/repro`` tree and sees the rule fire there.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .lock002 import LockOrderRule
 from .plan001 import PlanSpaceDisciplineRule
 from .ser001 import SerializeKindRule
 from .ver001 import VersionFenceRule
-from .ver002 import VersionFenceChainRule
 
 __all__ = [
     "AsyncBlockingRule",
@@ -59,5 +59,4 @@ __all__ = [
     "PlanSpaceDisciplineRule",
     "SerializeKindRule",
     "VersionFenceRule",
-    "VersionFenceChainRule",
 ]

@@ -1,26 +1,24 @@
 """Small AST helpers shared by the optlint rules.
 
 Besides the generic tree walkers, this module hosts the *summary
-primitives* shared between the per-module rules (LOCK001, VER001) and
-the whole-program layer (:mod:`repro.analysis.project`): what counts as
-creating a lock, what counts as a version bump, and what counts as a
-statistics mutation.  Keeping one definition means the per-module and
-interprocedural rules can never disagree about the invariant.
+primitives* of two invariants: what counts as creating a lock (shared
+by LOCK001 and the whole-program layer, :mod:`repro.analysis.project`,
+so LOCK001 and LOCK002 never disagree about which attributes are
+locks), and what counts as a version bump or a statistics mutation
+(VER001).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import List, Optional, Set
 
 __all__ = [
     "dotted_name",
     "self_attr",
     "root_name",
     "name_hint",
-    "walk_functions",
     "enclosing_class",
-    "global_names",
     "LOCK_FACTORIES",
     "is_lock_create",
     "VERSIONED_CLASSES",
@@ -97,13 +95,6 @@ def name_hint(node: ast.AST) -> str:
     return ""
 
 
-def walk_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    """Every (async) function definition in the tree, any nesting depth."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def enclosing_class(module, node: ast.AST) -> Optional[ast.ClassDef]:
     """The nearest ClassDef ancestor of ``node``, if any."""
     for anc in module.ancestors(node):
@@ -112,23 +103,12 @@ def enclosing_class(module, node: ast.AST) -> Optional[ast.ClassDef]:
     return None
 
 
-def global_names(func: ast.AST) -> Set[str]:
-    """Names declared ``global`` anywhere inside one function body."""
-    out: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Global):
-            out.update(node.names)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Lock summaries (shared by LOCK001, LOCK002 and the project layer)
 # ----------------------------------------------------------------------
 
-#: factories whose result is treated as a lock object.  The names cover
-#: both ``threading`` and ``multiprocessing`` (plain and via a
-#: ``Manager()``/``get_context()`` handle): cross-process locks guard
-#: shared state exactly like thread locks and get the same discipline.
+#: factories whose result is treated as a lock object, under any dotted
+#: spelling (``threading.Lock()``, ``multiprocessing.Lock()``, ``Lock()``).
 LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 
 
@@ -137,20 +117,11 @@ def is_lock_create(node: ast.AST) -> bool:
     if not isinstance(node, ast.Call):
         return False
     name = dotted_name(node.func)
-    if name is not None:
-        return name.split(".")[-1] in LOCK_FACTORIES
-    # Factories reached through a call chain — multiprocessing idioms like
-    # ``Manager().Lock()`` or ``get_context("fork").RLock()`` — defeat
-    # dotted_name (the chain roots at a Call, not a Name).  The attribute
-    # leaf is still the factory name, so match on that.
-    return (
-        isinstance(node.func, ast.Attribute)
-        and node.func.attr in LOCK_FACTORIES
-    )
+    return name is not None and name.split(".")[-1] in LOCK_FACTORIES
 
 
 # ----------------------------------------------------------------------
-# Version-fence summaries (shared by VER001, VER002 and the project layer)
+# Version-fence summaries (VER001)
 # ----------------------------------------------------------------------
 
 #: classes whose ``version`` is a cache-invalidation fence.

@@ -99,7 +99,8 @@ class AsyncBlockingRule(ProjectRule):
         if fn is not None:
             if fn.blocking:
                 use = fn.blocking[0]
-                result = [qualname, f"{use.kind} ({use.detail})"]
+                result = [qualname, f"{use.kind} ({use.detail}) at "
+                                    f"{fn.path}:{use.lineno}"]
             else:
                 for cs in fn.calls:
                     for callee in cs.callees:

@@ -21,41 +21,24 @@ an explicit generator (``rng.choice(...)``) pass — *unless* the seed is
 itself entropy in disguise (``time.time_ns()``, ``os.getpid()``,
 ``os.urandom()``...), which is flagged like an unseeded constructor.
 
-Multiprocessing sharpens the stakes: a function handed to
-``multiprocessing.Process(target=...)`` is a **worker entry point**, and
-an unseeded generator built there gives every worker its own
-irreproducible stream (under ``fork`` the workers may even *share* the
-parent's hidden global state).  Findings inside such functions carry a
-worker-specific message: derive the worker's generator from a seed
-passed in explicitly (argument, config field, or wire message).
-
-Worker *pools* are the same trap with a different spelling: a function
-handed to ``pool.submit(fn)`` / ``pool.map(fn, ...)`` /
-``pool.apply_async(fn)`` runs as a **pool task**, possibly many times concurrently, on whatever thread or
-process the executor picks.  An unseeded generator built inside one
-makes every chunk's stream depend on the schedule.  Findings inside
-pool-task functions carry their own message: derive a per-chunk
-generator from the caller's seed (e.g. ``default_rng([seed, chunk])``),
-never from ambient entropy.
+Not DET001's job: ``set``/``frozenset`` iteration order (which follows
+``PYTHONHASHSEED``) reaching an RNG draw or a float sum.  A seeded
+search that picks from ``list(remaining)`` instead of
+``sorted(remaining)`` passes this rule, and is caught by
+``tests/costmodel/test_hashseed_determinism.py``, which replays seeded
+searches in fresh interpreters under several hash seeds, and by CI's
+step that runs the suites under a drawn ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..engine import Finding, ModuleInfo, Rule, register
 from ._util import dotted_name
 
 __all__ = ["DeterminismRule"]
-
-#: executor/pool methods whose first positional argument is a function
-#: that will run as a pool task (concurrent.futures, multiprocessing
-#: pools).
-_POOL_METHODS = {
-    "submit", "map", "imap", "imap_unordered", "starmap", "starmap_async",
-    "apply_async", "map_async",
-}
 
 #: np.random constructors that are fine *when given a seed argument*.
 _SEEDED_FACTORIES = {"default_rng", "RandomState", "SeedSequence",
@@ -108,45 +91,6 @@ def _entropy_seed_source(call: ast.Call) -> Optional[str]:
     return None
 
 
-def _worker_entry_names(tree: ast.AST) -> Dict[str, str]:
-    """Functions that run as worker entry points, by idiom.
-
-    Maps the bare function name to ``"process"`` for ``Process(target=
-    ...)`` targets (the ``multiprocessing`` module, a ``get_context()``
-    handle, and aliases all end in the same attribute leaf) or
-    ``"pool"`` for the first argument of an executor/pool dispatch
-    method (``.submit(fn)``, ``.map(fn, ...)``, ``.apply_async(fn)``,
-    ...).  A name claimed by both idioms
-    keeps the Process classification — the cross-process failure mode
-    is the stronger warning.
-    """
-    names: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        leaf = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if leaf == "Process":
-            for kw in node.keywords:
-                if kw.arg == "target":
-                    target = dotted_name(kw.value)
-                    if target is not None:
-                        names[target.split(".")[-1]] = "process"
-        elif (
-            isinstance(func, ast.Attribute)
-            and leaf in _POOL_METHODS
-            and node.args
-        ):
-            # Only attribute calls count: the builtin map(fn, xs) is a
-            # plain Name call and stays out of scope.
-            target = dotted_name(node.args[0])
-            if target is not None:
-                names.setdefault(target.split(".")[-1], "pool")
-    return names
-
-
 @register
 class DeterminismRule(Rule):
     name = "DET001"
@@ -158,7 +102,6 @@ class DeterminismRule(Rule):
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if module.is_test:
             return
-        workers = _worker_entry_names(module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -166,7 +109,6 @@ class DeterminismRule(Rule):
             if name is None:
                 continue
             unseeded = not node.args and not node.keywords
-            suffix = self._worker_suffix(module, node, workers)
 
             leaf = _np_random_leaf(name)
             if leaf is not None:
@@ -175,7 +117,7 @@ class DeterminismRule(Rule):
                         yield self.finding(
                             module, node,
                             f"{name}() without a seed is unreproducible; "
-                            f"pass an explicit seed{suffix}",
+                            "pass an explicit seed",
                         )
                     else:
                         source = _entropy_seed_source(node)
@@ -183,15 +125,13 @@ class DeterminismRule(Rule):
                             yield self.finding(
                                 module, node,
                                 f"{name}() seeded from {source}() is "
-                                f"entropy in disguise; pass an explicit "
-                                f"seed{suffix}",
+                                "entropy in disguise; pass an explicit seed",
                             )
                 elif leaf not in _NP_RANDOM_SAFE:
                     yield self.finding(
                         module, node,
                         f"{name}() uses numpy's hidden global RNG; draw "
-                        f"from an explicit np.random.Generator "
-                        f"instead{suffix}",
+                        "from an explicit np.random.Generator instead",
                     )
                 continue
 
@@ -201,8 +141,8 @@ class DeterminismRule(Rule):
                     if unseeded:
                         yield self.finding(
                             module, node,
-                            f"random.Random() without a seed is "
-                            f"unreproducible; pass an explicit seed{suffix}",
+                            "random.Random() without a seed is "
+                            "unreproducible; pass an explicit seed",
                         )
                     else:
                         source = _entropy_seed_source(node)
@@ -210,34 +150,12 @@ class DeterminismRule(Rule):
                             yield self.finding(
                                 module, node,
                                 f"random.Random() seeded from {source}() "
-                                f"is entropy in disguise; pass an explicit "
-                                f"seed{suffix}",
+                                "is entropy in disguise; pass an explicit seed",
                             )
                 elif parts[1] in _STDLIB_RANDOM_FNS:
                     yield self.finding(
                         module, node,
                         f"{name}() uses the stdlib's hidden global RNG; "
-                        f"use a seeded np.random.Generator instead{suffix}",
+                        "use a seeded np.random.Generator instead",
                     )
 
-    def _worker_suffix(self, module: ModuleInfo, node: ast.AST,
-                       workers: Dict[str, str]) -> str:
-        """Worker-specific message tail when ``node`` sits in an entry point."""
-        if not workers:
-            return ""
-        for anc in module.ancestors(node):
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and anc.name in workers:
-                if workers[anc.name] == "process":
-                    return (
-                        f" ({anc.name}() is a Process target: each worker "
-                        f"needs a seed handed in explicitly, or replays "
-                        f"diverge per process)"
-                    )
-                return (
-                    f" ({anc.name}() is a pool task: derive a per-chunk "
-                    f"generator from the caller's seed, e.g. "
-                    f"default_rng([seed, chunk_index]), or the schedule "
-                    f"decides the stream)"
-                )
-        return ""

@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 and GitHub-annotation rendering for optlint findings.
+"""SARIF 2.1.0 rendering for optlint findings.
 
 SARIF is the interchange format GitHub code scanning ingests: uploading
 the run via ``github/codeql-action/upload-sarif`` renders each finding
@@ -7,10 +7,6 @@ event-loop-blocking finding is actually actionable.  The document
 produced here is deliberately minimal — one run, one tool, one result
 per finding with a physical location — because that is the subset every
 SARIF consumer agrees on.
-
-The GitHub format is the lighter-weight fallback: ``::error`` workflow
-commands printed to the job log, which the runner turns into inline
-annotations without any upload step.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from typing import Dict, List, Sequence, Type
 
 from .engine import Finding, Rule
 
-__all__ = ["render_sarif", "render_github"]
+__all__ = ["render_sarif"]
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -81,22 +77,3 @@ def render_sarif(findings: Sequence[Finding],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
-
-def render_github(findings: Sequence[Finding]) -> str:
-    """GitHub workflow-command lines, one ``::error`` per finding."""
-    lines: List[str] = []
-    for f in findings:
-        # Workflow-command syntax: property values escape , : % and
-        # newlines; the message data escapes % and newlines.
-        message = (f"{f.rule}: {f.message}"
-                   .replace("%", "%25")
-                   .replace("\r", "%0D")
-                   .replace("\n", "%0A"))
-        path = (f.path.replace("\\", "/")
-                .replace("%", "%25")
-                .replace(",", "%2C")
-                .replace(":", "%3A"))
-        lines.append(
-            f"::error file={path},line={f.line},col={f.col + 1}::{message}"
-        )
-    return "\n".join(lines)

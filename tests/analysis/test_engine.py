@@ -18,6 +18,9 @@ from repro.analysis.__main__ import main as cli_main
 
 BAD_DET = "import numpy as np\nrng = np.random.default_rng()\n"
 
+NINE_RULES = ["ASYNC001", "DET001", "DIST001", "FLT001", "LOCK001",
+              "LOCK002", "PLAN001", "SER001", "VER001"]
+
 
 def check(source: str, rules=None):
     engine = AnalysisEngine(rules=rules)
@@ -170,9 +173,14 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for name in ("LOCK001", "VER001", "FLT001", "DET001", "DIST001",
-                     "ASYNC001", "LOCK002", "VER002", "SER001"):
-            assert name in out
+        assert [line.split()[0] for line in out.splitlines()] == NINE_RULES
+
+    def test_deleted_rule_is_usage_error(self, tmp_path, capsys):
+        path = self._write_pkg(tmp_path, "x = 1\n")
+        assert cli_main([path, "--rules", "VER002"]) == 2
+        err = capsys.readouterr().err
+        valid = err.split("valid rules: ", 1)[1].strip()
+        assert valid.split(", ") == NINE_RULES
 
     def test_sarif_format(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, BAD_DET)
@@ -196,17 +204,13 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["runs"][0]["results"] == []
 
-    def test_github_format(self, tmp_path, capsys):
+    def test_github_format_is_rejected(self, tmp_path, capsys):
+        # CI annotates from the SARIF upload; there is no ::error format.
         path = self._write_pkg(tmp_path, BAD_DET)
-        assert cli_main([path, "--format", "github"]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("::error file=")
-        assert "line=2" in out and "DET001" in out
-
-    def test_github_format_is_silent_when_clean(self, tmp_path, capsys):
-        path = self._write_pkg(tmp_path, "x = 1\n")
-        assert cli_main([path, "--format", "github"]) == 0
-        assert capsys.readouterr().out == ""
+        with pytest.raises(SystemExit) as exc:
+            cli_main([path, "--format", "github"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'github'" in capsys.readouterr().err
 
     def test_stats_line_on_stderr(self, tmp_path, capsys):
         path = self._write_pkg(tmp_path, "x = 1\n")
@@ -215,21 +219,3 @@ class TestCli:
         assert "optlint: 1 file(s)" in err
         assert "project rules" in err
 
-
-class TestParseCache:
-    def test_reparse_is_cached_by_content(self):
-        from repro.analysis.engine import parse_cached
-
-        a = parse_cached("cache_probe.py", "x = 1\n")
-        b = parse_cached("cache_probe.py", "x = 1\n")
-        c = parse_cached("cache_probe.py", "x = 2\n")
-        assert a is b
-        assert c is not a
-
-    def test_distinct_paths_do_not_share_entries(self):
-        from repro.analysis.engine import parse_cached
-
-        a = parse_cached("cache_a.py", "x = 1\n")
-        b = parse_cached("cache_b.py", "x = 1\n")
-        assert a is not b
-        assert a.path == "cache_a.py" and b.path == "cache_b.py"

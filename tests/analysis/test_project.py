@@ -1,9 +1,9 @@
 """Tests for the whole-program model (`repro.analysis.project`).
 
 These exercise the model directly — module naming, import resolution,
-candidate attribute types, constructor-argument flow, call-graph edges,
-held-lock tracking, blocking classification — because the project rules
-are only as good as the facts summarized here.
+candidate attribute types, call-graph edges, held-lock tracking,
+blocking classification — because the project rules are only as good
+as the facts summarized here.
 """
 
 from __future__ import annotations
@@ -95,30 +95,6 @@ class TestAttributeTypes:
         owner = project.classes["pkg.m.Owner"]
         for attr in ("direct", "from_param", "annotated"):
             assert owner.attr_types[attr] == {"pkg.m.Cache"}, attr
-
-    def test_constructor_argument_flow(self):
-        # The worker pattern: the annotation says base class, the call
-        # site passes the wider subtype; both become candidates.
-        project = build(("src/pkg/m.py", """
-            class PlanCache:
-                def __init__(self):
-                    pass
-
-            class TieredCache:
-                def __init__(self):
-                    pass
-
-            class Service:
-                def __init__(self, cache: PlanCache):
-                    self.cache = cache
-
-            def main():
-                svc = Service(cache=TieredCache())
-        """))
-        svc = project.classes["pkg.m.Service"]
-        assert svc.attr_types["cache"] == {
-            "pkg.m.PlanCache", "pkg.m.TieredCache",
-        }
 
 
 class TestCallGraph:

@@ -1,4 +1,4 @@
-"""Fixtures for the project-scoped rules (ASYNC001/LOCK002/VER002/SER001).
+"""Fixtures for the project-scoped rules (ASYNC001/LOCK002/SER001).
 
 Same shape as ``test_rules.py``: each rule fires on a seeded bad example
 and stays quiet on the disciplined variant.  Project rules see a
@@ -155,61 +155,6 @@ class TestLock002:
                     with B:
                         pass
         """)
-        assert findings == []
-
-
-class TestVer002:
-    def test_fires_on_bump_free_chain_to_mutation(self):
-        findings = run_rule("VER002", """
-            def rebuild(catalog, hists):
-                catalog.histograms.update(hists)
-
-            def refresh(catalog, hists):
-                rebuild(catalog, hists)
-        """)
-        assert len(findings) == 1
-        assert "refresh" in findings[0].message
-        assert "rebuild" in findings[0].message
-
-    def test_quiet_when_mutator_bumps(self):
-        findings = run_rule("VER002", """
-            def rebuild(catalog, hists):
-                catalog.histograms.update(hists)
-                catalog.bump_version()
-
-            def refresh(catalog, hists):
-                rebuild(catalog, hists)
-        """)
-        assert findings == []
-
-    def test_quiet_when_entry_bumps_after_the_call(self):
-        findings = run_rule("VER002", """
-            def rebuild(catalog, hists):
-                catalog.histograms.update(hists)
-
-            def refresh(catalog, hists):
-                rebuild(catalog, hists)
-                catalog.bump_version()
-        """)
-        assert findings == []
-
-    def test_direct_mutation_is_left_to_ver001(self):
-        # Chain length 1 is the per-module rule's finding, not VER002's.
-        findings = run_rule("VER002", """
-            def refresh(catalog, hists):
-                catalog.histograms.update(hists)
-        """)
-        assert findings == []
-
-    def test_private_entries_are_not_flagged(self):
-        findings = run_rule("VER002", """
-            def rebuild(catalog, hists):
-                catalog.histograms.update(hists)
-
-            def _refresh(catalog, hists):
-                rebuild(catalog, hists)
-        """)
-        # _refresh is private and rebuild is a direct (VER001) case.
         assert findings == []
 
 

@@ -1,12 +1,17 @@
 """Inline suppression directives: ``# optlint: disable=RULE``.
 
 A directive covers its own line, or — on a standalone comment line —
-the statement below it.
+the statement below it.  The rule list may be followed by a free-text
+justification.
 """
 
 from __future__ import annotations
 
-from repro.analysis.engine import parse_directives, suppressed_rules_for_line
+from repro.analysis.engine import (
+    AnalysisEngine,
+    parse_directives,
+    suppressed_rules_for_line,
+)
 
 
 class TestContinuationLineSuppressions:
@@ -27,8 +32,8 @@ class TestContinuationLineSuppressions:
 
     def test_multiple_rules_and_whitespace(self):
         assert parse_directives(
-            "#  optlint:  disable= FLT001 , LOCK001 ,VER002"
-        ) == {"FLT001", "LOCK001", "VER002"}
+            "#  optlint:  disable= FLT001 , LOCK001 ,SER001"
+        ) == {"FLT001", "LOCK001", "SER001"}
 
     def test_indented_standalone_comment_still_applies(self):
         lines = [
@@ -37,3 +42,25 @@ class TestContinuationLineSuppressions:
             "    return cost == other.cost",
         ]
         assert suppressed_rules_for_line(lines, 3) == {"all"}
+
+
+class TestJustifiedDirectives:
+    def test_first_non_rule_word_starts_the_justification(self):
+        assert parse_directives(
+            "x = a  # optlint: disable=FLT001 exact sentinel"
+        ) == {"FLT001"}
+        assert parse_directives(
+            "x = a  # optlint: disable=FLT001, DET001 both intended"
+        ) == {"FLT001", "DET001"}
+        assert parse_directives(
+            "x = a  # optlint: disable=all allocated on purpose"
+        ) == {"all"}
+
+    def test_justified_directive_suppresses_the_finding(self):
+        engine = AnalysisEngine()
+        findings = engine.check_source(
+            "same = cost == other_cost  # optlint: disable=FLT001 exact sentinel\n",
+            path="probe.py",
+        )
+        assert findings == []
+        assert [f.rule for f in engine.suppressed] == ["FLT001"]
