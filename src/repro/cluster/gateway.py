@@ -548,7 +548,7 @@ class ClusterGateway:
         No suspension point anywhere in here: a hit is complete, and a
         miss registered, before any other task can run.
         """
-        self.metrics.registry.counter("cluster.requests").increment()
+        self.metrics.observe_arrival()
 
         stored = self.shared_tier.get(key)
         if stored is not None:

@@ -12,9 +12,9 @@ the rung distribution and how many requests its worker ``recall``-ed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..serving.metrics import MetricsRegistry
+from ..serving.metrics import Counter, MetricsRegistry
 
 __all__ = ["ClusterMetrics"]
 
@@ -27,22 +27,36 @@ class ClusterMetrics:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
+        #: (rung, cache_hit, retried) -> its instruments, looked up on first use
+        self._answered: Dict[Tuple, Tuple] = {}
+        self._arrivals: Optional[Counter] = None
 
     # ------------------------------------------------------------------
     # Gateway-side observation
     # ------------------------------------------------------------------
 
+    def observe_arrival(self) -> None:
+        """Count one request reaching the gateway."""
+        if self._arrivals is None:
+            self._arrivals = self.registry.counter("cluster.requests")
+        self._arrivals.increment()
+
     def observe_request(self, latency: float, rung: Optional[str],
                         cache_hit: bool, retried: bool) -> None:
         """Record one answered request at the gateway."""
-        self.registry.histogram("cluster.latency").record(latency)
-        if rung:
-            self.registry.counter(f"cluster.rung.{rung}").increment()
-        self.registry.counter(
-            "cluster.cache.hits" if cache_hit else "cluster.cache.misses"
-        ).increment()
-        if retried:
-            self.registry.counter("cluster.answered_after_retry").increment()
+        kind = (rung, cache_hit, retried)
+        instruments = self._answered.get(kind)
+        if instruments is None:
+            names = (f"cluster.rung.{rung}" if rung else None,
+                     "cluster.cache.hits" if cache_hit else "cluster.cache.misses",
+                     "cluster.answered_after_retry" if retried else None)
+            instruments = self._answered[kind] = (
+                self.registry.histogram("cluster.latency"),
+                *(self.registry.counter(name) for name in names if name),
+            )
+        instruments[0].record(latency)
+        for counter in instruments[1:]:
+            counter.increment()
 
     # ------------------------------------------------------------------
     # Aggregation

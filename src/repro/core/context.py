@@ -103,51 +103,10 @@ def query_fingerprint(query) -> Tuple:
     Two queries with equal fingerprints are interchangeable for costing
     purposes; a mutated catalog (different sizes, selectivities,
     distributions) necessarily changes the fingerprint, which is how the
-    facade knows to discard a stale context.
+    facade knows to discard a stale context.  A query is immutable: this
+    is the value it took once, a tuple that hashes its leaves once too.
     """
-    relations = tuple(
-        (
-            r.name,
-            float(r.pages),
-            None if r.rows is None else float(r.rows),
-            r.pages_dist,
-            float(r.filter_selectivity),
-            r.index,
-        )
-        for r in query.relations
-    )
-    predicates = tuple(
-        (
-            p.left,
-            p.right,
-            float(p.selectivity),
-            p.label,
-            p.selectivity_dist,
-            None
-            if p.result_pages_override is None
-            else float(p.result_pages_override),
-            p.equiv_class,
-        )
-        for p in query.predicates
-    )
-    base = (
-        relations,
-        predicates,
-        query.required_order,
-        query.rows_per_page,
-        float(getattr(query, "projection_ratio", 1.0)),
-    )
-    arms = getattr(query, "arms", None)
-    if arms is not None:  # SPJU block: arm structure changes plan shapes
-        arm_digest = tuple(
-            (
-                tuple(r.name for r in arm.relations),
-                float(arm.projection_ratio),
-            )
-            for arm in arms
-        )
-        return base + ("union", arm_digest, bool(query.distinct))
-    return base
+    return query.fingerprint
 
 
 class OptimizationContext:

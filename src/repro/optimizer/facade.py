@@ -53,7 +53,7 @@ from ..core.context import OptimizationContext, query_fingerprint
 from ..core.distributions import DiscreteDistribution
 from ..core.markov import MarkovParameter
 from ..costmodel.model import CostModel
-from ..plans.query import JoinQuery
+from ..plans.query import HashedTuple, JoinQuery
 from .costers import (
     Coster,
     ExpectedCoster,
@@ -77,6 +77,7 @@ __all__ = [
     "last_context",
     "clear_context_cache",
     "canonical_objective",
+    "check_memory",
     "model_key",
 ]
 
@@ -155,13 +156,8 @@ def _run(
     ``context=None`` means a cold private context.  The engine rejects a
     bad ``plan_space``/``top_k`` and the coster a bad memory value.
     """
+    check_memory(kind, memory)
     row = _ROWS[kind]
-    if not isinstance(memory, row.accepts):
-        takes = " or ".join(t.__name__ for t in row.accepts)
-        raise MemoryTypeError(
-            f"objective {kind!r} needs memory as {takes}, "
-            f"got {type(memory).__name__}"
-        )
     cm = cost_model if cost_model is not None else CostModel()
 
     def dp(mem, keep: int, ctx) -> OptimizationResult:
@@ -227,9 +223,25 @@ def canonical_objective(name) -> str:
     return kind
 
 
+def check_memory(kind: str, memory) -> None:
+    """Raise :class:`MemoryTypeError` unless canonical objective ``kind``
+    takes ``memory``'s type (the serving tiers check before dispatch)."""
+    accepts = _ROWS[kind].accepts
+    if not isinstance(memory, accepts):
+        takes = " or ".join(t.__name__ for t in accepts)
+        raise MemoryTypeError(
+            f"objective {kind!r} needs memory as {takes}, "
+            f"got {type(memory).__name__}"
+        )
+
+
 def model_key(cm: CostModel) -> Tuple:
-    """The part of a cost model's configuration that can change a plan."""
-    return (cm.methods, cm.pipelined_methods)
+    """The part of a cost model's configuration that can change a plan
+    (kept on ``cm``, and so hashed once, while those attributes stay)."""
+    key = cm.__dict__.get("_model_key", (None, None))
+    if key[0] is not cm.methods or key[1] is not cm.pipelined_methods:
+        key = cm._model_key = HashedTuple((cm.methods, cm.pipelined_methods))
+    return key
 
 
 def _context_for(query: JoinQuery, cm: CostModel) -> OptimizationContext:

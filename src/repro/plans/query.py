@@ -23,11 +23,27 @@ from ..catalog.schema import Catalog
 from ..catalog.statistics import StatisticsCatalog
 from ..core.distributions import DiscreteDistribution, point_mass
 
-__all__ = ["IndexInfo", "RelationSpec", "JoinPredicate", "JoinQuery", "QueryError"]
+__all__ = ["IndexInfo", "RelationSpec", "JoinPredicate", "JoinQuery", "QueryError", "HashedTuple"]
 
 
 class QueryError(ValueError):
     """Raised for malformed queries (unknown relations, disconnected graphs)."""
+
+
+class HashedTuple(tuple):
+    """A plain tuple by value that hashes its items once: for keys (a
+    query's fingerprint, a cost model's key) probed on every request."""
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+    def __reduce__(self):
+        # ``hash`` is salted per process: a copy elsewhere rehashes.
+        return HashedTuple, (tuple(self),)
 
 
 @dataclass(frozen=True)
@@ -166,6 +182,9 @@ class JoinQuery:
         it as a streaming :class:`~repro.plans.nodes.Project` at the
         block root; it only affects cost when the projected result is
         re-materialised (e.g. by a distinct union's deduplication).
+
+    A query is immutable after construction: nothing reassigns its
+    fields, so its :attr:`fingerprint` is taken once, on first use.
     """
 
     def __init__(
@@ -291,6 +310,26 @@ class JoinQuery:
             reached |= low
             frontier = (frontier | adjacency[low.bit_length() - 1]) & ~reached
         return reached == (1 << len(adjacency)) - 1
+
+    @cached_property  # two threads filling it race benignly: equal values
+    def fingerprint(self) -> HashedTuple:
+        """See :func:`repro.core.context.query_fingerprint`."""
+        return HashedTuple(self._fingerprint_parts())
+
+    def _fingerprint_parts(self) -> Tuple:
+        relations = tuple(
+            (r.name, float(r.pages), None if r.rows is None else float(r.rows),
+             r.pages_dist, float(r.filter_selectivity), r.index)
+            for r in self.relations
+        )
+        predicates = tuple(
+            (p.left, p.right, float(p.selectivity), p.label, p.selectivity_dist,
+             None if p.result_pages_override is None
+             else float(p.result_pages_override), p.equiv_class)
+            for p in self.predicates
+        )
+        return (relations, predicates, self.required_order, self.rows_per_page,
+                self.projection_ratio)
 
     def has_uncertain_sizes(self) -> bool:
         """True when any relation size or selectivity is distributional."""

@@ -96,6 +96,14 @@ class UnionQuery(JoinQuery):
         arm = self.arm_of(rels)
         return self.arms.index(arm)
 
+    def _fingerprint_parts(self) -> Tuple:
+        # The arm structure changes plan shapes, so it is a statistic too.
+        arms = tuple(
+            (tuple(r.name for r in arm.relations), arm.projection_ratio)
+            for arm in self.arms
+        )
+        return super()._fingerprint_parts() + ("union", arms, self.distinct)
+
     def projection_ratio_of(self, rels) -> float:
         """The owning arm's projection ratio (for sizing arm outputs)."""
         return self.arm_of(rels).projection_ratio

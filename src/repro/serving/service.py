@@ -36,6 +36,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from numbers import Real
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -44,7 +45,7 @@ from ..core.markov import MarkovParameter
 from ..core.context import OptimizationContext, query_fingerprint
 from ..costmodel.model import CostModel
 from ..optimizer.errors import OptimizerConfigError
-from ..optimizer.facade import canonical_objective, model_key, optimize as _optimize
+from ..optimizer.facade import canonical_objective, check_memory, model_key, optimize as _optimize
 from ..optimizer.result import OptimizationResult
 from ..plans.nodes import Plan
 from ..plans.query import JoinQuery
@@ -66,6 +67,11 @@ __all__ = [
 RUNG_FULL = "full"
 RUNG_COARSE = "coarse"
 RUNG_LSC = "lsc"
+
+
+@lru_cache(maxsize=64)  # a valid spelling is parsed once; an unknown one raises
+def _space_key(plan_space) -> str:
+    return PlanSpace.parse(plan_space).key
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,8 @@ class OptimizeRequest:
         verbatim and fails later, inside the optimizer.
         """
         try:
-            space_key = PlanSpace.parse(self.plan_space).key
-        except ValueError:
+            space_key = _space_key(self.plan_space)
+        except (ValueError, TypeError):  # TypeError: an unhashable spelling
             space_key = str(self.plan_space)
         return (
             space_key,
@@ -123,13 +129,15 @@ class OptimizeRequest:
         cached plan answers it" for the service and the cluster gateway
         (``key.objective`` is the canonical kind).  Raises
         :class:`OptimizerConfigError` for an unknown objective or a
-        missing ``memory``.
+        missing ``memory``, and :class:`MemoryTypeError` (a subclass) for
+        a ``memory`` the objective does not take, as ``repro.optimize`` does.
         """
         kind = canonical_objective(self.objective)
         if self.memory is None:
             raise OptimizerConfigError(
                 f"objective {self.objective!r} requires the memory= argument"
             )
+        check_memory(kind, self.memory)
         return PlanCacheKey(
             fingerprint=query_fingerprint(self.query),
             objective=kind,

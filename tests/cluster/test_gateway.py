@@ -24,7 +24,7 @@ from repro.cluster import AdmissionController, ClusterGateway
 from repro.cluster.protocol import FrameDecoder, ProtocolError
 from repro.core.context import query_fingerprint
 from repro.core.distributions import DiscreteDistribution
-from repro.optimizer.errors import OptimizerConfigError
+from repro.optimizer.errors import MemoryTypeError, OptimizerConfigError
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
 from repro.plans.space import BUSHY
 from repro.serving.service import OptimizeRequest
@@ -110,6 +110,13 @@ class TestOptimize:
                 with pytest.raises(OptimizerConfigError, match="cost model"):
                     from repro.costmodel.model import CostModel
                     await gw.optimize(_request(cost_model=CostModel()))
+                # A memory the objective does not take, refused as
+                # repro.optimize refuses it: before anything is registered.
+                for memory in (800.0, "800"):
+                    with pytest.raises(MemoryTypeError, match="needs memory"):
+                        await gw.optimize(_request(memory=memory))
+                assert not gw._inflight and not gw.shards[0].pending
+                assert len(gw.shared_tier) == 0
 
         asyncio.run(scenario())
 

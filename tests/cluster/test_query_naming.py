@@ -1,0 +1,260 @@
+"""A query is named once: its fingerprint, key parts and hit instruments.
+
+A query is immutable, so its fingerprint is taken on first use and kept;
+a request's key parts (plan-space spelling, cost-model key) resolve once;
+and a gateway hit records into instruments it looked up once.  None of
+that may change a key's value: keys stay exact across objects, and every
+query digests — so routes — as it did before the fingerprint was kept.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import pickle
+import time
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.cluster import ClusterGateway
+from repro.cluster.metrics import ClusterMetrics
+from repro.cluster.shared_cache import cache_key_digest, fingerprint_digest
+from repro.core.context import query_fingerprint
+from repro.core.distributions import DiscreteDistribution
+from repro.costmodel.model import CostModel
+from repro.plans.nodes import Plan, Scan
+from repro.plans.query import HashedTuple, IndexInfo, JoinPredicate, JoinQuery, RelationSpec
+from repro.plans.space import PlanSpace
+from repro.plans.spju import UnionQuery
+from repro.serving.metrics import MetricsRegistry
+from repro.serving.service import OptimizeRequest, OptimizerService
+from repro.tools.serialize import query_from_dict, query_to_dict
+from repro.workloads.queries import (
+    chain_query,
+    clique_query,
+    star_query,
+    with_selectivity_uncertainty,
+)
+
+_MEMORY = DiscreteDistribution([300.0, 900.0], [0.5, 0.5])
+_SHAPES = {"chain": chain_query, "star": star_query, "clique": clique_query}
+
+
+def _request(query, **kw) -> OptimizeRequest:
+    return OptimizeRequest(query=query, objective="lec", memory=_MEMORY, **kw)
+
+
+def _tiers(query):
+    """A plan cache and an unstarted gateway, both filled by ``query``'s
+    request (a hit needs no worker)."""
+    service = OptimizerService(max_workers=1)  # no catalog source: version ()
+    service.cache.put(_request(query).cache_key((), CostModel()), Plan(Scan("R")), 1.0)
+    gw = ClusterGateway(shards=2)
+    gw.shared_tier.put(gw._key_of(_request(query)), {"root": None}, 1.0, "expected", 0)
+    return service, gw
+
+
+def _hits(service, gw, query) -> tuple:
+    request = _request(query)
+    return (
+        service.execute(request).cache_hit,
+        gw.shared_tier.get(gw._key_of(request)) is not None,
+    )
+
+
+class TestKeysStayExact:
+    @given(
+        shape=st.sampled_from(sorted(_SHAPES)),
+        n=st.integers(3, 5),
+        seed=st.integers(0, 2**16),
+        moved=st.integers(0, 9),
+    )
+    def test_a_rebuilt_query_names_the_same_entries(self, shape, n, seed, moved):
+        rng = np.random.default_rng(seed)
+        query = with_selectivity_uncertainty(_SHAPES[shape](n, rng), 1.0, n_buckets=3)
+        rebuilt = query_from_dict(query_to_dict(query))
+        assert rebuilt is not query
+        assert query_fingerprint(query) == query_fingerprint(rebuilt)
+        assert hash(query_fingerprint(query)) == hash(query_fingerprint(rebuilt))
+
+        service, gw = _tiers(query)
+        try:
+            assert _hits(service, gw, rebuilt) == (True, True)
+            predicates = list(query.predicates)
+            i = moved % len(predicates)
+            predicates[i] = replace(predicates[i], selectivity=predicates[i].selectivity / 2)
+            other = JoinQuery(query.relations, predicates, query.required_order,
+                              query.rows_per_page, query.projection_ratio)
+            assert _hits(service, gw, other) == (False, False)
+        finally:
+            service.close()
+
+    def test_a_copy_elsewhere_hashes_afresh(self):
+        # ``hash`` is salted per process, so a pickled fingerprint must not
+        # carry the hash it was given here.
+        fingerprint = query_fingerprint(_pinned_join())
+        hash(fingerprint)
+        back = pickle.loads(pickle.dumps(fingerprint))
+        assert type(back) is HashedTuple and back == fingerprint
+        assert "_hash" not in vars(back) and hash(back) == hash(fingerprint)
+
+
+class TestNamedOnce:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"fingerprint": 0, "parse": 0, "counter": 0, "histogram": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(JoinQuery, "_fingerprint_parts",
+                            counting("fingerprint", JoinQuery._fingerprint_parts))
+        monkeypatch.setattr(PlanSpace, "parse",
+                            classmethod(counting("parse", PlanSpace.parse.__func__)))
+        for name in ("counter", "histogram"):
+            monkeypatch.setattr(MetricsRegistry, name,
+                                counting(name, getattr(MetricsRegistry, name)))
+        return counts
+
+    def test_a_second_hit_derives_nothing_again(self, counts):
+        query = chain_query(4, np.random.default_rng(7))
+        service, gw = _tiers(query)  # the fingerprint is taken here
+        try:
+            for _ in range(2):
+                request = _request(query)
+                before = dict(counts)
+                assert service.execute(request).cache_hit
+                served = dict(counts)
+                tag, result, _, _ = gw._prepare(request, gw._key_of(request), time.monotonic())
+                assert tag == "done" and result.cache_tier == "shared"
+            # The second round: no fingerprint, no parse, and at the
+            # gateway no instrument lookup.
+            assert counts["fingerprint"] == before["fingerprint"] == 1
+            assert counts["parse"] == before["parse"]
+            assert counts["counter"] == served["counter"]
+            assert counts["histogram"] == served["histogram"]
+        finally:
+            service.close()
+
+    def test_a_valid_spelling_is_parsed_once(self, counts):
+        query = chain_query(3, np.random.default_rng(1))
+        # A spelling of zig-zag no other test uses, so it is new here.
+        assert _request(query, plan_space=" Zig_Zag+Union ").knobs()[0] == "zig-zag+union"
+        assert _request(query, plan_space=" Zig_Zag+Union ").knobs()[0] == "zig-zag+union"
+        assert counts["parse"] == 1
+
+    def test_an_unknown_spelling_is_not_remembered(self, counts):
+        request = _request(chain_query(3, np.random.default_rng(1)), plan_space="star")
+        assert request.knobs()[0] == request.knobs()[0] == "star"
+        assert counts["parse"] == 2
+
+    def test_an_answer_looks_its_instruments_up_once(self, counts):
+        metrics = ClusterMetrics()
+        kinds = [("full", True, False), ("full", False, False),
+                 ("lsc", False, True), (None, False, False)]
+        for rung, hit, retried in kinds:
+            metrics.observe_request(1e-5, rung, hit, retried)
+        looked_up = counts["counter"] + counts["histogram"]
+        for rung, hit, retried in kinds * 3:
+            metrics.observe_request(1e-5, rung, hit, retried)
+        assert counts["counter"] + counts["histogram"] == looked_up
+        counters = metrics.registry.snapshot()["counters"]
+        assert counters == {
+            "cluster.answered_after_retry": 4, "cluster.cache.hits": 4,
+            "cluster.cache.misses": 12, "cluster.rung.full": 8,
+            "cluster.rung.lsc": 4,
+        }
+        metrics.observe_arrival()
+        metrics.observe_arrival()
+        assert metrics.registry.snapshot()["counters"]["cluster.requests"] == 2
+
+    def test_snapshots_name_what_they_named(self):
+        # Recorded before the instruments were kept: one miss, one hit,
+        # one request degraded to the LSC rung (and, at the gateway, one
+        # worker error).
+        a = JoinQuery([RelationSpec(n, 100.0 * (i + 1)) for i, n in enumerate("RST")],
+                      [JoinPredicate("R", "S", 0.01), JoinPredicate("S", "T", 0.01)])
+        b = JoinQuery([RelationSpec(n, 200.0 * (i + 1)) for i, n in enumerate("DEF")],
+                      [JoinPredicate("D", "E", 0.01), JoinPredicate("E", "F", 0.01)])
+        with OptimizerService(max_workers=1) as service:
+            service.optimize(a, "lec", memory=_MEMORY)
+            service.optimize(a, "lec", memory=_MEMORY)
+            service.optimize(b, "lec", memory=_MEMORY, deadline=1e-9)
+            snap = service.metrics_snapshot()
+        assert sorted(snap["counters"]) == [
+            "plan_cache.hits", "plan_cache.misses", "serving.deadline_exceeded",
+            "serving.degraded", "serving.requests", "serving.rung.full",
+            "serving.rung.lsc", "serving.rung_skipped",
+        ]
+        assert sorted(snap["histograms"]) == [
+            "serving.latency.cache_hit", "serving.latency.optimize",
+        ]
+
+        async def cluster():
+            async with ClusterGateway(shards=1) as gw:
+                for request in (_request(a), _request(a), _request(b, deadline=1e-9),
+                                _request(b, plan_space="star")):
+                    await gw.optimize(request)
+                return gw.metrics.registry.snapshot()
+
+        snap = asyncio.run(cluster())
+        assert sorted(snap["counters"]) == [
+            "cluster.cache.hits", "cluster.cache.misses", "cluster.errors",
+            "cluster.requests", "cluster.rung.full", "cluster.rung.lsc",
+        ]
+        assert sorted(snap["histograms"]) == ["cluster.latency"]
+
+
+def _pinned_join() -> JoinQuery:
+    return JoinQuery(
+        [
+            RelationSpec("R", 1200.0, rows=90000.0,
+                         pages_dist=DiscreteDistribution([800.0, 1600.0], [0.5, 0.5]),
+                         filter_selectivity=0.5, index=IndexInfo(3, True)),
+            RelationSpec("S", 300.0),
+            RelationSpec("T", 45.0),
+        ],
+        [
+            JoinPredicate("R", "S", 0.001, label="R=S", equiv_class="x",
+                          selectivity_dist=DiscreteDistribution([0.0005, 0.002], [0.7, 0.3])),
+            JoinPredicate("S", "T", 0.01, label="S=T", result_pages_override=20.0),
+        ],
+        required_order="R=S", rows_per_page=50, projection_ratio=0.5,
+    )
+
+
+def _pinned_union() -> UnionQuery:
+    return UnionQuery(
+        [
+            JoinQuery([RelationSpec("A", 500.0), RelationSpec("B", 70.0)],
+                      [JoinPredicate("A", "B", 0.002)], projection_ratio=0.25),
+            JoinQuery([RelationSpec("C", 900.0), RelationSpec("D", 30.0)],
+                      [JoinPredicate("C", "D", 0.004, selectivity_dist=DiscreteDistribution(
+                          [0.002, 0.006], [0.5, 0.5]))]),
+        ],
+        distinct=True,
+    )
+
+
+class TestRoutesArePinned:
+    """Digests recorded on the tree that rebuilt the fingerprint per call:
+    a kept fingerprint routes every query to the shard it went to then."""
+
+    @pytest.mark.parametrize("make, space, fingerprint, key", [
+        (_pinned_join, "zigzag", "499b045e503d2447bcd80965f424476a3f66b591",
+         "d3629d2f3d02b600d2938591d5fb891187a41111"),
+        (_pinned_union, "spju", "73f88ff708513d328cdaab136ebb3d98310fc35d",
+         "0424df24669f66625069e0daafed476bd8023f1f"),
+    ])
+    def test_digests(self, make, space, fingerprint, key):
+        query = make()
+        for _ in range(2):  # computed, then kept
+            assert fingerprint_digest(query_fingerprint(query)) == fingerprint
+            request = _request(query, plan_space=space)
+            assert cache_key_digest(request.cache_key((3, 1), CostModel())) == key

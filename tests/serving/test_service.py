@@ -6,7 +6,7 @@ import pytest
 
 from repro import optimize
 from repro.core.markov import MarkovParameter
-from repro.optimizer.errors import OptimizerConfigError
+from repro.optimizer.errors import MemoryTypeError, OptimizerConfigError
 from repro.serving.service import (
     RUNG_COARSE,
     RUNG_FULL,
@@ -92,6 +92,14 @@ class TestParityWithDirectOptimize:
             service.optimize(three_way_query, "warp-drive", memory=500.0)
         with pytest.raises(OptimizerConfigError):
             service.optimize(three_way_query, "lec", memory=None)
+        # A memory the objective does not take: repro.optimize's error,
+        # raised before the cache is probed or written.
+        with pytest.raises(MemoryTypeError, match="needs memory"):
+            service.submit(query=three_way_query, objective="lec", memory="800").result()
+        with pytest.raises(MemoryTypeError, match="needs memory"):
+            service.optimize(three_way_query, "lec", memory=800.0)
+        assert len(service.cache) == 0
+        assert "plan_cache.misses" not in service.metrics_snapshot()["counters"]
 
 
 class TestCaching:
