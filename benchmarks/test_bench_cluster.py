@@ -10,10 +10,7 @@ The headline claims of ``repro.cluster``:
   reading is interpretable either way;
 * killing a worker mid-replay loses no accepted request: the gateway
   respawns the worker and replays the in-flight work (workers cache
-  nothing, so there is nothing else to restore);
-* coalescing same-shard requests into one ``optimize_batch`` frame
-  keeps replay throughput at least on par with the request-at-a-time
-  wire path (asserted against a generous floor).
+  nothing, so there is nothing else to restore).
 
 Ratios are printed (``-s``), not snapshotted: the timings tracked
 across commits are ``bench/run.py``'s.
@@ -89,24 +86,3 @@ def test_worker_kill_loses_no_accepted_request():
     assert report["answered"] + report["shed"] == report["accepted"] + report["shed"]
     assert report["answered"] == report["accepted"]
 
-
-def test_batched_replay_keeps_throughput(quick_mode):
-    requests = 24 if quick_mode else 48
-    plain = _unique_replay(requests, shards=2)
-    batched = _unique_replay(requests, shards=2, batch_size=4)
-    for report in (plain, batched):
-        assert report["lost"] == 0 and report["errors"] == 0
-        assert report["answered"] == report["accepted"]
-
-    ratio = (
-        batched["optimize_throughput_qps"] / plain["optimize_throughput_qps"]
-        if plain["optimize_throughput_qps"] > 0 else 0.0
-    )
-    print(f"\ncluster replay: plain {plain['optimize_throughput_qps']:.1f}/s "
-          f"batched {batched['optimize_throughput_qps']:.1f}/s "
-          f"(ratio {ratio:.2f}x)")
-    # Batching is a transport optimization: it must not cost
-    # throughput.  Generous floor absorbs runner noise.
-    assert ratio >= 0.5, (
-        f"batched replay throughput collapsed to {ratio:.2f}x plain"
-    )

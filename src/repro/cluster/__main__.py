@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=64,
                         help="total requests to replay (default 64)")
     parser.add_argument("--concurrency", type=int, default=8,
-                        help="max in-flight client requests (default 8)")
+                        help="closed-loop clients (default 8)")
     parser.add_argument("--seed", type=int, default=0,
                         help="workload RNG seed (default 0)")
     parser.add_argument("--deadline", type=float, default=None,
@@ -49,9 +49,6 @@ def main(argv=None) -> int:
                         help="admission soft queue limit per shard")
     parser.add_argument("--hard-limit", type=int, default=64,
                         help="admission hard queue limit per shard")
-    parser.add_argument("--batch-size", type=int, default=1,
-                        help="send requests in optimize_batch frames of "
-                             "this size (default 1 = legacy frames)")
     parser.add_argument("--bump-every", type=int, default=None, metavar="N",
                         help="move a catalog version source every N answers")
     args = parser.parse_args(argv)
@@ -75,7 +72,6 @@ def main(argv=None) -> int:
         admission=AdmissionController(
             soft_limit=args.soft_limit, hard_limit=args.hard_limit
         ),
-        batch_size=args.batch_size,
         bump_every=args.bump_every,
     )
 

@@ -21,9 +21,9 @@ admission decision, no frame, no worker.
 Reliability model
 -----------------
 * A worker that dies (crash, OOM kill, test-inflicted ``kill()``) is
-  detected by EOF on its socket (and by health pings); the gateway
-  respawns it and **replays** every request that was in flight on the
-  dead worker.  Accepted requests are therefore answered (possibly
+  detected by EOF on its socket; the gateway respawns it and
+  **replays** every request that was in flight on the dead worker.
+  Accepted requests are therefore answered (possibly
   degraded, possibly after a retry) or failed explicitly after
   ``max_retries`` replays; they are never silently dropped.  Workers
   hold no cached plan (the requests they remember decoding are warmth,
@@ -62,7 +62,6 @@ from .metrics import ClusterMetrics
 from .protocol import (
     FrameDecoder,
     ProtocolError,
-    batch_message,
     encode_frame,
     encode_request,
 )
@@ -124,7 +123,7 @@ class _Pending:
     """One request in flight to a worker (kept for replay on crash)."""
 
     future: "asyncio.Future[ClusterResult]"
-    message: Dict[str, Any]
+    frame: bytes
     key: PlanCacheKey
     admission: AdmissionDecision
     sent_at: float
@@ -141,8 +140,6 @@ class _Shard:
     reader_task: Optional["asyncio.Task"] = None
     pending: Dict[int, _Pending] = field(default_factory=dict)
     ping_waiters: Dict[int, "asyncio.Future"] = field(default_factory=dict)
-    last_snapshot: Optional[Dict[str, Any]] = None
-    last_pong: float = 0.0
     restarts: int = 0
 
 
@@ -172,9 +169,6 @@ class ClusterGateway:
         Bound of the gateway's plan tier (LRU beyond it).
     coarse_buckets / default_deadline:
         Forwarded into each shard's :class:`WorkerConfig`.
-    health_interval:
-        Seconds between background health sweeps (``None`` disables the
-        task; :meth:`check_health` can still be called manually).
     max_retries:
         Replays allowed per request before it fails explicitly.
     """
@@ -184,11 +178,9 @@ class ClusterGateway:
         shards: int = 2,
         catalog_sources: Sequence = (),
         admission: Optional[AdmissionController] = None,
-        metrics: Optional[ClusterMetrics] = None,
         shared_max_entries: int = 4096,
         coarse_buckets: int = 3,
         default_deadline: Optional[float] = None,
-        health_interval: Optional[float] = None,
         max_retries: int = 2,
     ):
         if shards < 1:
@@ -198,10 +190,9 @@ class ClusterGateway:
         self.n_shards = shards
         self._sources = tuple(catalog_sources)
         self.admission = admission if admission is not None else AdmissionController()
-        self.metrics = metrics if metrics is not None else ClusterMetrics()
+        self.metrics = ClusterMetrics()
         self._coarse_buckets = coarse_buckets
         self._default_deadline = default_deadline
-        self.health_interval = health_interval
         self.max_retries = max_retries
 
         self._ctx = _preferred_context()
@@ -217,7 +208,6 @@ class ClusterGateway:
         self._last_version = self._current_version()
         self._started = False
         self._closing = False
-        self._health_task: Optional["asyncio.Task"] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -231,10 +221,6 @@ class ClusterGateway:
         for shard in self._shards:
             await self._spawn(shard)
         self._started = True
-        if self.health_interval is not None:
-            self._health_task = asyncio.get_event_loop().create_task(
-                self._health_loop()
-            )
         return self
 
     async def __aenter__(self) -> "ClusterGateway":
@@ -248,8 +234,6 @@ class ClusterGateway:
         if not self._started or self._closing:
             return
         self._closing = True
-        if self._health_task is not None:
-            self._health_task.cancel()
         for shard in self._shards:
             if shard.writer is not None:
                 try:
@@ -263,6 +247,8 @@ class ClusterGateway:
                     await asyncio.wait_for(shard.reader_task, timeout=10.0)
                 except (asyncio.TimeoutError, asyncio.CancelledError):
                     shard.reader_task.cancel()
+            if shard.writer is not None:
+                shard.writer.close()
             await self._join_proc(shard)
             for pending in shard.pending.values():
                 if not pending.future.done():
@@ -307,7 +293,6 @@ class ClusterGateway:
         reader, writer = await asyncio.open_connection(sock=parent_sock)
         shard.proc = proc
         shard.writer = writer
-        shard.last_pong = time.monotonic()
         shard.reader_task = asyncio.get_event_loop().create_task(
             self._read_loop(shard, reader)
         )
@@ -350,8 +335,6 @@ class ClusterGateway:
                     self._to_result(shard, pending, message)
                 )
         elif mtype == "pong":
-            shard.last_pong = time.monotonic()
-            shard.last_snapshot = message
             waiter = shard.ping_waiters.pop(int(message.get("seq", 0)), None)
             if waiter is not None and not waiter.done():
                 waiter.set_result(message)
@@ -399,10 +382,14 @@ class ClusterGateway:
             if not waiter.done():
                 waiter.cancel()
         shard.ping_waiters.clear()
+        shard.writer.close()  # the dead worker's socket; a write to it is dropped
         await self._join_proc(shard, timeout=2.0)
         await self._spawn(shard)
         replays = list(shard.pending.items())
         shard.pending.clear()
+        # Every replay is registered before the first write: a write can
+        # suspend, and the fresh worker's death in that window restarts
+        # the shard again, which replays what ``pending`` holds.
         for request_id, pending in replays:
             if pending.future.done():
                 continue
@@ -419,25 +406,16 @@ class ClusterGateway:
             pending.attempts += 1
             self.metrics.registry.counter("cluster.retries").increment()
             shard.pending[request_id] = pending
-            try:
-                shard.writer.write(encode_frame(pending.message))
-                await shard.writer.drain()
-            except (ConnectionError, OSError):
-                return  # the fresh worker died too; next restart replays
+        try:
+            for pending in shard.pending.values():
+                shard.writer.write(pending.frame)
+            await shard.writer.drain()
+        except (ConnectionError, OSError):
+            pass  # the fresh worker died too; its restart replays these
 
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
-
-    async def _health_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.health_interval)
-            try:
-                await self.check_health()
-            except asyncio.CancelledError:  # pragma: no cover
-                raise
-            except Exception:
-                continue  # a sick shard must not kill the sweeper
 
     async def check_health(self, timeout: float = 5.0) -> List[Optional[Dict]]:
         """Ping every worker; restart any that died; return pong snapshots."""
@@ -518,8 +496,7 @@ class ClusterGateway:
         """Validate one request and name its answer at the current fence.
 
         Raises before anything is registered, so a malformed request
-        leaves no trace (:meth:`optimize_many` names its whole batch
-        first for exactly that reason).
+        leaves no trace.
         """
         if request.cost_model is not None:
             raise OptimizerConfigError(
@@ -528,26 +505,24 @@ class ClusterGateway:
             )
         return request.cache_key(self._refresh_version(), self._cost_model)
 
-    def _prepare(self, request: OptimizeRequest, key: PlanCacheKey,
-                 started: float):
-        """Answer, coalesce, or admit and register one named request.
+    async def optimize(self, request: Optional[OptimizeRequest] = None,
+                       **kwargs) -> ClusterResult:
+        """Serve one request through the cluster.
 
-        Returns ``(tag, obj, shard, message)``:
-
-        ``("done", ClusterResult, None, None)``
-            already final: served from the shared tier, or refused at
-            admission.
-        ``("coalesced", future, None, None)``
-            rides an identical in-flight request's future.
-        ``("send", future, shard, message)``
-            registered in ``shard.pending``/``_inflight``; the caller
-            owns the actual frame write (so many same-shard requests
-            can be flushed in one ``optimize_batch`` frame) and
-            withdraws the registration if no frame can be built.
-
-        No suspension point anywhere in here: a hit is complete, and a
-        miss registered, before any other task can run.
+        Accepts a prepared :class:`OptimizeRequest` or its keyword
+        arguments, exactly like ``OptimizerService.submit``.  Everything
+        that can refuse a request (its name, its document, its frame)
+        runs before it is registered, and nothing before the write
+        suspends: a hit is complete, and a miss registered, before any
+        other task runs.
         """
+        self._require_started()
+        if request is None:
+            request = OptimizeRequest(**kwargs)
+        elif kwargs:
+            request = replace(request, **kwargs)
+        started = time.monotonic()
+        key = self._key_of(request)
         self.metrics.observe_arrival()
 
         stored = self.shared_tier.get(key)
@@ -556,156 +531,49 @@ class ClusterGateway:
             self.metrics.observe_request(
                 latency=latency, rung=RUNG_FULL, cache_hit=True, retried=False,
             )
-            return ("done", ClusterResult(
+            return ClusterResult(
                 status="ok", shard=stored.shard, rung=RUNG_FULL,
                 objective=stored.objective,
                 objective_value=stored.objective_value,
                 cache_hit=True, cache_tier="shared", latency=latency,
                 plan_doc=stored.plan_doc,
-            ), None, None)
+            )
 
         leader = self._inflight.get(key)
         if leader is not None:
             # Coalesce: ride the identical in-flight request.
             self.metrics.registry.counter("cluster.coalesced").increment()
-            return ("coalesced", leader, None, None)
+            return replace(await asyncio.shield(leader), coalesced=True)
 
         shard = self._shards[self.shard_for(key.fingerprint)]
         decision = self.admission.decide(len(shard.pending), request.deadline)
         if decision.action == SHED:
             self.metrics.registry.counter("cluster.shed").increment()
-            return ("done", ClusterResult(
+            return ClusterResult(
                 status="shed", shard=shard.index, admission=decision,
                 error=decision.reason,
-            ), None, None)
+            )
         if decision.action != "admit":
             self.metrics.registry.counter("cluster.admission_degraded").increment()
 
         request_id = next(self._ids)
-        # The replayed-on-restart copy keeps its own "optimize" type;
-        # batching is purely a first-send transport optimisation.
-        message = encode_request(
+        frame = encode_frame(encode_request(
             request_id, replace(request, deadline=decision.effective_deadline)
-        )
+        ))
         future: "asyncio.Future[ClusterResult]" = (
             asyncio.get_event_loop().create_future()
         )
         shard.pending[request_id] = _Pending(
-            future=future, message=message, key=key,
+            future=future, frame=frame, key=key,
             admission=decision, sent_at=started,
         )
         self._inflight[key] = future
-        return ("send", future, shard, message)
-
-    def _withdraw(self, prepared: Sequence[Tuple]) -> None:
-        """Forget the sends among ``prepared``: their frames will not leave.
-
-        Only sound before the first ``await`` after they were registered
-        — until then no other task ran, so nothing coalesced onto them.
-        """
-        for tag, _obj, shard, message in prepared:
-            if tag == "send":
-                self._inflight.pop(shard.pending.pop(message["id"]).key, None)
-
-    def _frames(self, prepared: Sequence[Tuple]) -> List[Tuple[_Shard, bytes]]:
-        """The sends among ``prepared`` as one frame per shard — or none.
-
-        Two or more messages travel as one ``optimize_batch`` frame; a
-        singleton keeps the legacy ``optimize`` frame so a pre-batch
-        worker still understands it.  Encoding is the last step that can
-        raise (a request field JSON cannot spell), and it runs before the
-        caller's first ``await``: on failure every send is withdrawn, so
-        no accepted request is left registered behind an unwritten frame.
-        """
-        flushes: Dict[int, Tuple[_Shard, List[Dict[str, Any]]]] = {}
-        for tag, _obj, shard, message in prepared:
-            if tag == "send":
-                flushes.setdefault(shard.index, (shard, []))[1].append(message)
-        try:
-            return [
-                (shard, encode_frame(
-                    messages[0] if len(messages) == 1
-                    else batch_message(messages)
-                ))
-                for shard, messages in flushes.values()
-            ]
-        except ProtocolError:
-            self._withdraw(prepared)
-            raise
-
-    async def _write(self, shard: _Shard, frame: bytes) -> None:
-        """Flush one frame to one shard — a single write and drain."""
         try:
             shard.writer.write(frame)
             await shard.writer.drain()
         except (ConnectionError, OSError):
             pass  # the read loop sees the broken pipe and replays
-
-    async def optimize(self, request: Optional[OptimizeRequest] = None,
-                       **kwargs) -> ClusterResult:
-        """Serve one request through the cluster.
-
-        Accepts a prepared :class:`OptimizeRequest` or its keyword
-        arguments, exactly like ``OptimizerService.submit``.
-        """
-        self._require_started()
-        if request is None:
-            request = OptimizeRequest(**kwargs)
-        elif kwargs:
-            request = replace(request, **kwargs)
-        started = time.monotonic()
-        prepared = self._prepare(request, self._key_of(request), started)
-        tag, obj, _shard, _message = prepared
-        if tag == "done":
-            return obj
-        if tag == "coalesced":
-            result = await asyncio.shield(obj)
-            return replace(result, coalesced=True)
-        for shard, frame in self._frames([prepared]):
-            await self._write(shard, frame)
-        return await asyncio.shield(obj)
-
-    async def optimize_many(
-        self, requests: Sequence[OptimizeRequest]
-    ) -> List[ClusterResult]:
-        """Serve many requests, one coalesced frame write per shard.
-
-        Every request goes through the same tier lookup/coalescing/
-        admission/routing as :meth:`optimize`; the difference is
-        transport-only — all admitted requests routed to the same shard
-        leave in a single ``optimize_batch`` frame (one syscall per
-        shard instead of one per request), which is where the replay
-        driver's gateway-bound workloads spend their syscall budget.
-        Results come back in request order; duplicates inside the batch
-        coalesce onto the first occurrence.  All or nothing up to the
-        first frame write: the batch is named as a whole before any of
-        it is registered, and a request that fails later in the same
-        synchronous step (its document or frame cannot be encoded)
-        withdraws what the batch registered before the error leaves.
-        """
-        self._require_started()
-        started = time.monotonic()
-        keys = [self._key_of(r) for r in requests]
-        prepared: List[Tuple] = []
-        try:
-            for request, key in zip(requests, keys):
-                prepared.append(self._prepare(request, key, started))
-        except BaseException:
-            self._withdraw(prepared)
-            raise
-        for shard, frame in self._frames(prepared):
-            await self._write(shard, frame)
-        results: List[ClusterResult] = []
-        for tag, obj, _shard, _message in prepared:
-            if tag == "done":
-                results.append(obj)
-            elif tag == "coalesced":
-                results.append(
-                    replace(await asyncio.shield(obj), coalesced=True)
-                )
-            else:
-                results.append(await asyncio.shield(obj))
-        return results
+        return await asyncio.shield(future)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -22,18 +22,8 @@ Message types
               ``query`` doc, ``objective``, ``memory`` doc, optional
               ``deadline`` and knob fields) — spelled by
               :func:`encode_request` / :func:`decode_request` and
-              nowhere else.
-``optimize_batch``
-              gateway → worker: many requests in one frame
-              (``requests``: a list of ``optimize``-shaped dicts, the
-              per-request ``type`` omitted).  Semantically identical to
-              that many ``optimize`` frames back to back — the worker
-              answers each request with its own ``result``/``error``
-              frame — but the gateway pays one ``write()`` per shard
-              instead of one per request.  :func:`iter_requests`
-              normalises both spellings, so a worker built after this
-              frame existed still accepts the legacy single-request
-              frames an older gateway sends.
+              nowhere else.  One request per frame, each answered by
+              its own ``result`` or ``error`` frame.
 ``result``    worker → gateway: the answer (``id``, ``plan`` doc,
               ``objective_value``, ``objective``, ``rung``,
               ``latency``).
@@ -81,8 +71,6 @@ __all__ = [
     "decode_memory",
     "encode_request",
     "decode_request",
-    "batch_message",
-    "iter_requests",
 ]
 
 _HEADER = struct.Struct(">I")
@@ -193,47 +181,6 @@ class FrameDecoder:
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting the rest of a frame."""
         return len(self._buffer)
-
-
-# ----------------------------------------------------------------------
-# Request batching
-# ----------------------------------------------------------------------
-
-
-def batch_message(requests: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Wrap per-request dicts into one ``optimize_batch`` message.
-
-    Each entry is an ``optimize`` message body (``id``, ``query`` doc,
-    knobs, ...); any ``type`` key it carries is dropped — the batch
-    frame's own type speaks for all of them.
-    """
-    if not requests:
-        raise ProtocolError("optimize_batch needs at least one request")
-    return {
-        "type": "optimize_batch",
-        "requests": [
-            {k: v for k, v in req.items() if k != "type"} for req in requests
-        ],
-    }
-
-
-def iter_requests(message: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
-    """Yield every request body in an ``optimize``/``optimize_batch`` frame.
-
-    The worker's dispatch loop calls this for both kinds, which is what
-    keeps legacy single-request frames working: an ``optimize`` message
-    is simply a batch of one.
-    """
-    if message.get("type") == "optimize":
-        yield message
-        return
-    requests = message.get("requests")
-    if not isinstance(requests, list):
-        raise ProtocolError("optimize_batch without a request list")
-    for req in requests:
-        if not isinstance(req, dict):
-            raise ProtocolError("optimize_batch entries must be dicts")
-        yield req
 
 
 # ----------------------------------------------------------------------

@@ -40,26 +40,23 @@ async def replay(
     catalog_sources=(),
     admission: Optional[AdmissionController] = None,
     kill_worker_at: Optional[int] = None,
-    health_interval: Optional[float] = None,
-    batch_size: int = 1,
     bump_every: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Replay ``workload`` through a fresh gateway; return the report.
 
+    ``concurrency`` closed-loop clients share one iterator over the
+    workload: each sends its next request as soon as its last one is
+    answered.
+
     ``kill_worker_at`` hard-kills worker 0 after that many requests have
     been answered — the crash-resilience drill: the report's ``lost``
     must stay 0 because the gateway replays in-flight work.
-
-    ``batch_size > 1`` sends requests through
-    :meth:`ClusterGateway.optimize_many` in groups of that size, so
-    same-shard requests share one ``optimize_batch`` frame write.
     ``bump_every`` moves a catalog version source after every that many
     answers: the fence empties the gateway's tier, and the repeats that
     follow reach workers that remember them (``worker_memo``).
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    semaphore = asyncio.Semaphore(concurrency)
+    if concurrency < 1:
+        raise ValueError("concurrency must be >= 1")
     answered = 0
     killed = False
     results: List[Optional[ClusterResult]] = [None] * len(workload)
@@ -69,48 +66,27 @@ async def replay(
         shards=shards,
         catalog_sources=[*catalog_sources, source],
         admission=admission,
-        health_interval=health_interval,
     ) as gateway:
+        queue = iter(enumerate(workload))
 
-        def _account(index: int, result: ClusterResult) -> None:
+        async def client() -> None:
             nonlocal answered, killed
-            results[index] = result
-            if result.status != "shed":
-                answered += 1
-                if bump_every and answered % bump_every == 0:
-                    source.version += 1
-            if (
-                kill_worker_at is not None
-                and not killed
-                and answered >= kill_worker_at
-            ):
-                killed = True
-                gateway.kill_worker(0)
-
-        async def _one(index: int, request: OptimizeRequest) -> None:
-            async with semaphore:
-                result = await gateway.optimize(request)
-            _account(index, result)
-
-        async def _group(indices: List[int]) -> None:
-            async with semaphore:
-                group = await gateway.optimize_many(
-                    [workload[i] for i in indices]
-                )
-            for index, result in zip(indices, group):
-                _account(index, result)
+            for index, request in queue:
+                result = results[index] = await gateway.optimize(request)
+                if result.status != "shed":
+                    answered += 1
+                    if bump_every and answered % bump_every == 0:
+                        source.version += 1
+                if (
+                    kill_worker_at is not None
+                    and not killed
+                    and answered >= kill_worker_at
+                ):
+                    killed = True
+                    gateway.kill_worker(0)
 
         t0 = time.perf_counter()
-        if batch_size > 1:
-            await asyncio.gather(*(
-                _group(list(range(start, min(start + batch_size,
-                                             len(workload)))))
-                for start in range(0, len(workload), batch_size)
-            ))
-        else:
-            await asyncio.gather(
-                *(_one(i, r) for i, r in enumerate(workload))
-            )
+        await asyncio.gather(*(client() for _ in range(concurrency)))
         wall = time.perf_counter() - t0
         snapshot = await gateway.snapshot()
         # Must equal the shard count: the tier runs no helper process.
@@ -133,7 +109,6 @@ async def replay(
             "concurrency": concurrency,
             "kill_worker_at": kill_worker_at,
             "cpu_count": os.cpu_count(),
-            "batch_size": batch_size,
         },
         "wall_seconds": wall,
         "throughput_qps": len(ok) / wall if wall > 0 else 0.0,
@@ -168,7 +143,6 @@ def run_replay(
     kill_worker_at: Optional[int] = None,
     admission: Optional[AdmissionController] = None,
     schedule: str = "zipf",
-    batch_size: int = 1,
     bump_every: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Synchronous entry point: build the workload and replay it."""
@@ -181,5 +155,5 @@ def run_replay(
     return asyncio.run(replay(
         workload, shards=shards, concurrency=concurrency,
         admission=admission, kill_worker_at=kill_worker_at,
-        batch_size=batch_size, bump_every=bump_every,
+        bump_every=bump_every,
     ))

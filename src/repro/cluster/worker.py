@@ -13,8 +13,8 @@ throughput instead of one GIL's worth.
 
 The worker speaks the :mod:`repro.cluster.protocol` frame protocol over
 a socket inherited from the gateway, on **one thread**: the loop that
-read a frame runs its requests through ``OptimizerService.execute`` and
-writes each reply itself, in arrival order (shards are the unit of
+read a request's frame runs it through ``OptimizerService.execute`` and
+writes the reply itself, in arrival order (shards are the unit of
 parallelism; a second DP thread under one GIL buys nothing).  A ``ping``
 is therefore answered *between* requests, never during one, and its
 ``queue_depth`` is 0 by construction — admission reads the gateway's
@@ -43,7 +43,6 @@ from ..tools.serialize import plan_to_dict
 from .protocol import (
     ProtocolError,
     decode_request,
-    iter_requests,
     read_frame,
     write_frame,
 )
@@ -135,22 +134,19 @@ def worker_main(sock, config: WorkerConfig) -> None:
                 break  # gateway hung up
             mtype = message["type"]
 
-            if mtype in ("optimize", "optimize_batch"):
-                # A legacy single-request frame is a batch of one; every
-                # request in the frame is answered independently.
-                for body in iter_requests(message):
-                    request_id = int(body["id"])
-                    try:
-                        request, known = recall(memo, body)
-                        if known:
-                            remembered.increment()
-                        reply = _result_message(request_id, service.execute(request))
-                    except Exception as exc:  # answered, not fatal
-                        reply = {
-                            "type": "error", "id": request_id,
-                            "error": type(exc).__name__, "message": str(exc),
-                        }
-                    write_frame(wfile, reply)
+            if mtype == "optimize":
+                request_id = int(message["id"])
+                try:
+                    request, known = recall(memo, message)
+                    if known:
+                        remembered.increment()
+                    reply = _result_message(request_id, service.execute(request))
+                except Exception as exc:  # answered, not fatal
+                    reply = {
+                        "type": "error", "id": request_id,
+                        "error": type(exc).__name__, "message": str(exc),
+                    }
+                write_frame(wfile, reply)
 
             elif mtype == "ping":
                 write_frame(wfile, {

@@ -14,6 +14,7 @@ import asyncio
 import os
 import signal
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.optimizer.errors import MemoryTypeError, OptimizerConfigError
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
 from repro.plans.space import BUSHY
 from repro.serving.service import OptimizeRequest
+from repro.tools.serialize import query_to_dict
 from repro.workloads.queries import random_query, with_selectivity_uncertainty
 
 _MEMORY = DiscreteDistribution([300.0, 900.0], [0.5, 0.5])
@@ -52,6 +54,20 @@ def _request(query=None, **kw) -> OptimizeRequest:
     return OptimizeRequest(
         query=query if query is not None else _query(), **fields,
     )
+
+
+def _tap_request_frames(gw):
+    """Record every request frame each shard's current writer sends."""
+    frames = {shard.index: [] for shard in gw.shards}
+    for shard in gw.shards:
+        def write(data, _real=shard.writer.write, _index=shard.index):
+            for message in FrameDecoder().feed(data):
+                if message["type"] == "optimize":
+                    frames[_index].append(message)
+            _real(data)
+
+        shard.writer.write = write
+    return frames
 
 
 class TestOptimize:
@@ -120,6 +136,61 @@ class TestOptimize:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("point", ["name", "document", "frame"])
+    def test_a_refused_request_leaves_nothing_behind(self, point, monkeypatch):
+        # A request is refused while it is named, while its document is
+        # built, or while its frame is encoded — each before it is
+        # registered.  An orphan in ``pending``/``_inflight`` would make
+        # the follow-up (same key, where the refused one had a key) hang
+        # coalesced onto a frame that was never written.
+        good = _request(_query(names=("G", "H")), top_k=2)
+        refused, error = {
+            "name": (replace(good, objective="nonsense"), OptimizerConfigError),
+            "document": (good, ProtocolError),
+            # np.int64(2) names the key 2 names, but JSON cannot spell it.
+            "frame": (replace(good, top_k=np.int64(2)), ProtocolError),
+        }[point]
+        if point == "document":
+            real, calls = gateway_module.encode_request, []
+
+            def first_call_fails(request_id, request):
+                calls.append(request_id)
+                if len(calls) == 1:
+                    raise ProtocolError("unsupported")
+                return real(request_id, request)
+
+            monkeypatch.setattr(gateway_module, "encode_request", first_call_fails)
+
+        async def scenario():
+            async with ClusterGateway(shards=2) as gw:
+                with pytest.raises(error):
+                    await gw.optimize(refused)
+                pending = [len(s.pending) for s in gw.shards]
+                inflight = len(gw._inflight)
+                follow_up = await asyncio.wait_for(gw.optimize(good), timeout=30)
+                return pending, inflight, follow_up
+
+        pending, inflight, follow_up = asyncio.run(scenario())
+        assert pending == [0, 0] and inflight == 0
+        assert follow_up.ok and not follow_up.coalesced and not follow_up.cache_hit
+
+    def test_a_plan_space_object_is_served_like_its_spelling(self):
+        # ``OptimizeRequest`` takes a ``PlanSpace`` object wherever it
+        # takes a string; it crosses the wire as its canonical key and
+        # shares the string's cache slot.
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                pair = await asyncio.gather(
+                    gw.optimize(_request(plan_space=BUSHY)),
+                    gw.optimize(_request(plan_space="bushy")),
+                )
+                return pair, await gw.optimize(_request(plan_space=BUSHY))
+
+        (first, second), again = asyncio.run(scenario())
+        assert first.ok and not first.coalesced
+        assert second.ok and second.coalesced
+        assert again.cache_hit and again.plan_doc == first.plan_doc
+
 
 def _churn_fingerprints():
     """The 400 distinct queries ``bench``'s ``cluster_churn`` draws at
@@ -180,185 +251,6 @@ class TestRouting:
         assert digested == []
         assert gw.shard_for(fingerprints[0]) == routes[0]
         assert digested == fingerprints[:1]
-
-
-class TestOptimizeMany:
-    @staticmethod
-    def _tap_request_frames(gw):
-        """Record every request-bearing frame each shard's writer sends."""
-        frames = {shard.index: [] for shard in gw.shards}
-        for shard in gw.shards:
-            def write(data, _real=shard.writer.write, _index=shard.index):
-                for message in FrameDecoder().feed(data):
-                    if message["type"] in ("optimize", "optimize_batch"):
-                        frames[_index].append(message)
-                _real(data)
-
-            shard.writer.write = write
-        return frames
-
-    def test_results_come_back_in_request_order(self):
-        queries = [
-            _query(names=(f"A{i}", f"B{i}"), scale=float(i + 1))
-            for i in range(6)
-        ]
-
-        async def scenario():
-            async with ClusterGateway(shards=2) as gw:
-                batch = await gw.optimize_many([_request(q) for q in queries])
-                single = [await gw.optimize(_request(q)) for q in queries]
-                return batch, single
-
-        batch, single = asyncio.run(scenario())
-        assert all(r.ok for r in batch)
-        assert {r.shard for r in batch} == {0, 1}
-        for query, got, want in zip(queries, batch, single):
-            assert got.plan.root.relations() == frozenset(query.relation_names())
-            assert got.shard == want.shard
-            assert got.objective_value == want.objective_value
-
-    def test_duplicate_inside_a_batch_coalesces_onto_first_occurrence(self):
-        a, b = _query(names=("A", "B")), _query(names=("C", "D"), scale=3.0)
-
-        async def scenario():
-            async with ClusterGateway(shards=1) as gw:
-                frames = self._tap_request_frames(gw)
-                results = await gw.optimize_many(
-                    [_request(a), _request(b), _request(a)]
-                )
-                return results, frames[0]
-
-        results, frames = asyncio.run(scenario())
-        assert [r.coalesced for r in results] == [False, False, True]
-        assert results[2].objective_value == results[0].objective_value
-        assert results[1].objective_value != results[0].objective_value
-        # The duplicate never crossed the wire.
-        assert [len(f["requests"]) for f in frames] == [2]
-
-    def test_same_shard_requests_leave_in_one_batch_frame(self):
-        queries = [_query(names=(f"A{i}", f"B{i}")) for i in range(6)]
-
-        async def scenario():
-            async with ClusterGateway(shards=2) as gw:
-                frames = self._tap_request_frames(gw)
-                results = await gw.optimize_many([_request(q) for q in queries])
-                return results, frames
-
-        results, frames = asyncio.run(scenario())
-        assert all(r.ok for r in results)
-        for index in (0, 1):
-            routed = sum(1 for r in results if r.shard == index)
-            (frame,) = frames[index]  # one write per shard, however many
-            if routed == 1:  # a singleton keeps the legacy frame
-                assert frame["type"] == "optimize"
-            else:
-                assert frame["type"] == "optimize_batch"
-                assert len(frame["requests"]) == routed
-        assert any(f[0]["type"] == "optimize_batch" for f in frames.values())
-
-    def test_worker_killed_with_a_batch_in_flight_loses_no_request(self):
-        queries = [
-            _query(names=(f"K{i}", f"L{i}", f"M{i}", f"N{i}")) for i in range(4)
-        ]
-
-        async def scenario():
-            async with ClusterGateway(shards=1) as gw:
-                frames = self._tap_request_frames(gw)
-                task = asyncio.ensure_future(
-                    gw.optimize_many([_request(q) for q in queries])
-                )
-                while not frames[0]:  # until the batch frame is written
-                    await asyncio.sleep(0)
-                gw.kill_worker(0)
-                results = await asyncio.wait_for(task, timeout=60)
-                return results, frames[0], await gw.snapshot()
-
-        results, frames, snapshot = asyncio.run(scenario())
-        assert frames[0]["type"] == "optimize_batch"
-        assert snapshot["restarts"] >= 1
-        assert len(results) == len(queries)
-        for query, result in zip(queries, results):
-            # Answered (by the dying worker or by the replay) or failed
-            # explicitly — never dropped.
-            if result.ok:
-                assert result.plan.root.relations() == frozenset(
-                    query.relation_names()
-                )
-            else:
-                assert result.status == "error" and result.error
-
-
-    @pytest.mark.parametrize("bad, error", [
-        # Refused while the batch is named, before anything is registered.
-        (dict(objective="nonsense"), OptimizerConfigError),
-        # Named fine, but JSON cannot spell it: refused while the frames
-        # are built, after the good request was registered.
-        (dict(top_k=np.int64(2)), ProtocolError),
-    ])
-    def test_a_malformed_request_strands_no_accepted_one(self, bad, error):
-        # Registering the good request and raising on the bad one used
-        # to leave an orphan in ``pending``/``_inflight`` whose frame was
-        # never written; the next identical request hung coalesced onto
-        # it.  Whatever step refuses the batch, nothing of it stays.
-        good = _request(_query(names=("G", "H")))
-
-        async def scenario():
-            async with ClusterGateway(shards=2) as gw:
-                with pytest.raises(error):
-                    await gw.optimize_many([good, _request(**bad)])
-                with pytest.raises(error):
-                    await gw.optimize(_request(**bad))
-                pending = [len(s.pending) for s in gw.shards]
-                inflight = len(gw._inflight)
-                follow_up = await asyncio.wait_for(gw.optimize(good), timeout=30)
-                return pending, inflight, follow_up
-
-        pending, inflight, follow_up = asyncio.run(scenario())
-        assert pending == [0, 0] and inflight == 0
-        assert follow_up.ok and not follow_up.coalesced
-
-    def test_a_request_document_that_cannot_be_built_strands_none(
-            self, monkeypatch):
-        # The third place a batch can be refused: between naming and
-        # framing, while a later request's document is encoded.
-        good = _request(_query(names=("G", "H")))
-        other = _request(_query(names=("I", "J")))
-        real, calls = gateway_module.encode_request, []
-
-        def second_call_fails(request_id, request):
-            calls.append(request_id)
-            if len(calls) == 2:
-                raise ProtocolError("unsupported")
-            return real(request_id, request)
-
-        monkeypatch.setattr(gateway_module, "encode_request", second_call_fails)
-
-        async def scenario():
-            async with ClusterGateway(shards=1) as gw:
-                with pytest.raises(ProtocolError):
-                    await gw.optimize_many([good, other])
-                pending, inflight = len(gw.shards[0].pending), len(gw._inflight)
-                return pending, inflight, await asyncio.wait_for(
-                    gw.optimize_many([good, other]), timeout=30
-                )
-
-        pending, inflight, answers = asyncio.run(scenario())
-        assert pending == 0 and inflight == 0
-        assert [a.ok and not a.coalesced for a in answers] == [True, True]
-
-    def test_a_plan_space_object_is_served_like_its_spelling(self):
-        # ``OptimizeRequest`` takes a ``PlanSpace`` object wherever it
-        # takes a string; it crosses the wire as its canonical key and
-        # shares the string's cache slot.
-        async def scenario():
-            async with ClusterGateway(shards=1) as gw:
-                return await gw.optimize_many([
-                    _request(plan_space=BUSHY), _request(plan_space="bushy"),
-                ]), await gw.optimize(_request(plan_space=BUSHY))
-
-        (first, second), again = asyncio.run(scenario())
-        assert first.ok and second.ok and second.coalesced
-        assert again.cache_hit and again.plan_doc == first.plan_doc
 
 
 class TestAdmission:
@@ -445,6 +337,63 @@ class TestCrashResilience:
         assert miss.status == "error" and miss.retries == 1
         assert "retried 1 times" in miss.error
         assert inflight == 0
+
+    def test_a_kill_after_the_frames_loses_no_request(self):
+        queries = [
+            _query(names=(f"K{i}", f"L{i}", f"M{i}", f"N{i}")) for i in range(4)
+        ]
+
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                frames = _tap_request_frames(gw)
+                tasks = [asyncio.ensure_future(gw.optimize(_request(q)))
+                         for q in queries]
+                while len(frames[0]) < len(queries):  # every frame written
+                    await asyncio.sleep(0)
+                gw.kill_worker(0)
+                results = await asyncio.wait_for(asyncio.gather(*tasks), 60)
+                return results, frames[0], await gw.snapshot()
+
+        results, frames, snapshot = asyncio.run(scenario())
+        # One request per frame, in the order the callers sent them.
+        assert [f["query"] for f in frames] == [
+            query_to_dict(q) for q in queries
+        ]
+        assert snapshot["restarts"] >= 1
+        for query, result in zip(queries, results):
+            # Answered (by the dying worker or by the replay) or failed
+            # explicitly — never dropped.
+            if result.ok:
+                assert result.plan.root.relations() == frozenset(
+                    query.relation_names()
+                )
+            else:
+                assert result.status == "error" and result.error
+
+    def test_a_crash_loop_strands_no_replay(self, monkeypatch):
+        # A respawned worker that dies at once can break a replay's write.
+        # Every replay is registered before that write, so each request
+        # still comes back, answered or failed explicitly, and nothing is
+        # left in ``_inflight`` for a follow-up to coalesce onto.
+        queries = [_query(names=(f"C{i}", f"D{i}", f"E{i}")) for i in range(4)]
+
+        async def scenario():
+            async with ClusterGateway(shards=1, max_retries=5) as gw:
+                monkeypatch.setattr(gateway_module, "worker_main", _dies_at_once)
+                gw.kill_worker(0)
+                answers = await asyncio.wait_for(asyncio.gather(
+                    *(gw.optimize(_request(q)) for q in queries)
+                ), timeout=20)
+                follow_up = await asyncio.wait_for(
+                    gw.optimize(_request(queries[0])), timeout=20
+                )
+                return answers, follow_up, gw.shards[0].pending, gw._inflight
+
+        answers, follow_up, pending, inflight = asyncio.run(scenario())
+        for r in [*answers, follow_up]:
+            assert r.ok or (r.status == "error" and r.error)
+            assert not r.coalesced
+        assert not pending and not inflight
 
     def test_killing_a_worker_costs_its_warmth_and_no_answer(self):
         # A worker remembers the requests it decoded; none of that is a

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import asyncio
 import pickle
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +54,16 @@ def _tiers(query):
     gw = ClusterGateway(shards=2)
     gw.shared_tier.put(gw._key_of(_request(query)), {"root": None}, 1.0, "expected", 0)
     return service, gw
+
+
+def _without_suspending(coro):
+    """Run ``coro`` to its end in one step; fail if it would suspend."""
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise AssertionError("suspended")
 
 
 def _hits(service, gw, query) -> tuple:
@@ -125,14 +134,21 @@ class TestNamedOnce:
     def test_a_second_hit_derives_nothing_again(self, counts):
         query = chain_query(4, np.random.default_rng(7))
         service, gw = _tiers(query)  # the fingerprint is taken here
+
+        async def two_rounds():
+            async with gw:
+                for _ in range(2):
+                    request = _request(query)
+                    before = dict(counts)
+                    assert service.execute(request).cache_hit
+                    served = dict(counts)
+                    # A hit never suspends: no worker, no frame, no await.
+                    result = _without_suspending(gw.optimize(request))
+                    assert result.cache_tier == "shared"
+            return before, served
+
         try:
-            for _ in range(2):
-                request = _request(query)
-                before = dict(counts)
-                assert service.execute(request).cache_hit
-                served = dict(counts)
-                tag, result, _, _ = gw._prepare(request, gw._key_of(request), time.monotonic())
-                assert tag == "done" and result.cache_tier == "shared"
+            before, served = asyncio.run(two_rounds())
             # The second round: no fingerprint, no parse, and at the
             # gateway no instrument lookup.
             assert counts["fingerprint"] == before["fingerprint"] == 1

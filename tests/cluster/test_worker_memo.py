@@ -210,17 +210,6 @@ class TestOverTheWire:
         assert counters["serving.requests"] == 5
         assert counters["serving.requests_remembered"] == 4
 
-    def test_batch_bodies_are_remembered_like_single_ones(self):
-        with _worker() as ask:
-            single = ask(_body(1, seed=3))
-            write_batch = {"type": "optimize_batch", "requests": [
-                {k: v for k, v in _body(2, seed=3).items() if k != "type"},
-            ]}
-            batched = ask(write_batch)
-            counters = _counters(ask)
-        assert batched["id"] == 2 and batched["plan"] == single["plan"]
-        assert counters["serving.requests_remembered"] == 1
-
     def test_an_undecodable_query_is_an_error_frame_and_not_remembered(self):
         bad = _body(9)
         bad["query"]["predicates"][0]["left"] = "nowhere"
