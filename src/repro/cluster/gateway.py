@@ -48,6 +48,7 @@ import itertools
 import multiprocessing
 import socket
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +57,7 @@ from ..optimizer.errors import OptimizerConfigError
 from ..plans.nodes import Plan
 from ..serving.plan_cache import PlanCacheKey
 from ..serving.service import RUNG_FULL, OptimizeRequest
-from ..tools.serialize import plan_from_dict
+from ..tools.serialize import plan_from_dict, query_to_dict
 from .admission import SHED, AdmissionController, AdmissionDecision
 from .metrics import ClusterMetrics
 from .protocol import (
@@ -69,6 +70,10 @@ from .shared_cache import SharedPlanTier, fingerprint_digest
 from .worker import WorkerConfig, worker_main
 
 __all__ = ["ClusterResult", "ClusterGateway", "GatewayError"]
+
+#: A worker that dies within ``_CRASH_WINDOW`` s of its spawn, having
+#: answered nothing, doubles the wait before the next spawn (seconds).
+_CRASH_WINDOW, _WAIT_FIRST, _WAIT_CAP = 1.0, 0.05, 1.0
 
 
 class GatewayError(RuntimeError):
@@ -141,6 +146,7 @@ class _Shard:
     pending: Dict[int, _Pending] = field(default_factory=dict)
     ping_waiters: Dict[int, "asyncio.Future"] = field(default_factory=dict)
     restarts: int = 0
+    backoff: float = 0.0
 
 
 def _preferred_context():
@@ -199,6 +205,8 @@ class ClusterGateway:
         self.shared_tier = SharedPlanTier(max_entries=shared_max_entries)
         #: query fingerprint -> shard index (see :meth:`shard_for`).
         self._routes: Dict[Tuple, int] = {}
+        #: query object -> its wire document; never by fingerprint (``np.allclose`` equality).
+        self._query_docs = weakref.WeakKeyDictionary()
         self._shards: List[_Shard] = []
         self._inflight: Dict[PlanCacheKey, "asyncio.Future[ClusterResult]"] = {}
         self._ids = itertools.count(1)
@@ -272,18 +280,13 @@ class ClusterGateway:
     # Worker management
     # ------------------------------------------------------------------
 
-    def _worker_config(self, shard_index: int) -> WorkerConfig:
-        return WorkerConfig(
-            shard_id=shard_index,
-            coarse_buckets=self._coarse_buckets,
-            default_deadline=self._default_deadline,
-        )
-
     async def _spawn(self, shard: _Shard) -> None:
         parent_sock, child_sock = socket.socketpair()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child_sock, self._worker_config(shard.index)),
+            args=(child_sock, WorkerConfig(
+                shard.index, self._coarse_buckets, self._default_deadline
+            )),
             daemon=True,
             name=f"repro-cluster-worker-{shard.index}",
         )
@@ -299,18 +302,19 @@ class ClusterGateway:
 
     async def _read_loop(self, shard: _Shard,
                          reader: asyncio.StreamReader) -> None:
-        decoder = FrameDecoder()
+        decoder, young = FrameDecoder(), time.monotonic() + _CRASH_WINDOW
         try:
             while True:
                 data = await reader.read(65536)
                 if not data:
                     break
+                young = 0.0  # it answered: its death is no crash loop
                 for message in decoder.feed(data):
                     self._dispatch(shard, message)
         except (ConnectionError, OSError, ProtocolError):
             pass
         if not self._closing:
-            await self._restart(shard)
+            await self._restart(shard, died_young=time.monotonic() < young)
 
     def _dispatch(self, shard: _Shard, message: Dict[str, Any]) -> None:
         mtype = message.get("type")
@@ -374,7 +378,7 @@ class ClusterGateway:
             plan_doc=message.get("plan"),
         )
 
-    async def _restart(self, shard: _Shard) -> None:
+    async def _restart(self, shard: _Shard, died_young: bool = False) -> None:
         """Respawn a dead worker and replay its in-flight requests."""
         shard.restarts += 1
         self.metrics.registry.counter("cluster.worker_restarts").increment()
@@ -384,6 +388,11 @@ class ClusterGateway:
         shard.ping_waiters.clear()
         shard.writer.close()  # the dead worker's socket; a write to it is dropped
         await self._join_proc(shard, timeout=2.0)
+        shard.backoff = min(2 * shard.backoff or _WAIT_FIRST, _WAIT_CAP) if died_young else 0.0
+        if shard.backoff:
+            await asyncio.sleep(shard.backoff)
+            if self._closing:
+                return
         await self._spawn(shard)
         replays = list(shard.pending.items())
         shard.pending.clear()
@@ -557,9 +566,11 @@ class ClusterGateway:
             self.metrics.registry.counter("cluster.admission_degraded").increment()
 
         request_id = next(self._ids)
-        frame = encode_frame(encode_request(
-            request_id, replace(request, deadline=decision.effective_deadline)
-        ))
+        docs, query = self._query_docs, request.query
+        query_doc = docs.get(query) or docs.setdefault(query, query_to_dict(query))
+        if decision.effective_deadline != request.deadline:
+            request = replace(request, deadline=decision.effective_deadline)
+        frame = encode_frame(encode_request(request_id, request, query_doc))
         future: "asyncio.Future[ClusterResult]" = (
             asyncio.get_event_loop().create_future()
         )

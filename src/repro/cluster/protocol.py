@@ -18,12 +18,13 @@ arrived, without re-encoding.
 Message types
 -------------
 
-``optimize``  gateway → worker: one optimization request (``id``,
-              ``query`` doc, ``objective``, ``memory`` doc, optional
-              ``deadline`` and knob fields) — spelled by
-              :func:`encode_request` / :func:`decode_request` and
-              nowhere else.  One request per frame, each answered by
-              its own ``result`` or ``error`` frame.
+``optimize``  gateway → worker: one optimization request, spelled by
+              :func:`encode_request` / :func:`decode_request` only; one per
+              frame, answered by its own ``result`` or ``error`` frame.  Its
+              volatile ``type``, ``id``, ``deadline`` come first, then the
+              stable ``query`` doc, ``objective``, ``memory`` doc and knobs
+              in a fixed order: the bytes after ``deadline`` are the
+              request's recognition key.
 ``result``    worker → gateway: the answer (``id``, ``plan`` doc,
               ``objective_value``, ``objective``, ``rung``,
               ``latency``).
@@ -35,9 +36,9 @@ Message types
               (0 by construction) and a metrics snapshot.
 ``shutdown``  gateway → worker: drain and exit (worker answers ``bye``).
 
-Blocking helpers (:func:`read_frame` / :func:`write_frame`) serve the
-worker side; the incremental :class:`FrameDecoder` serves the gateway's
-asyncio reader, which receives arbitrary byte chunks.
+The one blocking reader, :func:`read_payload` (:func:`read_frame` decodes
+it), and :func:`write_frame` serve the worker side; the incremental
+:class:`FrameDecoder` serves the gateway's asyncio reader.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import json
 import struct
 from numbers import Real
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.distributions import DiscreteDistribution
 from ..core.markov import MarkovParameter
@@ -64,12 +65,13 @@ __all__ = [
     "ProtocolError",
     "MAX_FRAME_BYTES",
     "encode_frame",
-    "read_frame",
+    "read_payload", "read_frame",
     "write_frame",
     "FrameDecoder",
     "encode_memory",
     "decode_memory",
     "encode_request",
+    "split_request", "join_request",
     "decode_request",
 ]
 
@@ -125,8 +127,8 @@ def _read_exact(stream, n: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def read_frame(stream) -> Optional[Dict[str, Any]]:
-    """Read one message from a blocking binary stream; None on EOF."""
+def read_payload(stream) -> Optional[bytes]:
+    """Read one frame's payload from a blocking binary stream; None on EOF."""
     header = _read_exact(stream, _HEADER.size)
     if header is None:
         return None
@@ -140,7 +142,13 @@ def read_frame(stream) -> Optional[Dict[str, Any]]:
     payload = _read_exact(stream, length)
     if payload is None:
         raise ProtocolError("stream closed mid-frame")
-    return _decode_payload(payload)
+    return payload
+
+
+def read_frame(stream) -> Optional[Dict[str, Any]]:
+    """Read one message from a blocking binary stream; None on EOF."""
+    payload = read_payload(stream)
+    return None if payload is None else _decode_payload(payload)
 
 
 def write_frame(stream, message: Dict[str, Any]) -> None:
@@ -229,10 +237,12 @@ def decode_memory(
 # ----------------------------------------------------------------------
 
 
-def encode_request(request_id: int, request: OptimizeRequest) -> Dict[str, Any]:
+def encode_request(request_id: int, request: OptimizeRequest,
+                   query_doc: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """One ``optimize`` message for ``request`` (``cost_model`` and
     ``context`` stay home: the cluster tier serves the default model, and
-    a worker keeps its own context per remembered request).
+    a worker keeps its own context per remembered request); ``query_doc``
+    is ``request.query``'s document if the caller kept one.
 
     The plan space travels as the canonical key its cache key carries,
     so a :class:`~repro.plans.space.PlanSpace` object is served like
@@ -241,10 +251,10 @@ def encode_request(request_id: int, request: OptimizeRequest) -> Dict[str, Any]:
     return {
         "type": "optimize",
         "id": request_id,
-        "query": query_to_dict(request.query),
+        "deadline": request.deadline,
+        "query": query_to_dict(request.query) if query_doc is None else query_doc,
         "objective": request.objective,
         "memory": encode_memory(request.memory),
-        "deadline": request.deadline,
         "plan_space": request.knobs()[0],
         "allow_cross_products": request.allow_cross_products,
         "top_k": request.top_k,
@@ -252,6 +262,24 @@ def encode_request(request_id: int, request: OptimizeRequest) -> Dict[str, Any]:
         "fast": request.fast,
         "include_mean": request.include_mean,
     }
+
+
+def split_request(payload: bytes) -> Tuple[Dict[str, Any], Optional[bytes]]:
+    """A payload as ``(head, key)``: the volatile head parsed alone, the stable bytes after
+    it.  Any other frame (no ``optimize``, another order or head) comes back whole, key None."""
+    cut = payload.find(b",", payload.find(b'"deadline":'))
+    try:
+        head = json.loads(payload[:cut] + b"}") if cut > 0 else None
+    except ValueError:  # not JSON, or not UTF-8
+        head = None
+    if head and list(head) == ["type", "id", "deadline"] and head["type"] == "optimize":
+        return head, payload[cut:]
+    return _decode_payload(payload), None
+
+
+def join_request(head: Dict[str, Any], key: bytes) -> Dict[str, Any]:
+    """The whole message :func:`split_request` cut (a member both spell is the head's)."""
+    return {**_decode_payload(b'{"type":"optimize"' + key), **head}  # key opens with ","
 
 
 def decode_request(message: Dict[str, Any]) -> OptimizeRequest:

@@ -21,17 +21,16 @@ is therefore answered *between* requests, never during one, and its
 own ``pending``.
 
 What a worker holds is **warmth, not answers**: a bounded LRU
-(:func:`recall`) from the text of a received request to the request
-decoded for it and the ``OptimizationContext`` its runs share, so the
-request a version bump sends back with unmoved statistics costs one DP
-over memoized sizes and step costs.  None of it is a plan: the catalog
-fence does not concern a worker, and a crash costs the cluster that
+(:func:`recall`) from a request frame's bytes after its head to the request
+decoded for it and the ``OptimizationContext`` its runs share, so the request
+a version bump sends back with unmoved statistics is recognised undecoded and
+costs one DP over memoized sizes and step costs.  None of it is a plan: the
+catalog fence does not concern a worker, and a crash costs the cluster that
 shard's in-flight work (which the gateway replays) and its warmth.
 """
 
 from __future__ import annotations
 
-import json
 import signal
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -43,15 +42,17 @@ from ..tools.serialize import plan_to_dict
 from .protocol import (
     ProtocolError,
     decode_request,
-    read_frame,
+    join_request,
+    read_payload,
+    split_request,
     write_frame,
 )
 
 __all__ = ["WorkerConfig", "REMEMBERED_REQUESTS", "recall", "worker_main"]
 
-#: Requests a worker remembers.  One costs ≈ 25 KB (tracemalloc: 1.9 KB
-#: text, ≈ 8 KB query and empty context, ≈ 15 KB memoized by one full-rung
-#: n=3–5 ``lec`` run), so a full LRU is ≈ 6.5 MB per shard.
+#: Requests a worker remembers.  One costs ≈ 25 KB (tracemalloc: 1.8 KB
+#: key bytes, ≈ 8 KB query and empty context, ≈ 15 KB memoized by one
+#: full-rung n=3–5 ``lec`` run), so a full LRU is ≈ 6.5 MB per shard.
 REMEMBERED_REQUESTS = 256
 
 
@@ -64,32 +65,30 @@ class WorkerConfig:
     default_deadline: Optional[float] = None
 
 
-def recall(
-    memo: "OrderedDict[str, OptimizeRequest]", body: Dict[str, Any]
-) -> Tuple[OptimizeRequest, bool]:
-    """``body`` as a request, and whether ``memo`` already held it.
+def recall(memo: "OrderedDict[bytes, OptimizeRequest]", head: Dict[str, Any],
+           key: Optional[bytes]) -> Tuple[OptimizeRequest, bool]:
+    """A frame :func:`~repro.cluster.protocol.split_request` split, as a request, and
+    whether ``memo`` already held it.
 
-    A remembered request is the *same* query, memory and context objects
-    under this body's deadline: nothing is decoded, every memo key
-    compares by identity.  The key is the whole document, never a digest
-    or a name: one digit's difference is another text and a plain miss.
+    A remembered request is the *same* query, memory and context objects under this
+    head's deadline: nothing past the head is parsed, every context memo key compares
+    by identity.  The key is the whole stable text, never a digest: one digit's
+    difference is a plain miss.  A frame without a key is decoded whole, not kept.
     """
-    text = json.dumps(
-        {k: v for k, v in body.items() if k not in ("id", "deadline", "type")},
-        sort_keys=True,
-    )
-    request = memo.get(text)
+    request = None if key is None else memo.get(key)
     if request is None:
-        request = decode_request(body)
+        request = decode_request(head if key is None else join_request(head, key))
         request = replace(request, context=OptimizationContext(request.query))
-        memo[text] = request
-        if len(memo) > REMEMBERED_REQUESTS:
-            memo.popitem(last=False)
+        if key is not None:
+            memo[key] = request
+            if len(memo) > REMEMBERED_REQUESTS:
+                memo.popitem(last=False)
         return request, False
-    memo.move_to_end(text)
-    deadline = body.get("deadline")
-    deadline = None if deadline is None else float(deadline)
-    return replace(request, deadline=deadline), True
+    memo.move_to_end(key)
+    deadline = head["deadline"]
+    if deadline != request.deadline:
+        request = replace(request, deadline=None if deadline is None else float(deadline))
+    return request, True
 
 
 def _result_message(request_id: int, result: ServingResult) -> Dict[str, Any]:
@@ -121,23 +120,24 @@ def worker_main(sock, config: WorkerConfig) -> None:
         coarse_buckets=config.coarse_buckets,
         default_deadline=config.default_deadline,
     )
-    memo: "OrderedDict[str, OptimizeRequest]" = OrderedDict()
+    memo: "OrderedDict[bytes, OptimizeRequest]" = OrderedDict()
     remembered = service.metrics.counter("serving.requests_remembered")
 
     try:
         while True:
             try:
-                message = read_frame(rfile)
+                payload = read_payload(rfile)
+                if payload is None:
+                    break  # gateway hung up
+                message, key = split_request(payload)
             except ProtocolError:
                 break  # corrupt stream: die loudly, gateway restarts us
-            if message is None:
-                break  # gateway hung up
             mtype = message["type"]
 
             if mtype == "optimize":
                 request_id = int(message["id"])
                 try:
-                    request, known = recall(memo, message)
+                    request, known = recall(memo, message, key)
                     if known:
                         remembered.increment()
                     reply = _result_message(request_id, service.execute(request))

@@ -1,10 +1,14 @@
-"""Fuzzed byte streams against ``FrameDecoder``: torn, re-chunked, corrupted.
+"""Fuzzed byte streams against both readers: torn, re-chunked, corrupted.
 
-The decoder's one promise: whatever bytes arrive, what it yields is a
-prefix of what was encoded — message for message, exactly — and anything
-it cannot honour ends in ``ProtocolError`` (the reader's cue to drop the
-connection and respawn the worker), never in a different message and
-never in another exception type.
+``FrameDecoder`` (the gateway's incremental reader) promises: whatever
+bytes arrive, what it yields is a prefix of what was encoded — message
+for message, exactly — and anything it cannot honour ends in
+``ProtocolError`` (the reader's cue to drop the connection and respawn
+the worker), never in a different message and never in another
+exception type.  The worker's one blocking reader (``read_payload``,
+under ``read_frame``) promises the same, except that a stream cannot be
+waited on: a torn frame is an error, and only a clean EOF between frames
+is ``None``.
 
 What "corrupted" can mean here is bounded by the format: a length prefix
 and a JSON payload carry no checksum, so a payload byte that turns into
@@ -19,11 +23,21 @@ which makes a lone high byte invalid UTF-8 wherever it lands).
 
 from __future__ import annotations
 
+import io
+import struct
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster.protocol import FrameDecoder, ProtocolError, encode_frame
+from repro.cluster.protocol import (
+    MAX_FRAME_BYTES,
+    FrameDecoder,
+    ProtocolError,
+    encode_frame,
+    read_frame,
+    read_payload,
+)
 
 _HEADER_BYTES = 4
 
@@ -111,3 +125,70 @@ def test_one_corrupted_byte_never_yields_a_different_message(messages, data):
     # prefix that now promises more bytes than exist — waited for.
     assert decoded == messages[:frame]
     assert error is not None or held > 0
+
+
+class _Trickle(io.RawIOBase):
+    """A blocking stream that hands out at most ``step`` bytes per read."""
+
+    def __init__(self, data: bytes, step: int):
+        self._data, self._at, self._step = data, 0, step
+
+    def read(self, n: int = -1) -> bytes:
+        end = self._at + min(n, self._step)
+        chunk, self._at = self._data[self._at:end], min(end, len(self._data))
+        return chunk
+
+
+def _read(stream) -> Tuple[List[Dict[str, Any]], Optional[ProtocolError]]:
+    """Every message ``read_frame`` returns until ``None`` or an error."""
+    out: List[Dict[str, Any]] = []
+    try:
+        while (message := read_frame(stream)) is not None:
+            out.append(message)
+    except ProtocolError as exc:
+        return out, exc
+    return out, None
+
+
+class TestBlockingReader:
+    @given(_messages, st.integers(1, 64))
+    def test_short_reads_return_exactly_the_encoded_messages(self, messages, step):
+        stream, _ends = _frame_ends(messages)
+        assert _read(_Trickle(stream, step)) == (messages, None)
+        payloads = io.BytesIO(stream)
+        for message in messages:
+            assert read_payload(payloads) == encode_frame(message)[4:]
+        assert read_payload(payloads) is None
+
+    @given(_messages)
+    def test_truncation_is_an_error_and_only_a_frame_boundary_is_eof(self, messages):
+        stream, ends = _frame_ends(messages)
+        for cut in range(len(stream) + 1):
+            decoded, error = _read(io.BytesIO(stream[:cut]))
+            complete = sum(1 for end in ends if end <= cut)
+            assert decoded == messages[:complete]
+            assert (error is None) == (cut in [0, *ends])
+
+    @given(_messages, st.data())
+    def test_one_corrupted_byte_never_yields_a_different_message(self, messages,
+                                                                 data):
+        stream, ends = _frame_ends(messages)
+        offset = data.draw(st.integers(0, len(stream) - 1), label="offset")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        frame = sum(1 for end in ends if end <= offset)
+        if offset >= ([0] + ends)[frame] + _HEADER_BYTES:
+            mask |= 0x80  # a payload byte leaves ASCII (see the module docstring)
+        corrupted = bytearray(stream)
+        corrupted[offset] ^= mask
+        decoded, error = _read(io.BytesIO(bytes(corrupted)))
+        assert decoded == messages[:frame] and error is not None
+
+    @pytest.mark.parametrize("length, match", [
+        (0, "zero-length"), (MAX_FRAME_BYTES + 1, "exceeds limit"),
+    ])
+    def test_a_zero_or_oversized_length_is_refused_before_reading(self, length,
+                                                                 match):
+        header = struct.pack(">I", length)
+        for read in (read_payload, read_frame):
+            with pytest.raises(ProtocolError, match=match):
+                read(io.BytesIO(header + b'{"type":"x"}'))

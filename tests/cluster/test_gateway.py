@@ -11,9 +11,11 @@ racing the optimizer.
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import signal
 import time
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -153,11 +155,11 @@ class TestOptimize:
         if point == "document":
             real, calls = gateway_module.encode_request, []
 
-            def first_call_fails(request_id, request):
+            def first_call_fails(request_id, request, *query_doc):
                 calls.append(request_id)
                 if len(calls) == 1:
                     raise ProtocolError("unsupported")
-                return real(request_id, request)
+                return real(request_id, request, *query_doc)
 
             monkeypatch.setattr(gateway_module, "encode_request", first_call_fails)
 
@@ -395,6 +397,36 @@ class TestCrashResilience:
             assert not r.coalesced
         assert not pending and not inflight
 
+    def test_a_crash_loop_backs_off_and_a_served_worker_respawns_at_once(
+        self, monkeypatch
+    ):
+        # Each death soon after a spawn, with nothing answered, doubles
+        # the wait before the next spawn (capped near 1 s); the first
+        # respawn after a worker that answered is immediate.  Without the
+        # backoff this loop spawns ≈ 125 times in 3 s.
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                assert (await gw.optimize(_request())).ok
+                spawned, spawn = [], gw._spawn
+
+                async def counted(shard):
+                    spawned.append(time.monotonic())
+                    await spawn(shard)
+
+                gw._spawn = counted
+                monkeypatch.setattr(gateway_module, "worker_main", _dies_at_once)
+                killed = time.monotonic()
+                gw.kill_worker(0)
+                await asyncio.sleep(3.0)
+                return killed, list(spawned), gw.shards[0].backoff
+
+        killed, spawned, backoff = asyncio.run(scenario())
+        gaps = [b - a for a, b in zip(spawned, spawned[1:])]
+        assert 4 <= len(spawned) <= 15
+        assert spawned[0] - killed < 0.5
+        assert gaps[-1] >= 0.5
+        assert 0.5 <= backoff <= 1.0
+
     def test_killing_a_worker_costs_its_warmth_and_no_answer(self):
         # A worker remembers the requests it decoded; none of that is a
         # plan, so a kill can only make the next run cold again.
@@ -530,6 +562,79 @@ class TestWorkerMemo:
         assert second.plan_doc == first.plan_doc
         assert repr(second.objective_value) == repr(first.objective_value)
         assert second.rung == first.rung == "full"
+
+
+class TestQueryDocuments:
+    """A query's wire document is built once per query object, and only
+    for it: never shared by fingerprint, never kept past the query."""
+
+    def test_one_document_per_query_object(self, monkeypatch):
+        source = SimpleNamespace(version=0)
+        query = _query(names=("J", "K", "L"))
+        built, real = [], gateway_module.query_to_dict
+
+        def counted(q):
+            built.append(q)
+            return real(q)
+
+        monkeypatch.setattr(gateway_module, "query_to_dict", counted)
+
+        async def scenario():
+            async with ClusterGateway(shards=1, catalog_sources=[source]) as gw:
+                frames = _tap_request_frames(gw)
+                answers = []
+                for _ in range(4):
+                    source.version += 1  # each round is a miss
+                    answers.append(await gw.optimize(_request(query)))
+                return answers, frames[0]
+
+        answers, frames = asyncio.run(scenario())
+        assert all(r.ok and not r.cache_hit for r in answers)
+        assert built == [query]
+        assert len(frames) == 4
+        assert all(f["query"] == real(query) for f in frames)
+
+    def test_fingerprint_equal_queries_send_their_own_digits(self):
+        def with_selectivity(value):
+            return JoinQuery(
+                [RelationSpec(name="F", pages=100.0),
+                 RelationSpec(name="G", pages=200.0)],
+                [JoinPredicate("F", "G", 0.01, label="F=G",
+                               selectivity_dist=DiscreteDistribution(
+                                   [value, 0.02], [0.5, 0.5]))],
+            )
+
+        low = 0.01
+        high = float(np.nextafter(low, 1.0))
+        one, other = with_selectivity(low), with_selectivity(high)
+        assert query_fingerprint(one) == query_fingerprint(other)
+        source = SimpleNamespace(version=0)
+
+        async def scenario():
+            async with ClusterGateway(shards=1, catalog_sources=[source]) as gw:
+                frames = _tap_request_frames(gw)
+                for query in (one, other):
+                    source.version += 1
+                    assert (await gw.optimize(_request(query))).ok
+                return frames[0]
+
+        frames = asyncio.run(scenario())
+        sent = [f["query"]["predicates"][0]["selectivity_dist"]["values"][0]
+                for f in frames]
+        assert sent == [low, high] and low != high
+
+    def test_a_dropped_query_releases_its_document(self):
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                query = _query(names=("Y", "Z"))
+                assert (await gw.optimize(_request(query))).ok
+                held = len(gw._query_docs)
+                gone = weakref.ref(query)
+                del query
+                gc.collect()
+                return held, gone() is None, len(gw._query_docs)
+
+        assert asyncio.run(scenario()) == (1, True, 0)
 
 
 class TestHealth:

@@ -1,11 +1,13 @@
 """A worker remembers what it decoded — and answers as if it had not.
 
-``repro.cluster.worker.recall`` maps the text of a received request to
-the ``OptimizeRequest`` (query, memory and ``OptimizationContext``
-objects) built for its first arrival.  These tests pin the two halves of
-that contract: a remembered request's answers are the cold answer byte
-for byte, on every objective and rung; and recognition is exact — the
-whole document, nothing less — bounded, and least-recently-used.
+``repro.cluster.worker.recall`` maps a request frame's stable bytes
+(everything after its ``type`` / ``id`` / ``deadline`` head) to the
+``OptimizeRequest`` (query, memory and ``OptimizationContext`` objects)
+built for its first arrival.  These tests pin the two halves of that
+contract: a remembered request's answers are the cold answer byte for
+byte, on every objective and rung; and recognition is exact — the whole
+stable text, nothing less, and nothing parsed past the head — bounded,
+and least-recently-used.
 
 The wire tests run ``worker_main`` in a thread over a ``socketpair``:
 no process, no gateway, and patches made here reach the worker.
@@ -19,6 +21,7 @@ import socket
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +33,10 @@ import repro.cluster.protocol as protocol
 from repro.cluster.protocol import (
     ProtocolError,
     decode_request,
+    encode_frame,
     encode_request,
     read_frame,
+    split_request,
     write_frame,
 )
 from repro.cluster.worker import (
@@ -50,7 +55,7 @@ from repro.serving.service import (
     OptimizeRequest,
     OptimizerService,
 )
-from repro.tools.serialize import plan_to_dict
+from repro.tools.serialize import plan_to_dict, query_to_dict
 from repro.workloads.queries import random_query, with_selectivity_uncertainty
 
 _LADDER = (RUNG_FULL, RUNG_COARSE, RUNG_LSC)
@@ -68,7 +73,7 @@ _CHAIN = MarkovParameter(
 
 def _body(request_id=1, shape="chain", n=3, seed=0, objective="lec",
           **fields):
-    """One request body as a worker receives it (through JSON)."""
+    """One request message as a worker decodes it (through JSON)."""
     query = with_selectivity_uncertainty(
         random_query(n, np.random.default_rng(seed), shape=shape),
         1.0, n_buckets=3,
@@ -78,6 +83,16 @@ def _body(request_id=1, shape="chain", n=3, seed=0, objective="lec",
         query=query, objective=objective, memory=memory, **fields
     ))
     return json.loads(json.dumps(message))
+
+
+def _payload(message):
+    """``message`` as the payload bytes of its frame."""
+    return encode_frame(message)[4:]
+
+
+def _recall(memo, message):
+    """``recall`` as the worker calls it, on ``message``'s frame."""
+    return recall(memo, *split_request(_payload(message)))
 
 
 class _Forcing(LatencyEstimator):
@@ -135,7 +150,7 @@ class TestRememberedEqualsCold:
         memo, answers = OrderedDict(), []
         with OptimizerService(cache=None, estimator=_Forcing(rung)) as service:
             for i in range(5):
-                request, known = recall(memo, dict(body, id=i))
+                request, known = _recall(memo, dict(body, id=i))
                 assert known == (i > 0)
                 result = service.execute(request)
                 answers.append(
@@ -146,8 +161,8 @@ class TestRememberedEqualsCold:
 
     def test_a_remembered_request_shares_objects_and_one_context(self):
         memo = OrderedDict()
-        first, _ = recall(memo, _body(1, deadline=None))
-        again, known = recall(memo, _body(2, deadline=0.25))
+        first, _ = _recall(memo, _body(1, deadline=None))
+        again, known = _recall(memo, _body(2, deadline=0.25))
         assert known and again.deadline == 0.25 and first.deadline is None
         assert again.query is first.query and again.memory is first.memory
         assert again.context is first.context is not None
@@ -227,8 +242,20 @@ class TestOverTheWire:
 
         memo = OrderedDict()
         with pytest.raises(ProtocolError):
-            recall(memo, bad)
+            _recall(memo, bad)
         assert not memo
+
+    def test_a_frame_laid_out_otherwise_is_answered_like_its_twin(self):
+        body = _body(1, shape="star", n=4)
+        with _worker() as ask:
+            first = ask(body)
+            other = ask(dict(reversed(list(dict(body, id=2).items()))))
+            counters = _counters(ask)
+        assert other["type"] == "result" and other["id"] == 2
+        assert other["plan"] == first["plan"]
+        assert repr(other["objective_value"]) == repr(first["objective_value"])
+        assert counters["serving.requests"] == 2
+        assert counters.get("serving.requests_remembered", 0) == 0
 
 
 def _moved(body, path, value):
@@ -257,25 +284,73 @@ class TestRecognitionIsExact:
             _moved(body, ("objective",), "expected"),  # same kind, other text
         ]
         memo = OrderedDict()
-        assert recall(memo, body)[1] is False
+        assert _recall(memo, body)[1] is False
         for other in near_misses:
-            request, known = recall(memo, other)
+            request, known = _recall(memo, other)
             assert not known
             assert request.context is not memo[next(iter(memo))].context
         assert len(memo) == 1 + len(near_misses)
         assert len({id(r.context) for r in memo.values()}) == len(memo)
 
     def test_id_deadline_and_type_do_not_split_entries(self):
+        # The head is not part of the key: another id or deadline (under
+        # the one type a head carries) is the same entry.
         body = _body(1, deadline=None)
         memo = OrderedDict()
-        recall(memo, body)
+        _recall(memo, body)
         for other in (
             dict(body, id=2), dict(body, deadline=0.5),
-            {k: v for k, v in body.items() if k != "type"},
-            dict(reversed(list(body.items()))),  # key order is not content
+            dict(body, id=10 ** 9, deadline=30), dict(body, deadline=1e-05),
         ):
-            assert recall(memo, other)[1] is True
+            request, known = _recall(memo, other)
+            assert known and request.deadline == other["deadline"]
         assert len(memo) == 1
+        assert tuple(body)[:3] == ("type", "id", "deadline")
+
+    def test_a_frame_laid_out_otherwise_is_answered_and_never_matched(self):
+        body = _body(1, top_k=2, deadline=0.5)
+        memo = OrderedDict()
+        canonical, _ = _recall(memo, body)
+        members = list(body.items())
+        for other in (
+            dict(reversed(members)),  # another member order
+            dict(members[:2] + [("trace", 7)] + members[2:]),  # extra head member
+            dict(members[:2] + members[3:] + members[2:3]),  # deadline last
+        ):
+            for _ in range(2):
+                request, known = _recall(memo, other)
+                assert not known
+                assert request.context is not canonical.context
+                assert query_to_dict(request.query) == body["query"]
+                assert replace(request, query=None, context=None) == replace(
+                    canonical, query=None, context=None
+                )
+        assert list(memo.values()) == [canonical]
+
+    def test_a_remembered_frame_parses_its_head_alone(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a remembered frame paid for this")
+
+        body = _body(1, shape="clique", n=4, deadline=None)
+        memo = OrderedDict()
+        _recall(memo, body)
+        payloads = [_payload(dict(body, id=i, deadline=d))
+                    for i, d in ((2, None), (3, 0.5), (4, 30))]
+        parsed, real_loads = [], json.loads
+
+        def loads(text, *args, **kwargs):
+            parsed.append(len(text))
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", loads)
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setattr(protocol, "query_from_dict", refuse)
+        for payload in payloads:
+            assert recall(memo, *split_request(payload))[1] is True
+        monkeypatch.undo()
+        # One parse per frame, of its head alone (≈ 40 of ≈ 1 500 bytes).
+        assert len(parsed) == 3 and max(parsed) < 64
+        assert min(len(p) for p in payloads) > 1000
 
     def test_the_lru_is_bounded_and_evicts_least_recently_used_first(self):
         body = _body(0)
@@ -286,19 +361,19 @@ class TestRecognitionIsExact:
 
         memo = OrderedDict()
         for i in range(REMEMBERED_REQUESTS):
-            recall(memo, numbered(i))
-        assert recall(memo, numbered(0))[1] is True  # touched: now newest
+            _recall(memo, numbered(i))
+        assert _recall(memo, numbered(0))[1] is True  # touched: now newest
         for i in range(REMEMBERED_REQUESTS, 300):
-            recall(memo, numbered(i))
+            _recall(memo, numbered(i))
             assert len(memo) <= REMEMBERED_REQUESTS
         assert len(memo) == REMEMBERED_REQUESTS == 256
         overflow = 300 - REMEMBERED_REQUESTS
         # 1 .. overflow went (0 was spared by its touch); the rest stayed.
-        assert recall(memo, numbered(0))[1] is True
-        assert recall(memo, numbered(overflow + 1))[1] is True
-        assert recall(memo, numbered(299))[1] is True
+        assert _recall(memo, numbered(0))[1] is True
+        assert _recall(memo, numbered(overflow + 1))[1] is True
+        assert _recall(memo, numbered(299))[1] is True
         for i in (1, 2, overflow):
-            assert recall(memo, numbered(i))[1] is False
+            assert _recall(memo, numbered(i))[1] is False
 
 
 class TestDistributionEquality:
