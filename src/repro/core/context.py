@@ -70,7 +70,7 @@ from ..costmodel.estimates import (
     subset_size_distribution,
 )
 from .distributions import DiscreteDistribution
-from .expected_cost import _SurvivalTable, expected_join_costs_batched
+from .expected_cost import PaddedBatch, _SurvivalTable, expected_join_costs_batched
 
 __all__ = ["CacheStats", "OptimizationContext", "query_fingerprint"]
 
@@ -323,26 +323,28 @@ class OptimizationContext:
 
     def step_costs(
         self,
-        prefix: Tuple,
+        prefixes: Sequence[Tuple],
         pairs: Sequence[Tuple],
-        compute: Callable[[List[Tuple]], Iterable[float]],
-    ) -> List[float]:
-        """Batch form of :meth:`step_cost` for keys ``prefix + pair``
-        sharing one prefix: the values of ``pairs``, in order.
-
-        Memoized pairs are read; the others go to ``compute`` in one call
-        (a pair repeated in the batch is sent once), and what it returns
-        for them is stored.  The accounting is :meth:`step_cost`'s: one
-        miss per computed value, one hit per other lookup.
+        compute: Callable[[List[List[Tuple]]], Iterable[Iterable[float]]],
+    ) -> List[List[float]]:
+        """Batch form of :meth:`step_cost` for a column, keys ``prefix +
+        pair`` over a formula's prefix each: one list per prefix, aligned
+        with ``pairs``.  Memoized keys are read; the missing pairs of
+        every prefix (a repeated pair once) go to one ``compute`` call,
+        which returns their values per prefix, stored.  The accounting is
+        :meth:`step_cost`'s: a miss per computed value, else a hit.
         """
-        memo = self._cost_memo.setdefault(prefix, {})
-        missing = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
-        if missing:
-            memo.update(zip(missing, map(float, compute(missing))))
+        memos = [self._cost_memo.setdefault(prefix, {}) for prefix in prefixes]
+        distinct = dict.fromkeys(pairs)
+        missing = [[pair for pair in distinct if pair not in memo] for memo in memos]
+        computed = sum(map(len, missing))
+        if computed:
+            for memo, miss, values in zip(memos, missing, compute(missing)):
+                memo.update(zip(miss, map(float, values)))
         stats = self._stats["step_costs"]
-        stats.misses += len(missing)
-        stats.hits += len(pairs) - len(missing)
-        return [memo[pair] for pair in pairs]
+        stats.misses += computed
+        stats.hits += len(pairs) * len(memos) - computed
+        return [[memo[pair] for pair in pairs] for memo in memos]
 
     def has_step_cost(self, key: Tuple) -> bool:
         """True when ``key`` is already memoized (no counters touched)."""
@@ -358,6 +360,7 @@ class OptimizationContext:
             Tuple[JoinMethod, DiscreteDistribution, DiscreteDistribution]
         ],
         memory: DiscreteDistribution,
+        batches: Optional[Tuple[PaddedBatch, PaddedBatch]] = None,
     ) -> List[float]:
         """``E[Φ]`` for many fast-path joins, one array kernel invocation.
 
@@ -370,31 +373,25 @@ class OptimizationContext:
         bit-identical to the equivalent single-pair
         :func:`~repro.core.expected_cost.expected_join_cost_fast` call,
         so batching can never change which plan a DP level picks.
+        ``batches``: the requests' padded operands, if already built.
         """
-        stats = self._stats["batched_joins"]
         memo = self._cost_memo.setdefault(("fastjoin", memory), {})
-        out: List[Optional[float]] = [None] * len(requests)
-        missing: Dict[Hashable, List[int]] = {}
-        for i, request in enumerate(requests):
-            key = tuple(request)  # (method, left, right)
-            cached = memo.get(key)
-            if cached is not None:
+        keys = list(map(tuple, requests))  # (method, left, right)
+        firsts: Dict[Hashable, int] = {}  # missing key -> its first request
+        stats = self._stats["batched_joins"]
+        for i, key in enumerate(keys):
+            if key in memo:
                 stats.hits += 1
-                out[i] = cached
             else:
-                missing.setdefault(key, []).append(i)
-        if missing:
-            uniq = [requests[positions[0]] for positions in missing.values()]
-            values = expected_join_costs_batched(
-                uniq, memory, survival=self.survival_table(memory)
-            )
-            for (key, positions), value in zip(missing.items(), values):
-                stats.misses += 1
-                v = float(value)
-                memo[key] = v
-                for i in positions:
-                    out[i] = v
-        return out  # type: ignore[return-value]
+                firsts.setdefault(key, i)
+        stats.misses += len(firsts)
+        if firsts:
+            rows = list(firsts.values())
+            memo.update(zip(firsts, map(float, expected_join_costs_batched(
+                [requests[i] for i in rows], memory, self.survival_table(memory),
+                batches and tuple(batch.take(rows) for batch in batches),
+            ))))
+        return [memo[key] for key in keys]
 
     # ------------------------------------------------------------------
     # Layer 6: DP skeletons (cost-free enumeration state)

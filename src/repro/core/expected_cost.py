@@ -50,6 +50,8 @@ __all__ = [
     "expected_grace_hash_cost",
     "expected_join_cost_fast",
     "expected_join_costs_batched",
+    "PaddedBatch",
+    "NaiveGrid",
     "expected_external_sort_cost",
     "expected_external_sort_cost_model",
     "FAST_METHODS",
@@ -115,6 +117,43 @@ def expected_join_cost_naive_model(
     return float(np.cumsum(probs * costs)[-1])
 
 
+class NaiveGrid:
+    """The ``b_L·b_R·b_M`` grids of many ``(left, right)`` distribution
+    pairs under one memory, laid end to end and addressed by integer
+    arithmetic into the concatenated supports: a DP column's operands
+    and ``(p_l·p_r)·p_m`` weights, built once, costed per join method.
+    """
+
+    def __init__(self, pairs: Sequence[Tuple], memory: DiscreteDistribution):
+        lefts, rights = zip(*pairs)
+        n_m = memory.values.size
+        n_l = np.array([d.values.size for d in lefts])
+        n_r = np.array([d.values.size for d in rights])
+        sizes = n_l * n_r * n_m
+        self.row = row = np.repeat(np.arange(len(pairs)), sizes)
+        self.col = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        in_pair, m = np.divmod(self.col, n_m)
+        l, r = np.divmod(in_pair, n_r[row])
+        l += (np.cumsum(n_l) - n_l)[row]
+        r += (np.cumsum(n_r) - n_r)[row]
+        self.left = np.concatenate([d.values for d in lefts])[l]
+        self.right = np.concatenate([d.values for d in rights])[r]
+        self.memory = memory.values[m]
+        self.probs = (
+            np.concatenate([d.probs for d in lefts])[l]
+            * np.concatenate([d.probs for d in rights])[r]
+        ) * memory.probs[m]
+        self.shape = (len(pairs), sizes.max())
+
+    def costs(self, cost_model, method: JoinMethod) -> List[float]:
+        """Each pair's expectation under ``method``: one formula call, its
+        terms summed along a zero-padded row by :func:`_row_sums`."""
+        costs = cost_model.join_cost_many(method, self.left, self.right, self.memory)
+        terms = np.zeros(self.shape)
+        terms[self.row, self.col] = self.probs * costs
+        return _row_sums(terms).tolist()
+
+
 def expected_join_costs_naive_model_many(
     cost_model,
     method: JoinMethod,
@@ -122,40 +161,8 @@ def expected_join_costs_naive_model_many(
     memory: DiscreteDistribution,
 ) -> List[float]:
     """:func:`expected_join_cost_naive_model` of every ``(left, right)``
-    in ``pairs``, bit for bit, through one formula call.
-
-    The pairs' (l, r, m) grids lie end to end, addressed by integer
-    arithmetic into the concatenated supports; ``eval_count`` advances
-    by the same total.  Each pair's ``(p_l·p_r)·p_m·cost`` terms fill
-    its row of a zero-padded matrix and are summed by :func:`_row_sums`
-    — trailing exact zeros leave a sequential sum alone.
-    """
-    if not pairs:
-        return []
-    lefts, rights = zip(*pairs)
-    n_m = memory.values.size
-    n_l = np.array([d.values.size for d in lefts])
-    n_r = np.array([d.values.size for d in rights])
-    sizes = n_l * n_r * n_m
-    row = np.repeat(np.arange(len(pairs)), sizes)
-    col = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    in_pair, m = np.divmod(col, n_m)
-    l, r = np.divmod(in_pair, n_r[row])
-    l += (np.cumsum(n_l) - n_l)[row]
-    r += (np.cumsum(n_r) - n_r)[row]
-    costs = cost_model.join_cost_many(
-        method,
-        np.concatenate([d.values for d in lefts])[l],
-        np.concatenate([d.values for d in rights])[r],
-        memory.values[m],
-    )
-    probs = (
-        np.concatenate([d.probs for d in lefts])[l]
-        * np.concatenate([d.probs for d in rights])[r]
-    ) * memory.probs[m]
-    terms = np.zeros((len(pairs), sizes.max()))
-    terms[row, col] = probs * costs
-    return _row_sums(terms).tolist()
+    in ``pairs``, bit for bit (and in ``eval_count``): a :class:`NaiveGrid`."""
+    return NaiveGrid(pairs, memory).costs(cost_model, method) if pairs else []
 
 
 # ----------------------------------------------------------------------
@@ -207,41 +214,39 @@ class _SurvivalTable:
         return np.where(idx >= self.values.size, 0.0, self.tail_incl[safe])
 
 
-class _PaddedBatch:
+class PaddedBatch:
     """A batch of distributions padded into rectangular arrays.
 
     ``values``/``pmf``/``cdf``/``wpre`` are (n, width) with rows padded by
-    exact zeros past each distribution's ``counts[i]`` buckets; ``valid``
-    masks the live entries.  Padding with zero *mass* means every kernel
+    exact zeros past each distribution's buckets; ``valid`` masks the
+    live entries.  Padding with zero *mass* means every kernel
     contribution computed at a padded slot multiplies to exactly 0.0, so
-    sequential row reductions are unaffected by the batch width.
+    sequential row reductions are unaffected by the batch width: a DP
+    column builds one per side and every join method reads its rows.
     """
 
-    __slots__ = ("values", "pmf", "cdf", "wpre", "valid", "width")
+    __slots__ = ("values", "pmf", "cdf", "wpre", "valid")
 
     def __init__(self, dists: Sequence[DiscreteDistribution]):
         counts = np.array([d.n_buckets for d in dists], dtype=np.intp)
-        width = int(counts.max())
-        n = len(dists)
-        values = np.zeros((n, width))
-        pmf = np.zeros((n, width))
-        cdf = np.zeros((n, width))
-        wpre = np.zeros((n, width))
-        for i, d in enumerate(dists):
-            b = counts[i]
-            values[i, :b] = d.values
-            pmf[i, :b] = d.probs
-            cdf[i, :b] = d.cdf_array
-            wpre[i, :b] = d.weighted_prefix_array
-        self.values = values
-        self.pmf = pmf
-        self.cdf = cdf
-        self.wpre = wpre
-        self.valid = np.arange(width) < counts[:, None]
-        self.width = width
+        self.valid = valid = np.arange(counts.max()) < counts[:, None]
+        for name, part in (("values", "values"), ("pmf", "probs"),
+                           ("cdf", "cdf_array"), ("wpre", "weighted_prefix_array")):
+            padded = np.zeros(valid.shape)
+            padded[valid] = np.concatenate([getattr(d, part) for d in dists])
+            setattr(self, name, padded)
+
+    def take(self, rows: List[int]) -> "PaddedBatch":
+        """These ``rows`` (ascending, distinct) of the batch, at its width."""
+        if len(rows) == len(self.valid):
+            return self
+        part = object.__new__(PaddedBatch)
+        for name in self.__slots__:
+            setattr(part, name, getattr(self, name)[rows])
+        return part
 
 
-def _rank(small: _PaddedBatch, queries: np.ndarray, include_equal: bool) -> np.ndarray:
+def _rank(small: PaddedBatch, queries: np.ndarray, include_equal: bool) -> np.ndarray:
     """Per (row, query) count of live small-side values <=/ < the query.
 
     Equivalent to a per-row ``searchsorted`` (the supports are sorted),
@@ -295,8 +300,8 @@ def _row_sums(contrib: np.ndarray) -> np.ndarray:
 
 
 def _sm_half_contribs(
-    small: _PaddedBatch,
-    large: _PaddedBatch,
+    small: PaddedBatch,
+    large: PaddedBatch,
     st: _SurvivalTable,
     include_equal: bool,
 ) -> np.ndarray:
@@ -323,7 +328,7 @@ def _sm_half_contribs(
 
 
 def _sm_totals(
-    lefts: _PaddedBatch, rights: _PaddedBatch, st: _SurvivalTable
+    lefts: PaddedBatch, rights: PaddedBatch, st: _SurvivalTable
 ) -> np.ndarray:
     return _row_sums(_sm_half_contribs(lefts, rights, st, True)) + _row_sums(
         _sm_half_contribs(rights, lefts, st, False)
@@ -336,7 +341,7 @@ def _sm_totals(
 
 
 def _nl_totals(
-    outers: _PaddedBatch, inners: _PaddedBatch, st: _SurvivalTable
+    outers: PaddedBatch, inners: PaddedBatch, st: _SurvivalTable
 ) -> np.ndarray:
     """``E[Φ_NL(A, B, M)]`` per pair.
 
@@ -376,8 +381,8 @@ def _nl_totals(
 
 
 def _gh_half_contribs(
-    small: _PaddedBatch,
-    large: _PaddedBatch,
+    small: PaddedBatch,
+    large: PaddedBatch,
     st: _SurvivalTable,
     include_equal: bool,
 ) -> np.ndarray:
@@ -401,7 +406,7 @@ def _gh_half_contribs(
 
 
 def _gh_totals(
-    lefts: _PaddedBatch, rights: _PaddedBatch, st: _SurvivalTable
+    lefts: PaddedBatch, rights: PaddedBatch, st: _SurvivalTable
 ) -> np.ndarray:
     return _row_sums(_gh_half_contribs(lefts, rights, st, True)) + _row_sums(
         _gh_half_contribs(rights, lefts, st, False)
@@ -424,6 +429,7 @@ def expected_join_costs_batched(
     requests: Sequence[BatchRequest],
     memory: DiscreteDistribution,
     survival: Optional[_SurvivalTable] = None,
+    batches: Optional[Tuple[PaddedBatch, PaddedBatch]] = None,
 ) -> np.ndarray:
     """One-shot ``E[Φ]`` for a batch of fast-path join requests.
 
@@ -432,23 +438,23 @@ def expected_join_costs_batched(
     evaluated by one padded array kernel over shared survival prefix
     sums, and each entry is bit-identical to the corresponding
     single-pair ``expected_*_cost`` call (which itself routes through
-    this kernel with a batch of one).
+    this kernel with a batch of one).  ``batches`` (left, right; row
+    ``i`` for request ``i``) are built here unless the caller has them.
 
     Raises ``ValueError`` for methods outside :data:`FAST_METHODS`.
     """
     st = survival if survival is not None else _SurvivalTable(memory)
+    if batches is None and requests:
+        batches = tuple(map(PaddedBatch, zip(*[request[1:] for request in requests])))
     out = np.empty(len(requests), dtype=float)
     by_method: dict = {}
-    for i, (method, left, right) in enumerate(requests):
-        by_method.setdefault(method, []).append((i, left, right))
-    for method, group in by_method.items():
+    for i, (method, _, _) in enumerate(requests):
+        by_method.setdefault(method, []).append(i)
+    for method, rows in by_method.items():
         kernel = _METHOD_TOTALS.get(method)
         if kernel is None:
             raise ValueError(f"no fast expected-cost path for {method}")
-        lefts = _PaddedBatch([left for _, left, _ in group])
-        rights = _PaddedBatch([right for _, _, right in group])
-        totals = kernel(lefts, rights, st)
-        out[[i for i, _, _ in group]] = totals
+        out[rows] = kernel(*(batch.take(rows) for batch in batches), st)
     return out
 
 
@@ -467,7 +473,7 @@ def expected_sort_merge_cost(
 ) -> float:
     """``E[Φ_SM(L, R, M)]`` in near-linear time."""
     st = survival if survival is not None else _SurvivalTable(memory)
-    return float(_sm_totals(_PaddedBatch([left]), _PaddedBatch([right]), st)[0])
+    return float(_sm_totals(PaddedBatch([left]), PaddedBatch([right]), st)[0])
 
 
 def expected_nested_loop_cost(
@@ -478,7 +484,7 @@ def expected_nested_loop_cost(
 ) -> float:
     """``E[Φ_NL(A, B, M)]`` in near-linear time."""
     st = survival if survival is not None else _SurvivalTable(memory)
-    return float(_nl_totals(_PaddedBatch([outer]), _PaddedBatch([inner]), st)[0])
+    return float(_nl_totals(PaddedBatch([outer]), PaddedBatch([inner]), st)[0])
 
 
 def expected_grace_hash_cost(
@@ -489,7 +495,7 @@ def expected_grace_hash_cost(
 ) -> float:
     """``E[Φ_GH(L, R, M)]`` in near-linear time."""
     st = survival if survival is not None else _SurvivalTable(memory)
-    return float(_gh_totals(_PaddedBatch([left]), _PaddedBatch([right]), st)[0])
+    return float(_gh_totals(PaddedBatch([left]), PaddedBatch([right]), st)[0])
 
 
 def expected_join_cost_fast(

@@ -160,7 +160,9 @@ class CostModel:
     # result is bit-identical to the corresponding scalar call, and
     # ``eval_count`` advances by the number of grid points — one per
     # formula evaluation, exactly as if the scalar method had been called
-    # in a loop — so the E4/E7 overhead accounting is unchanged.
+    # in a loop — so the E4/E7 overhead accounting is unchanged.  Operands
+    # may broadcast; the grid is their broadcast whatever the result's
+    # shape (sort-merge over two presorted inputs ignores memory).
 
     def join_cost_many(
         self,
@@ -169,10 +171,10 @@ class CostModel:
         inner: np.ndarray,
         memory: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`join_cost` over aligned parameter arrays."""
+        """Vectorized :meth:`join_cost` over broadcasting parameter arrays."""
         out = formulas.join_cost_vec(method, outer, inner, memory)
         if self._count:
-            self.eval_count += out.size
+            self.eval_count += np.broadcast(outer, inner, memory).size
         return out
 
     def sort_merge_cost_ordered_many(
@@ -188,7 +190,7 @@ class CostModel:
             outer, inner, memory, outer_presorted, inner_presorted
         )
         if self._count:
-            self.eval_count += out.size
+            self.eval_count += np.broadcast(outer, inner, memory).size
         return out
 
     def sort_cost_many(self, pages: np.ndarray, memory: np.ndarray) -> np.ndarray:

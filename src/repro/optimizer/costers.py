@@ -27,7 +27,9 @@ The DP costs a level in columns: ``prefetch_join_steps(phase,
 left_presorted, right_presorted, pairs)`` takes the level's
 ``(left_rels, right_rels)`` pairs under those flags and returns one cost
 list per join method (:attr:`Coster.methods` order), bit for bit the
-scalar ``join_step_cost`` of each — one grid per list.
+scalar ``join_step_cost`` of each — one grid per list, over operands
+the column builds once for all methods (pages broadcast against the
+memory row, size distributions, padded batches, a naive grid).
 
 Shared state lives in an :class:`~repro.core.context.OptimizationContext`
 attached at :meth:`Coster.bind` time: subset sizes and size
@@ -37,8 +39,8 @@ memoized under a key spanning the coster's full parameter identity —
 so a context threaded across several optimizer invocations (Algorithms
 A-D over one query, a parametric sweep, repeated facade calls) answers
 repeated expectations from cache.  The memo is ``prefix -> {(left,
-right): cost}``: a column resolves one prefix per method and probes
-pairs; the scalar path splits its key the same way.  A coster bound
+right): cost}``: a column reads a prefix per method in one pass; the
+scalar path splits its key the same way.  A coster bound
 without an explicit context builds a private one, which reproduces the
 historical (per-invocation) behavior exactly.
 """
@@ -46,7 +48,6 @@ historical (per-invocation) behavior exactly.
 from __future__ import annotations
 
 import abc
-from functools import partial
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,10 +56,11 @@ from ..core.context import OptimizationContext
 from ..core.distributions import DiscreteDistribution
 from ..core.expected_cost import (
     FAST_METHODS,
+    NaiveGrid,
+    PaddedBatch,
     expected_external_sort_cost_model,
     expected_join_cost_naive,
     expected_join_cost_naive_model,
-    expected_join_costs_naive_model_many,
 )
 from ..core.markov import MarkovParameter
 from ..costmodel.estimates import project_pages
@@ -199,22 +201,32 @@ class Coster(abc.ABC):
 
     def _batched_steps(
         self, phase, lps, rps, pairs,
-        grid: Callable[[JoinMethod, list], Iterable[float]],
+        operands: Callable[[list], object],
+        grid: Callable[[JoinMethod, object], Iterable[float]],
     ) -> List[List[float]]:
-        """:meth:`prefetch_join_steps` through the context's batch memo:
-        per method one :meth:`OptimizationContext.step_costs` call, whose
-        misses ``grid(method, missing_pairs)`` costs, a value per pair."""
+        """:meth:`prefetch_join_steps` through one context memo pass
+        (:meth:`OptimizationContext.step_costs`): ``operands(missing)``
+        builds what the formulas read of a method's missing pairs, once
+        for all methods missing the same ones, and ``grid(method,
+        operands)`` costs them, a value per pair."""
         assert self.context is not None, "coster used before bind()"
-        step_costs, step_prefix = self.context.step_costs, self._step_prefix
-        return [
-            step_costs(step_prefix(m, phase, lps, rps), pairs, partial(grid, m))
-            for m in self.methods
-        ]
+        methods, prefix = self.methods, self._step_prefix
+
+        def compute(missing):
+            built = shared = None
+            for method, miss in zip(methods, missing):
+                if miss and miss != built:
+                    built, shared = miss, operands(miss)
+                yield grid(method, shared) if miss else ()
+
+        return self.context.step_costs(
+            [prefix(m, phase, lps, rps) for m in methods], pairs, compute
+        )
 
     def _point_pages(self, pairs, pages: Dict[FrozenSet[str], float]):
         """The left and right point page counts of ``pairs``, through the
-        batch's ``pages`` (a level names each subset in many steps and
-        several formula groups; it is looked up once)."""
+        column's ``pages`` (a level names each subset in many steps; it
+        is looked up once)."""
         for pair in pairs:
             for subset in pair:
                 if subset not in pages:
@@ -223,30 +235,25 @@ class Coster(abc.ABC):
 
     def _expected_steps(self, phase, lps, rps, pairs, memory) -> List[List[float]]:
         """:meth:`_batched_steps` with one (steps × memory-buckets) grid per
-        method under ``memory``.
-
-        Each step's expectation is finished with the same ``np.dot``
-        against the memory pmf that
-        :meth:`DiscreteDistribution.expectation` uses, so the results are
-        bit-identical to the scalar
-        ``memory.expectation(lambda m: formula(...))`` path.
+        method under ``memory``: ``(n, 1)`` pages broadcast against the
+        ``(1, b_M)`` memory row (a formula ignoring memory, sort-merge
+        over two presorted inputs, stays ``(n, 1)`` and is repeated).
+        Each row is finished with the ``np.dot`` against the memory pmf
+        that :meth:`DiscreteDistribution.expectation` uses: bit-identical
+        to the scalar ``memory.expectation(lambda m: formula(...))``.
         """
+        pages, row, probs = {}, memory.values[None, :], memory.probs
 
-        pages = {}
+        def operands(missing):
+            return [np.array(side)[:, None] for side in self._point_pages(missing, pages)]
 
-        def grid(method, missing):
-            lp, rp = self._point_pages(missing, pages)
-            shape = (len(missing), memory.values.size)
-            rows = self._join_formula_many(
-                method,
-                np.repeat(lp, shape[1]),
-                np.repeat(rp, shape[1]),
-                np.tile(memory.values, shape[0]),
-                lps, rps,
-            )
-            return [float(np.dot(row, memory.probs)) for row in rows.reshape(shape)]
+        def grid(method, operands):
+            rows = self._join_formula_many(method, *operands, row, lps, rps)
+            if rows.shape[1] != row.size:
+                rows = np.repeat(rows, row.size, axis=1)
+            return [r.dot(probs) for r in rows]
 
-        return self._batched_steps(phase, lps, rps, pairs, grid)
+        return self._batched_steps(phase, lps, rps, pairs, operands, grid)
 
     def _expected_step(self, memory, method, left_rels, right_rels, phase,
                        left_presorted, right_presorted) -> float:
@@ -343,17 +350,17 @@ class Coster(abc.ABC):
         )
 
 
-#: Below this many steps a point formula costs less as one
-#: :meth:`CostModel.join_costs` list call than as one array call.  µs per
-#: call, list / array (numpy 2.4, CPython 3.11, 2-CPU Xeon, best of 11):
-#:   steps    NL          SM          GH          BNL         HH
-#:    22   11.9/14.0   16.2/16.1   12.7/16.1   13.4/14.7   17.2/20.6
-#:    24   12.8/13.9   17.3/16.1   13.7/16.4   14.6/14.8   18.6/20.9
-#:    26   13.8/14.0   18.5/16.2   14.7/16.2   15.4/14.9   20.2/20.4
-#:    28   14.8/14.4   20.0/16.4   16.0/16.4   16.7/15.5   21.8/21.1
-#: The array call wins from ~27 (NL), 22 (SM), 28 (GH), 25 (BNL) and 26
-#: (HH) steps; NL + SM + GH break even at 26.
-_MIN_VECTOR_STEPS = 26
+#: Below this many steps a point column costs less as one
+#: :meth:`CostModel.join_costs` list call per method than as one array call
+#: per method over page arrays built once.  µs per call, list / array, and
+#: the build (numpy 2.4, CPython 3.11, 2-CPU Xeon, best of 300 × 20 calls):
+#:   steps  build     NL          SM          GH          BNL         HH
+#:    16     2.5   11.7/12.4   15.2/15.0   12.6/14.7   13.2/13.3   19.4/20.2
+#:    18     2.5   13.2/12.3   16.9/14.9   14.1/15.0   15.2/13.3   21.1/20.2
+#:    20     2.7   14.5/12.4   18.6/15.1   15.6/15.1   16.6/13.4   23.2/20.4
+#: The array call wins from ~17 (NL, BNL, HH), 16 (SM) and 20 (GH) steps;
+#: NL + SM + GH and one build break even at 19 (presorted inputs alike).
+_MIN_VECTOR_STEPS = 19
 
 
 class PointCoster(Coster):
@@ -385,22 +392,24 @@ class PointCoster(Coster):
         ))
 
     def prefetch_join_steps(self, phase, left_presorted, right_presorted, pairs):
-        """Per method one formula call over the missing pairs: a list
-        call below :data:`_MIN_VECTOR_STEPS` of them, an array call from
-        there on — both the scalar formula's floats and ``eval_count``."""
+        """Per method one formula call over the missing pairs' pages: a
+        list call below :data:`_MIN_VECTOR_STEPS` of them, an array call
+        from there on — both the scalar formula's floats and ``eval_count``."""
         pages = {}
         lps, rps, memory = left_presorted, right_presorted, self.memory
 
-        def grid(method, missing):
+        def operands(missing):
             lp, rp = self._point_pages(missing, pages)
             if len(missing) < _MIN_VECTOR_STEPS:
-                return self.cost_model.join_costs(method, lp, rp, memory, lps, rps)
-            return self._join_formula_many(
-                method, np.array(lp), np.array(rp),
-                np.full(len(lp), memory), lps, rps,
-            )
+                return lp, rp
+            return np.array(lp), np.array(rp), np.full(1, memory)
 
-        return self._batched_steps(phase, lps, rps, pairs, grid)
+        def grid(method, operands):
+            if len(operands) == 2:
+                return self.cost_model.join_costs(method, *operands, memory, lps, rps)
+            return self._join_formula_many(method, *operands, lps, rps)
+
+        return self._batched_steps(phase, lps, rps, pairs, operands, grid)
 
     def write_cost(self, rels):
         return self._pages(rels)
@@ -596,28 +605,32 @@ class MultiParamCoster(Coster):
 
     def prefetch_join_steps(self, phase, left_presorted, right_presorted, pairs):
         """One call per method: the linear-time kernel under ``fast``,
-        else one naive triple grid laid over every missing pair; a
+        else one naive triple grid laid over every missing pair (padded
+        batches or a :class:`NaiveGrid`, built at first use); a
         presorted column keeps the order-aware per-step route.
         """
-        lps, rps = left_presorted, right_presorted
+        lps, rps, sizes = left_presorted, right_presorted, self.size_distribution
+        if lps or rps:  # operands: the missing pairs' names, costed step by step
+            return self._batched_steps(phase, lps, rps, pairs, list, lambda method, missing: [
+                self._compute_step(method, left, right, lps, rps) for left, right in missing])
 
-        def grid(method, missing):
-            if lps or rps:
-                return [
-                    self._compute_step(method, left, right, lps, rps)
-                    for left, right in missing
-                ]
-            sizes = self.size_distribution
-            dists = [(sizes(left), sizes(right)) for left, right in missing]
+        def operands(missing):
+            return [(sizes(left), sizes(right)) for left, right in missing], {}
+
+        def grid(method, operands):
+            dists, built = operands
             if self._batches(method, lps, rps):
+                if "fast" not in built:
+                    built["fast"] = tuple(map(PaddedBatch, zip(*dists)))
                 return self.context.batched_join_costs(
-                    [(method, left, right) for left, right in dists], self.memory
+                    [(method, left, right) for left, right in dists],
+                    self.memory, built["fast"],
                 )
-            return expected_join_costs_naive_model_many(
-                self.cost_model, method, dists, self.memory
-            )
+            if "naive" not in built:
+                built["naive"] = NaiveGrid(dists, self.memory)
+            return built["naive"].costs(self.cost_model, method)
 
-        return self._batched_steps(phase, lps, rps, pairs, grid)
+        return self._batched_steps(phase, lps, rps, pairs, operands, grid)
 
     def write_cost(self, rels):
         key = (*self._memo_key(), "write", frozenset(rels))

@@ -173,20 +173,21 @@ class BayesNetCoster(Coster):
         return self._step(key, compute)
 
     def prefetch_join_steps(self, phase, left_presorted, right_presorted, pairs):
-        """One (steps × assignments) grid per method, reduced per row by
-        the cumulative sum :meth:`join_step_cost` uses — same values, same
-        ``eval_count``."""
-        lps, rps = left_presorted, right_presorted
+        """One (steps × assignments) grid per method over the column's
+        page rows, stacked once, reduced per row by the cumulative sum
+        :meth:`join_step_cost` uses — same values, same ``eval_count``."""
+        lps, rps, pages = left_presorted, right_presorted, self._pages_given_many
 
-        def grid(method, missing):
-            lp = np.vstack([self._pages_given_many(left) for left, _ in missing])
-            rp = np.vstack([self._pages_given_many(right) for _, right in missing])
+        def operands(missing):
+            return [np.vstack([pages(rels) for rels in side]) for side in zip(*missing)]
+
+        def grid(method, operands):
             costs = self._join_formula_many(
-                method, lp, rp, self._memory_col, lps, rps
+                method, *operands, self._memory_col, lps, rps
             )
             return self.net.expectation_many(costs)
 
-        return self._batched_steps(phase, lps, rps, pairs, grid)
+        return self._batched_steps(phase, lps, rps, pairs, operands, grid)
 
     def write_cost(self, rels):
         key = (*self._memo_key(), "write", frozenset(rels))

@@ -53,6 +53,7 @@ Bookkeeping details that matter for fidelity:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -490,8 +491,11 @@ class SystemRDP:
         """Offer one split's candidates to ``buckets``, per output order.
 
         Costs first: a candidate's total is compared with its bucket's
-        worst retained cost, and what it admits is a :class:`DPEntry`
-        pointing back at the two entries joined — no plan node is built.
+        worst retained cost and, if the bucket has room or it is strictly
+        below, seated in the bucket's lists in place — :meth:`TopKList.offer`'s
+        rule and arrival-order tie-break, without the call.  What it admits
+        is a :class:`DPEntry` pointing back at the two entries joined — no
+        plan node is built.
         Without ``stats`` this is :meth:`_prune_level`'s dry run: the
         same totals are seated, nothing is counted.
 
@@ -515,19 +519,23 @@ class SystemRDP:
         for (method, streams), order in zip(self._methods, orders):
             if order not in buckets:
                 buckets[order] = TopKList(top_k)
+            bucket = buckets[order]
             write = writes[right] + (0.0 if streams else writes[left])
-            rows.append((method, order, buckets[order], write))
+            rows.append((method, order, bucket.costs, bucket.entries, write))
         probes = merged = 0
         for (_, lcosts, lentries), (_, rcosts, rentries), costs in steps[left, right]:
             combos, probed = top_sums(lcosts, rcosts, top_k)
             probes += probed
             merged += len(combos)
-            for (method, order, bucket, write_children), step in zip(rows, costs):
-                held = bucket.costs  # offer() updates it in place
+            for (method, order, held, kept, write_children), step in zip(rows, costs):
                 for combined, li, ri in combos:
                     total = combined + step + write_children
                     if len(held) < top_k or total < held[-1]:
-                        bucket.offer(total, DPEntry(total, order, (
+                        if len(held) == top_k:  # the worst makes room
+                            del held[-1], kept[-1]
+                        at = bisect_right(held, total)  # after equal costs
+                        held.insert(at, total)
+                        kept.insert(at, DPEntry(total, order, (
                             space, lentries[li], rentries[ri],
                             method, label, order_target,
                         )))

@@ -30,8 +30,9 @@ class TopKList(Generic[T]):
     Insertion is O(k) (the lists involved are tiny: ``k`` is the paper's
     ``c``, a small constant), and ties are broken by insertion order so
     results are deterministic.  ``costs`` and ``entries`` are the held
-    costs and items as parallel ascending lists — read-only views for
-    the DP's hot loop, which probes them in place.
+    costs and items as parallel ascending lists; the DP's hot loop
+    probes them and seats its candidates in them directly, by
+    :meth:`offer`'s rule (:meth:`~repro.optimizer.systemr.SystemRDP._offer_split`).
     """
 
     __slots__ = ("k", "costs", "entries")

@@ -198,8 +198,8 @@ CASES = [
     # DIST001: a coster reading a distribution's private support.
     pytest.param(
         "DIST001", "optimizer/costers.py",
-        "shape = (len(missing), memory.values.size)",
-        "shape = (len(missing), memory._values.size)",
+        "pages, row, probs = {}, memory.values[None, :], memory.probs",
+        "pages, row, probs = {}, memory._values[None, :], memory.probs",
         id="p1",
     ),
     # PLAN001: a hand-built join outside the plans layer.

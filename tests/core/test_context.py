@@ -179,23 +179,24 @@ class TestStepCostMemo:
     def test_batch_and_scalar_share_the_nested_memo(self, three_way_query):
         # The memo is prefix -> {(left, right): cost}; step_cost splits
         # its flat key at the last two elements, step_costs takes the
-        # prefix and the pairs apart.
+        # prefixes (one per formula of a column) and the pairs apart.
         ctx = OptimizationContext(three_way_query)
         prefix = ("point", 1200.0, "join", "GH", False, False)
         a, b, c = frozenset("R"), frozenset("S"), frozenset("T")
         asked = []
 
-        def compute(pairs):
+        def compute(missing):
+            (pairs,) = missing
             asked.append(list(pairs))
-            return [float(len(asked) * 10 + i) for i in range(len(pairs))]
+            return [[float(len(asked) * 10 + i) for i in range(len(pairs))]]
 
         assert ctx.step_cost(prefix + (a, b), lambda: 7.0) == 7.0
         # Half warm: (a, b) is read, (b, c) is computed once though it is
         # named twice, in first-appearance order.
-        got = ctx.step_costs(prefix, [(b, c), (a, b), (a, c), (b, c)], compute)
-        assert got == [10.0, 7.0, 11.0, 10.0]
+        got = ctx.step_costs([prefix], [(b, c), (a, b), (a, c), (b, c)], compute)
+        assert got == [[10.0, 7.0, 11.0, 10.0]]
         assert asked == [[(b, c), (a, c)]]
-        assert all(isinstance(cost, float) for cost in got)
+        assert all(isinstance(cost, float) for cost in got[0])
         # ... and what the batch stored the scalar path finds.
         assert ctx.step_cost(prefix + (a, c), lambda: pytest.fail("memoized")) == 11.0
         assert ctx.has_step_cost(prefix + (b, c))
@@ -210,7 +211,7 @@ class TestStepCostMemo:
         ctx = OptimizationContext(three_way_query)
         prefix = ("expected", "m", "join", "NL", False, False)
         pairs = [(frozenset("R"), frozenset("S")), (frozenset("S"), frozenset("T"))]
-        ctx.step_costs(prefix, pairs, lambda missing: [1.0] * len(missing))
+        ctx.step_costs([prefix], pairs, lambda missing: [[1.0] * len(missing[0])])
         ctx.step_cost(("expected", "m", "sort", frozenset("RS")), lambda: 2.0)
         ctx.step_cost(("expected", "m", "write", frozenset("RS")), lambda: 3.0)
         assert "entries=4," in repr(ctx)  # four costs under two prefixes

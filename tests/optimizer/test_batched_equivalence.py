@@ -9,10 +9,13 @@ reference the columns are held to:
     == [[coster.join_step_cost(m, l, r, phase, lps, rps) for l, r in pairs]
         for m in coster.methods]``
 
-bit for bit, with the same ``eval_count`` and the same ``step_costs``
-memo accounting — on a cold context, on a half-warm one and with
-pairs repeated inside a call — for every coster kind (algorithms A–D
-share them) and the dependent Bayes-net one.
+bit for bit, with the same ``eval_count``, the same ``step_costs``
+memo accounting and the same number of linear-time kernel evaluations
+— on a cold context, on a half-warm one, with pairs repeated inside a
+call, under a one-bucket memory, over a both-presorted sort-merge
+column (whose formula ignores memory), over one-pair columns and with
+a column's methods missing different pairs — for every coster kind
+(algorithms A–D share them) and the dependent Bayes-net one.
 
 The end-to-end cases this file used to run twice (once per evaluation
 path) are now plain golden pins: winner and ``repr(objective)`` as
@@ -71,6 +74,10 @@ def _queries():
 QUERIES = _queries()
 
 
+#: One memory bucket: a grid row per step is one formula value.
+ONE_BUCKET = DiscreteDistribution([1500.0], [1.0])
+
+
 def _net():
     net = DiscreteBayesNet()
     net.add_node("load", [0.0, 1.0], probs=[0.6, 0.4])
@@ -81,15 +88,26 @@ def _net():
     return net
 
 
+def _one_bucket_net():
+    net = DiscreteBayesNet()
+    net.add_node("M", [1500.0], probs=[1.0])
+    return net
+
+
 NET = _net()
 
 
-def _coster(kind: str):
+def _coster(kind: str, one_bucket: bool = False):
+    """A coster of ``kind``; with ``one_bucket`` its memory (or chain
+    state, or network memory variable) has a single value."""
+    memory = ONE_BUCKET if one_bucket else MEMORY
     if kind == "point":
         return PointCoster(1200.0)
     if kind == "expected":
-        return ExpectedCoster(MEMORY)
+        return ExpectedCoster(memory)
     if kind == "markov":
+        if one_bucket:
+            return MarkovCoster(MarkovParameter([1500.0], [1.0], [[1.0]]))
         chain = MarkovParameter(
             [300.0, 2000.0],
             [0.3, 0.7],
@@ -97,11 +115,11 @@ def _coster(kind: str):
         )
         return MarkovCoster(chain)
     if kind == "multiparam-fast":
-        return MultiParamCoster(MEMORY, fast=True)
+        return MultiParamCoster(memory, fast=True)
     if kind == "multiparam-naive":
-        return MultiParamCoster(MEMORY, fast=False)
+        return MultiParamCoster(memory, fast=False)
     if kind == "bayesnet":
-        return BayesNetCoster(NET)
+        return BayesNetCoster(_one_bucket_net() if one_bucket else NET)
     raise AssertionError(kind)
 
 
@@ -161,14 +179,15 @@ def _steps(methods, columns):
     ]
 
 
-def _bound(kind: str, query):
-    coster = _coster(kind)
+def _bound(kind: str, query, one_bucket: bool = False):
+    coster = _coster(kind, one_bucket)
     coster.bind(query, OptimizationContext(query))
     return coster
 
 
-def _assert_batch_is_the_scalar_loop(kind, query, columns, warm=()):
-    batch, scalar = _bound(kind, query), _bound(kind, query)
+def _assert_batch_is_the_scalar_loop(kind, query, columns, warm=(), one_bucket=False):
+    batch = _bound(kind, query, one_bucket)
+    scalar = _bound(kind, query, one_bucket)
     for coster in (batch, scalar):
         for step in warm:
             coster.join_step_cost(*step)
@@ -181,9 +200,14 @@ def _assert_batch_is_the_scalar_loop(kind, query, columns, warm=()):
         assert got == want  # floats compared exactly: bit for bit
         assert all(isinstance(cost, float) for costs in got for cost in costs)
         assert batch.cost_model.eval_count == scalar.cost_model.eval_count
+        # The memo layers the two paths share: every step lookup, and every
+        # linear-time kernel evaluation (a column looks up each subset's
+        # pages or distribution once, so those layers count differently).
+        got_stats, want_stats = batch.context.stats(), scalar.context.stats()
+        assert got_stats["step_costs"] == want_stats["step_costs"]
         assert (
-            batch.context.stats()["step_costs"]
-            == scalar.context.stats()["step_costs"]
+            got_stats["batched_joins"]["misses"]
+            == want_stats["batched_joins"]["misses"]
         )
 
 
@@ -217,15 +241,54 @@ class TestBatchContract:
             kind, query, doubled, warm=_steps(METHODS, columns)[1::4]
         )
 
+    def test_single_bucket_memory(self, kind, flat_phase):
+        # The memory row is (1, 1): every grid is one column wide.
+        query = QUERIES[1]
+        _assert_batch_is_the_scalar_loop(
+            kind, query, _columns(query, flat_phase), one_bucket=True
+        )
+
+    def test_both_presorted_sort_merge_column(self, kind, flat_phase):
+        # Sort-merge over two presorted inputs ignores memory, so its
+        # broadcast result is (n, 1) -- which still costs n·b_M formula
+        # evaluations, as the scalar loop counts them.
+        query = QUERIES[2]
+        columns = [c for c in _columns(query, flat_phase) if c[1] and c[2]]
+        assert columns
+        _assert_batch_is_the_scalar_loop(kind, query, columns)
+
+    def test_one_pair_columns(self, kind, flat_phase):
+        query = QUERIES[3]
+        columns = [
+            (phase, lps, rps, pairs[:1])
+            for phase, lps, rps, pairs in _columns(query, flat_phase)
+        ]
+        _assert_batch_is_the_scalar_loop(kind, query, columns)
+
+    def test_methods_missing_different_pairs(self, kind, flat_phase):
+        # The first method is primed through the scalar join_step_cost
+        # on every other pair, the others on none: within each column the
+        # methods miss different pairs, and each costs only its own.
+        query = QUERIES[3]
+        columns = _columns(query, flat_phase)
+        warm = [
+            (METHODS[0], left, right, phase, lps, rps)
+            for phase, lps, rps, pairs in columns
+            for left, right in pairs[::2]
+        ]
+        _assert_batch_is_the_scalar_loop(kind, query, columns, warm=warm)
+
 
 def test_flat_phase_groups_reach_the_array_path():
     # What makes the "flat" half of the matrix mean something: one
-    # call's pairs outnumber PointCoster's small-group cut-off.
+    # call's pairs outnumber PointCoster's small-group cut-off -- and
+    # the "phased" half keeps columns under it (12 and 14 pairs against
+    # a cut-off of 19), so the matrix reaches both paths.
     from repro.optimizer.costers import _MIN_VECTOR_STEPS
 
     flat, phased = _columns(QUERIES[0], True), _columns(QUERIES[0], False)
     assert min(len(pairs) for *_, pairs in flat) >= _MIN_VECTOR_STEPS
-    assert max(len(pairs) for *_, pairs in phased) < _MIN_VECTOR_STEPS
+    assert min(len(pairs) for *_, pairs in phased) < _MIN_VECTOR_STEPS
 
 
 @pytest.mark.parametrize("flags", FLAGS)
@@ -259,35 +322,38 @@ def test_point_list_and_array_calls_meet_at_the_threshold(monkeypatch, flags):
 def test_a_naive_multiparam_level_mixes_presorted_and_unsorted_sort_merge(
     monkeypatch, half_warm
 ):
-    # Non-fast Algorithm D costs an unsorted column through one batched
-    # naive grid per method -- over one pair too -- and the presorted
-    # columns of the same level through the order-aware per-step route.
-    from repro.optimizer import costers
+    # Non-fast Algorithm D costs an unsorted column through one naive
+    # grid, built once, costed once per method -- over one pair too --
+    # and the presorted columns of the same level through the
+    # order-aware per-step route.
+    from repro.core.expected_cost import NaiveGrid
 
     query = QUERIES[2]
     columns = [c for c in _columns(query, False) if c[0] == 1]
     assert [(lps, rps) for _, lps, rps, _ in columns] == FLAGS
     pairs = columns[0][3]
     calls = []
-    real = costers.expected_join_costs_naive_model_many
+    real = NaiveGrid.costs
 
-    def counting(cost_model, method, pairs, memory):
-        calls.append((method, len(pairs)))
-        return real(cost_model, method, pairs, memory)
+    def counting(grid, cost_model, method):
+        calls.append((method, grid.shape[0], id(grid)))
+        return real(grid, cost_model, method)
 
-    monkeypatch.setattr(costers, "expected_join_costs_naive_model_many", counting)
+    monkeypatch.setattr(NaiveGrid, "costs", counting)
     # Every other pair's steps are memoized, under every method and flag.
     warmed = pairs[1::2] if half_warm else []
     warm = [s for s in _steps(METHODS, columns) if s[1:3] in warmed]
     _assert_batch_is_the_scalar_loop("multiparam-naive", query, columns, warm=warm)
-    # One call per method, none for a presorted column, only what the memo lacks.
-    assert calls == [(m, len(pairs) - len(warmed)) for m in METHODS]
+    # One call per method on one grid, none for a presorted column, only
+    # what the memo lacks.
+    assert [call[:2] for call in calls] == [(m, len(pairs) - len(warmed)) for m in METHODS]
+    assert len({call[2] for call in calls}) == 1
 
     calls.clear()
     _assert_batch_is_the_scalar_loop(
         "multiparam-naive", query, [(1, False, False, pairs[:1])]
     )
-    assert calls == [(m, 1) for m in METHODS]
+    assert [call[:2] for call in calls] == [(m, 1) for m in METHODS]
 
 
 def test_an_empty_batch_is_an_empty_list():

@@ -121,3 +121,50 @@ class TestMergeTopCombinations:
         res = merge_top_combinations(left, right, c)
         assert res.probes <= c + c * math.log(c) + 1e-9
         assert res.probes <= c * c
+
+
+class TestInPlaceAdmission:
+    """``SystemRDP._offer_split`` seats a candidate in its bucket's cost
+    and entry lists itself, without :meth:`TopKList.offer`; the lists it
+    leaves must be the ones ``offer`` leaves, ties settled by arrival."""
+
+    @staticmethod
+    def _engine(k: int):
+        from repro.optimizer.costers import PointCoster
+        from repro.optimizer.systemr import SystemRDP
+        from repro.plans.properties import JoinMethod
+
+        engine = SystemRDP(PointCoster(1000.0), top_k=k)
+        engine._writes = {1: 0.0, 2: 0.0}
+        engine._methods = [(JoinMethod.GRACE_HASH, False)]
+        return engine
+
+    @given(
+        stream=st.lists(
+            st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 7.25]), min_size=1, max_size=4),
+            max_size=30,
+        ),
+        k=st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_offer(self, stream, k):
+        # Each split's left input holds its costs ascending, the right one
+        # a single 0.0 and the step costs 0.0: its candidates' totals are
+        # exactly the left costs, arriving in Proposition 3.1 probe order,
+        # each tagged by the left entry it joins.
+        engine, buckets, reference = self._engine(k), {}, TopKList(k)
+        split = (1, 2, "p", None, (None,), 0.0)
+        for s, costs in enumerate(stream):
+            costs = sorted(costs)
+            tags = [f"{s}.{i}" for i in range(len(costs))]
+            steps = {(1, 2): [[(False, costs, tags), (False, [0.0], ["r"]), (0.0,)]]}
+            engine._offer_split(split, {}, steps, buckets)
+            for total, i, _ in merge_top_combinations(costs, [0.0], k).combinations:
+                reference.offer(total, tags[i])
+        if not stream:
+            assert buckets == {}
+            return
+        held = buckets[None]
+        assert held.costs == reference.costs
+        assert [entry.cost for entry in held.entries] == reference.costs
+        assert [entry.source[1] for entry in held.entries] == reference.entries
