@@ -23,6 +23,7 @@ from repro.serving.service import (
     RUNG_COARSE,
     RUNG_FULL,
     RUNG_LSC,
+    Ladder,
     LatencyEstimator,
     OptimizeRequest,
     OptimizerService,
@@ -95,14 +96,15 @@ def test_degradation_under_deadline_pressure_stays_within_budget():
         est.record(RUNG_FULL, "expected", n_rels, 60.0)
         est.record(RUNG_COARSE, "expected", n_rels, 60.0)
     deadline = 10.0  # generous wall-clock; tiny vs the 60s estimates
-    with OptimizerService(estimator=est, cache=False) as svc:
-        t0 = time.perf_counter()
-        results = [
-            svc.optimize(q, "lec", memory=memory, deadline=deadline)
-            for q in queries
-        ]
-        elapsed = time.perf_counter() - t0
-        snap = svc.metrics_snapshot()
+    ladder = Ladder(estimator=est)
+    t0 = time.perf_counter()
+    results = [
+        ladder.run(OptimizeRequest(query=q, objective="lec", memory=memory,
+                                   deadline=deadline))
+        for q in queries
+    ]
+    elapsed = time.perf_counter() - t0
+    snap = ladder.metrics.snapshot()
     assert all(r.rung == RUNG_LSC for r in results)
     assert all(r.latency <= deadline for r in results)
     assert not any(r.deadline_exceeded for r in results)
@@ -115,12 +117,12 @@ def test_degradation_under_deadline_pressure_stays_within_budget():
 
 
 def test_bench_cold_serving(benchmark):
-    """Baseline: the repeated workload with the cache disabled."""
+    """Baseline: the repeated workload through the ladder alone, no tier."""
     _, memory, requests = _workload(n_distinct=2, repeats=3)
 
     def run():
-        with OptimizerService(max_workers=1, cache=False) as svc:
-            return svc.optimize_batch(requests)
+        ladder = Ladder()
+        return [ladder.run(request) for request in requests]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     assert not any(r.cache_hit for r in results)

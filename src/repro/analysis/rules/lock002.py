@@ -1,8 +1,8 @@
 """LOCK002 — interprocedural lock-order discipline for the serving tiers.
 
 The serving and cluster tiers hold several in-process ``threading``
-locks (the plan-cache lock, the service's version/pending locks, the
-metrics locks), and one whole-program invariant keeps them sane: **no
+locks (the plan tier's lock, the service's pending lock, the metrics
+locks), and one whole-program invariant keeps them sane: **no
 cycles** in the lock-acquisition graph — if some path acquires ``A``
 then ``B`` and another acquires ``B`` then ``A``, two threads can
 deadlock.

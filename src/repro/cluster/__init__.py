@@ -1,13 +1,14 @@
 """``repro.cluster``: the sharded multi-process serving tier.
 
-Scales :class:`~repro.serving.service.OptimizerService` past the GIL:
-an asyncio :class:`~repro.cluster.gateway.ClusterGateway` names each
-request, answers it from the cluster's one version-fenced plan tier
-(:class:`~repro.cluster.shared_cache.SharedPlanTier`, an LRU inside the
-gateway) when it is a repeat, and otherwise coalesces and routes it to
-one of N cache-less worker processes (fingerprint-hash sharding), with
-:class:`~repro.cluster.admission.AdmissionController` shedding load
-onto the full→coarse→LSC degradation ladder before deadlines blow.
+Serves past one process's GIL: an asyncio
+:class:`~repro.cluster.gateway.ClusterGateway` names each request,
+answers it from the cluster's version-fenced plan tier (the gateway's
+:class:`~repro.serving.plan_cache.PlanCache`) when it is a repeat, and
+otherwise coalesces and routes it to one of N worker processes, one per
+shard (fingerprint-hash sharding), each running the full→coarse→LSC
+degradation ladder (:class:`~repro.serving.service.Ladder`) and holding
+no plan, with :class:`~repro.cluster.admission.AdmissionController`
+shedding load onto that ladder before deadlines blow.
 
 ``python -m repro.cluster`` replays a Zipf workload and reports
 throughput, p50/p99, the tier's hit share and the rung distribution.

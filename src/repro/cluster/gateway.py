@@ -1,17 +1,18 @@
 """The cluster gateway: one asyncio front end over N worker processes.
 
-``repro.serving`` scales to many *threads*, but CPU-bound LEC dynamic
+``repro.serving`` serves from many *threads*, but CPU-bound LEC dynamic
 programming holds the GIL, so one process optimizes at roughly one
-core.  The gateway breaks that ceiling: each request is validated and
-named (:meth:`OptimizeRequest.cache_key`), answered on the spot when the
-cluster's one plan tier
-(:class:`~repro.cluster.shared_cache.SharedPlanTier`) already holds its
-plan, and otherwise **coalesced** (concurrent duplicates share one
+core.  The gateway runs one worker process per shard instead: each
+request is validated and named (:meth:`OptimizeRequest.cache_key`),
+answered on the spot when the cluster's plan tier
+(:attr:`ClusterGateway.shared_tier`, a
+:class:`~repro.serving.plan_cache.PlanCache`) already holds its plan,
+and otherwise **coalesced** (concurrent duplicates share one
 optimization), admitted or shed by the
 :class:`~repro.cluster.admission.AdmissionController`, and **routed by
-fingerprint hash** to a fixed worker process, each an independent,
-cache-less :class:`~repro.serving.service.OptimizerService` on its own
-core.
+fingerprint hash** to a fixed worker process, which runs the
+degradation ladder (:class:`~repro.serving.service.Ladder`) and holds
+no plan.
 
 The gateway itself does no optimization and no plan decoding — a hit
 hands out the stored plan document, a miss shuffles frames.  A hit runs
@@ -32,13 +33,14 @@ Reliability model
 * A worker is one thread: requests are answered in the order sent and
   a ``ping`` between two of them, never during one; its ``queue_depth``
   is always 0 (admission counts ``shard.pending`` here).
-* The version fence lives in one place.  A catalog/feedback mutation
-  seen by ``_refresh_version`` moves ``_last_version`` and empties the
-  tier in the same synchronous step on the loop thread, and a worker
-  reply is stored only while the key it was asked under still carries
-  ``_last_version`` — a reply that lands after a bump reaches its
-  caller and is not kept.  A stale plan is never served, by
-  construction on one thread.
+* The version fence lives in the tier, as it does in process.  A
+  catalog/feedback mutation seen while naming a request moves the
+  tier's fence and empties it in one call
+  (:meth:`~repro.serving.plan_cache.PlanCache.invalidate_stale`), before
+  any lookup and with no suspension point in between; the tier refuses
+  to store a reply whose key is fenced at another version, so a reply
+  that lands after a bump reaches its caller and is not kept.  A stale
+  plan is never served.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..costmodel.model import CostModel
 from ..optimizer.errors import OptimizerConfigError
 from ..plans.nodes import Plan
-from ..serving.plan_cache import PlanCacheKey
+from ..serving.plan_cache import PlanCache, PlanCacheKey
 from ..serving.service import RUNG_FULL, OptimizeRequest
 from ..tools.serialize import plan_from_dict, query_to_dict
 from .admission import SHED, AdmissionController, AdmissionDecision
@@ -66,7 +68,7 @@ from .protocol import (
     encode_frame,
     encode_request,
 )
-from .shared_cache import SharedPlanTier, fingerprint_digest
+from .shared_cache import fingerprint_digest
 from .worker import WorkerConfig, worker_main
 
 __all__ = ["ClusterResult", "ClusterGateway", "GatewayError"]
@@ -163,7 +165,7 @@ class ClusterGateway:
     Parameters
     ----------
     shards:
-        Number of worker processes (≈ cores to spend on optimization).
+        Number of worker processes, one per shard.
     catalog_sources:
         Version-carrying catalog objects (``StatisticsCatalog``,
         ``SelectivityFeedback``) — the gateway watches their versions;
@@ -202,7 +204,8 @@ class ClusterGateway:
         self.max_retries = max_retries
 
         self._ctx = _preferred_context()
-        self.shared_tier = SharedPlanTier(max_entries=shared_max_entries)
+        self.shared_tier = PlanCache(max_entries=shared_max_entries)
+        self.shared_tier.invalidate_stale(tuple(int(s.version) for s in self._sources))
         #: query fingerprint -> shard index (see :meth:`shard_for`).
         self._routes: Dict[Tuple, int] = {}
         #: query object -> its wire document; never by fingerprint (``np.allclose`` equality).
@@ -213,7 +216,6 @@ class ClusterGateway:
         self._ping_ids = itertools.count(1)
         # Workers serve the default cost model; only its key is read here.
         self._cost_model = CostModel()
-        self._last_version = self._current_version()
         self._started = False
         self._closing = False
 
@@ -323,13 +325,8 @@ class ClusterGateway:
             if pending is None:
                 return  # replayed request answered twice; first wins
             self._inflight.pop(pending.key, None)
-            if (
-                mtype == "result"
-                and message.get("rung") == RUNG_FULL
-                # A reply that lands after a bump reaches its caller but
-                # is not kept: its key names a world that is gone.
-                and pending.key.catalog_version == self._last_version
-            ):
+            if mtype == "result" and message.get("rung") == RUNG_FULL:
+                # Refused if the fence moved since the request was named.
                 self.shared_tier.put(
                     pending.key, message["plan"], message["objective_value"],
                     message["objective"], shard.index,
@@ -458,29 +455,6 @@ class ClusterGateway:
             shard.ping_waiters.pop(seq, None)
 
     # ------------------------------------------------------------------
-    # Version fence
-    # ------------------------------------------------------------------
-
-    def _current_version(self) -> Tuple[int, ...]:
-        return tuple(int(s.version) for s in self._sources)
-
-    def _refresh_version(self) -> Tuple[int, ...]:
-        """The current fence; moving it empties the tier in the same step.
-
-        Synchronous on purpose: between the move and the purge there is
-        no suspension point at which another request could look the tier
-        up, so a plan fenced at an older version is never handed out.
-        """
-        current = self._current_version()
-        if current != self._last_version:
-            self._last_version = current
-            self.metrics.registry.counter(
-                "cluster.catalog_invalidations"
-            ).increment()
-            self.shared_tier.invalidate_stale(current)
-        return current
-
-    # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
 
@@ -505,14 +479,19 @@ class ClusterGateway:
         """Validate one request and name its answer at the current fence.
 
         Raises before anything is registered, so a malformed request
-        leaves no trace.
+        leaves no trace.  A moved catalog version moves the tier's fence
+        first, synchronously: no request can look the tier up in between.
         """
         if request.cost_model is not None:
             raise OptimizerConfigError(
                 "the cluster tier serves the default cost model; "
                 "per-request cost models do not cross the wire yet"
             )
-        return request.cache_key(self._refresh_version(), self._cost_model)
+        tier, version = self.shared_tier, tuple(int(s.version) for s in self._sources)
+        if version != tier.version:
+            tier.invalidate_stale(version)
+            self.metrics.registry.counter("cluster.catalog_invalidations").increment()
+        return request.cache_key(version, self._cost_model)
 
     async def optimize(self, request: Optional[OptimizeRequest] = None,
                        **kwargs) -> ClusterResult:

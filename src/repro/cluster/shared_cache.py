@@ -1,19 +1,13 @@
-"""The cluster's one plan tier: a version-fenced LRU inside the gateway.
+"""The cluster's routing digests, and the name its plan tier once had.
 
-A repeat request is answered where it is recognised.  The gateway
-already validates every request and names its answer with a
-:class:`~repro.serving.plan_cache.PlanCacheKey`; :class:`SharedPlanTier`
-maps that key to the reply a worker once produced for it — the plan
-*document* exactly as it came off the wire, never decoded here — so a
-hit needs no worker, no frame and no digest.  The tier lives on the
-gateway's event-loop thread and is touched from nowhere else, which is
-why it carries no lock: "a stale plan is never served" holds because
-the fence moves and the tier empties in the same synchronous step
-(:meth:`SharedPlanTier.invalidate_stale`, called by the gateway's
-``_refresh_version`` before any ``await``).
-
-``"shared"`` keeps meaning *the tier every shard shares*: whichever
-worker produced a plan, the next request for it is served from here.
+The cluster keeps its plans in the one plan tier,
+:class:`~repro.serving.plan_cache.PlanCache`, owned by the gateway
+(``ClusterGateway.shared_tier``): a repeat request is answered there,
+before a frame is written, from the plan document a worker once sent
+back.  ``"shared"`` keeps meaning *the tier every shard shares*:
+whichever worker produced a plan, the next request for it is served
+from the gateway.  :data:`SharedPlanTier` is that class under its old
+name, kept because the frozen benchmark's trace table names it.
 
 The two digests are what is left of the cross-process keys:
 :func:`fingerprint_digest` still picks the shard that optimizes a miss
@@ -28,12 +22,11 @@ stays because the frozen benchmark's trace table names it (ROADMAP,
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Tuple
 
 from ..core.distributions import DiscreteDistribution
 from ..plans.query import IndexInfo
-from ..serving.plan_cache import PlanCacheKey
+from ..serving.plan_cache import PlanCache, PlanCacheKey
 
 __all__ = [
     "cache_key_digest",
@@ -82,64 +75,5 @@ def fingerprint_digest(fingerprint: Tuple) -> str:
     return _digest(fingerprint)
 
 
-class StoredPlan(NamedTuple):
-    """What a full-rung worker reply leaves behind for the next request."""
-
-    plan_doc: Dict[str, Any]  # the `tools.serialize` document, as received
-    objective_value: float
-    objective: str  # canonical objective kind ("expected", "point", ...)
-    shard: int  # the shard that produced it
-
-
-class SharedPlanTier:
-    """LRU of worker replies keyed by :class:`PlanCacheKey`.
-
-    Single-threaded by contract (the gateway's event loop owns it), so
-    there is no lock.  The catalog-version fence rides inside every key:
-    an entry fenced at another version can never hit, and
-    :meth:`invalidate_stale` reclaims such entries the moment the fence
-    moves.
-    """
-
-    def __init__(self, max_entries: int = 4096):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[PlanCacheKey, StoredPlan]" = OrderedDict()
-        self._invalidations = 0
-
-    def get(self, key: PlanCacheKey) -> Optional[StoredPlan]:
-        """The stored reply for ``key`` (now most recently used), or None."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: PlanCacheKey, plan_doc: Dict[str, Any],
-            objective_value: float, objective: str, shard: int) -> None:
-        """Store one reply; the least recently used entries make room."""
-        self._entries[key] = StoredPlan(
-            plan_doc, float(objective_value), objective, shard
-        )
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def invalidate_stale(self, current_version: Tuple) -> int:
-        """Drop every entry fenced at another catalog version; how many."""
-        current = tuple(current_version)
-        stale = [k for k in self._entries if k.catalog_version != current]
-        for key in stale:
-            del self._entries[key]
-        self._invalidations += len(stale)
-        return len(stale)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> Dict[str, int]:
-        """What only the tier knows (the gateway counts hits per request)."""
-        return {
-            "invalidations": self._invalidations,
-            "entries": len(self._entries),
-        }
+#: The one plan tier under the name the frozen trace table resolves.
+SharedPlanTier = PlanCache

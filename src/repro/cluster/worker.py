@@ -1,24 +1,21 @@
-"""One cluster shard: a process hosting an ``OptimizerService``.
+"""One cluster shard: a process that runs the degradation ladder.
 
-Each worker owns the PR 2 serving stack —
-:class:`~repro.serving.service.OptimizerService` with its deadline
-ladder, EWMA latency estimates and metrics — and **no plan cache**: the
-cluster's one tier lives in the gateway
-(:class:`~repro.cluster.shared_cache.SharedPlanTier`), which answers
-every repeat request before a frame is written, so what reaches a worker
-is by construction something the cluster does not have.  Being a
-separate *process*, its CPU-bound dynamic programming runs on its own
-core, which is the entire point: N shards ≈ N cores of optimization
-throughput instead of one GIL's worth.
+Each worker runs :class:`~repro.serving.service.Ladder` — the deadline
+ladder with its EWMA latency estimates and metrics — on every request
+it reads, and holds **no plan**: the cluster's one plan tier lives in
+the gateway (``ClusterGateway.shared_tier``), which answers every repeat
+request before a frame is written, so what reaches a worker is by
+construction something the cluster does not have.  There is one worker
+process per shard, so its CPU-bound dynamic programming runs outside
+the gateway's interpreter and its GIL.
 
 The worker speaks the :mod:`repro.cluster.protocol` frame protocol over
 a socket inherited from the gateway, on **one thread**: the loop that
-read a request's frame runs it through ``OptimizerService.execute`` and
-writes the reply itself, in arrival order (shards are the unit of
-parallelism; a second DP thread under one GIL buys nothing).  A ``ping``
-is therefore answered *between* requests, never during one, and its
-``queue_depth`` is 0 by construction — admission reads the gateway's
-own ``pending``.
+read a request's frame runs it through ``Ladder.run`` and writes the
+reply itself, in arrival order (shards are the unit of parallelism; a
+second DP thread under one GIL buys nothing).  A ``ping`` is therefore
+answered *between* requests, never during one, and its ``queue_depth``
+is 0 by construction — admission reads the gateway's own ``pending``.
 
 What a worker holds is **warmth, not answers**: a bounded LRU
 (:func:`recall`) from a request frame's bytes after its head to the request
@@ -37,7 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.context import OptimizationContext
-from ..serving.service import OptimizeRequest, OptimizerService, ServingResult
+from ..serving.service import Ladder, OptimizeRequest, ServingResult
 from ..tools.serialize import plan_to_dict
 from .protocol import (
     ProtocolError,
@@ -58,7 +55,7 @@ REMEMBERED_REQUESTS = 256
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a worker needs to build its serving stack."""
+    """Everything a worker needs to build its ladder."""
 
     shard_id: int
     coarse_buckets: int = 3
@@ -115,13 +112,11 @@ def worker_main(sock, config: WorkerConfig) -> None:
 
     rfile = sock.makefile("rb")
     wfile = sock.makefile("wb")
-    service = OptimizerService(
-        cache=None,
-        coarse_buckets=config.coarse_buckets,
-        default_deadline=config.default_deadline,
-    )
+    ladder = Ladder(coarse_buckets=config.coarse_buckets,
+                    default_deadline=config.default_deadline)
     memo: "OrderedDict[bytes, OptimizeRequest]" = OrderedDict()
-    remembered = service.metrics.counter("serving.requests_remembered")
+    requests = ladder.metrics.counter("serving.requests")
+    remembered = ladder.metrics.counter("serving.requests_remembered")
 
     try:
         while True:
@@ -140,7 +135,8 @@ def worker_main(sock, config: WorkerConfig) -> None:
                     request, known = recall(memo, message, key)
                     if known:
                         remembered.increment()
-                    reply = _result_message(request_id, service.execute(request))
+                    requests.increment()
+                    reply = _result_message(request_id, ladder.run(request))
                 except Exception as exc:  # answered, not fatal
                     reply = {
                         "type": "error", "id": request_id,
@@ -154,7 +150,7 @@ def worker_main(sock, config: WorkerConfig) -> None:
                     "seq": message.get("seq"),
                     "shard": config.shard_id,
                     "queue_depth": 0,  # requests run here: none can be waiting
-                    "metrics": service.metrics_snapshot(),
+                    "metrics": ladder.metrics.snapshot(),
                 })
 
             elif mtype == "shutdown":
@@ -166,7 +162,6 @@ def worker_main(sock, config: WorkerConfig) -> None:
     except OSError:
         pass  # gateway hung up mid-send; nobody is left to answer
     finally:
-        service.close()
         try:
             wfile.close()
             rfile.close()

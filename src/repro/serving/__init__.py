@@ -1,17 +1,19 @@
-"""Plan serving: cache + concurrent optimization with deadlines.
+"""Plan serving: one plan tier and one degradation ladder, under deadlines.
 
 The library below this package is a synchronous optimizer; this package
 is the layer a production system would put in front of it:
 
-* :class:`~repro.serving.plan_cache.PlanCache` — thread-safe LRU of
-  serialized optimized plans, keyed by (query fingerprint, objective,
-  cost-model config, memory input, catalog version), so catalog
-  mutations and cardinality feedback can never leak a stale plan;
+* :class:`~repro.serving.plan_cache.PlanCache` — the one plan tier, a
+  thread-safe LRU of plan documents keyed by (query fingerprint,
+  objective, cost-model config, memory input, catalog version) that owns
+  the catalog fence; the cluster gateway keeps its plans in one too;
+* :class:`~repro.serving.service.Ladder` — the degradation ladder (full
+  objective → coarser bucketing → LSC point estimate), what a cluster
+  worker runs;
 * :class:`~repro.serving.service.OptimizerService` — a thread-pooled
-  front end with per-request deadlines and a graceful-degradation
-  ladder (full objective → coarser bucketing → LSC point estimate);
+  in-process front end: the tier, and the ladder on a miss;
 * :class:`~repro.serving.metrics.MetricsRegistry` — counters and
-  latency histograms (hit rate, fallbacks, p50/p95) shared by both.
+  latency histograms shared by both.
 
 ``python -m repro.serving`` replays a synthetic workload through the
 service and prints cold- vs warm-cache throughput and the metrics
@@ -19,11 +21,12 @@ snapshot.
 """
 
 from .metrics import Counter, LatencyHistogram, MetricsRegistry
-from .plan_cache import CachedPlan, PlanCache, PlanCacheKey, memory_key
+from .plan_cache import PlanCache, PlanCacheKey, StoredPlan, memory_key
 from .service import (
     RUNG_COARSE,
     RUNG_FULL,
     RUNG_LSC,
+    Ladder,
     LatencyEstimator,
     OptimizeRequest,
     OptimizerService,
@@ -34,10 +37,11 @@ __all__ = [
     "Counter",
     "LatencyHistogram",
     "MetricsRegistry",
-    "CachedPlan",
     "PlanCache",
     "PlanCacheKey",
+    "StoredPlan",
     "memory_key",
+    "Ladder",
     "LatencyEstimator",
     "OptimizeRequest",
     "OptimizerService",

@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         warm_s = time.perf_counter() - t0
 
         snap = service.metrics_snapshot()
-        cache = service.cache.stats() if service.cache is not None else {}
+        cache = service.cache.stats()
 
     hits = sum(1 for r in results if r.cache_hit)
     rungs = {}
@@ -85,8 +85,7 @@ def main(argv=None) -> int:
           f"{hits}/{len(workload)} cache hits")
     if rungs:
         print(f"ladder rungs on misses: {rungs}")
-    if cache:
-        print(f"plan cache: {cache}")
+    print(f"plan cache: {cache}")
     lat = snap["histograms"].get("serving.latency.optimize", {})
     if lat.get("count"):
         print(f"optimize latency: p50 {lat['p50'] * 1e3:.1f} ms, "

@@ -159,19 +159,22 @@ class MetricsRegistry:
                 inst = self._histograms[name] = LatencyHistogram(max_samples)
             return inst
 
-    def snapshot(self) -> Dict[str, Dict]:
+    def snapshot(self, extra_counters: Optional[Dict[str, int]] = None) -> Dict[str, Dict]:
         """One nested dict of every instrument's current state.
 
         ``{"counters": {name: int}, "histograms": {name: {...}},
-        "derived": {...}}`` — ``derived`` holds ratios that only make
-        sense across instruments (currently the plan-cache hit rate,
-        when both cache counters exist).
+        "derived": {...}}`` — ``extra_counters`` (counts kept elsewhere,
+        such as a plan tier's) join the counters; ``derived`` holds ratios
+        that only make sense across counters (currently the plan-cache
+        hit rate, when both cache counters exist).
         """
         with self._lock:
             counters = dict(self._counters)
             histograms = dict(self._histograms)
+        values = {name: c.value for name, c in counters.items()}
+        values.update(extra_counters or {})
         out: Dict[str, Dict] = {
-            "counters": {name: c.value for name, c in sorted(counters.items())},
+            "counters": dict(sorted(values.items())),
             "histograms": {
                 name: h.snapshot() for name, h in sorted(histograms.items())
             },

@@ -1,10 +1,12 @@
-"""A thread-safe LRU cache of serialized optimized plans.
+"""The one plan tier: a locked LRU of plan documents that owns the catalog fence.
 
 The paper's compile-time/start-up split ("store these expected plans,
 for use at query execution time") becomes, in a serving context, a plan
-cache: once a query has been optimized under a given objective, cost
-model and catalog state, repeat arrivals of the same query should skip
-the Algorithm A-D machinery entirely and deserialize the stored winner.
+tier: once a query has been optimized under a given objective, cost
+model and catalog state, repeat arrivals of the same query skip the
+Algorithm A-D machinery entirely.  Both serving fronts keep their plans
+in a :class:`PlanCache`: ``OptimizerService.cache`` in process, and
+``ClusterGateway.shared_tier`` in front of the cluster's workers.
 
 Keys are exact, not fuzzy.  A :class:`PlanCacheKey` combines:
 
@@ -18,32 +20,33 @@ Keys are exact, not fuzzy.  A :class:`PlanCacheKey` combines:
 * the **cost-model configuration** (method set, pipelined methods);
 * the **catalog version** tuple — monotonically increasing counters
   from :class:`~repro.catalog.statistics.StatisticsCatalog` and
-  :class:`~repro.catalog.feedback.SelectivityFeedback`.  Any catalog
-  mutation or new feedback bumps a version, changing every key, so a
-  stale plan can never be served; :meth:`PlanCache.invalidate_stale`
-  additionally evicts the dead entries eagerly.
+  :class:`~repro.catalog.feedback.SelectivityFeedback`.
 
-Values are stored *serialized* (the `tools.serialize` wire format), and
-deserialized on every hit.  That keeps the cache process-external-ready
-(the value is exactly what a Redis/disk tier would hold) and gives each
-caller an independent plan object.
+The tier is fenced at one catalog version (:attr:`PlanCache.version`).
+:meth:`PlanCache.invalidate_stale` moves the fence and drops every entry
+fenced elsewhere in one step under the tier's lock, and
+:meth:`PlanCache.put` refuses a key fenced at any other version.  Since
+the version is part of every key, a stale plan can never be served;
+the fence also keeps an answer that finishes after a bump from taking
+an LRU slot it could never hit from.
+
+Values are plan *documents* (the `tools.serialize` wire format) — what a
+worker sends back, and what a Redis/disk tier would hold.  The service
+decodes one on every hit, so each caller gets its own plan tree; the
+gateway hands the stored document out as it is.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from ..core.distributions import DiscreteDistribution
 from ..core.markov import MarkovParameter
-from ..plans.nodes import Plan
-from ..tools.serialize import plan_from_dict, plan_to_dict
-from .metrics import MetricsRegistry
 
-__all__ = ["PlanCacheKey", "CachedPlan", "PlanCache", "memory_key"]
+__all__ = ["PlanCacheKey", "StoredPlan", "PlanCache", "memory_key"]
 
 
 def memory_key(memory) -> Tuple:
@@ -78,137 +81,75 @@ class PlanCacheKey(NamedTuple):
     catalog_version: Tuple
 
 
-@dataclass(frozen=True)
-class CachedPlan:
-    """A deserialized cache hit: the plan, its objective value, its rung.
+class StoredPlan(NamedTuple):
+    """One full-rung answer the tier keeps for the next request."""
 
-    ``tier`` names which cache tier satisfied the lookup — ``"hot"`` for
-    this in-process LRU.  (The cluster's gateway answers from its own
-    :class:`~repro.cluster.shared_cache.SharedPlanTier` and labels those
-    hits ``"shared"`` on its ``ClusterResult``; they never pass through
-    here.)
-    """
-
-    plan: Plan
+    plan_doc: Dict[str, Any]  # the `tools.serialize` document
     objective_value: float
-    rung: str
-    tier: str = "hot"
-
-
-@dataclass
-class _Entry:
-    plan_doc: Dict
-    objective_value: float
-    rung: str
+    objective: str  # canonical objective kind ("expected", "point", ...)
+    shard: int  # the cluster shard that produced it (0 in process)
 
 
 class PlanCache:
-    """Thread-safe LRU mapping :class:`PlanCacheKey` → serialized plan.
+    """Thread-safe LRU mapping :class:`PlanCacheKey` → :class:`StoredPlan`.
 
-    Parameters
-    ----------
-    max_entries:
-        Eviction threshold; least-recently-used entries beyond it are
-        dropped (and counted as evictions).
-    metrics:
-        Optional :class:`~repro.serving.metrics.MetricsRegistry`; when
-        given, hits/misses/evictions/invalidations are mirrored into
-        ``plan_cache.*`` counters so the service's snapshot sees them.
+    ``max_entries`` is the eviction threshold: least-recently-used
+    entries beyond it are dropped (and counted as evictions).  A fresh
+    tier is fenced at ``()``, the version of no catalog sources; its
+    owner moves the fence to its sources' version before the first
+    request.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self._metrics = metrics
-        self._entries: "OrderedDict[PlanCacheKey, _Entry]" = OrderedDict()
+        #: The catalog version every entry is fenced at.
+        self.version: Tuple = ()
+        self._entries: "OrderedDict[PlanCacheKey, StoredPlan]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
 
-    def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(f"plan_cache.{name}").increment()
-
-    # ------------------------------------------------------------------
-    # Core operations
-    # ------------------------------------------------------------------
-
-    def get(self, key: PlanCacheKey) -> Optional[CachedPlan]:
-        """Look up ``key``; a hit deserializes a fresh plan object."""
+    def get(self, key: PlanCacheKey) -> Optional[StoredPlan]:
+        """The stored answer for ``key`` (now most recently used), or None."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self._misses += 1
-                self._count("misses")
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            self._count("hits")
-            doc, value, rung = entry.plan_doc, entry.objective_value, entry.rung
-        # Deserialize outside the lock: each hit gets its own tree.
-        return CachedPlan(plan_from_dict(doc), value, rung)
+            return entry
 
-    def put(self, key: PlanCacheKey, plan: Plan, objective_value: float,
-            rung: str = "full") -> None:
-        """Store an optimized plan (serialized) under ``key``."""
-        entry = _Entry(plan_to_dict(plan), float(objective_value), rung)
+    def put(self, key: PlanCacheKey, plan_doc: Dict[str, Any],
+            objective_value: float, objective: str, shard: int = 0) -> None:
+        """Store one answer under ``key``, unless the key is fenced at
+        another version than the tier's: an answer that finishes after a
+        bump reaches its caller and is not kept."""
+        entry = StoredPlan(plan_doc, float(objective_value), objective, shard)
         with self._lock:
+            if key.catalog_version != self.version:
+                return
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-                self._count("evictions")
-
-    # ------------------------------------------------------------------
-    # Invalidation hooks
-    # ------------------------------------------------------------------
-
-    def invalidate(
-        self, predicate: Optional[Callable[[PlanCacheKey], bool]] = None
-    ) -> int:
-        """Drop entries matching ``predicate`` (all of them by default).
-
-        Returns how many entries were removed; each removal counts as an
-        invalidation in the stats.
-        """
-        with self._lock:
-            if predicate is None:
-                doomed = list(self._entries)
-            else:
-                doomed = [k for k in self._entries if predicate(k)]
-            for k in doomed:
-                del self._entries[k]
-            self._invalidations += len(doomed)
-        if self._metrics is not None and doomed:
-            self._metrics.counter("plan_cache.invalidations").increment(len(doomed))
-        return len(doomed)
 
     def invalidate_stale(self, current_version: Tuple) -> int:
-        """Evict every entry whose catalog version differs from current.
-
-        Version mismatch already guarantees such entries can never hit
-        (the version is part of the key); this hook reclaims their
-        memory eagerly and records the invalidation in the stats — the
-        wiring point for catalog-mutation and feedback events.
-        """
-        return self.invalidate(lambda k: k.catalog_version != current_version)
-
-    def clear(self) -> None:
-        """Drop everything without touching counters."""
+        """Move the fence to ``current_version`` and drop every entry fenced
+        at another version, in one step; returns how many were dropped."""
+        current = tuple(current_version)
         with self._lock:
-            self._entries.clear()
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
+            self.version = current
+            stale = [k for k in self._entries if k.catalog_version != current]
+            for key in stale:
+                del self._entries[key]
+            self._invalidations += len(stale)
+        return len(stale)
 
     def __len__(self) -> int:
         with self._lock:

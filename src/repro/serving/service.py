@@ -1,33 +1,16 @@
-"""`OptimizerService`: concurrent, deadline-aware plan serving.
+"""`OptimizerService` and the `Ladder`: deadline-aware plan serving.
 
-This is the front end a query-processing tier would actually call: a
-thread-pooled service wrapping :func:`repro.optimize` with
-
-* a **plan cache** (:class:`~repro.serving.plan_cache.PlanCache`) keyed
-  by query fingerprint, objective, cost-model configuration, memory
-  input and catalog version — repeat queries skip optimization
-  entirely;
-* **per-request deadlines** with a **graceful-degradation ladder**: the
-  full requested objective first, then the requested objective at
-  coarser bucketing (Algorithm A over a rebucketed memory distribution,
-  or Algorithm D in fast mode), and finally the classical LSC point
-  optimization — so a request always returns *some* plan, and the
-  cheapest rung is unconditionally run when nothing else fits the
-  budget.  Which rung answered is recorded on the result and in the
-  metrics;
-* a **latency estimator** (per rung × objective × query size EWMA) that
-  decides, before starting a rung, whether it can finish inside the
-  remaining budget — Python threads cannot be safely cancelled
-  mid-optimization, so the budget is enforced by *not starting* work
-  predicted to blow it, exactly the effort/quality trade that
-  probably-approximately-optimal optimization formalizes;
-* **metrics** (:class:`~repro.serving.metrics.MetricsRegistry`): request
-  and per-rung counters, degradation and deadline-miss counts, and
-  latency histograms with p50/p95.
-
-The degradation ladder never changes answers when there is no deadline
-pressure: with no deadline (or a generous one) the full rung runs and
-the result is bit-identical to calling :func:`repro.optimize` directly.
+:class:`OptimizerService` is the in-process front end a query-processing
+tier would call: a thread pool over :func:`repro.optimize` that answers
+a repeat request from the plan tier
+(:class:`~repro.serving.plan_cache.PlanCache`) and runs the
+:class:`Ladder` on a miss.  The ladder trades optimization effort for
+plan quality under a per-request deadline (full objective → coarser
+bucketing → LSC point estimate); a cluster worker runs the same ladder
+and holds no tier.  With no deadline (or a generous one) the full rung
+runs and the result is bit-identical to calling :func:`repro.optimize`
+directly.  Request, rung and deadline counters and latency histograms go
+to a :class:`~repro.serving.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -50,6 +33,7 @@ from ..optimizer.result import OptimizationResult
 from ..plans.nodes import Plan
 from ..plans.query import JoinQuery
 from ..plans.space import PlanSpace
+from ..tools.serialize import plan_from_dict, plan_to_dict
 from .metrics import MetricsRegistry
 from .plan_cache import PlanCache, PlanCacheKey, memory_key
 
@@ -57,6 +41,7 @@ __all__ = [
     "OptimizeRequest",
     "ServingResult",
     "LatencyEstimator",
+    "Ladder",
     "OptimizerService",
     "RUNG_FULL",
     "RUNG_COARSE",
@@ -122,13 +107,10 @@ class OptimizeRequest:
             self.include_mean,
         )
 
-    def cache_key(self, version: Tuple, cost_model: CostModel) -> PlanCacheKey:
-        """Validate the request and name its answer at catalog ``version``.
+    def kind(self) -> str:
+        """The canonical objective kind, once the request is known well-formed.
 
-        The one spelling of "is this request well-formed" and "which
-        cached plan answers it" for the service and the cluster gateway
-        (``key.objective`` is the canonical kind).  Raises
-        :class:`OptimizerConfigError` for an unknown objective or a
+        Raises :class:`OptimizerConfigError` for an unknown objective or a
         missing ``memory``, and :class:`MemoryTypeError` (a subclass) for
         a ``memory`` the objective does not take, as ``repro.optimize`` does.
         """
@@ -138,9 +120,16 @@ class OptimizeRequest:
                 f"objective {self.objective!r} requires the memory= argument"
             )
         check_memory(kind, self.memory)
+        return kind
+
+    def cache_key(self, version: Tuple, cost_model: CostModel) -> PlanCacheKey:
+        """Validate the request (:meth:`kind`) and name its answer at
+        catalog ``version``: the one spelling of "which stored plan
+        answers it" for the service and the cluster gateway
+        (``key.objective`` is the canonical kind)."""
         return PlanCacheKey(
             fingerprint=query_fingerprint(self.query),
-            objective=kind,
+            objective=self.kind(),
             model_key=model_key(cost_model),
             memory=memory_key(self.memory),
             knobs=self.knobs(),
@@ -161,7 +150,7 @@ class ServingResult:
     deadline: Optional[float] = None
     deadline_exceeded: bool = False
     skipped_rungs: Tuple[str, ...] = ()
-    cache_tier: Optional[str] = None  # "hot" (this service's LRU) on a hit, else None
+    cache_tier: Optional[str] = None  # "hot" (this service's tier) on a hit, else None
 
     @property
     def degraded(self) -> bool:
@@ -172,7 +161,7 @@ class ServingResult:
 class LatencyEstimator:
     """EWMA latency estimates per (rung, objective, query size).
 
-    The service consults this *before* starting a rung: optimization
+    The ladder consults this *before* starting a rung: optimization
     cannot be interrupted mid-flight, so deadline enforcement means
     predicting whether a rung fits the remaining budget.  Unknown rungs
     are treated optimistically on a cold start (attempted), but once the
@@ -221,28 +210,30 @@ class LatencyEstimator:
         return out
 
 
-class OptimizerService:
-    """Concurrent plan-serving facade over :func:`repro.optimize`.
+class Ladder:
+    """The degradation ladder: one request's rungs, best quality first.
+
+    The full requested objective, then the requested objective at coarser
+    bucketing (Algorithm A over a rebucketed memory distribution, or
+    Algorithm D in fast mode), then the classical LSC point optimization.
+    :meth:`run` starts the first rung the :class:`LatencyEstimator`
+    predicts will finish inside the remaining deadline — Python threads
+    cannot be cancelled mid-optimization, so the budget is enforced by
+    *not starting* work predicted to blow it, the effort/quality trade
+    that probably-approximately-optimal optimization formalizes.  The
+    last rung always runs, so a request always gets a plan.  The ladder
+    holds no plan: ``OptimizerService.execute`` runs it after a tier
+    miss, and a cluster worker on every request it reads.
 
     Parameters
     ----------
-    max_workers:
-        Thread-pool size for :meth:`submit`/:meth:`optimize_batch`.
-    cache:
-        A :class:`PlanCache`, ``None``/``False`` to disable caching, or
-        ``True`` (default) for a fresh cache wired to this service's
-        metrics.
     metrics:
-        Shared :class:`MetricsRegistry` (fresh one by default).
-    catalog_sources:
-        Objects carrying a monotonically increasing ``version``
-        attribute (``StatisticsCatalog``, ``SelectivityFeedback``).
-        Their combined version is part of every cache key; when it
-        changes, stale entries are eagerly invalidated.
-    default_deadline:
-        Budget (seconds) applied to requests that do not set their own.
+        :class:`MetricsRegistry` for the rung, skip, degradation and
+        deadline counters and the optimize latency (fresh by default).
     coarse_buckets:
         Bucket cap used by the degraded "coarse" rung.
+    default_deadline:
+        Budget (seconds) applied to requests that do not set their own.
     estimator:
         Custom :class:`LatencyEstimator` (tests use this to force
         deterministic skip decisions).
@@ -250,8 +241,169 @@ class OptimizerService:
 
     def __init__(
         self,
+        metrics: Optional[MetricsRegistry] = None,
+        coarse_buckets: int = 3,
+        default_deadline: Optional[float] = None,
+        estimator: Optional[LatencyEstimator] = None,
+    ):
+        if coarse_buckets < 1:
+            raise ValueError("coarse_buckets must be >= 1")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.coarse_buckets = coarse_buckets
+        self.default_deadline = default_deadline
+        self.estimator = estimator if estimator is not None else LatencyEstimator()
+
+    def deadline_of(self, request: OptimizeRequest) -> Optional[float]:
+        """The request's own budget, or the default one."""
+        return (
+            request.deadline
+            if request.deadline is not None
+            else self.default_deadline
+        )
+
+    def run(self, request: OptimizeRequest,
+            started: Optional[float] = None) -> ServingResult:
+        """Optimize ``request`` on the calling thread, down the ladder.
+
+        ``started`` (a ``time.perf_counter`` reading, now by default) is
+        when the request's deadline began to run down.
+        """
+        if started is None:
+            started = time.perf_counter()
+        kind = request.kind()
+        cm = request.cost_model if request.cost_model is not None else CostModel()
+        deadline = self.deadline_of(request)
+        # The full objective of "point" already is the cheapest rung.
+        ladder = (RUNG_FULL,) if kind == "point" else (RUNG_FULL, RUNG_COARSE, RUNG_LSC)
+        n_rels = len(request.query.relations)
+        estimates = self.estimator.ladder_estimates(ladder, kind, n_rels)
+
+        skipped: List[str] = []
+        for rung, est in zip(ladder[:-1], estimates):
+            # Skip a rung predicted not to fit; the final rung always
+            # runs so the request is guaranteed *some* plan.
+            if (deadline is None or est is None
+                    or est < deadline - (time.perf_counter() - started)):
+                break
+            skipped.append(rung)
+            self.metrics.counter("serving.rung_skipped").increment()
+        rung = ladder[len(skipped)]
+        t1 = time.perf_counter()
+        result = self._run_rung(rung, request, kind, cm)
+        self.estimator.record(rung, kind, n_rels, time.perf_counter() - t1)
+
+        latency = time.perf_counter() - started
+        exceeded = deadline is not None and latency > deadline
+        self.metrics.counter(f"serving.rung.{rung}").increment()
+        if rung != RUNG_FULL:
+            self.metrics.counter("serving.degraded").increment()
+        if exceeded:
+            self.metrics.counter("serving.deadline_exceeded").increment()
+        self.metrics.histogram("serving.latency.optimize").record(latency)
+        return ServingResult(
+            plan=result.plan,
+            objective_value=result.objective,
+            objective=kind,
+            rung=rung,
+            cache_hit=False,
+            latency=latency,
+            deadline=deadline,
+            deadline_exceeded=exceeded,
+            skipped_rungs=tuple(skipped),
+        )
+
+    def _run_rung(
+        self, rung: str, request: OptimizeRequest, kind: str, cm: CostModel
+    ) -> OptimizationResult:
+        common = dict(
+            cost_model=cm,
+            plan_space=request.plan_space,
+            allow_cross_products=request.allow_cross_products,
+            context=request.context,
+        )
+        if rung == RUNG_FULL:
+            return _optimize(
+                request.query,
+                kind,
+                memory=request.memory,
+                top_k=request.top_k,
+                max_buckets=request.max_buckets,
+                fast=request.fast,
+                include_mean=request.include_mean,
+                **common,
+            )
+        if rung == RUNG_COARSE:
+            if kind == "multiparam":
+                # Same multi-parameter DP, fast mode + tight bucket cap.
+                return _optimize(
+                    request.query,
+                    "multiparam",
+                    memory=_as_distribution(request.memory),
+                    max_buckets=self.coarse_buckets,
+                    fast=True,
+                    **common,
+                )
+            # Everything else degrades to Algorithm A over a coarsened
+            # memory distribution: one classical optimization per bucket.
+            coarse = _as_distribution(request.memory)
+            if coarse.n_buckets > self.coarse_buckets:
+                coarse = coarse.rebucket(self.coarse_buckets)
+            return _optimize(
+                request.query,
+                "algorithm_a",
+                memory=coarse,
+                include_mean=False,
+                **common,
+            )
+        assert rung == RUNG_LSC
+        return _optimize(
+            request.query,
+            "point",
+            memory=_point_memory(request.memory),
+            **common,
+        )
+
+
+# -- memory-input coercions for the degraded rungs ---------------------
+
+
+def _as_distribution(memory) -> DiscreteDistribution:
+    if isinstance(memory, DiscreteDistribution):
+        return memory
+    if isinstance(memory, MarkovParameter):
+        return memory.marginal(0)
+    return DiscreteDistribution([float(memory)], [1.0])
+
+
+def _point_memory(memory) -> float:
+    if isinstance(memory, DiscreteDistribution):
+        return float(memory.mean())
+    if isinstance(memory, MarkovParameter):
+        return float(memory.marginal(0).mean())
+    return float(memory)
+
+
+class OptimizerService:
+    """Concurrent plan-serving facade over :func:`repro.optimize`.
+
+    Parameters
+    ----------
+    max_workers:
+        Thread-pool size for :meth:`submit`/:meth:`optimize_batch`.
+    metrics:
+        Shared :class:`MetricsRegistry` (fresh one by default).
+    catalog_sources:
+        Objects carrying a monotonically increasing ``version``
+        attribute (``StatisticsCatalog``, ``SelectivityFeedback``).
+        Their combined version fences the plan tier: part of every key,
+        and when it changes, stale entries are eagerly invalidated.
+    default_deadline / coarse_buckets / estimator:
+        Forwarded to the service's :class:`Ladder`.
+    """
+
+    def __init__(
+        self,
         max_workers: Optional[int] = None,
-        cache: Union[PlanCache, bool, None] = True,
         metrics: Optional[MetricsRegistry] = None,
         catalog_sources: Sequence = (),
         default_deadline: Optional[float] = None,
@@ -259,23 +411,13 @@ class OptimizerService:
         estimator: Optional[LatencyEstimator] = None,
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if cache is True:
-            self.cache: Optional[PlanCache] = PlanCache(metrics=self.metrics)
-        elif cache in (False, None):
-            self.cache = None
-        else:
-            self.cache = cache
+        self.ladder = Ladder(self.metrics, coarse_buckets, default_deadline, estimator)
         self._sources = tuple(catalog_sources)
-        self.default_deadline = default_deadline
-        if coarse_buckets < 1:
-            raise ValueError("coarse_buckets must be >= 1")
-        self.coarse_buckets = coarse_buckets
-        self.estimator = estimator if estimator is not None else LatencyEstimator()
+        self.cache = PlanCache()
+        self.cache.invalidate_stale(self._catalog_version())
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serving"
         )
-        self._version_lock = threading.Lock()
-        self._last_version = self._catalog_version()
         self._pending_lock = threading.Lock()
         self._pending: "set[Future]" = set()
         self._closed = False
@@ -301,9 +443,9 @@ class OptimizerService:
         default) and in-flight requests are drained — Python threads
         cannot be interrupted mid-optimization, so the running ones are
         waited for, but nothing behind them starts.  Without the
-        cancellation a deep queue would keep the pool (and any worker
-        process hosting it) alive until every request ran to completion.
-        Idempotent; :meth:`submit` after close raises ``RuntimeError``.
+        cancellation a deep queue would keep the pool alive until every
+        request ran to completion.  Idempotent; :meth:`submit` after
+        close raises ``RuntimeError``.
         """
         with self._pending_lock:
             self._closed = True
@@ -364,37 +506,17 @@ class OptimizerService:
         return [f.result() for f in futures]
 
     def metrics_snapshot(self) -> Dict:
-        """Shortcut to :meth:`MetricsRegistry.snapshot`."""
-        return self.metrics.snapshot()
-
-    # ------------------------------------------------------------------
-    # Catalog versioning
-    # ------------------------------------------------------------------
+        """:meth:`MetricsRegistry.snapshot`, with the tier's counters
+        (``plan_cache.*``, each once non-zero) read from it now."""
+        stats = self.cache.stats()
+        return self.metrics.snapshot({
+            f"plan_cache.{name}": stats[name]
+            for name in ("hits", "misses", "evictions", "invalidations")
+            if stats[name]
+        })
 
     def _catalog_version(self) -> Tuple[int, ...]:
         return tuple(int(s.version) for s in self._sources)
-
-    def _refresh_catalog_version(self) -> Tuple[int, ...]:
-        """Detect catalog/feedback mutations; evict stale plans eagerly.
-
-        Only the fence comparison runs under ``_version_lock``; the
-        eviction itself happens outside it, so a request that finds the
-        fence unchanged never waits behind another thread's purge (the
-        cache takes its own lock, and nesting it under this one would
-        buy nothing).  Eviction is idempotent (it drops anything fenced
-        at another version than ``current``), so two racing refreshers
-        at worst both invalidate.
-        """
-        current = self._catalog_version()
-        with self._version_lock:
-            changed = current != self._last_version
-            if changed:
-                self._last_version = current
-        if changed:
-            if self.cache is not None:
-                self.cache.invalidate_stale(current)
-            self.metrics.counter("serving.catalog_invalidations").increment()
-        return current
 
     # ------------------------------------------------------------------
     # Execution
@@ -402,166 +524,36 @@ class OptimizerService:
 
     def execute(self, request: OptimizeRequest) -> ServingResult:
         """Serve one prepared request on the calling thread — what
-        :meth:`submit` schedules and a cluster worker's read loop calls."""
+        :meth:`submit` schedules."""
         t0 = time.perf_counter()
         self.metrics.counter("serving.requests").increment()
 
-        version = self._refresh_catalog_version()
+        cache, version = self.cache, self._catalog_version()
+        if version != cache.version:
+            cache.invalidate_stale(version)
+            self.metrics.counter("serving.catalog_invalidations").increment()
         cm = request.cost_model if request.cost_model is not None else CostModel()
         key = request.cache_key(version, cm)
-        kind = key.objective
 
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                latency = time.perf_counter() - t0
-                self.metrics.histogram("serving.latency.cache_hit").record(latency)
-                return ServingResult(
-                    plan=hit.plan,
-                    objective_value=hit.objective_value,
-                    objective=kind,
-                    rung=hit.rung,
-                    cache_hit=True,
-                    latency=latency,
-                    deadline=self._deadline_of(request),
-                    cache_tier=hit.tier,
-                )
-
-        result, rung, skipped = self._run_ladder(request, kind, cm, t0)
-        latency = time.perf_counter() - t0
-        deadline = self._deadline_of(request)
-        exceeded = deadline is not None and latency > deadline
-
-        if self.cache is not None and rung == RUNG_FULL:
-            self.cache.put(key, result.plan, result.objective, rung=rung)
-
-        self.metrics.counter(f"serving.rung.{rung}").increment()
-        if rung != RUNG_FULL:
-            self.metrics.counter("serving.degraded").increment()
-        if exceeded:
-            self.metrics.counter("serving.deadline_exceeded").increment()
-        self.metrics.histogram("serving.latency.optimize").record(latency)
-
-        return ServingResult(
-            plan=result.plan,
-            objective_value=result.objective,
-            objective=kind,
-            rung=rung,
-            cache_hit=False,
-            latency=latency,
-            deadline=deadline,
-            deadline_exceeded=exceeded,
-            skipped_rungs=tuple(skipped),
-        )
-
-    def _deadline_of(self, request: OptimizeRequest) -> Optional[float]:
-        return (
-            request.deadline
-            if request.deadline is not None
-            else self.default_deadline
-        )
-
-    # -- degradation ladder --------------------------------------------
-
-    def _ladder_for(self, kind: str) -> Tuple[str, ...]:
-        if kind == "point":
-            # The full objective already is the cheapest rung.
-            return (RUNG_FULL,)
-        return (RUNG_FULL, RUNG_COARSE, RUNG_LSC)
-
-    def _run_ladder(
-        self, request: OptimizeRequest, kind: str, cm: CostModel, t0: float
-    ) -> Tuple[OptimizationResult, str, List[str]]:
-        ladder = self._ladder_for(kind)
-        deadline = self._deadline_of(request)
-        n_rels = len(request.query.relations)
-        estimates = self.estimator.ladder_estimates(ladder, kind, n_rels)
-
-        skipped: List[str] = []
-        for i, rung in enumerate(ladder):
-            last = i == len(ladder) - 1
-            if not last and deadline is not None:
-                remaining = deadline - (time.perf_counter() - t0)
-                est = estimates[i]
-                # Skip a rung predicted not to fit; the final rung always
-                # runs so the request is guaranteed *some* plan.
-                if est is not None and est >= remaining:
-                    skipped.append(rung)
-                    self.metrics.counter("serving.rung_skipped").increment()
-                    continue
-            t1 = time.perf_counter()
-            result = self._run_rung(rung, request, kind, cm)
-            self.estimator.record(rung, kind, n_rels, time.perf_counter() - t1)
-            return result, rung, skipped
-        raise AssertionError("ladder always runs its final rung")  # pragma: no cover
-
-    def _run_rung(
-        self, rung: str, request: OptimizeRequest, kind: str, cm: CostModel
-    ) -> OptimizationResult:
-        common = dict(
-            cost_model=cm,
-            plan_space=request.plan_space,
-            allow_cross_products=request.allow_cross_products,
-            context=request.context,
-        )
-        if rung == RUNG_FULL:
-            return _optimize(
-                request.query,
-                kind,
-                memory=request.memory,
-                top_k=request.top_k,
-                max_buckets=request.max_buckets,
-                fast=request.fast,
-                include_mean=request.include_mean,
-                **common,
+        stored = cache.get(key)
+        if stored is not None:
+            plan = plan_from_dict(stored.plan_doc)  # each hit gets its own tree
+            latency = time.perf_counter() - t0
+            self.metrics.histogram("serving.latency.cache_hit").record(latency)
+            return ServingResult(
+                plan=plan,
+                objective_value=stored.objective_value,
+                objective=key.objective,
+                rung=RUNG_FULL,
+                cache_hit=True,
+                latency=latency,
+                deadline=self.ladder.deadline_of(request),
+                cache_tier="hot",
             )
-        if rung == RUNG_COARSE:
-            if kind == "multiparam":
-                # Same multi-parameter DP, fast mode + tight bucket cap.
-                return _optimize(
-                    request.query,
-                    "multiparam",
-                    memory=self._as_distribution(request.memory),
-                    max_buckets=self.coarse_buckets,
-                    fast=True,
-                    **common,
-                )
-            # Everything else degrades to Algorithm A over a coarsened
-            # memory distribution: one classical optimization per bucket.
-            coarse = self._coarse_memory(request.memory)
-            return _optimize(
-                request.query,
-                "algorithm_a",
-                memory=coarse,
-                include_mean=False,
-                **common,
-            )
-        assert rung == RUNG_LSC
-        return _optimize(
-            request.query,
-            "point",
-            memory=self._point_memory(request.memory),
-            **common,
-        )
 
-    # -- memory-input coercions for the degraded rungs -----------------
-
-    def _as_distribution(self, memory) -> DiscreteDistribution:
-        if isinstance(memory, DiscreteDistribution):
-            return memory
-        if isinstance(memory, MarkovParameter):
-            return memory.marginal(0)
-        return DiscreteDistribution([float(memory)], [1.0])
-
-    def _coarse_memory(self, memory) -> DiscreteDistribution:
-        dist = self._as_distribution(memory)
-        if dist.n_buckets > self.coarse_buckets:
-            dist = dist.rebucket(self.coarse_buckets)
-        return dist
-
-    def _point_memory(self, memory) -> float:
-        if isinstance(memory, DiscreteDistribution):
-            return float(memory.mean())
-        if isinstance(memory, MarkovParameter):
-            return float(memory.marginal(0).mean())
-        return float(memory)
+        result = self.ladder.run(request, t0)
+        if result.rung == RUNG_FULL:
+            # Refused if the fence moved while the ladder ran.
+            cache.put(key, plan_to_dict(result.plan), result.objective_value,
+                      key.objective)
+        return result

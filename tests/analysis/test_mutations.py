@@ -53,13 +53,13 @@ CASES = [
         id="a1",
     ),
     pytest.param(
-        "ASYNC001", "cluster/shared_cache.py",
-        "        entry = self._entries.get(key)\n"
-        "        if entry is not None:\n",
+        "ASYNC001", "serving/plan_cache.py",
+        "        with self._lock:\n"
+        "            entry = self._entries.get(key)\n",
         "        import time\n"
         "        time.sleep(0)\n"
-        "        entry = self._entries.get(key)\n"
-        "        if entry is not None:\n",
+        "        with self._lock:\n"
+        "            entry = self._entries.get(key)\n",
         id="a2",
     ),
     pytest.param(
@@ -76,19 +76,21 @@ CASES = [
         "            shard.sock.sendall(frame)\n",
         id="a4",
     ),
-    # LOCK002: two locks taken in both orders, within one class and
-    # across modules (the reverse of PlanCache._count's cache -> metrics
-    # edge, typed only through a TYPE_CHECKING import).
+    # LOCK002: two locks taken in both orders — the service's pending
+    # lock and its tier's lock, within one class; and across modules, the
+    # tier's lock and the metrics registry's, the tier typed only through
+    # a TYPE_CHECKING import and reached through a call.  The tree itself
+    # takes no lock while holding another.
     pytest.param(
         "LOCK002", "serving/service.py",
         "        with self._pending_lock:\n"
         "            return len(self._pending)\n",
         "        with self._pending_lock:\n"
-        "            with self._version_lock:\n"
+        "            with self.cache._lock:\n"
         "                return len(self._pending)\n"
         "\n"
         "    def _fenced_pending(self) -> int:\n"
-        "        with self._version_lock:\n"
+        "        with self.cache._lock:\n"
         "            with self._pending_lock:\n"
         "                return len(self._pending)\n",
         id="l1",
@@ -100,9 +102,13 @@ CASES = [
         "            out[\"derived\"][\"plan_cache.hit_rate\"] = hits / (hits + misses)\n"
         "        return out\n"
         "\n"
-        "    def drop_cache(self, cache: PlanCache) -> None:\n"
+        "    def read_cache(self, cache: PlanCache) -> None:\n"
         "        with self._lock:\n"
-        "            cache.clear()\n"
+        "            cache.stats()\n"
+        "\n"
+        "    def count_cache(self, cache: PlanCache) -> None:\n"
+        "        with cache._lock:\n"
+        "            self.counter(\"plan_cache.entries\")\n"
         "\n"
         "\n"
         "from typing import TYPE_CHECKING\n"
@@ -159,12 +165,12 @@ CASES = [
     # LOCK001: shared state written outside its lock.
     pytest.param(
         "LOCK001", "serving/plan_cache.py",
+        "            self._entries.move_to_end(key)\n"
         "            self._hits += 1\n"
-        '            self._count("hits")\n'
-        "            doc, value, rung = entry.plan_doc, entry.objective_value, entry.rung\n",
-        '            self._count("hits")\n'
-        "            doc, value, rung = entry.plan_doc, entry.objective_value, entry.rung\n"
-        "        self._hits += 1\n",
+        "            return entry\n",
+        "            self._entries.move_to_end(key)\n"
+        "        self._hits += 1\n"
+        "        return entry\n",
         id="k1",
     ),
     pytest.param(

@@ -80,9 +80,9 @@ class TestServingSeesDDL:
         db = _db_with_table()
         service = OptimizerService(catalog_sources=(db.stats,))
         try:
-            v_before = service._catalog_version()
+            v_before = service.cache.version  # the plan tier's fence
             db.create_table("dept2", ["id"], [(i,) for i in range(12)])
-            v_after = service._refresh_catalog_version()
+            v_after = service._catalog_version()
             assert v_after != v_before
             # Strictly greater: versions are a fence, not just "different".
             assert v_after > v_before

@@ -30,7 +30,7 @@ from repro.plans.space import PlanSpace
 from repro.plans.spju import UnionQuery
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.service import OptimizeRequest, OptimizerService
-from repro.tools.serialize import query_from_dict, query_to_dict
+from repro.tools.serialize import plan_to_dict, query_from_dict, query_to_dict
 from repro.workloads.queries import (
     chain_query,
     clique_query,
@@ -50,7 +50,8 @@ def _tiers(query):
     """A plan cache and an unstarted gateway, both filled by ``query``'s
     request (a hit needs no worker)."""
     service = OptimizerService(max_workers=1)  # no catalog source: version ()
-    service.cache.put(_request(query).cache_key((), CostModel()), Plan(Scan("R")), 1.0)
+    service.cache.put(_request(query).cache_key((), CostModel()),
+                      plan_to_dict(Plan(Scan("R"))), 1.0, "expected")
     gw = ClusterGateway(shards=2)
     gw.shared_tier.put(gw._key_of(_request(query)), {"root": None}, 1.0, "expected", 0)
     return service, gw

@@ -1,10 +1,12 @@
-"""The cluster's one plan tier: digests, the LRU, and its life in the gateway.
+"""The cluster's routing digests, the plan tier under its cluster name,
+and the tier's life in the gateway.
 
-``SharedPlanTier`` is a plain in-process LRU owned by the gateway's event
-loop, so its unit tests need no process at all.  What the gateway does
-with it — which replies it keeps, what a hit hands out — is tested
-against a real one-worker cluster at the end of the file; the fence
-itself is ``test_invalidation.py``'s subject.
+The tier is the one ``PlanCache`` (its full unit tests are
+``tests/serving/test_plan_cache.py``; ``TestSharedPlanTier`` checks it
+through the name the cluster exports).  What the gateway does with it —
+which replies it keeps, what a hit hands out — is tested here against a
+real one-worker cluster; the fence itself is ``test_invalidation.py``'s
+subject.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ from repro.tools.serialize import plan_to_dict
 from .test_gateway import _query, _request
 
 
-def _doc(left="R", right="S") -> dict:
-    return plan_to_dict(Plan(Join(Scan(left), Scan(right),
-                                  JoinMethod.SORT_MERGE, f"{left}={right}")))
-
-
 def _key(fp="fp", version=(0,), memory=500.0) -> PlanCacheKey:
     return PlanCacheKey(
         fingerprint=fp,
@@ -48,6 +45,12 @@ def _key(fp="fp", version=(0,), memory=500.0) -> PlanCacheKey:
         memory=("dist", DiscreteDistribution([memory, 2 * memory], [0.5, 0.5])),
         knobs=("left-deep", False, 1, 16, False, True),
         catalog_version=version,
+    )
+
+
+def _doc(left="R", right="S") -> dict:
+    return plan_to_dict(
+        Plan(Join(Scan(left), Scan(right), JoinMethod.SORT_MERGE, f"{left}={right}"))
     )
 
 
@@ -113,8 +116,12 @@ print(cache_key_digest(key))
 
 
 class TestSharedPlanTier:
+    """The tier under its cluster name, as the gateway uses it: plan
+    documents keyed by value, fenced at one catalog version."""
+
     def test_put_get_and_stats(self):
         tier = SharedPlanTier(max_entries=8)
+        tier.invalidate_stale((0,))
         assert tier.get(_key()) is None
         doc = _doc()
         tier.put(_key(), doc, 3.5, "expected", shard=1)
@@ -124,10 +131,14 @@ class TestSharedPlanTier:
         assert stored.objective == "expected"
         assert stored.shard == 1
         assert len(tier) == 1
-        assert tier.stats() == {"entries": 1, "invalidations": 0}
+        assert tier.stats() == {
+            "hits": 1, "misses": 1, "hit_rate": pytest.approx(0.5),
+            "evictions": 0, "invalidations": 0, "entries": 1,
+        }
 
     def test_evicts_coldest_on_overflow(self):
         tier = SharedPlanTier(max_entries=2)
+        tier.invalidate_stale((0,))
         for name in ("a", "b"):
             tier.put(_key(fp=name), _doc(), 1.0, "expected", shard=0)
         tier.get(_key(fp="a"))  # "b" is now the least recently used
@@ -140,20 +151,17 @@ class TestSharedPlanTier:
         assert tier.get(_key(fp="c")) is not None
         assert tier.get(_key(fp="d")) is not None
 
-    def test_overwriting_a_key_keeps_one_entry(self):
-        tier = SharedPlanTier(max_entries=2)
-        tier.put(_key(), _doc(), 1.0, "expected", shard=0)
-        tier.put(_key(), _doc(), 2.0, "expected", shard=1)
-        assert len(tier) == 1
-        assert tier.get(_key()).objective_value == 2.0
-
     def test_invalidate_stale_purges_old_versions(self):
         tier = SharedPlanTier(max_entries=8)
+        tier.invalidate_stale((0,))
         tier.put(_key(fp="a", version=(0,)), _doc(), 1.0, "expected", shard=0)
         tier.put(_key(fp="b", version=(0,)), _doc(), 1.0, "expected", shard=0)
+        # Only the fenced version is kept: a key named at another is refused.
         tier.put(_key(fp="a", version=(1,)), _doc(), 1.0, "expected", shard=0)
+        assert len(tier) == 2
         assert tier.invalidate_stale((1,)) == 2
         assert tier.get(_key(fp="a", version=(0,))) is None
+        tier.put(_key(fp="a", version=(1,)), _doc(), 1.0, "expected", shard=0)
         assert tier.get(_key(fp="a", version=(1,))) is not None
         assert tier.invalidate_stale((1,)) == 0
         assert tier.invalidate_stale((2,)) == 1

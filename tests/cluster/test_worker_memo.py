@@ -51,9 +51,9 @@ from repro.serving.service import (
     RUNG_COARSE,
     RUNG_FULL,
     RUNG_LSC,
+    Ladder,
     LatencyEstimator,
     OptimizeRequest,
-    OptimizerService,
 )
 from repro.tools.serialize import plan_to_dict, query_to_dict
 from repro.workloads.queries import random_query, with_selectivity_uncertainty
@@ -125,8 +125,7 @@ def _cold(body, rung):
             top_k=request.top_k,
         )
         return _answer(result.plan, result.objective, RUNG_FULL)
-    with OptimizerService(cache=None, estimator=_Forcing(rung)) as service:
-        result = service.execute(request)
+    result = Ladder(estimator=_Forcing(rung)).run(request)
     return _answer(result.plan, result.objective_value, result.rung)
 
 
@@ -148,14 +147,14 @@ class TestRememberedEqualsCold:
         body = _body(shape=shape, n=n, seed=seed, objective=objective,
                      top_k=top_k, deadline=600.0)
         memo, answers = OrderedDict(), []
-        with OptimizerService(cache=None, estimator=_Forcing(rung)) as service:
-            for i in range(5):
-                request, known = _recall(memo, dict(body, id=i))
-                assert known == (i > 0)
-                result = service.execute(request)
-                answers.append(
-                    _answer(result.plan, result.objective_value, result.rung)
-                )
+        ladder = Ladder(estimator=_Forcing(rung))
+        for i in range(5):
+            request, known = _recall(memo, dict(body, id=i))
+            assert known == (i > 0)
+            result = ladder.run(request)
+            answers.append(
+                _answer(result.plan, result.objective_value, result.rung)
+            )
         assert answers[0][2] == rung
         assert answers[0] == answers[1] == answers[4] == _cold(body, rung)
 

@@ -10,9 +10,12 @@ OptimizerService cache keys → metrics.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import repro.serving.service as service_module
 from repro.catalog.feedback import SelectivityFeedback
 from repro.catalog.schema import Catalog, Column, Table
 from repro.catalog.statistics import StatisticsCatalog
@@ -145,3 +148,36 @@ class TestServiceInvalidation:
 
             after = svc.optimize(rebuilt, "lec", memory=small_memory_dist)
             assert not after.cache_hit
+
+
+def test_a_miss_that_finishes_after_a_bump_is_answered_but_not_kept(
+    monkeypatch, three_way_query, small_memory_dist
+):
+    """The in-process twin of the cluster's ``test_a_reply_that_lands_after_
+    a_bump_is_delivered_but_not_stored``: while the first request's ladder
+    runs, the catalog moves on and a second request moves the fence.  The
+    first answer still reaches its caller; the tier does not keep it."""
+    source = SimpleNamespace(version=0)
+    other = query_from_catalog(StatisticsCatalog(Catalog(
+        [Table(t, [Column("b"), Column("c")], n_rows=10_000 * (i + 1))
+         for i, t in enumerate("RST")]
+    )))
+    inner = service_module._optimize
+
+    with OptimizerService(catalog_sources=[source]) as svc:
+        def bump_inside_the_ladder(*args, **kwargs):
+            monkeypatch.setattr(service_module, "_optimize", inner)  # once
+            source.version += 1
+            assert not svc.optimize(other, "lec", memory=small_memory_dist).cache_hit
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "_optimize", bump_inside_the_ladder)
+        late = svc.optimize(three_way_query, "lec", memory=small_memory_dist)
+        assert late.rung == "full" and not late.cache_hit
+        # ``other`` alone: ``late`` names a world that is gone.
+        assert [key.catalog_version for key in svc.cache._entries] == [(1,)]
+        assert svc.cache.version == (1,)
+        redo = svc.optimize(three_way_query, "lec", memory=small_memory_dist)
+
+    assert not redo.cache_hit
+    assert repr(redo.objective_value) == repr(late.objective_value)

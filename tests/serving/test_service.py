@@ -11,6 +11,7 @@ from repro.serving.service import (
     RUNG_COARSE,
     RUNG_FULL,
     RUNG_LSC,
+    Ladder,
     LatencyEstimator,
     OptimizeRequest,
     OptimizerService,
@@ -132,12 +133,49 @@ class TestCaching:
         )
         assert not other.cache_hit
 
-    def test_cache_disabled(self, three_way_query, small_memory_dist):
-        with OptimizerService(cache=False) as svc:
+    def test_snapshot_reads_the_tier(self, three_way_query, small_memory_dist):
+        # The tier counts; the snapshot reads its counters when it is taken.
+        with OptimizerService() as svc:
             svc.optimize(three_way_query, "lec", memory=small_memory_dist)
-            again = svc.optimize(three_way_query, "lec", memory=small_memory_dist)
-            assert not again.cache_hit
-            assert svc.cache is None
+            svc.optimize(three_way_query, "lec", memory=small_memory_dist)
+            svc.optimize(three_way_query, "lec", memory=small_memory_dist)
+            snap = svc.metrics_snapshot()
+        assert {k: v for k, v in snap["counters"].items()
+                if k.startswith("plan_cache.")} == {
+            "plan_cache.hits": 2, "plan_cache.misses": 1,
+        }
+        assert list(snap["counters"]) == sorted(snap["counters"])
+        assert snap["derived"]["plan_cache.hit_rate"] == pytest.approx(2 / 3)
+
+
+class TestLadder:
+    def test_a_ladder_keeps_no_plan(self, three_way_query, small_memory_dist):
+        ladder = Ladder()
+        request = OptimizeRequest(query=three_way_query, objective="lec",
+                                  memory=small_memory_dist)
+        first, again = ladder.run(request), ladder.run(request)
+        assert not first.cache_hit and not again.cache_hit
+        assert first.rung == again.rung == RUNG_FULL
+        assert again.plan == first.plan
+        assert repr(again.objective_value) == repr(first.objective_value)
+        counters = ladder.metrics.snapshot()["counters"]
+        assert counters["serving.rung.full"] == 2
+        assert not any(name.startswith("plan_cache.") for name in counters)
+
+    def test_a_ladder_refuses_what_the_service_refuses(self, three_way_query):
+        ladder = Ladder()
+        with pytest.raises(OptimizerConfigError):
+            ladder.run(OptimizeRequest(query=three_way_query,
+                                       objective="warp-drive", memory=500.0))
+        with pytest.raises(OptimizerConfigError):
+            ladder.run(OptimizeRequest(query=three_way_query, memory=None))
+        with pytest.raises(MemoryTypeError, match="needs memory"):
+            ladder.run(OptimizeRequest(query=three_way_query, memory=800.0))
+        assert ladder.metrics.snapshot()["counters"] == {}
+
+    def test_rejects_bad_coarse_buckets(self):
+        with pytest.raises(ValueError):
+            Ladder(coarse_buckets=0)
 
 
 class TestDegradationLadder:
@@ -232,7 +270,7 @@ class TestDegradationLadder:
     def test_full_latency_is_learned(self, service, three_way_query,
                                      small_memory_dist):
         service.optimize(three_way_query, "lec", memory=small_memory_dist)
-        learned = service.estimator.estimate(RUNG_FULL, "expected", 3)
+        learned = service.ladder.estimator.estimate(RUNG_FULL, "expected", 3)
         assert learned is not None and learned > 0.0
 
 
