@@ -52,7 +52,7 @@ import socket
 import time
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..costmodel.model import CostModel
 from ..optimizer.errors import OptimizerConfigError
@@ -82,9 +82,8 @@ class GatewayError(RuntimeError):
     """Raised for gateway lifecycle misuse (not started, already closed)."""
 
 
-@dataclass(frozen=True)
-class ClusterResult:
-    """One request's outcome as seen at the gateway.
+class ClusterResult(NamedTuple):
+    """One request's outcome as seen at the gateway: an immutable tuple.
 
     ``status`` is ``"ok"`` (a plan came back), ``"shed"`` (refused at
     admission — never sent to a worker), or ``"error"`` (the worker
@@ -93,7 +92,9 @@ class ClusterResult:
     touched, keeping the gateway hot path free of tree building.  A
     cache hit (``cache_tier == "shared"``) carries the very document the
     tier stores — every hit for a key shares it, so treat it as
-    read-only; :attr:`plan` builds an independent tree each time.
+    read-only; :attr:`plan` builds an independent tree each time.  A
+    changed copy is ``result._replace(...)`` (a coalesced follower's is
+    ``_replace(coalesced=True)``).
     """
 
     status: str
@@ -531,7 +532,7 @@ class ClusterGateway:
         if leader is not None:
             # Coalesce: ride the identical in-flight request.
             self.metrics.registry.counter("cluster.coalesced").increment()
-            return replace(await asyncio.shield(leader), coalesced=True)
+            return (await asyncio.shield(leader))._replace(coalesced=True)
 
         shard = self._shards[self.shard_for(key.fingerprint)]
         decision = self.admission.decide(len(shard.pending), request.deadline)

@@ -84,7 +84,7 @@ class CostModel:
     ):
         if not methods:
             raise ValueError("at least one join method is required")
-        self.methods: Tuple[JoinMethod, ...] = tuple(methods)
+        self._methods: Tuple[JoinMethod, ...] = tuple(methods)
         self._count = count_evaluations
         self.eval_count = 0
         allowed = {JoinMethod.NESTED_LOOP, JoinMethod.BLOCK_NESTED_LOOP}
@@ -94,7 +94,17 @@ class CostModel:
                 "only nested-loop joins can pipeline their outer input, "
                 f"got {sorted(m.value for m in bad)}"
             )
-        self.pipelined_methods: frozenset = frozenset(pipelined_methods)
+        self._pipelined: frozenset = frozenset(pipelined_methods)
+
+    @property
+    def methods(self) -> Tuple[JoinMethod, ...]:
+        """The join methods the optimizer may choose from (read-only)."""
+        return self._methods
+
+    @property
+    def pipelined_methods(self) -> frozenset:
+        """The methods whose outer input streams from its producer (read-only)."""
+        return self._pipelined
 
     def reset_counters(self) -> None:
         """Zero the formula-evaluation counter."""

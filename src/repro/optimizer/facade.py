@@ -237,9 +237,9 @@ def check_memory(kind: str, memory) -> None:
 
 def model_key(cm: CostModel) -> Tuple:
     """The part of a cost model's configuration that can change a plan
-    (kept on ``cm``, and so hashed once, while those attributes stay)."""
-    key = cm.__dict__.get("_model_key", (None, None))
-    if key[0] is not cm.methods or key[1] is not cm.pipelined_methods:
+    (kept on ``cm``, and so hashed once: its method sets are read-only)."""
+    key = cm.__dict__.get("_model_key")
+    if key is None:
         key = cm._model_key = HashedTuple((cm.methods, cm.pipelined_methods))
     return key
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..catalog.schema import Catalog
 from ..catalog.statistics import StatisticsCatalog
@@ -183,8 +184,10 @@ class JoinQuery:
         block root; it only affects cost when the projected result is
         re-materialised (e.g. by a distinct union's deduplication).
 
-    A query is immutable after construction: nothing reassigns its
-    fields, so its :attr:`fingerprint` is taken once, on first use.
+    A query is immutable after construction: assigning an attribute once
+    ``__init__`` has run raises :class:`AttributeError`, so its
+    :attr:`fingerprint` is taken once, on first use.  A subclass sets its
+    own fields before it calls ``JoinQuery.__init__``, which seals it.
     """
 
     def __init__(
@@ -209,7 +212,8 @@ class JoinQuery:
         if not 0.0 < projection_ratio <= 1.0:
             raise QueryError("projection_ratio must be in (0, 1]")
         self.projection_ratio = float(projection_ratio)
-        self._by_name: Dict[str, RelationSpec] = {r.name: r for r in self.relations}
+        self._by_name: Mapping[str, RelationSpec] = MappingProxyType(
+            {r.name: r for r in self.relations})
         known = set(names)
         for p in self.predicates:
             if p.left not in known or p.right not in known:
@@ -227,6 +231,22 @@ class JoinQuery:
                     f"required_order {required_order!r} is not a predicate "
                     "label or order equivalence class"
                 )
+        self._sealed = True
+
+    def __setattr__(self, name: str, value) -> None:
+        if "_sealed" in self.__dict__:
+            raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+        super().__setattr__(name, value)
+
+    def __getstate__(self) -> dict:
+        # A mappingproxy neither pickles nor deep-copies: every mapping a
+        # query keeps is one, so it travels as a dict and is wrapped again.
+        return {k: dict(v) if isinstance(v, MappingProxyType) else v
+                for k, v in self.__dict__.items()}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update({k: MappingProxyType(v) if isinstance(v, dict) else v
+                              for k, v in state.items()})
 
     # ------------------------------------------------------------------
     # Lookups

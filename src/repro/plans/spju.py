@@ -23,6 +23,7 @@ works unchanged; only plan enumeration treats it specially.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Sequence, Tuple
 
 from .query import JoinQuery, QueryError
@@ -64,17 +65,18 @@ class UnionQuery(JoinQuery):
         rpp = arms[0].rows_per_page
         if any(a.rows_per_page != rpp for a in arms):
             raise QueryError("all union arms must share rows_per_page")
+        self.arms: Tuple[JoinQuery, ...] = arms
+        self.distinct = bool(distinct)
+        self._arm_index = MappingProxyType({
+            r.name: i for i, a in enumerate(arms) for r in a.relations
+        })
         relations = [r for a in arms for r in a.relations]
         predicates = [p for a in arms for p in a.predicates]
-        # The parent validates global name uniqueness and predicate sanity.
+        # The parent validates global name uniqueness and predicate
+        # sanity, and seals the query: every field is set before it.
         super().__init__(
             relations, predicates, required_order=None, rows_per_page=rpp
         )
-        self.arms: Tuple[JoinQuery, ...] = arms
-        self.distinct = bool(distinct)
-        self._arm_index = {
-            r.name: i for i, a in enumerate(arms) for r in a.relations
-        }
 
     # ------------------------------------------------------------------
 

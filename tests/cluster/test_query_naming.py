@@ -1,8 +1,9 @@
 """A query is named once: its fingerprint, key parts and hit instruments.
 
 A query is immutable, so its fingerprint is taken on first use and kept;
-a request's key parts (plan-space spelling, cost-model key) resolve once;
-and a gateway hit records into instruments it looked up once.  None of
+a request's key parts (plan-space spelling, cost-model key) resolve once,
+and a key is built as one positional tuple; a gateway hit records into
+instruments it looked up once and builds one result tuple.  None of
 that may change a key's value: keys stay exact across objects, and every
 query digests — so routes — as it did before the fingerprint was kept.
 """
@@ -11,19 +12,21 @@ from __future__ import annotations
 
 import asyncio
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterGateway
+from repro.cluster import ClusterGateway, ClusterResult, GatewayError
+from repro.cluster import gateway as gateway_module
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.shared_cache import cache_key_digest, fingerprint_digest
 from repro.core.context import query_fingerprint
 from repro.core.distributions import DiscreteDistribution
 from repro.costmodel.model import CostModel
+from repro.optimizer.errors import MemoryTypeError, OptimizerConfigError
 from repro.plans.nodes import Plan, Scan
 from repro.plans.query import HashedTuple, IndexInfo, JoinPredicate, JoinQuery, RelationSpec
 from repro.plans.space import PlanSpace
@@ -226,6 +229,93 @@ class TestNamedOnce:
             "cluster.requests", "cluster.rung.full", "cluster.rung.lsc",
         ]
         assert sorted(snap["histograms"]) == ["cluster.latency"]
+
+
+class TestOneKeyOneResult:
+    """A request is named the same whether it is resubmitted or rebuilt
+    per arrival; a hit builds one key and one result, and nothing else."""
+
+    def test_a_rebuilt_request_gets_an_equal_key_and_keeps_nothing(self):
+        request = _request(chain_query(4, np.random.default_rng(3)), plan_space="zigzag")
+        first = request.cache_key((0,), CostModel())
+        assert request.cache_key((0,), CostModel()) == first
+        rebuilt = OptimizeRequest(**{f.name: getattr(request, f.name)
+                                     for f in fields(OptimizeRequest)})
+        assert rebuilt is not request and rebuilt.cache_key((0,), CostModel()) == first
+        # a request holds its fields and nothing it derived from them
+        assert set(vars(request)) == {f.name for f in fields(OptimizeRequest)}
+
+    def test_a_moved_fence_changes_only_the_version(self):
+        request, cm = _request(star_query(4, np.random.default_rng(5))), CostModel()
+        before, after = request.cache_key((0, 1), cm), request.cache_key((1, 1), cm)
+        assert (before.catalog_version, after.catalog_version) == ((0, 1), (1, 1))
+        assert before[:-1] == after[:-1] and before != after
+
+    def test_a_replaced_copy_gets_an_equal_key(self):
+        request = _request(chain_query(3, np.random.default_rng(9)))
+        key = request.cache_key((), CostModel())
+        copy = replace(request, deadline=0.25)
+        assert copy.cache_key((), CostModel()) == key
+        other = replace(request, top_k=2)
+        assert other.cache_key((), CostModel()) != key
+
+    @pytest.mark.parametrize("change, error", [
+        ({"objective": "nonsense"}, OptimizerConfigError),
+        ({"memory": None}, OptimizerConfigError),
+        ({"memory": 2000.0}, MemoryTypeError),
+    ])
+    def test_an_invalid_request_raises_on_every_call(self, change, error):
+        request = replace(_request(chain_query(3, np.random.default_rng(2))), **change)
+        for _ in range(2):
+            with pytest.raises(error):
+                request.cache_key((), CostModel())
+
+    def test_a_second_hit_builds_one_result_that_refuses_assignment(self, monkeypatch):
+        query = chain_query(4, np.random.default_rng(7))
+        service, gw = _tiers(query)
+        service.close()
+        gw._started = True  # a hit needs no worker, only the flag optimize checks
+        request = _request(query)
+        _without_suspending(gw.optimize(request))
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(ClusterResult(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(gateway_module, "ClusterResult", counting)
+        result = _without_suspending(gw.optimize(request))
+        assert built == [result] and type(result) is ClusterResult
+        assert isinstance(result, tuple)  # built without a setattr per field
+        assert result.ok and result.cache_hit and result.cache_tier == "shared"
+        with pytest.raises(AttributeError):
+            result.status = "error"
+
+    def test_a_result_is_a_named_tuple_with_ok_plan_and_replace(self):
+        # The public surface: fields by name, ``ok``, ``plan`` and
+        # ``_replace``; as a tuple it also equals a plain tuple of its
+        # values, and ``dataclasses.replace`` no longer applies.
+        shed = ClusterResult(status="shed", shard=1, error="queue full")
+        assert not shed.ok and (shed.rung, shed.coalesced) == (None, False)
+        with pytest.raises(GatewayError):
+            shed.plan
+        ok = shed._replace(status="ok", error=None, plan_doc=plan_to_dict(Plan(Scan("R"))))
+        assert ok.ok and ok.plan == Plan(Scan("R")) and ok.plan is not ok.plan
+        assert shed.status == "shed" and ok == tuple(ok)
+        assert ClusterResult._fields[:3] == ("status", "shard", "rung")
+
+    def test_a_coalesced_follower_gets_an_equal_tuple(self):
+        request = _request(clique_query(4, np.random.default_rng(11)))
+
+        async def leader_and_follower():
+            async with ClusterGateway(shards=1) as gw:
+                return await asyncio.gather(gw.optimize(request), gw.optimize(request))
+
+        leader, follower = asyncio.run(leader_and_follower())
+        assert leader.ok and not leader.cache_hit
+        assert (leader.coalesced, follower.coalesced) == (False, True)
+        assert type(follower) is ClusterResult
+        assert follower == leader._replace(coalesced=True)
 
 
 def _pinned_join() -> JoinQuery:

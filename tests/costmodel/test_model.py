@@ -205,6 +205,16 @@ class TestInstrumentation:
         cm.join_costs(JoinMethod.SORT_MERGE, [10.0, 20.0], [10.0, 5.0], 100.0)
         assert cm.eval_count == 0
 
+    @pytest.mark.parametrize("name", ("methods", "pipelined_methods"))
+    def test_method_sets_are_read_only(self, name):
+        cm = CostModel(pipelined_methods=[JoinMethod.NESTED_LOOP])
+        before = getattr(cm, name)
+        with pytest.raises(AttributeError):
+            setattr(cm, name, frozenset())
+        assert getattr(cm, name) is before
+        cm.eval_count = 5  # the counters stay writable
+        assert cm.eval_count == 5
+
     def test_default_methods_are_papers_trio(self):
         assert set(DEFAULT_METHODS) == {
             JoinMethod.NESTED_LOOP,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.catalog.statistics import StatisticsCatalog
 from repro.core.context import query_fingerprint
 from repro.core.distributions import two_point
 from repro.plans.query import JoinPredicate, JoinQuery, QueryError, RelationSpec
+from repro.plans.spju import UnionQuery
 
 
 class TestRelationSpec:
@@ -165,6 +168,64 @@ class TestJoinQuery:
             [JoinPredicate("A", "B", selectivity=0.5)],
         )
         assert q.has_uncertain_sizes()
+
+
+class TestImmutable:
+    """A query cannot change once built, so what is kept from it (its
+    fingerprint, its wire document) cannot go stale."""
+
+    FIELDS = ("relations", "predicates", "required_order", "rows_per_page",
+              "projection_ratio", "_by_name", "fingerprint", "anything_new")
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_assigning_a_field_raises(self, three_way_query, name):
+        before = query_fingerprint(three_way_query)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(three_way_query, name, None)
+        assert query_fingerprint(three_way_query) is before
+
+    def test_the_name_index_is_read_only(self, three_way_query):
+        with pytest.raises(TypeError):
+            three_way_query._by_name["Z"] = RelationSpec("Z", pages=1.0)
+        assert three_way_query.relation_names() == list(three_way_query._by_name)
+
+    @pytest.mark.parametrize("name", ("arms", "distinct", "_arm_index",
+                                      "relations", "required_order"))
+    def test_a_union_is_sealed_after_its_own_fields(self, name):
+        arms = [JoinQuery([RelationSpec(a, pages=10.0), RelationSpec(b, pages=20.0)],
+                          [JoinPredicate(a, b, selectivity=0.1)])
+                for a, b in ("AB", "CD")]
+        union = UnionQuery(arms, distinct=True)
+        assert union.distinct and union.arm_of({"C"}) is arms[1]
+        query_fingerprint(union)  # a cached property still fills
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(union, name, None)
+        with pytest.raises(TypeError):
+            union._arm_index["A"] = 1
+
+    @pytest.mark.parametrize("round_trip", [lambda q: pickle.loads(pickle.dumps(q)),
+                                            copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    @pytest.mark.parametrize("union", [False, True], ids=["join", "union"])
+    def test_a_copy_is_equal_read_only_and_sealed(self, three_way_query, round_trip, union):
+        query = three_way_query
+        if union:
+            arm = JoinQuery([RelationSpec("X", pages=10.0), RelationSpec("Y", pages=20.0)],
+                            [JoinPredicate("X", "Y", selectivity=0.1)],
+                            rows_per_page=three_way_query.rows_per_page)
+            query = UnionQuery([three_way_query, arm], distinct=True)
+        before = query_fingerprint(query)
+        again = round_trip(query)
+        assert type(again) is type(query) and query_fingerprint(again) == before
+        assert again.relation_names() == query.relation_names()
+        with pytest.raises(TypeError):
+            again._by_name["Z"] = RelationSpec("Z", pages=1.0)
+        with pytest.raises(AttributeError, match="immutable"):
+            again.rows_per_page = 1
+        if union:
+            assert again.arm_of({"X"}).relation_names() == ["X", "Y"]
+            with pytest.raises(TypeError):
+                again._arm_index["A"] = 1
 
 
 class TestFromCatalog:
