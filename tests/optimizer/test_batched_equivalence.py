@@ -17,10 +17,9 @@ column (whose formula ignores memory), over one-pair columns and with
 a column's methods missing different pairs — for every coster kind
 (algorithms A–D share them) and the dependent Bayes-net one.
 
-The end-to-end cases this file used to run twice (once per evaluation
-path) are now plain golden pins: winner and ``repr(objective)`` as
-recorded at the parent commit 25cdb37, where both paths produced them
-(run this file as a script to print a fresh table).
+End to end, each coster kind runs as its ``repro.optimize`` objective
+in the ``batch`` family of the answer corpus (``tests/corpus``);
+``test_end_to_end_golden_pins`` checks those lines under its old ids.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.optimizer.costers import (
 )
 from repro.optimizer.dependent import BayesNetCoster
 from repro.optimizer.randomized import iterative_improvement
-from repro.optimizer.systemr import SystemRDP
 from repro.workloads.queries import (
     chain_query,
     random_query,
@@ -53,6 +51,8 @@ from repro.workloads.queries import (
     with_selectivity_uncertainty,
     with_size_uncertainty,
 )
+
+from ..corpus.test_corpus import assert_replays, corpus_ops
 
 MEMORY = DiscreteDistribution([2000.0, 300.0], [0.7, 0.3])
 
@@ -363,176 +363,9 @@ def test_an_empty_batch_is_an_empty_list():
             assert coster.prefetch_join_steps(0, *flags, []) == [[], [], []]
 
 
-# ----------------------------------------------------------------------
-# End to end: golden pins (recorded at the parent commit)
-# ----------------------------------------------------------------------
-
-
-def _run(kind: str, query, space: str, **engine_args):
-    engine = SystemRDP(
-        _coster(kind),
-        plan_space=space,
-        context=OptimizationContext(query),
-        **engine_args,
-    )
-    return engine.optimize(query)
-
-
-#: name -> (coster kind, query index, plan space, engine arguments)
-END_TO_END = {
-    **{
-        f"left-deep-{kind}-q{qidx}": (kind, qidx, "left-deep", {})
-        for kind in COSTER_KINDS
-        for qidx in range(len(QUERIES))
-    },
-    **{
-        f"{space}-{kind}-q0": (kind, 0, space, {})
-        for kind in ("point", "expected", "multiparam-fast")
-        for space in ("zig-zag", "bushy")
-    },
-    **{
-        f"left-deep-{kind}-q1-top3": (kind, 1, "left-deep", {"top_k": 3})
-        for kind in COSTER_KINDS
-    },
-    **{
-        f"{space}-{kind}-q3": (kind, 3, space, {})
-        for kind in ("multiparam-fast", "multiparam-naive")
-        for space in ("zig-zag", "bushy")
-    },
-}
-
-
-def _observe(name):
-    kind, qidx, space, engine_args = END_TO_END[name]
-    result = _run(kind, QUERIES[qidx], space, **engine_args)
-    return [
-        (c.plan.signature(), repr(c.objective)) for c in result.candidates
-    ]
-
-
-#: name -> [(plan signature, repr(objective)), ...] best first
-PINNED = {
-    'left-deep-point-q0': [
-        ('(((R3 NL R2) NL R1) NL R0)', '13393.548987215097'),
-    ],
-    'left-deep-point-q1': [
-        ('(((R3 GH R0) GH R1) GH R2)', '453489.839815398'),
-    ],
-    'left-deep-point-q2': [
-        ('(((R3 GH R2) GH R1) SM R0)', '204013.77150965913'),
-    ],
-    'left-deep-point-q3': [
-        ('(((R1 GH R0) GH R2) GH R3)', '60556.18321554011'),
-    ],
-    'left-deep-expected-q0': [
-        ('(((R3 NL R2) GH R1) NL R0)', '14557.4462215385'),
-    ],
-    'left-deep-expected-q1': [
-        ('(((R3 GH R0) GH R1) GH R2)', '403607.1398153979'),
-    ],
-    'left-deep-expected-q2': [
-        ('(((R3 GH R2) GH R1) SM R0)', '204013.77150965913'),
-    ],
-    'left-deep-expected-q3': [
-        ('(((R1 GH R0) GH R2) GH R3)', '57471.271488121'),
-    ],
-    'left-deep-markov-q0': [
-        ('(((R3 NL R2) GH R1) NL R0)', '14635.039370493392'),
-    ],
-    'left-deep-markov-q1': [
-        ('(((R3 GH R0) GH R1) GH R2)', '403607.1398153979'),
-    ],
-    'left-deep-markov-q2': [
-        ('(((R3 GH R2) GH R1) SM R0)', '204013.77150965913'),
-    ],
-    'left-deep-markov-q3': [
-        ('(((R1 GH R0) GH R2) GH R3)', '57559.411823190116'),
-    ],
-    'left-deep-multiparam-fast-q0': [
-        ('(((R3 NL R2) GH R1) GH R0)', '14692.385588453333'),
-    ],
-    'left-deep-multiparam-fast-q1': [
-        ('(((R3 GH R0) GH R1) GH R2)', '414740.22500289907'),
-    ],
-    'left-deep-multiparam-fast-q2': [
-        ('(((R3 GH R2) GH R1) SM R0)', '206566.9903223694'),
-    ],
-    'left-deep-multiparam-fast-q3': [
-        ('(((R1 GH R0) GH R2) GH R3)', '54548.43484163386'),
-    ],
-    'left-deep-multiparam-naive-q0': [
-        ('(((R2 NL R3) GH R1) GH R0)', '14692.385588453333'),
-    ],
-    'left-deep-multiparam-naive-q1': [
-        ('(((R0 GH R3) GH R1) GH R2)', '414740.22500289907'),
-    ],
-    'left-deep-multiparam-naive-q2': [
-        ('(((R2 GH R3) GH R1) SM R0)', '206566.99032236938'),
-    ],
-    'left-deep-multiparam-naive-q3': [
-        ('(((R1 GH R0) GH R2) GH R3)', '54548.43484163385'),
-    ],
-    'zig-zag-point-q0': [
-        ('(((R3 NL R2) NL R1) NL R0)', '13393.548987215097'),
-    ],
-    'bushy-point-q0': [
-        ('((R0 NL R1) NL (R2 NL R3))', '12802.51459222181'),
-    ],
-    'zig-zag-expected-q0': [
-        ('(((R3 NL R2) GH R1) NL R0)', '14557.4462215385'),
-    ],
-    'bushy-expected-q0': [
-        ('((R0 NL R1) GH (R2 NL R3))', '13239.841781055082'),
-    ],
-    'zig-zag-multiparam-fast-q0': [
-        ('(((R3 NL R2) GH R1) GH R0)', '14692.385588453333'),
-    ],
-    'bushy-multiparam-fast-q0': [
-        ('((R0 GH R1) GH (R2 NL R3))', '13567.767561397859'),
-    ],
-    'left-deep-point-q1-top3': [
-        ('(((R3 GH R0) GH R1) GH R2)', '453489.839815398'),
-        ('(((R0 GH R3) GH R1) GH R2)', '453489.839815398'),
-        ('(((R3 SM R0) GH R1) GH R2)', '453489.839815398'),
-    ],
-    'left-deep-expected-q1-top3': [
-        ('(((R3 GH R0) GH R1) GH R2)', '403607.1398153979'),
-        ('(((R0 GH R3) GH R1) GH R2)', '403607.1398153979'),
-        ('(((R3 GH R0) SM R1) GH R2)', '403607.1398153979'),
-    ],
-    'left-deep-markov-q1-top3': [
-        ('(((R3 GH R0) GH R1) GH R2)', '403607.1398153979'),
-        ('(((R0 GH R3) GH R1) GH R2)', '403607.1398153979'),
-        ('(((R3 GH R0) SM R1) GH R2)', '403607.1398153979'),
-    ],
-    'left-deep-multiparam-fast-q1-top3': [
-        ('(((R3 GH R0) GH R1) GH R2)', '414740.22500289907'),
-        ('(((R0 GH R3) GH R1) GH R2)', '414740.22500289907'),
-        ('(((R3 GH R0) GH R1) SM R2)', '418381.6120059469'),
-    ],
-    'left-deep-multiparam-naive-q1-top3': [
-        ('(((R0 GH R3) GH R1) GH R2)', '414740.22500289907'),
-        ('(((R3 GH R0) GH R1) GH R2)', '414740.22500289907'),
-        ('(((R0 GH R3) GH R1) SM R2)', '418381.6120059469'),
-    ],
-    'zig-zag-multiparam-fast-q3': [
-        ('(((R1 GH R0) GH R2) GH R3)', '54548.43484163386'),
-    ],
-    'bushy-multiparam-fast-q3': [
-        ('(((R0 GH R1) GH R2) GH R3)', '54548.43484163386'),
-    ],
-    'zig-zag-multiparam-naive-q3': [
-        ('((R2 GH (R1 GH R0)) GH R3)', '54548.43484163384'),
-    ],
-    'bushy-multiparam-naive-q3': [
-        ('((R2 GH (R1 GH R0)) GH R3)', '54548.43484163384'),
-    ],
-}
-
-
-@pytest.mark.parametrize("name", sorted(END_TO_END))
-def test_end_to_end_golden_pins(name):
-    assert _observe(name) == PINNED[name]
+@corpus_ops("batch")
+def test_end_to_end_golden_pins(op_id):
+    assert_replays(op_id)
 
 
 class TestAlgorithmDEndToEnd:
@@ -594,7 +427,3 @@ class TestRandomizedSearchDeterminism:
             picks.append(res.plan.signature())
         assert picks[0] == picks[1]
 
-
-if __name__ == "__main__":
-    for case in END_TO_END:
-        print(f"    {case!r}: {_observe(case)!r},")

@@ -1,14 +1,13 @@
 """Left-deep parity and plan-space dominance guarantees.
 
 The plan-space refactor rewired the DP enumerator, the costers and the
-facade; these tests pin down that it changed *nothing* observable for
-the paper's own (left-deep) space:
-
-* golden plans/objectives captured on the pre-refactor tree must come
-  back bit-identical for every algorithm and both costers;
-* richer spaces may only improve the optimum (dominance), never hurt it;
-* left-deep requests through every entry point still produce left-deep
-  plans.
+facade.  Its golden plans and objectives — left-deep under every
+objective, and every space under ``lec`` and ``multiparam`` — are the
+``parity`` and ``golden`` families of the answer corpus
+(``tests/corpus``); the two pin classes below check those lines under
+their old ids.  What stays here is contract, not pin:
+richer spaces may only improve the optimum (dominance), never hurt it,
+and every spelling of the left-deep space is one space.
 """
 
 from __future__ import annotations
@@ -16,72 +15,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.distributions import DiscreteDistribution
-from repro.core.floats import costs_close
 from repro.optimizer.facade import clear_context_cache, optimize
-from repro.workloads.queries import (
-    chain_query,
-    random_query,
-    star_query,
-    union_query,
-    with_selectivity_uncertainty,
-    with_size_uncertainty,
-)
+from repro.workloads.queries import random_query
 
-#: (query, objective) -> (plan signature, objective value), captured on
-#: the pre-refactor left-deep-only tree (seed 42, b=2 memory buckets).
-GOLDEN = {
-    ("chain5", "lsc"): ("((((R4 NL R3) GH R2) GH R1) GH R0)", 198891.0028260278),
-    ("chain5", "lec"): ("((((R4 NL R3) GH R2) GH R1) GH R0)", 198891.0028260278),
-    ("chain5", "multiparam"): ("((((R4 GH R3) GH R2) GH R1) GH R0)", 176402.08912303875),
-    ("chain5", "algorithm_a"): ("((((R4 NL R3) GH R2) GH R1) GH R0)", 198891.0028260278),
-    ("chain5", "algorithm_b"): ("((((R4 NL R3) GH R2) GH R1) GH R0)", 198891.0028260278),
-    ("star5", "lsc"): ("((((R4 GH R0) GH R2) NL R1) NL R3)", 336207.8625444251),
-    ("star5", "lec"): ("((((R4 GH R0) GH R2) GH R1) GH R3)", 340266.32874036324),
-    ("star5", "multiparam"): ("((((R4 GH R0) GH R1) GH R2) GH R3)", 329768.6327089302),
-    ("star5", "algorithm_a"): ("((((R4 GH R0) GH R2) GH R1) GH R3)", 340266.3287403632),
-    ("star5", "algorithm_b"): ("((((R4 GH R0) GH R2) GH R1) GH R3)", 340266.3287403632),
-    ("chain4_order", "lsc"): ("(((R3 NL R2) GH R1) SM R0)", 250943.9772938469),
-    ("chain4_order", "lec"): ("(((R3 GH R2) GH R1) SM R0)", 256932.8772938469),
-    ("chain4_order", "multiparam"): ("(((R3 GH R2) GH R1) SM R0)", 262358.0882013979),
-    ("chain4_order", "algorithm_a"): ("(((R3 GH R2) GH R1) SM R0)", 256932.8772938469),
-    ("chain4_order", "algorithm_b"): ("(((R3 GH R2) GH R1) SM R0)", 256932.8772938469),
-}
-
-MEMORY = DiscreteDistribution([2000.0, 300.0], [0.7, 0.3])
-
-
-def _golden_queries():
-    rng = np.random.default_rng(42)
-    queries = {
-        "chain5": chain_query(5, rng),
-        "star5": star_query(5, rng),
-        "chain4_order": chain_query(4, rng, require_order=True),
-    }
-    return {
-        name: with_selectivity_uncertainty(with_size_uncertainty(q, 0.8), 0.8)
-        for name, q in queries.items()
-    }
-
-
-@pytest.fixture(scope="module")
-def golden_queries():
-    return _golden_queries()
+from ..corpus.ops import OPS
+from ..corpus.ops import TWO_POINT as MEMORY
+from ..corpus.test_corpus import assert_replays, corpus_ops
 
 
 class TestLeftDeepGoldenParity:
-    @pytest.mark.parametrize("case", sorted(GOLDEN))
-    def test_bit_identical_to_pre_refactor(self, golden_queries, case):
-        qname, objective = case
-        clear_context_cache()
-        res = optimize(
-            golden_queries[qname], objective, memory=MEMORY,
-            plan_space="left-deep",
-        )
-        want_sig, want_obj = GOLDEN[case]
-        assert res.plan.signature() == want_sig
-        assert res.objective == pytest.approx(want_obj, rel=1e-9)
-        assert res.plan.is_left_deep()
+    @corpus_ops("parity", numbered=True)
+    def test_bit_identical_to_pre_refactor(self, op_id):
+        assert_replays(op_id)
 
 
 class TestSpaceDominance:
@@ -100,134 +45,18 @@ class TestSpaceDominance:
             assert costs["zig-zag"] <= costs["left-deep"] * (1 + 1e-9)
             assert costs["bushy"] <= costs["zig-zag"] * (1 + 1e-9)
 
-    def test_left_deep_aliases_identical(self, golden_queries):
+    def test_left_deep_aliases_identical(self):
+        chain5 = next(op.query for op in OPS if op.id == "parity/chain5-lec")
         base = None
         for spelling in ["left-deep", "left_deep", "leftdeep"]:
             clear_context_cache()
-            res = optimize(
-                golden_queries["chain5"], "lec", memory=MEMORY,
-                plan_space=spelling,
-            )
+            res = optimize(chain5, "lec", memory=MEMORY, plan_space=spelling)
             if base is None:
                 base = (res.plan.signature(), res.objective)
             assert (res.plan.signature(), res.objective) == base
 
 
-# ----------------------------------------------------------------------
-# Golden cost pins across every plan space
-# ----------------------------------------------------------------------
-
-#: (query, plan space, objective) -> (plan signature, objective value),
-#: captured on the pre-vectorization kernel.  These pin the *values*, not
-#: just the shapes: a kernel refactor that silently shifts an expected
-#: cost — even one that still picks the same plans on these queries —
-#: fails here loudly.  The multiparam entries flow through rebucketed
-#: size-distribution propagation, so they also pin the rebucket kernel.
-GOLDEN_COSTS = {
-    ("chain5", "left-deep", "lec"):
-        ("((((R4 NL R3) GH R2) GH R1) GH R0)", 198891.0028260278),
-    ("chain5", "left-deep", "multiparam"):
-        ("((((R4 GH R3) GH R2) GH R1) GH R0)", 176402.08912303875),
-    ("chain5", "zig-zag", "lec"):
-        ("((((R4 NL R3) GH R2) GH R1) GH R0)", 198891.0028260278),
-    ("chain5", "zig-zag", "multiparam"):
-        ("((((R4 GH R3) GH R2) GH R1) GH R0)", 176402.08912303875),
-    ("chain5", "bushy", "lec"):
-        ("(R0 GH (R1 GH (R2 GH (R3 NL R4))))", 198891.0028260278),
-    ("chain5", "bushy", "multiparam"):
-        ("(R0 GH (R1 GH ((R3 GH R4) GH R2)))", 176402.08912303875),
-    ("star5", "left-deep", "lec"):
-        ("((((R4 GH R0) GH R2) GH R1) GH R3)", 340266.32874036324),
-    ("star5", "left-deep", "multiparam"):
-        ("((((R4 GH R0) GH R1) GH R2) GH R3)", 329768.6327089302),
-    ("star5", "zig-zag", "lec"):
-        ("((((R4 GH R0) GH R2) GH R1) GH R3)", 340266.32874036324),
-    ("star5", "zig-zag", "multiparam"):
-        ("((((R4 GH R0) GH R1) GH R2) GH R3)", 329768.6327089302),
-    ("star5", "bushy", "lec"):
-        ("(R3 GH (R1 GH (R2 GH (R0 GH R4))))", 340266.32874036324),
-    ("star5", "bushy", "multiparam"):
-        ("(R3 GH (R2 GH (R1 GH (R4 GH R0))))", 329768.6327089302),
-    ("chain4_order", "left-deep", "lec"):
-        ("(((R3 GH R2) GH R1) SM R0)", 256932.8772938469),
-    ("chain4_order", "left-deep", "multiparam"):
-        ("(((R3 GH R2) GH R1) SM R0)", 262358.0882013979),
-    ("chain4_order", "zig-zag", "lec"):
-        ("(((R3 GH R2) GH R1) SM R0)", 256932.8772938469),
-    ("chain4_order", "zig-zag", "multiparam"):
-        ("(R0 SM ((R3 GH R2) GH R1))", 262358.08820139786),
-    ("chain4_order", "bushy", "lec"):
-        ("(R0 SM (R1 GH (R2 GH R3)))", 256932.8772938469),
-    ("chain4_order", "bushy", "multiparam"):
-        ("(R0 SM ((R3 GH R2) GH R1))", 262358.08820139786),
-    ("rand4a", "left-deep", "lec"):
-        ("(((R2 GH R0) GH R3) NL R1)", 99197.99898952973),
-    ("rand4a", "left-deep", "multiparam"):
-        ("(((R2 GH R0) GH R3) NL R1)", 99194.56760633661),
-    ("rand4a", "zig-zag", "lec"):
-        ("(((R2 GH R0) GH R3) NL R1)", 99197.99898952973),
-    ("rand4a", "zig-zag", "multiparam"):
-        ("(((R2 GH R0) GH R3) NL R1)", 99194.56760633661),
-    ("rand4a", "bushy", "lec"):
-        ("(R1 NL ((R0 GH R2) GH R3))", 99197.99898952973),
-    ("rand4a", "bushy", "multiparam"):
-        ("(R1 NL ((R2 GH R0) GH R3))", 99194.56760633661),
-    ("rand4b", "left-deep", "lec"):
-        ("(((R3 GH R0) GH R1) NL R2)", 257912.15670540216),
-    ("rand4b", "left-deep", "multiparam"):
-        ("(((R3 GH R0) GH R1) NL R2)", 251626.25797403595),
-    ("rand4b", "zig-zag", "lec"):
-        ("(((R3 GH R0) GH R1) NL R2)", 257912.15670540216),
-    ("rand4b", "zig-zag", "multiparam"):
-        ("((R1 GH (R3 GH R0)) NL R2)", 251626.25797403592),
-    ("rand4b", "bushy", "lec"):
-        ("(R2 NL (R1 GH (R0 GH R3)))", 257912.15670540216),
-    ("rand4b", "bushy", "multiparam"):
-        ("(R2 NL (R1 GH (R3 GH R0)))", 251626.25797403592),
-    ("union2x3", "spju", "lec"):
-        ("union-distinct(project(((U0R0 GH U0R1) GH U0R2)), "
-         "(U1R0 GH (U1R1 NL U1R2)))", 69642392.5346557),
-    ("union2x3", "spju", "multiparam"):
-        ("union-distinct(project(((U0R0 GH U0R1) GH U0R2)), "
-         "(U1R0 GH (U1R2 NL U1R1)))", 70017804.69608082),
-}
-
-
-def _pinned_queries():
-    rng = np.random.default_rng(42)
-    queries = {
-        "chain5": chain_query(5, rng),
-        "star5": star_query(5, rng),
-        "chain4_order": chain_query(4, rng, require_order=True),
-    }
-    rng2 = np.random.default_rng(1234)
-    for name in ("rand4a", "rand4b"):
-        queries[name] = random_query(
-            4, rng2, min_pages=200, max_pages=150000, rows_per_page=100
-        )
-    urng = np.random.default_rng(7)
-    queries["union2x3"] = union_query(
-        2, 3, urng, distinct=True, projection_ratios=[0.6, 1.0]
-    )
-    return {
-        name: with_selectivity_uncertainty(with_size_uncertainty(q, 0.8), 0.8)
-        for name, q in queries.items()
-    }
-
-
-@pytest.fixture(scope="module")
-def pinned_queries():
-    return _pinned_queries()
-
-
 class TestGoldenCostPins:
-    @pytest.mark.parametrize("case", sorted(GOLDEN_COSTS))
-    def test_cost_pinned(self, pinned_queries, case):
-        qname, space, objective = case
-        clear_context_cache()
-        res = optimize(
-            pinned_queries[qname], objective, memory=MEMORY, plan_space=space
-        )
-        want_sig, want_obj = GOLDEN_COSTS[case]
-        assert res.plan.signature() == want_sig
-        assert costs_close(res.objective, want_obj)
+    @corpus_ops("golden", numbered=True)
+    def test_cost_pinned(self, op_id):
+        assert_replays(op_id)
