@@ -2,12 +2,15 @@
 
 The headline claims of ``repro.cluster``:
 
-* on a CPU-bound, mostly-unique workload, 4 worker processes deliver at
-  least 2x the optimize throughput of 1 (the DP runs escape the GIL);
-  CI asserts >= 1.5x to absorb runner noise, and the assertion is
-  skipped on hosts with fewer than 4 CPUs, where the speedup cannot
-  physically exist — the printed line names the CPU count so the
-  reading is interpretable either way;
+* on a CPU-bound, all-unique workload, worker processes let the DP runs
+  escape the GIL: the test prints optimize throughput at 0 (the
+  in-process service), 1, 2 and 4 shards, and on hosts with at least 4
+  CPUs asserts that 4 shards reach >= 1.5x of 1 (skipped on fewer CPUs,
+  where the speedup cannot physically exist — the printed line names
+  the CPU count).  Measured on a 2-CPU host over 480 requests
+  (EXPERIMENTS.md, "One replay driver"), 2 shards optimize 1.33x as
+  fast as 1 and 1.9x as fast as the in-process service; no host with 4
+  CPUs has been measured;
 * killing a worker mid-replay loses no accepted request: the gateway
   respawns the worker and replays the in-flight work (workers cache
   nothing, so there is nothing else to restore).
@@ -22,8 +25,9 @@ import os
 
 from repro.cluster.replay import run_replay
 
-#: Shard counts replayed (1 is the GIL baseline).
-_SHARD_COUNTS = (1, 4)
+#: Shard counts replayed: 0 is the in-process service, 1 the one-worker
+#: baseline the 4-shard gate compares against.
+_SHARD_COUNTS = (0, 1, 2, 4)
 
 #: Mostly-unique workload: every request a distinct query, so throughput
 #: measures optimization work, not cache luck.
@@ -53,14 +57,13 @@ def test_optimize_throughput_scales_with_shards():
         assert report["lost"] == 0 and report["errors"] == 0
         reports[shards] = report
 
-    base = reports[_SHARD_COUNTS[0]]["optimize_throughput_qps"]
-    wide = reports[_SHARD_COUNTS[-1]]["optimize_throughput_qps"]
-    speedup = wide / base if base > 0 else 0.0
+    qps = {n: report["optimize_throughput_qps"] for n, report in reports.items()}
+    speedup = qps[4] / qps[1] if qps[1] > 0 else 0.0
     cpus = os.cpu_count() or 1
 
-    print(f"\noptimize throughput: 1 shard {base:.1f}/s, "
-          f"{_SHARD_COUNTS[-1]} shards {wide:.1f}/s "
-          f"(speedup {speedup:.2f}x on {cpus} CPUs)")
+    print("\noptimize throughput: " + ", ".join(
+        f"{n} shards {rate:.1f}/s" for n, rate in qps.items()
+    ) + f" (4 vs 1: {speedup:.2f}x on {cpus} CPUs)")
 
     if cpus >= 4:
         assert speedup >= _SPEEDUP_FLOOR, (

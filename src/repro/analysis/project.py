@@ -259,7 +259,7 @@ class ProjectInfo:
                 self._register_function(record, stmt, qual, cls=cls)
                 self._register_functions(record, stmt, prefix=qual, cls=cls)
             elif isinstance(stmt, (ast.If, ast.Try, ast.With, ast.For,
-                                   ast.While)):
+                                   ast.While, ast.AsyncWith, ast.AsyncFor)):
                 self._register_functions(record, stmt, prefix=prefix, cls=cls)
 
     def _register_function(self, record: ModuleRecord, node: ast.AST,

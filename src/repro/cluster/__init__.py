@@ -10,7 +10,8 @@ degradation ladder (:class:`~repro.serving.service.Ladder`) and holding
 no plan, with :class:`~repro.cluster.admission.AdmissionController`
 shedding load onto that ladder before deadlines blow.
 
-``python -m repro.cluster`` replays a Zipf workload and reports
+``python -m repro.cluster`` replays a Zipf workload through the gateway
+(``--shards 0``: through the in-process service) and reports
 throughput, p50/p99, the tier's hit share and the rung distribution.
 """
 

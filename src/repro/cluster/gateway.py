@@ -1,8 +1,9 @@
 """The cluster gateway: one asyncio front end over N worker processes.
 
 ``repro.serving`` serves from many *threads*, but CPU-bound LEC dynamic
-programming holds the GIL, so one process optimizes at roughly one
-core.  The gateway runs one worker process per shard instead: each
+programming holds the GIL.  The gateway runs one worker process per
+shard instead (on 2 CPUs, 2 shards optimize 1.9x the in-process rate
+and 1.33x one shard's; EXPERIMENTS.md, "One replay driver"): each
 request is validated and named (:meth:`OptimizeRequest.cache_key`),
 answered on the spot when the cluster's plan tier
 (:attr:`ClusterGateway.shared_tier`, a
@@ -10,9 +11,8 @@ answered on the spot when the cluster's plan tier
 and otherwise **coalesced** (concurrent duplicates share one
 optimization), admitted or shed by the
 :class:`~repro.cluster.admission.AdmissionController`, and **routed by
-fingerprint hash** to a fixed worker process, which runs the
-degradation ladder (:class:`~repro.serving.service.Ladder`) and holds
-no plan.
+fingerprint hash** to a fixed worker process, which runs the degradation
+ladder (:class:`~repro.serving.service.Ladder`) and holds no plan.
 
 The gateway itself does no optimization and no plan decoding — a hit
 hands out the stored plan document, a miss shuffles frames.  A hit runs

@@ -5,9 +5,9 @@ admission decisions, retries, restarts, end-to-end latency including
 queueing and the wire), while each worker's pong carries its own
 :class:`~repro.serving.metrics.MetricsRegistry` snapshot.
 :meth:`ClusterMetrics.aggregate` folds both views into one report — the
-numbers the replay driver prints and the benchmark snapshots:
-throughput inputs, p50/p99, the shared tier's hit rate, and per shard
-the rung distribution and how many requests its worker ``recall``-ed.
+numbers the benchmark snapshots (the replay driver takes only the worker
+memo, restarts and admission): p50/p99, the shared tier's hit rate, and
+per shard the rung distribution and how many requests its worker ``recall``-ed.
 """
 
 from __future__ import annotations

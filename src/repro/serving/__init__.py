@@ -15,9 +15,7 @@ is the layer a production system would put in front of it:
 * :class:`~repro.serving.metrics.MetricsRegistry` — counters and
   latency histograms shared by both.
 
-``python -m repro.serving`` replays a synthetic workload through the
-service and prints cold- vs warm-cache throughput and the metrics
-snapshot.
+``python -m repro.cluster --shards 0`` replays a workload through the service.
 """
 
 from .metrics import Counter, LatencyHistogram, MetricsRegistry

@@ -150,6 +150,12 @@ class ServingResult:
     skipped_rungs: Tuple[str, ...] = ()
     cache_tier: Optional[str] = None  # "hot" (this service's tier) on a hit, else None
 
+    # Never shed, retried or coalesced: read as a ClusterResult's (constants, not fields).
+    status = "ok"
+    ok = True
+    retries = 0
+    coalesced = False
+
     @property
     def degraded(self) -> bool:
         """True when a rung below the full objective produced the plan."""

@@ -49,6 +49,17 @@ class TestAsync001:
         assert "retry" in findings[0].message
         assert "backoff" in findings[0].message
 
+    def test_fires_in_a_coroutine_defined_under_async_with(self):
+        findings = run_rule("ASYNC001", """
+            async def replay(stack, pool):
+                async with stack:
+                    async def ask(job):
+                        return pool.submit(job).result()
+                    await ask(1)
+        """, path=CLUSTER_PATH)
+        assert len(findings) == 1
+        assert "replay.ask" in findings[0].message
+
     def test_quiet_when_awaited(self):
         findings = run_rule("ASYNC001", """
             import asyncio

@@ -1,6 +1,7 @@
-"""The replay driver that ``python -m repro.cluster`` and the cluster
-benchmarks share: closed-loop clients over one iterator, and a report
-whose shape the CLI and CI read."""
+"""The one replay driver that ``python -m repro.cluster`` and the cluster
+benchmarks share: closed-loop clients over one iterator, through the
+in-process service (``shards=0``) or the gateway, and a report whose
+shape the CLI and CI read."""
 
 from __future__ import annotations
 
@@ -10,16 +11,19 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterGateway
+from repro.cluster.__main__ import main
 from repro.cluster.replay import build_workload, replay
+from repro.serving.service import OptimizerService
 
 _REPORT_KEYS = {
-    "accepted", "admission", "answered", "cache_tiers", "coalesced",
+    "accepted", "admission", "answered", "cache", "coalesced",
     "config", "errors", "latency", "lost", "optimize_throughput_qps",
-    "processes", "restarts", "retried", "rungs", "shards", "shed",
+    "processes", "restarts", "retried", "rungs", "shed",
     "throughput_qps", "wall_seconds", "worker_memo",
 }
 _CONFIG_KEYS = {
-    "concurrency", "cpu_count", "kill_worker_at", "requests", "shards",
+    "concurrency", "cpu_count", "distinct", "kill_worker_at", "requests",
+    "shards",
 }
 
 
@@ -29,26 +33,36 @@ def _workload():
                           min_relations=3, max_relations=4)
 
 
-@pytest.mark.parametrize("concurrency", [1, 32])
-def test_every_request_is_answered_exactly_once(concurrency, monkeypatch):
+# Ids name the concurrency; the in-process front's carry a prefix.
+@pytest.mark.parametrize(
+    "shards, concurrency", [(2, 1), (2, 32), (0, 1), (0, 32)],
+    ids=["1", "32", "in-process-1", "in-process-32"],
+)
+def test_every_request_is_answered_exactly_once(shards, concurrency,
+                                                monkeypatch):
     workload = _workload()
     asked = []
-    real = ClusterGateway.optimize
+    front, name = (ClusterGateway, "optimize") if shards else (
+        OptimizerService, "submit")
+    real = getattr(front, name)
 
-    async def counting(self, request=None, **kwargs):
+    def counting(self, request=None, **kwargs):
         asked.append(request)
-        return await real(self, request, **kwargs)
+        return real(self, request, **kwargs)
 
-    monkeypatch.setattr(ClusterGateway, "optimize", counting)
-    report = asyncio.run(replay(workload, shards=2, concurrency=concurrency))
+    monkeypatch.setattr(front, name, counting)
+    report = asyncio.run(replay(workload, shards=shards,
+                                concurrency=concurrency))
 
     assert sorted(map(id, asked)) == sorted(map(id, workload))
     assert report["lost"] == report["errors"] == report["shed"] == 0
     assert report["answered"] == report["accepted"] == len(workload)
+    # Every answer is timed, a coalesced one too.
+    assert report["latency"]["count"] == report["answered"]
     assert set(report) == _REPORT_KEYS
     assert set(report["config"]) == _CONFIG_KEYS
     assert report["config"]["concurrency"] == concurrency
-    assert report["processes"] == 2
+    assert report["processes"] == shards
 
 
 def test_a_version_bump_sends_repeats_to_workers_that_remember_them():
@@ -66,6 +80,23 @@ def test_a_version_bump_sends_repeats_to_workers_that_remember_them():
     }
 
 
+def test_an_in_process_version_bump_empties_the_tier_every_time():
+    workload = _workload()
+    report = asyncio.run(replay(workload, shards=0, concurrency=1,
+                                bump_every=1))
+    assert report["lost"] == 0 and report["answered"] == len(workload)
+    assert report["cache"]["hits"] == 0
+    assert sum(report["rungs"].values()) == len(workload)
+    assert report["worker_memo"] == {"requests": 0, "remembered": 0}
+
+
 def test_no_client_is_refused():
     with pytest.raises(ValueError, match="concurrency"):
         asyncio.run(replay(_workload(), shards=1, concurrency=0))
+
+
+def test_the_cli_replays_in_process_and_refuses_a_kill_without_workers():
+    assert main(["--quick", "--shards", "0", "--concurrency", "1"]) == 0
+    with pytest.raises(SystemExit) as refused:
+        main(["--shards", "0", "--kill-worker"])
+    assert refused.value.code == 2
