@@ -194,7 +194,7 @@ class OptimizationContext:
 
         The Chen & Schneider-style intermediate-size bounds (see
         :func:`repro.costmodel.estimates.subset_size_bounds`), used to
-        clamp propagated distributions and to prune the bushy DP.
+        clamp propagated distributions.
         """
         key = frozenset(rels)
         stats = self._stats["subset_bounds"]

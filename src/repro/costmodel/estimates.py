@@ -121,14 +121,10 @@ def subset_size_bounds(
     The Chen & Schneider-style bound for SPJ(U) intermediates: with every
     uncertain factor (relation sizes, selectivities) confined to its
     support range, the result's pages lie within the product of the
-    factor extremes.  Two uses downstream:
-
-    * **clamping** C6-rebucketed size distributions (rebucketing is
-      mean-preserving but can, in principle, smear mass outside the
-      attainable range — the clip keeps arm/union distributions sound);
-    * **pruning** the enlarged (bushy) DP: every join method reads both
-      inputs at least once, so ``lo(L) + lo(R)`` lower-bounds any join
-      step over the partition ``(L, R)``.
+    factor extremes.  They **clamp** C6-rebucketed size distributions
+    (rebucketing is mean-preserving but can, in principle, smear mass
+    outside the attainable range — the clip keeps arm/union
+    distributions sound).
     """
     rels = frozenset(rels)
     if not rels:

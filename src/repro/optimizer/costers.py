@@ -310,17 +310,6 @@ class Coster(abc.ABC):
         assert self.context is not None, "coster used before bind()"
         return self.context.step_cost(key, compute)
 
-    def pages_lower_bound(self, rels: FrozenSet[str]) -> float:
-        """A lower bound on the page count this coster charges for ``rels``.
-
-        Used by the DP's Chen & Schneider partition prune: every join
-        method reads both inputs at least once, so two input lower bounds
-        sum to a sound lower bound on any join step.  Point-valued
-        costers return the exact page count; distributional costers the
-        distribution's smallest support point.
-        """
-        return self._pages(rels)
-
     # -- union (SPJU) hooks ---------------------------------------------
 
     def union_overhead(self, arms, distinct: bool) -> float:
@@ -644,10 +633,6 @@ class MultiParamCoster(Coster):
                 self.cost_model, self.size_distribution(rels), self.memory
             ),
         )
-
-    def pages_lower_bound(self, rels):
-        """Smallest support point of the subset's (clamped) distribution."""
-        return self.size_distribution(rels).min()
 
     def union_overhead(self, arms, distinct):
         """Distributional DISTINCT overhead: writes + expected dedup sort.

@@ -31,6 +31,9 @@ class OptimizerStats:
     counts Proposition 3.1 probes, one walk per split per pair of input
     views (``SystemRDP._views``); ``entries_offered`` the totals held
     against a bucket: a walk's sums per join method, and access paths.
+    ``partitions_pruned`` always reads 0: the DP costs every split.  The
+    field stays because the frozen ``bench/ledger.py`` reads it (ROADMAP
+    item 1).
     """
 
     subsets_explored: int = 0

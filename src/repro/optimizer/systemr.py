@@ -30,17 +30,14 @@ Bookkeeping details that matter for fidelity:
   Proposition 3.1 merge — this is Algorithm B's candidate generator.
 * **Plan spaces.** ``"left-deep"`` reproduces the paper's search space;
   ``"zig-zag"`` adds mirrored splits; ``"bushy"`` enumerates all
-  partitions (the extension the paper defers).  The enlarged spaces are
-  pruned with Chen & Schneider intermediate-size lower bounds: a
-  partition whose children plus input-read bound cannot beat the worst
-  retained entry of every reachable order bucket is skipped — where
-  the bound alone can tell, before any of its steps is costed.
+  partitions (the extension the paper defers).  Every split of every
+  space is costed.
 * **Integer subsets, costs first.** Inside the DP a relation set is an
   ``int`` mask over sorted-name bit numbers and a subset's splits are
   walked in ascending mask order — the order is part of the contract,
   because equal costs are settled by first arrival: split, then pair
   of input views, then method, then probe order.  What a run knows of a
-  subset (names, floors, write cost, unsorted view) is under the mask.  A
+  subset (names, write cost, unsorted view) is under the mask.  A
   candidate is a cost, an admitted entry is a back-pointer, a plan is
   built once at the root (:attr:`DPEntry.node`).
 * **SPJU.** A :class:`~repro.plans.query.JoinQuery` that is actually a
@@ -52,7 +49,6 @@ Bookkeeping details that matter for fidelity:
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import defaultdict
 from operator import itemgetter
@@ -76,9 +72,9 @@ __all__ = ["SystemRDP", "DPEntry"]
 #: bucket in it holds at least one entry.
 _Table = Dict[int, Dict[Optional[str], "TopKList[DPEntry]"]]
 #: One joinable split: (left mask, right mask, predicate label, order
-#: target, output order per join method, lower bound on its candidates).
-_Split = Tuple[int, int, str, Optional[str], Tuple[Optional[str], ...], float]
-_bound_of, _cost_of = itemgetter(5), itemgetter(0)
+#: target, output order per join method).
+_Split = Tuple[int, int, str, Optional[str], Tuple[Optional[str], ...]]
+_cost_of = itemgetter(0)
 #: A join input as a split sees it: (presorted, ascending costs, entries).
 _View = Tuple[bool, Sequence[float], Sequence["DPEntry"]]
 #: A level's step costs: (left mask, right mask) -> per pair of input
@@ -164,16 +160,11 @@ class SystemRDP:
         self.allow_cross_products = allow_cross_products
         self.top_k = top_k
         self.context = context
-        # Chen & Schneider lower-bound pruning pays off (and keeps legacy
-        # instrumentation exact) only on the enlarged spaces.
-        self._prune = space.shape != "left-deep"
         #: The running block's subset mask -> relation names, one
         #: frozenset per table subset: the skeleton's (see :meth:`_run_dp`).
         self._rels: Dict[int, FrozenSet[str]] = {}
-        #: Per-run cost state.  Mask -> cheapest retained cost plus page
-        #: lower bound, cached.
-        self._floors: Dict[int, float] = {}
-        #: ... -> what writing its output costs (a stored relation: 0.0).
+        #: Per-run cost state.  Mask -> what writing its output costs (a
+        #: stored relation: 0.0).
         self._writes: Dict[int, float] = {}
         #: ... -> its views (one, unsorted) when no bucket is the order target.
         self._unsorted: Dict[int, List[_View]] = {}
@@ -228,17 +219,16 @@ class SystemRDP:
         :meth:`PlanSpace.level_masks`' levels and each mask's splits.  The
         first run on a context records that *skeleton* (:meth:`_record`);
         later runs on the same names, shape, cross products and methods
-        replay it, re-deriving only the splits' lower bounds.
+        replay it as it is.
 
-        A level is evaluated in three moves: :meth:`_prune_level` drops
-        the splits their lower bounds rule out (costing only its seeds),
-        :meth:`_cost_splits` costs what is left, one coster call per
-        presorted-flag pair returning a cost list per join method, and
-        :meth:`_build_subset` offers each subset's candidates in
-        ascending-submask order, reading the step costs of the batch.
+        A level is evaluated in two moves: :meth:`_cost_splits` costs
+        every split, one coster call per presorted-flag pair returning a
+        cost list per join method, and :meth:`_build_subset` offers each
+        subset's candidates in ascending-submask order, reading the step
+        costs of the batch.
         """
         table: _Table = {}
-        self._floors, self._writes, self._unsorted = {}, {}, {}
+        self._writes, self._unsorted = {}, {}
         writes = self._writes
         pipelined = self.coster.cost_model.pipelined_methods
         self._methods = [(m, m in pipelined) for m in self.coster.methods]
@@ -269,17 +259,8 @@ class SystemRDP:
 
         # Depths 2..n (level k only reads levels < k, all already in table).
         for phase, (level, walked) in enumerate(levels):
-            steps: _Steps = {}
-            if self._prune:
-                if kept is not None:  # the kept splits' bounds are stale
-                    walked = [
-                        [(*s[:5], self._lower_bound(s[0], s[1], table)) for s in splits]
-                        for splits in walked
-                    ]
-                self._prune_level(walked, phase, table, steps, stats)
-            self._cost_splits(
-                [split for splits in walked for split in splits],
-                phase, table, steps,
+            steps = self._cost_splits(
+                [split for splits in walked for split in splits], phase, table
             )
             for mask, splits in zip(level, walked):
                 self._build_subset(mask, splits, table, steps, stats)
@@ -301,7 +282,7 @@ class SystemRDP:
             for mask, splits in zip(level, walked):
                 if splits:  # any split spans the subset
                     rels[mask] = rels[splits[0][0]] | rels[splits[0][1]]
-            levels.append((level, tuple(walked)))  # the prune edits ``walked``
+            levels.append((level, walked))
             yield level, walked
         self.coster.context.keep_skeleton(key, skeleton)
 
@@ -317,9 +298,9 @@ class SystemRDP:
         A split qualifies when both sides have table entries and a
         predicate crosses it (the first one names the join) — or, with
         ``allow_cross_products``, when none does.  It carries the output
-        order of each join method and, under the prune, its lower bound
-        — derived once and served to the mirror split too, except under
-        cross products, whose label names the *right* side's lowest.
+        order of each join method — derived once and served to the
+        mirror split too, except under cross products, whose label names
+        the *right* side's lowest.
         """
         derived: Dict[int, tuple] = {}
         for left, right in self.space.split_masks(mask):
@@ -338,90 +319,25 @@ class SystemRDP:
                     orders = tuple(
                         order_from_join(m, label) for m in self.coster.methods
                     )
-                bound = self._lower_bound(left, right, table) if self._prune else 0.0
-                shared = (label, order_target, orders, bound)
+                shared = (label, order_target, orders)
                 if not self.allow_cross_products:
                     derived[left] = shared
             yield (left, right) + shared
 
-    def _lower_bound(self, left: int, right: int, table: _Table) -> float:
-        """A lower bound on every candidate the split can produce.
-
-        Every join method reads both inputs at least once, so each
-        side's cheapest retained entry plus its page lower bound ``lo``
-        (the coster's) bounds them all from below (Chen & Schneider).  No
-        step cost enters it; each side's floor is per filed subset, hence
-        cached, and the sum is the same for a split and its mirror.
-        """
-        floors = self._floors
-        for mask in (left, right):
-            if mask not in floors:
-                floors[mask] = min(
-                    bucket.costs[0] for bucket in table[mask].values()
-                ) + self.coster.pages_lower_bound(self._rels[mask])
-        return floors[left] + floors[right]
-
-    def _prune_level(
-        self,
-        walked: List[List[_Split]],
-        phase: int,
-        table: _Table,
-        steps: _Steps,
-        stats: OptimizerStats,
-    ) -> None:
-        """Drop from ``walked`` the splits their bounds rule out, uncosted.
-
-        What a bound is held against comes from *seeds*: within a
-        subset, splits feeding the same order buckets form a group of
-        ``m``, and the ``isqrt(m)`` smallest-bound splits of every group
-        of three or more (a seed is costed for certain, the rest only
-        perhaps: the square root balances the two) are costed — all
-        seeds of the level in one batch — and seated, costs only, in
-        trial buckets.  :meth:`_dominated`'s rule against those is
-        sound for any ``top_k``: what the seeds alone seat, the whole
-        subset seats too or better.  A group of two (a split and its
-        mirror share a bound) drops nothing — all a chain or star has.
-        """
-        seeds: List[List[_Split]] = []
-        for splits in walked:
-            groups: Dict[tuple, List[_Split]] = {}
-            for split in splits:
-                groups.setdefault(split[4], []).append(split)
-            seeds.append([
-                seed
-                for group in groups.values()
-                if len(group) >= 3
-                for seed in sorted(group, key=_bound_of)[: math.isqrt(len(group))]
-            ])
-        self._cost_splits(
-            [seed for seeded in seeds for seed in seeded], phase, table, steps
-        )
-        for i, seeded in enumerate(seeds):
-            if seeded:
-                trial: Dict[Optional[str], TopKList] = {}
-                for seed in seeded:
-                    self._offer_split(seed, table, steps, trial)
-                kept = [s for s in walked[i] if not self._dominated(s, trial)]
-                stats.partitions_pruned += len(walked[i]) - len(kept)
-                walked[i] = kept
-
-    def _cost_splits(
-        self, splits: Sequence[_Split], phase: int, table: _Table, steps: _Steps
-    ) -> None:
-        """Cost the join steps of ``splits`` in columns: per split not yet
-        in ``steps``, each pair of views its inputs present
-        (:meth:`_views`) is filed under its two presorted flags, and each
-        flag pair of the level is one coster call — the ``(left rels,
-        right rels)`` pairs in, one cost list per join method out.  View
-        pairs and their per-method costs go to ``steps``, where
-        :meth:`_offer_split` reads both.
+    def _cost_splits(self, splits: Sequence[_Split], phase: int, table: _Table) -> _Steps:
+        """Cost the join steps of a level's ``splits`` in columns: per
+        split, each pair of views its inputs present (:meth:`_views`) is
+        filed under its two presorted flags, and each flag pair of the
+        level is one coster call — the ``(left rels, right rels)`` pairs
+        in, one cost list per join method out.  View pairs and their
+        per-method costs come back per split, where :meth:`_offer_split`
+        reads both.
         """
         rels, views = self._rels, self._views
+        steps: _Steps = {}
         # (left presorted, right presorted) -> (view pair slots, rel pairs)
         columns: Dict[Tuple[bool, bool], tuple] = defaultdict(lambda: ([], []))
-        for left, right, _label, order_target, _orders, _bound in splits:
-            if (left, right) in steps:
-                continue
+        for left, right, _label, order_target, _orders in splits:
             steps[left, right] = slots = []
             pair = (rels[left], rels[right])
             for lview in views(left, order_target, table):
@@ -434,6 +350,7 @@ class SystemRDP:
             costs = self.coster.prefetch_join_steps(phase, lps, rps, pairs)
             for slot, step in zip(slots, zip(*costs)):
                 slot[2] = step
+        return steps
 
     def _views(
         self, mask: int, order_target: Optional[str], table: _Table
@@ -486,7 +403,7 @@ class SystemRDP:
         table: _Table,
         steps: _Steps,
         buckets: Dict[Optional[str], TopKList],
-        stats: Optional[OptimizerStats] = None,
+        stats: OptimizerStats,
     ) -> None:
         """Offer one split's candidates to ``buckets``, per output order.
 
@@ -496,8 +413,6 @@ class SystemRDP:
         rule and arrival-order tie-break, without the call.  What it admits
         is a :class:`DPEntry` pointing back at the two entries joined — no
         plan node is built.
-        Without ``stats`` this is :meth:`_prune_level`'s dry run: the
-        same totals are seated, nothing is counted.
 
         One Proposition 3.1 walk per pair of input views, not of order
         buckets: rounded addition is monotone (``a <= b`` gives ``fl(a + c)
@@ -508,7 +423,7 @@ class SystemRDP:
         a tail slot at ``top_k > 1`` differs: arrival order settles it.
         """
         space, top_k, writes = self.space, self.top_k, self._writes
-        left, right, label, order_target, orders, _bound = split
+        left, right, label, order_target, orders = split
         for mask in (left, right):  # asked of the coster once per run
             if mask not in writes:
                 writes[mask] = self.coster.write_cost(self._rels[mask])
@@ -539,29 +454,8 @@ class SystemRDP:
                             space, lentries[li], rentries[ri],
                             method, label, order_target,
                         )))
-        if stats is not None:
-            stats.merge_probes += probes
-            stats.entries_offered += merged * len(rows)
-
-    @staticmethod
-    def _dominated(split: _Split, buckets: Dict[Optional[str], TopKList]) -> bool:
-        """Chen & Schneider partition prune (sound, never affects results).
-
-        The split is skipped only when its lower bound *strictly*
-        exceeds the worst retained cost of every order bucket it could
-        feed (one per method) — so no entry that could ever be kept (or
-        tie) is lost.
-        """
-        worst = None
-        for key in split[4]:
-            bucket = buckets.get(key)
-            if bucket is None:
-                return False  # an open bucket accepts anything
-            bucket_worst = bucket.worst_cost()
-            if bucket_worst is None:
-                return False  # bucket not full yet
-            worst = bucket_worst if worst is None else max(worst, bucket_worst)
-        return split[5] > worst
+        stats.merge_probes += probes
+        stats.entries_offered += merged * len(rows)
 
     def _finalize(
         self,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, List, Sequence, Tuple, TypeVar
 
 __all__ = ["TopKList", "top_sums", "merge_top_combinations", "MergeResult"]
 
@@ -58,12 +58,6 @@ class TopKList(Generic[T]):
             costs.pop()
             self.entries.pop()
         return True
-
-    def worst_cost(self) -> Optional[float]:
-        """Cost of the k-th item, or None when fewer than k are held."""
-        if len(self.costs) < self.k:
-            return None
-        return self.costs[-1]
 
     def items(self) -> List[Tuple[float, T]]:
         """The held items as ``(cost, item)`` pairs, ascending cost."""

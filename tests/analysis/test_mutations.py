@@ -193,12 +193,8 @@ CASES = [
     # FLT001: an exact tie test on a cost.
     pytest.param(
         "FLT001", "optimizer/systemr.py",
-        "            if bucket_worst is None:\n"
-        "                return False  # bucket not full yet\n",
-        "            if bucket_worst is None:\n"
-        "                return False  # bucket not full yet\n"
-        "            if bucket.worst_cost() == split[5]:\n"
-        "                return False\n",
+        "                    if len(held) < top_k or total < held[-1]:\n",
+        "                    if len(held) < top_k or total == kept[-1].cost:\n",
         id="f1",
     ),
     # DIST001: a coster reading a distribution's private support.

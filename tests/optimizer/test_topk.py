@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.optimizer.result import OptimizerStats
 from repro.optimizer.topk import TopKList, merge_top_combinations
 
 
@@ -37,10 +38,9 @@ class TestTopKList:
     def test_best_and_worst(self):
         top = TopKList(2)
         top.offer(4.0, "a")
-        assert top.worst_cost() is None  # not yet full
         top.offer(2.0, "b")
         assert top.best() == (2.0, "b")
-        assert top.worst_cost() == 4.0
+        assert top.costs[-1] == 4.0  # the worst held: the DP's admission bar
 
     def test_best_on_empty_raises(self):
         with pytest.raises(IndexError):
@@ -153,12 +153,12 @@ class TestInPlaceAdmission:
         # exactly the left costs, arriving in Proposition 3.1 probe order,
         # each tagged by the left entry it joins.
         engine, buckets, reference = self._engine(k), {}, TopKList(k)
-        split = (1, 2, "p", None, (None,), 0.0)
+        split = (1, 2, "p", None, (None,))
         for s, costs in enumerate(stream):
             costs = sorted(costs)
             tags = [f"{s}.{i}" for i in range(len(costs))]
             steps = {(1, 2): [[(False, costs, tags), (False, [0.0], ["r"]), (0.0,)]]}
-            engine._offer_split(split, {}, steps, buckets)
+            engine._offer_split(split, {}, steps, buckets, OptimizerStats())
             for total, i, _ in merge_top_combinations(costs, [0.0], k).combinations:
                 reference.offer(total, tags[i])
         if not stream:
