@@ -1,13 +1,13 @@
 """``repro.analysis`` — project-specific static analysis ("optlint").
 
 An AST-based lint engine enforcing the LEC invariants the type system
-cannot see: lock discipline on shared serving state, catalog-version
-fences on statistics mutations, cost/probability float hygiene,
-determinism, and distribution encapsulation.
+cannot see: lock discipline and lock order on shared serving state,
+catalog-version fences on statistics mutations, a non-blocking cluster
+event loop, and a wire codec whose encoder and decoder agree on kinds.
 
 Run it as the CI gate does::
 
-    python -m repro.analysis src
+    python -m repro.analysis src --stats
 
 or programmatically::
 
@@ -15,7 +15,7 @@ or programmatically::
     findings = AnalysisEngine().check_paths(["src"])
 
 See :mod:`repro.analysis.rules` for the rule catalog and
-:mod:`repro.analysis.engine` for suppression mechanics.
+:mod:`repro.analysis.project` for the whole-program view.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .engine import (
     iter_python_files,
     register,
     registered_rules,
-    suppressed_rules_for_line,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "iter_python_files",
     "register",
     "registered_rules",
-    "suppressed_rules_for_line",
 ]

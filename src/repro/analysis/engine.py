@@ -1,10 +1,9 @@
 """The optlint engine: per-file AST analysis with a pluggable rule registry.
 
 The LEC framework's correctness rests on invariants the type system
-cannot express: cost formulas are discontinuous, so exact float equality
-on costs is a latent bug; distributions must stay normalized; the
-serving layer's plan cache is only sound if every catalog mutation bumps
-the version fence and every shared structure is touched under its lock.
+cannot express: the serving layer's plan cache is only sound if every
+catalog mutation bumps the version fence and every shared structure is
+touched under its lock, and the cluster's event loop must never block.
 This module provides the machinery to enforce such invariants as
 repo-specific static-analysis rules:
 
@@ -15,25 +14,22 @@ repo-specific static-analysis rules:
   registry; ``repro.analysis.rules`` registers the built-in rule set on
   import.
 * :class:`AnalysisEngine` — parses each file once into a
-  :class:`ModuleInfo` (AST with parent links plus source lines) and
-  dispatches every registered rule over it, applying inline
-  suppressions: ``# optlint: disable=RULE`` (or a comma- or
-  space-separated list, or ``all``, then an optional justification) on
-  the offending line — the tool for a *justified* violation, e.g. an
-  exact ``== 0.0`` guard that intentionally precedes a division.
+  :class:`ModuleInfo` (AST with parent links) and dispatches every
+  registered rule over it.  There is no inline suppression: a finding
+  is fixed in code, or the rule is changed together with its mutation
+  case.
 
 Findings are plain data (:class:`Finding`) so callers can render text,
-JSON, or assert on them in tests.
+SARIF, or assert on them in tests.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
 
 __all__ = [
     "Finding",
@@ -44,7 +40,6 @@ __all__ = [
     "registered_rules",
     "AnalysisEngine",
     "iter_python_files",
-    "suppressed_rules_for_line",
 ]
 
 
@@ -62,16 +57,6 @@ class Finding:
         """``path:line:col`` for terminal output."""
         return f"{self.path}:{self.line}:{self.col}"
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
 
 @dataclass
 class ModuleInfo:
@@ -85,30 +70,16 @@ class ModuleInfo:
     path: str
     source: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
     parents: Dict[ast.AST, ast.AST] = field(default_factory=dict)
 
     @classmethod
     def parse(cls, path: str, source: str) -> "ModuleInfo":
         tree = ast.parse(source, filename=path)
-        info = cls(path=path, source=source, tree=tree,
-                   lines=source.splitlines())
+        info = cls(path=path, source=source, tree=tree)
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):
                 info.parents[child] = parent
         return info
-
-    @property
-    def is_test(self) -> bool:
-        """Heuristic: test files get a pass from some rules (DET001)."""
-        parts = self.path.replace(os.sep, "/").split("/")
-        base = parts[-1] if parts else ""
-        return (
-            "tests" in parts
-            or base.startswith("test_")
-            or base.endswith("_test.py")
-            or base == "conftest.py"
-        )
 
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         """Walk from ``node``'s parent up to the module root."""
@@ -137,16 +108,6 @@ class Rule:
         return Finding(
             rule=self.name,
             path=module.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-        )
-
-    def finding_at(self, path: str, node: ast.AST, message: str) -> Finding:
-        """Like :meth:`finding`, for rules that only hold a path string."""
-        return Finding(
-            rule=self.name,
-            path=path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
@@ -215,44 +176,8 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                     yield os.path.join(root, fname)
 
 
-_RULE_TOKEN = r"(?:[A-Z]+[0-9]+|all)\b"
-_DIRECTIVE = re.compile(
-    rf"#\s*optlint:\s*disable=((?:[\s,]*{_RULE_TOKEN})+)"
-)
-
-
-def parse_directives(line: str) -> Set[str]:
-    """Rule names disabled by the ``# optlint:`` comment on one line.
-
-    The rule list is the comma- or space-separated run of rule names
-    (or ``all``) after ``disable=``; the first other word starts the
-    justification, so ``disable=FLT001 exact sentinel`` disables FLT001.
-    """
-    match = _DIRECTIVE.search(line)
-    if not match:
-        return set()
-    return set(re.findall(_RULE_TOKEN, match.group(1)))
-
-
-def suppressed_rules_for_line(lines: Sequence[str], lineno: int) -> Set[str]:
-    """Rules suppressed at ``lineno`` (1-based).
-
-    A directive applies to its own line; a directive on a line *by
-    itself* (nothing but the comment) applies to the following line
-    instead, so long statements can keep their suppression adjacent.
-    """
-    out: Set[str] = set()
-    if 1 <= lineno <= len(lines):
-        out |= parse_directives(lines[lineno - 1])
-    if 2 <= lineno <= len(lines) + 1:
-        prev = lines[lineno - 2]
-        if prev.lstrip().startswith("#"):
-            out |= parse_directives(prev)
-    return out
-
-
 class AnalysisEngine:
-    """Runs a rule set over files, honoring inline suppressions.
+    """Runs a rule set over files.
 
     Parameters
     ----------
@@ -265,7 +190,6 @@ class AnalysisEngine:
         if rules is None:
             rules = [cls() for _, cls in sorted(registered_rules().items())]
         self.rules: List[Rule] = list(rules)
-        self.suppressed: List[Finding] = []
         self.errors: List[str] = []
         self.stats: Dict[str, float] = {}
 
@@ -303,20 +227,7 @@ class AnalysisEngine:
             "project_rule_seconds": t2 - t1,
             "total_seconds": t2 - t0,
         }
-        return self._filter(raw, {m.path: m.lines for m in modules})
-
-    def _filter(self, raw: Sequence[Finding],
-                lines_by_path: Dict[str, List[str]]) -> List[Finding]:
-        """Apply inline suppressions; sort the survivors."""
-        out: List[Finding] = []
-        for f in sorted(raw, key=lambda f: (f.path, f.line, f.col, f.rule)):
-            lines = lines_by_path.get(f.path, [])
-            disabled = suppressed_rules_for_line(lines, f.line)
-            if f.rule in disabled or "all" in disabled:
-                self.suppressed.append(f)
-                continue
-            out.append(f)
-        return out
+        return sorted(raw, key=lambda f: (f.path, f.line, f.col, f.rule))
 
     def check_source(self, source: str, path: str = "<string>") -> List[Finding]:
         """Analyze one in-memory module; used heavily by the rule tests.
@@ -330,11 +241,6 @@ class AnalysisEngine:
             self.errors.append(f"{path}: syntax error: {exc.msg} (line {exc.lineno})")
             return []
         return self.check_modules([module])
-
-    def check_file(self, path: str) -> List[Finding]:
-        """Analyze one file on disk."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return self.check_source(fh.read(), path=path)
 
     def check_paths(self, paths: Iterable[str]) -> List[Finding]:
         """Analyze every ``.py`` file reachable from ``paths``.

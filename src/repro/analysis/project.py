@@ -17,7 +17,9 @@ global view:
   which locks it acquires (and what was held at each acquire), which
   blocking primitives it invokes, and every call site with its resolved
   candidate callees and the locks held around it.
-* :class:`ProjectInfo` ties the summaries into a **call graph** with
+* :class:`ProjectInfo` ties the summaries into a **call graph**:
+  :meth:`ProjectInfo.reachable` is the one walk over it, read by
+  ASYNC001 for blocking chains and by
   :meth:`ProjectInfo.transitive_acquires` for interprocedural lock
   reasoning.
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .engine import ModuleInfo
 from .rules._util import dotted_name, is_lock_create
@@ -198,7 +200,7 @@ class ProjectInfo:
         self.modules: Dict[str, ModuleRecord] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        self._acquire_memo: Dict[str, Set[str]] = {}
+        self._reach_memo: Dict[str, Dict[str, Optional[str]]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -513,25 +515,48 @@ class ProjectInfo:
             out.extend(self.method_candidates(base, method, seen))
         return out
 
-    def transitive_acquires(self, qualname: str) -> Set[str]:
-        """Every lock domain reachable through ``qualname``'s sync calls."""
-        memo = self._acquire_memo.get(qualname)
+    def reachable(self, qualname: str) -> Dict[str, Optional[str]]:
+        """Sync functions reachable from ``qualname`` through its calls.
+
+        Each maps to the caller it was first reached from (``qualname``
+        itself to ``None``), in depth-first preorder.  Async callees are
+        not entered: calling one only builds a coroutine.  A walk is
+        memoized once it is complete, never part-way through a call
+        cycle, so the answer does not depend on the order of queries.
+        """
+        memo = self._reach_memo.get(qualname)
         if memo is not None:
             return memo
-        self._acquire_memo[qualname] = set()  # cycle guard: partial result
-        out: Set[str] = set()
+        parents: Dict[str, Optional[str]] = {qualname: None}
+        stack = [(qualname, self._sync_callees(qualname))]
+        while stack:
+            caller, callees = stack[-1]
+            for callee in callees:
+                if callee not in parents:
+                    parents[callee] = caller
+                    stack.append((callee, self._sync_callees(callee)))
+                    break
+            else:
+                stack.pop()
+        self._reach_memo[qualname] = parents
+        return parents
+
+    def _sync_callees(self, qualname: str) -> Iterator[str]:
         fn = self.functions.get(qualname)
-        if fn is not None:
-            for lu in fn.acquires:
-                out.add(lu.domain)
-            for cs in fn.calls:
-                for callee in cs.callees:
-                    callee_fn = self.functions.get(callee)
-                    if callee_fn is not None and callee_fn.is_async:
-                        continue
-                    out.update(self.transitive_acquires(callee))
-        self._acquire_memo[qualname] = out
-        return out
+        for cs in fn.calls if fn is not None else ():
+            for callee in cs.callees:
+                callee_fn = self.functions.get(callee)
+                if callee_fn is not None and not callee_fn.is_async:
+                    yield callee
+
+    def transitive_acquires(self, qualname: str) -> Set[str]:
+        """Every lock domain reachable through ``qualname``'s sync calls."""
+        return {
+            lu.domain
+            for q in self.reachable(qualname)
+            if q in self.functions
+            for lu in self.functions[q].acquires
+        }
 
 
 def _collect_imports(tree: ast.Module, module_name: str) -> Dict[str, str]:

@@ -17,7 +17,6 @@ __all__ = [
     "dotted_name",
     "self_attr",
     "root_name",
-    "name_hint",
     "enclosing_class",
     "LOCK_FACTORIES",
     "is_lock_create",
@@ -73,26 +72,6 @@ def root_name(node: ast.AST) -> Optional[str]:
             return cur.id
         else:
             return None
-
-
-def name_hint(node: ast.AST) -> str:
-    """The most specific identifier naming an expression.
-
-    Used for "does this look like a cost/probability?" heuristics:
-    ``plan.cost`` → ``cost``, ``dist.mean()`` → ``mean``,
-    ``costs[i]`` → ``costs``.
-    """
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Call):
-        return name_hint(node.func)
-    if isinstance(node, ast.Subscript):
-        return name_hint(node.value)
-    if isinstance(node, ast.UnaryOp):
-        return name_hint(node.operand)
-    return ""
 
 
 def enclosing_class(module, node: ast.AST) -> Optional[ast.ClassDef]:

@@ -15,14 +15,15 @@ transitively reachable blocking primitive:
 Calls directly under ``await`` are exempt (awaiting *is* the fix), and
 work pushed through ``loop.run_in_executor(...)``/``asyncio.to_thread``
 never creates call-graph edges (the callable is passed, not called), so
-correctly offloaded code is clean by construction.  The traversal never
-descends into async callees — those are separate roots with their own
-check.
+correctly offloaded code is clean by construction.  The walk
+(:meth:`~repro.analysis.project.ProjectInfo.reachable`) never descends
+into async callees — those are separate roots with their own check —
+and a finding's chain is read back along its parent links.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from ..engine import Finding, ProjectRule, register
 
@@ -33,8 +34,6 @@ __all__ = ["AsyncBlockingRule"]
 
 #: modules whose coroutines share one latency-critical event loop.
 _ASYNC_SCOPES = ("repro.cluster", "repro.serving")
-
-_IN_PROGRESS = "<in progress>"
 
 
 def _in_scope(module: str) -> bool:
@@ -53,15 +52,13 @@ class AsyncBlockingRule(ProjectRule):
     )
 
     def check_project(self, project: ProjectInfo) -> Iterator[Finding]:
-        # chain memo: qualname -> None (clean) | [qualname, ..., "kind"]
-        memo: Dict[str, Optional[List[str]]] = {}
         for fn in sorted(project.functions.values(), key=lambda f: f.qualname):
             if not fn.is_async or not _in_scope(fn.module):
                 continue
-            yield from self._check_root(project, fn, memo)
+            yield from self._check_root(project, fn)
 
-    def _check_root(self, project: ProjectInfo, fn: FunctionInfo,
-                    memo: Dict[str, Optional[List[str]]]) -> Iterator[Finding]:
+    def _check_root(self, project: ProjectInfo,
+                    fn: FunctionInfo) -> Iterator[Finding]:
         for use in fn.blocking:
             yield self.finding_loc(
                 fn.path, use.lineno, use.col,
@@ -74,7 +71,7 @@ class AsyncBlockingRule(ProjectRule):
                 callee_fn = project.functions.get(callee)
                 if callee_fn is None or callee_fn.is_async:
                     continue
-                chain = self._blocking_chain(project, callee, memo)
+                chain = _blocking_chain(project, callee)
                 if chain is not None:
                     via = " -> ".join([fn.qualname] + chain[:-1])
                     yield self.finding_loc(
@@ -86,32 +83,24 @@ class AsyncBlockingRule(ProjectRule):
                     )
                     break  # one finding per call site is enough
 
-    def _blocking_chain(self, project: ProjectInfo, qualname: str,
-                        memo: Dict[str, Optional[List[str]]],
-                        ) -> Optional[List[str]]:
-        """Shortest-discovered chain ``[fn..., kind]`` or None if clean."""
-        if qualname in memo:
-            cached = memo[qualname]
-            return None if cached == [_IN_PROGRESS] else cached
-        memo[qualname] = [_IN_PROGRESS]  # cycle guard
-        fn = project.functions.get(qualname)
-        result: Optional[List[str]] = None
-        if fn is not None:
-            if fn.blocking:
-                use = fn.blocking[0]
-                result = [qualname, f"{use.kind} ({use.detail}) at "
-                                    f"{fn.path}:{use.lineno}"]
-            else:
-                for cs in fn.calls:
-                    for callee in cs.callees:
-                        callee_fn = project.functions.get(callee)
-                        if callee_fn is None or callee_fn.is_async:
-                            continue
-                        sub = self._blocking_chain(project, callee, memo)
-                        if sub is not None:
-                            result = [qualname] + sub
-                            break
-                    if result is not None:
-                        break
-        memo[qualname] = result
-        return result
+
+def _blocking_chain(project: ProjectInfo,
+                    qualname: str) -> Optional[List[str]]:
+    """``[qualname, ..., blocker, "kind (detail) at path:line"]`` or None.
+
+    The blocker is the first blocking function the walk from
+    ``qualname`` reaches; the chain follows its parent links back.
+    """
+    parents = project.reachable(qualname)
+    for q in parents:
+        fn = project.functions.get(q)
+        if fn is None or not fn.blocking:
+            continue
+        use = fn.blocking[0]
+        chain = [f"{use.kind} ({use.detail}) at {fn.path}:{use.lineno}"]
+        cur: Optional[str] = q
+        while cur is not None:
+            chain.append(cur)
+            cur = parents[cur]
+        return chain[::-1]
+    return None

@@ -17,8 +17,7 @@ that keeps them sound is simple and checkable:
 
 Reads are deliberately not flagged (many are benign racy reads of a
 single reference); helper methods designed to run with the lock already
-held can opt out by the ``_locked`` name suffix, and anything else via
-``# optlint: disable=LOCK001`` with a justification.
+held opt out by the ``_locked`` name suffix.
 """
 
 from __future__ import annotations

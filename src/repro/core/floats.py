@@ -1,11 +1,10 @@
-"""Tolerance helpers for cost and probability comparisons (FLT001).
+"""Tolerance helpers for cost and probability comparisons.
 
 The cost formulas of the paper are discontinuous in memory, expected
 costs are long weighted sums, and probability masses are renormalized on
 every construction — so two mathematically equal quantities routinely
 differ in the last few ulps.  Exact ``==``/``!=`` on them is a latent
-bug (and is flagged by the ``FLT001`` lint rule); these helpers are the
-sanctioned way to compare:
+bug; these helpers are the sanctioned way to compare:
 
 * :func:`costs_close` — relative tolerance sized for page-I/O costs,
   which span ``1`` to ``1e9`` in the experiments;

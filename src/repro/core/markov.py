@@ -184,7 +184,7 @@ class MarkovParameter:
         # Exact zero on purpose: only a true 0.0 product may be dropped,
         # mirroring the scalar walk's branch prune — a tolerance here
         # would delete real (tiny) sequences.
-        keep = probs != 0.0  # optlint: disable=FLT001
+        keep = probs != 0.0
         return self.states[grid[keep]], probs[keep]
 
     def sequences(self, length: int) -> Iterator[Tuple[Tuple[float, ...], float]]:

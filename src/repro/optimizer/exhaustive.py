@@ -37,7 +37,7 @@ MAX_EXHAUSTIVE_RELATIONS = 8
 # Deliberately shape-frozen: the permutation enumerator is kept as an
 # independent left-deep oracle (different code path from PlanSpace's
 # partition walk), so agreement with the DP stays meaningful evidence.
-def enumerate_left_deep_plans(  # optlint: disable=PLAN001
+def enumerate_left_deep_plans(
     query: JoinQuery,
     methods: Sequence[JoinMethod],
     allow_cross_products: bool = False,

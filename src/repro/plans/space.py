@@ -22,8 +22,7 @@ exhaustive and randomized optimizers, Algorithms A-D via the facade, the
 serving tier's plan-cache keys — consumes the same :class:`PlanSpace`, so
 "which plans exist" is decided in exactly one place.  Constructing
 :class:`~repro.plans.nodes.Join` nodes through :meth:`PlanSpace.join` is
-the sanctioned path outside ``plans/`` (enforced by analysis rule
-PLAN001).
+the sanctioned path outside ``plans/``: it verifies the shape.
 """
 
 from __future__ import annotations
@@ -247,9 +246,9 @@ class PlanSpace:
         """Build a join node, verifying it stays inside this space.
 
         This is the sanctioned :class:`~repro.plans.nodes.Join`
-        construction path for code outside ``plans/`` (rule PLAN001);
-        it raises :class:`~repro.plans.nodes.PlanShapeError` when the
-        shape admission fails.
+        construction path for code outside ``plans/``; it raises
+        :class:`~repro.plans.nodes.PlanShapeError` when the shape
+        admission fails.
         """
         node = Join(
             left=left,

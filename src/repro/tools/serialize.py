@@ -136,7 +136,7 @@ def _node_from_dict(doc: Dict[str, Any]) -> PlanNode:
             ) from None
         # Decoding reconstructs a tree already admitted by some space;
         # no shape decision is being made here.
-        return Join(  # optlint: disable=PLAN001
+        return Join(
             left=_node_from_dict(doc["left"]),
             right=_node_from_dict(doc["right"]),
             method=method,

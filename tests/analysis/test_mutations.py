@@ -12,7 +12,8 @@ blocking call's ``path:line`` named in the message.
 
 A snippet that no longer matches the tree exactly once fails with the
 case id, so an edit elsewhere cannot quietly retire a case.  A rule with
-no case here has not shown that it catches anything.
+no case here has not shown that it catches anything, and fails
+``test_every_rule_has_a_case``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ REPO = Path(__file__).resolve().parents[2]
 def tree() -> Dict[str, ModuleInfo]:
     """Every module under ``src/repro``, keyed by its repo-relative path.
 
-    Relative paths keep the path-based heuristics (test files, the plans
-    package, module names after ``src``) independent of the checkout.
+    Relative paths keep the path-based heuristics (module names after
+    ``src``, ASYNC001's package scope) independent of the checkout.
     """
     modules = {}
     for path in iter_python_files([str(REPO / "src" / "repro")]):
@@ -180,42 +181,6 @@ CASES = [
         "    _last_context = ctx\n",
         id="k2",
     ),
-    # DET001: ambient entropy in a seeded search.
-    pytest.param(
-        "DET001", "optimizer/randomized.py",
-        "    names = query.relation_names()\n"
-        "    order = [names[int(rng.integers(len(names)))]]\n",
-        "    names = query.relation_names()\n"
-        "    rng = np.random.default_rng()\n"
-        "    order = [names[int(rng.integers(len(names)))]]\n",
-        id="d1",
-    ),
-    # FLT001: an exact tie test on a cost.
-    pytest.param(
-        "FLT001", "optimizer/systemr.py",
-        "                    if len(held) < top_k or total < held[-1]:\n",
-        "                    if len(held) < top_k or total == kept[-1].cost:\n",
-        id="f1",
-    ),
-    # DIST001: a coster reading a distribution's private support.
-    pytest.param(
-        "DIST001", "optimizer/costers.py",
-        "pages, row, probs = {}, memory.values[None, :], memory.probs",
-        "pages, row, probs = {}, memory._values[None, :], memory.probs",
-        id="p1",
-    ),
-    # PLAN001: a hand-built join outside the plans layer.
-    pytest.param(
-        "PLAN001", "engine/simulator.py",
-        "def compare_plans(\n",
-        "def _mirror(join):\n"
-        "    from ..plans.nodes import Join\n"
-        "    return Join(join.right, join.left, join.method, join.predicate_label)\n"
-        "\n"
-        "\n"
-        "def compare_plans(\n",
-        id="pl1",
-    ),
 ]
 
 
@@ -248,3 +213,7 @@ def test_rule_fires_on_seeded_defect(request, tree, rule, rel, snippet,
         f"case {case}: {rule} did not fire at {path}:{first}-{lines[-1]}; "
         f"its findings: {[f'{f.location()}: {f.message}' for f in findings]}"
     )
+
+
+def test_every_rule_has_a_case():
+    assert {case.values[0] for case in CASES} == set(registered_rules())

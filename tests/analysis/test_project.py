@@ -153,6 +153,8 @@ class TestCallGraph:
                 return ping(n - 1) if n else 0
         """))
         assert project.transitive_acquires("pkg.r.ping") == {"pkg.r._lock"}
+        # Asked after ping, pong still sees the lock ping takes.
+        assert project.transitive_acquires("pkg.r.pong") == {"pkg.r._lock"}
 
 
 class TestBlockingSummaries:

@@ -60,6 +60,33 @@ class TestAsync001:
         assert len(findings) == 1
         assert "replay.ask" in findings[0].message
 
+    def test_fires_through_a_call_cycle_checked_second(self):
+        # r1 -> a is checked first, while a and b call each other; the
+        # chain through b must not be lost to a half-finished walk.
+        findings = run_rule("ASYNC001", """
+            import time
+
+            def a():
+                b()
+                c()
+
+            def b():
+                a()
+
+            def c():
+                time.sleep(0.1)
+
+            async def r1():
+                a()
+
+            async def r2():
+                b()
+        """, path=CLUSTER_PATH)
+        messages = [f.message for f in findings]
+        assert len(messages) == 2
+        assert any("r2 -> repro.cluster.probe.b -> repro.cluster.probe.a"
+                   " -> repro.cluster.probe.c" in m for m in messages)
+
     def test_quiet_when_awaited(self):
         findings = run_rule("ASYNC001", """
             import asyncio
@@ -148,6 +175,43 @@ class TestLock002:
         """)
         assert len(findings) == 1
         assert "cycle" in findings[0].message
+
+    def test_fires_through_a_call_cycle_queried_second(self):
+        # aa_first asks for loop_a first, while loop_a and loop_b call
+        # each other; zz_holds_b must still see loop_b reach _a.
+        findings = run_rule("LOCK002", """
+            import threading
+
+            class Pair:
+                def __init__(self):
+                    self._a = threading.Lock()
+                    self._b = threading.Lock()
+                    self._c = threading.Lock()
+
+                def aa_first(self):
+                    with self._c:
+                        self.loop_a()
+
+                def loop_a(self):
+                    with self._a:
+                        pass
+                    self.loop_b()
+
+                def loop_b(self):
+                    self.loop_a()
+
+                def nests(self):
+                    with self._a:
+                        with self._b:
+                            pass
+
+                def zz_holds_b(self):
+                    with self._b:
+                        self.loop_b()
+        """)
+        assert len(findings) == 1
+        assert "probe.Pair._a" in findings[0].message
+        assert "probe.Pair._b" in findings[0].message
 
     def test_quiet_on_consistent_order(self):
         findings = run_rule("LOCK002", """

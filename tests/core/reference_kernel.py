@@ -246,7 +246,7 @@ def markov_sequences(
     def walk(prefix: List[int], prob: float) -> None:
         # Exact zero on purpose: the prune mirrors the kernel's
         # ``probs != 0.0`` keep mask.
-        if prob == 0.0:  # optlint: disable=FLT001
+        if prob == 0.0:
             return
         if len(prefix) == length:
             out.append((tuple(float(states[i]) for i in prefix), prob))

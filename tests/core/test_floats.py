@@ -1,4 +1,4 @@
-"""Tolerance helpers (FLT001): costs_close, probs_close, negligible_mass."""
+"""Tolerance helpers: costs_close, probs_close, negligible_mass."""
 
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ class TestCostsClose:
     def test_accumulated_sum_noise(self):
         # The classic: a long weighted sum vs. its algebraic value.
         parts = [0.1] * 10
-        assert sum(parts) != 1.0  # the hazard FLT001 exists for
+        assert sum(parts) != 1.0  # the hazard these helpers exist for
         assert costs_close(sum(parts), 1.0)
 
     def test_asymmetric_arguments(self):

@@ -386,7 +386,7 @@ class TestAlgorithmDEndToEnd:
 
 class TestRandomizedSearchDeterminism:
     def test_seeded_search_with_batched_scorer_is_reproducible(self):
-        # DET001 discipline: the only randomness is the caller's seeded
+        # Seeding discipline: the only randomness is the caller's seeded
         # generator, so two runs with equal seeds must tie-break the
         # same way even though the scorer routes through the batched
         # kernel (shared context memo included).
