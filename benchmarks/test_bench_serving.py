@@ -24,7 +24,6 @@ from repro.serving.service import (
     RUNG_FULL,
     RUNG_LSC,
     Ladder,
-    LatencyEstimator,
     OptimizeRequest,
     OptimizerService,
 )
@@ -91,12 +90,11 @@ def test_hit_rate_matches_workload_repetition():
 
 def test_degradation_under_deadline_pressure_stays_within_budget():
     queries, memory, _ = _workload(n_distinct=2, repeats=1)
-    est = LatencyEstimator()
+    ladder = Ladder()
     for n_rels in (3, 4, 5):
-        est.record(RUNG_FULL, "expected", n_rels, 60.0)
-        est.record(RUNG_COARSE, "expected", n_rels, 60.0)
+        ladder.estimator.record(RUNG_FULL, "expected", n_rels, 60.0)
+        ladder.estimator.record(RUNG_COARSE, "expected", n_rels, 60.0)
     deadline = 10.0  # generous wall-clock; tiny vs the 60s estimates
-    ladder = Ladder(estimator=est)
     t0 = time.perf_counter()
     results = [
         ladder.run(OptimizeRequest(query=q, objective="lec", memory=memory,

@@ -25,7 +25,7 @@ from .shared_cache import (
     cache_key_digest,
     fingerprint_digest,
 )
-from .worker import WorkerConfig, worker_main
+from .worker import worker_main
 
 __all__ = [
     "ADMIT",
@@ -48,6 +48,5 @@ __all__ = [
     "SharedPlanTier",
     "cache_key_digest",
     "fingerprint_digest",
-    "WorkerConfig",
     "worker_main",
 ]

@@ -6,9 +6,9 @@ shard's queue depth and an EWMA of recent service times and places each
 arriving request into one of three outcomes *before* any work starts:
 
 ``admit``
-    The shard is comfortably inside its soft limit: the request runs
-    with whatever deadline the client asked for (the full rung when the
-    budget allows — no quality is given up without pressure).
+    The shard's queue is shorter than :data:`SOFT_LIMIT`: the request
+    runs with whatever deadline the client asked for (the full rung when
+    the budget allows — no quality is given up without pressure).
 ``degrade``
     The shard is between its soft and hard limits: the request is
     accepted, but its effective deadline is squeezed to the time the
@@ -16,8 +16,8 @@ arriving request into one of three outcomes *before* any work starts:
     LSC ladder then sheds the load *qualitatively* — cheaper plans, not
     dropped requests — exactly the degradation path PR 2 built.
 ``shed``
-    The shard is beyond its hard limit: the request is refused up
-    front with an explicit signal.  Refusal-at-the-door is the only
+    The shard's queue has reached :data:`HARD_LIMIT`: the request is
+    refused up front with an explicit signal.  Refusal-at-the-door is the only
     drop the cluster ever performs; once accepted, a request is always
     answered (degraded or retried, never lost).
 
@@ -43,6 +43,17 @@ ADMIT = "admit"
 DEGRADE = "degrade"
 SHED = "shed"
 
+#: Per-shard queue depth from which requests are admitted with a
+#: squeezed deadline (quality shed onto the ladder).
+SOFT_LIMIT = 8
+#: Per-shard queue depth at which requests are refused outright.
+HARD_LIMIT = 64
+#: Floor (seconds) of a squeezed deadline: below it the worker could not
+#: even run the LSC rung comfortably, so squeezing stops here.
+MIN_DEADLINE = 0.01
+#: EWMA weight of one observed per-request service time.
+EWMA_ALPHA = 0.2
+
 
 @dataclass(frozen=True)
 class AdmissionDecision:
@@ -62,40 +73,11 @@ class AdmissionDecision:
 class AdmissionController:
     """Queue-depth and deadline-aware admission for one gateway.
 
-    Parameters
-    ----------
-    soft_limit:
-        Per-shard queue depth beyond which requests are admitted with a
-        squeezed deadline (quality shed onto the ladder).
-    hard_limit:
-        Per-shard queue depth at which requests are refused outright.
-    min_deadline:
-        Floor (seconds) for a squeezed deadline — below this the worker
-        could not even run the LSC rung comfortably, so squeezing stops
-        here rather than producing meaningless budgets.
-    alpha:
-        EWMA weight for observed per-request service times.
+    Its policy reads :data:`SOFT_LIMIT`, :data:`HARD_LIMIT`,
+    :data:`MIN_DEADLINE` and :data:`EWMA_ALPHA` at each call.
     """
 
-    def __init__(
-        self,
-        soft_limit: int = 8,
-        hard_limit: int = 64,
-        min_deadline: float = 0.01,
-        alpha: float = 0.2,
-    ):
-        if soft_limit < 1:
-            raise ValueError("soft_limit must be >= 1")
-        if hard_limit <= soft_limit:
-            raise ValueError("hard_limit must exceed soft_limit")
-        if min_deadline <= 0:
-            raise ValueError("min_deadline must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.soft_limit = soft_limit
-        self.hard_limit = hard_limit
-        self.min_deadline = min_deadline
-        self.alpha = alpha
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._service_ewma: Optional[float] = None
         self._decisions: Dict[str, int] = {ADMIT: 0, DEGRADE: 0, SHED: 0}
@@ -112,7 +94,7 @@ class AdmissionController:
                 self._service_ewma = seconds
             else:
                 self._service_ewma = (
-                    (1 - self.alpha) * self._service_ewma + self.alpha * seconds
+                    (1 - EWMA_ALPHA) * self._service_ewma + EWMA_ALPHA * seconds
                 )
 
     @property
@@ -129,32 +111,30 @@ class AdmissionController:
                deadline: Optional[float]) -> AdmissionDecision:
         """Place one arriving request given its target shard's depth."""
         depth = int(queue_depth)
-        if depth >= self.hard_limit:
+        if depth >= HARD_LIMIT:
             return self._record(AdmissionDecision(
                 SHED, None, depth,
-                f"queue depth {depth} >= hard limit {self.hard_limit}",
+                f"queue depth {depth} >= hard limit {HARD_LIMIT}",
             ))
-        if depth < self.soft_limit:
+        if depth < SOFT_LIMIT:
             return self._record(AdmissionDecision(
                 ADMIT, deadline, depth, "below soft limit",
             ))
         # Soft pressure: squeeze the budget so the ladder sheds quality.
         # The request's fair share of worker time shrinks linearly as the
         # queue approaches the hard limit.
-        pressure = (depth - self.soft_limit + 1) / (
-            self.hard_limit - self.soft_limit
-        )
+        pressure = (depth - SOFT_LIMIT + 1) / (HARD_LIMIT - SOFT_LIMIT)
         predicted = self.predicted_service_time
         base = deadline
         if base is None:
             # No client budget: derive one from observed service times so
             # an unbounded request cannot monopolize a loaded shard.
-            base = (predicted if predicted is not None else self.min_deadline) * 4
-        squeezed = max(self.min_deadline, base * (1.0 - pressure))
+            base = (predicted if predicted is not None else MIN_DEADLINE) * 4
+        squeezed = max(MIN_DEADLINE, base * (1.0 - pressure))
         effective = squeezed if deadline is None else min(deadline, squeezed)
         return self._record(AdmissionDecision(
             DEGRADE, effective, depth,
-            f"queue depth {depth} >= soft limit {self.soft_limit} "
+            f"queue depth {depth} >= soft limit {SOFT_LIMIT} "
             f"(pressure {pressure:.2f})",
         ))
 

@@ -26,7 +26,7 @@ Reliability model
   **replays** every request that was in flight on the dead worker.
   Accepted requests are therefore answered (possibly
   degraded, possibly after a retry) or failed explicitly after
-  ``max_retries`` replays; they are never silently dropped.  Workers
+  :data:`MAX_RETRIES` replays; they are never silently dropped.  Workers
   hold no cached plan (the requests they remember decoding are warmth,
   unfenced), so a crash costs in-flight work and nothing else: every
   key the tier holds keeps answering, with every worker dead.
@@ -69,10 +69,14 @@ from .protocol import (
     encode_request,
 )
 from .shared_cache import fingerprint_digest
-from .worker import WorkerConfig, worker_main
+from .worker import worker_main
 
 __all__ = ["ClusterResult", "ClusterGateway", "GatewayError"]
 
+#: Plans the gateway's tier holds (and fingerprints it remembers routes for).
+SHARED_MAX_ENTRIES = 4096
+#: Replays allowed per request before it fails explicitly.
+MAX_RETRIES = 2
 #: A worker that dies within ``_CRASH_WINDOW`` s of its spawn, having
 #: answered nothing, doubles the wait before the next spawn (seconds).
 _CRASH_WINDOW, _WAIT_FIRST, _WAIT_CAP = 1.0, 0.05, 1.0
@@ -171,41 +175,22 @@ class ClusterGateway:
         Version-carrying catalog objects (``StatisticsCatalog``,
         ``SelectivityFeedback``) — the gateway watches their versions;
         their tuple is the fence on every key of the shared tier.
-    admission:
-        Custom :class:`AdmissionController` (defaults tuned for small
-        replay workloads).
-    shared_max_entries:
-        Bound of the gateway's plan tier (LRU beyond it).
-    coarse_buckets / default_deadline:
-        Forwarded into each shard's :class:`WorkerConfig`.
-    max_retries:
-        Replays allowed per request before it fails explicitly.
+
+    The tier holds :data:`SHARED_MAX_ENTRIES` plans (LRU beyond it), a
+    request is replayed at most :data:`MAX_RETRIES` times, and admission
+    is an :class:`AdmissionController` with its module's limits.
     """
 
-    def __init__(
-        self,
-        shards: int = 2,
-        catalog_sources: Sequence = (),
-        admission: Optional[AdmissionController] = None,
-        shared_max_entries: int = 4096,
-        coarse_buckets: int = 3,
-        default_deadline: Optional[float] = None,
-        max_retries: int = 2,
-    ):
+    def __init__(self, shards: int = 2, catalog_sources: Sequence = ()):
         if shards < 1:
             raise ValueError("need at least one shard")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self.n_shards = shards
         self._sources = tuple(catalog_sources)
-        self.admission = admission if admission is not None else AdmissionController()
+        self.admission = AdmissionController()
         self.metrics = ClusterMetrics()
-        self._coarse_buckets = coarse_buckets
-        self._default_deadline = default_deadline
-        self.max_retries = max_retries
 
         self._ctx = _preferred_context()
-        self.shared_tier = PlanCache(max_entries=shared_max_entries)
+        self.shared_tier = PlanCache(max_entries=SHARED_MAX_ENTRIES)
         self.shared_tier.invalidate_stale(tuple(int(s.version) for s in self._sources))
         #: query fingerprint -> shard index (see :meth:`shard_for`).
         self._routes: Dict[Tuple, int] = {}
@@ -287,9 +272,7 @@ class ClusterGateway:
         parent_sock, child_sock = socket.socketpair()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child_sock, WorkerConfig(
-                shard.index, self._coarse_buckets, self._default_deadline
-            )),
+            args=(child_sock, shard.index),
             daemon=True,
             name=f"repro-cluster-worker-{shard.index}",
         )
@@ -400,7 +383,7 @@ class ClusterGateway:
         for request_id, pending in replays:
             if pending.future.done():
                 continue
-            if pending.attempts > self.max_retries:
+            if pending.attempts > MAX_RETRIES:
                 self._inflight.pop(pending.key, None)
                 self.metrics.registry.counter("cluster.errors").increment()
                 pending.future.set_result(ClusterResult(

@@ -25,8 +25,8 @@ _RUNGS = ("full", "coarse", "lsc")
 class ClusterMetrics:
     """Gateway-side instruments plus shard-snapshot aggregation."""
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         #: (rung, cache_hit, retried) -> its instruments, looked up on first use
         self._answered: Dict[Tuple, Tuple] = {}
         self._arrivals: Optional[Counter] = None

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..core.distributions import DiscreteDistribution
-from ..serving.metrics import LatencyHistogram
+from ..serving.metrics import quantiles
 from ..serving.service import OptimizeRequest, OptimizerService
 from ..workloads.queries import random_query, with_selectivity_uncertainty
 from .gateway import ClusterGateway
@@ -111,7 +111,7 @@ async def replay(
         raise ValueError("the kill drill needs a worker process (shards >= 1)")
     answered = 0
     results: List[Any] = [None] * len(workload)
-    latency = LatencyHistogram()
+    latencies: List[float] = []
     source = SimpleNamespace(version=0)
 
     async with contextlib.AsyncExitStack() as stack:
@@ -134,7 +134,7 @@ async def replay(
                 sent = time.perf_counter()
                 result = results[index] = await ask(request)
                 if result.ok:
-                    latency.record(time.perf_counter() - sent)
+                    latencies.append(time.perf_counter() - sent)
                 if result.status != "shed":
                     answered += 1
                     if bump_every and answered % bump_every == 0:
@@ -157,6 +157,7 @@ async def replay(
     hits = sum(1 for r in ok if r.cache_hit)
     rungs = Counter(r.rung for r in ok if not (r.cache_hit or r.coalesced))
     optimized = sum(rungs.values())
+    ordered = sorted(latencies)  # a replay is finite: every answer counts
 
     return {
         "config": {
@@ -177,7 +178,9 @@ async def replay(
         "lost": len(workload) - len(done),
         "retried": sum(1 for r in ok if r.retries > 0),
         "coalesced": sum(1 for r in ok if r.coalesced),
-        "latency": latency.snapshot(),
+        "latency": {"count": len(ordered), "mean": sum(latencies) / len(ordered),
+                    "min": ordered[0], "max": ordered[-1], **quantiles(ordered)}
+                   if ordered else {"count": 0},
         "rungs": dict(rungs),
         "cache": {"hits": hits, "entries": entries,
                   "hit_rate": hits / len(ok) if ok else 0.0},

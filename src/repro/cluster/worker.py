@@ -2,8 +2,10 @@
 
 Each worker runs :class:`~repro.serving.service.Ladder` — the deadline
 ladder with its EWMA latency estimates and metrics — on every request
-it reads, and holds **no plan**: the cluster's one plan tier lives in
-the gateway (``ClusterGateway.shared_tier``), which answers every repeat
+it reads, under the deadline its frame carries (the coarse rung's cap
+is the module constant ``COARSE_BUCKETS``, so a worker is configured by
+its shard id alone), and holds **no plan**: the cluster's one plan tier
+lives in the gateway (``ClusterGateway.shared_tier``), which answers every repeat
 request before a frame is written, so what reaches a worker is by
 construction something the cluster does not have.  There is one worker
 process per shard, so its CPU-bound dynamic programming runs outside
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import signal
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.context import OptimizationContext
@@ -45,21 +47,12 @@ from .protocol import (
     write_frame,
 )
 
-__all__ = ["WorkerConfig", "REMEMBERED_REQUESTS", "recall", "worker_main"]
+__all__ = ["REMEMBERED_REQUESTS", "recall", "worker_main"]
 
 #: Requests a worker remembers.  One costs ≈ 25 KB (tracemalloc: 1.8 KB
 #: key bytes, ≈ 8 KB query and empty context, ≈ 15 KB memoized by one
 #: full-rung n=3–5 ``lec`` run), so a full LRU is ≈ 6.5 MB per shard.
 REMEMBERED_REQUESTS = 256
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything a worker needs to build its ladder."""
-
-    shard_id: int
-    coarse_buckets: int = 3
-    default_deadline: Optional[float] = None
 
 
 def recall(memo: "OrderedDict[bytes, OptimizeRequest]", head: Dict[str, Any],
@@ -102,8 +95,8 @@ def _result_message(request_id: int, result: ServingResult) -> Dict[str, Any]:
     }
 
 
-def worker_main(sock, config: WorkerConfig) -> None:
-    """Entry point of one worker process; returns on shutdown/EOF."""
+def worker_main(sock, shard_id: int) -> None:
+    """Entry point of shard ``shard_id``'s worker process; returns on shutdown/EOF."""
     # The gateway owns Ctrl-C handling; workers exit via shutdown/EOF.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -112,8 +105,7 @@ def worker_main(sock, config: WorkerConfig) -> None:
 
     rfile = sock.makefile("rb")
     wfile = sock.makefile("wb")
-    ladder = Ladder(coarse_buckets=config.coarse_buckets,
-                    default_deadline=config.default_deadline)
+    ladder = Ladder()
     memo: "OrderedDict[bytes, OptimizeRequest]" = OrderedDict()
     requests = ladder.metrics.counter("serving.requests")
     remembered = ladder.metrics.counter("serving.requests_remembered")
@@ -148,13 +140,13 @@ def worker_main(sock, config: WorkerConfig) -> None:
                 write_frame(wfile, {
                     "type": "pong",
                     "seq": message.get("seq"),
-                    "shard": config.shard_id,
+                    "shard": shard_id,
                     "queue_depth": 0,  # requests run here: none can be waiting
                     "metrics": ladder.metrics.snapshot(),
                 })
 
             elif mtype == "shutdown":
-                write_frame(wfile, {"type": "bye", "shard": config.shard_id})
+                write_frame(wfile, {"type": "bye", "shard": shard_id})
                 break
 
             # Unknown message types are ignored: a newer gateway may

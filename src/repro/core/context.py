@@ -118,18 +118,10 @@ class OptimizationContext:
         The join query this context serves.  All caches are keyed under
         the assumption that the query's statistics never change; build a
         new context when they do (see :meth:`matches`).
-    default_max_buckets:
-        Rebucketing cap used when :meth:`size_distribution` is called
-        without an explicit ``max_buckets``.
     """
 
-    def __init__(
-        self,
-        query,
-        default_max_buckets: int = 16,
-    ):
+    def __init__(self, query):
         self.query = query
-        self.default_max_buckets = default_max_buckets
         self.fingerprint: Tuple = query_fingerprint(query)
 
         self._sizes: Dict[FrozenSet[str], SizeEstimate] = {}
@@ -208,17 +200,17 @@ class OptimizationContext:
         return bounds
 
     def size_distribution(
-        self, rels: Iterable[str], max_buckets: Optional[int] = None
+        self, rels: Iterable[str], max_buckets: int
     ) -> DiscreteDistribution:
-        """Memoized page-count distribution for the join over ``rels``.
+        """Memoized page-count distribution for the join over ``rels``,
+        rebucketed to at most ``max_buckets``.
 
         The underlying propagation routes its distribution products and
         rebucketings through this context's op cache, so structurally
         shared subexpressions (the same relation pair inside two larger
         subsets, say) are computed once.
         """
-        buckets = max_buckets if max_buckets is not None else self.default_max_buckets
-        key = (frozenset(rels), buckets)
+        key = (frozenset(rels), max_buckets)
         stats = self._stats["size_distributions"]
         cached = self._size_dists.get(key)
         if cached is not None:
@@ -226,7 +218,7 @@ class OptimizationContext:
             return cached
         stats.misses += 1
         dist = subset_size_distribution(
-            key[0], self.query, max_buckets=buckets, ops=self
+            key[0], self.query, max_buckets=max_buckets, ops=self
         )
         self._size_dists[key] = dist
         return dist

@@ -19,9 +19,19 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-__all__ = ["Counter", "LatencyHistogram", "MetricsRegistry"]
+__all__ = ["Counter", "LatencyHistogram", "MetricsRegistry", "quantiles"]
+
+#: Observations a :class:`LatencyHistogram` keeps for its quantiles.
+WINDOW = 2048
+
+
+def quantiles(ordered: Sequence[float]) -> Dict[str, float]:
+    """Nearest-rank p50/p95/p99 of ``ordered`` (sorted, non-empty)."""
+    n = len(ordered)
+    return {f"p{p}": ordered[max(0, math.ceil(p / 100.0 * n) - 1)]
+            for p in (50, 95, 99)}
 
 
 class Counter:
@@ -33,12 +43,10 @@ class Counter:
         self._value = 0
         self._lock = threading.Lock()
 
-    def increment(self, n: int = 1) -> None:
-        """Add ``n`` (default 1) to the counter."""
-        if n < 0:
-            raise ValueError("counters only go up")
+    def increment(self) -> None:
+        """Add 1 to the counter."""
         with self._lock:
-            self._value += n
+            self._value += 1
 
     @property
     def value(self) -> int:
@@ -51,7 +59,7 @@ class LatencyHistogram:
     """Reservoir of recent observations with quantile reporting.
 
     Keeps exact running ``count``/``sum``/``min``/``max`` plus a bounded
-    sample window (the most recent ``max_samples`` observations) from
+    sample window (the most recent :data:`WINDOW` observations) from
     which quantiles are computed.  For serving workloads the recent
     window is exactly what p50/p95 dashboards want; the bound keeps a
     long-lived service from accumulating unbounded state.
@@ -59,10 +67,8 @@ class LatencyHistogram:
 
     __slots__ = ("_samples", "_head", "_count", "_sum", "_min", "_max", "_lock")
 
-    def __init__(self, max_samples: int = 2048) -> None:
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
-        self._samples: List[float] = [0.0] * max_samples
+    def __init__(self) -> None:
+        self._samples: List[float] = [0.0] * WINDOW
         self._head = 0  # next write position in the ring
         self._count = 0
         self._sum = 0.0
@@ -81,52 +87,16 @@ class LatencyHistogram:
             self._min = min(self._min, value)
             self._max = max(self._max, value)
 
-    @property
-    def count(self) -> int:
-        """Total observations ever recorded."""
-        with self._lock:
-            return self._count
-
-    def _window(self) -> List[float]:
-        n = min(self._count, len(self._samples))
-        return self._samples[:n]
-
-    def percentile(self, p: float) -> Optional[float]:
-        """The ``p``-th percentile (0-100) of the recent window.
-
-        Nearest-rank on the sorted window; ``None`` when empty.
-        """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        with self._lock:
-            window = sorted(self._window())
-        if not window:
-            return None
-        rank = max(0, math.ceil(p / 100.0 * len(window)) - 1)
-        return window[rank]
-
     def snapshot(self) -> Dict[str, float]:
         """Summary dict: count, mean, min/max, p50/p95/p99 over the window."""
         with self._lock:
-            window = sorted(self._window())
+            window = sorted(self._samples[:self._count])
             count, total = self._count, self._sum
             lo, hi = self._min, self._max
         if not window:
             return {"count": 0}
-
-        def _pct(p: float) -> float:
-            rank = max(0, math.ceil(p / 100.0 * len(window)) - 1)
-            return window[rank]
-
-        return {
-            "count": count,
-            "mean": total / count,
-            "min": lo,
-            "max": hi,
-            "p50": _pct(50.0),
-            "p95": _pct(95.0),
-            "p99": _pct(99.0),
-        }
+        return {"count": count, "mean": total / count, "min": lo, "max": hi,
+                **quantiles(window)}
 
 
 class MetricsRegistry:
@@ -151,12 +121,12 @@ class MetricsRegistry:
                 inst = self._counters[name] = Counter()
             return inst
 
-    def histogram(self, name: str, max_samples: int = 2048) -> LatencyHistogram:
+    def histogram(self, name: str) -> LatencyHistogram:
         """The histogram registered under ``name`` (created if missing)."""
         with self._lock:
             inst = self._histograms.get(name)
             if inst is None:
-                inst = self._histograms[name] = LatencyHistogram(max_samples)
+                inst = self._histograms[name] = LatencyHistogram()
             return inst
 
     def snapshot(self, extra_counters: Optional[Dict[str, int]] = None) -> Dict[str, Dict]:

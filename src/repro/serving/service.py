@@ -53,6 +53,13 @@ RUNG_FULL = "full"
 RUNG_COARSE = "coarse"
 RUNG_LSC = "lsc"
 
+#: Bucket cap of the degraded "coarse" rung.
+COARSE_BUCKETS = 3
+#: EWMA weight of one observed rung latency (:class:`LatencyEstimator`).
+EWMA_ALPHA = 0.3
+#: An unobserved rung is assumed this many times cheaper than the one above.
+INHERIT_DISCOUNT = 4.0
+
 
 @lru_cache(maxsize=64)  # a valid spelling is parsed once; an unknown one raises
 def _space_key(plan_space) -> str:
@@ -170,17 +177,12 @@ class LatencyEstimator:
     predicting whether a rung fits the remaining budget.  Unknown rungs
     are treated optimistically on a cold start (attempted), but once the
     rung above them has an estimate they inherit a discounted version of
-    it (each step down the ladder is assumed at least ~4x cheaper),
-    keeping skip decisions sane before every rung has run.
+    it (each step down the ladder is assumed :data:`INHERIT_DISCOUNT`
+    times cheaper), keeping skip decisions sane before every rung has
+    run.  Each observation moves an estimate by :data:`EWMA_ALPHA`.
     """
 
-    def __init__(self, alpha: float = 0.3, inherit_discount: float = 4.0):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if inherit_discount < 1.0:
-            raise ValueError("inherit_discount must be >= 1")
-        self.alpha = alpha
-        self.inherit_discount = inherit_discount
+    def __init__(self) -> None:
         self._ewma: Dict[Tuple[str, str, int], float] = {}
         self._lock = threading.Lock()
 
@@ -193,7 +195,7 @@ class LatencyEstimator:
             if prev is None:
                 self._ewma[key] = float(seconds)
             else:
-                self._ewma[key] = (1 - self.alpha) * prev + self.alpha * seconds
+                self._ewma[key] = (1 - EWMA_ALPHA) * prev + EWMA_ALPHA * seconds
 
     def estimate(self, rung: str, objective: str,
                  n_relations: int) -> Optional[float]:
@@ -209,7 +211,7 @@ class LatencyEstimator:
         for i, rung in enumerate(ladder):
             est = self.estimate(rung, objective, n_relations)
             if est is None and i > 0 and out[i - 1] is not None:
-                est = out[i - 1] / self.inherit_discount
+                est = out[i - 1] / INHERIT_DISCOUNT
             out.append(est)
         return out
 
@@ -229,41 +231,14 @@ class Ladder:
     holds no plan: ``OptimizerService.execute`` runs it after a tier
     miss, and a cluster worker on every request it reads.
 
-    Parameters
-    ----------
-    metrics:
-        :class:`MetricsRegistry` for the rung, skip, degradation and
-        deadline counters and the optimize latency (fresh by default).
-    coarse_buckets:
-        Bucket cap used by the degraded "coarse" rung.
-    default_deadline:
-        Budget (seconds) applied to requests that do not set their own.
-    estimator:
-        Custom :class:`LatencyEstimator` (tests use this to force
-        deterministic skip decisions).
+    The request's own ``deadline`` is the budget; the coarse rung caps
+    its buckets at :data:`COARSE_BUCKETS`.  Tests that force a rung
+    assign :attr:`estimator`.
     """
 
-    def __init__(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        coarse_buckets: int = 3,
-        default_deadline: Optional[float] = None,
-        estimator: Optional[LatencyEstimator] = None,
-    ):
-        if coarse_buckets < 1:
-            raise ValueError("coarse_buckets must be >= 1")
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.coarse_buckets = coarse_buckets
-        self.default_deadline = default_deadline
-        self.estimator = estimator if estimator is not None else LatencyEstimator()
-
-    def deadline_of(self, request: OptimizeRequest) -> Optional[float]:
-        """The request's own budget, or the default one."""
-        return (
-            request.deadline
-            if request.deadline is not None
-            else self.default_deadline
-        )
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
+        self.estimator = LatencyEstimator()
 
     def run(self, request: OptimizeRequest,
             started: Optional[float] = None) -> ServingResult:
@@ -276,7 +251,7 @@ class Ladder:
             started = time.perf_counter()
         kind = request.kind()
         cm = request.cost_model if request.cost_model is not None else CostModel()
-        deadline = self.deadline_of(request)
+        deadline = request.deadline
         # The full objective of "point" already is the cheapest rung.
         ladder = (RUNG_FULL,) if kind == "point" else (RUNG_FULL, RUNG_COARSE, RUNG_LSC)
         n_rels = len(request.query.relations)
@@ -343,15 +318,15 @@ class Ladder:
                     request.query,
                     "multiparam",
                     memory=_as_distribution(request.memory),
-                    max_buckets=self.coarse_buckets,
+                    max_buckets=COARSE_BUCKETS,
                     fast=True,
                     **common,
                 )
             # Everything else degrades to Algorithm A over a coarsened
             # memory distribution: one classical optimization per bucket.
             coarse = _as_distribution(request.memory)
-            if coarse.n_buckets > self.coarse_buckets:
-                coarse = coarse.rebucket(self.coarse_buckets)
+            if coarse.n_buckets > COARSE_BUCKETS:
+                coarse = coarse.rebucket(COARSE_BUCKETS)
             return _optimize(
                 request.query,
                 "algorithm_a",
@@ -394,28 +369,20 @@ class OptimizerService:
     ----------
     max_workers:
         Thread-pool size for :meth:`submit`/:meth:`optimize_batch`.
-    metrics:
-        Shared :class:`MetricsRegistry` (fresh one by default).
     catalog_sources:
         Objects carrying a monotonically increasing ``version``
         attribute (``StatisticsCatalog``, ``SelectivityFeedback``).
         Their combined version fences the plan tier: part of every key,
         and when it changes, stale entries are eagerly invalidated.
-    default_deadline / coarse_buckets / estimator:
-        Forwarded to the service's :class:`Ladder`.
+
+    Misses run on the service's :class:`Ladder`, whose
+    :class:`MetricsRegistry` is :attr:`metrics`.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        catalog_sources: Sequence = (),
-        default_deadline: Optional[float] = None,
-        coarse_buckets: int = 3,
-        estimator: Optional[LatencyEstimator] = None,
-    ):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.ladder = Ladder(self.metrics, coarse_buckets, default_deadline, estimator)
+    def __init__(self, max_workers: Optional[int] = None,
+                 catalog_sources: Sequence = ()):
+        self.ladder = Ladder()
+        self.metrics = self.ladder.metrics
         self._sources = tuple(catalog_sources)
         self.cache = PlanCache()
         self.cache.invalidate_stale(self._catalog_version())
@@ -440,11 +407,11 @@ class OptimizerService:
         """True once :meth:`close` has begun; new submissions are refused."""
         return self._closed
 
-    def close(self, cancel_pending: bool = True) -> None:
+    def close(self) -> None:
         """Shut the pool down so the hosting process can exit promptly.
 
-        Queued-but-unstarted futures are cancelled (``cancel_pending``,
-        default) and in-flight requests are drained — Python threads
+        Queued-but-unstarted futures are cancelled and in-flight
+        requests are drained — Python threads
         cannot be interrupted mid-optimization, so the running ones are
         waited for, but nothing behind them starts.  Without the
         cancellation a deep queue would keep the pool alive until every
@@ -453,7 +420,7 @@ class OptimizerService:
         """
         with self._pending_lock:
             self._closed = True
-        self._pool.shutdown(wait=True, cancel_futures=cancel_pending)
+        self._pool.shutdown(wait=True, cancel_futures=True)
         # Cancelled futures never ran execute; drop them from the
         # pending set so accounting ends at zero.
         with self._pending_lock:
@@ -551,7 +518,7 @@ class OptimizerService:
                 rung=RUNG_FULL,
                 cache_hit=True,
                 latency=latency,
-                deadline=self.ladder.deadline_of(request),
+                deadline=request.deadline,
                 cache_tier="hot",
             )
 

@@ -22,8 +22,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import repro.cluster.admission as admission_module
 import repro.cluster.gateway as gateway_module
-from repro.cluster import AdmissionController, ClusterGateway
+from repro.cluster import ClusterGateway
 from repro.cluster.protocol import FrameDecoder, ProtocolError
 from repro.core.context import query_fingerprint
 from repro.core.distributions import DiscreteDistribution
@@ -243,7 +244,8 @@ class TestRouting:
             gateway_module, "fingerprint_digest",
             lambda fp: digested.append(fp) or real(fp),
         )
-        gw = ClusterGateway(shards=2, shared_max_entries=8)
+        monkeypatch.setattr(gateway_module, "SHARED_MAX_ENTRIES", 8)
+        gw = ClusterGateway(shards=2)
         fingerprints = _churn_fingerprints()[:12]
         routes = [gw.shard_for(fp) for fp in fingerprints]
         assert len(gw._routes) == 8
@@ -256,10 +258,12 @@ class TestRouting:
 
 
 class TestAdmission:
-    def test_overload_sheds_at_the_door(self):
+    def test_overload_sheds_at_the_door(self, monkeypatch):
+        monkeypatch.setattr(admission_module, "SOFT_LIMIT", 1)
+        monkeypatch.setattr(admission_module, "HARD_LIMIT", 2)
+
         async def scenario():
-            admission = AdmissionController(soft_limit=1, hard_limit=2)
-            async with ClusterGateway(shards=1, admission=admission) as gw:
+            async with ClusterGateway(shards=1) as gw:
                 queries = [_query(names=(f"X{i}", f"Y{i}", f"Z{i}"))
                            for i in range(4)]
                 return await asyncio.gather(
@@ -278,7 +282,7 @@ class TestAdmission:
             assert r.plan.root is not None
 
 
-def _dies_at_once(sock, config) -> None:
+def _dies_at_once(sock, shard_id) -> None:
     """A worker that never serves: stands in for a crash-looping shard."""
     sock.close()
 
@@ -314,9 +318,10 @@ class TestCrashResilience:
         self, monkeypatch
     ):
         cached = [_request(_query(names=(f"A{i}", f"B{i}"))) for i in range(6)]
+        monkeypatch.setattr(gateway_module, "MAX_RETRIES", 1)
 
         async def scenario():
-            async with ClusterGateway(shards=2, max_retries=1) as gw:
+            async with ClusterGateway(shards=2) as gw:
                 first = [await gw.optimize(r) for r in cached]
                 assert {r.shard for r in first} == {0, 1}
                 # From here on every respawn dies at once: the shards
@@ -377,10 +382,15 @@ class TestCrashResilience:
         # Every replay is registered before that write, so each request
         # still comes back, answered or failed explicitly, and nothing is
         # left in ``_inflight`` for a follow-up to coalesce onto.
+        # The backoff is shrunk to milliseconds: what is tested is that
+        # no replay is stranded, not how long the loop waits.
         queries = [_query(names=(f"C{i}", f"D{i}", f"E{i}")) for i in range(4)]
+        for name, value in (("MAX_RETRIES", 5), ("_WAIT_FIRST", 0.001),
+                            ("_WAIT_CAP", 0.004)):
+            monkeypatch.setattr(gateway_module, name, value)
 
         async def scenario():
-            async with ClusterGateway(shards=1, max_retries=5) as gw:
+            async with ClusterGateway(shards=1) as gw:
                 monkeypatch.setattr(gateway_module, "worker_main", _dies_at_once)
                 gw.kill_worker(0)
                 answers = await asyncio.wait_for(asyncio.gather(

@@ -6,6 +6,8 @@ shape the CLI and CI read."""
 from __future__ import annotations
 
 import asyncio
+import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from repro.cluster import ClusterGateway
 from repro.cluster.__main__ import main
 from repro.cluster.replay import build_workload, replay
 from repro.serving.service import OptimizerService
+
+# The package re-exports the function ``replay`` under the module's name.
+replay_module = importlib.import_module("repro.cluster.replay")
 
 _REPORT_KEYS = {
     "accepted", "admission", "answered", "cache", "coalesced",
@@ -63,6 +68,20 @@ def test_every_request_is_answered_exactly_once(shards, concurrency,
     assert set(report["config"]) == _CONFIG_KEYS
     assert report["config"]["concurrency"] == concurrency
     assert report["processes"] == shards
+
+
+def test_the_latency_quantiles_cover_every_answer(monkeypatch):
+    # One client on a fake clock: the i-th answer takes i seconds.  Over
+    # 3 000 answers the median is 1 500; a window over the last 2 048
+    # would report 1 976.
+    n = 3000
+    ticks = iter([0.0, *(t for i in range(1, n + 1) for t in (0.0, float(i))), 1.0])
+    monkeypatch.setattr(replay_module, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    report = asyncio.run(replay(_workload()[:1] * n, shards=0, concurrency=1))
+    assert report["latency"] == {"count": n, "mean": 1500.5, "min": 1.0,
+                                 "max": 3000.0, "p50": 1500.0, "p95": 2850.0,
+                                 "p99": 2970.0}
 
 
 def test_a_version_bump_sends_repeats_to_workers_that_remember_them():

@@ -41,7 +41,6 @@ from repro.cluster.protocol import (
 )
 from repro.cluster.worker import (
     REMEMBERED_REQUESTS,
-    WorkerConfig,
     recall,
     worker_main,
 )
@@ -110,6 +109,12 @@ class _Forcing(LatencyEstimator):
                 for r in ladder]
 
 
+def _forced(rung: str) -> Ladder:
+    ladder = Ladder()
+    ladder.estimator = _Forcing(rung)
+    return ladder
+
+
 def _answer(plan, objective_value, rung):
     return (json.dumps(plan_to_dict(plan), sort_keys=True),
             repr(float(objective_value)), rung)
@@ -125,7 +130,7 @@ def _cold(body, rung):
             top_k=request.top_k,
         )
         return _answer(result.plan, result.objective, RUNG_FULL)
-    result = Ladder(estimator=_Forcing(rung)).run(request)
+    result = _forced(rung).run(request)
     return _answer(result.plan, result.objective_value, result.rung)
 
 
@@ -147,7 +152,7 @@ class TestRememberedEqualsCold:
         body = _body(shape=shape, n=n, seed=seed, objective=objective,
                      top_k=top_k, deadline=600.0)
         memo, answers = OrderedDict(), []
-        ladder = Ladder(estimator=_Forcing(rung))
+        ladder = _forced(rung)
         for i in range(5):
             request, known = _recall(memo, dict(body, id=i))
             assert known == (i > 0)
@@ -173,10 +178,7 @@ def _worker():
     """``worker_main`` on a thread; yields ``ask(message) -> reply``."""
     ours, theirs = socket.socketpair()
     ours.settimeout(60)
-    thread = threading.Thread(
-        target=worker_main, args=(theirs, WorkerConfig(shard_id=0)),
-        daemon=True,
-    )
+    thread = threading.Thread(target=worker_main, args=(theirs, 0), daemon=True)
     thread.start()
     rfile, wfile = ours.makefile("rb"), ours.makefile("wb")
 

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+import repro.serving.metrics as metrics
 from repro.serving.metrics import Counter, LatencyHistogram, MetricsRegistry
 
 
@@ -14,12 +15,8 @@ class TestCounter:
         c = Counter()
         assert c.value == 0
         c.increment()
-        c.increment(5)
-        assert c.value == 6
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().increment(-1)
+        c.increment()
+        assert c.value == 2
 
     def test_concurrent_increments_all_land(self):
         c = Counter()
@@ -40,25 +37,21 @@ class TestLatencyHistogram:
     def test_empty_snapshot(self):
         h = LatencyHistogram()
         assert h.snapshot() == {"count": 0}
-        assert h.percentile(50) is None
 
     def test_percentiles_nearest_rank(self):
         h = LatencyHistogram()
         for v in range(1, 101):  # 1..100
             h.record(float(v))
-        assert h.percentile(50) == 50.0
-        assert h.percentile(95) == 95.0
-        assert h.percentile(100) == 100.0
         snap = h.snapshot()
         assert snap["count"] == 100
         assert snap["min"] == 1.0
         assert snap["max"] == 100.0
         assert snap["mean"] == pytest.approx(50.5)
-        assert snap["p50"] == 50.0
-        assert snap["p95"] == 95.0
+        assert (snap["p50"], snap["p95"], snap["p99"]) == (50.0, 95.0, 99.0)
 
-    def test_window_bound_keeps_exact_totals(self):
-        h = LatencyHistogram(max_samples=4)
+    def test_window_bound_keeps_exact_totals(self, monkeypatch):
+        monkeypatch.setattr(metrics, "WINDOW", 4)
+        h = LatencyHistogram()
         for v in (1.0, 2.0, 3.0, 4.0, 100.0):
             h.record(v)
         snap = h.snapshot()
@@ -66,12 +59,6 @@ class TestLatencyHistogram:
         assert snap["max"] == 100.0
         # quantiles come from the recent window (ring overwrote 1.0)
         assert snap["p95"] == 100.0
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(max_samples=0)
-        with pytest.raises(ValueError):
-            LatencyHistogram().percentile(101)
 
 
 class TestMetricsRegistry:
@@ -83,7 +70,8 @@ class TestMetricsRegistry:
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
-        reg.counter("x").increment(3)
+        for _ in range(3):
+            reg.counter("x").increment()
         reg.histogram("lat").record(0.5)
         snap = reg.snapshot()
         assert snap["counters"] == {"x": 3}
@@ -92,8 +80,8 @@ class TestMetricsRegistry:
 
     def test_derived_cache_hit_rate(self):
         reg = MetricsRegistry()
-        reg.counter("plan_cache.hits").increment(3)
-        reg.counter("plan_cache.misses").increment(1)
+        for name in ("plan_cache.hits",) * 3 + ("plan_cache.misses",):
+            reg.counter(name).increment()
         snap = reg.snapshot()
         assert snap["derived"]["plan_cache.hit_rate"] == pytest.approx(0.75)
 

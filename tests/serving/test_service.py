@@ -39,13 +39,13 @@ class TestLatencyEstimator:
         assert est.estimate("full", "expected", 3) == pytest.approx(0.5)
 
     def test_ewma_moves_toward_new_observations(self):
-        est = LatencyEstimator(alpha=0.5)
+        est = LatencyEstimator()
         est.record("full", "expected", 3, 1.0)
         est.record("full", "expected", 3, 0.0)
-        assert est.estimate("full", "expected", 3) == pytest.approx(0.5)
+        assert est.estimate("full", "expected", 3) == pytest.approx(0.7)  # EWMA_ALPHA 0.3
 
     def test_unknown_rung_inherits_discounted_estimate(self):
-        est = LatencyEstimator(inherit_discount=4.0)
+        est = LatencyEstimator()  # INHERIT_DISCOUNT 4
         est.record("full", "expected", 3, 8.0)
         ladder = est.ladder_estimates(("full", "coarse", "lsc"), "expected", 3)
         assert ladder[0] == pytest.approx(8.0)
@@ -55,12 +55,6 @@ class TestLatencyEstimator:
     def test_cold_start_has_no_estimates(self):
         est = LatencyEstimator()
         assert est.ladder_estimates(("full", "lsc"), "point", 2) == [None, None]
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            LatencyEstimator(alpha=0.0)
-        with pytest.raises(ValueError):
-            LatencyEstimator(inherit_discount=0.5)
 
 
 class TestParityWithDirectOptimize:
@@ -173,13 +167,9 @@ class TestLadder:
             ladder.run(OptimizeRequest(query=three_way_query, memory=800.0))
         assert ladder.metrics.snapshot()["counters"] == {}
 
-    def test_rejects_bad_coarse_buckets(self):
-        with pytest.raises(ValueError):
-            Ladder(coarse_buckets=0)
-
 
 class TestDegradationLadder:
-    def _pressured_service(self, **kwargs):
+    def _pressured_service(self):
         """Service whose estimator believes full/coarse take ~10s."""
         est = LatencyEstimator()
         for rung in (RUNG_FULL, RUNG_COARSE):
@@ -187,7 +177,9 @@ class TestDegradationLadder:
                 for kind in ("expected", "multiparam", "algorithm_a",
                              "algorithm_b", "markov"):
                     est.record(rung, kind, n_rels, 10.0)
-        return OptimizerService(estimator=est, **kwargs)
+        svc = OptimizerService()
+        svc.ladder.estimator = est
+        return svc
 
     def test_deadline_pressure_returns_lsc_within_budget(
         self, three_way_query, small_memory_dist
@@ -244,7 +236,8 @@ class TestDegradationLadder:
         est = LatencyEstimator()
         est.record(RUNG_FULL, "expected", 3, 10.0)
         est.record(RUNG_COARSE, "expected", 3, 1e-6)
-        with OptimizerService(estimator=est) as svc:
+        with OptimizerService() as svc:
+            svc.ladder.estimator = est
             result = svc.optimize(
                 three_way_query, "lec", memory=small_memory_dist, deadline=5.0
             )
@@ -359,27 +352,13 @@ class TestLifecycle:
                        memory=float(100 + i))
             for i in range(16)
         ]
-        svc.close(cancel_pending=True)
+        svc.close()
         cancelled = [f for f in futures if f.cancelled()]
         finished = [f for f in futures if f.done() and not f.cancelled()]
         assert len(cancelled) + len(finished) == 16
         assert cancelled, "a 16-deep queue on one thread must cancel some"
         for f in finished:
             assert f.result().plan is not None
-        assert svc.pending_requests() == 0
-
-    def test_close_without_cancel_drains_everything(
-        self, three_way_query, small_memory_dist
-    ):
-        svc = OptimizerService(max_workers=1)
-        futures = [
-            svc.submit(query=three_way_query, objective="lec",
-                       memory=small_memory_dist)
-            for _ in range(4)
-        ]
-        svc.close(cancel_pending=False)
-        for f in futures:
-            assert f.result(timeout=120).plan is not None
         assert svc.pending_requests() == 0
 
     def test_cache_hit_reports_its_tier(
