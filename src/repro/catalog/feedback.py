@@ -17,7 +17,6 @@ catalog estimate is blended in, shrinking as evidence arrives.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 import numpy as np
@@ -96,10 +95,6 @@ class SelectivityFeedback:
     def n_observations(self, label: str) -> int:
         """Observations recorded for one predicate."""
         return len(self._history.get(label, []))
-
-    def observed_selectivities(self, label: str) -> List[float]:
-        """Raw observed selectivities for one predicate."""
-        return list(self._history.get(label, []))
 
     # ------------------------------------------------------------------
     # Producing distributions

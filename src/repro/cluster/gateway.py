@@ -194,7 +194,7 @@ class ClusterGateway:
         self.shared_tier.invalidate_stale(tuple(int(s.version) for s in self._sources))
         #: query fingerprint -> shard index (see :meth:`shard_for`).
         self._routes: Dict[Tuple, int] = {}
-        #: query object -> its wire document; never by fingerprint (``np.allclose`` equality).
+        #: query object -> its wire document (a dropped query drops it).
         self._query_docs = weakref.WeakKeyDictionary()
         self._shards: List[_Shard] = []
         self._inflight: Dict[PlanCacheKey, "asyncio.Future[ClusterResult]"] = {}

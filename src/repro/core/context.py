@@ -100,11 +100,11 @@ class CacheStats:
 def query_fingerprint(query) -> Tuple:
     """A hashable digest of every statistic the optimizer reads.
 
-    Two queries with equal fingerprints are interchangeable for costing
-    purposes; a mutated catalog (different sizes, selectivities,
-    distributions) necessarily changes the fingerprint, which is how the
-    facade knows to discard a stale context.  A query is immutable: this
-    is the value it took once, a tuple that hashes its leaves once too.
+    Two queries with equal fingerprints carry the same numbers bit for bit
+    (distributions compare bytewise), so they are interchangeable for
+    costing; one ulp moved anywhere changes the fingerprint, which is how
+    the facade and the plan tiers tell a stale or another query apart.  A
+    query is immutable: this is the value it took once, hashed once too.
     """
     return query.fingerprint
 

@@ -137,6 +137,10 @@ class DiscreteDistribution:
                 vals = vals[nonzero]
                 prbs = prbs[nonzero]
 
+        self._seal(vals, prbs)
+
+    def _seal(self, vals: np.ndarray, prbs: np.ndarray) -> None:
+        """Freeze ``vals``/``prbs`` as this distribution's own arrays."""
         self._values = vals
         self._probs = prbs
         self._values.setflags(write=False)
@@ -147,6 +151,20 @@ class DiscreteDistribution:
         self._weighted_prefix.setflags(write=False)
         self._tail: Optional[np.ndarray] = None
         self._hash: Optional[int] = None
+
+    @classmethod
+    def _decoded(cls, values, probs) -> "DiscreteDistribution":
+        """The constructor's result, but arrays that already are one (strictly
+        ascending support, positive masses summing to 1 within 8 ulps) are
+        kept bit for bit: a document decodes to the distribution that wrote it."""
+        vals, prbs = np.array(values, dtype=float), np.array(probs, dtype=float)
+        if not (vals.ndim == 1 and vals.size and prbs.shape == vals.shape
+                and np.isfinite(vals).all() and (vals[1:] > vals[:-1]).all()
+                and (prbs > 0.0).all() and abs(prbs.sum() - 1.0) <= 8 * np.finfo(float).eps):
+            return cls(values, probs)
+        self = cls.__new__(cls)
+        self._seal(vals, prbs)
+        return self
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -534,28 +552,19 @@ class DiscreteDistribution:
         return self.items()
 
     def __eq__(self, other: object) -> bool:
-        """``np.allclose`` on values and probabilities — after identical
-        and bytewise-equal operands, all a memo-key dict probe meets, were
-        decided without it.  For near-equal operands the tolerance can
-        still disagree with :meth:`__hash__`'s 12-digit rounding."""
+        """Bytewise: one ulp in one bucket is another distribution, so a memo
+        or plan-tier key holding one names exactly the numbers it was built on."""
         if self is other:
             return True
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented
-        if self._values.shape != other._values.shape:
-            return False
-        if (self._values.tobytes() == other._values.tobytes()
-                and self._probs.tobytes() == other._probs.tobytes()):
-            return True
-        return bool(np.allclose(self._values, other._values)) and bool(
-            np.allclose(self._probs, other._probs)
-        )
+        return (self._values.tobytes() == other._values.tobytes()
+                and self._probs.tobytes() == other._probs.tobytes())
 
     def __hash__(self) -> int:
+        # The floats, not their (per-interpreter salted) bytes: a pickle keeps _hash.
         if self._hash is None:
-            self._hash = hash(
-                (tuple(np.round(self._values, 12)), tuple(np.round(self._probs, 12)))
-            )
+            self._hash = hash((tuple(self._values.tolist()), tuple(self._probs.tolist())))
         return self._hash
 
     def __repr__(self) -> str:

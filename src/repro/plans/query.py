@@ -20,7 +20,6 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..catalog.schema import Catalog
 from ..catalog.statistics import StatisticsCatalog
 from ..core.distributions import DiscreteDistribution, point_mass
 

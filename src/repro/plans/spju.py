@@ -93,11 +93,6 @@ class UnionQuery(JoinQuery):
             )
         return self.arms[next(iter(idx))]
 
-    def arm_index_of(self, rels) -> int:
-        """Position of :meth:`arm_of`'s result within :attr:`arms`."""
-        arm = self.arm_of(rels)
-        return self.arms.index(arm)
-
     def _fingerprint_parts(self) -> Tuple:
         # The arm structure changes plan shapes, so it is a statistic too.
         arms = tuple(

@@ -52,9 +52,9 @@ __all__ = ["PlanCacheKey", "StoredPlan", "PlanCache", "memory_key"]
 def memory_key(memory) -> Tuple:
     """Digest any supported ``memory`` input into a hashable cache key part.
 
-    Scalars key by value, distributions by their (value-hashed)
-    instance, Markov parameters by their full (states, initial,
-    transition) content.
+    Every kind keys by its exact floats — a scalar's value, a
+    distribution by its bytewise ``__eq__``, a Markov parameter by its
+    states, initial and transition — so one ulp is another key.
     """
     if isinstance(memory, DiscreteDistribution):
         return ("dist", memory)

@@ -188,11 +188,11 @@ def distribution_to_dict(dist: DiscreteDistribution) -> Dict[str, Any]:
 
 
 def distribution_from_dict(doc: Dict[str, Any]) -> DiscreteDistribution:
-    """Decode a discrete distribution."""
+    """Decode a discrete distribution: bit for bit the one that wrote ``doc``."""
     if not isinstance(doc, dict) or doc.get("kind") != "distribution":
         raise SerializationError("not a distribution document")
     try:
-        return DiscreteDistribution(doc["values"], doc["probs"])
+        return DiscreteDistribution._decoded(doc["values"], doc["probs"])
     except (KeyError, ValueError, TypeError) as exc:
         raise SerializationError(f"bad distribution document: {exc}") from None
 

@@ -411,9 +411,14 @@ class TestCrashResilience:
         self, monkeypatch
     ):
         # Each death soon after a spawn, with nothing answered, doubles
-        # the wait before the next spawn (capped near 1 s); the first
-        # respawn after a worker that answered is immediate.  Without the
-        # backoff this loop spawns ≈ 125 times in 3 s.
+        # the wait before the next spawn, up to the cap; the first respawn
+        # after a worker that answered is immediate.  The constants are
+        # shrunk: what is tested is the doubling, not the seconds.
+        first, cap = 0.1, 0.4
+        for name, value in (("_CRASH_WINDOW", 0.5), ("_WAIT_FIRST", first),
+                            ("_WAIT_CAP", cap)):
+            monkeypatch.setattr(gateway_module, name, value)
+
         async def scenario():
             async with ClusterGateway(shards=1) as gw:
                 assert (await gw.optimize(_request())).ok
@@ -427,15 +432,16 @@ class TestCrashResilience:
                 monkeypatch.setattr(gateway_module, "worker_main", _dies_at_once)
                 killed = time.monotonic()
                 gw.kill_worker(0)
-                await asyncio.sleep(3.0)
+                await asyncio.sleep(1.3)
                 return killed, list(spawned), gw.shards[0].backoff
 
         killed, spawned, backoff = asyncio.run(scenario())
         gaps = [b - a for a, b in zip(spawned, spawned[1:])]
-        assert 4 <= len(spawned) <= 15
-        assert spawned[0] - killed < 0.5
-        assert gaps[-1] >= 0.5
-        assert 0.5 <= backoff <= 1.0
+        waits = [min(first * 2 ** i, cap) for i in range(len(gaps))]
+        assert spawned[0] - killed < first
+        assert 3 <= len(gaps) <= 8  # unthrottled, it spawned ≈ 125 times in 3 s
+        assert all(gap > 0.9 * wait for gap, wait in zip(gaps, waits)), (gaps, waits)
+        assert backoff == cap
 
     def test_killing_a_worker_costs_its_warmth_and_no_answer(self):
         # A worker remembers the requests it decoded; none of that is a
@@ -604,7 +610,7 @@ class TestQueryDocuments:
         assert len(frames) == 4
         assert all(f["query"] == real(query) for f in frames)
 
-    def test_fingerprint_equal_queries_send_their_own_digits(self):
+    def test_queries_one_ulp_apart_send_their_own_digits(self):
         def with_selectivity(value):
             return JoinQuery(
                 [RelationSpec(name="F", pages=100.0),
@@ -617,7 +623,7 @@ class TestQueryDocuments:
         low = 0.01
         high = float(np.nextafter(low, 1.0))
         one, other = with_selectivity(low), with_selectivity(high)
-        assert query_fingerprint(one) == query_fingerprint(other)
+        assert query_fingerprint(one) != query_fingerprint(other)
         source = SimpleNamespace(version=0)
 
         async def scenario():

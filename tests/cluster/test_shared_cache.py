@@ -3,16 +3,16 @@ and the tier's life in the gateway.
 
 The tier is the one ``PlanCache`` (its full unit tests are
 ``tests/serving/test_plan_cache.py``; ``TestSharedPlanTier`` checks it
-through the name the cluster exports).  What the gateway does with it —
-which replies it keeps, what a hit hands out — is tested here against a
-real one-worker cluster; the fence itself is ``test_invalidation.py``'s
-subject.
+through the name the cluster exports).  Which replies the gateway keeps
+in it is tested here against a real one-worker cluster; that a hit hands
+out the filling miss's answer is the warm property's gateway front
+(``tests/corpus/test_corpus.py``), and the fence itself is
+``test_invalidation.py``'s subject.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import subprocess
 import sys
@@ -173,34 +173,7 @@ class TestSharedPlanTier:
             SharedPlanTier(max_entries=0)
 
 
-def _answer(result) -> str:
-    return json.dumps(
-        [result.plan_doc, result.objective_value, result.objective, result.rung],
-        sort_keys=True,
-    )
-
-
 class TestTierInTheGateway:
-    def test_a_hit_is_the_filling_miss_byte_for_byte(self):
-        async def scenario():
-            async with ClusterGateway(shards=1) as gw:
-                miss = await gw.optimize(_request())
-                return miss, await gw.optimize(_request()), await gw.optimize(_request())
-
-        miss, hit, again = asyncio.run(scenario())
-        assert not miss.cache_hit and miss.worker_latency > 0
-        for result in (hit, again):
-            assert result.ok and result.cache_hit
-            assert result.cache_tier == "shared"
-            assert result.worker_latency == 0.0
-            assert result.shard == miss.shard
-            assert _answer(result) == _answer(miss)
-        # Every hit hands out the one stored document; each ``.plan`` is
-        # a tree of its own.
-        assert hit.plan_doc is again.plan_doc
-        assert hit.plan.root is not again.plan.root
-        assert hit.plan.signature() == again.plan.signature()
-
     def test_a_reply_that_lands_after_a_bump_is_delivered_but_not_stored(self):
         source = SimpleNamespace(version=0)
         slow = _request(_query(names=("K", "L", "M", "N")))

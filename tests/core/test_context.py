@@ -1,4 +1,8 @@
-"""OptimizationContext: memoization layers, fingerprints, staleness."""
+"""OptimizationContext: memoization layers, fingerprints, staleness.
+
+That a shared or a stale context answers as a fresh one is the warm
+property (``tests/corpus/test_warm.py``).
+"""
 
 from __future__ import annotations
 
@@ -8,27 +12,11 @@ import pytest
 from repro.core.context import CacheStats, OptimizationContext, query_fingerprint
 from repro.core.distributions import DiscreteDistribution, two_point
 from repro.core.expected_cost import expected_sort_merge_cost
-from repro.optimizer import optimize_lsc
-from repro.costmodel.estimates import subset_size, subset_size_distribution
+from repro.costmodel.estimates import subset_size
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
 
 
-def _copy_query(query: JoinQuery) -> JoinQuery:
-    """A structurally identical but distinct JoinQuery object."""
-    return JoinQuery(
-        relations=list(query.relations),
-        predicates=list(query.predicates),
-        required_order=query.required_order,
-        rows_per_page=query.rows_per_page,
-    )
-
-
 class TestFingerprint:
-    def test_equal_for_equal_statistics(self, three_way_query):
-        assert query_fingerprint(three_way_query) == query_fingerprint(
-            _copy_query(three_way_query)
-        )
-
     def test_changes_with_any_statistic(self, three_way_query):
         base = query_fingerprint(three_way_query)
         bigger = JoinQuery(
@@ -54,63 +42,11 @@ class TestFingerprint:
         hash(query_fingerprint(three_way_query))
 
 
-class TestMatches:
-    def test_identity_and_value_equality(self, three_way_query):
-        ctx = OptimizationContext(three_way_query)
-        assert ctx.matches(three_way_query)
-        assert ctx.matches(_copy_query(three_way_query))
-
-    def test_rejects_mutated_statistics(self, three_way_query):
-        ctx = OptimizationContext(three_way_query)
-        mutated = JoinQuery(
-            relations=[
-                RelationSpec(name="R", pages=50_001.0),
-                *three_way_query.relations[1:],
-            ],
-            predicates=list(three_way_query.predicates),
-            rows_per_page=three_way_query.rows_per_page,
-        )
-        assert not ctx.matches(mutated)
-
-
 class TestSizeCaches:
-    def test_subset_size_matches_plain_and_hits(self, three_way_query):
-        ctx = OptimizationContext(three_way_query)
-        rels = frozenset({"R", "S"})
-        est = ctx.subset_size(rels)
-        assert est == subset_size(rels, three_way_query)
-        again = ctx.subset_size(rels)
-        assert again is est
-        assert ctx.stats()["subset_sizes"]["hits"] == 1
-        assert ctx.stats()["subset_sizes"]["misses"] == 1
-
     def test_subset_pages(self, three_way_query):
         ctx = OptimizationContext(three_way_query)
         rels = frozenset({"S", "T"})
         assert ctx.subset_pages(rels) == subset_size(rels, three_way_query).pages
-
-    def test_size_distribution_matches_plain(self):
-        query = JoinQuery(
-            relations=[
-                RelationSpec(
-                    name="A",
-                    pages=1000.0,
-                    pages_dist=two_point(1500.0, 0.5, 500.0),
-                ),
-                RelationSpec(name="B", pages=300.0),
-            ],
-            predicates=[
-                JoinPredicate(left="A", right="B", selectivity=1e-4, label="A=B")
-            ],
-        )
-        ctx = OptimizationContext(query)
-        rels = frozenset({"A", "B"})
-        via_ctx = ctx.size_distribution(rels, max_buckets=8)
-        plain = subset_size_distribution(rels, query, max_buckets=8)
-        assert via_ctx == plain
-        assert ctx.size_distribution(rels, max_buckets=8) is via_ctx
-        assert ctx.stats()["size_distributions"]["hits"] == 1
-
 
 class TestDistributionOpCache:
     def test_value_keyed_product(self):
@@ -243,32 +179,3 @@ class TestObservability:
         ctx = OptimizationContext(three_way_query)
         ctx.subset_size(frozenset({"R"}))
         assert "entries=" in repr(ctx)
-
-
-class TestThreadedOptimization:
-    def test_shared_context_gives_identical_results(self, three_way_query, cost_model):
-        baseline = optimize_lsc(three_way_query, 1200.0, cost_model=cost_model)
-        ctx = OptimizationContext(three_way_query)
-        warm1 = optimize_lsc(three_way_query, 1200.0, cost_model=cost_model, context=ctx)
-        warm2 = optimize_lsc(three_way_query, 1200.0, cost_model=cost_model, context=ctx)
-        for res in (warm1, warm2):
-            assert res.plan.signature() == baseline.plan.signature()
-            assert res.objective == pytest.approx(baseline.objective, abs=1e-9)
-        assert ctx.total_hits() > 0
-
-    def test_stale_context_falls_back(self, three_way_query, cost_model):
-        other = JoinQuery(
-            relations=[
-                RelationSpec(name="R", pages=99_999.0),
-                *three_way_query.relations[1:],
-            ],
-            predicates=list(three_way_query.predicates),
-            rows_per_page=three_way_query.rows_per_page,
-        )
-        stale = OptimizationContext(other)
-        res = optimize_lsc(three_way_query, 1200.0, cost_model=cost_model, context=stale)
-        clean = optimize_lsc(three_way_query, 1200.0, cost_model=cost_model)
-        assert res.plan.signature() == clean.plan.signature()
-        assert res.objective == pytest.approx(clean.objective, abs=1e-9)
-        # The stale context must not have absorbed the other query's work.
-        assert stale.total_hits() == 0

@@ -12,15 +12,18 @@ have the shape of the benchmark's workloads, kept small.
 
 from __future__ import annotations
 
+import copy
 import itertools
-from typing import Any, Dict, List, NamedTuple
+from typing import Any, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
+from repro.cluster.protocol import decode_memory, encode_memory
 from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import MarkovParameter, sticky_chain
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
 from repro.serving.service import OptimizeRequest
+from repro.tools.serialize import query_from_dict, query_to_dict
 from repro.workloads.queries import (
     chain_query, clique_query, random_query, star_query, union_query,
     with_selectivity_uncertainty, with_size_uncertainty,
@@ -253,3 +256,68 @@ OPS: List[Op] = (
     + _bushy() + _small() + _served()
 )
 FAMILIES = tuple(dict.fromkeys(op.family for op in OPS))
+
+
+# -- perturbations: an op asked otherwise (``test_warm.py``) --------------
+
+
+def _up(doc, path):
+    """A copy of ``doc`` with the float at ``path`` one ulp up."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = float(np.nextafter(node[path[-1]], np.inf))
+    return doc
+
+
+def _buckets(doc, field, path=()):
+    """The path of every bucket value of every ``field`` distribution in ``doc``."""
+    if isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from _buckets(item, field, path + (i,))
+    elif isinstance(doc, dict):
+        for key, item in doc.items():
+            if key == field and item:
+                yield from (path + (key, "values", i) for i in range(len(item["values"])))
+            else:
+                yield from _buckets(item, field, path + (key,))
+
+
+def one_ulp(op: Op, field: str, pick: int) -> Optional[Op]:
+    """``op`` with bucket ``pick`` (modulo their count) of one ``field``
+    distribution of its query (``"pages_dist"``, ``"selectivity_dist"``) —
+    or, for ``"memory"``, of its memory — one ulp up; None if it has none."""
+    if field == "memory":
+        doc = encode_memory(op.memory)
+        key = {"scalar": "value", "distribution": "values",
+               "markov_parameter": "states"}[doc["kind"]]
+        paths = [(key,)] if key == "value" else [(key, i) for i in range(len(doc[key]))]
+        return op._replace(memory=decode_memory(_up(doc, paths[pick % len(paths)])))
+    doc = query_to_dict(op.query)
+    paths = list(_buckets(doc, field))
+    if not paths:
+        return None
+    return op._replace(query=query_from_dict(_up(doc, paths[pick % len(paths)])))
+
+
+_OTHER_SPACE = {"left-deep": "zig-zag", "zig-zag": "left-deep", "bushy": "zig-zag"}
+
+
+def one_knob(op: Op, knob: str) -> Op:
+    """``op`` with ``knob`` moved: ``top_k`` + 1, ``max_buckets`` halved, a
+    flag flipped, an ordered ``plan_space`` swapped (an SPJU op moves ``top_k``)."""
+    knobs = {"top_k": 1, "plan_space": "left-deep", "allow_cross_products": False,
+             "include_mean": True, "max_buckets": 16, "fast": False, **op.knobs}
+    if knob == "plan_space" and knobs[knob] not in _OTHER_SPACE:
+        knob = "top_k"
+    value = knobs[knob]
+    moved = (_OTHER_SPACE[value] if knob == "plan_space" else value + 1 if knob == "top_k"
+             else value // 2 if knob == "max_buckets" else not value)
+    return op._replace(knobs={**op.knobs, knob: moved})
+
+
+def rebuilt(op: Op) -> Op:
+    """``op`` on equal-valued query and memory objects, decoded from their documents."""
+    return op._replace(query=query_from_dict(query_to_dict(op.query)),
+                       memory=decode_memory(encode_memory(op.memory)))

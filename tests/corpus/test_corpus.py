@@ -9,7 +9,11 @@ the cold context's ``step_costs`` and ``skeletons`` memos.  Each op is
 replayed through :func:`repro.optimize` on a fresh context (the whole
 line must repeat) and through ``OptimizerService`` (signature and
 objective: a ``ServingResult`` carries no stats); the ``served`` family
-also through a 2-shard gateway, twice around a catalog version bump.
+also through a 2-shard gateway, twice around a catalog version bump,
+each op followed by twins one ulp away in a selectivity and a memory
+bucket (misses with their own cold answers) and by its query and memory
+rebuilt from their documents (a tier hit): the warm property's gateway
+front (``test_warm.py`` holds the others).
 
 Re-recording is one rule.  ``PYTHONPATH=src python -m
 tests.corpus.test_corpus`` (from the repo root) replays every op,
@@ -37,7 +41,7 @@ from repro.cluster import ClusterGateway
 from repro.core.context import OptimizationContext
 from repro.serving.service import OptimizerService
 
-from .ops import FAMILIES, OPS, Op
+from .ops import FAMILIES, OPS, Op, one_ulp, rebuilt
 
 ANSWERS = Path(__file__).with_name("answers.jsonl")
 #: The fields a re-record may never move.
@@ -153,23 +157,29 @@ def test_the_service_answers_as_recorded():
 
 
 def test_the_gateway_answers_as_recorded_around_a_bump():
-    served = [op for op in OPS if op.family == "served"]
+    asked, cold = [], []  # each served op, its two ulp twins, its rebuilt twin
+    for op in (op for op in OPS if op.family == "served"):
+        moved = [one_ulp(op, "selectivity_dist", 0), one_ulp(op, "memory", 1)]
+        asked += [op, *moved, rebuilt(op)]
+        lines = [_recorded()[op.id], *map(answer, moved), _recorded()[op.id]]
+        cold += [(line["signature"], line["objective"]) for line in lines]
     source = SimpleNamespace(version=0)
 
     async def one_client():
         answers = []
         async with ClusterGateway(shards=2, catalog_sources=[source]) as gw:
             for _ in range(2):
-                for op in served:
+                for op in asked:
                     answers.append(await asyncio.wait_for(gw.optimize(op.request()), 60))
-                source.version += 1  # every len(served) answers; the workers remember
+                source.version += 1  # every len(asked) answers; the workers remember
             return answers, await gw.snapshot()
 
     answers, snapshot = asyncio.run(one_client())
-    assert len(answers) == 2 * len(served)  # none lost
+    assert len(answers) == 2 * len(asked)  # none lost
     assert all(r.ok for r in answers), [r.error for r in answers if not r.ok]
-    wrong = _wrong(served + served, answers)
-    assert not wrong
+    assert [(r.plan.signature(), repr(r.objective_value)) for r in answers] == cold + cold
+    # the bump misses every op; each rebuilt twin hits the entry its op filled
+    assert [r.cache_tier == "shared" for r in answers] == [i % 4 == 3 for i in range(len(answers))]
     assert snapshot["worker_memo"]["remembered"] > 0
 
 

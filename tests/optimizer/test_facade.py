@@ -225,24 +225,6 @@ class TestContextSharing:
         assert last_context() is ctx
         assert ctx.stats()["subset_sizes"]["hits"] > 0
 
-    def test_equal_query_objects_share_context(self, bimodal_memory):
-        q1, _ = example_1_1()
-        q2, _ = example_1_1()
-        assert q1 is not q2
-        optimize(q1, "lec", memory=bimodal_memory)
-        ctx = last_context()
-        optimize(q2, "lec", memory=bimodal_memory)
-        assert last_context() is ctx
-
-    def test_warm_context_changes_nothing(self, four_way_query, small_memory_dist):
-        cold = optimize(
-            four_way_query, "lec", memory=small_memory_dist, cost_model=CostModel()
-        )
-        warm = optimize(
-            four_way_query, "lec", memory=small_memory_dist, cost_model=CostModel()
-        )
-        _assert_same(warm, cold)
-
     def test_explicit_context_wins(self, example_query, bimodal_memory, cost_model):
         ctx = repro.OptimizationContext(example_query)
         optimize(

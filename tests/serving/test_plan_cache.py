@@ -15,7 +15,6 @@ import threading
 
 import pytest
 
-from repro.core.distributions import two_point
 from repro.core.markov import MarkovParameter
 from repro.cluster.shared_cache import SharedPlanTier
 from repro.plans.nodes import Join, Plan, Scan
@@ -47,12 +46,6 @@ class TestMemoryKey:
     def test_scalar(self):
         assert memory_key(500) == ("scalar", 500.0)
         assert memory_key(500.0) == memory_key(500)
-
-    def test_distribution_keys_by_value(self):
-        a = two_point(2000.0, 0.8, 700.0)
-        b = two_point(2000.0, 0.8, 700.0)
-        assert memory_key(a) == memory_key(b)
-        assert hash(memory_key(a)) == hash(memory_key(b))
 
     def test_markov_full_content(self):
         chain = MarkovParameter([500.0, 2000.0], [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]])

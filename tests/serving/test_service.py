@@ -98,35 +98,6 @@ class TestParityWithDirectOptimize:
 
 
 class TestCaching:
-    def test_repeat_query_hits_cache_with_identical_answer(
-        self, service, three_way_query, small_memory_dist
-    ):
-        first = service.optimize(three_way_query, "lec", memory=small_memory_dist)
-        second = service.optimize(three_way_query, "lec", memory=small_memory_dist)
-        assert not first.cache_hit
-        assert second.cache_hit
-        assert second.plan == first.plan
-        assert abs(second.objective_value - first.objective_value) < 1e-9
-        stats = service.cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_different_memory_is_a_different_entry(
-        self, service, three_way_query, small_memory_dist, bimodal_memory
-    ):
-        service.optimize(three_way_query, "lec", memory=small_memory_dist)
-        other = service.optimize(three_way_query, "lec", memory=bimodal_memory)
-        assert not other.cache_hit
-        assert len(service.cache) == 2
-
-    def test_different_knobs_are_different_entries(
-        self, service, three_way_query, small_memory_dist
-    ):
-        service.optimize(three_way_query, "lec", memory=small_memory_dist)
-        other = service.optimize(
-            three_way_query, "lec", memory=small_memory_dist, top_k=2
-        )
-        assert not other.cache_hit
-
     def test_snapshot_reads_the_tier(self, three_way_query, small_memory_dist):
         # The tier counts; the snapshot reads its counters when it is taken.
         with OptimizerService() as svc:
