@@ -25,12 +25,18 @@ SystemRDP`, Algorithms A-D, the deferred-decision strategies, and the
 * **survival tables** (:class:`~repro.core.expected_cost._SurvivalTable`)
   per memory distribution, amortised across all dag nodes and all
   optimizer invocations;
-* **step costs** (join steps, materialisation writes, enforcer sorts)
-  via a generic namespaced memo that costers key by their full parameter
-  identity, so repeated optimizations of the same query skip straight to
-  the cached expectations.  It is two-level, ``prefix -> {(left, right):
-  cost}``: a batch of steps sharing a formula resolves the prefix once
-  and probes pairs;
+* **scalar step costs** (materialisation writes, enforcer sorts, a
+  single ``join_step_cost``) via a generic namespaced memo that costers
+  key by their full parameter identity, so repeated optimizations of the
+  same query skip straight to the cached expectations;
+* **level columns** (``column_costs(key, compute)``):
+  the cost lists a DP level's coster call returned for one presorted-flag
+  column, keyed by the coster's identity, its methods, the phase, the
+  flags and the column's pairs.  A cold run pays one probe per column
+  (a level names each of its pairs once, so a memo per step only
+  missed); a warm run — the same query optimized again on this
+  context, as a cluster worker does after a catalog bump — costs no
+  step;
 * **DP skeletons** — what a System-R run walks that depends on no cost
   (relation numbering, level masks, each mask's splits), keyed by
   (relation names, plan-space shape, cross products, join methods):
@@ -129,8 +135,12 @@ class OptimizationContext:
         self._size_dists: Dict[Tuple[FrozenSet[str], int], DiscreteDistribution] = {}
         self._dist_ops: Dict[Tuple, DiscreteDistribution] = {}
         self._survival: Dict[DiscreteDistribution, _SurvivalTable] = {}
-        #: key[:-2] (coster identity, formula) -> {key[-2:] (operands): cost}
-        self._cost_memo: Dict[Tuple, Dict[Tuple, float]] = {}
+        #: (coster identity, formula, operands) -> scalar step cost
+        self._steps: Dict[Tuple, float] = {}
+        #: memory -> {(method, left dist, right dist): E[cost]}
+        self._fast_joins: Dict[DiscreteDistribution, Dict[Tuple, float]] = {}
+        #: (coster identity, methods, phase, flags, pairs) -> cost lists
+        self._columns: Dict[Tuple, List[List[float]]] = {}
         #: (names, shape, cross products, methods) -> a DP skeleton
         self._skeletons: Dict[Tuple, Tuple] = {}
         self._stats: Dict[str, CacheStats] = {
@@ -141,6 +151,7 @@ class OptimizationContext:
             "survival_tables": CacheStats(),
             "step_costs": CacheStats(),
             "batched_joins": CacheStats(),
+            "columns": CacheStats(),
             "skeletons": CacheStats(),
         }
 
@@ -300,47 +311,19 @@ class OptimizationContext:
         (objective kind, memory value/distribution, bucket caps, method,
         order flags, operand subsets), so two invocations can share a
         value only when every ingredient of the expectation is equal.
-        The last two elements are the pair :meth:`step_costs` probes.
         """
         stats = self._stats["step_costs"]
-        memo, pair = self._cost_memo.setdefault(key[:-2], {}), key[-2:]
-        cached = memo.get(pair)
+        cached = self._steps.get(key)
         if cached is not None:
             stats.hits += 1
             return cached
         stats.misses += 1
-        value = compute()
-        memo[pair] = value
+        value = self._steps[key] = compute()
         return value
-
-    def step_costs(
-        self,
-        prefixes: Sequence[Tuple],
-        pairs: Sequence[Tuple],
-        compute: Callable[[List[List[Tuple]]], Iterable[Iterable[float]]],
-    ) -> List[List[float]]:
-        """Batch form of :meth:`step_cost` for a column, keys ``prefix +
-        pair`` over a formula's prefix each: one list per prefix, aligned
-        with ``pairs``.  Memoized keys are read; the missing pairs of
-        every prefix (a repeated pair once) go to one ``compute`` call,
-        which returns their values per prefix, stored.  The accounting is
-        :meth:`step_cost`'s: a miss per computed value, else a hit.
-        """
-        memos = [self._cost_memo.setdefault(prefix, {}) for prefix in prefixes]
-        distinct = dict.fromkeys(pairs)
-        missing = [[pair for pair in distinct if pair not in memo] for memo in memos]
-        computed = sum(map(len, missing))
-        if computed:
-            for memo, miss, values in zip(memos, missing, compute(missing)):
-                memo.update(zip(miss, map(float, values)))
-        stats = self._stats["step_costs"]
-        stats.misses += computed
-        stats.hits += len(pairs) * len(memos) - computed
-        return [[memo[pair] for pair in pairs] for memo in memos]
 
     def has_step_cost(self, key: Tuple) -> bool:
         """True when ``key`` is already memoized (no counters touched)."""
-        return key[-2:] in self._cost_memo.get(key[:-2], ())
+        return key in self._steps
 
     # ------------------------------------------------------------------
     # Layer 5: batched fast-path join expectations
@@ -367,7 +350,7 @@ class OptimizationContext:
         so batching can never change which plan a DP level picks.
         ``batches``: the requests' padded operands, if already built.
         """
-        memo = self._cost_memo.setdefault(("fastjoin", memory), {})
+        memo = self._fast_joins.setdefault(memory, {})
         keys = list(map(tuple, requests))  # (method, left, right)
         firsts: Dict[Hashable, int] = {}  # missing key -> its first request
         stats = self._stats["batched_joins"]
@@ -386,8 +369,22 @@ class OptimizationContext:
         return [memo[key] for key in keys]
 
     # ------------------------------------------------------------------
-    # Layer 6: DP skeletons (cost-free enumeration state)
+    # Layer 6: DP level columns and skeletons
     # ------------------------------------------------------------------
+
+    def column_costs(
+        self, key: Tuple, compute: Callable[[], List[List[float]]]
+    ) -> List[List[float]]:
+        """The cost lists of a DP level's column, kept under ``key``;
+        ``compute()`` on a miss.  Like every memo here it is safe to race
+        on: two runs missing one key store equal values."""
+        costs = self._columns.get(key)
+        if costs is not None:
+            self._stats["columns"].hits += 1
+            return costs
+        self._stats["columns"].misses += 1
+        costs = self._columns[key] = compute()
+        return costs
 
     def skeleton(self, key: Tuple) -> Optional[Tuple]:
         """The DP skeleton kept under ``key``; ``None`` is a miss, whose run
@@ -420,7 +417,9 @@ class OptimizationContext:
         self._size_dists.clear()
         self._dist_ops.clear()
         self._survival.clear()
-        self._cost_memo.clear()
+        self._steps.clear()
+        self._fast_joins.clear()
+        self._columns.clear()
         self._skeletons.clear()
         for cs in self._stats.values():
             cs.hits = 0
@@ -433,7 +432,9 @@ class OptimizationContext:
             + len(self._size_dists)
             + len(self._dist_ops)
             + len(self._survival)
-            + sum(map(len, self._cost_memo.values()))
+            + len(self._steps)
+            + len(self._columns)
+            + sum(map(len, self._fast_joins.values()))
         )
         return (
             f"OptimizationContext({self.query!r}, entries={entries}, "

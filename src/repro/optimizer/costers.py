@@ -23,26 +23,27 @@ write, final sort, result pages), all returning scalars in the coster's
 objective; because every objective is an expectation, DP additivity and
 hence optimality is preserved.
 
-The DP costs a level in columns: ``prefetch_join_steps(phase,
-left_presorted, right_presorted, pairs)`` takes the level's
-``(left_rels, right_rels)`` pairs under those flags and returns one cost
-list per join method (:attr:`Coster.methods` order), bit for bit the
-scalar ``join_step_cost`` of each — one grid per list, over operands
-the column builds once for all methods (pages broadcast against the
-memory row, size distributions, padded batches, a naive grid).
+The DP costs a level in one pass, its steps in columns:
+``prefetch_join_steps(phase, left_presorted, right_presorted, pairs)``
+takes the level's ``(left_rels, right_rels)`` pairs under those flags
+and returns one list of Python floats per join method
+(:attr:`Coster.methods` order), bit for bit the scalar
+``join_step_cost`` of each — one grid per list, over operands the
+column builds once for all methods (pages broadcast against the memory
+row, size distributions, padded batches, a naive grid).  A column is
+costed directly: a level names each pair once, so no step memo sits on
+the batch path (the engine keeps whole columns in the context instead).
 
 Shared state lives in an :class:`~repro.core.context.OptimizationContext`
 attached at :meth:`Coster.bind` time: subset sizes and size
 distributions are memoized there instead of in per-coster private dicts,
-survival tables are fetched from the context, and every step cost is
-memoized under a key spanning the coster's full parameter identity —
-so a context threaded across several optimizer invocations (Algorithms
-A-D over one query, a parametric sweep, repeated facade calls) answers
-repeated expectations from cache.  The memo is ``prefix -> {(left,
-right): cost}``: a column reads a prefix per method in one pass; the
-scalar path splits its key the same way.  A coster bound
-without an explicit context builds a private one, which reproduces the
-historical (per-invocation) behavior exactly.
+survival tables are fetched from the context, and the scalar step costs
+— writes, enforcer sorts and ``join_step_cost`` — are memoized under a
+key spanning the coster's full parameter identity, so a context
+threaded across several optimizer invocations (Algorithms A-D over one
+query, a parametric sweep, repeated facade calls) answers them from
+cache.  A coster bound without an explicit context builds a private
+one, which reproduces the historical (per-invocation) behavior exactly.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class Coster(abc.ABC):
         return self.cost_model.methods
 
     def _memo_key(self) -> tuple:
-        """The coster-identity prefix for context step-cost keys.
+        """The coster-identity prefix for context step-cost and column keys.
 
         Subclasses return a tuple covering every parameter that affects
         their numeric output; two costers with equal prefixes must
@@ -187,65 +188,58 @@ class Coster(abc.ABC):
         pairs: Sequence[Tuple[FrozenSet[str], FrozenSet[str]]],
     ) -> List[List[float]]:
         """The costs of joining each ``(left_rels, right_rels)`` pair in
-        ``phase`` under the presorted flags: one list per method of
-        :attr:`methods`, in that order, aligned with ``pairs`` — how the
-        DP costs a level.
+        ``phase`` under the presorted flags: one list of Python floats per
+        method of :attr:`methods`, in that order, aligned with ``pairs`` —
+        how the DP costs a level.  No ``pairs`` gives one ``[]`` per method.
 
         Equal to ``[[self.join_step_cost(m, l, r, phase, left_presorted,
         right_presorted) for l, r in pairs] for m in self.methods]`` **bit
-        for bit**, with the same ``eval_count`` and context-memo
-        accounting: memoized steps are read, the rest are computed — one
-        grid per method, a pair repeated in ``pairs`` once — and stored
-        (:meth:`_batched_steps`), all on the calling thread.
+        for bit**, and for distinct pairs on a cold context with the same
+        ``eval_count``.  No step memo is read or written: every pair is
+        costed, one grid per method (:meth:`_batched_steps`), on the
+        calling thread — a DP level names each of its pairs once per
+        column, so a memo per step would only miss (the engine keeps
+        whole columns: :meth:`OptimizationContext.column_costs`).
         """
 
     def _batched_steps(
-        self, phase, lps, rps, pairs,
+        self, pairs,
         operands: Callable[[list], object],
         grid: Callable[[JoinMethod, object], Iterable[float]],
     ) -> List[List[float]]:
-        """:meth:`prefetch_join_steps` through one context memo pass
-        (:meth:`OptimizationContext.step_costs`): ``operands(missing)``
-        builds what the formulas read of a method's missing pairs, once
-        for all methods missing the same ones, and ``grid(method,
-        operands)`` costs them, a value per pair."""
+        """:meth:`prefetch_join_steps` over a column: ``operands(pairs)``
+        builds what the formulas read, once for all methods, and
+        ``grid(method, operands)`` costs it, a value per pair."""
         assert self.context is not None, "coster used before bind()"
-        methods, prefix = self.methods, self._step_prefix
+        if not pairs:
+            return [[] for _ in self.methods]
+        shared = operands(pairs)
+        return [list(map(float, grid(method, shared))) for method in self.methods]
 
-        def compute(missing):
-            built = shared = None
-            for method, miss in zip(methods, missing):
-                if miss and miss != built:
-                    built, shared = miss, operands(miss)
-                yield grid(method, shared) if miss else ()
-
-        return self.context.step_costs(
-            [prefix(m, phase, lps, rps) for m in methods], pairs, compute
-        )
-
-    def _point_pages(self, pairs, pages: Dict[FrozenSet[str], float]):
-        """The left and right point page counts of ``pairs``, through the
-        column's ``pages`` (a level names each subset in many steps; it
-        is looked up once)."""
+    def _point_pages(self, pairs):
+        """The left and right point page counts of ``pairs`` (a column
+        names each subset in many steps; it is looked up once)."""
+        pages: Dict[FrozenSet[str], float] = {}
+        lookup = self.context.subset_pages
         for pair in pairs:
             for subset in pair:
                 if subset not in pages:
-                    pages[subset] = self._pages(subset)
+                    pages[subset] = lookup(subset)
         return [pages[l] for l, _ in pairs], [pages[r] for _, r in pairs]
 
     def _expected_steps(self, phase, lps, rps, pairs, memory) -> List[List[float]]:
-        """:meth:`_batched_steps` with one (steps × memory-buckets) grid per
-        method under ``memory``: ``(n, 1)`` pages broadcast against the
+        """A column with one (steps × memory-buckets) grid per method
+        under ``memory``: ``(n, 1)`` pages broadcast against the
         ``(1, b_M)`` memory row (a formula ignoring memory, sort-merge
         over two presorted inputs, stays ``(n, 1)`` and is repeated).
         Each row is finished with the ``np.dot`` against the memory pmf
         that :meth:`DiscreteDistribution.expectation` uses: bit-identical
         to the scalar ``memory.expectation(lambda m: formula(...))``.
         """
-        pages, row, probs = {}, memory.values[None, :], memory.probs
+        row, probs = memory.values[None, :], memory.probs
 
-        def operands(missing):
-            return [np.array(side)[:, None] for side in self._point_pages(missing, pages)]
+        def operands(pairs):
+            return [np.array(side)[:, None] for side in self._point_pages(pairs)]
 
         def grid(method, operands):
             rows = self._join_formula_many(method, *operands, row, lps, rps)
@@ -253,7 +247,7 @@ class Coster(abc.ABC):
                 rows = np.repeat(rows, row.size, axis=1)
             return [r.dot(probs) for r in rows]
 
-        return self._batched_steps(phase, lps, rps, pairs, operands, grid)
+        return self._batched_steps(pairs, operands, grid)
 
     def _expected_step(self, memory, method, left_rels, right_rels, phase,
                        left_presorted, right_presorted) -> float:
@@ -272,24 +266,18 @@ class Coster(abc.ABC):
         """The enforcer sort's ``E[cost]`` over ``pages`` under ``memory``."""
         return memory.expectation(lambda m: self.cost_model.sort_cost(pages, m))
 
-    def _step_prefix(self, method, phase, left_presorted, right_presorted) -> tuple:
-        """What the memo keys of one formula's join steps share.
+    def _join_step_key(
+        self, method, left_rels, right_rels, phase, left_presorted, right_presorted
+    ) -> tuple:
+        """The context memo key of one scalar join step.
 
         Phase is ignored by default; phase-indexed objectives fold it in.
         The method goes in by value: a string hashes without a call.
         """
         return (
-            *self._memo_key(), "join",
-            method.value, left_presorted, right_presorted,
+            *self._memo_key(), "join", method.value, left_presorted,
+            right_presorted, frozenset(left_rels), frozenset(right_rels),
         )
-
-    def _join_step_key(
-        self, method, left_rels, right_rels, phase, left_presorted, right_presorted
-    ) -> tuple:
-        """The context memo key of one join step, scalar or batched: either
-        of the two entry points finds what the other stored."""
-        prefix = self._step_prefix(method, phase, left_presorted, right_presorted)
-        return prefix + (frozenset(left_rels), frozenset(right_rels))
 
     @abc.abstractmethod
     def write_cost(self, rels: FrozenSet[str]) -> float:
@@ -381,15 +369,14 @@ class PointCoster(Coster):
         ))
 
     def prefetch_join_steps(self, phase, left_presorted, right_presorted, pairs):
-        """Per method one formula call over the missing pairs' pages: a
-        list call below :data:`_MIN_VECTOR_STEPS` of them, an array call
-        from there on — both the scalar formula's floats and ``eval_count``."""
-        pages = {}
+        """Per method one formula call over the pairs' pages: a list call
+        below :data:`_MIN_VECTOR_STEPS` of them, an array call from there
+        on — both the scalar formula's floats and ``eval_count``."""
         lps, rps, memory = left_presorted, right_presorted, self.memory
 
-        def operands(missing):
-            lp, rp = self._point_pages(missing, pages)
-            if len(missing) < _MIN_VECTOR_STEPS:
+        def operands(pairs):
+            lp, rp = self._point_pages(pairs)
+            if len(pairs) < _MIN_VECTOR_STEPS:
                 return lp, rp
             return np.array(lp), np.array(rp), np.full(1, memory)
 
@@ -398,7 +385,7 @@ class PointCoster(Coster):
                 return self.cost_model.join_costs(method, *operands, memory, lps, rps)
             return self._join_formula_many(method, *operands, lps, rps)
 
-        return self._batched_steps(phase, lps, rps, pairs, operands, grid)
+        return self._batched_steps(pairs, operands, grid)
 
     def write_cost(self, rels):
         return self._pages(rels)
@@ -482,11 +469,9 @@ class MarkovCoster(Coster):
         # so a context outliving the coster still resolves correctly.
         return ("markov", self.chain)
 
-    def _step_prefix(self, method, phase, left_presorted, right_presorted):
-        return (
-            *self._memo_key(), "join", phase,
-            method.value, left_presorted, right_presorted,
-        )
+    def _join_step_key(self, method, left_rels, right_rels, phase, *flags):
+        key = super()._join_step_key(method, left_rels, right_rels, phase, *flags)
+        return (*key, phase)
 
     def join_step_cost(
         self, method, left_rels, right_rels, phase,
@@ -594,17 +579,17 @@ class MultiParamCoster(Coster):
 
     def prefetch_join_steps(self, phase, left_presorted, right_presorted, pairs):
         """One call per method: the linear-time kernel under ``fast``,
-        else one naive triple grid laid over every missing pair (padded
-        batches or a :class:`NaiveGrid`, built at first use); a
-        presorted column keeps the order-aware per-step route.
+        else one naive triple grid laid over every pair (padded batches
+        or a :class:`NaiveGrid`, built at first use); a presorted column
+        keeps the order-aware per-step route.
         """
         lps, rps, sizes = left_presorted, right_presorted, self.size_distribution
-        if lps or rps:  # operands: the missing pairs' names, costed step by step
-            return self._batched_steps(phase, lps, rps, pairs, list, lambda method, missing: [
-                self._compute_step(method, left, right, lps, rps) for left, right in missing])
+        if lps or rps:  # operands: the pairs' names, costed step by step
+            return self._batched_steps(pairs, list, lambda method, named: [
+                self._compute_step(method, left, right, lps, rps) for left, right in named])
 
-        def operands(missing):
-            return [(sizes(left), sizes(right)) for left, right in missing], {}
+        def operands(pairs):
+            return [(sizes(left), sizes(right)) for left, right in pairs], {}
 
         def grid(method, operands):
             dists, built = operands
@@ -619,7 +604,7 @@ class MultiParamCoster(Coster):
                 built["naive"] = NaiveGrid(dists, self.memory)
             return built["naive"].costs(self.cost_model, method)
 
-        return self._batched_steps(phase, lps, rps, pairs, operands, grid)
+        return self._batched_steps(pairs, operands, grid)
 
     def write_cost(self, rels):
         key = (*self._memo_key(), "write", frozenset(rels))

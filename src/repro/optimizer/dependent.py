@@ -178,8 +178,8 @@ class BayesNetCoster(Coster):
         :meth:`join_step_cost` uses — same values, same ``eval_count``."""
         lps, rps, pages = left_presorted, right_presorted, self._pages_given_many
 
-        def operands(missing):
-            return [np.vstack([pages(rels) for rels in side]) for side in zip(*missing)]
+        def operands(pairs):
+            return [np.vstack([pages(rels) for rels in side]) for side in zip(*pairs)]
 
         def grid(method, operands):
             costs = self._join_formula_many(
@@ -187,7 +187,7 @@ class BayesNetCoster(Coster):
             )
             return self.net.expectation_many(costs)
 
-        return self._batched_steps(phase, lps, rps, pairs, operands, grid)
+        return self._batched_steps(pairs, operands, grid)
 
     def write_cost(self, rels):
         key = (*self._memo_key(), "write", frozenset(rels))

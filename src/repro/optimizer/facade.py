@@ -17,11 +17,13 @@ a cold private context unless one is passed.
 
 The facade owns a small LRU of :class:`~repro.core.context.
 OptimizationContext` objects, keyed by the query's statistics
-fingerprint and the cost model's configuration.  Repeated calls on the
-same (query, cost model) therefore share memoized subset sizes, size
-distributions, survival tables and step costs; mutating the catalog
-changes the fingerprint, which transparently builds a fresh context —
-stale reuse cannot happen.
+fingerprint alone: every memo inside a context that a cost model can
+change already names its method set (the DP skeleton's key, a level
+column's key, a step key's method).  Repeated calls on the same query therefore share
+memoized subset sizes, size distributions, survival tables, DP
+skeletons and scalar step costs; mutating the catalog changes the
+fingerprint, which transparently builds a fresh context — stale reuse
+cannot happen.
 
 Objectives and their ``memory`` requirements:
 
@@ -200,11 +202,10 @@ def _run(
     return OptimizationResult(best=choices[0], candidates=choices, stats=stats)
 
 
-# LRU of contexts keyed by (query fingerprint, cost-model configuration).
-# Small on purpose: a context holds every memoized distribution for its
-# query, and the working set of distinct (query, model) pairs in one
-# process is tiny.  The lock makes get/insert/evict safe under the
-# serving layer's thread pool — OrderedDict.move_to_end/popitem are not
+# LRU of contexts keyed by query fingerprint.  Small on purpose: a
+# context holds every memoized distribution for its query, and the
+# working set of distinct queries in one process is tiny.  The lock
+# makes get/insert/evict safe under the serving layer's thread pool — OrderedDict.move_to_end/popitem are not
 # atomic, so unguarded concurrent optimize() calls could corrupt the LRU.
 _CONTEXT_CACHE_CAP = 8
 _context_cache: "OrderedDict[Tuple, OptimizationContext]" = OrderedDict()
@@ -244,15 +245,15 @@ def model_key(cm: CostModel) -> Tuple:
     return key
 
 
-def _context_for(query: JoinQuery, cm: CostModel) -> OptimizationContext:
-    """Fetch (or build) the shared context for this query + cost model.
+def _context_for(query: JoinQuery) -> OptimizationContext:
+    """Fetch (or build) the shared context for this query.
 
     The key embeds every statistic the optimizer reads, so a query built
     from mutated catalog statistics maps to a different slot — the old
     context simply ages out of the LRU.  Thread-safe: two concurrent
     callers with the same key receive the same context object.
     """
-    key = (query_fingerprint(query), model_key(cm))
+    key = query_fingerprint(query)
     with _context_cache_lock:
         ctx = _context_cache.get(key)
         if ctx is not None:
@@ -348,7 +349,7 @@ def optimize(
 
     kind = canonical_objective(objective)
     cm = cost_model if cost_model is not None else CostModel()
-    ctx = context if context is not None else _context_for(query, cm)
+    ctx = context if context is not None else _context_for(query)
     # Published under the cache lock: clear_context_cache() resets this
     # global concurrently, and an unguarded write could resurrect a
     # just-cleared context for observers of last_context().

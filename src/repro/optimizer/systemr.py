@@ -38,8 +38,9 @@ Bookkeeping details that matter for fidelity:
   because equal costs are settled by first arrival: split, then pair
   of input views, then method, then probe order.  What a run knows of a
   subset (names, write cost, unsorted view) is under the mask.  A
-  candidate is a cost, an admitted entry is a back-pointer, a plan is
-  built once at the root (:attr:`DPEntry.node`).
+  candidate is a cost and a source, a bucket's survivors at the end of
+  its level are entries — back-pointers — and a plan is built once at
+  the root (:attr:`DPEntry.node`).
 * **SPJU.** A :class:`~repro.plans.query.JoinQuery` that is actually a
   :class:`~repro.plans.spju.UnionQuery` is optimized arm by arm (the DP
   runs once per arm — predicates never cross arms) and combined under a
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
+from itertools import repeat
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -77,9 +79,6 @@ _Split = Tuple[int, int, str, Optional[str], Tuple[Optional[str], ...]]
 _cost_of = itemgetter(0)
 #: A join input as a split sees it: (presorted, ascending costs, entries).
 _View = Tuple[bool, Sequence[float], Sequence["DPEntry"]]
-#: A level's step costs: (left mask, right mask) -> per pair of input
-#: views, [left view, right view, one cost per join method].
-_Steps = Dict[Tuple[int, int], List[list]]
 
 
 class DPEntry:
@@ -221,11 +220,9 @@ class SystemRDP:
         later runs on the same names, shape, cross products and methods
         replay it as it is.
 
-        A level is evaluated in two moves: :meth:`_cost_splits` costs
-        every split, one coster call per presorted-flag pair returning a
-        cost list per join method, and :meth:`_build_subset` offers each
-        subset's candidates in ascending-submask order, reading the step
-        costs of the batch.
+        A level is one :meth:`_level` pass: every split costed, one coster
+        call per presorted-flag pair, then every subset's candidates
+        offered in ascending-submask order.
         """
         table: _Table = {}
         self._writes, self._unsorted = {}, {}
@@ -259,11 +256,7 @@ class SystemRDP:
 
         # Depths 2..n (level k only reads levels < k, all already in table).
         for phase, (level, walked) in enumerate(levels):
-            steps = self._cost_splits(
-                [split for splits in walked for split in splits], phase, table
-            )
-            for mask, splits in zip(level, walked):
-                self._build_subset(mask, splits, table, steps, stats)
+            self._level(phase, level, walked, table, stats)
         return table
 
     def _record(self, key, skeleton, adjacency, preds, table: _Table) -> Iterator[tuple]:
@@ -324,34 +317,6 @@ class SystemRDP:
                     derived[left] = shared
             yield (left, right) + shared
 
-    def _cost_splits(self, splits: Sequence[_Split], phase: int, table: _Table) -> _Steps:
-        """Cost the join steps of a level's ``splits`` in columns: per
-        split, each pair of views its inputs present (:meth:`_views`) is
-        filed under its two presorted flags, and each flag pair of the
-        level is one coster call — the ``(left rels, right rels)`` pairs
-        in, one cost list per join method out.  View pairs and their
-        per-method costs come back per split, where :meth:`_offer_split`
-        reads both.
-        """
-        rels, views = self._rels, self._views
-        steps: _Steps = {}
-        # (left presorted, right presorted) -> (view pair slots, rel pairs)
-        columns: Dict[Tuple[bool, bool], tuple] = defaultdict(lambda: ([], []))
-        for left, right, _label, order_target, _orders in splits:
-            steps[left, right] = slots = []
-            pair = (rels[left], rels[right])
-            for lview in views(left, order_target, table):
-                for rview in views(right, order_target, table):
-                    slots.append(slot := [lview, rview, None])
-                    column = columns[lview[0], rview[0]]
-                    column[0].append(slot)
-                    column[1].append(pair)
-        for (lps, rps), (slots, pairs) in columns.items():
-            costs = self.coster.prefetch_join_steps(phase, lps, rps, pairs)
-            for slot, step in zip(slots, zip(*costs)):
-                slot[2] = step
-        return steps
-
     def _views(
         self, mask: int, order_target: Optional[str], table: _Table
     ) -> List[_View]:
@@ -379,40 +344,31 @@ class SystemRDP:
             views.append((True, held.costs, held.entries))
         return views
 
-    def _build_subset(
+    def _level(
         self,
-        mask: int,
-        splits: Sequence[_Split],
+        phase: int,
+        level: Sequence[int],
+        walked: Sequence[Sequence[_Split]],
         table: _Table,
-        steps: _Steps,
         stats: OptimizerStats,
     ) -> None:
-        """File the retained entries of one subset, per output order:
-        its splits offered in the order given (ascending submask) into
-        fresh buckets.
-        """
-        buckets: Dict[Optional[str], TopKList[DPEntry]] = {}
-        for split in splits:
-            self._offer_split(split, table, steps, buckets, stats)
-        if buckets:
-            table[mask] = buckets
+        """Evaluate one level in one pass and file its subsets' entries.
 
-    def _offer_split(
-        self,
-        split: _Split,
-        table: _Table,
-        steps: _Steps,
-        buckets: Dict[Optional[str], TopKList],
-        stats: OptimizerStats,
-    ) -> None:
-        """Offer one split's candidates to ``buckets``, per output order.
-
-        Costs first: a candidate's total is compared with its bucket's
-        worst retained cost and, if the bucket has room or it is strictly
-        below, seated in the bucket's lists in place — :meth:`TopKList.offer`'s
-        rule and arrival-order tie-break, without the call.  What it admits
-        is a :class:`DPEntry` pointing back at the two entries joined — no
-        plan node is built.
+        Costs first, in columns: each split's pairs of input views
+        (:meth:`_views`) are filed under their two presorted flags, and
+        each flag pair of the level is one coster call — the ``(left
+        rels, right rels)`` pairs in, one cost list per join method out —
+        kept in the context (:meth:`OptimizationContext.column_costs`), so
+        a warm run on it costs no step.  Then one loop over splits
+        (ascending submask per subset), view pairs, methods and
+        Proposition 3.1 combinations offers each candidate to its
+        ``(subset, order)`` bucket as a plain ``(total, source)`` pair:
+        admitted if the bucket has room or the total is strictly below
+        its worst, seated after equal costs — :meth:`TopKList.offer`'s
+        rule and arrival-order tie-break (at ``top_k = 1`` the walk is
+        its one probe and a bucket its one best).  A :class:`DPEntry` is
+        built only for what a bucket holds when the level ends, and a
+        subset files its buckets in first-offer order.
 
         One Proposition 3.1 walk per pair of input views, not of order
         buckets: rounded addition is monotone (``a <= b`` gives ``fl(a + c)
@@ -422,40 +378,88 @@ class SystemRDP:
         walk per bucket pair; only which of several bit-equal totals fills
         a tail slot at ``top_k > 1`` differs: arrival order settles it.
         """
-        space, top_k, writes = self.space, self.top_k, self._writes
-        left, right, label, order_target, orders = split
-        for mask in (left, right):  # asked of the coster once per run
-            if mask not in writes:
-                writes[mask] = self.coster.write_cost(self._rels[mask])
-        # Per method: its output order, that order's bucket and the child
-        # writes its candidates pay.  A pipelined nested-loop join streams
-        # its outer (left) input: no materialisation write for it.
-        rows = []
-        for (method, streams), order in zip(self._methods, orders):
-            if order not in buckets:
-                buckets[order] = TopKList(top_k)
-            bucket = buckets[order]
-            write = writes[right] + (0.0 if streams else writes[left])
-            rows.append((method, order, bucket.costs, bucket.entries, write))
+        rels, views, writes = self._rels, self._views, self._writes
+        space, top_k, methods = self.space, self.top_k, self._methods
+        # (left presorted, right presorted) -> (view pair slots, rel pairs)
+        columns: Dict[Tuple[bool, bool], tuple] = defaultdict(lambda: ([], []))
+        offered: List[list] = []  # per split: its [left view, right view, step costs]
+        for splits in walked:
+            for left, right, _label, order_target, _orders in splits:
+                pair = (rels[left], rels[right])
+                offered.append(slots := [])
+                for lview in views(left, order_target, table):
+                    for rview in views(right, order_target, table):
+                        slots.append(slot := [lview, rview, None])
+                        column = columns[lview[0], rview[0]]
+                        column[0].append(slot)
+                        column[1].append(pair)
+        coster = self.coster
+        identity = (*coster._memo_key(), coster.methods, phase)
+        for (lps, rps), (slots, pairs) in columns.items():
+            costs = coster.context.column_costs(
+                (*identity, lps, rps, tuple(pairs)),
+                lambda: coster.prefetch_join_steps(phase, lps, rps, pairs),
+            )
+            for slot, step in zip(slots, zip(*costs)):
+                slot[2] = step
+
         probes = merged = 0
-        for (_, lcosts, lentries), (_, rcosts, rentries), costs in steps[left, right]:
-            combos, probed = top_sums(lcosts, rcosts, top_k)
-            probes += probed
-            merged += len(combos)
-            for (method, order, held, kept, write_children), step in zip(rows, costs):
-                for combined, li, ri in combos:
-                    total = combined + step + write_children
-                    if len(held) < top_k or total < held[-1]:
-                        if len(held) == top_k:  # the worst makes room
-                            del held[-1], kept[-1]
-                        at = bisect_right(held, total)  # after equal costs
-                        held.insert(at, total)
-                        kept.insert(at, DPEntry(total, order, (
-                            space, lentries[li], rentries[ri],
-                            method, label, order_target,
-                        )))
+        offers = iter(offered)
+        for mask, splits in zip(level, walked):
+            # Order -> bucket; until the level ends a bucket's entries are
+            # the sources of its held candidates.
+            buckets: Dict[Optional[str], TopKList] = {}
+            for (left, right, label, order_target, orders), slots in zip(splits, offers):
+                for side in (left, right):  # asked of the coster once per run
+                    if side not in writes:
+                        writes[side] = coster.write_cost(rels[side])
+                # Per method: its bucket and the child writes its candidates
+                # pay.  A pipelined nested-loop join streams its outer (left)
+                # input: no materialisation write for it.
+                rows = []
+                for (method, streams), order in zip(methods, orders):
+                    bucket = buckets.get(order)
+                    if bucket is None:
+                        bucket = buckets[order] = TopKList(top_k)
+                    write = writes[right] + (0.0 if streams else writes[left])
+                    rows.append((method, bucket.costs, bucket.entries, write))
+                for (_, lcosts, lentries), (_, rcosts, rentries), costs in slots:
+                    if top_k == 1:  # one probe, (0, 0); a bucket holds its best
+                        combined = lcosts[0] + rcosts[0]
+                        for (method, held, kept, write_children), step in zip(rows, costs):
+                            total = combined + step + write_children
+                            if not held or total < held[0]:
+                                held[:] = (total,)
+                                kept[:] = ((
+                                    space, lentries[0], rentries[0],
+                                    method, label, order_target,
+                                ),)
+                        probes += 1
+                        merged += 1
+                        continue
+                    combos, probed = top_sums(lcosts, rcosts, top_k)
+                    probes += probed
+                    merged += len(combos)
+                    for (method, held, kept, write_children), step in zip(rows, costs):
+                        for combined, li, ri in combos:
+                            total = combined + step + write_children
+                            if len(held) < top_k or total < held[-1]:
+                                if len(held) == top_k:  # the worst makes room
+                                    del held[-1], kept[-1]
+                                at = bisect_right(held, total)  # after equal costs
+                                held.insert(at, total)
+                                kept.insert(at, (
+                                    space, lentries[li], rentries[ri],
+                                    method, label, order_target,
+                                ))
+            if buckets:
+                for order, bucket in buckets.items():
+                    bucket.entries = list(map(
+                        DPEntry, bucket.costs, repeat(order), bucket.entries
+                    ))
+                table[mask] = buckets
         stats.merge_probes += probes
-        stats.entries_offered += merged * len(rows)
+        stats.entries_offered += merged * len(methods)
 
     def _finalize(
         self,

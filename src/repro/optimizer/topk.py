@@ -30,9 +30,11 @@ class TopKList(Generic[T]):
     Insertion is O(k) (the lists involved are tiny: ``k`` is the paper's
     ``c``, a small constant), and ties are broken by insertion order so
     results are deterministic.  ``costs`` and ``entries`` are the held
-    costs and items as parallel ascending lists; the DP's hot loop
-    probes them and seats its candidates in them directly, by
-    :meth:`offer`'s rule (:meth:`~repro.optimizer.systemr.SystemRDP._offer_split`).
+    costs and items as parallel ascending lists.  The DP's level pass
+    (:meth:`~repro.optimizer.systemr.SystemRDP._level`) seats plain
+    ``(total, source)`` candidates in them directly, by :meth:`offer`'s
+    rule, and turns the sources it still holds into entries once, when
+    the level ends.
     """
 
     __slots__ = ("k", "costs", "entries")

@@ -112,45 +112,29 @@ class TestStepCostMemo:
         assert len(calls) == 1
         assert ctx.stats()["step_costs"]["hits"] == 1
 
-    def test_batch_and_scalar_share_the_nested_memo(self, three_way_query):
-        # The memo is prefix -> {(left, right): cost}; step_cost splits
-        # its flat key at the last two elements, step_costs takes the
-        # prefixes (one per formula of a column) and the pairs apart.
+    def test_keys_are_whole_tuples(self, three_way_query):
+        # One flat memo: a key is found only whole, and has_step_cost
+        # reads it without touching the counters.
         ctx = OptimizationContext(three_way_query)
         prefix = ("point", 1200.0, "join", "GH", False, False)
         a, b, c = frozenset("R"), frozenset("S"), frozenset("T")
-        asked = []
-
-        def compute(missing):
-            (pairs,) = missing
-            asked.append(list(pairs))
-            return [[float(len(asked) * 10 + i) for i in range(len(pairs))]]
-
         assert ctx.step_cost(prefix + (a, b), lambda: 7.0) == 7.0
-        # Half warm: (a, b) is read, (b, c) is computed once though it is
-        # named twice, in first-appearance order.
-        got = ctx.step_costs([prefix], [(b, c), (a, b), (a, c), (b, c)], compute)
-        assert got == [[10.0, 7.0, 11.0, 10.0]]
-        assert asked == [[(b, c), (a, c)]]
-        assert all(isinstance(cost, float) for cost in got[0])
-        # ... and what the batch stored the scalar path finds.
-        assert ctx.step_cost(prefix + (a, c), lambda: pytest.fail("memoized")) == 11.0
-        assert ctx.has_step_cost(prefix + (b, c))
-        assert not ctx.has_step_cost(prefix + (c, b))
-        assert not ctx.has_step_cost(("other",) + prefix[1:] + (b, c))
-        # One miss per computed value, one hit per other lookup.
-        assert ctx.stats()["step_costs"] == {
-            "hits": 3, "misses": 3, "hit_rate": 0.5,
-        }
+        assert ctx.step_cost(prefix + (a, b), lambda: pytest.fail("memoized")) == 7.0
+        assert ctx.step_cost(prefix + (b, a), lambda: 8.0) == 8.0
+        assert ctx.has_step_cost(prefix + (a, b))
+        assert not ctx.has_step_cost(prefix + (a, c))
+        assert not ctx.has_step_cost(("other",) + prefix[1:] + (a, b))
+        assert ctx.stats()["step_costs"] == {"hits": 1, "misses": 2, "hit_rate": 1 / 3}
 
     def test_repr_counts_leaves_and_clear_empties(self, three_way_query):
         ctx = OptimizationContext(three_way_query)
         prefix = ("expected", "m", "join", "NL", False, False)
         pairs = [(frozenset("R"), frozenset("S")), (frozenset("S"), frozenset("T"))]
-        ctx.step_costs([prefix], pairs, lambda missing: [[1.0] * len(missing[0])])
+        for pair in pairs:
+            ctx.step_cost(prefix + pair, lambda: 1.0)
         ctx.step_cost(("expected", "m", "sort", frozenset("RS")), lambda: 2.0)
         ctx.step_cost(("expected", "m", "write", frozenset("RS")), lambda: 3.0)
-        assert "entries=4," in repr(ctx)  # four costs under two prefixes
+        assert "entries=4," in repr(ctx)  # four step costs
         ctx.clear()
         assert "entries=0," in repr(ctx)
         assert not ctx.has_step_cost(prefix + pairs[0])

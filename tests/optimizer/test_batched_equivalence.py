@@ -9,13 +9,16 @@ reference the columns are held to:
     == [[coster.join_step_cost(m, l, r, phase, lps, rps) for l, r in pairs]
         for m in coster.methods]``
 
-bit for bit, with the same ``eval_count``, the same ``step_costs``
-memo accounting and the same number of linear-time kernel evaluations
-— on a cold context, on a half-warm one, with pairs repeated inside a
-call, under a one-bucket memory, over a both-presorted sort-merge
-column (whose formula ignores memory), over one-pair columns and with
-a column's methods missing different pairs — for every coster kind
-(algorithms A–D share them) and the dependent Bayes-net one.
+bit for bit, in Python floats, where the scalar side runs on a cold
+context.  A column reads and writes no step memo (a DP level names each
+pair once, so a memo there only missed): its ``eval_count`` is the
+scalar loop's for distinct pairs, a repeated pair is costed again, and
+steps the scalar path memoized on the batch's context beforehand change
+nothing — neither on a half-warm context nor with one method's steps
+memoized.  Checked also under a one-bucket memory, over a both-presorted
+sort-merge column (whose formula ignores memory) and over one-pair
+columns, for every coster kind (algorithms A–D share them) and the
+dependent Bayes-net one.
 
 End to end, each coster kind runs as its ``repro.optimize`` objective
 in the ``batch`` family of the answer corpus (``tests/corpus``);
@@ -186,28 +189,40 @@ def _bound(kind: str, query, one_bucket: bool = False):
 
 
 def _assert_batch_is_the_scalar_loop(kind, query, columns, warm=(), one_bucket=False):
+    """Each column of the batch against the scalar loop on a cold context.
+
+    ``warm`` steps are costed through the scalar ``join_step_cost`` on the
+    batch's context first: the batch neither reads them nor stores
+    anything (its ``step_costs`` counters stand still).  Its
+    ``eval_count`` is what each of its pairs cost the scalar loop when
+    first met cold: a pair repeated in a column is costed again.
+    """
     batch = _bound(kind, query, one_bucket)
     scalar = _bound(kind, query, one_bucket)
-    for coster in (batch, scalar):
-        for step in warm:
-            coster.join_step_cost(*step)
+    for step in warm:
+        batch.join_step_cost(*step)
+    cold_evals = {}  # scalar step -> eval_count it took on the cold context
     for phase, lps, rps, pairs in columns:
+        memo, evals = batch.context.stats()["step_costs"], batch.cost_model.eval_count
         got = batch.prefetch_join_steps(phase, lps, rps, pairs)
-        want = [
-            [scalar.join_step_cost(m, l, r, phase, lps, rps) for l, r in pairs]
-            for m in scalar.methods
-        ]
+        want, want_evals = [], 0
+        for m in scalar.methods:
+            want.append([])
+            for left, right in pairs:
+                step = (m, left, right, phase, lps, rps)
+                before = scalar.cost_model.eval_count
+                want[-1].append(scalar.join_step_cost(*step))
+                want_evals += cold_evals.setdefault(
+                    step, scalar.cost_model.eval_count - before
+                )
         assert got == want  # floats compared exactly: bit for bit
-        assert all(isinstance(cost, float) for costs in got for cost in costs)
-        assert batch.cost_model.eval_count == scalar.cost_model.eval_count
-        # The memo layers the two paths share: every step lookup, and every
-        # linear-time kernel evaluation (a column looks up each subset's
-        # pages or distribution once, so those layers count differently).
-        got_stats, want_stats = batch.context.stats(), scalar.context.stats()
-        assert got_stats["step_costs"] == want_stats["step_costs"]
+        assert all(type(cost) is float for costs in got for cost in costs)
+        assert batch.cost_model.eval_count - evals == want_evals
+        assert batch.context.stats()["step_costs"] == memo
+    if not warm:  # the linear-time kernel's own memo: one evaluation per triple
         assert (
-            got_stats["batched_joins"]["misses"]
-            == want_stats["batched_joins"]["misses"]
+            batch.context.stats()["batched_joins"]["misses"]
+            == scalar.context.stats()["batched_joins"]["misses"]
         )
 
 
@@ -223,6 +238,8 @@ class TestBatchContract:
         _assert_batch_is_the_scalar_loop(kind, query, _columns(query, flat_phase))
 
     def test_half_warm_context(self, kind, flat_phase):
+        # Every other step memoized by the scalar path: the batch reads
+        # none of them and costs every pair.
         query = QUERIES[3]
         columns = _columns(query, flat_phase)
         _assert_batch_is_the_scalar_loop(
@@ -230,6 +247,7 @@ class TestBatchContract:
         )
 
     def test_duplicate_requests(self, kind, flat_phase):
+        # A pair named twice in a column is costed twice, warm or cold.
         query = QUERIES[0]
         columns = _columns(query, flat_phase)
         doubled = [
@@ -267,8 +285,9 @@ class TestBatchContract:
 
     def test_methods_missing_different_pairs(self, kind, flat_phase):
         # The first method is primed through the scalar join_step_cost
-        # on every other pair, the others on none: within each column the
-        # methods miss different pairs, and each costs only its own.
+        # on every other pair, the others on none: the memo would have
+        # each method miss different pairs, and the batch, which reads no
+        # memo, still costs every pair under every method.
         query = QUERIES[3]
         columns = _columns(query, flat_phase)
         warm = [
@@ -325,7 +344,8 @@ def test_a_naive_multiparam_level_mixes_presorted_and_unsorted_sort_merge(
     # Non-fast Algorithm D costs an unsorted column through one naive
     # grid, built once, costed once per method -- over one pair too --
     # and the presorted columns of the same level through the
-    # order-aware per-step route.
+    # order-aware per-step route.  Steps the scalar path memoized
+    # beforehand change nothing: the grid still covers every pair.
     from repro.core.expected_cost import NaiveGrid
 
     query = QUERIES[2]
@@ -344,9 +364,9 @@ def test_a_naive_multiparam_level_mixes_presorted_and_unsorted_sort_merge(
     warmed = pairs[1::2] if half_warm else []
     warm = [s for s in _steps(METHODS, columns) if s[1:3] in warmed]
     _assert_batch_is_the_scalar_loop("multiparam-naive", query, columns, warm=warm)
-    # One call per method on one grid, none for a presorted column, only
-    # what the memo lacks.
-    assert [call[:2] for call in calls] == [(m, len(pairs) - len(warmed)) for m in METHODS]
+    # One call per method on one grid over every pair, none for a
+    # presorted column.
+    assert [call[:2] for call in calls] == [(m, len(pairs)) for m in METHODS]
     assert len({call[2] for call in calls}) == 1
 
     calls.clear()

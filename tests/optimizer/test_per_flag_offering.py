@@ -1,10 +1,11 @@
 """Per-flag offering, held to the per-order-pair loop it replaced.
 
-``SystemRDP._offer_split`` walks a split's inputs once per pair of
-*views* (``_views``: at most an unsorted and a sorted one per input),
-where the parent commit of ISSUE 22 walked every ``(left order, right
-order)`` pair of buckets.  :class:`PerOrderPairDP` keeps that loop, as
-the reference.  The claim is that nothing an answer is made of can tell
+``SystemRDP._level`` walks a split's inputs once per pair of *views*
+(``_views``: at most an unsorted and a sorted one per input), where an
+earlier engine walked every ``(left order, right order)`` pair of
+buckets.  :class:`PerOrderPairDP` keeps that loop, as the reference: the
+per-split engine of :mod:`.reference_dp` with its ``_offer_split``
+replaced.  The claim is that nothing an answer is made of can tell
 the two apart: for every ``(subset, order)`` the retained **cost lists
 are equal with ``==``**, so the winner's objective is the same float.
 What may differ is which of several plans with bit-equal totals sits in
@@ -36,6 +37,8 @@ from repro.workloads.queries import (
     with_selectivity_uncertainty,
 )
 
+from .reference_dp import PerSplitDP, Recording
+
 MEMORY = DiscreteDistribution([400.0, 1500.0, 4000.0], [0.25, 0.5, 0.25])
 
 COSTERS = {
@@ -59,25 +62,7 @@ SHAPES = {
 }
 
 
-class _Recording(SystemRDP):
-    """Keeps each block's table, and the flags of every view list handed out."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.tables, self.flags = [], set()
-
-    def _run_dp(self, query, names, stats):
-        table = super()._run_dp(query, names, stats)
-        self.tables.append(table)
-        return table
-
-    def _views(self, mask, order_target, table):
-        views = super()._views(mask, order_target, table)
-        self.flags.add(tuple(flag for flag, _costs, _entries in views))
-        return views
-
-
-class PerOrderPairDP(_Recording):
+class PerOrderPairDP(Recording, PerSplitDP):
     """The reference: one Proposition 3.1 walk per pair of order buckets,
     the step costs looked up by the pair's presorted flags."""
 
@@ -132,7 +117,7 @@ def _compare(shape, n, seed, kind, methods, **knobs):
     query = with_selectivity_uncertainty(
         SHAPES[shape](n, np.random.default_rng(seed)), 1.0, n_buckets=4
     )
-    engine, result = _run(_Recording, query, kind, methods, **knobs)
+    engine, result = _run(Recording, query, kind, methods, **knobs)
     reference, expected = _run(PerOrderPairDP, query, kind, methods, **knobs)
     (table,), (reference_table,) = engine.tables, reference.tables
     assert table.keys() == reference_table.keys()

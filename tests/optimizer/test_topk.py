@@ -124,17 +124,20 @@ class TestMergeTopCombinations:
 
 
 class TestInPlaceAdmission:
-    """``SystemRDP._offer_split`` seats a candidate in its bucket's cost
-    and entry lists itself, without :meth:`TopKList.offer`; the lists it
-    leaves must be the ones ``offer`` leaves, ties settled by arrival."""
+    """The reference engine's ``_offer_split`` (:mod:`.reference_dp`, which
+    ``SystemRDP._level`` is held to) seats a candidate in its bucket's
+    cost and entry lists itself, without :meth:`TopKList.offer`; the
+    lists it leaves must be the ones ``offer`` leaves, ties settled by
+    arrival."""
 
     @staticmethod
     def _engine(k: int):
         from repro.optimizer.costers import PointCoster
-        from repro.optimizer.systemr import SystemRDP
         from repro.plans.properties import JoinMethod
 
-        engine = SystemRDP(PointCoster(1000.0), top_k=k)
+        from .reference_dp import PerSplitDP
+
+        engine = PerSplitDP(PointCoster(1000.0), top_k=k)
         engine._writes = {1: 0.0, 2: 0.0}
         engine._methods = [(JoinMethod.GRACE_HASH, False)]
         return engine
