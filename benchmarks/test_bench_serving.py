@@ -20,8 +20,6 @@ import pytest
 
 from repro.core.distributions import DiscreteDistribution
 from repro.serving.service import (
-    RUNG_COARSE,
-    RUNG_FULL,
     RUNG_LSC,
     Ladder,
     OptimizeRequest,
@@ -92,8 +90,7 @@ def test_degradation_under_deadline_pressure_stays_within_budget():
     queries, memory, _ = _workload(n_distinct=2, repeats=1)
     ladder = Ladder()
     for n_rels in (3, 4, 5):
-        ladder.estimator.record(RUNG_FULL, "expected", n_rels, 60.0)
-        ladder.estimator.record(RUNG_COARSE, "expected", n_rels, 60.0)
+        ladder.estimator.record("expected", n_rels, 60.0)
     deadline = 10.0  # generous wall-clock; tiny vs the 60s estimates
     t0 = time.perf_counter()
     results = [

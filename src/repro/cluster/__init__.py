@@ -5,7 +5,7 @@ Serves past one process's GIL: an asyncio
 answers it from the cluster's version-fenced plan tier (the gateway's
 :class:`~repro.serving.plan_cache.PlanCache`) when it is a repeat, and
 otherwise coalesces and routes it to one of N worker processes, one per
-shard (fingerprint-hash sharding), each running the full→coarse→LSC
+shard (fingerprint-hash sharding), each running the full→LSC
 degradation ladder (:class:`~repro.serving.service.Ladder`) and holding
 no plan, with :class:`~repro.cluster.admission.AdmissionController`
 shedding load onto that ladder before deadlines blow.

@@ -12,9 +12,9 @@ arriving request into one of three outcomes *before* any work starts:
 ``degrade``
     The shard is between its soft and hard limits: the request is
     accepted, but its effective deadline is squeezed to the time the
-    queue can actually afford.  The worker's existing full → coarse →
-    LSC ladder then sheds the load *qualitatively* — cheaper plans, not
-    dropped requests — exactly the degradation path PR 2 built.
+    queue can actually afford.  The worker's full → LSC ladder then
+    sheds the load *qualitatively* — cheaper plans, not dropped
+    requests.
 ``shed``
     The shard's queue has reached :data:`HARD_LIMIT`: the request is
     refused up front with an explicit signal.  Refusal-at-the-door is the only

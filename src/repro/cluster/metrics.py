@@ -15,11 +15,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..serving.metrics import Counter, MetricsRegistry
+from ..serving.service import RUNG_FULL, RUNG_LSC
 
 __all__ = ["ClusterMetrics"]
 
-#: Ladder rungs in quality order (mirrors repro.serving.service).
-_RUNGS = ("full", "coarse", "lsc")
+_RUNGS = (RUNG_FULL, RUNG_LSC)
 
 
 class ClusterMetrics:

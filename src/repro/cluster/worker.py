@@ -2,9 +2,8 @@
 
 Each worker runs :class:`~repro.serving.service.Ladder` — the deadline
 ladder with its EWMA latency estimates and metrics — on every request
-it reads, under the deadline its frame carries (the coarse rung's cap
-is the module constant ``COARSE_BUCKETS``, so a worker is configured by
-its shard id alone), and holds **no plan**: the cluster's one plan tier
+it reads, under the deadline its frame carries (a worker is configured
+by its shard id alone), and holds **no plan**: the cluster's one plan tier
 lives in the gateway (``ClusterGateway.shared_tier``), which answers every repeat
 request before a frame is written, so what reaches a worker is by
 construction something the cluster does not have.  There is one worker
@@ -91,7 +90,6 @@ def _result_message(request_id: int, result: ServingResult) -> Dict[str, Any]:
         "rung": result.rung,
         "latency": float(result.latency),
         "deadline_exceeded": bool(result.deadline_exceeded),
-        "skipped_rungs": list(result.skipped_rungs),
     }
 
 

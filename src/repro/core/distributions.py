@@ -389,30 +389,6 @@ class DiscreteDistribution:
             vals = np.minimum(vals, hi)
         return DiscreteDistribution(vals, self._probs)
 
-    def truncate(
-        self, lo: Optional[float] = None, hi: Optional[float] = None
-    ) -> "DiscreteDistribution":
-        """Condition on ``lo <= X <= hi`` (renormalised).
-
-        The start-up-time update: having *observed* that memory is at
-        least ``lo`` pages (say), condition the compile-time distribution
-        instead of discarding it.  Raises if the event has zero
-        probability.
-        """
-        mask = np.ones(self._values.size, dtype=bool)
-        if lo is not None:
-            mask &= self._values >= lo
-        if hi is not None:
-            mask &= self._values <= hi
-        if not mask.any():
-            raise ValueError("truncation event has probability 0")
-        return DiscreteDistribution(self._values[mask], self._probs[mask] / self._probs[mask].sum())
-
-    def entropy(self) -> float:
-        """Shannon entropy in nats — a scale-free spread diagnostic."""
-        probs = self._probs[self._probs > 0]
-        return float(-(probs * np.log(probs)).sum())
-
     def mixture(
         self, other: "DiscreteDistribution", weight_self: float
     ) -> "DiscreteDistribution":

@@ -8,8 +8,8 @@ is the layer a production system would put in front of it:
   objective, cost-model config, memory input, catalog version) that owns
   the catalog fence; the cluster gateway keeps its plans in one too;
 * :class:`~repro.serving.service.Ladder` — the degradation ladder (full
-  objective → coarser bucketing → LSC point estimate), what a cluster
-  worker runs;
+  objective → LSC point estimate at the mean), what a cluster worker
+  runs;
 * :class:`~repro.serving.service.OptimizerService` — a thread-pooled
   in-process front end: the tier, and the ladder on a miss;
 * :class:`~repro.serving.metrics.MetricsRegistry` — counters and
@@ -21,7 +21,6 @@ is the layer a production system would put in front of it:
 from .metrics import Counter, LatencyHistogram, MetricsRegistry
 from .plan_cache import PlanCache, PlanCacheKey, StoredPlan, memory_key
 from .service import (
-    RUNG_COARSE,
     RUNG_FULL,
     RUNG_LSC,
     Ladder,
@@ -45,6 +44,5 @@ __all__ = [
     "OptimizerService",
     "ServingResult",
     "RUNG_FULL",
-    "RUNG_COARSE",
     "RUNG_LSC",
 ]

@@ -5,11 +5,10 @@ tier would call: a thread pool over :func:`repro.optimize` that answers
 a repeat request from the plan tier
 (:class:`~repro.serving.plan_cache.PlanCache`) and runs the
 :class:`Ladder` on a miss.  The ladder trades optimization effort for
-plan quality under a per-request deadline (full objective → coarser
-bucketing → LSC point estimate); a cluster worker runs the same ladder
-and holds no tier.  With no deadline (or a generous one) the full rung
-runs and the result is bit-identical to calling :func:`repro.optimize`
-directly.  Request, rung and deadline counters and latency histograms go
+plan quality under a per-request deadline (full objective → LSC point
+estimate); a cluster worker runs the same ladder and holds no tier.
+With no deadline (or a generous one) the full rung runs and the result
+is bit-identical to calling :func:`repro.optimize` directly.  Request, rung and deadline counters and latency histograms go
 to a :class:`~repro.serving.metrics.MetricsRegistry`.
 """
 
@@ -44,21 +43,15 @@ __all__ = [
     "Ladder",
     "OptimizerService",
     "RUNG_FULL",
-    "RUNG_COARSE",
     "RUNG_LSC",
 ]
 
 #: Ladder rungs, best quality first.
 RUNG_FULL = "full"
-RUNG_COARSE = "coarse"
 RUNG_LSC = "lsc"
 
-#: Bucket cap of the degraded "coarse" rung.
-COARSE_BUCKETS = 3
-#: EWMA weight of one observed rung latency (:class:`LatencyEstimator`).
+#: EWMA weight of one observed full-rung latency (:class:`LatencyEstimator`).
 EWMA_ALPHA = 0.3
-#: An unobserved rung is assumed this many times cheaper than the one above.
-INHERIT_DISCOUNT = 4.0
 
 
 @lru_cache(maxsize=64)  # a valid spelling is parsed once; an unknown one raises
@@ -149,12 +142,11 @@ class ServingResult:
     plan: Plan
     objective_value: float
     objective: str  # canonical objective kind ("expected", "point", ...)
-    rung: str  # which ladder rung answered (RUNG_FULL/COARSE/LSC)
+    rung: str  # which ladder rung answered (RUNG_FULL/LSC)
     cache_hit: bool
     latency: float  # wall-clock seconds spent inside the service
     deadline: Optional[float] = None
     deadline_exceeded: bool = False
-    skipped_rungs: Tuple[str, ...] = ()
     cache_tier: Optional[str] = None  # "hot" (this service's tier) on a hit, else None
 
     # Never shed, retried or coalesced: read as a ClusterResult's (constants, not fields).
@@ -165,31 +157,27 @@ class ServingResult:
 
     @property
     def degraded(self) -> bool:
-        """True when a rung below the full objective produced the plan."""
+        """True when the LSC rung, not the full objective, produced the plan."""
         return self.rung != RUNG_FULL
 
 
 class LatencyEstimator:
-    """EWMA latency estimates per (rung, objective, query size).
+    """EWMA latency estimates of the full rung per (objective, query size).
 
-    The ladder consults this *before* starting a rung: optimization
-    cannot be interrupted mid-flight, so deadline enforcement means
-    predicting whether a rung fits the remaining budget.  Unknown rungs
-    are treated optimistically on a cold start (attempted), but once the
-    rung above them has an estimate they inherit a discounted version of
-    it (each step down the ladder is assumed :data:`INHERIT_DISCOUNT`
-    times cheaper), keeping skip decisions sane before every rung has
-    run.  Each observation moves an estimate by :data:`EWMA_ALPHA`.
+    The ladder consults this *before* starting the full rung:
+    optimization cannot be interrupted mid-flight, so deadline
+    enforcement means predicting whether the full rung fits the
+    remaining budget.  An unobserved (objective, size) is attempted.
+    Each observation moves an estimate by :data:`EWMA_ALPHA`.
     """
 
     def __init__(self) -> None:
-        self._ewma: Dict[Tuple[str, str, int], float] = {}
+        self._ewma: Dict[Tuple[str, int], float] = {}
         self._lock = threading.Lock()
 
-    def record(self, rung: str, objective: str, n_relations: int,
-               seconds: float) -> None:
-        """Fold one observed latency into the estimate."""
-        key = (rung, objective, int(n_relations))
+    def record(self, objective: str, n_relations: int, seconds: float) -> None:
+        """Fold one observed full-rung latency into the estimate."""
+        key = (objective, int(n_relations))
         with self._lock:
             prev = self._ewma.get(key)
             if prev is None:
@@ -197,43 +185,30 @@ class LatencyEstimator:
             else:
                 self._ewma[key] = (1 - EWMA_ALPHA) * prev + EWMA_ALPHA * seconds
 
-    def estimate(self, rung: str, objective: str,
-                 n_relations: int) -> Optional[float]:
-        """Current estimate for one rung, or ``None`` if never observed."""
+    def estimate(self, objective: str, n_relations: int) -> Optional[float]:
+        """Current full-rung estimate, or ``None`` if never observed."""
         with self._lock:
-            return self._ewma.get((rung, objective, int(n_relations)))
-
-    def ladder_estimates(
-        self, ladder: Sequence[str], objective: str, n_relations: int
-    ) -> List[Optional[float]]:
-        """Estimates down the ladder, with unknowns inheriting from above."""
-        out: List[Optional[float]] = []
-        for i, rung in enumerate(ladder):
-            est = self.estimate(rung, objective, n_relations)
-            if est is None and i > 0 and out[i - 1] is not None:
-                est = out[i - 1] / INHERIT_DISCOUNT
-            out.append(est)
-        return out
+            return self._ewma.get((objective, int(n_relations)))
 
 
 class Ladder:
-    """The degradation ladder: one request's rungs, best quality first.
+    """The degradation ladder: the full requested objective, else LSC.
 
-    The full requested objective, then the requested objective at coarser
-    bucketing (Algorithm A over a rebucketed memory distribution, or
-    Algorithm D in fast mode), then the classical LSC point optimization.
-    :meth:`run` starts the first rung the :class:`LatencyEstimator`
-    predicts will finish inside the remaining deadline — Python threads
-    cannot be cancelled mid-optimization, so the budget is enforced by
-    *not starting* work predicted to blow it, the effort/quality trade
-    that probably-approximately-optimal optimization formalizes.  The
-    last rung always runs, so a request always gets a plan.  The ladder
-    holds no plan: ``OptimizerService.execute`` runs it after a tier
-    miss, and a cluster worker on every request it reads.
+    :meth:`run` starts the full rung unless the :class:`LatencyEstimator`
+    predicts it will not finish inside the remaining deadline, and then
+    runs the classical LSC point optimization at the mean memory instead
+    — Python threads cannot be cancelled mid-optimization, so the budget
+    is enforced by *not starting* work predicted to blow it, the
+    effort/quality trade that probably-approximately-optimal
+    optimization formalizes.  LSC is cheaper than the full rung of every
+    objective (EXPERIMENTS.md, "The ladder has two rungs"), and it
+    always runs when chosen, so a request always gets a plan.  A
+    ``point`` request has the one rung.  The ladder holds no plan:
+    ``OptimizerService.execute`` runs it after a tier miss, and a
+    cluster worker on every request it reads.
 
-    The request's own ``deadline`` is the budget; the coarse rung caps
-    its buckets at :data:`COARSE_BUCKETS`.  Tests that force a rung
-    assign :attr:`estimator`.
+    The request's own ``deadline`` is the budget.  Tests that force a
+    rung assign :attr:`estimator`.
     """
 
     def __init__(self) -> None:
@@ -252,24 +227,17 @@ class Ladder:
         kind = request.kind()
         cm = request.cost_model if request.cost_model is not None else CostModel()
         deadline = request.deadline
-        # The full objective of "point" already is the cheapest rung.
-        ladder = (RUNG_FULL,) if kind == "point" else (RUNG_FULL, RUNG_COARSE, RUNG_LSC)
         n_rels = len(request.query.relations)
-        estimates = self.estimator.ladder_estimates(ladder, kind, n_rels)
-
-        skipped: List[str] = []
-        for rung, est in zip(ladder[:-1], estimates):
-            # Skip a rung predicted not to fit; the final rung always
-            # runs so the request is guaranteed *some* plan.
-            if (deadline is None or est is None
-                    or est < deadline - (time.perf_counter() - started)):
-                break
-            skipped.append(rung)
-            self.metrics.counter("serving.rung_skipped").increment()
-        rung = ladder[len(skipped)]
+        rung = RUNG_FULL
+        # The full objective of "point" already is the cheapest rung.
+        if deadline is not None and kind != "point":
+            est = self.estimator.estimate(kind, n_rels)
+            if est is not None and est >= deadline - (time.perf_counter() - started):
+                rung = RUNG_LSC
         t1 = time.perf_counter()
         result = self._run_rung(rung, request, kind, cm)
-        self.estimator.record(rung, kind, n_rels, time.perf_counter() - t1)
+        if rung == RUNG_FULL:
+            self.estimator.record(kind, n_rels, time.perf_counter() - t1)
 
         latency = time.perf_counter() - started
         exceeded = deadline is not None and latency > deadline
@@ -288,7 +256,6 @@ class Ladder:
             latency=latency,
             deadline=deadline,
             deadline_exceeded=exceeded,
-            skipped_rungs=tuple(skipped),
         )
 
     def _run_rung(
@@ -311,29 +278,6 @@ class Ladder:
                 include_mean=request.include_mean,
                 **common,
             )
-        if rung == RUNG_COARSE:
-            if kind == "multiparam":
-                # Same multi-parameter DP, fast mode + tight bucket cap.
-                return _optimize(
-                    request.query,
-                    "multiparam",
-                    memory=_as_distribution(request.memory),
-                    max_buckets=COARSE_BUCKETS,
-                    fast=True,
-                    **common,
-                )
-            # Everything else degrades to Algorithm A over a coarsened
-            # memory distribution: one classical optimization per bucket.
-            coarse = _as_distribution(request.memory)
-            if coarse.n_buckets > COARSE_BUCKETS:
-                coarse = coarse.rebucket(COARSE_BUCKETS)
-            return _optimize(
-                request.query,
-                "algorithm_a",
-                memory=coarse,
-                include_mean=False,
-                **common,
-            )
         assert rung == RUNG_LSC
         return _optimize(
             request.query,
@@ -343,18 +287,8 @@ class Ladder:
         )
 
 
-# -- memory-input coercions for the degraded rungs ---------------------
-
-
-def _as_distribution(memory) -> DiscreteDistribution:
-    if isinstance(memory, DiscreteDistribution):
-        return memory
-    if isinstance(memory, MarkovParameter):
-        return memory.marginal(0)
-    return DiscreteDistribution([float(memory)], [1.0])
-
-
 def _point_memory(memory) -> float:
+    """The LSC rung's memory: the mean (a Markov chain's first marginal's)."""
     if isinstance(memory, DiscreteDistribution):
         return float(memory.mean())
     if isinstance(memory, MarkovParameter):

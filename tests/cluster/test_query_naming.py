@@ -170,7 +170,7 @@ class TestNamedOnce:
         assert sorted(snap["counters"]) == [
             "plan_cache.hits", "plan_cache.misses", "serving.deadline_exceeded",
             "serving.degraded", "serving.requests", "serving.rung.full",
-            "serving.rung.lsc", "serving.rung_skipped",
+            "serving.rung.lsc",
         ]
         assert sorted(snap["histograms"]) == [
             "serving.latency.cache_hit", "serving.latency.optimize",

@@ -7,8 +7,8 @@ import pytest
 from repro import optimize
 from repro.core.markov import MarkovParameter
 from repro.optimizer.errors import MemoryTypeError, OptimizerConfigError
+from repro.optimizer.facade import canonical_objective
 from repro.serving.service import (
-    RUNG_COARSE,
     RUNG_FULL,
     RUNG_LSC,
     Ladder,
@@ -34,27 +34,22 @@ def service():
 class TestLatencyEstimator:
     def test_first_observation_is_the_estimate(self):
         est = LatencyEstimator()
-        assert est.estimate("full", "expected", 3) is None
-        est.record("full", "expected", 3, 0.5)
-        assert est.estimate("full", "expected", 3) == pytest.approx(0.5)
+        assert est.estimate("expected", 3) is None
+        est.record("expected", 3, 0.5)
+        assert est.estimate("expected", 3) == pytest.approx(0.5)
 
     def test_ewma_moves_toward_new_observations(self):
         est = LatencyEstimator()
-        est.record("full", "expected", 3, 1.0)
-        est.record("full", "expected", 3, 0.0)
-        assert est.estimate("full", "expected", 3) == pytest.approx(0.7)  # EWMA_ALPHA 0.3
-
-    def test_unknown_rung_inherits_discounted_estimate(self):
-        est = LatencyEstimator()  # INHERIT_DISCOUNT 4
-        est.record("full", "expected", 3, 8.0)
-        ladder = est.ladder_estimates(("full", "coarse", "lsc"), "expected", 3)
-        assert ladder[0] == pytest.approx(8.0)
-        assert ladder[1] == pytest.approx(2.0)  # inherited, discounted
-        assert ladder[2] == pytest.approx(0.5)
+        est.record("expected", 3, 1.0)
+        est.record("expected", 3, 0.0)
+        assert est.estimate("expected", 3) == pytest.approx(0.7)  # EWMA_ALPHA 0.3
 
     def test_cold_start_has_no_estimates(self):
         est = LatencyEstimator()
-        assert est.ladder_estimates(("full", "lsc"), "point", 2) == [None, None]
+        est.record("expected", 3, 0.5)
+        # Keyed by (objective, query size): neighbours stay unobserved.
+        assert est.estimate("expected", 4) is None
+        assert est.estimate("markov", 3) is None
 
 
 class TestParityWithDirectOptimize:
@@ -141,37 +136,42 @@ class TestLadder:
 
 class TestDegradationLadder:
     def _pressured_service(self):
-        """Service whose estimator believes full/coarse take ~10s."""
+        """Service whose estimator believes the full rung takes ~10s."""
         est = LatencyEstimator()
-        for rung in (RUNG_FULL, RUNG_COARSE):
-            for n_rels in (2, 3, 4, 5):
-                for kind in ("expected", "multiparam", "algorithm_a",
-                             "algorithm_b", "markov"):
-                    est.record(rung, kind, n_rels, 10.0)
+        for n_rels in (2, 3, 4, 5):
+            for kind in ("expected", "multiparam", "algorithm_a",
+                         "algorithm_b", "markov"):
+                est.record(kind, n_rels, 10.0)
         svc = OptimizerService()
         svc.ladder.estimator = est
         return svc
 
     def test_deadline_pressure_returns_lsc_within_budget(
-        self, three_way_query, small_memory_dist
+        self, uncertain_query, small_memory_dist
     ):
-        deadline = 5.0  # generous wall-clock, tiny vs the 10s estimates
-        with self._pressured_service() as svc:
-            result = svc.optimize(
-                three_way_query, "lec", memory=small_memory_dist,
-                deadline=deadline,
-            )
-        assert result.rung == RUNG_LSC
-        assert result.degraded
-        assert result.skipped_rungs == (RUNG_FULL, RUNG_COARSE)
-        assert result.latency <= deadline
-        assert not result.deadline_exceeded
-        # The LSC fallback is the classical point optimization at the mean.
-        direct = optimize(
-            three_way_query, "point", memory=small_memory_dist.mean()
+        chain = MarkovParameter(
+            [500.0, 2000.0], [0.3, 0.7], [[0.9, 0.1], [0.2, 0.8]]
         )
-        assert result.plan == direct.plan
-        assert abs(result.objective_value - direct.objective) < 1e-9
+        deadline = 5.0  # generous wall-clock, tiny vs the 10s estimates
+        for objective in ("lec", "markov", "multiparam", "algorithm_a",
+                          "algorithm_b"):
+            memory = chain if objective == "markov" else small_memory_dist
+            with self._pressured_service() as svc:
+                result = svc.optimize(uncertain_query, objective,
+                                      memory=memory, deadline=deadline)
+                learned = svc.ladder.estimator.estimate(
+                    canonical_objective(objective), 3)
+            assert result.rung == RUNG_LSC, objective
+            assert result.degraded
+            assert result.latency <= deadline
+            assert not result.deadline_exceeded
+            assert learned == 10.0  # an LSC run teaches the estimator nothing
+            # The LSC fallback is the classical point optimization at the
+            # mean (a Markov chain's: its first marginal's).
+            mean = (chain.marginal(0) if memory is chain else memory).mean()
+            direct = optimize(uncertain_query, "point", memory=mean)
+            assert result.plan == direct.plan, objective
+            assert abs(result.objective_value - direct.objective) < 1e-9
 
     def test_fallback_recorded_in_metrics_snapshot(
         self, three_way_query, small_memory_dist
@@ -183,7 +183,6 @@ class TestDegradationLadder:
         counters = snap["counters"]
         assert counters["serving.rung.lsc"] == 1
         assert counters["serving.degraded"] == 1
-        assert counters["serving.rung_skipped"] == 2
         assert counters.get("serving.rung.full", 0) == 0
         assert snap["histograms"]["serving.latency.optimize"]["count"] == 1
 
@@ -201,21 +200,6 @@ class TestDegradationLadder:
             assert full.rung == RUNG_FULL
             assert len(svc.cache) == 1
 
-    def test_coarse_rung_runs_when_it_fits(
-        self, three_way_query, small_memory_dist
-    ):
-        est = LatencyEstimator()
-        est.record(RUNG_FULL, "expected", 3, 10.0)
-        est.record(RUNG_COARSE, "expected", 3, 1e-6)
-        with OptimizerService() as svc:
-            svc.ladder.estimator = est
-            result = svc.optimize(
-                three_way_query, "lec", memory=small_memory_dist, deadline=5.0
-            )
-        assert result.rung == RUNG_COARSE
-        assert result.skipped_rungs == (RUNG_FULL,)
-        assert result.plan is not None
-
     def test_no_deadline_always_runs_full(
         self, three_way_query, small_memory_dist
     ):
@@ -229,12 +213,11 @@ class TestDegradationLadder:
             result = svc.optimize(three_way_query, "point", memory=500.0,
                                   deadline=5.0)
         assert result.rung == RUNG_FULL
-        assert result.skipped_rungs == ()
 
     def test_full_latency_is_learned(self, service, three_way_query,
                                      small_memory_dist):
         service.optimize(three_way_query, "lec", memory=small_memory_dist)
-        learned = service.ladder.estimator.estimate(RUNG_FULL, "expected", 3)
+        learned = service.ladder.estimator.estimate("expected", 3)
         assert learned is not None and learned > 0.0
 
 

@@ -141,34 +141,3 @@ class TestExplainQuery:
 
         with pytest.raises(OptimizerConfigError):
             explain_query(example_query, "nope", memory=bimodal_memory)
-
-
-class TestDistributionConditioning:
-    def test_truncate_renormalises(self, small_memory_dist):
-        cond = small_memory_dist.truncate(lo=800.0)
-        assert cond.min() == 800.0
-        assert float(cond.probs.sum()) == pytest.approx(1.0)
-        # Relative masses preserved: 0.3/0.3/0.2 -> 0.375/0.375/0.25.
-        assert cond.prob_of(5000.0) == pytest.approx(0.25)
-
-    def test_truncate_both_sides(self, small_memory_dist):
-        cond = small_memory_dist.truncate(lo=500.0, hi=2500.0)
-        assert cond.support() == [800.0, 2000.0]
-
-    def test_truncate_empty_event(self, small_memory_dist):
-        with pytest.raises(ValueError):
-            small_memory_dist.truncate(lo=1e9)
-
-    def test_entropy_zero_for_point_mass(self):
-        from repro.core import point_mass
-
-        assert point_mass(5.0).entropy() == 0.0
-
-    def test_entropy_max_for_uniform(self):
-        import math
-
-        from repro.core import uniform_over, two_point
-
-        u = uniform_over([1, 2, 3, 4])
-        assert u.entropy() == pytest.approx(math.log(4))
-        assert two_point(1.0, 0.9, 2.0).entropy() < u.entropy()
