@@ -206,27 +206,3 @@ class StatisticsCatalog:
         return default_join_selectivity(
             self.table_stats(left), self.table_stats(right), left_col, right_col
         )
-
-    def predicate_selectivity(
-        self,
-        table: str,
-        column: str,
-        kind: str,
-        value: Optional[float] = None,
-        lo: Optional[float] = None,
-        hi: Optional[float] = None,
-    ) -> float:
-        """Point selectivity for a single-table predicate from a histogram."""
-        stats = self.table_stats(table)
-        hist = stats.histograms.get(column)
-        if hist is None:
-            raise SchemaError(
-                f"no histogram for {table}.{column}; run analyze_column first"
-            )
-        if kind == "eq":
-            if value is None:
-                raise ValueError("kind='eq' requires value")
-            return hist.selectivity_eq(value)
-        if kind == "range":
-            return hist.selectivity_range(lo, hi)
-        raise ValueError(f"unknown predicate kind {kind!r}")

@@ -107,7 +107,7 @@ def plan_expected_cost_multiparam(
             hi_sum += hi
         acc = arm_dists[0]
         for nxt in arm_dists[1:]:
-            acc = context.rebucket(context.convolve(acc, nxt), max_buckets)
+            acc = acc.convolve(nxt).rebucket(max_buckets)
         acc = acc.clip(lo=lo_sum * (1.0 - 1e-9), hi=hi_sum * (1.0 + 1e-9))
         return total + expected_external_sort_cost_model(cm, acc, memory)
 

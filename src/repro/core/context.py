@@ -2,26 +2,21 @@
 
 Every costing objective in this library re-derives the same intermediate
 state: subset sizes and page-count distributions per relation subset,
-products/rebucketings of :class:`~repro.core.distributions.
-DiscreteDistribution` objects, and the survival tables behind the
-linear-time expected-cost paths.  Historically each coster rebuilt these
-privately on every :meth:`~repro.optimizer.costers.Coster.bind`, so
-running several optimizers over one query (Algorithms A-D, parametric
-region sweeps, the experiment harness) repeated identical work many
-times over.
+and the survival tables behind the linear-time expected-cost paths.
+Historically each coster rebuilt these privately on every
+:meth:`~repro.optimizer.costers.Coster.bind`, so running several
+optimizers over one query (Algorithms A-D, parametric region sweeps, the
+experiment harness) repeated identical work many times over.
 
 :class:`OptimizationContext` is the seam that removes that duplication.
 It is created once per (catalog, cost-model, query) triple and threaded
 through every layer — the costers, :class:`~repro.optimizer.systemr.
 SystemRDP`, Algorithms A-D, the deferred-decision strategies, and the
-:func:`repro.optimize` facade — memoizing:
+:func:`repro.optimize` facade — memoizing six layers:
 
 * **subset sizes** (``subset_size``) and **subset page-count
-  distributions** (``subset_size_distribution``), keyed by ``frozenset``
-  of relation names;
-* **distribution binary ops** — independent products, convolutions and
-  rebucketings — keyed by the operands' value-based hashes, so two
-  structurally equal distributions share one result;
+  distributions** (``size_distribution``), keyed by ``frozenset``
+  of relation names (the distribution also by its bucket cap);
 * **survival tables** (:class:`~repro.core.expected_cost._SurvivalTable`)
   per memory distribution, amortised across all dag nodes and all
   optimizer invocations;
@@ -42,6 +37,12 @@ SystemRDP`, Algorithms A-D, the deferred-decision strategies, and the
   (relation names, plan-space shape, cross products, join methods):
   recorded by the first run, replayed by later ones (Algorithms A/B).
 
+A layer is kept only where a run reads it again.  The distribution
+products, convolutions and rebucketings of size propagation, the
+linear-time join kernel's results and the Chen & Schneider bounds are
+computed where they are needed: measured over the answer corpus and the
+benchmark streams, memos of them hit rarely or never and saved no time.
+
 A context is *only* valid for the exact statistics it was built from:
 :func:`query_fingerprint` captures every number the optimizer can read
 (sizes, distributions, selectivities, orders), and :meth:`matches`
@@ -59,8 +60,6 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
-    Hashable,
     Iterable,
     List,
     Optional,
@@ -103,6 +102,31 @@ class CacheStats:
         return {"hits": self.hits, "misses": self.misses, "hit_rate": self.hit_rate}
 
 
+class _Memo(dict):
+    """One memo layer: its entries and their :class:`CacheStats`."""
+
+    __slots__ = ("stats",)
+
+    def __init__(self):
+        super().__init__()
+        self.stats = CacheStats()
+
+    def probe(self, key, compute: Callable, *args):
+        """The entry under ``key``, or ``compute(*args)`` kept under it;
+        a hit or a miss is counted either way.  A ``compute`` that gives
+        ``None`` keeps nothing.  Safe to race on: two runs missing one key
+        store equal values."""
+        found = self.get(key)
+        if found is not None:
+            self.stats.hits += 1
+            return found
+        self.stats.misses += 1
+        found = compute(*args)
+        if found is not None:
+            self[key] = found
+        return found
+
+
 def query_fingerprint(query) -> Tuple:
     """A hashable digest of every statistic the optimizer reads.
 
@@ -130,29 +154,25 @@ class OptimizationContext:
         self.query = query
         self.fingerprint: Tuple = query_fingerprint(query)
 
-        self._sizes: Dict[FrozenSet[str], SizeEstimate] = {}
-        self._bounds: Dict[FrozenSet[str], Tuple[float, float]] = {}
-        self._size_dists: Dict[Tuple[FrozenSet[str], int], DiscreteDistribution] = {}
-        self._dist_ops: Dict[Tuple, DiscreteDistribution] = {}
-        self._survival: Dict[DiscreteDistribution, _SurvivalTable] = {}
+        #: frozenset of names -> SizeEstimate
+        self._sizes = _Memo()
+        #: (frozenset of names, bucket cap) -> page-count distribution
+        self._size_dists = _Memo()
+        #: memory distribution -> _SurvivalTable
+        self._survival = _Memo()
         #: (coster identity, formula, operands) -> scalar step cost
-        self._steps: Dict[Tuple, float] = {}
-        #: memory -> {(method, left dist, right dist): E[cost]}
-        self._fast_joins: Dict[DiscreteDistribution, Dict[Tuple, float]] = {}
+        self._steps = _Memo()
         #: (coster identity, methods, phase, flags, pairs) -> cost lists
-        self._columns: Dict[Tuple, List[List[float]]] = {}
+        self._columns = _Memo()
         #: (names, shape, cross products, methods) -> a DP skeleton
-        self._skeletons: Dict[Tuple, Tuple] = {}
-        self._stats: Dict[str, CacheStats] = {
-            "subset_sizes": CacheStats(),
-            "subset_bounds": CacheStats(),
-            "size_distributions": CacheStats(),
-            "dist_ops": CacheStats(),
-            "survival_tables": CacheStats(),
-            "step_costs": CacheStats(),
-            "batched_joins": CacheStats(),
-            "columns": CacheStats(),
-            "skeletons": CacheStats(),
+        self._skeletons = _Memo()
+        self._memos: Dict[str, _Memo] = {
+            "subset_sizes": self._sizes,
+            "size_distributions": self._size_dists,
+            "survival_tables": self._survival,
+            "step_costs": self._steps,
+            "columns": self._columns,
+            "skeletons": self._skeletons,
         }
 
     # ------------------------------------------------------------------
@@ -172,85 +192,48 @@ class OptimizationContext:
         return query_fingerprint(query) == self.fingerprint
 
     # ------------------------------------------------------------------
-    # Layer 1: subset sizes
+    # Subset sizes and page-count distributions
     # ------------------------------------------------------------------
 
     def subset_size(self, rels: Iterable[str]) -> SizeEstimate:
         """Memoized point size estimate for the join over ``rels``."""
         key = frozenset(rels)
-        stats = self._stats["subset_sizes"]
-        cached = self._sizes.get(key)
-        if cached is not None:
-            stats.hits += 1
-            return cached
-        stats.misses += 1
-        est = subset_size(key, self.query)
-        self._sizes[key] = est
-        return est
+        return self._sizes.probe(key, subset_size, key, self.query)
 
     def subset_pages(self, rels: Iterable[str]) -> float:
         """Memoized point page count for the join over ``rels``."""
         return self.subset_size(rels).pages
 
     def subset_bounds(self, rels: Iterable[str]) -> Tuple[float, float]:
-        """Memoized analytic ``(lo, hi)`` page bounds for ``rels``.
-
-        The Chen & Schneider-style intermediate-size bounds (see
-        :func:`repro.costmodel.estimates.subset_size_bounds`), used to
-        clamp propagated distributions.
-        """
-        key = frozenset(rels)
-        stats = self._stats["subset_bounds"]
-        cached = self._bounds.get(key)
-        if cached is not None:
-            stats.hits += 1
-            return cached
-        stats.misses += 1
-        bounds = subset_size_bounds(key, self.query)
-        self._bounds[key] = bounds
-        return bounds
+        """:func:`~repro.costmodel.estimates.subset_size_bounds` of ``rels``
+        (no memo); a method because frozen ``bench/trace.py`` names it."""
+        return subset_size_bounds(frozenset(rels), self.query)
 
     def size_distribution(
         self, rels: Iterable[str], max_buckets: int
     ) -> DiscreteDistribution:
         """Memoized page-count distribution for the join over ``rels``,
-        rebucketed to at most ``max_buckets``.
-
-        The underlying propagation routes its distribution products and
-        rebucketings through this context's op cache, so structurally
-        shared subexpressions (the same relation pair inside two larger
-        subsets, say) are computed once.
-        """
-        key = (frozenset(rels), max_buckets)
-        stats = self._stats["size_distributions"]
-        cached = self._size_dists.get(key)
-        if cached is not None:
-            stats.hits += 1
-            return cached
-        stats.misses += 1
-        dist = subset_size_distribution(
-            key[0], self.query, max_buckets=max_buckets, ops=self
+        rebucketed to at most ``max_buckets``."""
+        names = frozenset(rels)
+        return self._size_dists.probe(
+            (names, max_buckets), subset_size_distribution, names, self.query, max_buckets
         )
-        self._size_dists[key] = dist
-        return dist
 
     # ------------------------------------------------------------------
-    # Layer 2: distribution binary ops (value-hash keyed)
+    # Distribution operations (no memo)
     # ------------------------------------------------------------------
-    # These three methods satisfy the ``ops`` protocol of
-    # :func:`repro.costmodel.estimates.subset_size_distribution`.
 
     def product(
         self, a: DiscreteDistribution, b: DiscreteDistribution
     ) -> DiscreteDistribution:
-        """Cached distribution of ``X · Y`` for independent ``X, Y``."""
-        return self._dist_op(("mul", a, b), lambda: a.multiply(b))
+        """``a.multiply(b)``; uncalled, kept because frozen ``bench/trace.py`` names it."""
+        return a.multiply(b)
 
     def convolve(
         self, a: DiscreteDistribution, b: DiscreteDistribution
     ) -> DiscreteDistribution:
-        """Cached distribution of ``X + Y`` for independent ``X, Y``."""
-        return self._dist_op(("add", a, b), lambda: a.convolve(b))
+        """``a.convolve(b)``; uncalled, kept because frozen ``bench/trace.py`` names it."""
+        return a.convolve(b)
 
     def rebucket(
         self,
@@ -258,29 +241,11 @@ class OptimizationContext:
         n_buckets: int,
         strategy: str = "equidepth",
     ) -> DiscreteDistribution:
-        """Cached mean-preserving coarsening of ``dist``."""
-        if dist.n_buckets <= n_buckets:
-            return dist
-        return self._dist_op(
-            ("rebucket", dist, n_buckets, strategy),
-            lambda: dist.rebucket(n_buckets, strategy=strategy),
-        )
-
-    def _dist_op(
-        self, key: Tuple, compute: Callable[[], DiscreteDistribution]
-    ) -> DiscreteDistribution:
-        stats = self._stats["dist_ops"]
-        cached = self._dist_ops.get(key)
-        if cached is not None:
-            stats.hits += 1
-            return cached
-        stats.misses += 1
-        result = compute()
-        self._dist_ops[key] = result
-        return result
+        """``dist.rebucket(...)``; uncalled, kept because frozen ``bench/trace.py`` names it."""
+        return dist.rebucket(n_buckets, strategy=strategy)
 
     # ------------------------------------------------------------------
-    # Layer 3: fast-path structures
+    # Survival tables and the linear-time kernel
     # ------------------------------------------------------------------
 
     def survival_table(self, memory: DiscreteDistribution) -> _SurvivalTable:
@@ -290,18 +255,25 @@ class OptimizationContext:
         that shares this context — the amortisation the paper assumes
         when counting the fast paths' preprocessing as O(b_M) *total*.
         """
-        stats = self._stats["survival_tables"]
-        cached = self._survival.get(memory)
-        if cached is not None:
-            stats.hits += 1
-            return cached
-        stats.misses += 1
-        table = _SurvivalTable(memory)
-        self._survival[memory] = table
-        return table
+        return self._survival.probe(memory, _SurvivalTable, memory)
+
+    def batched_join_costs(
+        self,
+        requests: Sequence[
+            Tuple[JoinMethod, DiscreteDistribution, DiscreteDistribution]
+        ],
+        memory: DiscreteDistribution,
+        batches: Optional[Tuple[PaddedBatch, PaddedBatch]] = None,
+    ) -> List[float]:
+        """:func:`~repro.core.expected_cost.expected_join_costs_batched` over
+        this context's survival table, as Python floats (no memo); a method
+        because frozen ``bench/trace.py`` names it."""
+        return expected_join_costs_batched(
+            requests, memory, self.survival_table(memory), batches
+        ).tolist()
 
     # ------------------------------------------------------------------
-    # Layer 4: step-cost memo (costers key by their full identity)
+    # Step costs (costers key by their full identity)
     # ------------------------------------------------------------------
 
     def step_cost(self, key: Tuple, compute: Callable[[], float]) -> float:
@@ -312,87 +284,27 @@ class OptimizationContext:
         order flags, operand subsets), so two invocations can share a
         value only when every ingredient of the expectation is equal.
         """
-        stats = self._stats["step_costs"]
-        cached = self._steps.get(key)
-        if cached is not None:
-            stats.hits += 1
-            return cached
-        stats.misses += 1
-        value = self._steps[key] = compute()
-        return value
+        return self._steps.probe(key, compute)
 
     def has_step_cost(self, key: Tuple) -> bool:
         """True when ``key`` is already memoized (no counters touched)."""
         return key in self._steps
 
     # ------------------------------------------------------------------
-    # Layer 5: batched fast-path join expectations
-    # ------------------------------------------------------------------
-
-    def batched_join_costs(
-        self,
-        requests: Sequence[
-            Tuple[JoinMethod, DiscreteDistribution, DiscreteDistribution]
-        ],
-        memory: DiscreteDistribution,
-        batches: Optional[Tuple[PaddedBatch, PaddedBatch]] = None,
-    ) -> List[float]:
-        """``E[Φ]`` for many fast-path joins, one array kernel invocation.
-
-        ``requests`` is a sequence of ``(method, left_dist, right_dist)``
-        triples; the returned list is aligned with it.  Each triple is
-        memoized under a value-based key, duplicate triples inside one
-        call are computed once, and only the memo misses reach the
-        vectorized kernel — with the survival table shared across the
-        whole batch (the paper's C7 amortisation).  Every value is
-        bit-identical to the equivalent single-pair
-        :func:`~repro.core.expected_cost.expected_join_cost_fast` call,
-        so batching can never change which plan a DP level picks.
-        ``batches``: the requests' padded operands, if already built.
-        """
-        memo = self._fast_joins.setdefault(memory, {})
-        keys = list(map(tuple, requests))  # (method, left, right)
-        firsts: Dict[Hashable, int] = {}  # missing key -> its first request
-        stats = self._stats["batched_joins"]
-        for i, key in enumerate(keys):
-            if key in memo:
-                stats.hits += 1
-            else:
-                firsts.setdefault(key, i)
-        stats.misses += len(firsts)
-        if firsts:
-            rows = list(firsts.values())
-            memo.update(zip(firsts, map(float, expected_join_costs_batched(
-                [requests[i] for i in rows], memory, self.survival_table(memory),
-                batches and tuple(batch.take(rows) for batch in batches),
-            ))))
-        return [memo[key] for key in keys]
-
-    # ------------------------------------------------------------------
-    # Layer 6: DP level columns and skeletons
+    # DP level columns and skeletons
     # ------------------------------------------------------------------
 
     def column_costs(
         self, key: Tuple, compute: Callable[[], List[List[float]]]
     ) -> List[List[float]]:
         """The cost lists of a DP level's column, kept under ``key``;
-        ``compute()`` on a miss.  Like every memo here it is safe to race
-        on: two runs missing one key store equal values."""
-        costs = self._columns.get(key)
-        if costs is not None:
-            self._stats["columns"].hits += 1
-            return costs
-        self._stats["columns"].misses += 1
-        costs = self._columns[key] = compute()
-        return costs
+        ``compute()`` on a miss."""
+        return self._columns.probe(key, compute)
 
     def skeleton(self, key: Tuple) -> Optional[Tuple]:
         """The DP skeleton kept under ``key``; ``None`` is a miss, whose run
         records one and keeps it (:meth:`keep_skeleton`)."""
-        found = self._skeletons.get(key)
-        self._stats["skeletons"].misses += found is None
-        self._stats["skeletons"].hits += found is not None
-        return found
+        return self._skeletons.probe(key, lambda: None)
 
     def keep_skeleton(self, key: Tuple, skeleton: Tuple) -> None:
         """Keep a DP skeleton for later runs on this context."""
@@ -404,38 +316,20 @@ class OptimizationContext:
 
     def stats(self) -> Dict[str, Dict[str, float]]:
         """Per-cache hit/miss counters (see :class:`CacheStats`)."""
-        return {name: cs.as_dict() for name, cs in self._stats.items()}
+        return {name: memo.stats.as_dict() for name, memo in self._memos.items()}
 
     def total_hits(self) -> int:
         """Total cache hits across every cache (the headline number)."""
-        return sum(cs.hits for cs in self._stats.values())
+        return sum(memo.stats.hits for memo in self._memos.values())
 
     def clear(self) -> None:
         """Drop every cached value (counters are reset too)."""
-        self._sizes.clear()
-        self._bounds.clear()
-        self._size_dists.clear()
-        self._dist_ops.clear()
-        self._survival.clear()
-        self._steps.clear()
-        self._fast_joins.clear()
-        self._columns.clear()
-        self._skeletons.clear()
-        for cs in self._stats.values():
-            cs.hits = 0
-            cs.misses = 0
+        for memo in self._memos.values():
+            memo.clear()
+            memo.stats = CacheStats()
 
     def __repr__(self) -> str:
-        entries = (
-            len(self._sizes)
-            + len(self._bounds)
-            + len(self._size_dists)
-            + len(self._dist_ops)
-            + len(self._survival)
-            + len(self._steps)
-            + len(self._columns)
-            + sum(map(len, self._fast_joins.values()))
-        )
+        entries = sum(map(len, self._memos.values()))
         return (
             f"OptimizationContext({self.query!r}, entries={entries}, "
             f"hits={self.total_hits()})"

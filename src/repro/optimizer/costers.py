@@ -551,8 +551,8 @@ class MultiParamCoster(Coster):
         ld = self.size_distribution(left_rels)
         rd = self.size_distribution(right_rels)
         if self._batches(method, left_presorted, right_presorted):
-            # Through the context's kernel memo, like a batch: subsets
-            # with value-equal size distributions share one evaluation.
+            # The linear-time kernel, a batch of one (what a column's
+            # batch gives this pair, bit for bit).
             return self.context.batched_join_costs(
                 [(method, ld, rd)], self.memory
             )[0]
@@ -648,9 +648,7 @@ class MultiParamCoster(Coster):
             hi_sum += hi
         acc = arm_dists[0]
         for nxt in arm_dists[1:]:
-            acc = self.context.rebucket(
-                self.context.convolve(acc, nxt), self.max_buckets
-            )
+            acc = acc.convolve(nxt).rebucket(self.max_buckets)
         acc = acc.clip(lo=lo_sum * (1.0 - 1e-9), hi=hi_sum * (1.0 + 1e-9))
         return total + expected_external_sort_cost_model(
             self.cost_model, acc, self.memory

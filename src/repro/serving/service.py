@@ -194,13 +194,13 @@ class LatencyEstimator:
 class Ladder:
     """The degradation ladder: the full requested objective, else LSC.
 
-    :meth:`run` starts the full rung unless the :class:`LatencyEstimator`
-    predicts it will not finish inside the remaining deadline, and then
-    runs the classical LSC point optimization at the mean memory instead
-    — Python threads cannot be cancelled mid-optimization, so the budget
-    is enforced by *not starting* work predicted to blow it, the
-    effort/quality trade that probably-approximately-optimal
-    optimization formalizes.  LSC is cheaper than the full rung of every
+    :meth:`run` starts the full rung unless the budget is already spent or
+    the :class:`LatencyEstimator` predicts it will not finish inside what
+    is left, and then runs the classical LSC point optimization at the
+    mean memory instead — Python threads cannot be cancelled
+    mid-optimization, so the budget is enforced by *not starting* work
+    predicted to blow it, the effort/quality trade that
+    probably-approximately-optimal optimization formalizes.  LSC is cheaper than the full rung of every
     objective (EXPERIMENTS.md, "The ladder has two rungs"), and it
     always runs when chosen, so a request always gets a plan.  A
     ``point`` request has the one rung.  The ladder holds no plan:
@@ -231,8 +231,9 @@ class Ladder:
         rung = RUNG_FULL
         # The full objective of "point" already is the cheapest rung.
         if deadline is not None and kind != "point":
+            left = deadline - (time.perf_counter() - started)
             est = self.estimator.estimate(kind, n_rels)
-            if est is not None and est >= deadline - (time.perf_counter() - started):
+            if left <= 0 or (est is not None and est >= left):
                 rung = RUNG_LSC
         t1 = time.perf_counter()
         result = self._run_rung(rung, request, kind, cm)

@@ -78,23 +78,3 @@ class TestAnalyze:
     def test_analyze_unknown_column(self, stats):
         with pytest.raises(SchemaError):
             stats.analyze_column("emp", "salary", [1.0, 2.0])
-
-    def test_predicate_selectivity_roundtrip(self, stats, rng):
-        values = rng.integers(0, 100, size=10_000)
-        stats.analyze_column("emp", "dept", values, n_buckets=20)
-        sel = stats.predicate_selectivity("emp", "dept", "range", lo=0, hi=50)
-        assert sel == pytest.approx(0.5, abs=0.07)
-
-    def test_predicate_selectivity_requires_histogram(self, stats):
-        with pytest.raises(SchemaError):
-            stats.predicate_selectivity("dept", "budget", "eq", value=1.0)
-
-    def test_predicate_selectivity_eq_needs_value(self, stats, rng):
-        stats.analyze_column("emp", "dept", rng.integers(0, 5, 100))
-        with pytest.raises(ValueError):
-            stats.predicate_selectivity("emp", "dept", "eq")
-
-    def test_predicate_unknown_kind(self, stats, rng):
-        stats.analyze_column("emp", "dept", rng.integers(0, 5, 100))
-        with pytest.raises(ValueError):
-            stats.predicate_selectivity("emp", "dept", "like")

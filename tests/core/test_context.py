@@ -6,11 +6,10 @@ property (``tests/corpus/test_warm.py``).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.context import CacheStats, OptimizationContext, query_fingerprint
-from repro.core.distributions import DiscreteDistribution, two_point
+from repro.core.distributions import two_point
 from repro.core.expected_cost import expected_sort_merge_cost
 from repro.costmodel.estimates import subset_size
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
@@ -47,37 +46,6 @@ class TestSizeCaches:
         ctx = OptimizationContext(three_way_query)
         rels = frozenset({"S", "T"})
         assert ctx.subset_pages(rels) == subset_size(rels, three_way_query).pages
-
-class TestDistributionOpCache:
-    def test_value_keyed_product(self):
-        query = JoinQuery(
-            relations=[RelationSpec(name="A", pages=10.0)],
-            predicates=[],
-        )
-        ctx = OptimizationContext(query)
-        a1 = DiscreteDistribution([1.0, 2.0], [0.5, 0.5])
-        a2 = DiscreteDistribution([1.0, 2.0], [0.5, 0.5])  # equal, distinct object
-        b = DiscreteDistribution([10.0, 20.0], [0.3, 0.7])
-        first = ctx.product(a1, b)
-        second = ctx.product(a2, b)
-        assert second is first
-        assert ctx.stats()["dist_ops"]["hits"] == 1
-
-    def test_convolve_and_rebucket(self):
-        query = JoinQuery(relations=[RelationSpec(name="A", pages=10.0)], predicates=[])
-        ctx = OptimizationContext(query)
-        a = DiscreteDistribution([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
-        b = DiscreteDistribution([5.0, 7.0], [0.4, 0.6])
-        conv = ctx.convolve(a, b)
-        assert conv.mean() == pytest.approx(a.mean() + b.mean())
-        wide = DiscreteDistribution(
-            np.arange(1.0, 21.0), np.full(20, 0.05)
-        )
-        small = ctx.rebucket(wide, 4)
-        assert small.n_buckets <= 4
-        assert small.mean() == pytest.approx(wide.mean())
-        # Already-small distributions pass through without a cache entry.
-        assert ctx.rebucket(a, 8) is a
 
 
 class TestSurvivalTable:
@@ -158,6 +126,12 @@ class TestObservability:
         ctx.clear()
         assert ctx.total_hits() == 0
         assert ctx.stats()["subset_sizes"]["misses"] == 0
+
+    def test_six_layers(self, three_way_query):
+        assert list(OptimizationContext(three_way_query).stats()) == [
+            "subset_sizes", "size_distributions", "survival_tables",
+            "step_costs", "columns", "skeletons",
+        ]
 
     def test_repr_mentions_entries(self, three_way_query):
         ctx = OptimizationContext(three_way_query)

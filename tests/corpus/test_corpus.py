@@ -5,7 +5,7 @@ optimization picks and at exactly what expected cost, so "the same
 behaviour" is a set of recorded answers.  ``answers.jsonl`` holds one
 line per op: the winner's signature, ``repr(objective)``, the candidate
 list, the six ``OptimizerStats`` counters, and the hits and misses of
-the cold context's ``step_costs`` and ``skeletons`` memos.  Each op is
+every memo layer the cold context's ``stats()`` reports.  Each op is
 replayed through :func:`repro.optimize` on a fresh context (the whole
 line must repeat) and through ``OptimizerService`` (signature and
 objective: a ``ServingResult`` carries no stats); the ``served`` family
@@ -60,8 +60,7 @@ def answer(op: Op) -> dict:
         "objective": repr(result.objective),
         "candidates": [[c.plan.signature(), repr(c.objective)] for c in result.candidates],
         **dataclasses.asdict(result.stats),
-        **{name: [memos[name]["hits"], memos[name]["misses"]]
-           for name in ("step_costs", "skeletons")},
+        **{name: [memo["hits"], memo["misses"]] for name, memo in memos.items()},
     }
 
 

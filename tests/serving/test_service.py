@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import optimize
@@ -121,6 +123,17 @@ class TestLadder:
         counters = ladder.metrics.snapshot()["counters"]
         assert counters["serving.rung.full"] == 2
         assert not any(name.startswith("plan_cache.") for name in counters)
+
+    def test_a_spent_budget_runs_lsc_on_a_cold_estimator(
+        self, three_way_query, small_memory_dist
+    ):
+        ladder = Ladder()  # no estimate yet: nothing predicts the full rung
+        request = OptimizeRequest(query=three_way_query, objective="lec",
+                                  memory=small_memory_dist, deadline=0.5)
+        result = ladder.run(request, started=time.perf_counter() - 1.0)
+        assert result.rung == RUNG_LSC
+        assert result.deadline_exceeded
+        assert ladder.estimator.estimate("expected", 3) is None
 
     def test_a_ladder_refuses_what_the_service_refuses(self, three_way_query):
         ladder = Ladder()

@@ -45,9 +45,7 @@ class TestDataDefinition:
         assert db.catalog.table("emp").n_pages == 75
 
     def test_histograms_built_for_loaded_data(self, db):
-        sel = db.stats.predicate_selectivity(
-            "dept", "region", "range", lo=0, hi=2
-        )
+        sel = db.stats.table_stats("dept").histograms["region"].selectivity_range(0, 2)
         assert sel == pytest.approx(0.4, abs=0.1)
 
     def test_arity_checked(self, db):
