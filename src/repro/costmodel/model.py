@@ -333,13 +333,6 @@ class CostModel:
             )
         return self._charge(self.node_terms(plan, query), seq.__getitem__)
 
-    def phase_cost(
-        self, plan: Plan, query: JoinQuery, phase: int, memory: float
-    ) -> float:
-        """Cost charged to a single execution phase at the given memory."""
-        terms = [t for t in self.node_terms(plan, query) if t.phase == phase]
-        return self._charge(terms, lambda _phase: memory)
-
     # ------------------------------------------------------------------
     # Expected costs (memory as the only uncertain parameter)
     # ------------------------------------------------------------------

@@ -52,15 +52,6 @@ class PlanDiagram:
         """Plan letter at a grid cell."""
         return self.grid[row][col]
 
-    def region_boundaries(self, row: int = 0) -> List[float]:
-        """x-values where the optimal plan changes along one row."""
-        out: List[float] = []
-        cells = self.grid[row]
-        for i in range(1, len(cells)):
-            if cells[i] != cells[i - 1]:
-                out.append(self.x_values[i])
-        return out
-
     def render(self) -> str:
         """Multi-line ASCII rendering with axes and legend."""
         lines: List[str] = []

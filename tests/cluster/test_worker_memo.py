@@ -215,21 +215,3 @@ class TestRecognitionIsExact:
         assert _recall(memo, numbered(299))[1] is True
         for i in (1, 2, overflow):
             assert _recall(memo, numbered(i))[1] is False
-
-
-class TestDistributionEquality:
-    """``DiscreteDistribution.__eq__``: bytewise, and a dict probe agrees."""
-
-    def test_truth_table(self):
-        base = DiscreteDistribution([300.0, 900.0], [0.25, 0.75])
-        twin = DiscreteDistribution([300.0, 900.0], [0.25, 0.75])
-        assert base == base and base == twin and twin == base
-        assert hash(base) == hash(twin)
-        assert {base: 1}[twin] == 1 and {("k", base): 2}[("k", twin)] == 2
-        assert base != DiscreteDistribution([300.0, 901.0], [0.25, 0.75])
-        assert base != DiscreteDistribution([300.0, 900.0], [0.5, 0.5])
-        assert base != DiscreteDistribution([300.0, 600.0, 900.0],
-                                            [0.25, 0.25, 0.5])
-        assert base != DiscreteDistribution([300.0], [1.0])
-        assert base != "300@0.25, 900@0.75" and base != 300.0
-        assert base.__eq__(object()) is NotImplemented

@@ -170,8 +170,6 @@ def _check(query, plan, methods, pipelined, memory, seq):
     _same(lambda cm: cm.plan_cost(plan, query, memory), new, ref)
     _same(lambda cm: cm.plan_cost_dynamic(plan, query, seq), new, ref)
     _same(lambda cm: cm.plan_cost_dynamic(plan, query, seq[: n - 1]), new, ref)
-    for phase in range(n + 1):
-        _same(lambda cm: cm.phase_cost(plan, query, phase, memory), new, ref)
     _same(lambda cm: cm.plan_expected_cost(plan, query, MEMORY), new, ref)
     _same(lambda cm: cm.plan_expected_cost_markov(plan, query, CHAIN), new, ref)
     if n <= 4:
