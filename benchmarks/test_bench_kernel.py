@@ -152,15 +152,11 @@ class TestAlgorithmDEndToEnd:
 
         start = time.perf_counter()
         context = OptimizationContext(query)
-        cold_res = optimize_algorithm_d(
-            query, MEMORY, fast=True, context=context
-        )
+        cold_res = optimize_algorithm_d(query, MEMORY, context=context)
         cold_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        warm_res = optimize_algorithm_d(
-            query, MEMORY, fast=True, context=context
-        )
+        warm_res = optimize_algorithm_d(query, MEMORY, context=context)
         warm_s = time.perf_counter() - start
 
         assert warm_res.plan.signature() == cold_res.plan.signature()

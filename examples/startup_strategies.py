@@ -59,9 +59,7 @@ def selectivity_strategies() -> None:
     est = chain_query(4, np.random.default_rng(42), min_pages=500, max_pages=200000)
     lifted = with_selectivity_uncertainty(est, 8.0, n_buckets=5)
     plan = optimize_lsc(est, 700.0).plan
-    plan_d = optimize_algorithm_d(
-        lifted, point_mass(700.0), max_buckets=10, fast=True
-    ).plan
+    plan_d = optimize_algorithm_d(lifted, point_mass(700.0), max_buckets=10).plan
     eval_cm = CostModel(count_evaluations=False)
     static_total, adaptive_total, d_total, reopts = 0.0, 0.0, 0.0, 0
     n_worlds = 30

@@ -76,12 +76,12 @@ def main() -> None:
     memory = DiscreteDistribution([12.0, 25.0, 300.0], [0.35, 0.35, 0.30])
 
     lsc = optimize(query, "point", memory=memory)
-    lec_d = optimize(query, "multiparam", memory=memory, max_buckets=12, fast=True)
+    lec_d = optimize(query, "multiparam", memory=memory, max_buckets=12)
     context = last_context()  # reuse Algorithm D's size distributions
 
     def score(plan) -> float:
         return plan_expected_cost_multiparam(
-            plan, query, memory, max_buckets=12, fast=True, context=context
+            plan, query, memory, max_buckets=12, context=context
         )
 
     print("Classical plan:  ", lsc.plan.signature())

@@ -10,7 +10,6 @@ tighter spreads for larger samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,13 +45,6 @@ class SampleEstimate:
         if self.n_sampled == 0:
             return 0.0
         return self.n_matched / self.n_sampled
-
-    def standard_error(self) -> float:
-        """Binomial standard error of the estimate."""
-        if self.n_sampled == 0:
-            return 0.0
-        p = self.point_estimate
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.n_sampled)
 
 
 def estimate_selectivity(

@@ -259,7 +259,6 @@ def encode_request(request_id: int, request: OptimizeRequest,
         "allow_cross_products": request.allow_cross_products,
         "top_k": request.top_k,
         "max_buckets": request.max_buckets,
-        "fast": request.fast,
         "include_mean": request.include_mean,
     }
 
@@ -303,6 +302,5 @@ def decode_request(message: Dict[str, Any]) -> OptimizeRequest:
         allow_cross_products=bool(message.get("allow_cross_products", False)),
         top_k=int(message.get("top_k", 1)),
         max_buckets=int(message.get("max_buckets", 16)),
-        fast=bool(message.get("fast", False)),
         include_mean=bool(message.get("include_mean", True)),
     )

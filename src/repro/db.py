@@ -23,7 +23,6 @@ query carries distributional sizes/selectivities), a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -188,7 +187,7 @@ class Database:
         if isinstance(environment, DiscreteBayesNet):
             row = optimize_dependent
         elif isinstance(environment, DiscreteDistribution) and query.has_uncertain_sizes():
-            row = partial(optimize_algorithm_d, fast=True)
+            row = optimize_algorithm_d
         elif isinstance(environment, (DiscreteDistribution, MarkovParameter)):
             row = optimize_algorithm_c
         elif isinstance(environment, (int, float)):

@@ -71,7 +71,7 @@ def run(quick: bool = False, seed: int = 0) -> List[ExperimentTable]:
 
             plan_static = optimize_lsc(est, memory_value).plan
             plan_d = optimize_algorithm_d(
-                lifted, point_mass(memory_value), max_buckets=10, fast=True
+                lifted, point_mass(memory_value), max_buckets=10
             ).plan
             rng = np.random.default_rng(seed + 1000 + qi)
             for _ in range(n_worlds):

@@ -61,7 +61,6 @@ def run(quick: bool = False, seed: int = 0) -> List[ExperimentTable]:
             memory=memory,
             cost_model=cm,
             max_buckets=max_buckets,
-            fast=True,
         )
         # Score arbitrary plans against Algorithm D's own context so the
         # size distributions built during its DP are reused, not rebuilt.
@@ -69,8 +68,7 @@ def run(quick: bool = False, seed: int = 0) -> List[ExperimentTable]:
 
         def score(plan):
             return plan_expected_cost_multiparam(
-                plan, query, memory, max_buckets=max_buckets, fast=True,
-                context=context,
+                plan, query, memory, max_buckets=max_buckets, context=context,
             )
 
         e_lsc, e_c, e_d = score(lsc.plan), score(algc.plan), score(algd.plan)

@@ -80,7 +80,6 @@ class OptimizeRequest:
     allow_cross_products: bool = False
     top_k: int = 1
     max_buckets: int = 16
-    fast: bool = False
     include_mean: bool = True
     context: Optional[OptimizationContext] = field(
         default=None, compare=False, repr=False
@@ -103,7 +102,6 @@ class OptimizeRequest:
             self.allow_cross_products,
             self.top_k,
             self.max_buckets,
-            self.fast,
             self.include_mean,
         )
 
@@ -275,7 +273,6 @@ class Ladder:
                 memory=request.memory,
                 top_k=request.top_k,
                 max_buckets=request.max_buckets,
-                fast=request.fast,
                 include_mean=request.include_mean,
                 **common,
             )

@@ -110,7 +110,6 @@ def evaluate_sampling(
     probe_cost_pages: float,
     cost_model: Optional[CostModel] = None,
     max_buckets: int = 12,
-    fast: bool = True,
     match_prob: Optional[Callable[[float], float]] = None,
 ) -> SamplingDecision:
     """Full EVSI analysis for sampling one predicate's selectivity.
@@ -138,7 +137,7 @@ def evaluate_sampling(
     def optimize_under(dist: DiscreteDistribution) -> float:
         q = _with_predicate_dist(query, predicate_label, dist)
         res = optimize_algorithm_d(
-            q, memory, cost_model=cm, max_buckets=max_buckets, fast=fast
+            q, memory, cost_model=cm, max_buckets=max_buckets
         )
         return res.objective
 

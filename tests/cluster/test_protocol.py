@@ -195,7 +195,6 @@ class TestRequestDocuments:
             allow_cross_products=True,
             top_k=3,
             max_buckets=8,
-            fast=True,
             include_mean=False,
         )
         message = encode_request(17, request)
@@ -230,26 +229,27 @@ class TestRequestDocuments:
                 ), field.name
 
     def test_unknown_keys_are_ignored(self):
-        # An old client still sends the two wall-clock knobs; a newer one
-        # may send keys this worker has never heard of.
+        # An old client still sends the two wall-clock knobs and the
+        # kernel choice; a newer one may send keys this worker has never
+        # heard of.
         message = _over_the_wire(
             encode_request(5, OptimizeRequest(query=_query(), memory=800))
         )
         message.update(level_batching=True, parallelism="threads:4",
-                       trace_id="abc")
+                       fast=True, trace_id="abc")
         decoded = decode_request(message)
         assert decoded.memory == 800.0
         assert not hasattr(decoded, "parallelism")
+        assert not hasattr(decoded, "fast")
 
     def test_wire_values_are_coerced(self):
         message = _over_the_wire(
             encode_request(9, OptimizeRequest(query=_query(), memory=800))
         )
-        message.update(deadline=2, top_k="4", fast=1)
+        message.update(deadline=2, top_k="4")
         decoded = decode_request(message)
         assert decoded.deadline == 2.0 and isinstance(decoded.deadline, float)
         assert decoded.top_k == 4
-        assert decoded.fast is True
 
     def test_bad_query_raises_protocol_error(self):
         with pytest.raises(ProtocolError, match="bad request query"):

@@ -37,16 +37,14 @@ def _raw_cost(method, l, r, m):
 class TestSurvivalTable:
     def test_prob_gt_and_ge(self, small_memory_dist):
         st_ = _SurvivalTable(small_memory_dist)
-        assert st_.prob_gt(300.0) == pytest.approx(0.8)
-        assert st_.prob_ge(300.0) == pytest.approx(1.0)
-        assert st_.prob_gt(5000.0) == 0.0
-        assert st_.prob_ge(5000.0) == pytest.approx(0.2)
-        assert st_.prob_gt(0.0) == pytest.approx(1.0)
+        xs = np.array([300.0, 5000.0, 0.0])
+        assert st_.prob_gt_many(xs) == pytest.approx([0.8, 0.0, 1.0])
+        assert st_.prob_ge_many(xs[:2]) == pytest.approx([1.0, 0.2])
 
     def test_between_support_points(self, small_memory_dist):
         st_ = _SurvivalTable(small_memory_dist)
-        assert st_.prob_gt(1000.0) == pytest.approx(0.5)
-        assert st_.prob_ge(1000.0) == pytest.approx(0.5)
+        assert st_.prob_gt_many(np.array([1000.0])) == pytest.approx([0.5])
+        assert st_.prob_ge_many(np.array([1000.0])) == pytest.approx([0.5])
 
 
 class TestPointMassDegeneration:
