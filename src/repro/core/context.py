@@ -75,7 +75,7 @@ from ..costmodel.estimates import (
     subset_size_distribution,
 )
 from .distributions import DiscreteDistribution
-from .expected_cost import PaddedBatch, _SurvivalTable, expected_join_costs_batched
+from .expected_cost import _SurvivalTable, expected_join_costs_batched
 
 __all__ = ["CacheStats", "OptimizationContext", "query_fingerprint"]
 
@@ -263,13 +263,12 @@ class OptimizationContext:
             Tuple[JoinMethod, DiscreteDistribution, DiscreteDistribution]
         ],
         memory: DiscreteDistribution,
-        batches: Optional[Tuple[PaddedBatch, PaddedBatch]] = None,
     ) -> List[float]:
         """:func:`~repro.core.expected_cost.expected_join_costs_batched` over
         this context's survival table, as Python floats (no memo); a method
         because frozen ``bench/trace.py`` names it."""
         return expected_join_costs_batched(
-            requests, memory, self.survival_table(memory), batches
+            requests, memory, self.survival_table(memory)
         ).tolist()
 
     # ------------------------------------------------------------------
