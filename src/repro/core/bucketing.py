@@ -58,12 +58,12 @@ def collect_memory_breakpoints(
     include_sort: bool = True,
     allow_cross_products: bool = False,
 ) -> List[float]:
-    """All memory thresholds at which any considered join's cost jumps.
+    """The memory thresholds at which a left-deep join step's cost jumps.
 
-    Enumerates every connected relation subset the DP would visit, every
-    way of splitting off one relation (the left-deep step), and every join
-    method, collecting each formula's breakpoints at the subset sizes the
-    estimator predicts.  For Example 1.1 this returns exactly
+    Left-deep steps only (the optimizer cuts at its DP skeleton's splits,
+    ``repro.optimizer.systemr.memory_edges``): every connected subset, every
+    way of splitting off one relation, every join method, each formula's
+    breakpoints at the estimated subset sizes.  For Example 1.1 this returns exactly
     ``{sqrt(400000), sqrt(1000000), ...}`` — the 633/1000-page boundaries
     of the motivating discussion.
     """

@@ -37,10 +37,10 @@ objective                 memory argument
 ``markov`` / ``dynamic``  a :class:`MarkovParameter`
 ``multiparam``            a :class:`DiscreteDistribution`; sizes and
                           selectivities also treated as distributions
-``algorithm_a``           a :class:`DiscreteDistribution` (per-bucket
-                          black-box candidate generation)
-``algorithm_b``           a :class:`DiscreteDistribution` (top-``c``
-                          per bucket, re-costed by expectation)
+``algorithm_a``           a :class:`DiscreteDistribution` (one LSC run
+                          per occupied level-set cell, re-costed)
+``algorithm_b``           a :class:`DiscreteDistribution` (its top-``c``
+                          per occupied level-set cell, re-costed)
 ========================  ==========================================
 """
 
@@ -65,7 +65,7 @@ from .costers import (
 )
 from .errors import MemoryTypeError, OptimizerConfigError
 from .result import OptimizationResult, OptimizerStats, PlanChoice
-from .systemr import SystemRDP
+from .systemr import SystemRDP, memory_cells
 
 __all__ = [
     "optimize",
@@ -174,9 +174,9 @@ def _run(
     if row.c is None:
         return dp(memory, top_k, context)
 
-    # The standard optimizer as a black box, once per bucket — and at
-    # the mean, so the pick is never worse in expectation than the
-    # classical plan — all over one context.
+    # The standard optimizer as a black box, once per occupied cell of
+    # the buckets — and of the mean, so the pick is never worse in
+    # expectation than the classical plan — all over one context.
     if context is None:
         context = OptimizationContext(query)
     probe_points = list(memory.support())
@@ -185,11 +185,16 @@ def _run(
     c = row.c(top_k)
     stats = OptimizerStats(invocations=0)
     seen: dict = {}
+    cell, ran = None, set()
     for m in probe_points:
+        if cell is not None and cell(m) in ran:
+            continue  # an occupied cell: the same costs, so the same candidates
         result = dp(m, c, context)
         stats = stats.merged_with(result.stats)
         for choice in result.candidates:
             seen.setdefault(choice.plan.signature(), choice.plan)
+        cell = cell or memory_cells(query, context, plan_space, allow_cross_products, cm)
+        ran.add(cell(m))
 
     evals_before = cm.eval_count
     choices = [
@@ -405,9 +410,11 @@ def optimize_algorithm_a(
 ) -> OptimizationResult:
     """Algorithm A (Section 3.2): the standard optimizer as a black box.
 
-    One LSC run per memory bucket, the winners scored by true expected
-    cost (``candidates``).  It can miss the LEC plan: a plan optimal for
-    no single bucket can win on average.  Algorithm B at ``c = 1``.
+    One LSC run per occupied level-set cell of the buckets and the mean
+    (Section 3.7: no breakpoint between two buckets, the same costs), the
+    winners scored by true expected cost (``candidates``).  It can miss the
+    LEC plan: a plan optimal for no single bucket can win on average.
+    Algorithm B at ``c = 1``.
     """
     return _run("algorithm_a", query, memory, **engine)
 
@@ -417,9 +424,9 @@ def optimize_algorithm_b(
 ) -> OptimizationResult:
     """Algorithm B (Section 3.3): the top ``c`` plans per bucket.
 
-    Each per-bucket run keeps ``c`` plans at every dag node (merged by
-    Proposition 3.1), up to ``c·b`` candidates — enough to catch a plan
-    second-best at every memory value yet best on average.
+    One LSC run per occupied level-set cell keeps ``c`` plans at every
+    dag node (merged by Proposition 3.1), up to ``c·b`` candidates —
+    enough to catch a plan second-best at every value yet best on average.
     """
     return _run("algorithm_b", query, memory, top_k=c, **engine)
 

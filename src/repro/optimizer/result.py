@@ -33,7 +33,8 @@ class OptimizerStats:
     against a bucket: a walk's sums per join method, and access paths.
     ``partitions_pruned`` always reads 0: the DP costs every split.  The
     field stays because the frozen ``bench/ledger.py`` reads it (ROADMAP
-    item 1).
+    item 1).  ``invocations`` counts DP runs, not probe points: Algorithms
+    A and B run one per occupied level-set cell.
     """
 
     subsets_explored: int = 0
@@ -44,7 +45,7 @@ class OptimizerStats:
     invocations: int = 1
 
     def merged_with(self, other: "OptimizerStats") -> "OptimizerStats":
-        """Combine counters from two invocations (Algorithm A/B loops)."""
+        """Combine counters from two DP runs (Algorithm A/B loops)."""
         return OptimizerStats(
             subsets_explored=self.subsets_explored + other.subsets_explored,
             entries_offered=self.entries_offered + other.entries_offered,

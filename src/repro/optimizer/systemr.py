@@ -50,16 +50,17 @@ Bookkeeping details that matter for fidelity:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import repeat
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.context import OptimizationContext
+from ..costmodel.formulas import MIN_MEMORY_PAGES, external_sort_cost, join_breakpoints
 from ..plans.nodes import Join, Plan, PlanNode, Project, Scan, Sort
 from ..plans.nodes import Union as UnionNode
-from ..plans.properties import AccessPath, order_from_join
+from ..plans.properties import AccessPath, JoinMethod, order_from_join
 from ..plans.query import JoinQuery, QueryError
 from ..plans.space import PlanSpace
 from ..plans.spju import UnionQuery
@@ -68,7 +69,7 @@ from .errors import OptimizerConfigError
 from .result import OptimizationResult, OptimizerStats, PlanChoice
 from .topk import TopKList, top_sums
 
-__all__ = ["SystemRDP", "DPEntry"]
+__all__ = ["SystemRDP", "DPEntry", "memory_edges", "memory_cells"]
 
 #: Table type: subset mask -> (output order -> retained entries); every
 #: bucket in it holds at least one entry.
@@ -77,6 +78,8 @@ _Table = Dict[int, Dict[Optional[str], "TopKList[DPEntry]"]]
 #: target, output order per join method).
 _Split = Tuple[int, int, str, Optional[str], Tuple[Optional[str], ...]]
 _cost_of = itemgetter(0)
+#: The join methods whose costs step in memory at their breakpoints only.
+_STEPS = frozenset((JoinMethod.NESTED_LOOP, JoinMethod.SORT_MERGE, JoinMethod.GRACE_HASH))
 #: A join input as a split sees it: (presorted, ascending costs, entries).
 _View = Tuple[bool, Sequence[float], Sequence["DPEntry"]]
 
@@ -229,7 +232,7 @@ class SystemRDP:
         writes = self._writes
         pipelined = self.coster.cost_model.pipelined_methods
         self._methods = [(m, m in pipelined) for m in self.coster.methods]
-        key = (tuple(names), self.space.shape, self.allow_cross_products, self.coster.methods)
+        key = _skeleton_key(names, self.space, self.allow_cross_products, self.coster.methods)
         kept = self.coster.context.skeleton(key)
         if kept is None:
             order, adjacency, preds = query.join_graph(names)
@@ -552,3 +555,44 @@ class SystemRDP:
         stats.subsets_explored = explored
         stats.formula_evaluations = self.coster.cost_model.eval_count - evals_before
         return OptimizationResult(best=choice, candidates=[choice], stats=stats)
+
+
+def _skeleton_key(names, space: PlanSpace, allow_cross_products: bool, methods) -> tuple:
+    """What a DP skeleton is kept under: nothing else changes what a run walks."""
+    return (tuple(names), space.shape, allow_cross_products, tuple(methods))
+
+
+def memory_edges(context: OptimizationContext, query: JoinQuery, plan_space,
+                 allow_cross_products: bool, methods: Sequence[JoinMethod]) -> List[float]:
+    """Each memory at which a join step of ``query``'s DP changes branch,
+    ascending: every method's breakpoints at the input pages of each split
+    (zig-zag and bushy ones too) in the skeleton a run kept on ``context``.
+    Between two edges an NL, SM or GH step costs the same, bit for bit."""
+    space = PlanSpace.parse(plan_space)
+    key = _skeleton_key(query.relation_names(), space, allow_cross_products, methods)
+    _, rels, levels = context.skeleton(key)
+    pairs = {split[:2] for _, walked in levels for splits in walked for split in splits}
+    masks = {mask for pair in pairs for mask in pair}
+    pages = {mask: context.subset_pages(rels[mask]) for mask in masks}
+    sides = {(pages[left], pages[right]) for left, right in pairs}
+    return sorted({edge for left, right in sides for method in methods
+                   for edge in join_breakpoints(method, left, right)})
+
+
+def memory_cells(query, context, plan_space, allow_cross_products, cm) -> Callable:
+    """Memory -> its level-set cell for the point DP just run on ``context``:
+    the :func:`memory_edges` around the clamped memory (one on an edge is a
+    cell of its own) and the required order's enforcer-sort cost.  Each
+    memory is its own cell where a cost can move between edges: a method
+    other than NL/SM/GH, a union block, a context of other statistics."""
+    if (isinstance(query, UnionQuery) or not _STEPS.issuperset(cm.methods)
+            or not context.matches(query)):
+        return float
+    edges = memory_edges(context, query, plan_space, allow_cross_products, cm.methods)
+    full = query.required_order and context.subset_pages(query.relation_names())
+
+    def cell(m: float) -> tuple:
+        at, sort = max(m, MIN_MEMORY_PAGES), full and external_sort_cost(full, m)
+        return bisect_left(edges, at), bisect_right(edges, at), sort
+
+    return cell

@@ -7,11 +7,11 @@ plan for the current parameter value".
 
 Because the join cost formulas are step functions of memory, the
 parameter axis partitions into finitely many *regions* within which the
-optimal plan is constant; the region boundaries are exactly the
-cost-formula breakpoints (:func:`repro.core.bucketing.
-collect_memory_breakpoints`).  :func:`parametric_optimize` optimizes one
-representative per region and merges adjacent regions that elect the same
-plan, yielding a compact :class:`ParametricPlanSet`.
+optimal plan is constant; the region boundaries are the cost-formula
+breakpoints of every split the DP joins (:func:`repro.optimizer.systemr.
+memory_edges`).  :func:`parametric_optimize` optimizes one representative
+per region and merges adjacent regions that elect the same plan, yielding
+a compact :class:`ParametricPlanSet`.
 
 The module also implements the paper's proposed hybrid — "precompute the
 best expected plan under a number of possible distributions … and store
@@ -25,12 +25,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.bucketing import collect_memory_breakpoints
 from ..core.context import OptimizationContext
 from ..core.distributions import DiscreteDistribution
+from ..costmodel.formulas import sort_breakpoints
 from ..costmodel.model import CostModel
 from ..optimizer import optimize_algorithm_c, optimize_lsc
 from ..optimizer.result import OptimizerStats
+from ..optimizer.systemr import memory_edges
 from ..plans.nodes import Plan
 from ..plans.query import JoinQuery
 
@@ -120,25 +121,31 @@ def parametric_optimize(
 ) -> ParametricPlanSet:
     """Optimize for every memory value in ``[memory_lo, memory_hi]``.
 
-    The interval is cut at every cost-formula breakpoint the optimizer
-    could encounter; within each cell all candidate costs are constant,
-    so one LSC invocation at the cell midpoint is exact for the whole
-    cell.  Adjacent cells electing the same plan are merged.  The
-    (shared) ``context`` makes the per-cell invocations reuse subset
-    sizes rather than recomputing them once per region.
+    The interval is cut where the DP of ``plan_space`` can change plans:
+    at every join breakpoint of every split it joins (and, under a required
+    order, the enforcer sort's), read from the skeleton of one uncounted
+    run on a private context.  One LSC invocation at each cell's midpoint
+    holds for the whole cell; adjacent cells electing the same plan are
+    merged.  The (shared) ``context`` makes the per-cell invocations reuse
+    subset sizes rather than recomputing them once per region.
+
+    Exact only for step-function method sets: hybrid hash is smooth in its
+    middle region, BNL's list stops at 64 thresholds, and the sort
+    breakpoints are approximate.
     """
     if not 0 < memory_lo <= memory_hi:
         raise ValueError("need 0 < memory_lo <= memory_hi")
     cm = cost_model if cost_model is not None else CostModel()
     if context is None:
         context = OptimizationContext(query)
-    cuts = [
-        b
-        for b in collect_memory_breakpoints(
-            query, cm.methods, allow_cross_products=allow_cross_products
-        )
-        if memory_lo < b <= memory_hi
-    ]
+    walk = OptimizationContext(query)
+    uncounted = CostModel(cm.methods, False, cm.pipelined_methods)
+    optimize_lsc(query, memory_hi, cost_model=uncounted, plan_space=plan_space,
+                 allow_cross_products=allow_cross_products, context=walk)
+    points = memory_edges(walk, query, plan_space, allow_cross_products, cm.methods)
+    if query.required_order is not None:
+        points += sort_breakpoints(walk.subset_pages(query.relation_names()))
+    cuts = sorted({b for b in points if memory_lo < b <= memory_hi})
     edges = [memory_lo, *cuts, memory_hi]
 
     stats = OptimizerStats(invocations=0)

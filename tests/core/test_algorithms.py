@@ -73,10 +73,19 @@ class TestAlgorithmA:
         objs = [c.objective for c in res.candidates]
         assert objs == sorted(objs)
 
-    def test_invocation_count(self, example_query, bimodal_memory):
-        res = optimize_algorithm_a(example_query, bimodal_memory, include_mean=True)
-        # b=2 buckets + the mean point = 3 black-box invocations.
+    def test_invocation_count(self, example_query):
+        # One black-box invocation per occupied level-set cell: 500, 700
+        # and 2000 pages sit below sqrt(400k), between sqrt(400k) and
+        # sqrt(1M), and above sqrt(1M).
+        memory = DiscreteDistribution([500.0, 700.0, 2000.0], [0.2, 0.3, 0.5])
+        res = optimize_algorithm_a(example_query, memory, include_mean=False)
         assert res.stats.invocations == 3
+
+    def test_points_in_one_cell_share_one_invocation(self, example_query, bimodal_memory):
+        # The mean, 1740 pages, shares 2000's cell (and its enforcer-sort
+        # cost): b=2 buckets + the mean point = 2 invocations.
+        res = optimize_algorithm_a(example_query, bimodal_memory, include_mean=True)
+        assert res.stats.invocations == 2
 
     def test_can_miss_true_lec(self):
         """Algorithm A is an approximation: it only sees per-point winners.

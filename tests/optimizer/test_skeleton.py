@@ -73,13 +73,17 @@ def test_a_second_run_derives_nothing_and_answers_as_a_first(
 
 
 def test_algorithms_a_and_b_derive_the_skeleton_once(derived):
+    # Four probe points (three buckets and the mean) in three occupied
+    # level-set cells: three runs.  The first derives the skeleton, the
+    # cell edges read it once and the other two runs replay it.
     query = star_query(5, np.random.default_rng(5))
-    for objective, probes in (("algorithm_a", 4), ("algorithm_b", 4)):
+    for objective, cells in (("algorithm_a", 3), ("algorithm_b", 3)):
         context = OptimizationContext(query)
         derived.clear()
-        repro.optimize(query, objective, memory=MEMORY, context=context)
+        result = repro.optimize(query, objective, memory=MEMORY, context=context)
+        assert result.stats.invocations == cells
         assert derived["join_graph"] == 1
-        assert _skeletons(context) == (probes - 1, 1)
+        assert _skeletons(context) == (1 + cells - 1, 1)
 
 
 def test_each_shape_method_set_and_cross_setting_has_its_own():

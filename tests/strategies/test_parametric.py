@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-
+import numpy as np
 import pytest
 
 from repro.optimizer import optimize_algorithm_c, optimize_lsc
@@ -10,6 +10,7 @@ from repro.core.distributions import two_point, uniform_over
 from repro.costmodel.model import CostModel
 from repro.strategies.choice_nodes import ChoicePlan, build_choice_plan
 from repro.strategies.parametric import parametric_optimize, precompute_lec_plans
+from repro.workloads.queries import chain_query
 
 
 class TestParametricOptimize:
@@ -29,6 +30,18 @@ class TestParametricOptimize:
             assert cm.plan_cost(via_lookup, example_query, m) == pytest.approx(
                 direct.objective
             )
+
+    @pytest.mark.parametrize("space", ["left-deep", "zig-zag", "bushy"])
+    def test_lookup_is_never_worse_than_lsc_on_any_space(self, space):
+        # Cut at left-deep steps only, the bushy set kept one plan over
+        # [879, 1540) pages; at 908.318 it cost 14 944 805 pages against
+        # LSC's 224 595.
+        query = chain_query(6, np.random.default_rng(7))
+        pset = parametric_optimize(query, 10.0, 20000.0, plan_space=space)
+        cm = CostModel(count_evaluations=False)
+        for m in [908.318, *np.geomspace(10.0, 20000.0, 24).tolist()]:
+            lsc = optimize_lsc(query, m, plan_space=space).objective
+            assert cm.plan_cost(pset.plan_for(m), query, m) <= lsc * (1 + 1e-12)
 
     def test_lookup_clamps_outside_range(self, example_query):
         pset = parametric_optimize(example_query, 500.0, 2000.0)
