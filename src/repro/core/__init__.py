@@ -8,10 +8,10 @@ from .algorithm_d import plan_expected_cost_multiparam
 from .bayesnet import BayesNetError, DiscreteBayesNet
 from .context import CacheStats, OptimizationContext, query_fingerprint
 from .bucketing import (
-    collect_memory_breakpoints,
     equal_depth_buckets,
     equal_width_buckets,
     level_set_buckets,
+    level_set_cuts,
     level_set_expectation,
     refine_adaptive,
 )
@@ -71,8 +71,8 @@ __all__ = [
     "equal_width_buckets",
     "equal_depth_buckets",
     "level_set_buckets",
+    "level_set_cuts",
     "level_set_expectation",
-    "collect_memory_breakpoints",
     "refine_adaptive",
     "UtilityObjective",
     "ExpectedCost",

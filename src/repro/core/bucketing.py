@@ -14,7 +14,8 @@ coarse ``b``-bucket one:
 * :func:`equal_width_buckets` / :func:`equal_depth_buckets` — the naive
   partitions;
 * :func:`level_set_buckets` — boundaries taken from the cost-formula
-  breakpoints of the joins the optimizer will consider;
+  breakpoints of the joins the optimizer will consider, a memory on a
+  breakpoint a cell of its own (:func:`level_set_cuts`);
 * :func:`refine_adaptive` — the coarse-to-fine scheme the paper sketches:
   start with one bucket and repeatedly split the bucket contributing the
   most cost *uncertainty* for a reference set of candidate plans.
@@ -22,21 +23,18 @@ coarse ``b``-bucket one:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..costmodel import formulas
-from ..costmodel.estimates import subset_size
-from ..plans.properties import JoinMethod
-from ..plans.query import JoinQuery
 from .distributions import DiscreteDistribution
 
 __all__ = [
     "equal_width_buckets",
     "equal_depth_buckets",
     "level_set_buckets",
-    "collect_memory_breakpoints",
+    "level_set_cuts",
     "refine_adaptive",
     "level_set_expectation",
 ]
@@ -52,46 +50,12 @@ def equal_depth_buckets(dist: DiscreteDistribution, b: int) -> DiscreteDistribut
     return dist.rebucket(b, strategy="equidepth")
 
 
-def collect_memory_breakpoints(
-    query: JoinQuery,
-    methods: Sequence[JoinMethod],
-    include_sort: bool = True,
-    allow_cross_products: bool = False,
-) -> List[float]:
-    """The memory thresholds at which a left-deep join step's cost jumps.
-
-    Left-deep steps only (the optimizer cuts at its DP skeleton's splits,
-    ``repro.optimizer.systemr.memory_edges``): every connected subset, every
-    way of splitting off one relation, every join method, each formula's
-    breakpoints at the estimated subset sizes.  For Example 1.1 this returns exactly
-    ``{sqrt(400000), sqrt(1000000), ...}`` — the 633/1000-page boundaries
-    of the motivating discussion.
-    """
-    import itertools
-
-    names = query.relation_names()
-    points: set = set()
-    for size in range(2, len(names) + 1):
-        for combo in itertools.combinations(names, size):
-            subset = frozenset(combo)
-            if not allow_cross_products and not query.is_connected(subset):
-                continue
-            for member in combo:
-                rest = subset - {member}
-                if not allow_cross_products and not query.is_connected(rest):
-                    continue
-                if not allow_cross_products and not query.predicates_between(
-                    rest, member
-                ):
-                    continue
-                lp = subset_size(rest, query).pages
-                rp = subset_size(frozenset((member,)), query).pages
-                for method in methods:
-                    points.update(formulas.join_breakpoints(method, lp, rp))
-    if include_sort and query.required_order is not None:
-        full = frozenset(names)
-        points.update(formulas.sort_breakpoints(subset_size(full, query).pages))
-    return sorted(p for p in points if p > formulas.MIN_MEMORY_PAGES)
+def level_set_cuts(breakpoints: Iterable[float]) -> List[float]:
+    """Each breakpoint ``e`` and the next float above it, ascending: half-open
+    cells ``[cut, next cut)`` make ``{e}`` a cell of its own, since a formula
+    may switch on ``M > e`` (sort-merge) or on ``M >= e`` (NL, Grace hash)."""
+    edges = {float(e) for e in breakpoints}
+    return sorted(edges | {math.nextafter(e, math.inf) for e in edges})
 
 
 def level_set_buckets(
@@ -101,13 +65,14 @@ def level_set_buckets(
 ) -> DiscreteDistribution:
     """Coarsen ``dist`` using cost-formula breakpoints as bucket edges.
 
-    All probability mass between two consecutive breakpoints collapses to
-    one representative — within such a cell every considered cost formula
-    is constant, so *no information relevant to plan choice is lost*.
-    ``max_buckets`` optionally applies a final equi-depth merge when the
-    breakpoint set is large.
+    All probability mass in one cell of :func:`level_set_cuts` collapses
+    to one representative — within such a cell every considered cost
+    formula is constant, so *no information relevant to plan choice is
+    lost* (a support point on a breakpoint keeps its own).  ``max_buckets``
+    optionally applies a final equi-depth merge when the breakpoint set is
+    large.
     """
-    out = dist.rebucket_by_edges(list(breakpoints))
+    out = dist.rebucket_by_edges(level_set_cuts(breakpoints))
     if max_buckets is not None and out.n_buckets > max_buckets:
         out = out.rebucket(max_buckets, strategy="equidepth")
     return out
@@ -189,11 +154,12 @@ def level_set_expectation(
     support points the distribution has.
 
     Exactness requires the breakpoint list to cover every discontinuity
-    of ``cost_fn`` within the support (use
-    :func:`collect_memory_breakpoints` / the formulas' ``*_breakpoints``).
+    of ``cost_fn`` within the support (the formulas' ``*_breakpoints``, or
+    ``repro.optimizer.memory_breakpoints`` for a whole query).  The cells
+    are those of :func:`level_set_cuts`, so a support point on a
+    breakpoint is evaluated on its own.
     """
-    cuts = sorted(set(float(b) for b in breakpoints))
-    edges = [-np.inf, *cuts, np.inf]
+    edges = [-np.inf, *level_set_cuts(breakpoints), np.inf]
     total = 0.0
     values = dist.values
     probs = dist.probs

@@ -15,7 +15,6 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from ..core.bucketing import (
-    collect_memory_breakpoints,
     equal_depth_buckets,
     equal_width_buckets,
     level_set_buckets,
@@ -23,7 +22,8 @@ from ..core.bucketing import (
 )
 from ..core.distributions import DiscreteDistribution, discretized_lognormal
 from ..costmodel import CostModel, DEFAULT_METHODS
-from ..optimizer import enumerate_left_deep_plans, optimize_algorithm_c
+from ..costmodel.formulas import MIN_MEMORY_PAGES
+from ..optimizer import enumerate_left_deep_plans, memory_breakpoints, optimize_algorithm_c
 from ..workloads.scenarios import warehouse_star
 from .harness import ExperimentTable
 
@@ -42,7 +42,8 @@ def run(quick: bool = False, seed: int = 0) -> List[ExperimentTable]:
     truth = optimize_algorithm_c(query, fine, cost_model=CostModel())
     e_true = eval_cm.plan_expected_cost(truth.plan, query, fine)
 
-    breakpoints = collect_memory_breakpoints(query, DEFAULT_METHODS)
+    # The left-deep skeleton's edges; below the floor memory is clamped.
+    breakpoints = [b for b in memory_breakpoints(query) if b > MIN_MEMORY_PAGES]
     candidate_plans = list(
         enumerate_left_deep_plans(query, DEFAULT_METHODS)
     )

@@ -19,6 +19,7 @@ from .facade import (
     last_context,
     lsc_at_mean,
     lsc_at_mode,
+    memory_breakpoints,
     optimize,
     optimize_algorithm_a,
     optimize_algorithm_b,
@@ -46,6 +47,7 @@ __all__ = [
     "optimize_algorithm_b",
     "optimize_algorithm_c",
     "optimize_algorithm_d",
+    "memory_breakpoints",
     "last_context",
     "clear_context_cache",
     "DPEntry",

@@ -49,11 +49,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from numbers import Real
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..core.context import OptimizationContext, query_fingerprint
 from ..core.distributions import DiscreteDistribution
 from ..core.markov import MarkovParameter
+from ..costmodel.formulas import MIN_MEMORY_PAGES, sort_breakpoints
 from ..costmodel.model import CostModel
 from ..plans.query import HashedTuple, JoinQuery
 from .costers import (
@@ -65,7 +66,7 @@ from .costers import (
 )
 from .errors import MemoryTypeError, OptimizerConfigError
 from .result import OptimizationResult, OptimizerStats, PlanChoice
-from .systemr import SystemRDP, memory_cells
+from .systemr import SystemRDP, memory_cells, memory_edges
 
 __all__ = [
     "optimize",
@@ -76,6 +77,7 @@ __all__ = [
     "optimize_algorithm_b",
     "optimize_algorithm_c",
     "optimize_algorithm_d",
+    "memory_breakpoints",
     "last_context",
     "clear_context_cache",
     "canonical_objective",
@@ -204,6 +206,23 @@ def _run(
     choices.sort(key=lambda ch: ch.objective)
     stats.formula_evaluations += cm.eval_count - evals_before
     return OptimizationResult(best=choices[0], candidates=choices, stats=stats)
+
+
+def memory_breakpoints(query: JoinQuery, cost_model: Optional[CostModel] = None,
+                       plan_space="left-deep", allow_cross_products=False) -> List[float]:
+    """Each memory at which the DP of ``plan_space`` may change plan for ``query``,
+    ascending: :func:`~repro.optimizer.systemr.memory_edges` of the skeleton one
+    uncounted LSC run records on a private context and, under a required order,
+    the enforcer sort's (approximate) ``sort_breakpoints``."""
+    cm = cost_model if cost_model is not None else CostModel()
+    walk = OptimizationContext(query)
+    uncounted = CostModel(cm.methods, False, cm.pipelined_methods)
+    _run("point", query, MIN_MEMORY_PAGES, uncounted, plan_space, allow_cross_products,
+         context=walk)  # any memory: what a run walks does not depend on it
+    points = memory_edges(walk, query, plan_space, allow_cross_products, cm.methods)
+    if query.required_order is not None:
+        points += sort_breakpoints(walk.subset_pages(query.relation_names()))
+    return sorted(set(points))
 
 
 # LRU of contexts keyed by query fingerprint.  Small on purpose: a

@@ -50,12 +50,13 @@ Bookkeeping details that matter for fidelity:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.bucketing import level_set_cuts
 from ..core.context import OptimizationContext
 from ..costmodel.formulas import MIN_MEMORY_PAGES, external_sort_cost, join_breakpoints
 from ..plans.nodes import Join, Plan, PlanNode, Project, Scan, Sort
@@ -581,7 +582,8 @@ def memory_edges(context: OptimizationContext, query: JoinQuery, plan_space,
 
 def memory_cells(query, context, plan_space, allow_cross_products, cm) -> Callable:
     """Memory -> its level-set cell for the point DP just run on ``context``:
-    the :func:`memory_edges` around the clamped memory (one on an edge is a
+    the cell of :func:`~repro.core.bucketing.level_set_cuts` over the
+    :func:`memory_edges` that holds the clamped memory (one on an edge is a
     cell of its own) and the required order's enforcer-sort cost.  Each
     memory is its own cell where a cost can move between edges: a method
     other than NL/SM/GH, a union block, a context of other statistics."""
@@ -589,10 +591,11 @@ def memory_cells(query, context, plan_space, allow_cross_products, cm) -> Callab
             or not context.matches(query)):
         return float
     edges = memory_edges(context, query, plan_space, allow_cross_products, cm.methods)
+    cuts = level_set_cuts(edges)
     full = query.required_order and context.subset_pages(query.relation_names())
 
     def cell(m: float) -> tuple:
-        at, sort = max(m, MIN_MEMORY_PAGES), full and external_sort_cost(full, m)
-        return bisect_left(edges, at), bisect_right(edges, at), sort
+        at = max(m, MIN_MEMORY_PAGES)
+        return bisect_right(cuts, at), full and external_sort_cost(full, m)
 
     return cell

@@ -37,8 +37,9 @@ class ChoicePlan:
 
     ``thresholds`` are the memory cut points; ``alternatives[i]`` is used
     when the observed memory lies in ``[thresholds[i-1], thresholds[i])``
-    (with open ends).  Subplans shared between alternatives are counted
-    once in :meth:`stored_nodes`.
+    (with open ends): a memory on a breakpoint ``e`` is a cell of its own,
+    so a threshold is ``e`` or the next float above it.  Subplans shared
+    between alternatives are counted once in :meth:`stored_nodes`.
     """
 
     thresholds: List[float]

@@ -8,8 +8,8 @@ plan for the current parameter value".
 Because the join cost formulas are step functions of memory, the
 parameter axis partitions into finitely many *regions* within which the
 optimal plan is constant; the region boundaries are the cost-formula
-breakpoints of every split the DP joins (:func:`repro.optimizer.systemr.
-memory_edges`).  :func:`parametric_optimize` optimizes one representative
+breakpoints of every split the DP joins (:func:`repro.optimizer.
+memory_breakpoints`).  :func:`parametric_optimize` optimizes one representative
 per region and merges adjacent regions that elect the same plan, yielding
 a compact :class:`ParametricPlanSet`.
 
@@ -25,13 +25,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.bucketing import level_set_cuts
 from ..core.context import OptimizationContext
 from ..core.distributions import DiscreteDistribution
-from ..costmodel.formulas import sort_breakpoints
 from ..costmodel.model import CostModel
-from ..optimizer import optimize_algorithm_c, optimize_lsc
+from ..optimizer import memory_breakpoints, optimize_algorithm_c, optimize_lsc
 from ..optimizer.result import OptimizerStats
-from ..optimizer.systemr import memory_edges
 from ..plans.nodes import Plan
 from ..plans.query import JoinQuery
 
@@ -51,7 +50,8 @@ class ParametricPlanSet:
     """Compile-time product of parametric optimization.
 
     ``regions`` are half-open memory intervals ``[lo, hi)`` in ascending
-    order, each with the plan that is optimal throughout the interval.
+    order, each with the plan that is optimal throughout the interval.  A
+    memory on a breakpoint ``e`` is a cell ``[e, nextafter(e))`` of its own.
     """
 
     regions: List[_Region]
@@ -121,11 +121,11 @@ def parametric_optimize(
 ) -> ParametricPlanSet:
     """Optimize for every memory value in ``[memory_lo, memory_hi]``.
 
-    The interval is cut where the DP of ``plan_space`` can change plans:
-    at every join breakpoint of every split it joins (and, under a required
-    order, the enforcer sort's), read from the skeleton of one uncounted
-    run on a private context.  One LSC invocation at each cell's midpoint
-    holds for the whole cell; adjacent cells electing the same plan are
+    The interval is cut where the DP of ``plan_space`` can change plans, at
+    :func:`~repro.core.bucketing.level_set_cuts` of its
+    :func:`~repro.optimizer.memory_breakpoints`.  One LSC invocation at each
+    cell's midpoint holds for the whole cell, and at ``e`` for the one-float
+    cell of a breakpoint ``e``; adjacent cells electing the same plan are
     merged.  The (shared) ``context`` makes the per-cell invocations reuse
     subset sizes rather than recomputing them once per region.
 
@@ -138,20 +138,14 @@ def parametric_optimize(
     cm = cost_model if cost_model is not None else CostModel()
     if context is None:
         context = OptimizationContext(query)
-    walk = OptimizationContext(query)
-    uncounted = CostModel(cm.methods, False, cm.pipelined_methods)
-    optimize_lsc(query, memory_hi, cost_model=uncounted, plan_space=plan_space,
-                 allow_cross_products=allow_cross_products, context=walk)
-    points = memory_edges(walk, query, plan_space, allow_cross_products, cm.methods)
-    if query.required_order is not None:
-        points += sort_breakpoints(walk.subset_pages(query.relation_names()))
-    cuts = sorted({b for b in points if memory_lo < b <= memory_hi})
+    points = memory_breakpoints(query, cm, plan_space, allow_cross_products)
+    cuts = [b for b in level_set_cuts(points) if memory_lo < b <= memory_hi]
     edges = [memory_lo, *cuts, memory_hi]
 
     stats = OptimizerStats(invocations=0)
     raw: List[_Region] = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        rep = (lo + hi) / 2.0 if hi > lo else lo
+        rep = (lo + hi) / 2.0 if math.nextafter(lo, math.inf) < hi else lo
         result = optimize_lsc(
             query,
             rep,

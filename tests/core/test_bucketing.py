@@ -7,9 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.optimizer import optimize_algorithm_c
+from repro.optimizer import memory_breakpoints, optimize_algorithm_c
 from repro.core.bucketing import (
-    collect_memory_breakpoints,
     equal_depth_buckets,
     equal_width_buckets,
     level_set_buckets,
@@ -20,7 +19,11 @@ from repro.core.distributions import (
     discretized_lognormal,
     uniform_over,
 )
-from repro.costmodel.model import DEFAULT_METHODS, CostModel
+from repro.core.floats import costs_close
+from repro.costmodel import formulas
+from repro.costmodel.model import CostModel
+from repro.plans.properties import JoinMethod
+from repro.plans.query import JoinQuery
 
 
 @pytest.fixture
@@ -45,27 +48,25 @@ class TestNaiveStrategies:
 
 class TestBreakpointCollection:
     def test_example_1_1_breakpoints(self, example_query):
-        bps = collect_memory_breakpoints(example_query, DEFAULT_METHODS)
+        bps = memory_breakpoints(example_query)
         assert any(math.isclose(b, math.sqrt(400_000)) for b in bps)
         assert any(math.isclose(b, math.sqrt(1_000_000)) for b in bps)
 
     def test_three_way_collects_intermediate_sizes(self, three_way_query):
-        bps = collect_memory_breakpoints(three_way_query, DEFAULT_METHODS)
+        bps = memory_breakpoints(three_way_query)
         # The R ⋈ S intermediate is 800 pages; sqrt(800) must show up for
         # joins taking it as input.
         assert any(math.isclose(b, math.sqrt(800.0)) for b in bps)
 
     def test_sorted_and_positive(self, three_way_query):
-        bps = collect_memory_breakpoints(three_way_query, DEFAULT_METHODS)
+        bps = memory_breakpoints(three_way_query)
         assert bps == sorted(bps)
         assert all(b > 0 for b in bps)
 
     def test_required_order_adds_sort_breakpoints(self, example_query):
-        with_sort = collect_memory_breakpoints(
-            example_query, DEFAULT_METHODS, include_sort=True
-        )
-        without = collect_memory_breakpoints(
-            example_query, DEFAULT_METHODS, include_sort=False
+        with_sort = memory_breakpoints(example_query)
+        without = memory_breakpoints(
+            JoinQuery(example_query.relations, example_query.predicates)
         )
         assert set(without) <= set(with_sort)
         assert len(with_sort) > len(without)
@@ -77,7 +78,7 @@ class TestLevelSetBuckets:
         the coarsened distribution matches the choice under the truth."""
         # A fine-grained 'true' distribution straddling 633 and 1000.
         fine = uniform_over([400, 500, 700, 800, 1200, 1500, 2500, 4000])
-        bps = collect_memory_breakpoints(example_query, DEFAULT_METHODS)
+        bps = memory_breakpoints(example_query)
         coarse = level_set_buckets(fine, bps)
         eval_cm = CostModel(count_evaluations=False)
         truth = optimize_algorithm_c(example_query, fine)
@@ -85,6 +86,20 @@ class TestLevelSetBuckets:
         e_truth = eval_cm.plan_expected_cost(truth.plan, example_query, fine)
         e_approx = eval_cm.plan_expected_cost(approx.plan, example_query, fine)
         assert e_approx == pytest.approx(e_truth)
+
+    def test_a_memory_on_a_breakpoint_keeps_its_own_bucket(self, example_query):
+        """Sort-merge is 2 passes only *above* sqrt(1M) = 1000 pages: 1000
+        and 1200 merged into one bucket at 1100 elected sort-merge, with
+        49% regret."""
+        fine = uniform_over([1000.0, 1200.0])
+        coarse = level_set_buckets(fine, memory_breakpoints(example_query))
+        assert coarse == fine
+        eval_cm = CostModel(count_evaluations=False)
+        truth = optimize_algorithm_c(example_query, fine)
+        approx = optimize_algorithm_c(example_query, coarse)
+        assert eval_cm.plan_expected_cost(
+            approx.plan, example_query, fine
+        ) == pytest.approx(truth.objective)
 
     def test_max_buckets_cap(self, fine_dist):
         out = level_set_buckets(fine_dist, list(range(100, 5000, 100)), max_buckets=5)
@@ -168,6 +183,29 @@ class TestLevelSetExpectation:
         got = level_set_expectation(fn, fine_dist, bps)
         want = fine_dist.expectation(fn)
         assert got == pytest.approx(want)
+
+    @pytest.mark.parametrize(
+        "outer, inner",
+        [(1_000_000.0, 400_000.0), (400_000.0, 3000.0), (800.0, 50.0), (9.0, 16.0)],
+    )
+    def test_exact_on_and_beside_every_breakpoint(self, outer, inner):
+        """NL and GH switch on ``M >= e``, sort-merge on ``M > e``: a
+        support point on an edge is a level set of its own.  With one cell
+        ``[e, next edge)``, SM(1M, 400k) read 7.47M where the truth is 6.07M."""
+        from repro.core.bucketing import level_set_expectation
+
+        methods = (JoinMethod.NESTED_LOOP, JoinMethod.SORT_MERGE, JoinMethod.GRACE_HASH)
+        for method in methods:
+            bps = formulas.join_breakpoints(method, outer, inner)
+            dist = uniform_over(
+                [p for e in bps
+                 for p in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+            )
+
+            def fn(m):
+                return formulas.join_cost(method, outer, inner, m)
+            got = level_set_expectation(fn, dist, bps)
+            assert costs_close(got, dist.expectation(fn)), (method, got)
 
     def test_evaluation_count_is_level_sets_not_buckets(self, fine_dist):
         from repro.core.bucketing import level_set_expectation

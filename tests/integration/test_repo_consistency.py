@@ -75,6 +75,19 @@ class TestLayering:
                         offenders.append(f"{path.relative_to(REPO)}: {name}")
         assert not offenders, offenders
 
+    #: The modules of ``repro.core`` that take and give plain numbers.
+    FLOOR = ("bayesnet", "bucketing", "distributions", "floats", "markov", "parallel")
+
+    def test_the_numeric_floor_imports_no_other_repro_package(self):
+        core = REPO / "src" / "repro" / "core"
+        offenders = [
+            f"core/{module}.py: {name}"
+            for module in self.FLOOR
+            for name in _imported_modules(core / f"{module}.py", "repro.core")
+            if name.startswith("repro.") and not name.startswith("repro.core.")
+        ]
+        assert not offenders, offenders
+
 
 class TestExamples:
     def test_examples_exist_and_have_mains(self):

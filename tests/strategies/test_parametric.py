@@ -31,6 +31,20 @@ class TestParametricOptimize:
                 direct.objective
             )
 
+    def test_a_memory_on_a_breakpoint_gets_its_own_plan(self, example_query):
+        """At exactly sqrt(1M) = 1000 pages sort-merge still takes 4 passes;
+        the region [1000, next) optimized at its midpoint shipped the
+        2-pass sort-merge plan, at 1.99x the optimum."""
+        want = optimize_lsc(example_query, 1000.0).objective
+        cm = CostModel(count_evaluations=False)
+        pset = parametric_optimize(example_query, 100.0, 5000.0)
+        assert pset.n_regions == 2
+        plan = pset.plan_for(1000.0)
+        assert cm.plan_cost(plan, example_query, 1000.0) == pytest.approx(want)
+        choice = build_choice_plan(example_query, 100.0, 5000.0)
+        plan = choice.resolve(1000.0)
+        assert cm.plan_cost(plan, example_query, 1000.0) == pytest.approx(want)
+
     @pytest.mark.parametrize("space", ["left-deep", "zig-zag", "bushy"])
     def test_lookup_is_never_worse_than_lsc_on_any_space(self, space):
         # Cut at left-deep steps only, the bushy set kept one plan over
