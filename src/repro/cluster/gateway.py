@@ -477,22 +477,15 @@ class ClusterGateway:
             self.metrics.registry.counter("cluster.catalog_invalidations").increment()
         return request.cache_key(version, self._cost_model)
 
-    async def optimize(self, request: Optional[OptimizeRequest] = None,
-                       **kwargs) -> ClusterResult:
+    async def optimize(self, request: OptimizeRequest) -> ClusterResult:
         """Serve one request through the cluster.
 
-        Accepts a prepared :class:`OptimizeRequest` or its keyword
-        arguments, exactly like ``OptimizerService.submit``.  Everything
-        that can refuse a request (its name, its document, its frame)
-        runs before it is registered, and nothing before the write
+        Everything that can refuse a request (its name, its document, its
+        frame) runs before it is registered, and nothing before the write
         suspends: a hit is complete, and a miss registered, before any
         other task runs.
         """
         self._require_started()
-        if request is None:
-            request = OptimizeRequest(**kwargs)
-        elif kwargs:
-            request = replace(request, **kwargs)
         started = time.monotonic()
         key = self._key_of(request)
         self.metrics.observe_arrival()

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import fields
 from numbers import Real
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -255,11 +256,7 @@ def encode_request(request_id: int, request: OptimizeRequest,
         "query": query_to_dict(request.query) if query_doc is None else query_doc,
         "objective": request.objective,
         "memory": encode_memory(request.memory),
-        "plan_space": request.knobs()[0],
-        "allow_cross_products": request.allow_cross_products,
-        "top_k": request.top_k,
-        "max_buckets": request.max_buckets,
-        "include_mean": request.include_mean,
+        **dict(zip(OptimizeRequest.OPTIONS, request.knobs())),
     }
 
 
@@ -281,11 +278,20 @@ def join_request(head: Dict[str, Any], key: bytes) -> Dict[str, Any]:
     return {**_decode_payload(b'{"type":"optimize"' + key), **head}  # key opens with ","
 
 
+#: The objective and each option as :func:`decode_request` reads them:
+#: name, and the type of the request's default.
+_DECODED = tuple(
+    (f.name, type(f.default)) for f in fields(OptimizeRequest)
+    if f.name in ("objective", *OptimizeRequest.OPTIONS)
+)
+
+
 def decode_request(message: Dict[str, Any]) -> OptimizeRequest:
     """Inverse of :func:`encode_request`.
 
-    Only ``query`` is required; an absent optional key decodes to the
-    :class:`OptimizeRequest` default and unknown keys are ignored, so
+    Only ``query`` is required.  The objective and each option present
+    are read as the type of their :class:`OptimizeRequest` default; an
+    absent one takes that default, and unknown keys are ignored, so
     frames from older and newer gateways both decode.
     """
     try:
@@ -295,12 +301,7 @@ def decode_request(message: Dict[str, Any]) -> OptimizeRequest:
     deadline = message.get("deadline")
     return OptimizeRequest(
         query=query,
-        objective=message.get("objective", "lec"),
         memory=decode_memory(message.get("memory")),
         deadline=None if deadline is None else float(deadline),
-        plan_space=message.get("plan_space", "left-deep"),
-        allow_cross_products=bool(message.get("allow_cross_products", False)),
-        top_k=int(message.get("top_k", 1)),
-        max_buckets=int(message.get("max_buckets", 16)),
-        include_mean=bool(message.get("include_mean", True)),
+        **{name: kind(message[name]) for name, kind in _DECODED if name in message},
     )

@@ -317,7 +317,6 @@ def optimize(
     top_k: int = 1,
     max_buckets: int = 16,
     fast: bool = False,
-    include_mean: bool = True,
     context: Optional[OptimizationContext] = None,
 ) -> OptimizationResult:
     """Optimize ``query`` under the chosen costing objective.
@@ -351,8 +350,6 @@ def optimize(
     fast:
         Accepted and ignored: Algorithm D's kernel is no longer a choice.
         Kept only while the frozen benchmark harness still passes it.
-    include_mean:
-        Algorithms A/B: probe the distribution mean as an extra bucket.
     context:
         Explicit :class:`~repro.core.context.OptimizationContext` to use
         instead of the facade's cached one.  Must match the query's
@@ -391,14 +388,14 @@ def optimize(
         allow_cross_products=allow_cross_products,
         top_k=top_k,
         max_buckets=max_buckets,
-        include_mean=include_mean,
         context=ctx,
     )
 
 
-# The paper's names.  ``engine`` is any of :func:`optimize`'s keyword
-# arguments, with its defaults — except that ``context=None`` here means a
-# cold private context, not the shared one.
+# The paper's names.  ``engine`` is any of :func:`_run`'s keyword
+# arguments, with its defaults (:func:`optimize`'s but ``fast``, plus
+# ``include_mean`` for Algorithms A/B), except that ``context=None`` here
+# means a cold private context, not the shared one.
 
 
 def optimize_lsc(query: JoinQuery, memory: float, **engine) -> OptimizationResult:
@@ -433,7 +430,8 @@ def optimize_algorithm_a(
     (Section 3.7: no breakpoint between two buckets, the same costs), the
     winners scored by true expected cost (``candidates``).  It can miss the
     LEC plan: a plan optimal for no single bucket can win on average.
-    Algorithm B at ``c = 1``.
+    Algorithm B at ``c = 1``.  ``include_mean=False`` probes the buckets
+    only, the paper's black box.
     """
     return _run("algorithm_a", query, memory, **engine)
 
@@ -446,6 +444,7 @@ def optimize_algorithm_b(
     One LSC run per occupied level-set cell keeps ``c`` plans at every
     dag node (merged by Proposition 3.1), up to ``c·b`` candidates —
     enough to catch a plan second-best at every value yet best on average.
+    ``include_mean=False`` probes the buckets only, as Algorithm A's does.
     """
     return _run("algorithm_b", query, memory, top_k=c, **engine)
 

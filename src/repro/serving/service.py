@@ -17,9 +17,10 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Real
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.distributions import DiscreteDistribution
@@ -80,13 +81,16 @@ class OptimizeRequest:
     allow_cross_products: bool = False
     top_k: int = 1
     max_buckets: int = 16
-    include_mean: bool = True
     context: Optional[OptimizationContext] = field(
         default=None, compare=False, repr=False
     )
 
+    #: The options in the cache key, in :meth:`knobs` order; the wire
+    #: spells them by these names.
+    OPTIONS = ("plan_space", "allow_cross_products", "top_k", "max_buckets")
+
     def knobs(self) -> Tuple:
-        """The option tuple that participates in the cache key.
+        """The values of :attr:`OPTIONS`: the option tuple in the cache key.
 
         The plan space is normalised to its canonical key, so alias
         spellings (``"zigzag"``, ``"zig_zag"``, a :class:`PlanSpace`
@@ -97,13 +101,7 @@ class OptimizeRequest:
             space_key = _space_key(self.plan_space)
         except (ValueError, TypeError):  # TypeError: an unhashable spelling
             space_key = str(self.plan_space)
-        return (
-            space_key,
-            self.allow_cross_products,
-            self.top_k,
-            self.max_buckets,
-            self.include_mean,
-        )
+        return (space_key, *_other_options(self))
 
     def kind(self) -> str:
         """The canonical objective kind, once the request is known well-formed.
@@ -131,6 +129,9 @@ class OptimizeRequest:
         return PlanCacheKey(query_fingerprint(self.query), self.kind(),
                             model_key(cost_model), memory_key(self.memory),
                             self.knobs(), version)
+
+
+_other_options = attrgetter(*OptimizeRequest.OPTIONS[1:])  # all but the plan space
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,6 @@ class Ladder:
                 memory=request.memory,
                 top_k=request.top_k,
                 max_buckets=request.max_buckets,
-                include_mean=request.include_mean,
                 **common,
             )
         assert rung == RUNG_LSC
@@ -321,18 +321,12 @@ class OptimizerService:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serving"
         )
-        self._pending_lock = threading.Lock()
-        self._pending: "set[Future]" = set()
+        self._close_lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def pending_requests(self) -> int:
-        """Submitted requests not yet finished (queued or in flight)."""
-        with self._pending_lock:
-            return len(self._pending)
 
     @property
     def closed(self) -> bool:
@@ -350,13 +344,9 @@ class OptimizerService:
         request ran to completion.  Idempotent; :meth:`submit` after
         close raises ``RuntimeError``.
         """
-        with self._pending_lock:
+        with self._close_lock:
             self._closed = True
         self._pool.shutdown(wait=True, cancel_futures=True)
-        # Cancelled futures never ran execute; drop them from the
-        # pending set so accounting ends at zero.
-        with self._pending_lock:
-            self._pending = {f for f in self._pending if not f.cancelled()}
 
     def __enter__(self) -> "OptimizerService":
         return self
@@ -368,31 +358,12 @@ class OptimizerService:
     # Public API
     # ------------------------------------------------------------------
 
-    def submit(self, request: Optional[OptimizeRequest] = None,
-               **kwargs) -> "Future[ServingResult]":
-        """Schedule one request on the pool; returns a future.
-
-        Either pass a prepared :class:`OptimizeRequest` or the keyword
-        arguments to build one (``query=``, ``objective=``, ...).
-        """
-        if request is None:
-            request = OptimizeRequest(**kwargs)
-        elif kwargs:
-            request = replace(request, **kwargs)
-        return self._submit(request)
-
-    def _submit(self, request: OptimizeRequest) -> "Future[ServingResult]":
-        with self._pending_lock:
+    def submit(self, request: OptimizeRequest) -> "Future[ServingResult]":
+        """Schedule one request on the pool; returns a future."""
+        with self._close_lock:
             if self._closed:
                 raise RuntimeError("OptimizerService is closed")
-            future = self._pool.submit(self.execute, request)
-            self._pending.add(future)
-        future.add_done_callback(self._request_done)
-        return future
-
-    def _request_done(self, future: "Future[ServingResult]") -> None:
-        with self._pending_lock:
-            self._pending.discard(future)
+            return self._pool.submit(self.execute, request)
 
     def optimize(self, query: JoinQuery, objective: str = "lec",
                  **kwargs) -> ServingResult:
@@ -405,7 +376,7 @@ class OptimizerService:
         self, requests: Iterable[OptimizeRequest]
     ) -> List[ServingResult]:
         """Run many requests on the pool; results in request order."""
-        futures = [self._submit(r) for r in requests]
+        futures = [self.submit(r) for r in requests]
         return [f.result() for f in futures]
 
     def metrics_snapshot(self) -> Dict:

@@ -77,23 +77,23 @@ CASES = [
         "            shard.sock.sendall(frame)\n",
         id="a4",
     ),
-    # LOCK002: two locks taken in both orders — the service's pending
+    # LOCK002: two locks taken in both orders — the service's close
     # lock and its tier's lock, within one class; and across modules, the
     # tier's lock and the metrics registry's, the tier typed only through
     # a TYPE_CHECKING import and reached through a call.  The tree itself
     # takes no lock while holding another.
     pytest.param(
         "LOCK002", "serving/service.py",
-        "        with self._pending_lock:\n"
-        "            return len(self._pending)\n",
-        "        with self._pending_lock:\n"
+        "        with self._close_lock:\n"
+        "            self._closed = True\n",
+        "        with self._close_lock:\n"
         "            with self.cache._lock:\n"
-        "                return len(self._pending)\n"
+        "                self._closed = True\n"
         "\n"
-        "    def _fenced_pending(self) -> int:\n"
+        "    def _fenced_close(self) -> None:\n"
         "        with self.cache._lock:\n"
-        "            with self._pending_lock:\n"
-        "                return len(self._pending)\n",
+        "            with self._close_lock:\n"
+        "                self._closed = True\n",
         id="l1",
     ),
     pytest.param(

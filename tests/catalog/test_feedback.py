@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.catalog.feedback import SelectivityFeedback
+from repro.core.floats import COST_REL_TOL
 from repro.db import Database
 from repro.engine.executor import JoinObservation
 from repro.workloads.datagen import ColumnSpec
@@ -33,7 +34,7 @@ class TestCollector:
     def test_prior_without_history(self):
         fb = SelectivityFeedback()
         d = fb.distribution("p", 1e-4)
-        assert d.mean() == pytest.approx(1e-4, rel=1e-9)
+        assert d.mean() == pytest.approx(1e-4, rel=COST_REL_TOL)
         assert d.n_buckets > 1
 
     def test_empirical_after_enough_observations(self):

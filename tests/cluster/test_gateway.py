@@ -125,7 +125,7 @@ class TestOptimize:
                 with pytest.raises(OptimizerConfigError, match="objective"):
                     await gw.optimize(_request(objective="nonsense"))
                 with pytest.raises(OptimizerConfigError, match="memory"):
-                    await gw.optimize(query=_query(), objective="lec")
+                    await gw.optimize(OptimizeRequest(_query(), "lec"))
                 with pytest.raises(OptimizerConfigError, match="cost model"):
                     from repro.costmodel.model import CostModel
                     await gw.optimize(_request(cost_model=CostModel()))

@@ -195,7 +195,6 @@ class TestRequestDocuments:
             allow_cross_products=True,
             top_k=3,
             max_buckets=8,
-            include_mean=False,
         )
         message = encode_request(17, request)
         assert message["type"] == "optimize" and message["id"] == 17
@@ -229,18 +228,19 @@ class TestRequestDocuments:
                 ), field.name
 
     def test_unknown_keys_are_ignored(self):
-        # An old client still sends the two wall-clock knobs and the
-        # kernel choice; a newer one may send keys this worker has never
-        # heard of.
+        # An old client still sends the two wall-clock knobs, the kernel
+        # choice and the mean probe; a newer one may send keys this worker
+        # has never heard of.
         message = _over_the_wire(
             encode_request(5, OptimizeRequest(query=_query(), memory=800))
         )
         message.update(level_batching=True, parallelism="threads:4",
-                       fast=True, trace_id="abc")
+                       fast=True, include_mean=False, trace_id="abc")
         decoded = decode_request(message)
         assert decoded.memory == 800.0
         assert not hasattr(decoded, "parallelism")
         assert not hasattr(decoded, "fast")
+        assert not hasattr(decoded, "include_mean")
 
     def test_wire_values_are_coerced(self):
         message = _over_the_wire(

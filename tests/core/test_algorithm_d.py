@@ -8,6 +8,7 @@ import pytest
 from repro.core import plan_expected_cost_multiparam
 from repro.optimizer import optimize_algorithm_c, optimize_algorithm_d
 from repro.core.distributions import DiscreteDistribution, point_mass
+from repro.core.floats import COST_REL_TOL
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
 from repro.optimizer.exhaustive import exhaustive_best
 from repro.workloads.queries import (
@@ -81,8 +82,8 @@ class TestExactness:
             return plan_expected_cost_multiparam(plan, q, memory3, max_buckets=8, fast=True)
 
         truth, _ = exhaustive_best(q, fast, DEFAULT_METHODS)
-        assert fast(res.plan) == pytest.approx(res.objective, rel=1e-9)
-        assert truth.objective == pytest.approx(res.objective, rel=1e-9)
+        assert fast(res.plan) == pytest.approx(res.objective, rel=COST_REL_TOL)
+        assert truth.objective == pytest.approx(res.objective, rel=COST_REL_TOL)
 
     def test_fast_uses_fewer_formula_evaluations(self, memory3):
         rng = np.random.default_rng(6)

@@ -19,7 +19,7 @@ from repro.core.distributions import (
     discretized_lognormal,
     uniform_over,
 )
-from repro.core.floats import costs_close
+from repro.core.floats import COST_REL_TOL, costs_close
 from repro.costmodel import formulas
 from repro.costmodel.model import CostModel
 from repro.plans.properties import JoinMethod
@@ -38,7 +38,7 @@ class TestNaiveStrategies:
         for b in (1, 2, 5, 10):
             out = equal_width_buckets(fine_dist, b)
             assert out.n_buckets <= b
-            assert out.mean() == pytest.approx(fine_dist.mean(), rel=1e-9)
+            assert out.mean() == pytest.approx(fine_dist.mean(), rel=COST_REL_TOL)
 
     def test_equal_depth_balances_mass(self, fine_dist):
         out = equal_depth_buckets(fine_dist, 4)
@@ -107,7 +107,7 @@ class TestLevelSetBuckets:
 
     def test_mean_preserved(self, fine_dist):
         out = level_set_buckets(fine_dist, [500.0, 1000.0, 2000.0])
-        assert out.mean() == pytest.approx(fine_dist.mean(), rel=1e-9)
+        assert out.mean() == pytest.approx(fine_dist.mean(), rel=COST_REL_TOL)
 
 
 class TestAdaptive:
@@ -116,7 +116,7 @@ class TestAdaptive:
             return 1.0 if m > 1000 else 3.0
         out = refine_adaptive(fine_dist, [fn], 4)
         assert out.n_buckets <= 4
-        assert out.mean() == pytest.approx(fine_dist.mean(), rel=1e-9)
+        assert out.mean() == pytest.approx(fine_dist.mean(), rel=COST_REL_TOL)
 
     def test_stops_splitting_flat_regions(self, fine_dist):
         # A constant cost function gives zero spread everywhere: a single

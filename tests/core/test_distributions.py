@@ -20,7 +20,7 @@ from repro.core.distributions import (
     two_point,
     uniform_over,
 )
-from repro.core.floats import probs_close
+from repro.core.floats import COST_REL_TOL, probs_close
 
 
 # ----------------------------------------------------------------------
@@ -366,14 +366,14 @@ class TestRebucketing:
         d = from_samples(rng.uniform(0, 1000, 500), n_buckets=100)
         for b in (1, 2, 5, 17):
             c = d.rebucket(b, strategy="equidepth")
-            assert c.mean() == pytest.approx(d.mean(), rel=1e-9)
+            assert c.mean() == pytest.approx(d.mean(), rel=COST_REL_TOL)
             assert c.n_buckets <= b
 
     def test_rebucket_preserves_mean_equiwidth(self, rng):
         d = from_samples(rng.uniform(0, 1000, 500), n_buckets=100)
         for b in (1, 3, 8):
             c = d.rebucket(b, strategy="equiwidth")
-            assert c.mean() == pytest.approx(d.mean(), rel=1e-9)
+            assert c.mean() == pytest.approx(d.mean(), rel=COST_REL_TOL)
             assert c.n_buckets <= b
 
     def test_rebucket_rejects_bad_args(self, small_memory_dist):
@@ -497,7 +497,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_convolution_mean_additive(self, a, b):
         assert a.convolve(b).mean() == pytest.approx(
-            a.mean() + b.mean(), rel=1e-9
+            a.mean() + b.mean(), rel=COST_REL_TOL
         )
 
     @given(dist_strategy)

@@ -25,6 +25,7 @@ from repro.core.expected_cost import (
     expected_nested_loop_cost,
     expected_sort_merge_cost,
 )
+from repro.core.floats import COST_REL_TOL
 from repro.costmodel import formulas
 from repro.costmodel.model import CostModel
 from repro.plans.properties import JoinMethod
@@ -188,7 +189,7 @@ class TestFastEqualsNaiveProperty:
         left, right, memory = inputs
         naive = expected_join_cost_naive(_raw_cost, method, left, right, memory)
         fast = expected_join_cost_fast(method, left, right, memory)
-        assert fast == pytest.approx(naive, rel=1e-9)
+        assert fast == pytest.approx(naive, rel=COST_REL_TOL)
 
     @given(inputs=join_inputs())
     @settings(max_examples=30, deadline=None)

@@ -79,7 +79,7 @@ def assert_same_support(dist: DiscreteDistribution, expected) -> None:
     exp_v, exp_p = expected
     assert dist.n_buckets == len(exp_v)
     for got, want in zip(dist.values, exp_v):
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert got == pytest.approx(want, rel=COST_REL_TOL, abs=1e-12)
     for got, want in zip(dist.probs, exp_p):
         assert got == pytest.approx(want, abs=PROB_ABS_TOL)
 
@@ -370,7 +370,7 @@ class TestMarkovOracle:
         got = chain.marginals_many([phase])[0]
         want = ref.markov_marginal(initial, transition, phase)
         for g, w in zip(got, want):
-            assert float(g) == pytest.approx(w, rel=1e-9, abs=PROB_ABS_TOL)
+            assert float(g) == pytest.approx(w, rel=COST_REL_TOL, abs=PROB_ABS_TOL)
 
     @given(markov_chains())
     @settings(max_examples=60, deadline=None)

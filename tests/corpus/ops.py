@@ -47,8 +47,11 @@ class Op(NamedTuple):
 #: The two-bucket memory of the parity, golden and batch families.
 TWO_POINT = DiscreteDistribution([2000.0, 300.0], [0.7, 0.3])
 #: Every later family's memory; its mean (1850) is not a bucket, so
-#: Algorithms A/B probe a fourth point with ``include_mean``.
+#: Algorithms A/B probe it as a fourth point.
 MEMORY = DiscreteDistribution([400.0, 1500.0, 4000.0], [0.25, 0.5, 0.25])
+#: The probe family's other memory: its mean (1500) is a bucket, so
+#: Algorithms A/B probe the buckets only.
+MEAN_BUCKET = DiscreteDistribution([400.0, 1500.0, 2600.0], [0.25, 0.5, 0.25])
 MARKOV = sticky_chain(MEMORY, 0.8)
 
 
@@ -196,7 +199,7 @@ def _probe() -> List[Op]:
     ops = []
     grid = itertools.product((("algorithm_a", 1), ("algorithm_b", 2), ("algorithm_b", 3)),
                              (3, 4, 5, 6), (True, False))
-    for i, ((objective, c), n, include_mean) in enumerate(grid):
+    for i, ((objective, c), n, off_bucket) in enumerate(grid):
         shape = ("chain", "star", "clique")[i % 3]
         if shape == "chain":
             ordered = n % 2 == 0
@@ -204,10 +207,10 @@ def _probe() -> List[Op]:
         else:
             query = (star_query if shape == "star" else clique_query)(n, rng)
         space = spaces[(i + i // 6) % 3]  # every shape meets every space
-        mean = "mean" if include_mean else "buckets"
-        knobs = {"plan_space": space, "top_k": c, "include_mean": include_mean}
+        mean = "mean" if off_bucket else "meanbucket"
         ops.append(Op(f"probe/{shape}{n}-{objective[-1]}{c}-{space}-{mean}-{i}", query,
-                      objective, MEMORY, knobs, "probe"))
+                      objective, MEMORY if off_bucket else MEAN_BUCKET,
+                      {"plan_space": space, "top_k": c}, "probe"))
     return ops
 
 
@@ -309,7 +312,7 @@ def one_knob(op: Op, knob: str) -> Op:
     """``op`` with ``knob`` moved: ``top_k`` + 1, ``max_buckets`` halved, a
     flag flipped, an ordered ``plan_space`` swapped (an SPJU op moves ``top_k``)."""
     knobs = {"top_k": 1, "plan_space": "left-deep", "allow_cross_products": False,
-             "include_mean": True, "max_buckets": 16, **op.knobs}
+             "max_buckets": 16, **op.knobs}
     if knob == "plan_space" and knobs[knob] not in _OTHER_SPACE:
         knob = "top_k"
     value = knobs[knob]

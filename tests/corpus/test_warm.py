@@ -58,7 +58,7 @@ for _op in OPS:
         _group.append(_op)
 _GROUPS = [group for group in _by_query.values() if group]
 _KINDS = ("pages_dist", "selectivity_dist", "memory", "top_k", "plan_space",
-          "allow_cross_products", "include_mean", "max_buckets", "methods", "rebuilt")
+          "allow_cross_products", "max_buckets", "methods", "rebuilt")
 _METHODS = ((JoinMethod.NESTED_LOOP, JoinMethod.SORT_MERGE), tuple(JoinMethod))
 
 

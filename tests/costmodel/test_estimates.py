@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.distributions import two_point, uniform_over
+from repro.core.floats import COST_REL_TOL
 from repro.costmodel.estimates import (
     annotate_sizes,
     node_size,
@@ -77,7 +78,7 @@ class TestSubsetSizeDistribution:
         q = with_selectivity_uncertainty(three_way_query, 1.0, n_buckets=5)
         point = subset_size(frozenset(["R", "S"]), q).pages
         dist = subset_size_distribution(frozenset(["R", "S"]), q, max_buckets=32)
-        assert dist.mean() == pytest.approx(point, rel=1e-9)
+        assert dist.mean() == pytest.approx(point, rel=COST_REL_TOL)
 
     def test_rebucket_cap_respected(self, three_way_query):
         q = with_selectivity_uncertainty(

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.bayesnet import DiscreteBayesNet
 from repro.core.distributions import DiscreteDistribution
+from repro.core.floats import COST_REL_TOL
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
 from repro.optimizer.costers import ExpectedCoster
 from repro.optimizer.dependent import (
@@ -91,7 +92,7 @@ class TestFeatureMatrix:
             lambda p: eval_cm.plan_expected_cost(p, query, memory),
             DEFAULT_METHODS,
         )
-        assert res.objective == pytest.approx(truth.objective, rel=1e-9)
+        assert res.objective == pytest.approx(truth.objective, rel=COST_REL_TOL)
 
     @given(qmp=featureful_query())
     @settings(max_examples=30, deadline=None)
@@ -105,7 +106,7 @@ class TestFeatureMatrix:
         eval_cm = CostModel(count_evaluations=False, pipelined_methods=pipe)
         assert eval_cm.plan_expected_cost(
             res.plan, query, memory
-        ) == pytest.approx(res.objective, rel=1e-9)
+        ) == pytest.approx(res.objective, rel=COST_REL_TOL)
 
 
 class TestDependentMonteCarlo:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.optimizer import optimize_algorithm_c, optimize_lsc
 from repro.core.distributions import DiscreteDistribution
+from repro.core.floats import COST_REL_TOL
 from repro.core.markov import random_walk_chain
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
 from repro.optimizer.exhaustive import exhaustive_best
@@ -53,7 +54,7 @@ class TestTheorem21:
         truth, _ = exhaustive_best(
             q, lambda p: cm.plan_cost(p, q, m), DEFAULT_METHODS
         )
-        assert res.objective == pytest.approx(truth.objective, rel=1e-9)
+        assert res.objective == pytest.approx(truth.objective, rel=COST_REL_TOL)
 
 
 class TestTheorem33:
@@ -66,7 +67,7 @@ class TestTheorem33:
         truth, _ = exhaustive_best(
             q, lambda p: cm.plan_expected_cost(p, q, memory), DEFAULT_METHODS
         )
-        assert res.objective == pytest.approx(truth.objective, rel=1e-9)
+        assert res.objective == pytest.approx(truth.objective, rel=COST_REL_TOL)
 
 
 class TestTheorem34:
@@ -82,7 +83,7 @@ class TestTheorem34:
             lambda p: cm.plan_expected_cost_bruteforce(p, q, chain),
             DEFAULT_METHODS,
         )
-        assert res.objective == pytest.approx(truth.objective, rel=1e-9)
+        assert res.objective == pytest.approx(truth.objective, rel=COST_REL_TOL)
 
 
 class TestDominance:

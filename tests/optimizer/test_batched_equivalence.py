@@ -39,6 +39,7 @@ from repro.optimizer import optimize_algorithm_d
 from repro.core.bayesnet import DiscreteBayesNet
 from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
+from repro.core.floats import COST_REL_TOL
 from repro.core.markov import MarkovParameter
 from repro.optimizer.costers import (
     ExpectedCoster,
@@ -390,7 +391,7 @@ class TestAlgorithmDEndToEnd:
         plan = optimize_algorithm_d(query, MEMORY).plan
         naive = plan_expected_cost_multiparam(plan, query, MEMORY, fast=False)
         fast = plan_expected_cost_multiparam(plan, query, MEMORY, fast=True)
-        assert fast == pytest.approx(naive, rel=1e-9)
+        assert fast == pytest.approx(naive, rel=COST_REL_TOL)
 
     def test_whole_plan_evaluator_batching_is_deterministic(self):
         query = QUERIES[1]

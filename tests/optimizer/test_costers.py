@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.distributions import point_mass, uniform_over
 from repro.core.expected_cost import expected_join_cost_fast
+from repro.core.floats import COST_REL_TOL
 from repro.core.markov import MarkovParameter, sticky_chain
 from repro.costmodel import formulas
 from repro.costmodel.model import CostModel
@@ -148,7 +149,7 @@ class TestMultiParamCoster:
             JoinMethod.GRACE_HASH,
         ):
             assert expected_join_cost_fast(method, *sizes, bimodal_memory) == pytest.approx(
-                naive.join_step_cost(method, left, right, 0), rel=1e-9
+                naive.join_step_cost(method, left, right, 0), rel=COST_REL_TOL
             )
 
     def test_naive_eval_count_is_triple_product(self, three_way_query):

@@ -1,6 +1,6 @@
-"""Algorithms A and B's answers (``c`` 1-3, the mean probed and not): the
-``probe`` ops of the answer corpus (``tests/corpus``), checked against
-their lines under their old ids."""
+"""Algorithms A and B's answers (``c`` 1-3, on a memory whose mean is a
+bucket and on one whose mean is not): the ``probe`` ops of the answer
+corpus (``tests/corpus``), checked against their recorded lines."""
 
 import itertools
 
@@ -23,7 +23,7 @@ def test_the_mix_is_what_the_docstring_says():
     assert {(op.objective, op.knobs["top_k"]) for op in PROBE} == {
         ("algorithm_a", 1), ("algorithm_b", 2), ("algorithm_b", 3)
     }
-    assert {op.knobs["include_mean"] for op in PROBE} == {True, False}
+    assert {op.memory.mean() in op.memory.support() for op in PROBE} == {True, False}
     assert any(op.query.required_order is not None for op in PROBE)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.distributions import DiscreteDistribution
+from repro.core.floats import COST_REL_TOL
 from repro.core.markov import sticky_chain
 from repro.costmodel import CostModel, DEFAULT_METHODS
 from repro.optimizer import (
@@ -107,7 +108,7 @@ class TestAgainstExhaustive:
             DEFAULT_METHODS,
             space="spju",
         )
-        assert res.objective == pytest.approx(truth.objective, rel=1e-9)
+        assert res.objective == pytest.approx(truth.objective, rel=COST_REL_TOL)
 
 
 class TestRejections:

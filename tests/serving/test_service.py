@@ -87,7 +87,7 @@ class TestParityWithDirectOptimize:
         # A memory the objective does not take: repro.optimize's error,
         # raised before the cache is probed or written.
         with pytest.raises(MemoryTypeError, match="needs memory"):
-            service.submit(query=three_way_query, objective="lec", memory="800").result()
+            service.submit(OptimizeRequest(three_way_query, "lec", "800")).result()
         with pytest.raises(MemoryTypeError, match="needs memory"):
             service.optimize(three_way_query, "lec", memory=800.0)
         assert len(service.cache) == 0
@@ -237,8 +237,7 @@ class TestDegradationLadder:
 class TestConcurrency:
     def test_submit_returns_future(self, service, three_way_query,
                                    small_memory_dist):
-        future = service.submit(query=three_way_query, objective="lec",
-                                memory=small_memory_dist)
+        future = service.submit(OptimizeRequest(three_way_query, "lec", small_memory_dist))
         result = future.result(timeout=60)
         assert result.plan is not None
 
@@ -267,8 +266,7 @@ class TestConcurrency:
     ):
         with OptimizerService(max_workers=8) as svc:
             futures = [
-                svc.submit(query=three_way_query, objective="lec",
-                           memory=small_memory_dist)
+                svc.submit(OptimizeRequest(three_way_query, "lec", small_memory_dist))
                 for _ in range(32)
             ]
             results = [f.result(timeout=120) for f in futures]
@@ -291,32 +289,14 @@ class TestLifecycle:
         assert svc.closed
         svc.close()  # second close is a no-op, not an error
         with pytest.raises(RuntimeError, match="closed"):
-            svc.submit(query=three_way_query, objective="lec",
-                       memory=small_memory_dist)
-
-    def test_pending_accounting_drains_to_zero(
-        self, three_way_query, small_memory_dist
-    ):
-        with OptimizerService(max_workers=2) as svc:
-            futures = [
-                svc.submit(query=three_way_query, objective="lec",
-                           memory=small_memory_dist)
-                for _ in range(4)
-            ]
-            assert svc.pending_requests() <= 4
-            for f in futures:
-                f.result(timeout=120)
-        # __exit__ closed the service: everything submitted has either
-        # finished or been pruned, never leaked.
-        assert svc.pending_requests() == 0
+            svc.submit(OptimizeRequest(three_way_query, "lec", small_memory_dist))
 
     def test_close_cancels_queued_requests(self, three_way_query):
         svc = OptimizerService(max_workers=1)
         futures = [
             # Distinct memory values defeat the cache so each request
             # really occupies the single worker thread.
-            svc.submit(query=three_way_query, objective="point",
-                       memory=float(100 + i))
+            svc.submit(OptimizeRequest(three_way_query, "point", float(100 + i)))
             for i in range(16)
         ]
         svc.close()
@@ -326,7 +306,6 @@ class TestLifecycle:
         assert cancelled, "a 16-deep queue on one thread must cancel some"
         for f in finished:
             assert f.result().plan is not None
-        assert svc.pending_requests() == 0
 
     def test_cache_hit_reports_its_tier(
         self, service, three_way_query, small_memory_dist

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.distributions import DiscreteDistribution, point_mass, two_point
+from repro.core.floats import COST_REL_TOL
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
 from repro.strategies.sampling_decision import (
     evaluate_sampling,
@@ -42,7 +43,7 @@ class TestPosterior:
         for k in range(n + 1):
             post, evidence = posterior_given_outcome(sel_prior, n, k)
             acc += evidence * post.mean()
-        assert acc == pytest.approx(sel_prior.mean(), rel=1e-9)
+        assert acc == pytest.approx(sel_prior.mean(), rel=COST_REL_TOL)
 
     def test_invalid_outcome(self, sel_prior):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.floats import COST_REL_TOL
 from repro.core.markov import MarkovParameter
 from repro.costmodel.model import CostModel
 from repro.plans.query import JoinQuery
@@ -131,7 +132,7 @@ class TestUncertaintyLifting:
         for p0, p1 in zip(q.predicates, lifted.predicates):
             assert p1.selectivity_dist is not None
             assert p1.selectivity_dist.mean() == pytest.approx(
-                p0.selectivity, rel=1e-9
+                p0.selectivity, rel=COST_REL_TOL
             )
 
     def test_size_lift_mean_preserving(self, rng):
@@ -139,7 +140,7 @@ class TestUncertaintyLifting:
         lifted = with_size_uncertainty(q, 0.5, n_buckets=5)
         for r0, r1 in zip(q.relations, lifted.relations):
             assert r1.pages_dist is not None
-            assert r1.pages_dist.mean() == pytest.approx(r0.pages, rel=1e-9)
+            assert r1.pages_dist.mean() == pytest.approx(r0.pages, rel=COST_REL_TOL)
 
     def test_zero_error_is_identity(self, rng):
         q = chain_query(3, rng)
@@ -201,12 +202,12 @@ class TestUnionGenerator:
             for p0, p1 in zip(arm0.predicates, arm1.predicates):
                 assert p1.selectivity_dist is not None
                 assert p1.selectivity_dist.mean() == pytest.approx(
-                    p0.selectivity, rel=1e-9
+                    p0.selectivity, rel=COST_REL_TOL
                 )
             for r0, r1 in zip(arm0.relations, arm1.relations):
                 assert r1.pages_dist is not None
                 assert r1.pages_dist.mean() == pytest.approx(
-                    r0.pages, rel=1e-9
+                    r0.pages, rel=COST_REL_TOL
                 )
 
 
@@ -234,7 +235,7 @@ class TestScenarios:
         assert query.n_relations == 5
         # Sticky chain: marginals stationary.
         assert chain.marginal(0).mean() == pytest.approx(
-            chain.marginal(3).mean(), rel=1e-9
+            chain.marginal(3).mean(), rel=COST_REL_TOL
         )
 
 
