@@ -1,8 +1,9 @@
 """Context-cache micro-benchmark: warm vs cold multi-parameter runs.
 
 The headline claim of the OptimizationContext layer: re-optimizing a
-query whose context is already warm (sizes, size distributions, survival
-tables and step costs memoized) is at least 2x faster than a cold run —
+query whose context is already warm (sizes, size distributions, step
+costs, level columns and DP skeletons memoized) is at least 2x faster
+than a cold run —
 with bit-identical plans and costs.  Algorithm D is the stress case: it
 folds page-count distributions per subset and takes full distributional
 expectations per join step, all of which the context absorbs.

@@ -79,7 +79,6 @@ from .plans import (
     JoinMethod,
     JoinPredicate,
     JoinQuery,
-    JoinStep,
     Plan,
     PlanShapeError,
     PlanSpace,
@@ -128,7 +127,6 @@ __all__ = [
     "ZIG_ZAG",
     "BUSHY",
     "SPJU",
-    "JoinStep",
     "Project",
     "UnionNode",
     "UnionQuery",

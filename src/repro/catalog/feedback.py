@@ -92,10 +92,6 @@ class SelectivityFeedback:
             self._version += 1
         return count
 
-    def n_observations(self, label: str) -> int:
-        """Observations recorded for one predicate."""
-        return len(self._history.get(label, []))
-
     # ------------------------------------------------------------------
     # Producing distributions
     # ------------------------------------------------------------------

@@ -97,16 +97,6 @@ class Histogram:
         """Return ``(lo, hi, count)`` triples for inspection."""
         return [(b.lo, b.hi, b.count) for b in self._buckets]
 
-    @property
-    def min_value(self) -> float:
-        """Lower edge of the first bucket."""
-        return self._buckets[0].lo if self._buckets else math.nan
-
-    @property
-    def max_value(self) -> float:
-        """Upper edge of the last bucket."""
-        return self._buckets[-1].hi if self._buckets else math.nan
-
     # ------------------------------------------------------------------
     # Selectivity estimation
     # ------------------------------------------------------------------

@@ -120,13 +120,6 @@ class Table:
         """True when the table has a column of that name."""
         return any(c.name == name for c in self.columns)
 
-    def index_on(self, column: str) -> Optional[Index]:
-        """Return an index over ``column`` if one exists."""
-        for idx in self.indexes:
-            if idx.column == column:
-                return idx
-        return None
-
 
 class Catalog:
     """A named collection of tables; the optimizer's view of the database."""
@@ -157,10 +150,6 @@ class Catalog:
 
     def __len__(self) -> int:
         return len(self._tables)
-
-    def names(self) -> List[str]:
-        """Registered table names, in insertion order."""
-        return list(self._tables)
 
     def __repr__(self) -> str:
         return f"Catalog({', '.join(self._tables)})"

@@ -262,21 +262,6 @@ class DiscreteBayesNet:
             acc[v] = acc.get(v, 0.0) + prob
         return DiscreteDistribution(list(acc), list(acc.values()))
 
-    def conditional(self, name: str, given: Assignment) -> DiscreteDistribution:
-        """Distribution of ``name`` given observed values of other nodes."""
-        if name not in self._nodes:
-            raise BayesNetError(f"no node {name!r}")
-        acc: Dict[float, float] = {}
-        total = 0.0
-        for assignment, prob in self.joint():
-            if any(assignment.get(k) != float(v) for k, v in given.items()):
-                continue
-            acc[assignment[name]] = acc.get(assignment[name], 0.0) + prob
-            total += prob
-        if total <= 0.0:
-            raise BayesNetError(f"evidence {given!r} has zero probability")
-        return DiscreteDistribution(list(acc), [p / total for p in acc.values()])
-
     def condition(self, given: Assignment) -> "DiscreteBayesNet":
         """A new net representing the joint conditioned on the evidence.
 

@@ -12,14 +12,11 @@ experiment harness) repeated identical work many times over.
 It is created once per (catalog, cost-model, query) triple and threaded
 through every layer — the costers, :class:`~repro.optimizer.systemr.
 SystemRDP`, Algorithms A-D, the deferred-decision strategies, and the
-:func:`repro.optimize` facade — memoizing six layers:
+:func:`repro.optimize` facade — memoizing five layers:
 
 * **subset sizes** (``subset_size``) and **subset page-count
   distributions** (``size_distribution``), keyed by ``frozenset``
   of relation names (the distribution also by its bucket cap);
-* **survival tables** (:class:`~repro.core.expected_cost._SurvivalTable`)
-  per memory distribution, amortised across all dag nodes and all
-  optimizer invocations;
 * **scalar step costs** (materialisation writes, enforcer sorts, a
   single ``join_step_cost``) via a generic namespaced memo that costers
   key by their full parameter identity, so repeated optimizations of the
@@ -42,6 +39,9 @@ products, convolutions and rebucketings of size propagation, the
 linear-time join kernel's results and the Chen & Schneider bounds are
 computed where they are needed: measured over the answer corpus and the
 benchmark streams, memos of them hit rarely or never and saved no time.
+Survival tables need no layer: a memory distribution caches its own
+suffix sums (:meth:`~repro.core.distributions.DiscreteDistribution.sf_arrays`),
+so a second table over it costs two slices.
 
 A context is *only* valid for the exact statistics it was built from:
 :func:`query_fingerprint` captures every number the optimizer can read
@@ -158,8 +158,6 @@ class OptimizationContext:
         self._sizes = _Memo()
         #: (frozenset of names, bucket cap) -> page-count distribution
         self._size_dists = _Memo()
-        #: memory distribution -> _SurvivalTable
-        self._survival = _Memo()
         #: (coster identity, formula, operands) -> scalar step cost
         self._steps = _Memo()
         #: (coster identity, methods, phase, flags, pairs) -> cost lists
@@ -169,7 +167,6 @@ class OptimizationContext:
         self._memos: Dict[str, _Memo] = {
             "subset_sizes": self._sizes,
             "size_distributions": self._size_dists,
-            "survival_tables": self._survival,
             "step_costs": self._steps,
             "columns": self._columns,
             "skeletons": self._skeletons,
@@ -249,13 +246,10 @@ class OptimizationContext:
     # ------------------------------------------------------------------
 
     def survival_table(self, memory: DiscreteDistribution) -> _SurvivalTable:
-        """Memoized survival table for a memory distribution.
-
-        One table serves every dag node and every optimizer invocation
-        that shares this context — the amortisation the paper assumes
-        when counting the fast paths' preprocessing as O(b_M) *total*.
-        """
-        return self._survival.probe(memory, _SurvivalTable, memory)
+        """The survival table of a memory distribution (no memo: its
+        suffix sums are cached on ``memory`` itself); a method because
+        frozen ``bench/trace.py`` names it."""
+        return _SurvivalTable(memory)
 
     def batched_join_costs(
         self,

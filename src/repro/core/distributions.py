@@ -6,9 +6,9 @@ distribution partitioned into a small number of *buckets*.  Each bucket is
 represented by a single support point (its representative) carrying the
 bucket's total probability mass.  This module provides the
 :class:`DiscreteDistribution` type used throughout the library, together
-with the prefix-sum machinery (conditional expectations, tail
-probabilities) that the linear-time expected-cost algorithms of the paper
-(Sections 3.6.1-3.6.2) rely on.
+with the prefix and suffix tables (``cdf_array``,
+``weighted_prefix_array``, ``sf_arrays``) that the linear-time
+expected-cost algorithms of the paper (Sections 3.6.1-3.6.2) gather from.
 
 Design notes
 ------------
@@ -228,24 +228,6 @@ class DiscreteDistribution:
             self._tail = suffix
         return self._tail[:-1], self._tail[1:]
 
-    def cdf_many(self, xs) -> np.ndarray:
-        """Vectorized :meth:`cdf`: ``Pr(X <= x)`` for an array of ``x``."""
-        xs = np.asarray(xs, dtype=float)
-        idx = np.searchsorted(self._values, xs, side="right")
-        return np.where(idx > 0, self._cdf[np.maximum(idx - 1, 0)], 0.0)
-
-    def sf_many(self, xs) -> np.ndarray:
-        """Vectorized :meth:`sf`: ``Pr(X > x)`` for an array of ``x``."""
-        return 1.0 - self.cdf_many(xs)
-
-    def prob_of_many(self, xs) -> np.ndarray:
-        """Vectorized :meth:`prob_of`: point mass at each of ``xs``."""
-        xs = np.asarray(xs, dtype=float)
-        idx = np.searchsorted(self._values, xs)
-        safe = np.minimum(idx, self._values.size - 1)
-        hit = (idx < self._values.size) & (self._values[safe] == xs)
-        return np.where(hit, self._probs[safe], 0.0)
-
     def is_point_mass(self) -> bool:
         """True when the entire mass sits on a single value."""
         return self.n_buckets == 1
@@ -308,19 +290,6 @@ class DiscreteDistribution:
         idx = np.searchsorted(self._values, x, side="right")
         return float(self._cdf[idx - 1]) if idx > 0 else 0.0
 
-    def sf(self, x: float) -> float:
-        """Return the survival function ``Pr(X > x)``."""
-        return 1.0 - self.cdf(x)
-
-    def prob_lt(self, x: float) -> float:
-        """Return ``Pr(X < x)``."""
-        idx = np.searchsorted(self._values, x, side="left")
-        return float(self._cdf[idx - 1]) if idx > 0 else 0.0
-
-    def prob_ge(self, x: float) -> float:
-        """Return ``Pr(X >= x)``."""
-        return 1.0 - self.prob_lt(x)
-
     def quantile(self, q: float) -> float:
         """Return the smallest value ``v`` with ``Pr(X <= v) >= q``."""
         if not 0.0 <= q <= 1.0:
@@ -328,40 +297,6 @@ class DiscreteDistribution:
         idx = int(np.searchsorted(self._cdf, q - 1e-12, side="left"))
         idx = min(idx, self._values.size - 1)
         return float(self._values[idx])
-
-    def partial_expectation_le(self, x: float) -> float:
-        """Return the *unnormalised* ``E[X ; X <= x] = Σ_{v<=x} v·Pr(v)``.
-
-        This is the prefix table the paper's O(b_M + b_|A| + b_|B|)
-        algorithms maintain; dividing by :meth:`cdf` gives the conditional
-        expectation ``E[X | X <= x]``.
-        """
-        idx = np.searchsorted(self._values, x, side="right")
-        return float(self._weighted_prefix[idx - 1]) if idx > 0 else 0.0
-
-    def partial_expectation_ge(self, x: float) -> float:
-        """Return the *unnormalised* ``E[X ; X >= x] = Σ_{v>=x} v·Pr(v)``."""
-        # partial_expectation_le includes the mass exactly at x, so add it
-        # back after subtracting the prefix.
-        return (
-            self.expectation()
-            - self.partial_expectation_le(x)
-            + x * self.prob_of(x)
-        )
-
-    def conditional_expectation_le(self, x: float) -> float:
-        """Return ``E[X | X <= x]``; raises if ``Pr(X <= x) == 0``."""
-        p = self.cdf(x)
-        if p <= 0.0:
-            raise ValueError(f"conditioning event X <= {x} has probability 0")
-        return self.partial_expectation_le(x) / p
-
-    def conditional_expectation_ge(self, x: float) -> float:
-        """Return ``E[X | X >= x]``; raises if ``Pr(X >= x) == 0``."""
-        p = self.prob_ge(x)
-        if p <= 0.0:
-            raise ValueError(f"conditioning event X >= {x} has probability 0")
-        return self.partial_expectation_ge(x) / p
 
     # ------------------------------------------------------------------
     # Transformations

@@ -44,7 +44,6 @@ from .distributions import DiscreteDistribution
 __all__ = [
     "expected_join_cost_naive",
     "expected_join_cost_naive_model",
-    "expected_join_costs_naive_model_many",
     "expected_sort_merge_cost",
     "expected_nested_loop_cost",
     "expected_grace_hash_cost",
@@ -102,8 +101,7 @@ def expected_join_cost_naive_model(
     and accumulates left to right (the last entry of an ``np.cumsum``),
     so the value and the model's ``eval_count`` accounting are identical
     to the scalar loop over ``cost_model.join_cost`` — just computed as
-    one array op.  The per-pair reference of
-    :func:`expected_join_costs_naive_model_many`.
+    one array op.  The per-pair reference of :meth:`NaiveGrid.costs`.
     """
     lv, lp = left.values, left.probs
     rv, rp = right.values, right.probs
@@ -154,17 +152,6 @@ class NaiveGrid:
         return _row_sums(terms).tolist()
 
 
-def expected_join_costs_naive_model_many(
-    cost_model,
-    method: JoinMethod,
-    pairs: Sequence[Tuple[DiscreteDistribution, DiscreteDistribution]],
-    memory: DiscreteDistribution,
-) -> List[float]:
-    """:func:`expected_join_cost_naive_model` of every ``(left, right)``
-    in ``pairs``, bit for bit (and in ``eval_count``): a :class:`NaiveGrid`."""
-    return NaiveGrid(pairs, memory).costs(cost_model, method) if pairs else []
-
-
 # ----------------------------------------------------------------------
 # Shared machinery: survival-function lookups and prefix tables
 # ----------------------------------------------------------------------
@@ -173,11 +160,11 @@ def expected_join_costs_naive_model_many(
 class _SurvivalTable:
     """O(b_M) preprocessing for O(log b_M) ``Pr(M > x)`` / ``Pr(M >= x)``.
 
-    The paper amortises this table across all dag nodes; callers can build
-    it once per memory distribution and reuse it.  The suffix sums
-    themselves are cached on the memory distribution instance
+    The paper amortises this table across all dag nodes.  Here the
+    amortisation lives on the memory distribution: its suffix sums are
+    computed once per instance
     (:meth:`~repro.core.distributions.DiscreteDistribution.sf_arrays`),
-    so building a second table over the same distribution is free.
+    so a table is two slices of them and nothing memoizes the table.
     """
 
     __slots__ = ("values", "tail_excl", "tail_incl")

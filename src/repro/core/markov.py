@@ -19,9 +19,9 @@ algorithms need:
   sequences with their probabilities, used by the tests and experiments to
   verify the marginal-based computation against brute force.
 
-Both views are array programs: ``marginals_many`` returns a whole stack
-of phase marginals at once (one matrix multiply per *new* phase, cached
-across calls), and ``sequence_table`` materializes the brute-force
+Both views are array programs: ``marginal`` costs one matrix multiply
+per *new* phase (the vectors are cached across calls), and
+``sequence_table`` materializes the brute-force
 enumeration as two arrays built from a row-major index grid — the same
 left-to-right per-step multiplies as the scalar walk, so probabilities
 match the historical generator bit for bit (multiplying an exact ``0.0``
@@ -113,45 +113,6 @@ class MarkovParameter:
                 self.states, self._marginal_vector(phase)
             )
         return dist
-
-    def marginal_matrix(self, n_phases: int) -> np.ndarray:
-        """Phase marginals ``0..n_phases-1`` stacked as a matrix.
-
-        Row ``k`` is exactly ``_marginal_vector(k)`` (the same cached
-        ``@ transition`` recurrence), so batch consumers see the very
-        floats the per-phase path produces.
-        """
-        if n_phases < 1:
-            raise ValueError("n_phases must be >= 1")
-        self._marginal_vector(n_phases - 1)
-        return np.vstack(self._marginal_cache[:n_phases])
-
-    def marginals_many(self, phases: Sequence[int]) -> np.ndarray:
-        """Marginal probability vectors for a batch of phases, stacked.
-
-        ``out[i]`` equals ``_marginal_vector(phases[i])`` — one cache
-        fill up to ``max(phases)``, then a fancy-index gather.
-        """
-        idx = np.asarray(phases, dtype=int)
-        if idx.ndim != 1:
-            raise ValueError("phases must be a 1-d sequence")
-        if idx.size == 0:
-            return np.empty((0, self.n_states))
-        if np.any(idx < 0):
-            raise ValueError("phase must be >= 0")
-        matrix = self.marginal_matrix(int(idx.max()) + 1)
-        return matrix[idx]
-
-    def stationary(self, tol: float = 1e-12, max_iter: int = 100000) -> DiscreteDistribution:
-        """Stationary distribution via power iteration."""
-        vec = self.initial.copy()
-        for _ in range(max_iter):
-            nxt = vec @ self.transition
-            if np.max(np.abs(nxt - vec)) < tol:
-                vec = nxt
-                break
-            vec = nxt
-        return DiscreteDistribution(self.states, vec / vec.sum())
 
     # ------------------------------------------------------------------
 

@@ -106,10 +106,6 @@ class CostModel:
         """The methods whose outer input streams from its producer (read-only)."""
         return self._pipelined
 
-    def reset_counters(self) -> None:
-        """Zero the formula-evaluation counter."""
-        self.eval_count = 0
-
     # ------------------------------------------------------------------
     # Primitive costs
     # ------------------------------------------------------------------

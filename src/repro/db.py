@@ -144,10 +144,6 @@ class Database:
         )
         return gt.table
 
-    def table_names(self) -> List[str]:
-        """Names of all loaded tables."""
-        return self.catalog.names()
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -90,23 +90,11 @@ class BufferPool:
             raise KeyError(f"page {key} not resident; read it first")
         self._pinned.add(key)
 
-    def unpin_all(self, file_name: Optional[str] = None) -> None:
-        """Release pins (for one file, or all)."""
-        if file_name is None:
-            self._pinned.clear()
-        else:
-            self._pinned = {k for k in self._pinned if k[0] != file_name}
-
     def evict_file(self, file_name: str) -> None:
         """Drop all of a file's pages from the pool (temp cleanup)."""
         self._pinned = {k for k in self._pinned if k[0] != file_name}
         for key in [k for k in self._resident if k[0] == file_name]:
             del self._resident[key]
-
-    @property
-    def resident_count(self) -> int:
-        """Pages currently cached."""
-        return len(self._resident)
 
     # ------------------------------------------------------------------
 

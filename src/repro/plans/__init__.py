@@ -2,7 +2,6 @@
 
 from .nodes import (
     Join,
-    JoinStep,
     Plan,
     PlanNode,
     PlanShapeError,
@@ -26,7 +25,6 @@ __all__ = [
     "Sort",
     "Project",
     "UnionNode",
-    "JoinStep",
     "left_deep_plan",
     "JoinMethod",
     "AccessPath",

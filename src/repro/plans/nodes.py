@@ -30,7 +30,6 @@ __all__ = [
     "Union",
     "UnionNode",
     "PlanNode",
-    "JoinStep",
     "Plan",
     "left_deep_plan",
 ]
@@ -232,26 +231,6 @@ UnionNode = Union
 PlanNode = typing.Union[Scan, Join, Sort, Project, Union]
 
 
-@dataclass(frozen=True)
-class JoinStep:
-    """One join of a plan in execution (bottom-up) order.
-
-    The shape-agnostic replacement for ``Plan.join_order()``: a left-deep
-    plan's steps have singleton ``right_relations``, a bushy plan's may
-    not, but every consumer can iterate steps without assuming either.
-    """
-
-    index: int
-    join: Join
-    left_relations: FrozenSet[str]
-    right_relations: FrozenSet[str]
-
-    @property
-    def relations(self) -> FrozenSet[str]:
-        """All base relations joined by this step."""
-        return self.left_relations | self.right_relations
-
-
 class Plan:
     """A rooted plan tree plus the derived views the optimizer uses."""
 
@@ -280,30 +259,9 @@ class Plan:
             self._joins = [n for n in self.nodes() if isinstance(n, Join)]
         return self._joins
 
-    def join_steps(self) -> List[JoinStep]:
-        """Shape-agnostic join traversal: one :class:`JoinStep` per join.
-
-        This is the general replacement for :meth:`join_order` — it works
-        for left-deep, zig-zag, bushy and union plans alike, exposing each
-        join's input relation sets instead of assuming a single spine.
-        """
-        return [
-            JoinStep(
-                index=i,
-                join=j,
-                left_relations=j.left.relations(),
-                right_relations=j.right.relations(),
-            )
-            for i, j in enumerate(self.joins())
-        ]
-
     def scans(self) -> List[Scan]:
         """Leaf scans in post-order."""
         return [n for n in self.nodes() if isinstance(n, Scan)]
-
-    def sorts(self) -> List[Sort]:
-        """Enforcer sorts in post-order."""
-        return [n for n in self.nodes() if isinstance(n, Sort)]
 
     @property
     def n_joins(self) -> int:
@@ -341,18 +299,12 @@ class Plan:
 
         The first element is the leftmost (bottom) relation.  Raises
         :class:`PlanShapeError` on bushy or union plans — use
-        :meth:`join_steps` for a shape-agnostic traversal.
+        :meth:`joins` for a shape-agnostic traversal.
         """
         if any(isinstance(n, Union) for n in self.nodes()):
-            raise PlanShapeError(
-                "join_order() is not defined for union plans; "
-                "use join_steps() instead"
-            )
+            raise PlanShapeError("join_order() is not defined for union plans")
         if not self.is_left_deep():
-            raise PlanShapeError(
-                "join_order() is only defined for left-deep plans; "
-                "use join_steps() instead"
-            )
+            raise PlanShapeError("join_order() is only defined for left-deep plans")
         joins = self.joins()
         if not joins:
             only = self.scans()
@@ -366,22 +318,6 @@ class Plan:
             assert isinstance(right, Scan)
             order.append(right.table)
         return order
-
-    def phase_of(self, node: PlanNode) -> int:
-        """Execution phase a node's work is charged to.
-
-        Joins get their own phase; scans and sorts are charged to the
-        phase of the nearest enclosing join (the root sort rides with the
-        final join's phase), matching the paper's join-per-phase model.
-        """
-        joins = self.joins()
-        if isinstance(node, Join):
-            return joins.index(node)
-        # Attribute to the first join at-or-above the node, else phase 0.
-        for i, join in enumerate(joins):
-            if node in set(_postorder(join)):
-                return i
-        return max(0, len(joins) - 1)
 
     # ------------------------------------------------------------------
     # Identity / presentation

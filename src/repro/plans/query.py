@@ -141,10 +141,6 @@ class JoinPredicate:
         """Sort-order label an SM join over this predicate produces."""
         return self.equiv_class if self.equiv_class is not None else self.label  # type: ignore[return-value]
 
-    def connects(self, a: str, b: str) -> bool:
-        """True when this predicate links relations ``a`` and ``b``."""
-        return {self.left, self.right} == {a, b}
-
     def touches(self, rels: FrozenSet[str]) -> bool:
         """True when both endpoints lie inside ``rels``."""
         return self.left in rels and self.right in rels

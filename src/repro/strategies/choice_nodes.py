@@ -64,11 +64,6 @@ class ChoicePlan:
                 break
         return self.alternatives[idx]
 
-    @property
-    def n_alternatives(self) -> int:
-        """Number of alternative complete plans."""
-        return len(self.alternatives)
-
     def stored_nodes(self) -> int:
         """Plan-tree nodes stored, counting shared subtrees once."""
         unique = set()

@@ -43,15 +43,6 @@ class PlanDiagram:
     grid: List[List[str]] = field(default_factory=list)
     legend: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def n_plans(self) -> int:
-        """Number of distinct optimal plans over the sampled grid."""
-        return len(self.legend)
-
-    def letter_at(self, col: int, row: int = 0) -> str:
-        """Plan letter at a grid cell."""
-        return self.grid[row][col]
-
     def render(self) -> str:
         """Multi-line ASCII rendering with axes and legend."""
         lines: List[str] = []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.catalog.feedback import SelectivityFeedback
@@ -53,7 +52,6 @@ class TestCollector:
     def test_empty_results_recorded_as_tiny(self):
         fb = SelectivityFeedback(min_observations=1)
         fb.record([JoinObservation("p", 100, 100, 0)])
-        assert fb.n_observations("p") == 1
         assert fb.distribution("p", 0.5).mean() < 1e-6
 
     def test_validation(self):

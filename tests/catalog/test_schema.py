@@ -60,12 +60,6 @@ class TestTable:
         with pytest.raises(SchemaError):
             t.column("nope")
 
-    def test_index_lookup(self):
-        idx = Index(table="emp", column="dept")
-        t = self._table(indexes=[idx])
-        assert t.index_on("dept") is idx
-        assert t.index_on("id") is None
-
     def test_rejects_duplicate_columns(self):
         with pytest.raises(SchemaError):
             self._table(columns=[Column("id"), Column("id")])
@@ -94,7 +88,7 @@ class TestCatalog:
         assert cat.table("a") is t
         assert "a" in cat
         assert len(cat) == 1
-        assert cat.names() == ["a"]
+        assert [t.name for t in cat] == ["a"]
 
     def test_duplicate_rejected(self):
         t = Table("a", [Column("x")], n_rows=10)

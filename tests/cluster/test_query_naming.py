@@ -298,7 +298,7 @@ class TestRoutesArePinned:
          "db013ce165ea0b51b7190178ae24625cc87570b8"),
         (_pinned_union, "spju", "73f88ff708513d328cdaab136ebb3d98310fc35d",
          "229fdf357453ba1ae102fd8d1230c21f97958469"),
-    ])
+    ], ids=["join-zigzag", "union-spju"])
     def test_digests(self, make, space, fingerprint, key):
         query = make()
         for _ in range(2):  # computed, then kept

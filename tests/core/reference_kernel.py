@@ -23,7 +23,6 @@ All functions work on parallel ``(values, probs)`` lists of floats with
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 Support = Tuple[List[float], List[float]]
@@ -206,7 +205,7 @@ def markov_marginal(
 ) -> List[float]:
     """Phase-``phase`` marginal ``m_0 · T^phase`` as plain loops.
 
-    The oracle for ``MarkovParameter.marginal`` / ``marginals_many``:
+    The oracle for ``MarkovParameter.marginal``:
     one vector-matrix product per phase, each entry a left-to-right sum
     over the source states.
     """

@@ -174,19 +174,6 @@ class TestCdf:
     def test_cdf_below_support(self, small_memory_dist):
         assert small_memory_dist.cdf(100.0) == 0.0
 
-    def test_sf_complements_cdf(self, small_memory_dist):
-        for x in (0.0, 300.0, 900.0, 10000.0):
-            assert small_memory_dist.sf(x) == pytest.approx(
-                1.0 - small_memory_dist.cdf(x)
-            )
-
-    def test_prob_lt_strict(self, small_memory_dist):
-        assert small_memory_dist.prob_lt(800.0) == pytest.approx(0.2)
-        assert small_memory_dist.cdf(800.0) == pytest.approx(0.5)
-
-    def test_prob_ge(self, small_memory_dist):
-        assert small_memory_dist.prob_ge(800.0) == pytest.approx(0.8)
-
     def test_quantile_basics(self, small_memory_dist):
         assert small_memory_dist.quantile(0.0) == 300.0
         assert small_memory_dist.quantile(0.2) == 300.0
@@ -196,37 +183,6 @@ class TestCdf:
     def test_quantile_out_of_range(self, small_memory_dist):
         with pytest.raises(ValueError):
             small_memory_dist.quantile(1.5)
-
-    def test_partial_expectation_le(self, small_memory_dist):
-        # E[X; X <= 800] = 300*0.2 + 800*0.3
-        assert small_memory_dist.partial_expectation_le(800.0) == pytest.approx(
-            300 * 0.2 + 800 * 0.3
-        )
-
-    def test_partial_expectation_ge(self, small_memory_dist):
-        # E[X; X >= 800] = 800*0.3 + 2000*0.3 + 5000*0.2
-        assert small_memory_dist.partial_expectation_ge(800.0) == pytest.approx(
-            800 * 0.3 + 2000 * 0.3 + 5000 * 0.2
-        )
-
-    def test_partials_sum_to_expectation(self, small_memory_dist):
-        x = 800.0
-        le = small_memory_dist.partial_expectation_le(x)
-        ge = small_memory_dist.partial_expectation_ge(x)
-        at = x * small_memory_dist.prob_of(x)
-        assert le + ge - at == pytest.approx(small_memory_dist.mean())
-
-    def test_conditional_expectations(self, small_memory_dist):
-        le = small_memory_dist.conditional_expectation_le(800.0)
-        assert le == pytest.approx((300 * 0.2 + 800 * 0.3) / 0.5)
-        ge = small_memory_dist.conditional_expectation_ge(2000.0)
-        assert ge == pytest.approx((2000 * 0.3 + 5000 * 0.2) / 0.5)
-
-    def test_conditional_on_null_event_raises(self, small_memory_dist):
-        with pytest.raises(ValueError):
-            small_memory_dist.conditional_expectation_le(10.0)
-        with pytest.raises(ValueError):
-            small_memory_dist.conditional_expectation_ge(1e9)
 
 
 class TestPointQueries:
@@ -260,26 +216,6 @@ class TestPointQueries:
 
     def test_cdf_above_support(self, small_memory_dist):
         assert probs_close(small_memory_dist.cdf(1e9), 1.0)
-
-    def test_many_variants_on_empty_query(self, small_memory_dist):
-        assert small_memory_dist.cdf_many([]).shape == (0,)
-        assert small_memory_dist.sf_many([]).shape == (0,)
-        assert small_memory_dist.prob_of_many([]).shape == (0,)
-
-    def test_many_variants_match_scalars(self, small_memory_dist):
-        xs = [1.0, 300.0, 550.0, 800.0, 2500.0, 5000.0, 1e9]
-        np.testing.assert_array_equal(
-            small_memory_dist.cdf_many(xs),
-            [small_memory_dist.cdf(x) for x in xs],
-        )
-        np.testing.assert_array_equal(
-            small_memory_dist.sf_many(xs),
-            [small_memory_dist.sf(x) for x in xs],
-        )
-        np.testing.assert_array_equal(
-            small_memory_dist.prob_of_many(xs),
-            [small_memory_dist.prob_of(x) for x in xs],
-        )
 
     def test_sf_arrays_cached_and_frozen(self, small_memory_dist):
         incl, excl = small_memory_dist.sf_arrays()

@@ -15,13 +15,13 @@ from repro.core.distributions import (
 )
 from repro.core.expected_cost import (
     FAST_METHODS,
+    NaiveGrid,
     _SurvivalTable,
     expected_external_sort_cost,
     expected_grace_hash_cost,
     expected_join_cost_fast,
     expected_join_cost_naive,
     expected_join_cost_naive_model,
-    expected_join_costs_naive_model_many,
     expected_nested_loop_cost,
     expected_sort_merge_cost,
 )
@@ -218,9 +218,9 @@ def _all_methods_model() -> CostModel:
 
 @st.composite
 def ragged_batches(draw):
-    """``(pairs, memory)``: supports of 1-16 buckets drawn from a pool of
-    six, so one distribution object sits on both sides and in several
-    pairs."""
+    """``(pairs, memory)``: 1-12 pairs (a DP column holds at least one)
+    of supports of 1-16 buckets drawn from a pool of six, so one
+    distribution object sits on both sides and in several pairs."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     pool = [
         _dist(int(rng.integers(1e9)), int(rng.integers(1, 17)), 1.0, 1e6)
@@ -228,7 +228,7 @@ def ragged_batches(draw):
     ]
     memory = _dist(int(rng.integers(1e9)), int(rng.integers(1, 6)), 3.0, 2e3)
     picks = draw(
-        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12)
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=12)
     )
     return [(pool[i], pool[j]) for i, j in picks], memory
 
@@ -242,8 +242,9 @@ class TestBatchedNaiveEqualsPerPair:
     def test_same_floats_same_eval_count(self, make_model, batch):
         pairs, memory = batch
         batched, per_pair = make_model(), make_model()
+        grid = NaiveGrid(pairs, memory)
         for method in batched.methods:
-            got = expected_join_costs_naive_model_many(batched, method, pairs, memory)
+            got = grid.costs(batched, method)
             want = [
                 expected_join_cost_naive_model(per_pair, method, left, right, memory)
                 for left, right in pairs
@@ -256,23 +257,13 @@ class TestBatchedNaiveEqualsPerPair:
         extra = set(_all_methods_model().methods) - set(CostModel().methods)
         assert {JoinMethod.BLOCK_NESTED_LOOP, JoinMethod.HYBRID_HASH} <= extra
 
-    def test_empty_batch_evaluates_nothing(self, small_memory_dist):
-        model = CostModel()
-        for method in model.methods:
-            assert expected_join_costs_naive_model_many(
-                model, method, [], small_memory_dist
-            ) == []
-        assert model.eval_count == 0
-
     def test_single_pair_and_one_object_everywhere(self, small_memory_dist):
         d = _dist(5, 16, 1.0, 1e6)
         point = point_mass(40.0)
         for pairs in ([(d, d)], [(d, d)] * 3 + [(point, d), (d, point), (point, point)]):
             batched, per_pair = CostModel(), CostModel()
             for method in batched.methods:
-                assert expected_join_costs_naive_model_many(
-                    batched, method, pairs, small_memory_dist
-                ) == [
+                assert NaiveGrid(pairs, small_memory_dist).costs(batched, method) == [
                     expected_join_cost_naive_model(
                         per_pair, method, left, right, small_memory_dist
                     )

@@ -200,5 +200,16 @@ def test_the_recorder_refuses_a_moved_answer_and_writes_a_moved_counter(tmp_path
     assert_recorder_refuses(OPS[0], "objective", tmp_path / ANSWERS.name)
 
 
+def test_every_memo_layer_is_probed_by_the_corpus():
+    # A memo stays only where a measured run reads it: every layer a
+    # context reports is looked up somewhere in the corpus's cold runs.
+    layers = OptimizationContext(OPS[0].query).stats()
+    probes = {
+        name: sum(sum(line.get(name, (0, 0))) for line in _recorded().values())
+        for name in layers
+    }
+    assert all(probes.values()), f"never probed: {[n for n, p in probes.items() if not p]}"
+
+
 if __name__ == "__main__":
     sys.exit(record())

@@ -195,12 +195,6 @@ class TestInstrumentation:
         cm.join_cost(JoinMethod.SORT_MERGE, 10.0, 10.0, 100.0)
         assert cm.eval_count == 0
 
-    def test_reset(self):
-        cm = CostModel()
-        cm.join_cost(JoinMethod.SORT_MERGE, 10.0, 10.0, 100.0)
-        cm.reset_counters()
-        assert cm.eval_count == 0
-
     def test_requires_methods(self):
         with pytest.raises(ValueError):
             CostModel(methods=())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.costmodel.model import CostModel
 from repro.plans.nodes import Join, Plan, Scan, Sort, left_deep_plan
 from repro.plans.properties import AccessPath, JoinMethod
 
@@ -36,7 +37,7 @@ class TestTraversal:
 
     def test_scans_and_sorts(self, deep_plan):
         assert [s.table for s in deep_plan.scans()] == ["R", "S", "T"]
-        assert len(deep_plan.sorts()) == 1
+        assert sum(isinstance(n, Sort) for n in deep_plan.nodes()) == 1
 
     def test_relations(self, deep_plan):
         assert deep_plan.relations() == frozenset({"R", "S", "T"})
@@ -80,13 +81,19 @@ class TestShape:
     def test_join_order_single_relation(self):
         assert Plan(Scan("X")).join_order() == ["X"]
 
-    def test_phase_of_join(self, deep_plan):
+    # The phase rule lives in ``CostModel.node_terms``: a join gets its
+    # own phase, other nodes the nearest enclosing join's.
+    def test_phase_of_join(self, deep_plan, three_way_query):
+        terms = CostModel().node_terms(deep_plan, three_way_query)
+        phases = {id(t.node): t.phase for t in terms}
         joins = deep_plan.joins()
-        assert deep_plan.phase_of(joins[0]) == 0
-        assert deep_plan.phase_of(joins[1]) == 1
+        assert phases[id(joins[0])] == 0
+        assert phases[id(joins[1])] == 1
 
-    def test_phase_of_root_sort_is_last(self, deep_plan):
-        assert deep_plan.phase_of(deep_plan.root) == 1
+    def test_phase_of_root_sort_is_last(self, deep_plan, three_way_query):
+        terms = CostModel().node_terms(deep_plan, three_way_query)
+        assert terms[-1].node is deep_plan.root
+        assert terms[-1].phase == 1
 
 
 class TestIdentity:

@@ -62,11 +62,6 @@ class TestJoinPredicate:
         p = JoinPredicate("B", "A", selectivity=0.1)
         assert p.label == "A=B"
 
-    def test_connects(self):
-        p = JoinPredicate("A", "B", selectivity=0.1)
-        assert p.connects("B", "A")
-        assert not p.connects("A", "C")
-
     def test_selectivity_distribution_default(self):
         p = JoinPredicate("A", "B", selectivity=0.25)
         assert p.selectivity_distribution().mean() == pytest.approx(0.25)

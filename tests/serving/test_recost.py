@@ -20,16 +20,12 @@ from hypothesis import strategies as st
 
 from repro import CostModel, exhaustive_best, plan_expected_cost_multiparam
 from repro.core.distributions import DiscreteDistribution
+from repro.core.floats import costs_close
 from repro.serving.service import RUNG_FULL, OptimizerService
 from repro.tools.serialize import plan_to_dict
 from repro.workloads.queries import random_query, with_selectivity_uncertainty
 
 MEMORY = DiscreteDistribution([400.0, 1500.0, 4000.0], [0.25, 0.5, 0.25])
-REL_TOL = 1e-6
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= REL_TOL * max(abs(a), abs(b), 1.0)
 
 
 def _query(shape: str, n: int, seed: int):
@@ -64,7 +60,7 @@ def test_full_rung_plan_recosts_to_served_objective(objective, shape, n, seed):
         served = service.optimize(query, objective, memory=MEMORY)
     assert served.rung == RUNG_FULL and not served.cache_hit
     again = _recost(objective, served.plan, query, CostModel())
-    assert _close(again, served.objective_value), (again, served.objective_value)
+    assert costs_close(again, served.objective_value), (again, served.objective_value)
 
 
 @settings(max_examples=12)
@@ -81,7 +77,7 @@ def test_small_queries_are_served_the_exhaustive_optimum(objective, shape, n,
     best, _ = exhaustive_best(
         query, lambda plan: _recost(objective, plan, query, cm), cm.methods
     )
-    assert _close(best.objective, served.objective_value), (
+    assert costs_close(best.objective, served.objective_value), (
         best.objective, served.objective_value,
     )
 

@@ -126,7 +126,7 @@ class TestPrecomputedLEC:
 class TestChoicePlan:
     def test_build_and_resolve(self, example_query):
         cp = build_choice_plan(example_query, 100.0, 5000.0)
-        assert cp.n_alternatives == 2
+        assert len(cp.alternatives) == 2
         assert "GH" in cp.resolve(700.0).signature()
         assert "SM" in cp.resolve(2000.0).signature()
 

@@ -38,7 +38,7 @@ ON = {
 
 class TestDataDefinition:
     def test_tables_registered(self, db):
-        assert set(db.table_names()) == {"dept", "emp", "region"}
+        assert {t.name for t in db.catalog} == {"dept", "emp", "region"}
 
     def test_catalog_sizes(self, db):
         assert db.catalog.table("emp").n_rows == 1500

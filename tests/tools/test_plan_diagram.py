@@ -15,7 +15,7 @@ from repro.tools.plan_diagram import (
 class TestMemoryDiagram:
     def test_example_1_1_boundary_at_1000(self, example_query):
         d = memory_plan_diagram(example_query, 100.0, 10_000.0, width=80)
-        assert d.n_plans == 2
+        assert len(d.legend) == 2
         cells = d.grid[0]
         boundaries = [x for x, a, b in zip(d.x_values[1:], cells, cells[1:]) if a != b]
         assert len(boundaries) == 1
@@ -30,8 +30,8 @@ class TestMemoryDiagram:
 
     def test_low_memory_region_is_hash(self, example_query):
         d = memory_plan_diagram(example_query, 100.0, 10_000.0, width=30)
-        assert "GH" in d.legend[d.letter_at(0)]
-        assert "SM" in d.legend[d.letter_at(len(d.x_values) - 1)]
+        assert "GH" in d.legend[d.grid[0][0]]
+        assert "SM" in d.legend[d.grid[0][-1]]
 
     def test_render_contains_axes_and_legend(self, example_query):
         d = memory_plan_diagram(example_query, 100.0, 10_000.0, width=30)
@@ -76,7 +76,7 @@ class TestSelectivityDiagram:
         )
         assert len(d.grid) == 6
         assert all(len(row) == 20 for row in d.grid)
-        assert d.n_plans >= 2
+        assert len(d.legend) >= 2
 
     def test_unknown_predicate(self, three_way):
         with pytest.raises(ValueError):
@@ -105,17 +105,16 @@ class TestSelectivityDiagram:
         )
         for row in range(len(d.y_values)):
             cells = d.grid[row]
-            # Every cell reads back through ``letter_at`` and names a plan
-            # of the legend, on either side of each plan change.
-            assert [d.letter_at(col, row=row) for col in range(len(cells))] == cells
+            # Every cell names a plan of the legend, on either side of
+            # each plan change.
+            assert len(cells) == len(d.x_values)
             assert set(cells) <= set(d.legend)
 
     def test_n_plans_counts_legend(self, three_way):
         d = memory_selectivity_diagram(
             three_way, "R=S", 50.0, 50_000.0, 1e-9, 1e-5, width=16, height=6
         )
-        assert d.n_plans == len(d.legend)
-        assert d.n_plans == len({c for row in d.grid for c in row})
+        assert set(d.legend) == {c for row in d.grid for c in row}
 
 
 class TestDiagramDataclass:
