@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.optimizer import optimize_algorithm_d
-from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
+from repro.costmodel.context import OptimizationContext
 from repro.costmodel.model import CostModel
 from repro.workloads.queries import star_query, with_selectivity_uncertainty
 

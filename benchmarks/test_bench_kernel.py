@@ -27,9 +27,9 @@ import numpy as np
 import pytest
 
 from repro.optimizer import optimize_algorithm_d
-from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
-from repro.core.expected_cost import FAST_METHODS, expected_join_costs_batched
+from repro.costmodel.context import OptimizationContext
+from repro.costmodel.expected_cost import FAST_METHODS, expected_join_costs_batched
 from repro.costmodel.model import CostModel
 from repro.workloads.queries import (
     chain_query,

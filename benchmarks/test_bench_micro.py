@@ -12,7 +12,7 @@ import pytest
 
 from repro.optimizer import optimize_algorithm_c, optimize_lsc
 from repro.core.distributions import DiscreteDistribution
-from repro.core.expected_cost import (
+from repro.costmodel.expected_cost import (
     expected_join_cost_fast,
     expected_join_cost_naive,
 )

@@ -24,33 +24,35 @@ Quickstart::
     lec = optimize(query, "lec", memory=memory)    # least expected cost
     lsc = optimize(query, "point", memory=memory)  # classical baseline
 
-Both calls share one memoized :class:`~repro.core.context.
+Both calls share one memoized :class:`~repro.costmodel.context.
 OptimizationContext`; see :func:`repro.optimize` for every objective.
 """
 
 from .core import (
-    CacheStats,
     DiscreteDistribution,
-    ExpectedCost,
-    ExponentialUtility,
     MarkovParameter,
-    MeanVariance,
-    QuantileCost,
-    WorstCase,
-    choose_by_utility,
     discretized_lognormal,
     discretized_normal,
     from_samples,
-    OptimizationContext,
-    plan_cost_distribution,
-    plan_expected_cost_multiparam,
     point_mass,
     random_walk_chain,
     sticky_chain,
     two_point,
     uniform_over,
 )
-from .costmodel import CostModel
+from .costmodel import (
+    CacheStats,
+    CostModel,
+    ExpectedCost,
+    ExponentialUtility,
+    MeanVariance,
+    OptimizationContext,
+    QuantileCost,
+    WorstCase,
+    choose_by_utility,
+    plan_cost_distribution,
+    plan_expected_cost_multiparam,
+)
 from .db import Database, QueryResult
 from .optimizer import (
     OptimizationResult,

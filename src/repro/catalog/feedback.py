@@ -16,15 +16,13 @@ catalog estimate is blended in, shrinking as evidence arrives.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
 from typing import Dict, Iterable, List
 
 import numpy as np
 
 from ..core.distributions import DiscreteDistribution, from_samples, point_mass
-
-if False:  # pragma: no cover - import cycle guard, typing only
-    from ..plans.query import JoinQuery
 
 __all__ = ["SelectivityFeedback"]
 
@@ -125,32 +123,24 @@ class SelectivityFeedback:
         weight = len(history) / self.min_observations
         return empirical.mixture(self._prior(point_estimate), weight)
 
-    def apply_to_query(self, query: "JoinQuery") -> "JoinQuery":
+    def apply_to_query(self, query):
         """Return ``query`` with learned distributions on every predicate.
+
+        ``query`` is a :class:`~repro.plans.query.JoinQuery`; the copy is
+        built as ``type(query)`` because the catalog sits below
+        :mod:`repro.plans` and imports nothing of it.
 
         Point selectivities move to the learned distribution's mean so
         LSC baselines benefit from the feedback too — the comparison in
         experiment E20 is then purely about carrying the *spread*.
         """
-        # Imported here: repro.plans imports repro.catalog (schema), so a
-        # module-level import would be circular.
-        from ..plans.query import JoinPredicate, JoinQuery
-
         preds = []
         for p in query.predicates:
             dist = self.distribution(p.label, p.selectivity)
-            preds.append(
-                JoinPredicate(
-                    left=p.left,
-                    right=p.right,
-                    selectivity=float(min(1.0, dist.mean())),
-                    label=p.label,
-                    selectivity_dist=dist,
-                    result_pages_override=p.result_pages_override,
-                    equiv_class=p.equiv_class,
-                )
-            )
-        return JoinQuery(
+            preds.append(dataclasses.replace(
+                p, selectivity=float(min(1.0, dist.mean())), selectivity_dist=dist,
+            ))
+        return type(query)(
             list(query.relations),
             preds,
             required_order=query.required_order,

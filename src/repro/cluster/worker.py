@@ -34,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.context import OptimizationContext
+from ..costmodel.context import OptimizationContext
 from ..serving.service import Ladder, OptimizeRequest, ServingResult
 from ..tools.serialize import plan_to_dict
 from .protocol import (

@@ -16,20 +16,20 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.expected_cost import (
-    FAST_METHODS,
-    expected_external_sort_cost_model,
-    expected_join_cost_naive,
-    expected_join_cost_naive_model,
-)
-from ..costmodel.model import CostModel
+from ..core.distributions import DiscreteDistribution
 from ..plans.nodes import Join, Plan, PlanNode, Project, Scan, Sort
 from ..plans.nodes import Union as UnionNode
 from ..plans.properties import JoinMethod
 from ..plans.query import JoinQuery
 from ..plans.spju import UnionQuery
 from .context import OptimizationContext
-from .distributions import DiscreteDistribution
+from .expected_cost import (
+    FAST_METHODS,
+    expected_external_sort_cost_model,
+    expected_join_cost_naive,
+    expected_join_cost_naive_model,
+)
+from .model import CostModel
 
 __all__ = ["plan_expected_cost_multiparam"]
 

@@ -148,7 +148,7 @@ def subset_size_distribution(
     distribution is formed and then rebucketed to at most ``max_buckets``
     support points, preserving the mean.
 
-    :meth:`~repro.core.context.OptimizationContext.size_distribution`
+    :meth:`~repro.costmodel.context.OptimizationContext.size_distribution`
     memoizes the result per subset.  The products and rebucketings of the
     fold are not kept: a memo of them hit on a quarter of a cold run's
     folds at best and saved no measurable time.

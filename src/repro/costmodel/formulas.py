@@ -392,18 +392,23 @@ def external_sort_cost(pages: float, memory: float) -> float:
 
 
 def sort_breakpoints(pages: float) -> List[float]:
-    """Memory thresholds where :func:`external_sort_cost` changes regime.
-
-    Exact enumeration of all pass-count boundaries is unbounded; we return
-    the fits-in-memory edge and the k-th-root thresholds where the number
-    of merge passes changes, which dominate in practice.
+    """Memory thresholds where :func:`external_sort_cost` changes regime:
+    for each cost level above ``MIN_MEMORY_PAGES``, the smallest float
+    memory that reaches it, ascending.  The cost never rises as memory
+    grows, so each edge is bisected on the function itself.
     """
-    if pages <= 1:
-        return []
-    points = {float(pages)}
-    for passes in range(1, 8):
-        points.add(pages ** (1.0 / (passes + 1)) + 1.0)
-    return sorted(p for p in points if p > MIN_MEMORY_PAGES)
+    edges: List[float] = []
+    lo, level = MIN_MEMORY_PAGES, external_sort_cost(pages, MIN_MEMORY_PAGES)
+    while level > pages:  # a sort that fits in memory costs ``pages``
+        hi = float(pages)
+        while True:
+            mid = (lo + hi) / 2.0
+            if not lo < mid < hi:
+                break
+            lo, hi = (lo, mid) if external_sort_cost(pages, mid) < level else (mid, hi)
+        edges.append(hi)
+        lo, level = hi, external_sort_cost(pages, hi)
+    return edges
 
 
 def scan_cost(

@@ -246,7 +246,7 @@ class CostModel:
         or the nearest enclosing join's, walked once: per memory value only
         the formulas are left.  Sizes are ``node_size``'s, or for scans,
         joins and sorts the memo of ``context`` (an
-        :class:`~repro.core.context.OptimizationContext` for ``query``)."""
+        :class:`~repro.costmodel.context.OptimizationContext` for ``query``)."""
         if context is not None and not context.matches(query):
             context = None
         phase_of = {id(j): i for i, j in enumerate(plan.joins())}

@@ -25,10 +25,10 @@ import abc
 import math
 from typing import Iterable, List, Optional, Tuple
 
-from ..costmodel.model import CostModel
+from ..core.distributions import DiscreteDistribution
 from ..plans.nodes import Plan
 from ..plans.query import JoinQuery
-from .distributions import DiscreteDistribution
+from .model import CostModel
 
 __all__ = [
     "plan_cost_distribution",

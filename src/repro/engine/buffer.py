@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .pages import Page, PagedFile
 
@@ -46,11 +46,8 @@ class IOCounters:
 class BufferPool:
     """Fixed-capacity page cache with LRU eviction and I/O counting.
 
-    Pages are identified by ``(file_name, page_index)``.  ``pin`` marks
-    pages an operator holds in its working set (e.g. the resident hash
-    partition); pinned pages are never evicted, and an operator that pins
-    more pages than the capacity allows raises — the executor-level
-    analogue of "does not fit in memory".
+    Pages are identified by ``(file_name, page_index)``; a full pool
+    evicts its least recently used page.
     """
 
     def __init__(self, capacity: int):
@@ -59,7 +56,6 @@ class BufferPool:
         self.capacity = capacity
         self.counters = IOCounters()
         self._resident: "OrderedDict[Tuple[str, int], Page]" = OrderedDict()
-        self._pinned: set = set()
 
     # ------------------------------------------------------------------
 
@@ -83,16 +79,8 @@ class BufferPool:
         else:
             self._admit(key, pf.pages[page_index])
 
-    def pin(self, pf: PagedFile, page_index: int) -> None:
-        """Protect a resident page from eviction."""
-        key = (pf.name, page_index)
-        if key not in self._resident:
-            raise KeyError(f"page {key} not resident; read it first")
-        self._pinned.add(key)
-
     def evict_file(self, file_name: str) -> None:
         """Drop all of a file's pages from the pool (temp cleanup)."""
-        self._pinned = {k for k in self._pinned if k[0] != file_name}
         for key in [k for k in self._resident if k[0] == file_name]:
             del self._resident[key]
 
@@ -100,17 +88,5 @@ class BufferPool:
 
     def _admit(self, key: Tuple[str, int], page: Page) -> None:
         while len(self._resident) >= self.capacity:
-            victim = self._find_victim()
-            if victim is None:
-                raise MemoryError(
-                    f"buffer pool of {self.capacity} pages exhausted by pins"
-                )
-            del self._resident[victim]
-        self._resident[key] = page
-        self._resident.move_to_end(key)
-
-    def _find_victim(self) -> Optional[Tuple[str, int]]:
-        for key in self._resident:
-            if key not in self._pinned:
-                return key
-        return None
+            self._resident.popitem(last=False)
+        self._resident[key] = page  # a new key goes in at the MRU end

@@ -17,7 +17,7 @@ from typing import List
 
 
 from ..core.distributions import DiscreteDistribution
-from ..core.risk import (
+from ..costmodel.risk import (
     ExpectedCost,
     ExponentialUtility,
     MeanVariance,

@@ -23,6 +23,7 @@ from typing import List
 
 import numpy as np
 
+from ..core.distributions import point_mass
 from ..costmodel.model import CostModel
 from ..engine.simulator import realize_query
 from ..optimizer import optimize_algorithm_d, optimize_lsc
@@ -67,7 +68,6 @@ def run(quick: bool = False, seed: int = 0) -> List[ExperimentTable]:
                 max_pages=200000,
             )
             lifted = with_selectivity_uncertainty(est, err, n_buckets=5)
-            from ..core.distributions import point_mass
 
             plan_static = optimize_lsc(est, memory_value).plan
             plan_d = optimize_algorithm_d(

@@ -19,9 +19,8 @@ from typing import List
 
 import numpy as np
 
-from ..core import plan_expected_cost_multiparam
 from ..core.distributions import DiscreteDistribution
-from ..costmodel import CostModel
+from ..costmodel import CostModel, plan_expected_cost_multiparam
 from ..optimizer.facade import last_context, optimize
 from ..workloads.queries import star_query, with_selectivity_uncertainty
 from .harness import ExperimentTable

@@ -14,7 +14,7 @@ from typing import List
 import numpy as np
 
 from ..core.distributions import DiscreteDistribution
-from ..core.expected_cost import (
+from ..costmodel.expected_cost import (
     expected_join_cost_fast,
     expected_join_cost_naive,
 )

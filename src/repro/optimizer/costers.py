@@ -15,7 +15,7 @@ step is costed*; each of the paper's settings is one :class:`Coster`:
   selectivities all distributional; carries a page-count distribution per
   relation subset and takes expectations over (M, |L|, |R|) triples —
   per DP level and method one naive ``b_M·b_L·b_R`` grid laid over all
-  its steps (:mod:`repro.core.expected_cost`); presorted sort-merge step
+  its steps (:mod:`repro.costmodel.expected_cost`); presorted sort-merge step
   by step.
 
 Every coster exposes the same five hooks (access, join step, intermediate
@@ -34,7 +34,7 @@ row, a naive grid over size distributions).  A column is
 costed directly: a level names each pair once, so no step memo sits on
 the batch path (the engine keeps whole columns in the context instead).
 
-Shared state lives in an :class:`~repro.core.context.OptimizationContext`
+Shared state lives in an :class:`~repro.costmodel.context.OptimizationContext`
 attached at :meth:`Coster.bind` time: subset sizes and size
 distributions are memoized there instead of in per-coster private dicts,
 survival tables are fetched from the context, and the scalar step costs
@@ -53,15 +53,15 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.context import OptimizationContext
 from ..core.distributions import DiscreteDistribution
-from ..core.expected_cost import (
+from ..core.markov import MarkovParameter
+from ..costmodel.context import OptimizationContext
+from ..costmodel.expected_cost import (
     NaiveGrid,
     expected_external_sort_cost_model,
     expected_join_cost_naive,
     expected_join_cost_naive_model,
 )
-from ..core.markov import MarkovParameter
 from ..costmodel.estimates import project_pages
 from ..costmodel.model import CostModel
 from ..plans.nodes import Scan

@@ -17,7 +17,7 @@ per-assignment arithmetic), the cost formulas run through the vectorized
 ``*_many`` cost-model entry points, and the final expectation is the
 same left-to-right cumulative sum the scalar ``net.expectation`` loop
 performed.  Step costs are memoized in the bound
-:class:`~repro.core.context.OptimizationContext` and the DP costs them
+:class:`~repro.costmodel.context.OptimizationContext` and the DP costs them
 a level at a time, one ``prefetch_join_steps`` call per presorted-flag
 pair returning one cost list per join method — one grid per method on
 the calling thread, exactly like the independent costers.
@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, Optional
 import numpy as np
 
 from ..core.bayesnet import Assignment, BayesNetError, DiscreteBayesNet
-from ..core.context import OptimizationContext
+from ..costmodel.context import OptimizationContext
 from ..costmodel.model import CostModel
 from ..plans.nodes import Join, Plan, Scan, Sort
 from ..plans.query import JoinQuery

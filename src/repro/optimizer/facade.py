@@ -15,7 +15,7 @@ and under the paper's names (:func:`optimize_lsc` …
 :func:`optimize_algorithm_d`), which are rows of the same table run on
 a cold private context unless one is passed.
 
-The facade owns a small LRU of :class:`~repro.core.context.
+The facade owns a small LRU of :class:`~repro.costmodel.context.
 OptimizationContext` objects, keyed by the query's statistics
 fingerprint alone: every memo inside a context that a cost model can
 change already names its method set (the DP skeleton's key, a level
@@ -51,9 +51,9 @@ from collections import OrderedDict
 from numbers import Real
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from ..core.context import OptimizationContext, query_fingerprint
 from ..core.distributions import DiscreteDistribution
 from ..core.markov import MarkovParameter
+from ..costmodel.context import OptimizationContext, query_fingerprint
 from ..costmodel.formulas import MIN_MEMORY_PAGES, sort_breakpoints
 from ..costmodel.model import CostModel
 from ..plans.query import HashedTuple, JoinQuery
@@ -213,7 +213,7 @@ def memory_breakpoints(query: JoinQuery, cost_model: Optional[CostModel] = None,
     """Each memory at which the DP of ``plan_space`` may change plan for ``query``,
     ascending: :func:`~repro.optimizer.systemr.memory_edges` of the skeleton one
     uncounted LSC run records on a private context and, under a required order,
-    the enforcer sort's (approximate) ``sort_breakpoints``."""
+    the enforcer sort's ``sort_breakpoints``."""
     cm = cost_model if cost_model is not None else CostModel()
     walk = OptimizationContext(query)
     uncounted = CostModel(cm.methods, False, cm.pipelined_methods)
@@ -351,7 +351,7 @@ def optimize(
         Accepted and ignored: Algorithm D's kernel is no longer a choice.
         Kept only while the frozen benchmark harness still passes it.
     context:
-        Explicit :class:`~repro.core.context.OptimizationContext` to use
+        Explicit :class:`~repro.costmodel.context.OptimizationContext` to use
         instead of the facade's cached one.  Must match the query's
         statistics or it is (safely) ignored downstream.
 

@@ -57,7 +57,7 @@ from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.bucketing import level_set_cuts
-from ..core.context import OptimizationContext
+from ..costmodel.context import OptimizationContext
 from ..costmodel.formulas import MIN_MEMORY_PAGES, external_sort_cost, join_breakpoints
 from ..plans.nodes import Join, Plan, PlanNode, Project, Scan, Sort
 from ..plans.nodes import Union as UnionNode
@@ -126,7 +126,7 @@ class SystemRDP:
         Plans retained per (subset, order); ``> 1`` enables Algorithm B's
         candidate generation.
     context:
-        Optional shared :class:`~repro.core.context.OptimizationContext`.
+        Optional shared :class:`~repro.costmodel.context.OptimizationContext`.
         When given (and matching the optimized query's statistics) the
         coster draws memoized sizes, distributions and step costs from
         it; otherwise a fresh context is created per :meth:`optimize`

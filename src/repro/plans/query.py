@@ -328,7 +328,7 @@ class JoinQuery:
 
     @cached_property  # two threads filling it race benignly: equal values
     def fingerprint(self) -> HashedTuple:
-        """See :func:`repro.core.context.query_fingerprint`."""
+        """See :func:`repro.costmodel.context.query_fingerprint`."""
         return HashedTuple(self._fingerprint_parts())
 
     def _fingerprint_parts(self) -> Tuple:

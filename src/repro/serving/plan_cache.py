@@ -10,7 +10,7 @@ in a :class:`PlanCache`: ``OptimizerService.cache`` in process, and
 
 Keys are exact, not fuzzy.  A :class:`PlanCacheKey` combines:
 
-* the **query fingerprint** (:func:`repro.core.context.
+* the **query fingerprint** (:func:`repro.costmodel.context.
   query_fingerprint`) — every statistic the optimizer reads;
 * the canonical **objective** name and its knob tuple (plan space,
   top-k, bucketing caps, ...), since different knobs can change the

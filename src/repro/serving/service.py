@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.distributions import DiscreteDistribution
 from ..core.markov import MarkovParameter
-from ..core.context import OptimizationContext, query_fingerprint
+from ..costmodel.context import OptimizationContext, query_fingerprint
 from ..costmodel.model import CostModel
 from ..optimizer.errors import OptimizerConfigError
 from ..optimizer.facade import canonical_objective, check_memory, model_key, optimize as _optimize

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..core.context import OptimizationContext
 from ..core.distributions import DiscreteDistribution
+from ..costmodel.context import OptimizationContext
 from ..costmodel.model import CostModel
 from ..optimizer.result import OptimizerStats
 from ..plans.nodes import Plan

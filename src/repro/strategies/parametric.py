@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.bucketing import level_set_cuts
-from ..core.context import OptimizationContext
 from ..core.distributions import DiscreteDistribution
+from ..costmodel.context import OptimizationContext
 from ..costmodel.model import CostModel
 from ..optimizer import memory_breakpoints, optimize_algorithm_c, optimize_lsc
 from ..optimizer.result import OptimizerStats
@@ -130,8 +130,7 @@ def parametric_optimize(
     subset sizes rather than recomputing them once per region.
 
     Exact only for step-function method sets: hybrid hash is smooth in its
-    middle region, BNL's list stops at 64 thresholds, and the sort
-    breakpoints are approximate.
+    middle region and BNL's list stops at 64 thresholds.
     """
     if not 0 < memory_lo <= memory_hi:
         raise ValueError("need 0 < memory_lo <= memory_hi")

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from ..core.context import OptimizationContext
 from ..core.distributions import DiscreteDistribution, point_mass
 from ..core.markov import MarkovParameter
+from ..costmodel.context import OptimizationContext
 from ..costmodel.estimates import node_size
 from ..costmodel.model import CostModel
 from ..optimizer.facade import last_context, optimize

@@ -27,8 +27,8 @@ class TestModuleNaming:
     def test_src_anchored_paths(self):
         assert module_name_for_path("src/repro/cluster/gateway.py") \
             == "repro.cluster.gateway"
-        assert module_name_for_path("src\\repro\\core\\context.py") \
-            == "repro.core.context"
+        assert module_name_for_path("src\\repro\\costmodel\\context.py") \
+            == "repro.costmodel.context"
 
     def test_init_maps_to_package(self):
         assert module_name_for_path("src/repro/analysis/__init__.py") \

@@ -188,7 +188,14 @@ class TestBlockingReader:
     ])
     def test_a_zero_or_oversized_length_is_refused_before_reading(self, length,
                                                                  match):
-        header = struct.pack(">I", length)
+        # A whole frame follows the bad header: the blocking readers leave it
+        # unread, and the decoder refuses instead of resynchronising past it.
+        frame = encode_frame({"type": "ping", "seq": 1})
+        wire = struct.pack(">I", length) + frame
         for read in (read_payload, read_frame):
+            stream = io.BytesIO(wire)
             with pytest.raises(ProtocolError, match=match):
-                read(io.BytesIO(header + b'{"type":"x"}'))
+                read(stream)
+            assert stream.read() == frame
+        with pytest.raises(ProtocolError, match=match):
+            list(FrameDecoder().feed(wire))

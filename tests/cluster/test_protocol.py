@@ -11,8 +11,6 @@ import struct
 import pytest
 
 from repro.cluster.protocol import (
-    MAX_FRAME_BYTES,
-    FrameDecoder,
     ProtocolError,
     decode_memory,
     decode_request,
@@ -20,58 +18,16 @@ from repro.cluster.protocol import (
     encode_memory,
     encode_request,
     read_frame,
-    write_frame,
 )
-from repro.core.context import query_fingerprint
 from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import MarkovParameter
+from repro.costmodel.context import query_fingerprint
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
 from repro.serving.plan_cache import memory_key
 from repro.serving.service import OptimizeRequest
 
 
 class TestFraming:
-    def test_write_then_read_roundtrips(self):
-        buf = io.BytesIO()
-        messages = [
-            {"type": "optimize", "id": 1, "objective": "lec"},
-            {"type": "result", "id": 1, "objective_value": 3.5},
-            {"type": "ping", "seq": 9},
-        ]
-        for m in messages:
-            write_frame(buf, m)
-        buf.seek(0)
-        assert [read_frame(buf) for _ in messages] == messages
-        assert read_frame(buf) is None  # clean EOF
-
-    def test_read_truncated_frame_raises(self):
-        frame = encode_frame({"type": "ping", "seq": 1})
-        buf = io.BytesIO(frame[:-3])
-        with pytest.raises(ProtocolError, match="mid-frame"):
-            read_frame(buf)
-
-    def test_oversized_length_prefix_raises(self):
-        buf = io.BytesIO(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x")
-        with pytest.raises(ProtocolError, match="exceeds limit"):
-            read_frame(buf)
-
-    def test_zero_length_prefix_raises(self):
-        # An empty payload can never be valid JSON; reject it at the
-        # header instead of surfacing a confusing decode error.
-        frame = encode_frame({"type": "ping", "seq": 3})
-        buf = io.BytesIO(struct.pack(">I", 0) + frame)
-        with pytest.raises(ProtocolError, match="zero-length"):
-            read_frame(buf)
-
-    def test_zero_length_prefix_consumes_nothing_after_header(self):
-        # The valid frame after the bad header must still be unread: the
-        # reader rejects at the header without touching the payload.
-        frame = encode_frame({"type": "ping", "seq": 4})
-        buf = io.BytesIO(struct.pack(">I", 0) + frame)
-        with pytest.raises(ProtocolError, match="zero-length"):
-            read_frame(buf)
-        assert buf.read() == frame
-
     def test_untyped_payload_raises(self):
         payload = json.dumps([1, 2, 3]).encode()
         buf = io.BytesIO(struct.pack(">I", len(payload)) + payload)
@@ -81,49 +37,6 @@ class TestFraming:
     def test_unencodable_message_raises(self):
         with pytest.raises(ProtocolError, match="unencodable"):
             encode_frame({"type": "result", "plan": object()})
-
-
-class TestFrameDecoder:
-    def test_byte_at_a_time_chunks(self):
-        messages = [{"type": "ping", "seq": i} for i in range(3)]
-        wire = b"".join(encode_frame(m) for m in messages)
-        decoder = FrameDecoder()
-        out = []
-        for i in range(len(wire)):
-            out.extend(decoder.feed(wire[i:i + 1]))
-        assert out == messages
-        assert decoder.pending_bytes == 0
-
-    def test_many_frames_in_one_chunk(self):
-        messages = [{"type": "result", "id": i} for i in range(5)]
-        decoder = FrameDecoder()
-        out = list(decoder.feed(b"".join(encode_frame(m) for m in messages)))
-        assert out == messages
-
-    def test_partial_frame_stays_buffered(self):
-        frame = encode_frame({"type": "pong", "seq": 2})
-        decoder = FrameDecoder()
-        assert list(decoder.feed(frame[:5])) == []
-        assert decoder.pending_bytes == 5
-        assert list(decoder.feed(frame[5:])) == [{"type": "pong", "seq": 2}]
-
-    def test_corrupt_length_raises(self):
-        decoder = FrameDecoder()
-        with pytest.raises(ProtocolError, match="exceeds limit"):
-            list(decoder.feed(struct.pack(">I", MAX_FRAME_BYTES + 7)))
-
-    def test_zero_length_prefix_raises(self):
-        decoder = FrameDecoder()
-        with pytest.raises(ProtocolError, match="zero-length"):
-            list(decoder.feed(struct.pack(">I", 0)))
-
-    def test_zero_length_prefix_rejected_even_with_more_buffered(self):
-        # A zero-length header followed by a complete valid frame must
-        # not let the decoder resynchronize silently past corruption.
-        decoder = FrameDecoder()
-        wire = struct.pack(">I", 0) + encode_frame({"type": "ping", "seq": 1})
-        with pytest.raises(ProtocolError, match="zero-length"):
-            list(decoder.feed(wire))
 
 
 class TestMemoryDocuments:

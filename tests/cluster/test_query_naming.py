@@ -23,8 +23,8 @@ from repro.cluster import ClusterGateway, ClusterResult, GatewayError
 from repro.cluster import gateway as gateway_module
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.shared_cache import cache_key_digest, fingerprint_digest
-from repro.core.context import query_fingerprint
 from repro.core.distributions import DiscreteDistribution
+from repro.costmodel.context import query_fingerprint
 from repro.costmodel.model import CostModel
 from repro.optimizer.errors import MemoryTypeError, OptimizerConfigError
 from repro.plans.nodes import Plan, Scan

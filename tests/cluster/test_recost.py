@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 import repro
 from repro import CostModel
 from repro.cluster import ClusterGateway, ClusterResult
-from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import MarkovParameter
+from repro.costmodel.context import OptimizationContext
 from repro.serving.service import OptimizeRequest
 from repro.tools.serialize import plan_from_dict
 from repro.workloads.queries import random_query, with_selectivity_uncertainty

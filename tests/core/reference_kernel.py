@@ -1,7 +1,7 @@
 """Pure-python reference implementations of the distribution kernel.
 
 This module is the *behavioral specification* of the vectorized kernel in
-``repro.core.distributions`` / ``repro.core.expected_cost``: every
+``repro.core.distributions`` / ``repro.costmodel.expected_cost``: every
 function here spells out the intended mathematics with plain loops and
 ``math`` — no numpy — so the differential oracle suite
 (``test_kernel_oracle.py``) can check the array code against something a

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.context import CacheStats, OptimizationContext, query_fingerprint
 from repro.core.distributions import two_point
-from repro.core.expected_cost import expected_sort_merge_cost
+from repro.costmodel.context import CacheStats, OptimizationContext, query_fingerprint
+from repro.costmodel.expected_cost import expected_sort_merge_cost
 from repro.costmodel.estimates import subset_size
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
 

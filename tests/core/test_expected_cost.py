@@ -13,7 +13,8 @@ from repro.core.distributions import (
     two_point,
     uniform_over,
 )
-from repro.core.expected_cost import (
+from repro.core.floats import COST_REL_TOL
+from repro.costmodel.expected_cost import (
     FAST_METHODS,
     NaiveGrid,
     _SurvivalTable,
@@ -25,7 +26,6 @@ from repro.core.expected_cost import (
     expected_nested_loop_cost,
     expected_sort_merge_cost,
 )
-from repro.core.floats import COST_REL_TOL
 from repro.costmodel import formulas
 from repro.costmodel.model import CostModel
 from repro.plans.properties import JoinMethod

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distributions import DiscreteDistribution, point_mass
-from repro.core.expected_cost import expected_nested_loop_cost
 from repro.core.floats import (
     COST_ABS_TOL,
     MASS_EPS,
@@ -14,6 +13,7 @@ from repro.core.floats import (
     negligible_mass,
     probs_close,
 )
+from repro.costmodel.expected_cost import expected_nested_loop_cost
 
 
 class TestCostsClose:

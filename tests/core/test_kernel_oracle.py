@@ -21,17 +21,17 @@ from hypothesis import strategies as st
 from repro.core.bayesnet import DiscreteBayesNet
 from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import MarkovParameter
-from repro.core.expected_cost import (
-    FAST_METHODS,
-    expected_join_cost_fast,
-    expected_join_cost_naive,
-    expected_join_costs_batched,
-)
 from repro.core.floats import (
     COST_REL_TOL,
     PROB_ABS_TOL,
     costs_close,
     probs_close,
+)
+from repro.costmodel.expected_cost import (
+    FAST_METHODS,
+    expected_join_cost_fast,
+    expected_join_cost_naive,
+    expected_join_costs_batched,
 )
 from repro.costmodel.model import CostModel
 from repro.plans.properties import JoinMethod

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.distributions import DiscreteDistribution, point_mass, two_point
-from repro.core.risk import (
+from repro.costmodel.risk import (
     ExpectedCost,
     ExponentialUtility,
     MeanVariance,

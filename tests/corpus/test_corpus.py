@@ -38,7 +38,7 @@ import pytest
 
 import repro
 from repro.cluster import ClusterGateway
-from repro.core.context import OptimizationContext
+from repro.costmodel.context import OptimizationContext
 from repro.serving.service import OptimizerService
 
 from .ops import FAMILIES, OPS, Op, one_ulp, rebuilt
@@ -71,14 +71,15 @@ def read(path: Path = ANSWERS) -> Dict[str, dict]:
 
 
 def moved(old: Dict[str, dict], new: Dict[str, dict]) -> Dict[str, List[str]]:
-    """``field -> [op id, ...]``: where ``new``'s lines differ from ``old``'s."""
+    """``field -> [op id, ...]``: where ``new``'s lines differ from ``old``'s,
+    a field either line lacks included."""
     changes: Dict[str, List[str]] = {}
     for op_id, line in new.items():
         if op_id not in old:
             changes.setdefault("(new op)", []).append(op_id)
             continue
-        for field, value in line.items():
-            if old[op_id].get(field) != value:
+        for field in {**old[op_id], **line}:
+            if old[op_id].get(field) != line.get(field):
                 changes.setdefault(field, []).append(op_id)
     return changes
 
@@ -86,9 +87,13 @@ def moved(old: Dict[str, dict], new: Dict[str, dict]) -> Dict[str, List[str]]:
 def record(path: Path = ANSWERS, ops: Iterable[Op] = OPS) -> int:
     """Replay ``ops`` and rewrite ``path``; 1, nothing written, if an answer moved."""
     fresh = {op.id: answer(op) for op in ops}
-    changes = moved(read(path) if path.exists() else {}, fresh)
+    old = read(path) if path.exists() else {}
+    changes = moved(old, fresh)
     for field, ids in sorted(changes.items()):
         print(f"{field}: moved in {len(ids)} of {len(fresh)} ops")
+    gone = [op_id for op_id in old if op_id not in fresh]
+    if gone:
+        print(f"(gone op): {len(gone)} recorded ops are not replayed: {', '.join(gone)}")
     refused = [field for field in ANSWER_FIELDS if field in changes]
     for field in refused:
         print(f"refused, {field} moved: {', '.join(changes[field])}")
@@ -198,6 +203,18 @@ def assert_recorder_refuses(op: Op, answer_field: str, path: Path) -> None:
 
 def test_the_recorder_refuses_a_moved_answer_and_writes_a_moved_counter(tmp_path):
     assert_recorder_refuses(OPS[0], "objective", tmp_path / ANSWERS.name)
+
+
+def test_the_recorder_names_a_dropped_field_and_a_dropped_op(tmp_path, capsys):
+    line = _recorded()[OPS[0].id]
+    path = tmp_path / ANSWERS.name
+    path.write_text(json.dumps(dict(line, retired_counter=[1, 2])) + "\n"
+                    + json.dumps(dict(line, id="retired/op")) + "\n")
+    assert record(path, [OPS[0]]) == 0
+    out = capsys.readouterr().out
+    assert "retired_counter: moved in 1 of 1 ops" in out
+    assert "(gone op): 1 recorded ops are not replayed: retired/op" in out
+    assert read(path) == {OPS[0].id: line}
 
 
 def test_every_memo_layer_is_probed_by_the_corpus():

@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 import repro
 from repro.cluster.protocol import encode_frame, encode_request, split_request
 from repro.cluster.worker import recall
-from repro.core.context import OptimizationContext
+from repro.costmodel.context import OptimizationContext
 from repro.costmodel.model import CostModel
 from repro.optimizer.facade import canonical_objective
 from repro.plans.properties import JoinMethod

@@ -156,6 +156,16 @@ class TestSort:
         bps = formulas.sort_breakpoints(5000.0)
         assert 5000.0 in bps
 
+    @pytest.mark.parametrize("pages", [4.0, 123.4, 5000.0, 1e6])
+    def test_the_cost_drops_at_each_breakpoint_and_only_there(self, pages):
+        cost = formulas.external_sort_cost
+        cuts = [formulas.MIN_MEMORY_PAGES, *formulas.sort_breakpoints(pages)]
+        assert cost(pages, cuts[-1]) == pages
+        for lo, hi in zip(cuts, cuts[1:]):
+            below = math.nextafter(hi, -math.inf)
+            assert cost(pages, lo) == cost(pages, (lo + hi) / 2) == cost(pages, below)
+            assert cost(pages, below) > cost(pages, hi)
+
 
 class TestScan:
     def test_unfiltered_full_scan_free(self):

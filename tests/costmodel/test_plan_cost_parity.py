@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import sticky_chain
+from repro.costmodel.context import OptimizationContext
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
 from repro.plans.nodes import Plan, Project, Scan, Sort
 from repro.plans.nodes import Union as UnionNode

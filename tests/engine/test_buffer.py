@@ -73,31 +73,6 @@ class TestWrites:
         assert pool.counters.reads == 0  # already resident
 
 
-class TestPins:
-    def test_pinned_pages_survive_pressure(self, pf):
-        pool = BufferPool(2)
-        pool.read(pf, 0)
-        pool.pin(pf, 0)
-        pool.read(pf, 1)
-        pool.read(pf, 2)  # must evict page 1, not pinned page 0
-        pool.read(pf, 0)
-        assert pool.counters.reads == 3
-
-    def test_pin_requires_residency(self, pf):
-        pool = BufferPool(2)
-        with pytest.raises(KeyError):
-            pool.pin(pf, 0)
-
-    def test_over_pinning_raises(self, pf):
-        pool = BufferPool(2)
-        pool.read(pf, 0)
-        pool.pin(pf, 0)
-        pool.read(pf, 1)
-        pool.pin(pf, 1)
-        with pytest.raises(MemoryError):
-            pool.read(pf, 2)
-
-
 class TestEvictFile:
     def test_evict_file_clears_residency(self, pf):
         pool = BufferPool(4)

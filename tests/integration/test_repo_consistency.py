@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import graphlib
 import importlib
 import pathlib
 import re
@@ -41,9 +42,18 @@ class TestExperimentWiring:
             )
 
 
-def _imported_modules(path: pathlib.Path, package: str):
-    """Absolute dotted names ``path`` imports, function bodies included."""
-    for node in ast.walk(ast.parse(path.read_text())):
+def _imports(path: pathlib.Path, package: str, bodies_only: bool = False):
+    """Absolute dotted names ``path`` imports, function bodies included.
+
+    With ``bodies_only``, only the imports made inside a function body.
+    """
+    tree = ast.parse(path.read_text())
+    nodes = ast.walk(tree)
+    if bodies_only:  # by id: a nested function's imports are walked once
+        nodes = {id(n): n for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for n in ast.walk(f)}.values()
+    for node in nodes:
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -58,33 +68,75 @@ def _imported_modules(path: pathlib.Path, package: str):
             yield from (".".join(base + [alias.name]) for alias in node.names)
 
 
-class TestLayering:
-    """The optimizers sit on the core; nothing below reaches back up."""
+SRC = REPO / "src" / "repro"
 
-    LOWER = ("core", "costmodel", "plans", "catalog")
-    UPPER = ("repro.optimizer", "repro.serving", "repro.cluster")
+
+def _modules():
+    """``(path, dotted package, top-level package)`` of every src module
+    below ``repro`` itself (``repro/__init__.py`` re-exports them all)."""
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).parts
+        if parts == ("__init__.py",):
+            continue
+        package = ".".join(path.relative_to(SRC.parent).parts[:-1])
+        yield path, package, parts[0].removesuffix(".py")
+
+
+def _other_packages(names, top):
+    return {n.split(".")[1] for n in names
+            if n.startswith("repro.") and n.split(".")[1] != top}
+
+
+class TestLayering:
+    """One package DAG, in the paper's order: distributions, then cost
+    formulas over them, then one DP under different costings."""
+
+    #: The spine, lowest first; each package imports only those before it.
+    SPINE = ("core", "catalog", "plans", "costmodel", "optimizer", "serving", "cluster")
+    #: ``repro.core`` modules that only re-export ``repro.costmodel``
+    #: names ``bench/trace.py`` resolves by dotted path (ROADMAP item 1).
+    ALIASES = ("core/context.py", "core/expected_cost.py")
+
+    def graph(self):
+        graph = {}
+        for path, package, top in _modules():
+            if path.relative_to(SRC).as_posix() in self.ALIASES:
+                continue
+            graph.setdefault(top, set()).update(
+                _other_packages(_imports(path, package), top))
+        return graph
+
+    def test_the_package_graph_is_acyclic(self):
+        graphlib.TopologicalSorter(self.graph()).prepare()  # raises CycleError
 
     def test_lower_layers_never_import_the_upper_ones(self):
-        src = REPO / "src" / "repro"
-        offenders = []
-        for layer in self.LOWER:
-            for path in sorted((src / layer).rglob("*.py")):
-                package = ".".join(path.relative_to(src.parent).parts[:-1])
-                for name in _imported_modules(path, package):
-                    if name.startswith(self.UPPER):
-                        offenders.append(f"{path.relative_to(REPO)}: {name}")
+        graph = self.graph()
+        offenders = [
+            f"{low} -> {high}"
+            for i, low in enumerate(self.SPINE)
+            for high in self.SPINE[i + 1:]
+            if high in graph[low]
+        ]
         assert not offenders, offenders
 
-    #: The modules of ``repro.core`` that take and give plain numbers.
-    FLOOR = ("bayesnet", "bucketing", "distributions", "floats", "markov", "parallel")
-
     def test_the_numeric_floor_imports_no_other_repro_package(self):
-        core = REPO / "src" / "repro" / "core"
+        assert not self.graph()["core"]
+
+    def test_each_core_alias_is_a_docstring_and_one_import(self):
+        for alias in self.ALIASES:
+            body = ast.parse((SRC / alias).read_text()).body
+            assert len(body) == 2, alias
+            assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            assert isinstance(body[1], ast.ImportFrom), alias
+            assert body[1].module.startswith("costmodel."), alias
+
+    def test_no_cross_package_import_in_a_function_body(self):
         offenders = [
-            f"core/{module}.py: {name}"
-            for module in self.FLOOR
-            for name in _imported_modules(core / f"{module}.py", "repro.core")
-            if name.startswith("repro.") and not name.startswith("repro.core.")
+            f"{path.relative_to(SRC)}: {name}"
+            for path, package, top in _modules()
+            if top != "analysis"
+            for name in _imports(path, package, bodies_only=True)
+            if _other_packages([name], top)
         ]
         assert not offenders, offenders
 

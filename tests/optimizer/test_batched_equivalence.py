@@ -34,13 +34,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.algorithm_d import plan_expected_cost_multiparam
+from repro.costmodel.algorithm_d import plan_expected_cost_multiparam
 from repro.optimizer import optimize_algorithm_d
 from repro.core.bayesnet import DiscreteBayesNet
-from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
 from repro.core.floats import COST_REL_TOL
 from repro.core.markov import MarkovParameter
+from repro.costmodel.context import OptimizationContext
 from repro.optimizer.costers import (
     ExpectedCoster,
     MarkovCoster,
@@ -343,7 +343,7 @@ def test_a_naive_multiparam_level_mixes_presorted_and_unsorted_sort_merge(
     # and the presorted columns of the same level through the
     # order-aware per-step route.  Steps the scalar path memoized
     # beforehand change nothing: the grid still covers every pair.
-    from repro.core.expected_cost import NaiveGrid
+    from repro.costmodel.expected_cost import NaiveGrid
 
     query = QUERIES[2]
     columns = [c for c in _columns(query, False) if c[0] == 1]

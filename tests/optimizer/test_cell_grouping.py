@@ -21,8 +21,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
+from repro.costmodel.context import OptimizationContext
 from repro.costmodel.formulas import sort_breakpoints
 from repro.costmodel.model import CostModel
 from repro.optimizer import facade, optimize_algorithm_a, optimize_algorithm_b

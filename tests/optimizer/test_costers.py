@@ -7,9 +7,9 @@ import itertools
 import pytest
 
 from repro.core.distributions import point_mass, uniform_over
-from repro.core.expected_cost import expected_join_cost_fast
 from repro.core.floats import COST_REL_TOL
 from repro.core.markov import MarkovParameter, sticky_chain
+from repro.costmodel.expected_cost import expected_join_cost_fast
 from repro.costmodel import formulas
 from repro.costmodel.model import CostModel
 from repro.optimizer.costers import (

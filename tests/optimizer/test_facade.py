@@ -468,7 +468,7 @@ class TestContextCacheThreadSafety:
         """
         import threading
 
-        from repro.core.context import OptimizationContext
+        from repro.costmodel.context import OptimizationContext
 
         queries = self._queries(4)
         errors = []

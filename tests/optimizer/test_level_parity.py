@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
+from repro.costmodel.context import OptimizationContext
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
 from repro.optimizer.costers import ExpectedCoster, MultiParamCoster, PointCoster
 from repro.plans.properties import JoinMethod

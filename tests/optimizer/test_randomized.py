@@ -120,7 +120,7 @@ class TestSimulatedAnnealing:
     def test_works_with_risk_objective(self, memory):
         """The whole point: any scalar objective plugs in, including ones
         the DP cannot optimise (non-additive utilities)."""
-        from repro.core.risk import MeanVariance, plan_cost_distribution
+        from repro.costmodel.risk import MeanVariance, plan_cost_distribution
 
         q = chain_query(4, np.random.default_rng(80))
         cm = CostModel(count_evaluations=False)

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.context import OptimizationContext
 from repro.core.distributions import DiscreteDistribution
+from repro.costmodel.context import OptimizationContext
 from repro.costmodel.model import CostModel
 from repro.plans.properties import JoinMethod
 from repro.plans.query import JoinQuery

@@ -10,8 +10,8 @@ import pytest
 
 from repro.catalog.schema import Catalog, Column, Table
 from repro.catalog.statistics import StatisticsCatalog
-from repro.core.context import query_fingerprint
 from repro.core.distributions import two_point
+from repro.costmodel.context import query_fingerprint
 from repro.plans.query import JoinPredicate, JoinQuery, QueryError, RelationSpec
 from repro.plans.spju import UnionQuery
 

@@ -4,7 +4,7 @@ The service reports ``objective_value`` from the DP's own bookkeeping
 (memoized step costs, batched kernels, the context's size memo).  These
 properties re-derive it along an independent path — the whole-plan
 costing of :class:`~repro.costmodel.model.CostModel` and
-:func:`~repro.core.algorithm_d.plan_expected_cost_multiparam` — and, for
+:func:`~repro.costmodel.algorithm_d.plan_expected_cost_multiparam` — and, for
 queries small enough to enumerate, against the optimum over every
 left-deep plan.  A cache hit must hand back the very plan document the
 miss stored, byte for byte.

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.optimizer import optimize_algorithm_c, optimize_lsc
+from repro.optimizer import memory_breakpoints, optimize_algorithm_c, optimize_lsc
 from repro.core.distributions import two_point, uniform_over
 from repro.costmodel.model import CostModel
 from repro.strategies.choice_nodes import ChoicePlan, build_choice_plan
@@ -56,6 +58,21 @@ class TestParametricOptimize:
         for m in [908.318, *np.geomspace(10.0, 20000.0, 24).tolist()]:
             lsc = optimize_lsc(query, m, plan_space=space).objective
             assert cm.plan_cost(pset.plan_for(m), query, m) <= lsc * (1 + 1e-12)
+
+    @pytest.mark.parametrize("seed", [3, 23])
+    def test_lookup_is_lsc_on_and_one_ulp_beside_every_edge(self, seed):
+        # With the k-th-root approximations of the sort edges, the set kept
+        # the plan of the cell above one ulp below an edge: 1.03x (seed 3,
+        # 13.178 pages) and 1.10x (seed 23, 69.756 pages) the optimum.
+        query = chain_query(4, np.random.default_rng(seed), require_order=True,
+                            shared_attribute=True)
+        pset = parametric_optimize(query, 10.0, 50000.0)
+        cm = CostModel(count_evaluations=False)
+        for edge in memory_breakpoints(query):
+            for m in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                if 10.0 <= m <= 50000.0:
+                    lsc = optimize_lsc(query, m).objective
+                    assert cm.plan_cost(pset.plan_for(m), query, m) <= lsc * (1 + 1e-12), m
 
     def test_lookup_clamps_outside_range(self, example_query):
         pset = parametric_optimize(example_query, 500.0, 2000.0)

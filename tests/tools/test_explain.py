@@ -63,7 +63,7 @@ class TestExplainCosts:
         """A context built for a different query must not poison estimates."""
         import numpy as np
 
-        from repro.core.context import OptimizationContext
+        from repro.costmodel.context import OptimizationContext
         from repro.workloads.queries import star_query
 
         other = star_query(3, np.random.default_rng(5))

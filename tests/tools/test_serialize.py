@@ -432,7 +432,7 @@ class TestQueryRoundTrip:
         return JoinQuery(rels, preds)
 
     def test_rich_join_query_roundtrips_every_field(self):
-        from repro.core.context import query_fingerprint
+        from repro.costmodel.context import query_fingerprint
         from repro.tools.serialize import query_from_dict, query_to_dict
 
         query = self._rich_query()
@@ -448,7 +448,7 @@ class TestQueryRoundTrip:
     def test_union_query_roundtrips(self):
         import numpy as np
 
-        from repro.core.context import query_fingerprint
+        from repro.costmodel.context import query_fingerprint
         from repro.tools.serialize import query_from_dict, query_to_dict
         from repro.workloads.queries import union_query
 
@@ -460,7 +460,7 @@ class TestQueryRoundTrip:
         assert query_fingerprint(back) == query_fingerprint(query)
 
     def test_dumps_loads_dispatch_on_query_kind(self):
-        from repro.core.context import query_fingerprint
+        from repro.costmodel.context import query_fingerprint
         from repro.tools.serialize import dumps, loads
 
         query = self._rich_query()
